@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet check bench experiments obs-smoke corpus-smoke engine-smoke distcache-smoke bpartd-smoke
+.PHONY: build test race stress vet check bench experiments obs-smoke corpus-smoke engine-smoke distcache-smoke bpartd-smoke
 
 build:
 	$(GO) build ./...
@@ -16,6 +16,13 @@ test:
 # concurrency audit, not just a recompile.
 race:
 	$(GO) test -race ./...
+
+# Twenty race-detector repetitions of the packages whose tests lean on
+# timing and goroutines (the daemon's admission/metrics/shutdown paths,
+# the cache's claim/lease and server shutdown), so a flaky test fails
+# here rather than in a later change's test run.
+stress:
+	$(GO) test -race -count=20 ./cmd/bpartd ./internal/cache
 
 vet:
 	$(GO) vet ./...
@@ -39,13 +46,12 @@ corpus-smoke:
 		-corpus-out /tmp/binpart-corpus-summary.json >/dev/null
 
 # The simulator engine differential: every suite benchmark at -O0..-O3
-# through the reference, block, and fused engines as multi-core batches,
+# through the reference and threaded engines as multi-core batches,
 # bit-identity checked down to the profile maps. Exits nonzero on any
-# divergence; the stats artifact (wall times, fusion counters) lands in
-# /tmp for inspection.
+# divergence; the E2 table (wall and CPU times) lands in /tmp for
+# inspection.
 engine-smoke:
-	$(GO) run ./cmd/experiments -engines -j 8 \
-		-fusion-out /tmp/binpart-engines.json >/dev/null
+	$(GO) run ./cmd/experiments -engines -j 8 >/tmp/binpart-engines.txt
 
 # The distributed-cache path end to end over real processes: one shard
 # server plus two sharded workers over localhost, cold cache, then the
@@ -65,7 +71,7 @@ distcache-smoke:
 bpartd-smoke:
 	sh scripts/bpartd-smoke.sh
 
-check: vet build test race obs-smoke corpus-smoke engine-smoke distcache-smoke bpartd-smoke
+check: vet build test race stress obs-smoke corpus-smoke engine-smoke distcache-smoke bpartd-smoke
 
 # Runs every benchmark and distills the results (per-stage ns/op plus the
 # T1 headline custom metrics) into BENCH.json via cmd/benchjson. The text

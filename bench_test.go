@@ -199,37 +199,10 @@ func BenchmarkStageSimulateReference(b *testing.B) {
 	}
 }
 
-// BenchmarkStageSimulateFused pins the fused engine explicitly (it is
-// also the default behind StageSimulate/StageSimulateProfiled): threaded
-// blocks plus superinstruction fusion, profiled.
-func BenchmarkStageSimulateFused(b *testing.B) {
-	benchmarkEngine(b, sim.EngineFused)
-}
-
-// BenchmarkStageSimulateBlock is the ablation point between the
-// reference stepper and the fused engine: threaded-code blocks, no
-// fusion peephole.
-func BenchmarkStageSimulateBlock(b *testing.B) {
-	benchmarkEngine(b, sim.EngineBlock)
-}
-
-func benchmarkEngine(b *testing.B, eng sim.Engine) {
-	img := crcImage(b)
-	cfg := sim.DefaultConfig()
-	cfg.Profile = true
-	cfg.Engine = eng
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sim.Execute(img, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSimMemory isolates the simulator's memory path on a
 // store/load-heavy kernel: a 1024-word buffer swept 64 times with a
 // store, a reload, and an accumulate per element, reported as ns per
-// retired step on the fused (default) engine.
+// retired step on the threaded (default) engine.
 func BenchmarkSimMemory(b *testing.B) {
 	words, err := mips.AssembleWords(`
 		lui   $t0, 0x1000        # buffer base

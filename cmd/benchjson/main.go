@@ -144,11 +144,18 @@ func readReport(path string) (Report, error) {
 // (Stage*/RemoteTier*) benchmark fails the baseline gate.
 const regressLimit = 0.10
 
+// gatedBench reports whether the ratchet gates a benchmark.
+func gatedBench(name string) bool {
+	return strings.HasPrefix(name, "Stage") || strings.HasPrefix(name, "RemoteTier")
+}
+
 // diffReports prints a per-benchmark comparison and returns the gate
 // violations: Stage* and RemoteTier* benchmarks more than regressLimit
 // worse than the baseline on allocs/op (always) or ns/op (only when both
 // reports were recorded on the same CPU, since wall-clock does not
-// transfer across machines).
+// transfer across machines), and gated baseline benchmarks absent from
+// the run — a renamed or deleted benchmark must leave the baseline
+// explicitly, not unhook its gate silently.
 func diffReports(w io.Writer, old, cur Report) []string {
 	cpuMatch := old.CPU != "" && old.CPU == cur.CPU
 	base := make(map[string]Benchmark, len(old.Benchmarks))
@@ -159,12 +166,23 @@ func diffReports(w io.Writer, old, cur Report) []string {
 		map[bool]string{true: "on", false: "off"}[cpuMatch], old.CPU, cur.CPU)
 
 	var regressions []string
+	ran := make(map[string]bool, len(cur.Benchmarks))
+	for _, b := range cur.Benchmarks {
+		ran[b.Name] = true
+	}
+	for _, ob := range old.Benchmarks {
+		if gatedBench(ob.Name) && !ran[ob.Name] {
+			fmt.Fprintf(w, "  %-28s missing from the run\n", ob.Name)
+			regressions = append(regressions,
+				fmt.Sprintf("%s is gated in the baseline but missing from the run (delete its baseline entry to retire it)", ob.Name))
+		}
+	}
 	for _, b := range cur.Benchmarks {
 		ob, ok := base[b.Name]
 		if !ok {
 			continue
 		}
-		gated := strings.HasPrefix(b.Name, "Stage") || strings.HasPrefix(b.Name, "RemoteTier")
+		gated := gatedBench(b.Name)
 		for _, unit := range []string{"ns/op", "allocs/op"} {
 			nv, haveNew := b.Metrics[unit]
 			ov, haveOld := ob.Metrics[unit]

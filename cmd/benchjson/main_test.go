@@ -51,6 +51,25 @@ func TestDiffReportsIgnoresUngatedAndTolerated(t *testing.T) {
 	}
 }
 
+// TestDiffReportsGatesMissingBenchmark pins the hole where a gated
+// baseline benchmark absent from the run was skipped, unhooking its
+// ratchet without a trace. A missing Stage*/RemoteTier* entry must now
+// fail the gate; a missing ungated entry stays quiet.
+func TestDiffReportsGatesMissingBenchmark(t *testing.T) {
+	old := report("cpuA",
+		bench("StageSimulate", 1000, 0),
+		bench("RemoteTierGet", 1000, 10),
+		bench("Figure1AreaSweep", 1000, 100))
+	cur := report("cpuA", bench("StageSimulate", 1000, 0))
+	regs := diffReports(io.Discard, old, cur)
+	if len(regs) != 1 {
+		t.Fatalf("want 1 regression (RemoteTierGet missing), got %v", regs)
+	}
+	if !strings.Contains(regs[0], "RemoteTierGet") || !strings.Contains(regs[0], "missing") {
+		t.Fatalf("unexpected regression text: %q", regs[0])
+	}
+}
+
 // TestDiffReportsZeroBaseline is the regression test for the zero-baseline
 // hole: a Stage* benchmark that reached 0 allocs/op and then regressed to
 // N used to slip past the gate because a relative delta over zero is

@@ -48,7 +48,6 @@ import (
 	"binpart/internal/fpga"
 	"binpart/internal/obs"
 	"binpart/internal/platform"
-	"binpart/internal/sim"
 )
 
 func main() {
@@ -65,7 +64,6 @@ func main() {
 	mhz := flag.Float64("mhz", 200, "default CPU clock in MHz (request \"mhz\" overrides)")
 	device := flag.String("device", "XC2V2000", "default Virtex-II device (request \"device\" overrides)")
 	alg := flag.String("alg", "90-10", "default partitioning algorithm (request \"alg\" overrides)")
-	engine := flag.String("engine", "fused", "default simulator engine (request \"engine\" overrides)")
 	cacheDir := flag.String("cachedir", "", "directory for the on-disk stage cache (empty: memory only)")
 	cacheDirMax := flag.String("cachedir-max", "", "byte budget for -cachedir (e.g. 256M)")
 	remoteCache := flag.String("remote-cache", "", "comma-separated cache-server addresses to share the stage cache with")
@@ -122,11 +120,6 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown algorithm %q", *alg))
 	}
-	eng, err := sim.ParseEngine(*engine)
-	if err != nil {
-		fatal(err)
-	}
-	opts.Sim.Engine = eng
 
 	caches := core.NewCaches()
 	if *cacheDir != "" {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,7 +19,6 @@ import (
 	"binpart/internal/obs"
 	"binpart/internal/obs/hist"
 	"binpart/internal/platform"
-	"binpart/internal/sim"
 )
 
 // apiRequest is the body of both /v1/partition and /v1/sweep. Either a
@@ -36,7 +36,6 @@ type apiRequest struct {
 	AreaBudgetGates int     `json:"area_budget_gates,omitempty"`
 	Whole           bool    `json:"whole,omitempty"`
 	JumpTables      *bool   `json:"jumptables,omitempty"`
-	Engine          string  `json:"engine,omitempty"`
 	Structure       bool    `json:"structure,omitempty"`
 
 	// Sweep selects /v1/sweep's mode: "devices" or "clocks".
@@ -133,6 +132,12 @@ const (
 
 var routeNames = [2]string{"partition", "sweep"}
 
+// routeCodes are the response codes the API routes answer with. Every
+// {route, code} series is registered at zero by newDaemon, so each
+// bpartd family is present from the first /metrics scrape, before any
+// request has completed.
+var routeCodes = []int{http.StatusOK, http.StatusBadRequest, http.StatusTooManyRequests, http.StatusServiceUnavailable}
+
 // syncCounters tallies response codes for one route.
 type syncCounters struct {
 	mu sync.Mutex
@@ -141,9 +146,6 @@ type syncCounters struct {
 
 func (c *syncCounters) add(code int) {
 	c.mu.Lock()
-	if c.m == nil {
-		c.m = map[int]uint64{}
-	}
 	c.m[code]++
 	c.mu.Unlock()
 }
@@ -196,6 +198,12 @@ func newDaemon(cfg daemonConfig) *daemon {
 	}
 	for i := 0; i < cfg.Inflight; i++ {
 		d.slots <- i
+	}
+	for r := range d.codes {
+		d.codes[r].m = make(map[int]uint64, len(routeCodes))
+		for _, code := range routeCodes {
+			d.codes[r].m[code] = 0
+		}
 	}
 	return d
 }
@@ -341,13 +349,6 @@ func (d *daemon) decode(r *http.Request) (*apiRequest, core.Options, error) {
 	}
 	if req.JumpTables != nil {
 		opts.RecoverJumpTables = *req.JumpTables
-	}
-	if req.Engine != "" {
-		eng, err := sim.ParseEngine(req.Engine)
-		if err != nil {
-			return nil, core.Options{}, err
-		}
-		opts.Sim.Engine = eng
 	}
 	return &req, opts, nil
 }
@@ -526,9 +527,15 @@ func (d *daemon) handleSweep(w http.ResponseWriter, r *http.Request) {
 func (d *daemon) WriteMetrics(w io.Writer) {
 	p := hist.NewProm(w)
 	for route, name := range routeNames {
-		for code, n := range d.codes[route].snapshot() {
+		counts := d.codes[route].snapshot()
+		codes := make([]int, 0, len(counts))
+		for code := range counts {
+			codes = append(codes, code)
+		}
+		sort.Ints(codes)
+		for _, code := range codes {
 			p.Counter("bpartd_requests_total",
-				hist.Labels(hist.Label("route", name), hist.Label("code", fmt.Sprint(code))), float64(n))
+				hist.Labels(hist.Label("route", name), hist.Label("code", fmt.Sprint(code))), float64(counts[code]))
 		}
 	}
 	p.Counter("bpartd_rejected_total", hist.Label("reason", "queue"), float64(d.rejectQueue.Load()))

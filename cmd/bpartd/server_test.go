@@ -52,16 +52,19 @@ func postJSON(t *testing.T, client *http.Client, url string, req apiRequest) (*h
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
-		t.Fatal(err)
+		t.Error(err)
+		return nil, nil
 	}
 	resp, err := client.Post(url, "application/json", bytes.NewReader(body))
 	if err != nil {
-		t.Fatal(err)
+		t.Error(err)
+		return nil, nil
 	}
 	out, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if err != nil {
-		t.Fatal(err)
+		t.Error(err)
+		return nil, nil
 	}
 	return resp, out
 }
@@ -110,6 +113,9 @@ func TestPartitionMatchesCLI(t *testing.T) {
 			defer wg.Done()
 			name := benches[g%len(benches)]
 			resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/partition", apiRequest{Bench: name, Opt: 1})
+			if resp == nil {
+				return
+			}
 			if resp.StatusCode != http.StatusOK {
 				t.Errorf("%s: status %d: %s", name, resp.StatusCode, body)
 				return
@@ -158,6 +164,9 @@ func TestSweepStreamMatchesCLI(t *testing.T) {
 	}
 
 	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/sweep", apiRequest{Bench: "crc", Opt: 1, Sweep: "devices"})
+	if resp == nil {
+		return
+	}
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
@@ -209,22 +218,27 @@ func TestQueueFullReturns429(t *testing.T) {
 	go func() {
 		defer close(first)
 		resp, _ := postJSON(t, ts.Client(), ts.URL+"/v1/partition", apiRequest{Bench: "crc", Opt: 1})
-		if resp.StatusCode != http.StatusOK {
+		if resp != nil && resp.StatusCode != http.StatusOK {
 			t.Errorf("pinned request: status %d", resp.StatusCode)
 		}
 	}()
 	<-entered
+	// Release the pinned request before the server closes, on every path.
+	defer func() {
+		close(hold)
+		<-first
+	}()
 
 	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/partition", apiRequest{Bench: "crc", Opt: 1})
+	if resp == nil {
+		return
+	}
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Errorf("queue-full status = %d, want 429 (%s)", resp.StatusCode, body)
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("429 missing Retry-After")
 	}
-
-	close(hold)
-	<-first
 }
 
 // TestTenantRateLimit exhausts one tenant's bucket and checks the next
@@ -281,6 +295,10 @@ func TestInflightCompletesAcrossShutdown(t *testing.T) {
 	inflight := make(chan int, 1)
 	go func() {
 		resp, _ := postJSON(t, client, base+"/v1/partition", apiRequest{Bench: "crc", Opt: 1})
+		if resp == nil {
+			inflight <- 0
+			return
+		}
 		inflight <- resp.StatusCode
 	}()
 	<-entered
@@ -303,9 +321,12 @@ func TestInflightCompletesAcrossShutdown(t *testing.T) {
 		resp.Body.Close()
 	}
 
+	// No t.Fatal while the in-flight poster still holds t: report, put
+	// the result back, and let the request finish below.
 	select {
-	case <-shutdownDone:
-		t.Fatal("Shutdown returned while a request was still in flight")
+	case err := <-shutdownDone:
+		t.Error("Shutdown returned while a request was still in flight")
+		shutdownDone <- err
 	case <-time.After(100 * time.Millisecond):
 	}
 
@@ -352,6 +373,9 @@ func TestMetricsScrapeableMidLoad(t *testing.T) {
 				default:
 				}
 				resp, _ := postJSON(t, ts.Client(), ts.URL+"/v1/partition", apiRequest{Bench: "crc", Opt: 1})
+				if resp == nil {
+					return
+				}
 				if resp.StatusCode != http.StatusOK {
 					t.Errorf("post under load: %d", resp.StatusCode)
 					return
@@ -360,26 +384,37 @@ func TestMetricsScrapeableMidLoad(t *testing.T) {
 		}()
 	}
 
+	// Every family is pre-registered, so even the first scrape — before
+	// any request has completed — must carry it. Failures break out of
+	// the loop rather than t.Fatal: the posters still hold t and must be
+	// stopped first.
 	url := "http://" + dbg.Addr() + "/metrics"
 	deadline := time.Now().Add(2 * time.Second)
 	scrapes := 0
-	for time.Now().Before(deadline) {
+	for time.Now().Before(deadline) && !t.Failed() {
 		resp, err := http.Get(url)
 		if err != nil {
-			t.Fatalf("scrape: %v", err)
+			t.Errorf("scrape: %v", err)
+			break
 		}
 		body, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if err != nil || resp.StatusCode != http.StatusOK {
-			t.Fatalf("scrape: status %d err %v", resp.StatusCode, err)
+			t.Errorf("scrape: status %d err %v", resp.StatusCode, err)
+			break
 		}
-		if scrapes > 0 && !strings.Contains(string(body), "bpartd_requests_total") {
-			t.Fatalf("scrape missing bpartd families:\n%s", body)
+		for _, family := range []string{"bpartd_requests_total", "bpartd_rejected_total", "bpartd_queue_depth", "bpartd_inflight"} {
+			if !strings.Contains(string(body), "# TYPE "+family+" ") {
+				t.Errorf("scrape %d missing %s:\n%s", scrapes, family, body)
+			}
 		}
 		scrapes++
 	}
 	close(stop)
 	posters.Wait()
+	if t.Failed() {
+		return
+	}
 	if scrapes < 2 {
 		t.Errorf("only %d scrapes completed", scrapes)
 	}

@@ -43,7 +43,6 @@ import (
 	"binpart/internal/fpga"
 	"binpart/internal/obs"
 	"binpart/internal/platform"
-	"binpart/internal/sim"
 	"binpart/internal/vhdl"
 )
 
@@ -54,7 +53,6 @@ func main() {
 	whole := flag.Bool("whole", false, "partition whole call-free functions instead of loops")
 	structure := flag.Bool("structure", false, "print recovered control structure per function")
 	jumpTables := flag.Bool("jumptables", true, "recover switch jump tables at indirect jumps (=false reproduces the paper's failures)")
-	engine := flag.String("engine", "fused", "simulator engine: reference, block, or fused")
 	vhdlDir := flag.String("vhdl", "", "directory to write VHDL for selected regions")
 	workers := flag.Int("j", runtime.GOMAXPROCS(0), "worker pool size when partitioning several binaries")
 	cacheDir := flag.String("cachedir", "", "directory for the on-disk stage cache (empty: memory only)")
@@ -93,11 +91,6 @@ func main() {
 		opts.Granularity = core.GranFunctions
 	}
 	opts.RecoverJumpTables = *jumpTables
-	eng, err := sim.ParseEngine(*engine)
-	if err != nil {
-		fatal(err)
-	}
-	opts.Sim.Engine = eng
 
 	var clocks []float64
 	switch *sweep {

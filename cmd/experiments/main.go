@@ -10,8 +10,6 @@
 //	experiments -corpus 1000 # differential fuzz corpus of generated programs
 //	experiments -corpus 1000 -corpus-seed 7 -corpus-out sum.json
 //	experiments -engines     # simulator engine ablation (batched, differential)
-//	experiments -engine reference  # run every sweep on one engine
-//	experiments -fusion-out f.json # write the engine ablation stats artifact
 //	experiments -j 8         # fan sweep points over 8 workers
 //	experiments -cachedir d  # persist the stage cache under d
 //	experiments -cachedir d -cachedir-max 256M  # bound it (oldest-mtime eviction)
@@ -61,7 +59,6 @@ import (
 	"binpart/internal/core"
 	"binpart/internal/exper"
 	"binpart/internal/obs"
-	"binpart/internal/sim"
 )
 
 func main() {
@@ -72,9 +69,7 @@ func main() {
 	corpusN := flag.Int("corpus", 0, "sweep N generated switch-shaped programs through the differential corpus (0: off)")
 	corpusSeed := flag.Int64("corpus-seed", 1, "first generator seed for -corpus")
 	corpusOut := flag.String("corpus-out", "", "write the corpus summary (recovery rate, speedup distribution, mismatches) to this JSON file")
-	engines := flag.Bool("engines", false, "run the simulator engine ablation (batched differential across reference/block/fused)")
-	engine := flag.String("engine", "fused", "simulator engine for every sweep point: reference, block, or fused")
-	fusionOut := flag.String("fusion-out", "", "write the engine ablation (wall times, fusion counters) to this JSON file")
+	engines := flag.Bool("engines", false, "run the simulator engine ablation (batched differential of the threaded engine against the reference)")
 	workers := flag.Int("j", runtime.GOMAXPROCS(0), "worker pool size for experiment sweeps")
 	cacheDir := flag.String("cachedir", "", "directory for the on-disk stage cache (empty: memory only)")
 	cacheDirMax := flag.String("cachedir-max", "", "byte budget for -cachedir (e.g. 256M); oldest-mtime blobs are evicted past it (empty: unbounded)")
@@ -284,12 +279,6 @@ func main() {
 
 	runner := exper.NewRunner(*workers, caches)
 	runner.Obs = rec
-	eng, err := sim.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	runner.Engine = eng
 
 	// First signal: cancel the sweep — queued points fail fast with
 	// ErrInterrupted, in-flight ones drain, and the tail below still
@@ -394,14 +383,8 @@ func main() {
 			failed = true
 		default:
 			fmt.Println(abl.Format())
-			if *fusionOut != "" {
-				if err := abl.WriteStats(*fusionOut); err != nil {
-					fmt.Fprintf(os.Stderr, "engine ablation stats: %v\n", err)
-					failed = true
-				}
-			}
-			// The ablation is a differential gate: any engine deviating from
-			// the reference stepper fails the run.
+			// The ablation is a differential gate: the threaded engine
+			// deviating from the reference stepper fails the run.
 			if !abl.Identical() {
 				fmt.Fprintln(os.Stderr, "engine ablation: engines are not bit-identical")
 				failed = true
@@ -505,7 +488,7 @@ func distFanOut(n int, traceID, traceDir string) ([]string, error) {
 		"dist": true, "dist-shard": true,
 		"manifest": true, "trace": true, "trace-id": true, "trace-merge": true,
 		"stats": true, "cachestats": true,
-		"debug-addr": true, "corpus-out": true, "fusion-out": true,
+		"debug-addr": true, "corpus-out": true,
 		"cpuprofile": true, "memprofile": true,
 		"cache-serve": true, "cache-addr-file": true,
 		"cache-metrics-addr": true, "cache-metrics-addr-file": true, "scrape": true,

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	mipsim [-engine e] [-profile] [-top n] [-fusion-stats] program.sbf
+//	mipsim [-profile] [-top n] program.sbf
 package main
 
 import (
@@ -19,11 +19,9 @@ import (
 func main() {
 	profile := flag.Bool("profile", false, "collect and print an execution profile")
 	top := flag.Int("top", 10, "number of hot addresses to print with -profile")
-	engine := flag.String("engine", "fused", "execution engine: reference, block, or fused")
-	fusionStats := flag.Bool("fusion-stats", false, "print superinstruction fusion counters (fused engine only)")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: mipsim [-engine e] [-profile] [-top n] [-fusion-stats] program.sbf")
+		fmt.Fprintln(os.Stderr, "usage: mipsim [-profile] [-top n] program.sbf")
 		os.Exit(2)
 	}
 	data, err := os.ReadFile(flag.Arg(0))
@@ -36,42 +34,13 @@ func main() {
 	}
 	cfg := sim.DefaultConfig()
 	cfg.Profile = *profile
-	cfg.Engine, err = sim.ParseEngine(*engine)
+	res, err := sim.Execute(img, cfg)
 	if err != nil {
 		fatal(err)
 	}
-
-	// Run through a Machine (rather than Execute) when fusion counters are
-	// wanted: they live on the machine and Execute recycles it.
-	var res sim.Result
-	var fus sim.FusionStats
-	if *fusionStats && cfg.Engine != sim.EngineReference {
-		m, err := sim.New(img, cfg)
-		if err != nil {
-			fatal(err)
-		}
-		res, err = m.Run()
-		fus = m.FusionStats()
-		if err != nil {
-			fatal(err)
-		}
-	} else {
-		res, err = sim.Execute(img, cfg)
-		if err != nil {
-			fatal(err)
-		}
-	}
-	fmt.Printf("engine: %s\n", cfg.Engine)
 	fmt.Printf("exit code: %d\n", res.ExitCode)
 	fmt.Printf("instructions: %d\n", res.Steps)
 	fmt.Printf("cycles: %d\n", res.Cycles)
-	if *fusionStats {
-		if cfg.Engine == sim.EngineReference {
-			fmt.Printf("fusion: not applicable to the reference engine\n")
-		} else {
-			printFusion(&fus, res.Steps)
-		}
-	}
 	if res.Profile != nil {
 		cycles := sim.AttributeCycles(img, res.Profile, cfg.Cycles)
 		type hot struct {
@@ -95,27 +64,6 @@ func main() {
 			fmt.Printf("  0x%08x %-24s %12d cycles (%.1f%%)\n",
 				h.pc, name, h.cyc, 100*float64(h.cyc)/float64(res.Cycles))
 		}
-	}
-}
-
-// printFusion renders the translation-time and dynamic fusion counters:
-// how many superinstructions each pattern formed, how many dynamic steps
-// each covered, and the overall share of steps retired inside fused
-// superops.
-func printFusion(fus *sim.FusionStats, steps uint64) {
-	fmt.Printf("fusion: %d blocks translated\n", fus.Blocks)
-	pats := append([]sim.PatternStat(nil), fus.Patterns...)
-	sort.Slice(pats, func(i, j int) bool { return pats[i].Dynamic > pats[j].Dynamic })
-	for _, p := range pats {
-		if p.Static == 0 {
-			continue
-		}
-		fmt.Printf("  %-22s width %d %8d formed %14d dynamic steps\n",
-			p.Name, p.Width, p.Static, p.Dynamic)
-	}
-	if steps > 0 {
-		fmt.Printf("fusion coverage: %.1f%% of %d dynamic steps\n",
-			100*fus.Coverage, steps)
 	}
 }
 

@@ -433,12 +433,18 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // (client pools, claim table, server LRU).
 func TestConcurrentTieredCache(t *testing.T) {
 	srv := startServer(t, ServerConfig{})
+	// Dial on the test goroutine: dialTier fails with t.Fatal, which must
+	// not run from the hammering goroutines.
+	var tiers [4]*RemoteTier
+	for g := range tiers {
+		tiers[g] = dialTier(t, RemoteConfig{}, srv)
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			c := New[string](16).WithTiers(stringCodec, dialTier(t, RemoteConfig{}, srv))
+			c := New[string](16).WithTiers(stringCodec, tiers[g])
 			for i := 0; i < 40; i++ {
 				k := NewHasher("t").Int(int64(i % 8)).Sum()
 				want := fmt.Sprintf("v%d", i%8)

@@ -166,7 +166,7 @@ func (r *Runner) Corpus(n int, baseSeed int64) (*Corpus, error) {
 			return CorpusPoint{Seed: seed, OptLevel: lvl, Shapes: gens[oi].prog.Shapes},
 				fmt.Errorf("corpus seed %d -O%d: reference sim: %w", seed, lvl, refs[oi].err)
 		}
-		return corpusPoint(seed, lvl, gens[oi].prog, gens[oi].img, refs[oi].res, r.Engine, caches, sc)
+		return corpusPoint(seed, lvl, gens[oi].prog, gens[oi].img, refs[oi].res, caches, sc)
 	})
 	if err != nil {
 		return nil, err
@@ -176,10 +176,9 @@ func (r *Runner) Corpus(n int, baseSeed int64) (*Corpus, error) {
 
 // corpusPoint runs one generated program through every oracle. The
 // reference-oracle result arrives precomputed from the batched phase.
-func corpusPoint(seed int64, lvl int, p progen.Program, img *binimg.Image, ref sim.Result, engine sim.Engine, caches *core.Caches, sc *obs.Scope) (CorpusPoint, error) {
+func corpusPoint(seed int64, lvl int, p progen.Program, img *binimg.Image, ref sim.Result, caches *core.Caches, sc *obs.Scope) (CorpusPoint, error) {
 	pt := CorpusPoint{Seed: seed, OptLevel: lvl, Shapes: p.Shapes}
 	opts := core.DefaultOptions()
-	opts.Sim.Engine = engine
 
 	// Cold, uncached flow.
 	cold, err := core.Run(img, opts)

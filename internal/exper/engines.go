@@ -1,9 +1,7 @@
 package exper
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"strings"
 	"time"
 
@@ -14,37 +12,33 @@ import (
 )
 
 // This file is the simulator engine ablation (experiment E2): every
-// suite benchmark at every optimization level, simulated by each of the
-// three engines as one multi-core batch. The reference stepper is the
-// oracle; the block and fused engines must be bit-identical to it —
-// same steps, cycles, exit code, and full profile (instruction counts
-// and taken edges) — and the experiment reports each engine's wall time
-// plus the fused engine's pattern-level fusion counters.
+// suite benchmark at every optimization level, simulated by both
+// engines as one multi-core batch each. The reference stepper is the
+// oracle; the threaded engine must be bit-identical to it — same steps,
+// cycles, exit code, and full profile (instruction counts and taken
+// edges) — and the experiment reports each engine's wall and CPU time.
 
 // EngineRun is one engine's outcome over the whole sweep.
 type EngineRun struct {
-	Engine string `json:"engine"`
+	Engine string
 	// Wall is the batch's wall time across the worker pool; CPU is the
 	// per-job simulation time summed over the batch.
-	Wall time.Duration `json:"wall_ns"`
-	CPU  time.Duration `json:"cpu_ns"`
+	Wall time.Duration
+	CPU  time.Duration
 	// Steps is the total instructions retired across the sweep —
-	// identical for every engine, by construction.
-	Steps uint64 `json:"steps"`
+	// identical for both engines, by construction.
+	Steps uint64
 	// Mismatches lists bit-identity violations against the reference
 	// oracle; empty on a clean run.
-	Mismatches []string `json:"mismatches,omitempty"`
-	// Fusion merges the translation/fusion counters over the sweep
-	// (zero-valued for the reference engine, which translates nothing).
-	Fusion sim.FusionStats `json:"fusion"`
+	Mismatches []string
 }
 
 // EngineAblation is the engine-differential experiment: points is the
 // sweep size (suite benchmarks x opt levels), one EngineRun per engine
-// in reference, block, fused order.
+// in reference, threaded order.
 type EngineAblation struct {
-	Points int         `json:"points"`
-	Runs   []EngineRun `json:"runs"`
+	Points int
+	Runs   []EngineRun
 }
 
 // RunEngineAblation executes the engine ablation serially.
@@ -52,7 +46,7 @@ func RunEngineAblation() (*EngineAblation, error) { return defaultRunner.EngineA
 
 // EngineAblation compiles the suite at every optimization level, then
 // runs the whole image set through each engine as one sim.RunBatch and
-// differentially compares the threaded engines against the reference
+// differentially compares the threaded engine against the reference
 // stepper.
 func (r *Runner) EngineAblation() (*EngineAblation, error) {
 	var jobs []rowJob
@@ -75,7 +69,7 @@ func (r *Runner) EngineAblation() (*EngineAblation, error) {
 	cfg.Profile = true
 	e := &EngineAblation{Points: len(jobs)}
 	var refs []sim.BatchResult
-	for _, eng := range []sim.Engine{sim.EngineReference, sim.EngineBlock, sim.EngineFused} {
+	for _, eng := range []sim.Engine{sim.EngineReference, sim.EngineThreaded} {
 		ecfg := cfg
 		ecfg.Engine = eng
 		bjobs := make([]sim.BatchJob, len(imgs))
@@ -93,7 +87,6 @@ func (r *Runner) EngineAblation() (*EngineAblation, error) {
 			}
 			run.CPU += br.Dur
 			run.Steps += br.Res.Steps
-			run.Fusion.Merge(br.Fusion)
 			if eng != sim.EngineReference {
 				if d := diffResults(refs[i].Res, br.Res); d != "" {
 					run.Mismatches = append(run.Mismatches, fmt.Sprintf("%s: %s", point, d))
@@ -147,7 +140,7 @@ func mapsEqual[K comparable](a, b map[K]uint64) bool {
 	return true
 }
 
-// Identical reports whether every threaded engine matched the oracle.
+// Identical reports whether the threaded engine matched the oracle.
 func (e *EngineAblation) Identical() bool {
 	for _, run := range e.Runs {
 		if len(run.Mismatches) > 0 {
@@ -157,22 +150,12 @@ func (e *EngineAblation) Identical() bool {
 	return true
 }
 
-// WriteStats writes the ablation (wall times, fusion counters, any
-// mismatches) as indented JSON — the CI artifact.
-func (e *EngineAblation) WriteStats(path string) error {
-	data, err := json.MarshalIndent(e, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
 // Format renders the ablation.
 func (e *EngineAblation) Format() string {
 	var b strings.Builder
 	b.WriteString("E2  Simulator engine ablation (suite x -O0..-O3, batched across cores)\n")
-	fmt.Fprintf(&b, "%-10s %12s %12s %14s %9s %10s\n",
-		"engine", "wall", "cpu", "steps", "speedup", "coverage")
+	fmt.Fprintf(&b, "%-10s %12s %12s %14s %9s\n",
+		"engine", "wall", "cpu", "steps", "speedup")
 	var refCPU time.Duration
 	for _, run := range e.Runs {
 		if run.Engine == sim.EngineReference.String() {
@@ -182,16 +165,12 @@ func (e *EngineAblation) Format() string {
 		if refCPU > 0 && run.CPU > 0 {
 			speedup = fmt.Sprintf("%.2fx", float64(refCPU)/float64(run.CPU))
 		}
-		coverage := "-"
-		if run.Engine == sim.EngineFused.String() && run.Fusion.Steps > 0 {
-			coverage = fmt.Sprintf("%.1f%%", 100*run.Fusion.Coverage)
-		}
-		fmt.Fprintf(&b, "%-10s %12s %12s %14d %9s %10s\n",
+		fmt.Fprintf(&b, "%-10s %12s %12s %14d %9s\n",
 			run.Engine, run.Wall.Round(time.Millisecond), run.CPU.Round(time.Millisecond),
-			run.Steps, speedup, coverage)
+			run.Steps, speedup)
 	}
 	if e.Identical() {
-		fmt.Fprintf(&b, "differential: all engines bit-identical over %d points (steps, cycles, exit, profile)\n", e.Points)
+		fmt.Fprintf(&b, "differential: threaded and reference bit-identical over %d points (steps, cycles, exit, profile)\n", e.Points)
 	} else {
 		for _, run := range e.Runs {
 			for i, m := range run.Mismatches {

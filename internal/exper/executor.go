@@ -11,7 +11,6 @@ import (
 	"binpart/internal/binimg"
 	"binpart/internal/core"
 	"binpart/internal/obs"
-	"binpart/internal/sim"
 )
 
 // Runner executes experiment sweeps over a bounded worker pool with an
@@ -30,11 +29,6 @@ type Runner struct {
 	// the benchmark, opt level, and worker id; nil disables recording
 	// (the alloc-free fast path — tables are byte-identical either way).
 	Obs *obs.Recorder
-	// Engine selects the simulator engine for every sweep point. The zero
-	// value is sim.EngineFused, the simulator's default; all engines are
-	// bit-identical, so tables don't change with the engine — only wall
-	// time does (and the engine-differential suite holds them to that).
-	Engine sim.Engine
 	// ShardIndex/ShardCount split a sweep across cooperating processes
 	// converging on one shared cache (-dist): a sharded runner executes
 	// only the jobs whose index i satisfies i%ShardCount == ShardIndex
@@ -207,7 +201,6 @@ func (r *Runner) analyses(jobs []rowJob) ([]*core.Analysis, error) {
 			return nil, nil // skipped by this shard; consumers tolerate nil
 		}
 		j := jobs[i]
-		j.opts.Sim.Engine = r.Engine
 		sc := r.scope(j, w)
 		sp := sc.Start(obs.StageJob)
 		defer sp.End()
@@ -243,7 +236,6 @@ func (r *Runner) compile(j rowJob, sc *obs.Scope) (*binimg.Image, error) {
 
 // runOne executes the full flow for one sweep point.
 func (r *Runner) runOne(j rowJob, sc *obs.Scope) (Row, error) {
-	j.opts.Sim.Engine = r.Engine
 	img, err := r.compile(j, sc)
 	if err != nil {
 		return Row{}, err

@@ -229,11 +229,6 @@ func (o Op) Cost() CostClass {
 	return CostALU
 }
 
-// NumOps is the number of opcodes in the enum. Consumers that extend the
-// opcode space with synthetic tags (the simulator's fused superops) start
-// theirs here.
-const NumOps = int(numOps)
-
 // IsCondBranch reports whether the opcode is a conditional branch.
 func (o Op) IsCondBranch() bool {
 	switch o {

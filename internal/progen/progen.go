@@ -61,13 +61,12 @@ type Config struct {
 	Switches bool
 	// Straightline restricts the kernel to long unbranched runs of
 	// scalar and array arithmetic (hot loops allowed, ifs and switches
-	// not): the fusion-friendly extreme, where basic blocks are long and
-	// the simulator's superinstruction translator should cover most of
-	// the dynamic stream.
+	// not): the long-block extreme, where the simulator's block
+	// translator retires many instructions per block dispatch.
 	Straightline bool
 	// Branchy makes nearly every statement a conditional guarding a
 	// single assignment: basic blocks of one or two instructions, the
-	// fusion-hostile extreme where almost no adjacent pair is fusible.
+	// short-block extreme where nearly every instruction ends a block.
 	Branchy bool
 }
 
@@ -82,14 +81,14 @@ func DefaultConfig() Config {
 	return Config{MaxStmts: 6, MaxDepth: 3, MaxLoops: 3, Arrays: true}
 }
 
-// StraightlineConfig returns the fusion-friendly bounds: long unbranched
+// StraightlineConfig returns the long-block bounds: long unbranched
 // statement runs, one hot loop for dynamic weight.
 func StraightlineConfig() Config {
 	return Config{MaxStmts: 24, MaxDepth: 2, MaxLoops: 1, Arrays: true, Straightline: true}
 }
 
-// BranchyConfig returns the fusion-hostile bounds: branch-per-statement
-// kernels whose basic blocks are too short to fuse.
+// BranchyConfig returns the short-block bounds: branch-per-statement
+// kernels whose basic blocks hold one or two instructions.
 func BranchyConfig() Config {
 	return Config{MaxStmts: 10, MaxDepth: 1, MaxLoops: 2, Arrays: true, Branchy: true}
 }
@@ -238,7 +237,7 @@ func (g *gen) stmt(loops int) {
 	}
 }
 
-// straightStmt emits the fusion-friendly extreme: plain scalar and
+// straightStmt emits the long-block extreme: plain scalar and
 // array arithmetic only, optionally wrapped in one hot loop so the long
 // straightline body dominates the dynamic stream.
 func (g *gen) straightStmt(loops int) {
@@ -278,9 +277,9 @@ func (g *gen) straightStmt(loops int) {
 	}
 }
 
-// branchyStmt emits the fusion-hostile extreme: nearly every statement
-// is a conditional guarding a single assignment, so basic blocks hold
-// one or two instructions and almost no adjacent pair is fusible.
+// branchyStmt emits the short-block extreme: nearly every statement is
+// a conditional guarding a single assignment, so basic blocks hold one
+// or two instructions.
 func (g *gen) branchyStmt(loops int) {
 	g.mark("branch-dense")
 	switch k := g.r.Intn(8); {

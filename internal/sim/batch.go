@@ -19,14 +19,11 @@ type BatchJob struct {
 	Cfg Config
 }
 
-// BatchResult is one job's outcome. Fusion carries the translation and
-// fusion counters for the threaded engines (zero-valued for
-// EngineReference, which has neither).
+// BatchResult is one job's outcome and its wall time.
 type BatchResult struct {
-	Res    Result
-	Err    error
-	Dur    time.Duration
-	Fusion FusionStats
+	Res Result
+	Err error
+	Dur time.Duration
 }
 
 // RunBatch executes every job and returns results in job order. workers
@@ -55,28 +52,12 @@ func RunBatch(jobs []BatchJob, workers int) []BatchResult {
 				if i >= len(jobs) {
 					return
 				}
-				results[i] = runOneJob(jobs[i])
+				start := time.Now()
+				res, err := Execute(jobs[i].Img, jobs[i].Cfg)
+				results[i] = BatchResult{Res: res, Err: err, Dur: time.Since(start)}
 			}
 		}()
 	}
 	wg.Wait()
 	return results
-}
-
-// runOneJob executes a single batch job, harvesting fusion stats from
-// the threaded engines before the pooled machine is recycled.
-func runOneJob(j BatchJob) BatchResult {
-	start := time.Now()
-	if j.Cfg.Engine == EngineReference {
-		res, err := ExecuteReference(j.Img, j.Cfg)
-		return BatchResult{Res: res, Err: err, Dur: time.Since(start)}
-	}
-	m, err := acquire(j.Img, j.Cfg)
-	if err != nil {
-		return BatchResult{Err: err, Dur: time.Since(start)}
-	}
-	res, err := m.Run()
-	fus := m.FusionStats()
-	release(m)
-	return BatchResult{Res: res, Err: err, Dur: time.Since(start), Fusion: fus}
 }

@@ -2,7 +2,7 @@ package sim
 
 import "fmt"
 
-// Engine selects the execution engine behind Execute. All engines are
+// Engine selects the execution engine behind Execute. Both engines are
 // bit-identical — same Steps, Cycles, ExitCode, error conditions, and
 // Profile maps — and the differential suite (simdiff_test.go plus the
 // progen engine differentials) holds them to that; they differ only in
@@ -10,44 +10,36 @@ import "fmt"
 type Engine uint8
 
 const (
-	// EngineFused is the default (zero value): threaded-code blocks with
-	// superinstruction fusion. Each basic block is translated once, on
-	// first execution, into a flat run of tag-dispatched superops;
-	// dominant dynamic pairs/triples (compare+branch, lui+ori address
-	// formation, load+op, addiu loop latches) collapse into single fused
-	// ops with merged cycle costs.
-	EngineFused Engine = iota
-	// EngineBlock is threaded-code translation without the fusion
-	// peephole: one superop per instruction. The ablation point that
-	// separates the translation win from the fusion win.
-	EngineBlock
+	// EngineThreaded is the default (zero value): each basic block is
+	// translated once, on first execution, into a flat run of
+	// tag-dispatched superops whose steps and cycles are charged per
+	// block rather than per instruction.
+	EngineThreaded Engine = iota
 	// EngineReference is the preserved original per-instruction stepper
-	// (ExecuteReference): the semantic baseline, deliberately unoptimized.
+	// (ExecuteReference): the semantic oracle, deliberately unoptimized.
 	EngineReference
 )
 
-// String returns the engine's flag spelling.
+// String returns the engine's name.
 func (e Engine) String() string {
 	switch e {
-	case EngineFused:
-		return "fused"
-	case EngineBlock:
-		return "block"
+	case EngineThreaded:
+		return "threaded"
 	case EngineReference:
 		return "reference"
 	}
 	return fmt.Sprintf("engine(%d)", uint8(e))
 }
 
-// ParseEngine parses a -engine flag value.
+// ParseEngine parses an engine name. "fused" is accepted as a spelling
+// of the default, for callers written against the retired
+// superinstruction engine.
 func ParseEngine(s string) (Engine, error) {
 	switch s {
-	case "fused", "":
-		return EngineFused, nil
-	case "block":
-		return EngineBlock, nil
+	case "threaded", "fused", "":
+		return EngineThreaded, nil
 	case "reference":
 		return EngineReference, nil
 	}
-	return 0, fmt.Errorf("sim: unknown engine %q (want reference, block, or fused)", s)
+	return 0, fmt.Errorf("sim: unknown engine %q (want threaded or reference)", s)
 }

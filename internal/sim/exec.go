@@ -1,4 +1,4 @@
-// The threaded-code execution engine (EngineBlock / EngineFused).
+// The threaded-code execution engine (EngineThreaded).
 //
 // Run walks basic blocks: each entry PC is validated once, the block's
 // translation is looked up (or built, translate.go), the whole block's
@@ -6,11 +6,10 @@
 // superops with no per-instruction accounting at all — no step counter,
 // no cycle add for straight-line ops, no profile increment (per-block
 // execution counters reconstruct per-instruction counts at run end).
-// Faulting constituents rewind the up-front charge (blockFault) so
-// steps, cycles, and the faulting PC match the reference stepper bit
-// for bit; a step budget that cannot cover the next whole block hands
-// the rest of the run to the per-instruction interpreter (runInterp),
-// which truncates on exactly the right instruction.
+// A block that stops early — a faulting instruction, or a step budget
+// that runs out inside it — rewinds the up-front charge (blockStop) so
+// steps, cycles, and the reported PC match the reference stepper bit for
+// bit.
 package sim
 
 import (
@@ -22,7 +21,7 @@ import (
 )
 
 // Run executes until BREAK, an error, or the step limit, using the
-// threaded-code engine (with fusion unless cfg.Engine is EngineBlock).
+// threaded-code engine.
 func (m *Machine) Run() (Result, error) {
 	var res Result
 	maxSteps := m.cfg.MaxSteps
@@ -49,24 +48,25 @@ func (m *Machine) Run() (Result, error) {
 outer:
 	for {
 		blk := &m.tblocks[tix]
-		if steps+blk.steps > maxSteps {
-			// The budget expires inside (or right at) this block: finish the
-			// run on the per-instruction interpreter, which clamps to the
-			// exact step and reports the step limit at the right PC.
-			return m.runInterp(textBase+uint32(4*blk.start), steps, cycles)
-		}
-		steps += blk.steps
+		steps += uint64(blk.n)
 		cycles += blk.cost
 		blk.exec++
+		n := blk.n
+		if steps > maxSteps {
+			// The budget expires inside (or right at the entry of) this
+			// block: run only the superops it still covers. The prefix
+			// never reaches the terminator, so it always falls through to
+			// the step-limit stop below.
+			n -= int32(steps - maxSteps)
+		}
 		off := blk.off
-		run := m.fops[off : off+blk.n]
+		run := m.fops[off : off+n]
 		for fi := 0; fi < len(run); fi++ {
 			f := &run[fi]
 			switch f.op {
 			case mips.NOP:
 			case mips.BREAK:
 				m.PC = textBase + uint32(4*f.idx)
-				m.lastSteps = steps
 				res.Steps, res.Cycles = steps, cycles
 				res.ExitCode = int32(regs[mips.V0])
 				res.Profile = m.buildProfile()
@@ -322,204 +322,6 @@ outer:
 					tix = m.translate(int32((t - textBase) >> 2))
 				}
 				continue outer
-
-			// Fused ALU halves use the split micro evaluator: both
-			// microArith and microCmpShift inline (a single full-width
-			// evaluator would blow the inlining budget and cost a call
-			// plus a second dispatch per half — see translate.go).
-			case fuseAddAdd:
-				regs[f.rd&31] = regs[f.rs&31] + regs[f.rt&31] + f.immU
-				regs[0] = 0
-				regs[f.x&31] = regs[f.y&31] + regs[f.z&31] + uint32(f.imm)
-				regs[0] = 0
-			case fuseAddAlu:
-				regs[f.rd&31] = regs[f.rs&31] + regs[f.rt&31] + f.immU
-				regs[0] = 0
-				if k2 := uint8(f.target); k2 < uSLT {
-					regs[f.x&31] = microArith(k2, regs[f.y&31], regs[f.z&31], uint32(f.imm))
-				} else {
-					regs[f.x&31] = microCmpShift(k2, regs[f.y&31], regs[f.z&31], uint32(f.imm))
-				}
-				regs[0] = 0
-			case fuseAluAdd:
-				if f.sub < uSLT {
-					regs[f.rd&31] = microArith(f.sub, regs[f.rs&31], regs[f.rt&31], f.immU)
-				} else {
-					regs[f.rd&31] = microCmpShift(f.sub, regs[f.rs&31], regs[f.rt&31], f.immU)
-				}
-				regs[0] = 0
-				regs[f.x&31] = regs[f.y&31] + regs[f.z&31] + uint32(f.imm)
-				regs[0] = 0
-			case fuseAluAlu:
-				if f.sub < uSLT {
-					regs[f.rd&31] = microArith(f.sub, regs[f.rs&31], regs[f.rt&31], f.immU)
-				} else {
-					regs[f.rd&31] = microCmpShift(f.sub, regs[f.rs&31], regs[f.rt&31], f.immU)
-				}
-				regs[0] = 0
-				if k2 := uint8(f.target); k2 < uSLT {
-					regs[f.x&31] = microArith(k2, regs[f.y&31], regs[f.z&31], uint32(f.imm))
-				} else {
-					regs[f.x&31] = microCmpShift(k2, regs[f.y&31], regs[f.z&31], uint32(f.imm))
-				}
-				regs[0] = 0
-			case fuseAluBranch:
-				if f.sub < uSLT {
-					regs[f.rd&31] = microArith(f.sub, regs[f.rs&31], regs[f.rt&31], f.immU)
-				} else {
-					regs[f.rd&31] = microCmpShift(f.sub, regs[f.rs&31], regs[f.rt&31], f.immU)
-				}
-				regs[0] = 0
-				if takeBranch(f.z, regs[f.x&31], regs[f.y&31]) {
-					cycles += cm.BranchTaken
-					if f.edge >= 0 {
-						m.edges[f.edge].n++
-					}
-					goto taken
-				}
-				cycles += cm.BranchNot
-			case fuseLuiOri:
-				regs[f.rs&31] = uint32(f.imm) // the LUI half (rs != $zero by pattern)
-				regs[f.rd&31] = f.immU        // the combined constant
-				regs[0] = 0
-			case fuseLwAlu:
-				addr := regs[f.rs&31] + f.immU
-				if addr < 0x1000 || addr&3 != 0 {
-					return m.blockFault(&res, steps, cycles, blk, f.idx, loadFault(addr, 4))
-				}
-				regs[f.rt&31] = binary.LittleEndian.Uint32(m.mem.Page(addr)[addr&binimg.PageMask:])
-				regs[0] = 0
-				if k2 := uint8(f.target); k2 < uSLT {
-					regs[f.x&31] = microArith(k2, regs[f.y&31], regs[f.z&31], uint32(f.imm))
-				} else {
-					regs[f.x&31] = microCmpShift(k2, regs[f.y&31], regs[f.z&31], uint32(f.imm))
-				}
-				regs[0] = 0
-			case fuseLoadAlu:
-				addr := regs[f.rs&31] + f.immU
-				v, w := m.loadMem(mips.Op(f.sub), addr)
-				if w != 0 {
-					return m.blockFault(&res, steps, cycles, blk, f.idx, loadFault(addr, w))
-				}
-				regs[f.rt&31] = v
-				regs[0] = 0
-				if k2 := uint8(f.target); k2 < uSLT {
-					regs[f.x&31] = microArith(k2, regs[f.y&31], regs[f.z&31], uint32(f.imm))
-				} else {
-					regs[f.x&31] = microCmpShift(k2, regs[f.y&31], regs[f.z&31], uint32(f.imm))
-				}
-				regs[0] = 0
-			case fuseAluLw:
-				if f.sub < uSLT {
-					regs[f.rd&31] = microArith(f.sub, regs[f.rs&31], regs[f.rt&31], f.immU)
-				} else {
-					regs[f.rd&31] = microCmpShift(f.sub, regs[f.rs&31], regs[f.rt&31], f.immU)
-				}
-				regs[0] = 0
-				addr := regs[f.y&31] + uint32(f.imm)
-				if addr < 0x1000 || addr&3 != 0 {
-					return m.blockFault(&res, steps, cycles, blk, f.idx+1, loadFault(addr, 4))
-				}
-				regs[f.x&31] = binary.LittleEndian.Uint32(m.mem.Page(addr)[addr&binimg.PageMask:])
-				regs[0] = 0
-			case fuseAluLbu:
-				if f.sub < uSLT {
-					regs[f.rd&31] = microArith(f.sub, regs[f.rs&31], regs[f.rt&31], f.immU)
-				} else {
-					regs[f.rd&31] = microCmpShift(f.sub, regs[f.rs&31], regs[f.rt&31], f.immU)
-				}
-				regs[0] = 0
-				addr := regs[f.y&31] + uint32(f.imm)
-				if addr < 0x1000 {
-					return m.blockFault(&res, steps, cycles, blk, f.idx+1, loadFault(addr, 1))
-				}
-				regs[f.x&31] = uint32(m.mem.Page(addr)[addr&binimg.PageMask])
-				regs[0] = 0
-			case fuseAluLoad:
-				if f.sub < uSLT {
-					regs[f.rd&31] = microArith(f.sub, regs[f.rs&31], regs[f.rt&31], f.immU)
-				} else {
-					regs[f.rd&31] = microCmpShift(f.sub, regs[f.rs&31], regs[f.rt&31], f.immU)
-				}
-				regs[0] = 0
-				addr := regs[f.y&31] + uint32(f.imm)
-				v, w := m.loadMem(mips.Op(f.target), addr)
-				if w != 0 {
-					return m.blockFault(&res, steps, cycles, blk, f.idx+1, loadFault(addr, w))
-				}
-				regs[f.x&31] = v
-				regs[0] = 0
-			case fuseAluSw:
-				if f.sub < uSLT {
-					regs[f.rd&31] = microArith(f.sub, regs[f.rs&31], regs[f.rt&31], f.immU)
-				} else {
-					regs[f.rd&31] = microCmpShift(f.sub, regs[f.rs&31], regs[f.rt&31], f.immU)
-				}
-				regs[0] = 0
-				addr := regs[f.y&31] + uint32(f.imm)
-				if addr < 0x1000 || addr&3 != 0 || (addr >= textBase && addr < textEnd) {
-					return m.blockFault(&res, steps, cycles, blk, f.idx+1, storeFault(addr, 4))
-				}
-				binary.LittleEndian.PutUint32(m.mem.Page(addr)[addr&binimg.PageMask:], regs[f.x&31])
-			case fuseAluStore:
-				if f.sub < uSLT {
-					regs[f.rd&31] = microArith(f.sub, regs[f.rs&31], regs[f.rt&31], f.immU)
-				} else {
-					regs[f.rd&31] = microCmpShift(f.sub, regs[f.rs&31], regs[f.rt&31], f.immU)
-				}
-				regs[0] = 0
-				addr := regs[f.y&31] + uint32(f.imm)
-				if w := m.storeMem(mips.Op(f.target), addr, regs[f.x&31]); w != 0 {
-					return m.blockFault(&res, steps, cycles, blk, f.idx+1, storeFault(addr, w))
-				}
-			case fuseSwAlu:
-				addr := regs[f.rs&31] + f.immU
-				if addr < 0x1000 || addr&3 != 0 || (addr >= textBase && addr < textEnd) {
-					return m.blockFault(&res, steps, cycles, blk, f.idx, storeFault(addr, 4))
-				}
-				binary.LittleEndian.PutUint32(m.mem.Page(addr)[addr&binimg.PageMask:], regs[f.rt&31])
-				if k2 := uint8(f.target); k2 < uSLT {
-					regs[f.x&31] = microArith(k2, regs[f.y&31], regs[f.z&31], uint32(f.imm))
-				} else {
-					regs[f.x&31] = microCmpShift(k2, regs[f.y&31], regs[f.z&31], uint32(f.imm))
-				}
-				regs[0] = 0
-			case fuseStoreAlu:
-				addr := regs[f.rs&31] + f.immU
-				if w := m.storeMem(mips.Op(f.sub), addr, regs[f.rt&31]); w != 0 {
-					return m.blockFault(&res, steps, cycles, blk, f.idx, storeFault(addr, w))
-				}
-				if k2 := uint8(f.target); k2 < uSLT {
-					regs[f.x&31] = microArith(k2, regs[f.y&31], regs[f.z&31], uint32(f.imm))
-				} else {
-					regs[f.x&31] = microCmpShift(k2, regs[f.y&31], regs[f.z&31], uint32(f.imm))
-				}
-				regs[0] = 0
-			case fuseMultMflo:
-				var lo, hi uint32
-				if f.sub == 0 { // MULT
-					p := int64(int32(regs[f.rs&31])) * int64(int32(regs[f.rt&31]))
-					lo, hi = uint32(p), uint32(uint64(p)>>32)
-				} else { // MULTU
-					p := uint64(regs[f.rs&31]) * uint64(regs[f.rt&31])
-					lo, hi = uint32(p), uint32(p>>32)
-				}
-				m.LO, m.HI = lo, hi
-				regs[f.rd&31] = lo
-				regs[0] = 0
-			case fuseAddiuAddiuBranch:
-				regs[f.rt&31] = regs[f.rs&31] + f.immU
-				regs[0] = 0
-				regs[f.rd&31] = regs[f.x&31] + uint32(f.imm)
-				regs[0] = 0
-				if takeBranch(f.sub, regs[f.y&31], regs[f.z&31]) {
-					cycles += cm.BranchTaken
-					if f.edge >= 0 {
-						m.edges[f.edge].n++
-					}
-					goto taken
-				}
-				cycles += cm.BranchNot
 			default:
 				here := textBase + uint32(4*f.idx)
 				return m.fail(&res, steps, cycles, here,
@@ -544,6 +346,11 @@ outer:
 			}
 			tix = t
 			continue outer
+		}
+		if n < blk.n {
+			ti := blk.start + n
+			return m.blockStop(&res, steps, cycles, blk, ti, ti, fmt.Errorf(
+				"sim: step limit (%d) exceeded at PC 0x%x", maxSteps, textBase+uint32(4*ti)))
 		}
 		// The block fell through its not-taken terminator (or ran off the
 		// end of text). Chain to the cached fallthrough successor.
@@ -572,81 +379,24 @@ func (m *Machine) edgeFail(res *Result, steps, cycles uint64, target uint32, max
 		fmt.Errorf("sim: PC 0x%x outside text", target))
 }
 
-// loadMem performs a load of kind op (LB/LBU/LH/LHU/LW) at addr for a
-// fused superop. A nonzero returned width signals a fault (near-null or
-// misaligned) and is the access width for the fault message; the fault
-// conditions match the plain dispatch cases exactly.
-func (m *Machine) loadMem(op mips.Op, addr uint32) (uint32, int) {
-	switch op {
-	case mips.LB:
-		if addr < 0x1000 {
-			return 0, 1
-		}
-		return uint32(int32(int8(m.mem.Page(addr)[addr&binimg.PageMask]))), 0
-	case mips.LBU:
-		if addr < 0x1000 {
-			return 0, 1
-		}
-		return uint32(m.mem.Page(addr)[addr&binimg.PageMask]), 0
-	case mips.LH:
-		if addr < 0x1000 || addr&1 != 0 {
-			return 0, 2
-		}
-		v := binary.LittleEndian.Uint16(m.mem.Page(addr)[addr&binimg.PageMask:])
-		return uint32(int32(int16(v))), 0
-	case mips.LHU:
-		if addr < 0x1000 || addr&1 != 0 {
-			return 0, 2
-		}
-		return uint32(binary.LittleEndian.Uint16(m.mem.Page(addr)[addr&binimg.PageMask:])), 0
-	}
-	// mips.LW
-	if addr < 0x1000 || addr&3 != 0 {
-		return 0, 4
-	}
-	return binary.LittleEndian.Uint32(m.mem.Page(addr)[addr&binimg.PageMask:]), 0
-}
-
-// storeMem performs a store of kind op (SB/SH/SW) at addr for a fused
-// superop, returning a nonzero access width on fault (near-null,
-// misaligned, or text-protected).
-func (m *Machine) storeMem(op mips.Op, addr, v uint32) int {
-	textBase, textEnd := m.img.TextBase, m.img.TextEnd()
-	switch op {
-	case mips.SB:
-		if addr < 0x1000 || (addr >= textBase && addr < textEnd) {
-			return 1
-		}
-		m.mem.Page(addr)[addr&binimg.PageMask] = byte(v)
-	case mips.SH:
-		if addr < 0x1000 || addr&1 != 0 || (addr >= textBase && addr < textEnd) {
-			return 2
-		}
-		binary.LittleEndian.PutUint16(m.mem.Page(addr)[addr&binimg.PageMask:], uint16(v))
-	default: // mips.SW
-		if addr < 0x1000 || addr&3 != 0 || (addr >= textBase && addr < textEnd) {
-			return 4
-		}
-		binary.LittleEndian.PutUint32(m.mem.Page(addr)[addr&binimg.PageMask:], v)
-	}
-	return 0
-}
-
 // blockFault finalizes a run that faulted at text index ti inside a
-// block whose full steps and cost were charged up front: the steps after
-// the faulting constituent are rewound (the fault's own step counts),
-// the cycles from the faulting constituent onward are rewound (its own
-// cycles are not charged — matching the reference), and the block's
+// block: the fault's own step counts, its cycles do not — matching the
+// reference stepper.
+func (m *Machine) blockFault(res *Result, steps, cycles uint64, blk *tblock, ti int32, err error) (Result, error) {
+	return m.blockStop(res, steps, cycles, blk, ti, ti+1, err)
+}
+
+// blockStop finalizes a run that stopped at text index ti inside a block
+// whose full steps and cost were charged up front. Steps are rewound to
+// the instructions before stepEnd (ti for a step-limit stop, ti+1 for a
+// fault), the cycles from ti onward are rewound, and the block's
 // execution counter is rolled back so profile reconstruction stays
 // exact.
-func (m *Machine) blockFault(res *Result, steps, cycles uint64, blk *tblock, ti int32, err error) (Result, error) {
+func (m *Machine) blockStop(res *Result, steps, cycles uint64, blk *tblock, ti, stepEnd int32, err error) (Result, error) {
 	blk.exec--
-	done := uint64(ti - blk.start) // constituents fully retired before the fault
-	steps = steps - blk.steps + done + 1
-	var tail uint64
+	steps = steps - uint64(blk.n) + uint64(stepEnd-blk.start)
 	for j := ti; j <= blk.end; j++ {
-		tail += m.code[j].cost
+		cycles -= m.code[j].cost
 	}
-	cycles -= tail
 	return m.fail(res, steps, cycles, m.img.TextBase+uint32(4*ti), err)
 }

@@ -5,32 +5,29 @@
 // cost model, and the profiler's per-address and per-edge counts drive the
 // partitioner's "most frequent loops" step.
 //
-// Three engines share one set of semantics (see Engine):
+// One fast engine is checked against one oracle (see Engine):
 //
+//   - EngineThreaded (the default) predecodes text into pinst records,
+//     then translates each basic block once, on first execution, into a
+//     flat run of tag-dispatched superops (translate.go) executed by a
+//     threaded inner loop (exec.go) that accounts steps and cycles per
+//     block instead of per instruction. Per-instruction profile counts
+//     are reconstructed from per-block execution counters. Faults and a
+//     step budget that expires mid-block rewind the block's up-front
+//     charge, so truncation lands on exactly the instruction the
+//     reference would report.
 //   - EngineReference is the original per-instruction stepper
 //     (reference.go), preserved as the semantic oracle.
-//   - EngineBlock predecodes text into pinst records, then translates each
-//     basic block once, on first execution, into a flat run of
-//     tag-dispatched superops (translate.go) executed by a threaded inner
-//     loop (exec.go) that accounts steps and cycles per block instead of
-//     per instruction.
-//   - EngineFused (the default) additionally runs a translation-time
-//     peephole that fuses dominant dynamic pairs/triples — compare+branch,
-//     lui+ori address formation, load+ALU, and addiu loop latches — into
-//     single superops with merged cycle costs. Profile output is
-//     unchanged: per-instruction counts are reconstructed from per-block
-//     execution counters, so fused constituents keep their own PCs.
 //
 // Memory is a sparse two-level page directory with direct little-endian
 // word accesses (binimg.Mem); profile counters are dense slices indexed by
 // text position, converted to the map-shaped Profile only when a run
 // completes. The differential tests (simdiff_test.go and the progen
-// engine differentials) assert all engines produce identical Steps,
+// engine differentials) assert both engines produce identical Steps,
 // Cycles, ExitCode, and profile maps.
 package sim
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -69,7 +66,7 @@ type Config struct {
 	MaxSteps uint64
 	Cycles   CycleModel
 	Profile  bool
-	// Engine selects the execution engine (default EngineFused). All
+	// Engine selects the execution engine (default EngineThreaded). Both
 	// engines are bit-identical; Execute dispatches EngineReference to
 	// the preserved stepper, everything else to Machine.Run.
 	Engine Engine
@@ -109,7 +106,7 @@ type Result struct {
 // two share one struct so a single backing array can hold the decoded
 // text in its first half and the superop runs appended behind it.
 //
-// As a predecoded instruction (Machine.code), everything the interpreter
+// As a predecoded instruction (Machine.code), everything the engine
 // needs per step is resolved once: register numbers as direct indices,
 // the immediate in both sign- and op-specific form, the absolute target
 // of static control transfers, the cycle-model cost of the instruction's
@@ -117,23 +114,20 @@ type Result struct {
 // profiling), and tix, the lazily-filled index of the translated block
 // starting here (-1 until first execution).
 //
-// As a superop (Machine.fops), op may also hold one of the fused tags
-// from translate.go, sub/x/y/z carry the extra operands fused patterns
-// need, and idx is the text index of the first constituent instruction —
-// the anchor for fault PCs and step rewinds. cost is not read on the
-// superop path: block translation precomputes the whole block's cost.
+// As a superop (Machine.fops), idx is the instruction's text index — the
+// anchor for fault PCs and step rewinds — and tix caches a static
+// transfer's target block. cost is not read on the superop path: block
+// translation precomputes the whole block's cost.
 type pinst struct {
 	op         mips.Op
 	rd, rs, rt uint8
-	sub        uint8  // fused ops: pattern variant / condition code / ALU op
-	x, y, z    uint8  // fused ops: extra register operands
-	imm        int32  // raw signed immediate (SLTI compare, fused second imm)
+	imm        int32  // raw signed immediate (SLTI compare)
 	immU       uint32 // op-specific operand: sign- or zero-extended, or LUI-shifted
 	target     uint32 // absolute taken target for branches, J, JAL
 	edge       int32  // static-target edge slot (branch/J/JAL), -1 if none
 	jr         int32  // dynamic-target site (JR/JALR), -1 if none
 	tix        int32  // code[] only: translated-block index, -1 untranslated
-	idx        int32  // fops[] only: text index of the first constituent
+	idx        int32  // fops[] only: text index of the instruction
 	cost       uint64 // predecoded cycle cost (branches resolve taken/not at run time)
 }
 
@@ -164,13 +158,10 @@ type Machine struct {
 
 	// Threaded-code translation state. back is the shared backing array
 	// for code and fops (kept across pooled reuse), tblocks is the
-	// per-entry-point translation cache indexed by pinst.tix, and
-	// lastSteps records the final step count of the run for FusionStats
-	// coverage.
-	back      []pinst
-	fops      []pinst
-	tblocks   []tblock
-	lastSteps uint64
+	// per-entry-point translation cache indexed by pinst.tix.
+	back    []pinst
+	fops    []pinst
+	tblocks []tblock
 
 	// Dense profile counters, allocated only when cfg.Profile is set.
 	// instCount is indexed by text position; control-transfer sites own
@@ -205,12 +196,11 @@ func (m *Machine) init(img *binimg.Image, cfg Config) error {
 	m.Regs = [32]uint32{}
 	m.HI, m.LO, m.PC = 0, 0, 0
 	m.mem.Reset() // keeps allocated pages for pooled reuse
-	m.lastSteps = 0
 	n := len(img.Text)
 	// One backing array for the decoded text and the superop runs the
-	// translator appends behind it. Translations are per entry point and
-	// fusion shrinks them, so n extra records cover typical programs;
-	// overflow just reallocates fops.
+	// translator appends behind it. Translations are per entry point, so
+	// only mid-block entries duplicate text; n extra records cover
+	// typical programs, and overflow just reallocates fops.
 	if cap(m.back) < 2*n+1 {
 		m.back = make([]pinst, 2*n+1)
 	}
@@ -349,7 +339,7 @@ func (m *Machine) blockTermIndex(entry int32) int32 {
 // buildProfile converts the dense counters back to the map-shaped
 // Profile consumed by the partitioner and cycle attribution. Per-block
 // execution counters from the threaded engine are overlaid first: each
-// completed execution of a translation retired every constituent in its
+// completed execution of a translation retired every instruction in its
 // text range exactly once.
 func (m *Machine) buildProfile() *Profile {
 	if m.instCount == nil {
@@ -430,374 +420,8 @@ func storeFault(addr uint32, width int) error {
 // instruction and the partial step/cycle counts are reported.
 func (m *Machine) fail(res *Result, steps, cycles uint64, pc uint32, err error) (Result, error) {
 	m.PC = pc
-	m.lastSteps = steps
 	res.Steps, res.Cycles = steps, cycles
 	return *res, err
-}
-
-// runInterp executes from pc with the given step/cycle state already
-// accumulated, until BREAK, an error, or the step limit. It is the
-// per-instruction tail of the threaded engine: Machine.Run delegates here
-// when the remaining step budget cannot cover the next whole block, so
-// truncation lands on exactly the instruction the reference stepper
-// would report.
-//
-// The outer loop walks basic blocks: it validates the entry PC and the
-// step budget once, then the inner loop retires straight-line
-// instructions up to the block's terminator with no per-instruction PC
-// or limit checks. Register writes are branch-free — the destination is
-// always written and $zero is re-zeroed — which is observably identical
-// to skipping writes to register 0.
-func (m *Machine) runInterp(pc uint32, steps, cycles uint64) (Result, error) {
-	var res Result
-	maxSteps := m.cfg.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = DefaultConfig().MaxSteps
-	}
-	cm := m.cm
-	code := m.code
-	regs := &m.Regs
-	textBase := m.img.TextBase
-	textEnd := m.img.TextEnd()
-	instCount := m.instCount
-	profile := instCount != nil
-
-outer:
-	for {
-		if steps >= maxSteps {
-			return m.fail(&res, steps, cycles, pc,
-				fmt.Errorf("sim: step limit (%d) exceeded at PC 0x%x", maxSteps, pc))
-		}
-		if pc&3 != 0 || pc < textBase || pc >= textEnd {
-			return m.fail(&res, steps, cycles, pc,
-				fmt.Errorf("sim: PC 0x%x outside text", pc))
-		}
-		idx := int32((pc - textBase) >> 2)
-		end := m.blockTermIndex(idx)
-		limit := end
-		if n := uint64(end-idx) + 1; steps+n > maxSteps {
-			// Run only the remaining budget; the loop top then reports
-			// the step-limit error at the next unexecuted instruction,
-			// exactly like the per-instruction stepper.
-			limit = idx + int32(maxSteps-steps) - 1
-		}
-		for i := idx; i <= limit; i++ {
-			in := &code[i]
-			if profile {
-				instCount[i]++
-			}
-			steps++
-			switch in.op {
-			case mips.NOP:
-				cycles += in.cost
-			case mips.BREAK:
-				cycles += in.cost
-				m.PC = textBase + uint32(4*i)
-				m.lastSteps = steps
-				res.Steps, res.Cycles = steps, cycles
-				res.ExitCode = int32(regs[mips.V0])
-				res.Profile = m.buildProfile()
-				return res, nil
-			case mips.ADD, mips.ADDU:
-				regs[in.rd&31] = regs[in.rs&31] + regs[in.rt&31]
-				regs[0] = 0
-				cycles += in.cost
-			case mips.SUB, mips.SUBU:
-				regs[in.rd&31] = regs[in.rs&31] - regs[in.rt&31]
-				regs[0] = 0
-				cycles += in.cost
-			case mips.AND:
-				regs[in.rd&31] = regs[in.rs&31] & regs[in.rt&31]
-				regs[0] = 0
-				cycles += in.cost
-			case mips.OR:
-				regs[in.rd&31] = regs[in.rs&31] | regs[in.rt&31]
-				regs[0] = 0
-				cycles += in.cost
-			case mips.XOR:
-				regs[in.rd&31] = regs[in.rs&31] ^ regs[in.rt&31]
-				regs[0] = 0
-				cycles += in.cost
-			case mips.NOR:
-				regs[in.rd&31] = ^(regs[in.rs&31] | regs[in.rt&31])
-				regs[0] = 0
-				cycles += in.cost
-			case mips.SLT:
-				regs[in.rd&31] = b2u(int32(regs[in.rs&31]) < int32(regs[in.rt&31]))
-				regs[0] = 0
-				cycles += in.cost
-			case mips.SLTU:
-				regs[in.rd&31] = b2u(regs[in.rs&31] < regs[in.rt&31])
-				regs[0] = 0
-				cycles += in.cost
-			case mips.SLL:
-				regs[in.rd&31] = regs[in.rt&31] << in.immU
-				regs[0] = 0
-				cycles += in.cost
-			case mips.SRL:
-				regs[in.rd&31] = regs[in.rt&31] >> in.immU
-				regs[0] = 0
-				cycles += in.cost
-			case mips.SRA:
-				regs[in.rd&31] = uint32(int32(regs[in.rt&31]) >> in.immU)
-				regs[0] = 0
-				cycles += in.cost
-			case mips.SLLV:
-				regs[in.rd&31] = regs[in.rt&31] << (regs[in.rs&31] & 31)
-				regs[0] = 0
-				cycles += in.cost
-			case mips.SRLV:
-				regs[in.rd&31] = regs[in.rt&31] >> (regs[in.rs&31] & 31)
-				regs[0] = 0
-				cycles += in.cost
-			case mips.SRAV:
-				regs[in.rd&31] = uint32(int32(regs[in.rt&31]) >> (regs[in.rs&31] & 31))
-				regs[0] = 0
-				cycles += in.cost
-			case mips.MULT:
-				p := int64(int32(regs[in.rs&31])) * int64(int32(regs[in.rt&31]))
-				m.LO, m.HI = uint32(p), uint32(uint64(p)>>32)
-				cycles += in.cost
-			case mips.MULTU:
-				p := uint64(regs[in.rs&31]) * uint64(regs[in.rt&31])
-				m.LO, m.HI = uint32(p), uint32(p>>32)
-				cycles += in.cost
-			case mips.DIV:
-				rs, rt := regs[in.rs&31], regs[in.rt&31]
-				if rt == 0 {
-					m.LO, m.HI = 0, rs // architecturally undefined; pick stable values
-				} else if int32(rs) == -1<<31 && int32(rt) == -1 {
-					m.LO, m.HI = rs, 0
-				} else {
-					m.LO = uint32(int32(rs) / int32(rt))
-					m.HI = uint32(int32(rs) % int32(rt))
-				}
-				cycles += in.cost
-			case mips.DIVU:
-				rs, rt := regs[in.rs&31], regs[in.rt&31]
-				if rt == 0 {
-					m.LO, m.HI = 0, rs
-				} else {
-					m.LO, m.HI = rs/rt, rs%rt
-				}
-				cycles += in.cost
-			case mips.MFHI:
-				regs[in.rd&31] = m.HI
-				regs[0] = 0
-				cycles += in.cost
-			case mips.MFLO:
-				regs[in.rd&31] = m.LO
-				regs[0] = 0
-				cycles += in.cost
-			case mips.MTHI:
-				m.HI = regs[in.rs&31]
-				cycles += in.cost
-			case mips.MTLO:
-				m.LO = regs[in.rs&31]
-				cycles += in.cost
-			case mips.ADDI, mips.ADDIU:
-				regs[in.rt&31] = regs[in.rs&31] + in.immU
-				regs[0] = 0
-				cycles += in.cost
-			case mips.SLTI:
-				regs[in.rt&31] = b2u(int32(regs[in.rs&31]) < in.imm)
-				regs[0] = 0
-				cycles += in.cost
-			case mips.SLTIU:
-				regs[in.rt&31] = b2u(regs[in.rs&31] < in.immU)
-				regs[0] = 0
-				cycles += in.cost
-			case mips.ANDI:
-				regs[in.rt&31] = regs[in.rs&31] & in.immU
-				regs[0] = 0
-				cycles += in.cost
-			case mips.ORI:
-				regs[in.rt&31] = regs[in.rs&31] | in.immU
-				regs[0] = 0
-				cycles += in.cost
-			case mips.XORI:
-				regs[in.rt&31] = regs[in.rs&31] ^ in.immU
-				regs[0] = 0
-				cycles += in.cost
-			case mips.LUI:
-				regs[in.rt&31] = in.immU
-				regs[0] = 0
-				cycles += in.cost
-			case mips.LB:
-				addr := regs[in.rs&31] + in.immU
-				if addr < 0x1000 {
-					return m.fail(&res, steps, cycles, textBase+uint32(4*i), loadFault(addr, 1))
-				}
-				v := m.mem.Page(addr)[addr&binimg.PageMask]
-				regs[in.rt&31] = uint32(int32(int8(v)))
-				regs[0] = 0
-				cycles += in.cost
-			case mips.LBU:
-				addr := regs[in.rs&31] + in.immU
-				if addr < 0x1000 {
-					return m.fail(&res, steps, cycles, textBase+uint32(4*i), loadFault(addr, 1))
-				}
-				regs[in.rt&31] = uint32(m.mem.Page(addr)[addr&binimg.PageMask])
-				regs[0] = 0
-				cycles += in.cost
-			case mips.LH:
-				addr := regs[in.rs&31] + in.immU
-				if addr < 0x1000 || addr&1 != 0 {
-					return m.fail(&res, steps, cycles, textBase+uint32(4*i), loadFault(addr, 2))
-				}
-				v := binary.LittleEndian.Uint16(m.mem.Page(addr)[addr&binimg.PageMask:])
-				regs[in.rt&31] = uint32(int32(int16(v)))
-				regs[0] = 0
-				cycles += in.cost
-			case mips.LHU:
-				addr := regs[in.rs&31] + in.immU
-				if addr < 0x1000 || addr&1 != 0 {
-					return m.fail(&res, steps, cycles, textBase+uint32(4*i), loadFault(addr, 2))
-				}
-				regs[in.rt&31] = uint32(binary.LittleEndian.Uint16(m.mem.Page(addr)[addr&binimg.PageMask:]))
-				regs[0] = 0
-				cycles += in.cost
-			case mips.LW:
-				addr := regs[in.rs&31] + in.immU
-				if addr < 0x1000 || addr&3 != 0 {
-					return m.fail(&res, steps, cycles, textBase+uint32(4*i), loadFault(addr, 4))
-				}
-				regs[in.rt&31] = binary.LittleEndian.Uint32(m.mem.Page(addr)[addr&binimg.PageMask:])
-				regs[0] = 0
-				cycles += in.cost
-			case mips.SB:
-				addr := regs[in.rs&31] + in.immU
-				if addr < 0x1000 || (addr >= textBase && addr < textEnd) {
-					return m.fail(&res, steps, cycles, textBase+uint32(4*i), storeFault(addr, 1))
-				}
-				m.mem.Page(addr)[addr&binimg.PageMask] = byte(regs[in.rt&31])
-				cycles += in.cost
-			case mips.SH:
-				addr := regs[in.rs&31] + in.immU
-				if addr < 0x1000 || addr&1 != 0 || (addr >= textBase && addr < textEnd) {
-					return m.fail(&res, steps, cycles, textBase+uint32(4*i), storeFault(addr, 2))
-				}
-				binary.LittleEndian.PutUint16(m.mem.Page(addr)[addr&binimg.PageMask:], uint16(regs[in.rt&31]))
-				cycles += in.cost
-			case mips.SW:
-				addr := regs[in.rs&31] + in.immU
-				if addr < 0x1000 || addr&3 != 0 || (addr >= textBase && addr < textEnd) {
-					return m.fail(&res, steps, cycles, textBase+uint32(4*i), storeFault(addr, 4))
-				}
-				binary.LittleEndian.PutUint32(m.mem.Page(addr)[addr&binimg.PageMask:], regs[in.rt&31])
-				cycles += in.cost
-			case mips.BEQ:
-				if regs[in.rs&31] == regs[in.rt&31] {
-					cycles += cm.BranchTaken
-					if in.edge >= 0 {
-						m.edges[in.edge].n++
-					}
-					pc = in.target
-					continue outer
-				}
-				cycles += cm.BranchNot
-			case mips.BNE:
-				if regs[in.rs&31] != regs[in.rt&31] {
-					cycles += cm.BranchTaken
-					if in.edge >= 0 {
-						m.edges[in.edge].n++
-					}
-					pc = in.target
-					continue outer
-				}
-				cycles += cm.BranchNot
-			case mips.BLEZ:
-				if int32(regs[in.rs&31]) <= 0 {
-					cycles += cm.BranchTaken
-					if in.edge >= 0 {
-						m.edges[in.edge].n++
-					}
-					pc = in.target
-					continue outer
-				}
-				cycles += cm.BranchNot
-			case mips.BGTZ:
-				if int32(regs[in.rs&31]) > 0 {
-					cycles += cm.BranchTaken
-					if in.edge >= 0 {
-						m.edges[in.edge].n++
-					}
-					pc = in.target
-					continue outer
-				}
-				cycles += cm.BranchNot
-			case mips.BLTZ:
-				if int32(regs[in.rs&31]) < 0 {
-					cycles += cm.BranchTaken
-					if in.edge >= 0 {
-						m.edges[in.edge].n++
-					}
-					pc = in.target
-					continue outer
-				}
-				cycles += cm.BranchNot
-			case mips.BGEZ:
-				if int32(regs[in.rs&31]) >= 0 {
-					cycles += cm.BranchTaken
-					if in.edge >= 0 {
-						m.edges[in.edge].n++
-					}
-					pc = in.target
-					continue outer
-				}
-				cycles += cm.BranchNot
-			case mips.J:
-				cycles += in.cost
-				if in.edge >= 0 {
-					m.edges[in.edge].n++
-				}
-				pc = in.target
-				continue outer
-			case mips.JAL:
-				regs[mips.RA] = textBase + uint32(4*i) + 4
-				cycles += in.cost
-				if in.edge >= 0 {
-					m.edges[in.edge].n++
-				}
-				pc = in.target
-				continue outer
-			case mips.JR:
-				t := regs[in.rs&31]
-				cycles += in.cost
-				if t&3 != 0 || t < textBase || t >= textEnd {
-					here := textBase + uint32(4*i)
-					return m.fail(&res, steps, cycles, here,
-						fmt.Errorf("sim: jr at 0x%x: jump target 0x%x outside text", here, t))
-				}
-				if in.jr >= 0 {
-					m.recordDynEdge(in.jr, t)
-				}
-				pc = t
-				continue outer
-			case mips.JALR:
-				t := regs[in.rs&31]
-				regs[in.rd&31] = textBase + uint32(4*i) + 4
-				regs[0] = 0
-				cycles += in.cost
-				if t&3 != 0 || t < textBase || t >= textEnd {
-					here := textBase + uint32(4*i)
-					return m.fail(&res, steps, cycles, here,
-						fmt.Errorf("sim: jalr at 0x%x: jump target 0x%x outside text", here, t))
-				}
-				if in.jr >= 0 {
-					m.recordDynEdge(in.jr, t)
-				}
-				pc = t
-				continue outer
-			default:
-				return m.fail(&res, steps, cycles, textBase+uint32(4*i),
-					fmt.Errorf("sim: unimplemented op %v at 0x%x", in.op, textBase+uint32(4*i)))
-			}
-		}
-		// The block fell through: either a not-taken branch, a block that
-		// runs off the end of text, or a step-budget-limited prefix.
-		pc = textBase + uint32(4*(limit+1))
-	}
 }
 
 // recordDynEdge counts one taken dynamic-target transfer (JR/JALR).
@@ -845,7 +469,7 @@ func release(m *Machine) {
 
 // Execute is a convenience wrapper: load img and run with cfg, dispatching
 // on cfg.Engine. EngineReference runs the preserved per-instruction
-// stepper; EngineBlock and EngineFused run the threaded-code engine.
+// stepper; EngineThreaded runs the threaded-code engine.
 // Nothing in the returned Result aliases machine state, so Execute runs
 // on pooled machines.
 func Execute(img *binimg.Image, cfg Config) (Result, error) {

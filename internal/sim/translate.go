@@ -1,304 +1,30 @@
-// Threaded-code translation and the superinstruction-fusion peephole.
+// Threaded-code translation.
 //
 // Each basic block is translated once, on first execution, into a flat
-// run of superops (pinst records tagged by op) that exec.go dispatches
-// without per-instruction step, cycle, or profile accounting — the block
-// totals are precomputed here. Translations are keyed by entry point:
-// a jump into the middle of a straight-line run simply gets its own
-// translation starting there, so fusion never needs control-flow
-// legality analysis (a fused pair can only be entered at its head).
-// Text is immutable, so translations are never invalidated.
-//
-// Fusion is built on a micro-ALU normalization: every simple ALU op —
-// three-register forms, immediates, shifts by constant or register, and
-// LUI — reduces to one of eleven branchless micro-kinds of the shape
-// d = kind(a, b, imm) with unused register operands pointed at $zero
-// (micro, microOf). That one normalization lets generic pair patterns
-// (alu+alu, alu+load, load+alu, alu+store, store+alu, alu+branch) cover
-// the dominant dynamic pairs without enumerating opcode combinations.
+// run of superops (pinst records tagged by op, one per instruction) that
+// exec.go dispatches without per-instruction step, cycle, or profile
+// accounting — the block totals are precomputed here. Translations are
+// keyed by entry point: a jump into the middle of a straight-line run
+// simply gets its own translation starting there. Text is immutable, so
+// translations are never invalidated.
 package sim
 
 import "binpart/internal/mips"
 
-// Fused superop tags, continuing the mips.Op space. Every fused op
-// emulates its constituents strictly in order — including intermediate
-// register writes and $zero re-zeroing — so it is observably identical
-// to executing them one at a time.
-// Beyond the generic category tags, the dynamically dominant
-// combinations get specialized tags whose exec bodies are fully inline
-// with no secondary dispatch at all: pair-frequency counts across the
-// benchmark suite show uADD (addiu/addu) halves and LW/SW memory halves
-// in nearly all of the top pairs, so those spellings carry the bulk of
-// retired fused steps on a single indirect jump each.
-const (
-	// fuseAluAlu: two simple ALU ops. First: sub=kind, rd=a1, rs/rt
-	// sources, immU. Second: kind in target's low byte, x=d2, y/z
-	// sources, imm.
-	fuseAluAlu = mips.Op(mips.NumOps) + iota
-	fuseAddAdd // both halves uADD
-	fuseAddAlu // first half uADD, second generic
-	fuseAluAdd // first generic, second uADD
-	// fuseAluBranch: a simple ALU op (sub=kind, rd, rs, rt, immU) then
-	// any conditional branch (cond in z, operands x ? y) — covers the
-	// compare+branch and addiu loop-latch idioms.
-	fuseAluBranch
-	// fuseAddiuAddiuBranch: two ADDIUs (rt,rs,immU and rd,x,imm) then a
-	// conditional branch (sub=cond) on y ? z — the two-counter latch.
-	fuseAddiuAddiuBranch
-	// fuseLuiOri: LUI r, hi then ORI d, r, lo — 32-bit constant
-	// formation. imm holds the LUI value, immU the combined constant;
-	// rs=r, rd=d.
-	fuseLuiOri
-	// fuseLoadAlu: a load (sub=mips.Op, rt, base rs, offset immU) then a
-	// simple ALU op (kind in target's low byte, x=d, y/z sources, imm).
-	fuseLoadAlu
-	fuseLwAlu // the load is LW (inline body, no width dispatch)
-	// fuseAluLoad: a simple ALU op (sub=kind, rd, rs, rt, immU) then a
-	// load (mips.Op in target's low byte, dest x, base y, offset imm).
-	fuseAluLoad
-	fuseAluLw  // the load is LW
-	fuseAluLbu // the load is LBU
-	// fuseAluStore: a simple ALU op (sub=kind, rd, rs, rt, immU) then a
-	// store (mips.Op in target's low byte, data x, base y, offset imm).
-	fuseAluStore
-	fuseAluSw // the store is SW
-	// fuseStoreAlu: a store (sub=mips.Op, data rt, base rs, offset immU)
-	// then a simple ALU op (kind in target's low byte, x=d, y/z, imm).
-	fuseStoreAlu
-	fuseSwAlu // the store is SW
-	// fuseMultMflo: MULT/MULTU (sub distinguishes, rs, rt) then MFLO rd.
-	fuseMultMflo
-)
-
-// Micro-ALU kinds. Each simple ALU op normalizes to d = micro(kind, a,
-// b, imm) with a = regs[s1], b = regs[s2]; immediate forms point the
-// unused source at $zero so the same branchless body serves both (e.g.
-// ORI is a|b|imm with b read from $zero, LUI additionally reads a from
-// $zero, SLL's shift amount is (a&31)|imm with a from $zero for the
-// immediate form and imm=0 for SLLV).
-const (
-	uADD uint8 = iota
-	uSUB
-	uAND
-	uOR
-	uXOR
-	uNOR
-	uSLT
-	uSLTU
-	uSLL
-	uSRL
-	uSRA
-)
-
-// The micro-ALU evaluator is split in two so each half fits the
-// compiler's inlining budget: a single function covering all eleven
-// kinds costs ~113 nodes against the budget of 80, and an out-of-line
-// call (plus its own dispatch) at every fused-op body would cost as much
-// as the instruction dispatch that fusion removes. Exec sites branch on
-// kind < uSLT and get both halves inlined (see the microALU pattern in
-// exec.go).
-
-// microArith evaluates the arithmetic/logical micro-kinds (< uSLT).
-func microArith(kind uint8, a, b, imm uint32) uint32 {
-	switch kind {
-	case uADD:
-		return a + b + imm
-	case uSUB:
-		return a - b
-	case uAND:
-		return a & (b | imm)
-	case uOR:
-		return a | b | imm
-	case uXOR:
-		return a ^ (b | imm)
-	}
-	return ^(a | b | imm) // uNOR
-}
-
-// microCmpShift evaluates the comparison and shift micro-kinds (>= uSLT).
-func microCmpShift(kind uint8, a, b, imm uint32) uint32 {
-	switch kind {
-	case uSLT:
-		return b2u(int32(a) < int32(b|imm))
-	case uSLTU:
-		return b2u(a < (b | imm))
-	case uSLL:
-		return b << ((a & 31) | imm)
-	case uSRL:
-		return b >> ((a & 31) | imm)
-	}
-	return uint32(int32(b) >> ((a & 31) | imm)) // uSRA
-}
-
-// microOf normalizes a predecoded instruction to its micro-ALU form.
-// ok is false for anything that is not a simple one-destination ALU op
-// (memory, control, HI/LO, BREAK, NOP).
-func microOf(p *pinst) (kind, d, s1, s2 uint8, imm uint32, ok bool) {
-	switch p.op {
-	case mips.ADD, mips.ADDU:
-		return uADD, p.rd, p.rs, p.rt, 0, true
-	case mips.ADDI, mips.ADDIU:
-		return uADD, p.rt, p.rs, 0, p.immU, true
-	case mips.SUB, mips.SUBU:
-		return uSUB, p.rd, p.rs, p.rt, 0, true
-	case mips.AND:
-		return uAND, p.rd, p.rs, p.rt, 0, true
-	case mips.ANDI:
-		return uAND, p.rt, p.rs, 0, p.immU, true
-	case mips.OR:
-		return uOR, p.rd, p.rs, p.rt, 0, true
-	case mips.ORI:
-		return uOR, p.rt, p.rs, 0, p.immU, true
-	case mips.LUI:
-		return uOR, p.rt, 0, 0, p.immU, true
-	case mips.XOR:
-		return uXOR, p.rd, p.rs, p.rt, 0, true
-	case mips.XORI:
-		return uXOR, p.rt, p.rs, 0, p.immU, true
-	case mips.NOR:
-		return uNOR, p.rd, p.rs, p.rt, 0, true
-	case mips.SLT:
-		return uSLT, p.rd, p.rs, p.rt, 0, true
-	case mips.SLTI:
-		return uSLT, p.rt, p.rs, 0, p.immU, true
-	case mips.SLTU:
-		return uSLTU, p.rd, p.rs, p.rt, 0, true
-	case mips.SLTIU:
-		return uSLTU, p.rt, p.rs, 0, p.immU, true
-	case mips.SLL:
-		return uSLL, p.rd, 0, p.rt, p.immU, true
-	case mips.SLLV:
-		return uSLL, p.rd, p.rs, p.rt, 0, true
-	case mips.SRL:
-		return uSRL, p.rd, 0, p.rt, p.immU, true
-	case mips.SRLV:
-		return uSRL, p.rd, p.rs, p.rt, 0, true
-	case mips.SRA:
-		return uSRA, p.rd, 0, p.rt, p.immU, true
-	case mips.SRAV:
-		return uSRA, p.rd, p.rs, p.rt, 0, true
-	}
-	return 0, 0, 0, 0, 0, false
-}
-
-// Branch condition codes for fused branches (takeBranch).
-const (
-	condEQ uint8 = iota
-	condNE
-	condLEZ
-	condGTZ
-	condLTZ
-	condGEZ
-)
-
-// takeBranch evaluates a fused branch condition. Single-operand
-// conditions ignore b.
-func takeBranch(cond uint8, a, b uint32) bool {
-	switch cond {
-	case condEQ:
-		return a == b
-	case condNE:
-		return a != b
-	case condLEZ:
-		return int32(a) <= 0
-	case condGTZ:
-		return int32(a) > 0
-	case condLTZ:
-		return int32(a) < 0
-	}
-	return int32(a) >= 0 // condGEZ
-}
-
-// condOf maps a conditional-branch pinst to a fused condition code and
-// its operand registers.
-func condOf(p *pinst) (cond, x, y uint8) {
-	switch p.op {
-	case mips.BEQ:
-		return condEQ, p.rs, p.rt
-	case mips.BNE:
-		return condNE, p.rs, p.rt
-	case mips.BLEZ:
-		return condLEZ, p.rs, 0
-	case mips.BGTZ:
-		return condGTZ, p.rs, 0
-	case mips.BLTZ:
-		return condLTZ, p.rs, 0
-	}
-	return condGEZ, p.rs, 0 // mips.BGEZ
-}
-
-// Fusion patterns, indexed for static/dynamic accounting.
-const (
-	patAluAlu = iota
-	patAluBranch
-	patAddiuAddiuBranch
-	patLuiOri
-	patLoadAlu
-	patAluLoad
-	patAluStore
-	patStoreAlu
-	patMultMflo
-	numPatterns
-)
-
-// patternNames and patternWidths describe each pattern for FusionStats;
-// width is the number of constituent instructions a fused op retires.
-var patternNames = [numPatterns]string{
-	patAluAlu:           "alu+alu",
-	patAluBranch:        "alu+branch",
-	patAddiuAddiuBranch: "addiu+addiu+branch",
-	patLuiOri:           "lui+ori",
-	patLoadAlu:          "load+alu",
-	patAluLoad:          "alu+load",
-	patAluStore:         "alu+store",
-	patStoreAlu:         "store+alu",
-	patMultMflo:         "mult+mflo",
-}
-
-var patternWidths = [numPatterns]uint32{
-	patAluAlu:           2,
-	patAluBranch:        2,
-	patAddiuAddiuBranch: 3,
-	patLuiOri:           2,
-	patLoadAlu:          2,
-	patAluLoad:          2,
-	patAluStore:         2,
-	patStoreAlu:         2,
-	patMultMflo:         2,
-}
-
 // tblock is one translated basic block, keyed by its entry point
-// (code[start].tix). steps and cost are the totals for one complete
-// execution, charged up front by Run and rewound by blockFault if a
-// constituent faults; exec counts completed executions and reconstructs
-// per-instruction profile counts in buildProfile.
+// (code[start].tix). n (the step count: one superop per instruction)
+// and cost are the totals for one complete execution, charged up front
+// by Run and rewound by blockStop if the block stops early; exec counts
+// completed executions and reconstructs per-instruction profile counts
+// in buildProfile.
 type tblock struct {
 	off   int32 // first superop in Machine.fops
 	n     int32 // number of superops
 	start int32 // entry text index
 	end   int32 // terminator text index
 	next  int32 // fallthrough successor tblock, -1 until first taken
-	steps uint64
 	cost  uint64
 	exec  uint64
-	fused uint32              // constituents retired via fused ops per execution
-	pat   [numPatterns]uint32 // static fused-op count per pattern
-}
-
-func isLoadOp(op mips.Op) bool {
-	switch op {
-	case mips.LB, mips.LBU, mips.LH, mips.LHU, mips.LW:
-		return true
-	}
-	return false
-}
-
-func isStoreOp(op mips.Op) bool {
-	switch op {
-	case mips.SB, mips.SH, mips.SW:
-		return true
-	}
-	return false
 }
 
 // translate builds the superop run for the block entered at text index
@@ -306,45 +32,25 @@ func isStoreOp(op mips.Op) bool {
 func (m *Machine) translate(entry int32) int32 {
 	code := m.code
 	end := m.blockTermIndex(entry)
-	fuse := m.cfg.Engine != EngineBlock
-
 	blk := tblock{
 		off:   int32(len(m.fops)),
+		n:     end - entry + 1,
 		start: entry,
 		end:   end,
 		next:  -1,
-		steps: uint64(end-entry) + 1,
 	}
-	for j := entry; j <= end; j++ {
-		blk.cost += code[j].cost
-	}
-
-	for i := entry; i <= end; {
-		p := &code[i]
-		if fuse {
-			if pat, f := m.fusePair(p, i, end); pat >= 0 {
-				m.fops = append(m.fops, f)
-				blk.pat[pat]++
-				i += int32(patternWidths[pat])
-				continue
-			}
-		}
-		f := *p
+	for i := entry; i <= end; i++ {
+		f := code[i]
+		blk.cost += f.cost
 		f.idx = i
-		// code[i].tix marks i as a block entry; in a fop the field caches
-		// the fused op's own branch target instead, so clear it.
+		// code[i].tix marks i as a block entry; in a superop the field
+		// caches the op's own branch target instead, so clear it.
 		f.tix = -1
 		if f.op == mips.JAL || f.op == mips.JALR {
 			// Precompute the return address.
 			f.immU = m.img.TextBase + uint32(4*i) + 4
 		}
 		m.fops = append(m.fops, f)
-		i++
-	}
-
-	blk.n = int32(len(m.fops)) - blk.off
-	for k, c := range blk.pat {
-		blk.fused += c * patternWidths[k]
 	}
 	m.tblocks = append(m.tblocks, blk)
 	tix := int32(len(m.tblocks) - 1)
@@ -368,207 +74,4 @@ func (m *Machine) tixFor(pc uint32) int32 {
 		t = m.translate(idx)
 	}
 	return t
-}
-
-// fusePair tries every fusion pattern at text index i (p = &code[i],
-// end = the block terminator's index). On a match it returns the pattern
-// index and the fused superop; otherwise pattern -1.
-func (m *Machine) fusePair(p *pinst, i, end int32) (int, pinst) {
-	code := m.code
-	// Conditional branches only appear at end, so a branch matched in a
-	// pattern is always the block terminator.
-	if i+2 <= end && p.op == mips.ADDIU && code[i+1].op == mips.ADDIU &&
-		code[i+2].op.IsCondBranch() {
-		a2, br := &code[i+1], &code[i+2]
-		cond, bx, by := condOf(br)
-		return patAddiuAddiuBranch, pinst{
-			op: fuseAddiuAddiuBranch, sub: cond,
-			rt: p.rt, rs: p.rs, immU: p.immU,
-			rd: a2.rt, x: a2.rs, imm: a2.imm,
-			y: bx, z: by,
-			target: br.target, edge: br.edge, jr: -1, tix: -1, idx: i,
-		}
-	}
-	if i+1 > end {
-		return -1, pinst{}
-	}
-	next := &code[i+1]
-	if p.op == mips.LUI && p.rt != 0 && next.op == mips.ORI && next.rs == p.rt {
-		return patLuiOri, pinst{
-			op: fuseLuiOri,
-			rs: p.rt, imm: int32(p.immU),
-			rd: next.rt, immU: p.immU | next.immU,
-			edge: -1, jr: -1, tix: -1, idx: i,
-		}
-	}
-	if (p.op == mips.MULT || p.op == mips.MULTU) && next.op == mips.MFLO {
-		sub := uint8(0)
-		if p.op == mips.MULTU {
-			sub = 1
-		}
-		return patMultMflo, pinst{
-			op: fuseMultMflo, sub: sub,
-			rs: p.rs, rt: p.rt, rd: next.rd,
-			edge: -1, jr: -1, tix: -1, idx: i,
-		}
-	}
-	if k1, d1, a1, b1, imm1, ok := microOf(p); ok {
-		switch {
-		case next.op.IsCondBranch():
-			cond, bx, by := condOf(next)
-			return patAluBranch, pinst{
-				op: fuseAluBranch, sub: k1,
-				rd: d1, rs: a1, rt: b1, immU: imm1,
-				x: bx, y: by, z: cond,
-				target: next.target, edge: next.edge, jr: -1, tix: -1, idx: i,
-			}
-		case isLoadOp(next.op):
-			op := fuseAluLoad
-			switch next.op {
-			case mips.LW:
-				op = fuseAluLw
-			case mips.LBU:
-				op = fuseAluLbu
-			}
-			return patAluLoad, pinst{
-				op: op, sub: k1,
-				rd: d1, rs: a1, rt: b1, immU: imm1,
-				target: uint32(next.op), x: next.rt, y: next.rs, imm: next.imm,
-				edge: -1, jr: -1, tix: -1, idx: i,
-			}
-		case isStoreOp(next.op):
-			op := fuseAluStore
-			if next.op == mips.SW {
-				op = fuseAluSw
-			}
-			return patAluStore, pinst{
-				op: op, sub: k1,
-				rd: d1, rs: a1, rt: b1, immU: imm1,
-				target: uint32(next.op), x: next.rt, y: next.rs, imm: next.imm,
-				edge: -1, jr: -1, tix: -1, idx: i,
-			}
-		}
-		if k2, d2, a2, b2, imm2, ok2 := microOf(next); ok2 {
-			op := fuseAluAlu
-			switch {
-			case k1 == uADD && k2 == uADD:
-				op = fuseAddAdd
-			case k1 == uADD:
-				op = fuseAddAlu
-			case k2 == uADD:
-				op = fuseAluAdd
-			}
-			return patAluAlu, pinst{
-				op: op, sub: k1,
-				rd: d1, rs: a1, rt: b1, immU: imm1,
-				target: uint32(k2), x: d2, y: a2, z: b2, imm: int32(imm2),
-				edge: -1, jr: -1, tix: -1, idx: i,
-			}
-		}
-		return -1, pinst{}
-	}
-	if isLoadOp(p.op) {
-		if k2, d2, a2, b2, imm2, ok2 := microOf(next); ok2 {
-			op := fuseLoadAlu
-			if p.op == mips.LW {
-				op = fuseLwAlu
-			}
-			return patLoadAlu, pinst{
-				op: op, sub: uint8(p.op),
-				rt: p.rt, rs: p.rs, immU: p.immU,
-				target: uint32(k2), x: d2, y: a2, z: b2, imm: int32(imm2),
-				edge: -1, jr: -1, tix: -1, idx: i,
-			}
-		}
-		return -1, pinst{}
-	}
-	if isStoreOp(p.op) {
-		if k2, d2, a2, b2, imm2, ok2 := microOf(next); ok2 {
-			op := fuseStoreAlu
-			if p.op == mips.SW {
-				op = fuseSwAlu
-			}
-			return patStoreAlu, pinst{
-				op: op, sub: uint8(p.op),
-				rt: p.rt, rs: p.rs, immU: p.immU,
-				target: uint32(k2), x: d2, y: a2, z: b2, imm: int32(imm2),
-				edge: -1, jr: -1, tix: -1, idx: i,
-			}
-		}
-	}
-	return -1, pinst{}
-}
-
-// PatternStat is one fusion pattern's contribution: Static counts fused
-// superops across all translated blocks, Dynamic counts fused superops
-// actually retired.
-type PatternStat struct {
-	Name    string `json:"name"`
-	Width   int    `json:"width"`
-	Static  uint64 `json:"static"`
-	Dynamic uint64 `json:"dynamic"`
-}
-
-// FusionStats summarizes what translation and fusion did during a run.
-// Coverage is the fraction of retired steps that executed inside a fused
-// superop.
-type FusionStats struct {
-	Engine     string        `json:"engine"`
-	Blocks     int           `json:"blocks"`
-	Steps      uint64        `json:"steps"`
-	FusedSteps uint64        `json:"fused_steps"`
-	Coverage   float64       `json:"coverage"`
-	Patterns   []PatternStat `json:"patterns"`
-}
-
-// FusionStats reports translation and fusion counters for the machine's
-// last run. Valid after Run returns.
-func (m *Machine) FusionStats() FusionStats {
-	s := FusionStats{
-		Engine:   m.cfg.Engine.String(),
-		Blocks:   len(m.tblocks),
-		Steps:    m.lastSteps,
-		Patterns: make([]PatternStat, numPatterns),
-	}
-	for k := range s.Patterns {
-		s.Patterns[k] = PatternStat{Name: patternNames[k], Width: int(patternWidths[k])}
-	}
-	for bi := range m.tblocks {
-		blk := &m.tblocks[bi]
-		s.FusedSteps += blk.exec * uint64(blk.fused)
-		for k, c := range blk.pat {
-			s.Patterns[k].Static += uint64(c)
-			s.Patterns[k].Dynamic += blk.exec * uint64(c)
-		}
-	}
-	if s.Steps > 0 {
-		s.Coverage = float64(s.FusedSteps) / float64(s.Steps)
-	}
-	return s
-}
-
-// Merge accumulates another run's fusion stats into s (for aggregate
-// reporting across a batch). Engine and pattern shapes must match; the
-// first non-empty Engine wins.
-func (s *FusionStats) Merge(o FusionStats) {
-	if s.Engine == "" {
-		s.Engine = o.Engine
-	}
-	s.Blocks += o.Blocks
-	s.Steps += o.Steps
-	s.FusedSteps += o.FusedSteps
-	if len(s.Patterns) == 0 {
-		s.Patterns = make([]PatternStat, len(o.Patterns))
-		copy(s.Patterns, o.Patterns)
-	} else {
-		for k := range o.Patterns {
-			if k < len(s.Patterns) {
-				s.Patterns[k].Static += o.Patterns[k].Static
-				s.Patterns[k].Dynamic += o.Patterns[k].Dynamic
-			}
-		}
-	}
-	if s.Steps > 0 {
-		s.Coverage = float64(s.FusedSteps) / float64(s.Steps)
-	}
 }

@@ -92,9 +92,13 @@ func TestSimFastPathMatchesReferenceUnprofiled(t *testing.T) {
 	}
 }
 
-// TestSimStepLimitMatchesReference pins the amortized step-limit check:
-// truncating a run mid-block must stop after exactly the same number of
-// retired instructions as the per-instruction stepper.
+// TestSimStepLimitMatchesReference pins the threaded engine's
+// step-budget truncation: a budget that expires inside a block runs only
+// that block's covered prefix, and must stop after exactly the same
+// number of retired instructions as the per-instruction stepper — same
+// error text (and so the same stop PC), steps, cycles, and profile maps
+// (nil on every error) — at every limit from 1 to 512, which walks the
+// stop across every offset of crc's hot blocks.
 func TestSimStepLimitMatchesReference(t *testing.T) {
 	bm, ok := bench.ByName("crc")
 	if !ok {
@@ -104,20 +108,28 @@ func TestSimStepLimitMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, limit := range []uint64{1, 2, 7, 100, 1001, 4999} {
-		cfg := sim.DefaultConfig()
-		cfg.MaxSteps = limit
-		fast, ferr := sim.Execute(img, cfg)
-		ref, rerr := sim.ExecuteReference(img, cfg)
-		if (ferr == nil) != (rerr == nil) {
-			t.Fatalf("limit %d: fast err %v, reference err %v", limit, ferr, rerr)
-		}
-		if ferr != nil && ferr.Error() != rerr.Error() {
-			t.Errorf("limit %d: fast err %q, reference err %q", limit, ferr, rerr)
-		}
-		if fast.Steps != ref.Steps || fast.Cycles != ref.Cycles {
-			t.Errorf("limit %d: fast steps=%d cycles=%d, reference steps=%d cycles=%d",
-				limit, fast.Steps, fast.Cycles, ref.Steps, ref.Cycles)
+	for _, profile := range []bool{false, true} {
+		for limit := uint64(1); limit <= 512; limit++ {
+			cfg := sim.DefaultConfig()
+			cfg.MaxSteps = limit
+			cfg.Profile = profile
+			fast, ferr := sim.Execute(img, cfg)
+			ref, rerr := sim.ExecuteReference(img, cfg)
+			label := fmt.Sprintf("limit %d profile=%v", limit, profile)
+			if (ferr == nil) != (rerr == nil) {
+				t.Fatalf("%s: fast err %v, reference err %v", label, ferr, rerr)
+			}
+			if ferr != nil && ferr.Error() != rerr.Error() {
+				t.Errorf("%s: fast err %q, reference err %q", label, ferr, rerr)
+			}
+			if fast.Steps != ref.Steps || fast.Cycles != ref.Cycles {
+				t.Errorf("%s: fast steps=%d cycles=%d, reference steps=%d cycles=%d",
+					label, fast.Steps, fast.Cycles, ref.Steps, ref.Cycles)
+			}
+			if !reflect.DeepEqual(fast.Profile, ref.Profile) {
+				t.Errorf("%s: profiles differ (fast %v, reference %v)",
+					label, fast.Profile != nil, ref.Profile != nil)
+			}
 		}
 	}
 }
