@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race stress vet check bench experiments obs-smoke corpus-smoke engine-smoke distcache-smoke bpartd-smoke
+.PHONY: build test race stress vet check bench experiments obs-smoke corpus-smoke engine-smoke bpartd-smoke
 
 build:
 	$(GO) build ./...
@@ -19,8 +19,9 @@ race:
 
 # Twenty race-detector repetitions of the packages whose tests lean on
 # timing and goroutines (the daemon's admission/metrics/shutdown paths,
-# the cache's claim/lease and server shutdown), so a flaky test fails
-# here rather than in a later change's test run.
+# the cache's inflight coalescing over a shared disk tier and its
+# background disk sweep), so a flaky test fails here rather than in a
+# later change's test run.
 stress:
 	$(GO) test -race -count=20 ./cmd/bpartd ./internal/cache
 
@@ -53,15 +54,6 @@ corpus-smoke:
 engine-smoke:
 	$(GO) run ./cmd/experiments -engines -j 8 >/tmp/binpart-engines.txt
 
-# The distributed-cache path end to end over real processes: one shard
-# server plus two sharded workers over localhost, cold cache, then the
-# launcher's final sweep served from the shared cache. Exits nonzero if
-# the distributed T1 table differs by a byte from a serial run, if the
-# final sweep saw no remote hits, or if the server dies without printing
-# its per-tier counters. Artifacts land in /tmp/binpart-distcache.
-distcache-smoke:
-	sh scripts/distcache-smoke.sh
-
 # The partitioning daemon end to end over a real process: priced
 # partition + streamed sweep over HTTP, ops /metrics scrape, sustained
 # load above 1000 req/s on the warm Analysis cache, then SIGTERM under
@@ -71,7 +63,7 @@ distcache-smoke:
 bpartd-smoke:
 	sh scripts/bpartd-smoke.sh
 
-check: vet build test race stress obs-smoke corpus-smoke engine-smoke distcache-smoke bpartd-smoke
+check: vet build test race stress obs-smoke corpus-smoke engine-smoke bpartd-smoke
 
 # Runs every benchmark and distills the results (per-stage ns/op plus the
 # T1 headline custom metrics) into BENCH.json via cmd/benchjson. The text
@@ -86,4 +78,4 @@ bench:
 	@rm -f .bench-baseline.json
 
 experiments:
-	$(GO) run ./cmd/experiments -j 8 -cachestats
+	$(GO) run ./cmd/experiments -j 8 -stats

@@ -16,7 +16,6 @@ import (
 
 	"binpart/internal/bench"
 	"binpart/internal/binimg"
-	"binpart/internal/cache"
 	"binpart/internal/core"
 	"binpart/internal/decompile"
 	"binpart/internal/dopt"
@@ -157,10 +156,15 @@ func BenchmarkStageCompile(b *testing.B) {
 }
 
 // BenchmarkStageSimulate measures bare simulation (profiling off) — the
-// raw interpreter hot path.
+// raw interpreter hot path. One untimed run first warms the machine pool,
+// so even a single-iteration run (-benchtime 1x) reports steady-state
+// allocations.
 func BenchmarkStageSimulate(b *testing.B) {
 	img := crcImage(b)
 	cfg := sim.DefaultConfig()
+	if _, err := sim.Execute(img, cfg); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sim.Execute(img, cfg); err != nil {
@@ -176,6 +180,9 @@ func BenchmarkStageSimulateProfiled(b *testing.B) {
 	img := crcImage(b)
 	cfg := sim.DefaultConfig()
 	cfg.Profile = true
+	if _, err := sim.Execute(img, cfg); err != nil { // warm the pool, as in StageSimulate
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sim.Execute(img, cfg); err != nil {
@@ -287,6 +294,9 @@ func BenchmarkStageSynthesize(b *testing.B) {
 	if len(loops) == 0 {
 		b.Fatal("no loops")
 	}
+	if _, err := synth.Synthesize(synth.LoopRegion(f, loops[0]), img, synth.DefaultOptions()); err != nil { // warm-up
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := synth.Synthesize(synth.LoopRegion(f, loops[0]), img, synth.DefaultOptions()); err != nil {
@@ -298,6 +308,9 @@ func BenchmarkStageSynthesize(b *testing.B) {
 // BenchmarkStageEndToEnd measures the whole flow on one binary.
 func BenchmarkStageEndToEnd(b *testing.B) {
 	img := crcImage(b)
+	if _, err := core.Run(img, core.DefaultOptions()); err != nil { // warm-up
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Run(img, core.DefaultOptions()); err != nil {
@@ -378,67 +391,6 @@ func BenchmarkExecutorTable1Cached(b *testing.B) {
 		if _, err := r.Table1(); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// ---------------------------------------------------------------------
-// Remote cache tier: one request/response round trip on the wire
-// protocol against an in-process server over loopback. These gate the
-// protocol's per-request overhead (framing, checksum verify, conn
-// pooling) the same way the Stage* benchmarks gate the pipeline stages.
-
-func remoteTier(b *testing.B) *cache.RemoteTier {
-	b.Helper()
-	srv, err := cache.ListenAndServe("127.0.0.1:0", cache.ServerConfig{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { srv.Close() })
-	rt, err := cache.NewRemoteTier([]string{srv.Addr()}, cache.RemoteConfig{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(rt.Close)
-	return rt
-}
-
-// BenchmarkRemoteTierGet measures a loopback GET hit of a 4 KiB sealed
-// blob, checksum verification included.
-func BenchmarkRemoteTierGet(b *testing.B) {
-	rt := remoteTier(b)
-	k := cache.NewHasher("bench-remote").String("get").Sum()
-	blob := cache.Seal(make([]byte, 4096))
-	if err := rt.Put(k, blob); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(blob)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		got, ok := rt.Get(k)
-		if !ok || len(got) != len(blob) {
-			b.Fatalf("get: ok=%v len=%d", ok, len(got))
-		}
-	}
-	if rt.Errs() != 0 {
-		b.Fatalf("transport errors: %d", rt.Errs())
-	}
-}
-
-// BenchmarkRemoteTierPut measures a loopback PUT of a 4 KiB sealed blob
-// (the server verifies the checksum before storing).
-func BenchmarkRemoteTierPut(b *testing.B) {
-	rt := remoteTier(b)
-	k := cache.NewHasher("bench-remote").String("put").Sum()
-	blob := cache.Seal(make([]byte, 4096))
-	b.SetBytes(int64(len(blob)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := rt.Put(k, blob); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if rt.Errs() != 0 {
-		b.Fatalf("transport errors: %d", rt.Errs())
 	}
 }
 

@@ -11,10 +11,10 @@
 //	go test -run NONE -bench . -benchmem . | benchjson -o BENCH.json -baseline old.json
 //
 // With -baseline, the new results are diffed against a previous
-// BENCH.json and the run fails (exit 1) if any Stage* or RemoteTier*
-// benchmark regressed by more than 10%: allocs/op is gated
-// unconditionally (it is exact and machine-independent), ns/op only when
-// the baseline was recorded on the same CPU. This is the perf ratchet
+// BENCH.json and the run fails (exit 1) if any Stage* benchmark
+// regressed by more than 10%: allocs/op is gated unconditionally (it is
+// exact and machine-independent), ns/op only when the baseline was
+// recorded on the same CPU. This is the perf ratchet
 // `make bench` and CI run.
 //
 // Repeated result lines for one benchmark (from `go test -count=N`) are
@@ -57,7 +57,7 @@ type Report struct {
 
 func main() {
 	out := flag.String("o", "BENCH.json", "output path for the JSON report")
-	baseline := flag.String("baseline", "", "previous BENCH.json to diff against; >10% Stage*/RemoteTier* regressions fail the run")
+	baseline := flag.String("baseline", "", "previous BENCH.json to diff against; >10% Stage* regressions fail the run")
 	flag.Parse()
 
 	rep := Report{Go: runtime.Version(), GOOS: runtime.GOOS, GOARCH: runtime.GOARCH}
@@ -141,16 +141,16 @@ func readReport(path string) (Report, error) {
 }
 
 // regressLimit is the fractional slowdown tolerated before a gated
-// (Stage*/RemoteTier*) benchmark fails the baseline gate.
+// (Stage*) benchmark fails the baseline gate.
 const regressLimit = 0.10
 
 // gatedBench reports whether the ratchet gates a benchmark.
 func gatedBench(name string) bool {
-	return strings.HasPrefix(name, "Stage") || strings.HasPrefix(name, "RemoteTier")
+	return strings.HasPrefix(name, "Stage")
 }
 
 // diffReports prints a per-benchmark comparison and returns the gate
-// violations: Stage* and RemoteTier* benchmarks more than regressLimit
+// violations: Stage* benchmarks more than regressLimit
 // worse than the baseline on allocs/op (always) or ns/op (only when both
 // reports were recorded on the same CPU, since wall-clock does not
 // transfer across machines), and gated baseline benchmarks absent from

@@ -1,6 +1,6 @@
 // Command bpartd serves the partitioner: a long-running HTTP daemon in
-// front of the analyze-once/evaluate-in-microseconds flow and its tiered
-// stage caches.
+// front of the analyze-once/evaluate-in-microseconds flow and its stage
+// caches.
 //
 //	POST /v1/partition  {"bench":"crc","opt":1,...}   -> priced partition report as JSON
 //	POST /v1/sweep      {"bench":"crc","sweep":"devices",...} -> per-point results as
@@ -15,8 +15,8 @@
 // token-bucket rate limits keyed on the X-Tenant header (-tenant-rps),
 // and a per-request deadline (-deadline). SIGINT/SIGTERM drains
 // in-flight requests (-drain budget), flushes the -trace stream and
-// -manifest, verifies the span/cache reconciliation invariant, closes
-// the cache tiers, and exits 0 only when all of that succeeded.
+// -manifest, verifies the span/cache reconciliation invariant, and exits
+// 0 only when all of that succeeded.
 //
 // Ops surface (-ops-addr): /healthz, /readyz (503 while draining),
 // /metrics (the shared binpart exposition plus bpartd_* serving
@@ -39,7 +39,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strings"
 	"syscall"
 	"time"
 
@@ -66,7 +65,6 @@ func main() {
 	alg := flag.String("alg", "90-10", "default partitioning algorithm (request \"alg\" overrides)")
 	cacheDir := flag.String("cachedir", "", "directory for the on-disk stage cache (empty: memory only)")
 	cacheDirMax := flag.String("cachedir-max", "", "byte budget for -cachedir (e.g. 256M)")
-	remoteCache := flag.String("remote-cache", "", "comma-separated cache-server addresses to share the stage cache with")
 	trace := flag.String("trace", "", "stream per-stage spans to this file as JSONL (flushed on shutdown)")
 	manifestPath := flag.String("manifest", "", "write a run manifest to this JSON file on shutdown")
 	stats := flag.Bool("stats", false, "print per-stage span and cache counters to stderr on shutdown")
@@ -135,21 +133,7 @@ func main() {
 	}
 
 	rec := obs.NewRecorder()
-	rec.SetTrace(obs.NewTraceID(), "bpartd")
-
-	var remote *cache.RemoteTier
-	if *remoteCache != "" {
-		rt, err := cache.NewRemoteTier(strings.Split(*remoteCache, ","), cache.RemoteConfig{TraceID: rec.TraceID()})
-		if err == nil {
-			err = rt.Ping()
-		}
-		if err != nil {
-			fatal(err)
-		}
-		// The daemon never emits VHDL, so the Analysis stage shares too.
-		caches.WithRemote(rt, true)
-		remote = rt
-	}
+	rec.SetTrace(obs.NewTraceID())
 
 	var traceFile *obs.TraceWriter
 	if *trace != "" {
@@ -177,14 +161,8 @@ func main() {
 		dbg, err = obs.ServeDebug(*opsAddr, obs.DebugSources{
 			Rec:           rec,
 			Caches:        caches.StatsMap,
-			TierLatencies: caches.TierLatencyMap,
-			Peers: func() []cache.PeerMetrics {
-				if remote == nil {
-					return nil
-				}
-				return remote.PeerMetrics()
-			},
-			Extra: d.WriteMetrics,
+			DiskLatencies: caches.DiskLatencyMap,
+			Extra:         d.WriteMetrics,
 		})
 		if err != nil {
 			fatal(err)
@@ -227,9 +205,9 @@ func main() {
 	}
 
 	// Shutdown order: stop admitting (readyz flips 503), drain in-flight
-	// requests, flush observability, verify the reconciliation invariant,
-	// then close cache tiers — traces and manifests must capture every
-	// span the drained requests recorded.
+	// requests, then flush observability and verify the reconciliation
+	// invariant — traces and manifests must capture every span the
+	// drained requests recorded.
 	clean := true
 	d.SetDraining()
 	ctx, cancel := context.WithTimeout(context.Background(), *drain)
@@ -273,9 +251,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "bpartd: manifest: %v\n", err)
 			clean = false
 		}
-	}
-	if remote != nil {
-		remote.Close()
 	}
 	if dbg != nil {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)

@@ -19,10 +19,9 @@
 // full-catalog sweep costs barely more than a single run.
 //
 // Observability: -trace streams per-stage spans as JSONL (a .gz path
-// gzip-compresses; spans are tagged with the run's trace ID, which
-// -remote-cache peers also learn), -stats prints the per-stage and cache
-// tables with p50/p90/p99 latency columns to stderr (-cachestats is the
-// old alias), -manifest writes a run manifest, and -debug-addr serves
+// gzip-compresses), -stats prints the per-stage and cache tables with
+// p50/p90/p99 latency columns to stderr, -manifest writes a run
+// manifest, and -debug-addr serves
 // expvar + net/pprof + Prometheus-text /metrics. All of it is off — and
 // alloc-free — by default.
 package main
@@ -57,9 +56,7 @@ func main() {
 	workers := flag.Int("j", runtime.GOMAXPROCS(0), "worker pool size when partitioning several binaries")
 	cacheDir := flag.String("cachedir", "", "directory for the on-disk stage cache (empty: memory only)")
 	cacheDirMax := flag.String("cachedir-max", "", "byte budget for -cachedir (e.g. 256M); oldest-mtime blobs are evicted past it (empty: unbounded)")
-	remoteCache := flag.String("remote-cache", "", "comma-separated cache-server addresses to share the stage cache with")
 	stats := flag.Bool("stats", false, "print per-stage span and cache counters to stderr")
-	cacheStats := flag.Bool("cachestats", false, "alias for -stats (the old cache-only counters)")
 	trace := flag.String("trace", "", "stream per-stage spans to this file as JSONL")
 	manifestPath := flag.String("manifest", "", "write a run manifest (config, git, per-stage totals, cache accounting) to this JSON file")
 	debugAddr := flag.String("debug-addr", "", "serve expvar + net/pprof on this address (e.g. :6060)")
@@ -120,36 +117,12 @@ func main() {
 			fatal(err)
 		}
 	}
-	// Trace context before the remote tier, so the HELLO handshake can
-	// announce it to the cache servers.
-	needObs := *trace != "" || *stats || *cacheStats || *manifestPath != "" || *debugAddr != ""
-	runTrace := ""
-	if needObs {
-		runTrace = obs.NewTraceID()
-	}
-
-	var remote *cache.RemoteTier
-	if *remoteCache != "" {
-		rt, err := cache.NewRemoteTier(strings.Split(*remoteCache, ","), cache.RemoteConfig{TraceID: runTrace})
-		if err == nil {
-			err = rt.Ping()
-		}
-		if err != nil {
-			fatal(err)
-		}
-		// The Analysis crosses the wire without candidate Designs, so it
-		// is only shared when this run does not emit VHDL.
-		caches.WithRemote(rt, *vhdlDir == "")
-		remote = rt
-		defer rt.Close()
-	}
-
 	// A recorder only when some surface will read it; nil keeps the flow
 	// on its alloc-free fast path.
 	var rec *obs.Recorder
-	if needObs {
+	if *trace != "" || *stats || *manifestPath != "" || *debugAddr != "" {
 		rec = obs.NewRecorder()
-		rec.SetTrace(runTrace, "")
+		rec.SetTrace(obs.NewTraceID())
 	}
 	var traceFile *obs.TraceWriter
 	if *trace != "" {
@@ -164,13 +137,7 @@ func main() {
 		dbg, err := obs.ServeDebug(*debugAddr, obs.DebugSources{
 			Rec:           rec,
 			Caches:        caches.StatsMap,
-			TierLatencies: caches.TierLatencyMap,
-			Peers: func() []cache.PeerMetrics {
-				if remote == nil {
-					return nil
-				}
-				return remote.PeerMetrics()
-			},
+			DiskLatencies: caches.DiskLatencyMap,
 		})
 		if err != nil {
 			fatal(err)
@@ -222,7 +189,7 @@ func main() {
 		}
 		fmt.Print(outputs[i])
 	}
-	if *stats || *cacheStats {
+	if *stats {
 		fmt.Fprint(os.Stderr, rec.Table())
 		fmt.Fprint(os.Stderr, caches.StatsString())
 	}

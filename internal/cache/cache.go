@@ -9,10 +9,9 @@
 //
 // A Cache is a bounded in-memory LRU with per-key in-flight coalescing
 // (concurrent GetOrCompute calls for the same key compute once), hit /
-// miss / eviction counters, and an optional chain of backing tiers —
-// disk, a remote cache server, anything implementing Tier — for values
-// that have a byte codec (see tier.go; serialized blobs carry a
-// checksum header, see blob.go). Invalidation is purely structural: a key
+// miss / eviction counters, and an optional write-through DiskStore for
+// values that have a byte codec (serialized blobs carry a checksum
+// header, see blob.go). Invalidation is purely structural: a key
 // covers every byte of stage input, so changing any input byte produces a
 // different key and the stale entry simply ages out of the LRU.
 package cache
@@ -127,27 +126,25 @@ func (h *Hasher) Sum() Key {
 }
 
 // Stats is a point-in-time counter snapshot. The aggregate Hits counter
-// includes every served lookup regardless of tier, so per-tier
-// accounting reconciles exactly: Hits = memory hits + Waits + DiskHits
-// + RemoteHits + RemoteWaits, and Hits + Misses = total lookups
-// (Misses already includes Corrupt recomputes).
+// includes every served lookup, memory or disk, so the accounting
+// reconciles exactly: Hits = memory hits + Waits + DiskHits, and
+// Hits + Misses = total lookups (Misses already includes Corrupt
+// recomputes).
 type Stats struct {
-	Hits        uint64 `json:"hits"`    // served lookups across every tier, including waits
-	Misses      uint64 `json:"misses"`  // full computes, including recomputes after a corrupt blob
-	Evictions   uint64 `json:"evict"`   // LRU entries dropped at capacity
-	DiskHits    uint64 `json:"disk"`    // misses served from the disk tier
-	RemoteHits  uint64 `json:"remote"`  // misses served from the remote peer tier
-	RemoteWaits uint64 `json:"rwait"`   // cross-process claim losses served by the winner's Put
-	Waits       uint64 `json:"waits"`   // GetOrCompute calls that blocked on another caller's in-flight compute
-	Corrupt     uint64 `json:"corrupt"` // tier blobs that failed checksum or decode (deleted, treated as misses)
-	Entries     int    `json:"entries"` // current in-memory entry count
+	Hits      uint64 `json:"hits"`    // served lookups from memory or disk, including waits
+	Misses    uint64 `json:"misses"`  // full computes, including recomputes after a corrupt blob
+	Evictions uint64 `json:"evict"`   // LRU entries dropped at capacity
+	DiskHits  uint64 `json:"disk"`    // misses served from the disk tier
+	Waits     uint64 `json:"waits"`   // GetOrCompute calls that blocked on another caller's in-flight compute
+	Corrupt   uint64 `json:"corrupt"` // disk blobs that failed checksum or decode (deleted, treated as misses)
+	Entries   int    `json:"entries"` // current in-memory entry count
 }
 
 // Outcome classifies how one cache lookup was served. It is the per-call
 // counterpart of the aggregate Stats counters: observability spans record
 // an Outcome per stage execution, and summing span outcomes per stage
-// reconciles with the stage cache's Stats (hits = hit + wait + disk +
-// remote + remote-wait, misses = miss + corrupt).
+// reconciles with the stage cache's Stats (hits = hit + wait + disk,
+// misses = miss + corrupt).
 type Outcome uint8
 
 const (
@@ -163,16 +160,10 @@ const (
 	OutcomeWait
 	// OutcomeDisk is a memory miss served from the disk layer.
 	OutcomeDisk
-	// OutcomeCorrupt is a tier blob that failed checksum or decode: the
+	// OutcomeCorrupt is a disk blob that failed checksum or decode: the
 	// blob was deleted and the value recomputed (a miss in Stats, plus
 	// Corrupt).
 	OutcomeCorrupt
-	// OutcomeRemote is a memory miss served by the remote peer tier.
-	OutcomeRemote
-	// OutcomeRemoteWait is a lost cross-process claim race: another
-	// process computed the value and this call received its Put (a hit
-	// in Stats, plus RemoteWaits).
-	OutcomeRemoteWait
 )
 
 func (o Outcome) String() string {
@@ -187,10 +178,6 @@ func (o Outcome) String() string {
 		return "disk"
 	case OutcomeCorrupt:
 		return "corrupt"
-	case OutcomeRemote:
-		return "remote"
-	case OutcomeRemoteWait:
-		return "rwait"
 	}
 	return ""
 }
@@ -230,24 +217,21 @@ type Cache[V any] struct {
 	// correctness does not.
 	pending chan Key
 
-	hits        atomic.Uint64
-	misses      atomic.Uint64
-	evictions   atomic.Uint64
-	diskHits    atomic.Uint64
-	remoteHits  atomic.Uint64
-	remoteWaits atomic.Uint64
-	waits       atomic.Uint64
-	corrupt     atomic.Uint64
+	hits      atomic.Uint64
+	misses    atomic.Uint64
+	evictions atomic.Uint64
+	diskHits  atomic.Uint64
+	waits     atomic.Uint64
+	corrupt   atomic.Uint64
 
-	// tiers are the backing blob layers below the typed memory LRU, in
-	// probe order (typically disk then remote). Set once during wiring,
-	// before concurrent use; the codec serializes values for them.
-	// tierHists is parallel to tiers: one read-latency histogram per
-	// tier, recording Get/Claim probe round trips (alloc-free, so it can
-	// sit on the miss path unconditionally).
-	tiers     []Tier
-	tierHists []*hist.Histogram
-	codec     *Codec[V]
+	// disk is the optional write-through store below the typed memory
+	// LRU, and codec serializes values for it. Both are set once during
+	// wiring, before concurrent use. diskLat records the read latency of
+	// every disk probe (alloc-free, so it sits on the miss path
+	// unconditionally).
+	disk    *DiskStore
+	codec   Codec[V]
+	diskLat hist.Histogram
 }
 
 // New creates a cache bounded to capacity entries (minimum 1).
@@ -266,66 +250,28 @@ func New[V any](capacity int) *Cache[V] {
 
 // WithDisk attaches a write-through disk tier: Put persists entries via
 // the codec, and a memory miss consults the store before recomputing.
+// Call during wiring, before the cache sees concurrent use.
 func (c *Cache[V]) WithDisk(d *DiskStore, codec Codec[V]) *Cache[V] {
-	if d == nil {
-		return c
-	}
-	return c.WithTiers(codec, d)
-}
-
-// WithTiers appends backing tiers in probe order (shallow first, e.g.
-// disk then remote) and sets the byte codec that serializes values for
-// them. Call during wiring, before the cache sees concurrent use;
-// repeated calls append and must pass the same codec.
-func (c *Cache[V]) WithTiers(codec Codec[V], tiers ...Tier) *Cache[V] {
-	if c == nil || len(tiers) == 0 {
+	if c == nil || d == nil {
 		return c
 	}
 	c.mu.Lock()
-	c.codec = &codec
-	for range tiers {
-		c.tierHists = append(c.tierHists, &hist.Histogram{})
-	}
-	c.tiers = append(c.tiers, tiers...)
+	c.disk, c.codec = d, codec
 	c.mu.Unlock()
 	return c
 }
 
-// tierGet probes one backing tier, timing the round trip into the
-// tier's latency histogram.
-func (c *Cache[V]) tierGet(i int, t Tier, k Key) ([]byte, bool) {
-	start := time.Now()
-	blob, ok := t.Get(k)
-	c.tierHists[i].Record(time.Since(start))
-	return blob, ok
-}
-
-// tierClaim is tierGet for the claim round trip, which can legitimately
-// block for a lease — the histogram is where that wait becomes visible.
-func (c *Cache[V]) tierClaim(i int, ct ClaimTier, k Key) ([]byte, ClaimResult, error) {
-	start := time.Now()
-	blob, res, err := ct.Claim(k)
-	c.tierHists[i].Record(time.Since(start))
-	return blob, res, err
-}
-
-// TierLatencies snapshots the per-tier read-latency histograms, keyed by
-// tier name ("disk", "remote", ...). Nil-safe; empty when no tiers are
-// attached.
-func (c *Cache[V]) TierLatencies() map[string]hist.Snapshot {
-	if c == nil || len(c.tiers) == 0 {
-		return nil
+// DiskLatency snapshots the disk tier's read-latency histogram. Nil-safe;
+// ok is false when no disk tier is attached.
+func (c *Cache[V]) DiskLatency() (snap hist.Snapshot, ok bool) {
+	if c == nil || c.disk == nil {
+		return snap, false
 	}
-	out := make(map[string]hist.Snapshot, len(c.tiers))
-	for i, t := range c.tiers {
-		out[t.Name()] = c.tierHists[i].Snapshot()
-	}
-	return out
+	return c.diskLat.Snapshot(), true
 }
 
-// Get returns the cached value for k, consulting memory then every
-// backing tier (without taking a cross-process claim). Tier I/O runs
-// outside the cache lock.
+// Get returns the cached value for k, consulting memory then the disk
+// tier. Disk I/O runs outside the cache lock.
 func (c *Cache[V]) Get(k Key) (V, bool) {
 	v, _, ok := c.GetOutcome(k)
 	return v, ok
@@ -350,30 +296,16 @@ func (c *Cache[V]) GetOutcome(k Key) (V, Outcome, bool) {
 	if ok {
 		return v, OutcomeHit, true
 	}
-	sawCorrupt := false
-	for i, t := range c.tiers {
-		blob, ok := c.tierGet(i, t, k)
-		if !ok {
-			continue
-		}
-		v, ok := c.openBlob(k, t, blob)
-		if !ok {
-			sawCorrupt = true
-			continue // corrupt: counted and deleted, try the next tier
-		}
-		out := t.HitOutcome()
-		c.countServed(out)
-		c.mu.Lock()
-		c.drainPendingLocked()
-		c.insertLocked(k, v)
-		c.mu.Unlock()
-		return v, out, true
+	v, out := c.loadDisk(k)
+	if out != OutcomeDisk {
+		c.misses.Add(1)
+		return zero, out, false
 	}
-	c.misses.Add(1)
-	if sawCorrupt {
-		return zero, OutcomeCorrupt, false
-	}
-	return zero, OutcomeMiss, false
+	c.mu.Lock()
+	c.drainPendingLocked()
+	c.insertLocked(k, v)
+	c.mu.Unlock()
+	return v, out, true
 }
 
 // fastGet is the contention-free hit path: a read lock, an atomic hit
@@ -426,69 +358,53 @@ func (c *Cache[V]) memLocked(k Key) (V, bool) {
 	return zero, false
 }
 
-// openBlob verifies a tier blob's checksum and decodes it. A blob that
-// fails either check would, were it returned, fail the caller (or
-// poison the memory layer) on a value the tier itself cannot vouch for:
-// count it, delete it from the serving tier so no later run trips over
-// it, and let the caller fall through — the recompute rewrites a good
-// blob.
-func (c *Cache[V]) openBlob(k Key, t Tier, blob []byte) (V, bool) {
+// loadDisk probes the disk tier, timing the read into diskLat. A blob
+// that verifies and decodes is counted as a disk hit (OutcomeDisk). One
+// that fails either check would, were it returned, fail the caller (or
+// poison the memory layer) on a value the store itself cannot vouch for:
+// it is counted, deleted so no later run trips over it, and reported as
+// OutcomeCorrupt — the caller's recompute rewrites a good blob. Anything
+// else is OutcomeMiss. The caller counts misses.
+func (c *Cache[V]) loadDisk(k Key) (V, Outcome) {
 	var zero V
-	if c.codec == nil {
-		return zero, false
+	if c.disk == nil {
+		return zero, OutcomeMiss
 	}
-	payload, err := Open(blob)
-	if err == nil {
-		v, derr := c.codec.Unmarshal(payload)
-		if derr == nil {
-			return v, true
+	start := time.Now()
+	blob, ok := c.disk.Get(k)
+	c.diskLat.Record(time.Since(start))
+	if !ok {
+		return zero, OutcomeMiss
+	}
+	if payload, err := Open(blob); err == nil {
+		if v, err := c.codec.Unmarshal(payload); err == nil {
+			c.hits.Add(1)
+			c.diskHits.Add(1)
+			return v, OutcomeDisk
 		}
 	}
 	c.corrupt.Add(1)
-	t.Delete(k) //nolint:errcheck // best effort, like Put
-	return zero, false
+	c.disk.Delete(k) //nolint:errcheck // best effort, like Put
+	return zero, OutcomeCorrupt
 }
 
-// countServed counts a lookup served by a backing tier.
-func (c *Cache[V]) countServed(out Outcome) {
-	c.hits.Add(1)
-	switch out {
-	case OutcomeDisk:
-		c.diskHits.Add(1)
-	case OutcomeRemote:
-		c.remoteHits.Add(1)
-	case OutcomeRemoteWait:
-		c.remoteWaits.Add(1)
-	}
-}
-
-// seal marshals and seals a value for the backing tiers.
-func (c *Cache[V]) seal(v V) ([]byte, bool) {
-	if c.codec == nil {
-		return nil, false
+// storeDisk seals v and writes it to the disk tier. Best effort, and
+// outside any lock: blobs are content addressed, so a racing double
+// write is benign, and a failed write loses persistence, not
+// correctness.
+func (c *Cache[V]) storeDisk(k Key, v V) {
+	if c.disk == nil {
+		return
 	}
 	payload, err := c.codec.Marshal(v)
 	if err != nil {
-		return nil, false
+		return
 	}
-	return Seal(payload), true
-}
-
-// writeTiers pushes a sealed blob to every tier except the one that
-// served it (served < 0 after a compute writes all). Best effort, and
-// outside any lock: blobs are content addressed, so a racing double
-// write is benign.
-func (c *Cache[V]) writeTiers(k Key, blob []byte, served int) {
-	for i, t := range c.tiers {
-		if i == served {
-			continue
-		}
-		t.Put(k, blob) //nolint:errcheck // best effort; memory stays primary
-	}
+	c.disk.Put(k, Seal(payload)) //nolint:errcheck // best effort; memory stays primary
 }
 
 // Put inserts (or refreshes) a value, evicting the least recently used
-// entry when over capacity, and writes through to every backing tier.
+// entry when over capacity, and writes through to the disk tier.
 func (c *Cache[V]) Put(k Key, v V) {
 	if c == nil {
 		return
@@ -497,14 +413,10 @@ func (c *Cache[V]) Put(k Key, v V) {
 	c.drainPendingLocked()
 	c.insertLocked(k, v)
 	c.mu.Unlock()
-	if len(c.tiers) > 0 {
-		if blob, ok := c.seal(v); ok {
-			c.writeTiers(k, blob, -1)
-		}
-	}
+	c.storeDisk(k, v)
 }
 
-// Delete removes k from the memory layer and every backing tier.
+// Delete removes k from the memory layer and the disk tier.
 func (c *Cache[V]) Delete(k Key) {
 	if c == nil {
 		return
@@ -516,12 +428,12 @@ func (c *Cache[V]) Delete(k Key) {
 		delete(c.items, k)
 	}
 	c.mu.Unlock()
-	for _, t := range c.tiers {
-		t.Delete(k) //nolint:errcheck // best effort
+	if c.disk != nil {
+		c.disk.Delete(k) //nolint:errcheck // best effort
 	}
 }
 
-// insertLocked updates the memory layer only; tier write-through happens
+// insertLocked updates the memory layer only; disk write-through happens
 // outside the lock (see Put and fill).
 func (c *Cache[V]) insertLocked(k Key, v V) {
 	if e, ok := c.items[k]; ok {
@@ -551,12 +463,11 @@ func (c *Cache[V]) GetOrCompute(k Key, fn func() (V, error)) (V, error) {
 // so observability spans can attribute cache behavior per stage execution
 // without re-deriving it from counter deltas.
 //
-// Tier I/O (disk reads, network round trips) happens outside the cache
-// lock: the caller first registers itself in the inflight map, which
-// gives it per-key exclusion, then probes the tiers. Later same-key
-// callers coalesce on the inflight entry as waits — including callers
-// that would have hit a tier — so a slow tier never blocks unrelated
-// keys.
+// Disk I/O happens outside the cache lock: the caller first registers
+// itself in the inflight map, which gives it per-key exclusion, then
+// probes the disk. Later same-key callers coalesce on the inflight entry
+// as waits — including callers that would have hit the disk — so a slow
+// disk never blocks unrelated keys.
 func (c *Cache[V]) GetOrComputeOutcome(k Key, fn func() (V, error)) (V, Outcome, error) {
 	if c == nil {
 		v, err := fn()
@@ -597,79 +508,25 @@ func (c *Cache[V]) GetOrComputeOutcome(k Key, fn func() (V, error)) (V, Outcome,
 	return fl.val, out, fl.err
 }
 
-// fill resolves a registered inflight call: probe the backing tiers —
-// taking the cross-process claim on a ClaimTier — and compute on a
-// miss, then write the sealed blob back to the tiers that did not serve
-// it. Runs outside the cache lock; the inflight entry is this key's
-// exclusion. fl.done is closed as soon as the value is known, before
-// the tier write-back, so waiters resume immediately.
+// fill resolves a registered inflight call: probe the disk tier and
+// compute on a miss, then write the computed value back to disk. Runs
+// outside the cache lock; the inflight entry is this key's exclusion.
+// fl.done is closed as soon as the value is known, before the disk
+// write, so waiters resume immediately.
 func (c *Cache[V]) fill(k Key, fl *inflightCall[V], fn func() (V, error)) Outcome {
-	served := -1
-	sawCorrupt := false
-	var blob []byte
-	var out Outcome
-
-probe:
-	for i, t := range c.tiers {
-		if ct, ok := t.(ClaimTier); ok {
-			// The claim tier is terminal: it either serves the value,
-			// blocks until the current holder's Put, or grants this
-			// process the lease to compute. A transport error degrades
-			// to a local compute — losing sharing, not correctness.
-			data, res, err := c.tierClaim(i, ct, k)
-			if err != nil {
-				break probe
-			}
-			switch res {
-			case ClaimHit, ClaimWaitHit:
-				if v, ok := c.openBlob(k, t, data); ok {
-					fl.val = v
-					out = OutcomeRemote
-					if res == ClaimWaitHit {
-						out = OutcomeRemoteWait
-					}
-					c.countServed(out)
-					blob, served = data, i
-				} else {
-					sawCorrupt = true
-				}
-			case ClaimWon:
-				// This process now owns the cross-process compute; if
-				// it errors out below, the lease simply expires and a
-				// waiter takes over.
-			}
-			break probe
-		}
-		if data, ok := c.tierGet(i, t, k); ok {
-			if v, ok := c.openBlob(k, t, data); ok {
-				fl.val = v
-				out = t.HitOutcome()
-				c.countServed(out)
-				blob, served = data, i
-				break probe
-			}
-			sawCorrupt = true
-		}
+	v, out := c.loadDisk(k)
+	if out == OutcomeDisk {
+		fl.val = v
+		close(fl.done)
+		return out
 	}
-
-	if served < 0 {
-		fl.val, fl.err = fn()
-		c.misses.Add(1)
-		out = OutcomeMiss
-		if sawCorrupt {
-			// Distinguishes a clean miss from a corrupt-blob recompute.
-			out = OutcomeCorrupt
-		}
-	}
+	// out is OutcomeMiss or OutcomeCorrupt, which distinguishes a clean
+	// miss from a corrupt-blob recompute.
+	fl.val, fl.err = fn()
+	c.misses.Add(1)
 	close(fl.done)
-
-	if fl.err == nil && len(c.tiers) > 0 {
-		if blob == nil {
-			blob, _ = c.seal(fl.val)
-		}
-		if blob != nil {
-			c.writeTiers(k, blob, served)
-		}
+	if fl.err == nil {
+		c.storeDisk(k, fl.val)
 	}
 	return out
 }
@@ -690,14 +547,12 @@ func (c *Cache[V]) Stats() Stats {
 		return Stats{}
 	}
 	s := Stats{
-		Hits:        c.hits.Load(),
-		Misses:      c.misses.Load(),
-		Evictions:   c.evictions.Load(),
-		DiskHits:    c.diskHits.Load(),
-		RemoteHits:  c.remoteHits.Load(),
-		RemoteWaits: c.remoteWaits.Load(),
-		Waits:       c.waits.Load(),
-		Corrupt:     c.corrupt.Load(),
+		Hits:      c.hits.Load(),
+		Misses:    c.misses.Load(),
+		Evictions: c.evictions.Load(),
+		DiskHits:  c.diskHits.Load(),
+		Waits:     c.waits.Load(),
+		Corrupt:   c.corrupt.Load(),
 	}
 	c.mu.RLock()
 	s.Entries = c.ll.Len()

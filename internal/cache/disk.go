@@ -10,7 +10,7 @@ import (
 	"sync/atomic"
 )
 
-// Codec converts cache values to and from bytes for the backing tiers.
+// Codec converts cache values to and from bytes for the disk tier.
 type Codec[V any] struct {
 	Marshal   func(V) ([]byte, error)
 	Unmarshal func([]byte) (V, error)
@@ -64,12 +64,6 @@ func (d *DiskStore) MaxBytes() int64 { return d.maxBytes }
 // Size returns the approximate blob bytes currently stored. Only
 // tracked on a bounded store; an unbounded store reports 0.
 func (d *DiskStore) Size() int64 { return d.size.Load() }
-
-// Name implements Tier.
-func (d *DiskStore) Name() string { return "disk" }
-
-// HitOutcome implements Tier.
-func (d *DiskStore) HitOutcome() Outcome { return OutcomeDisk }
 
 func (d *DiskStore) path(k Key) string {
 	return filepath.Join(d.dir, k.String()+".sbc")

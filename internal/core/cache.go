@@ -87,25 +87,9 @@ func (c *Caches) WithDiskMax(dir string, maxBytes int64) (*Caches, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.Compile.WithTiers(compileCodec(), store)
-	c.Sim.WithTiers(SimCodec(), store)
+	c.Compile.WithDisk(store, compileCodec())
+	c.Sim.WithDisk(store, SimCodec())
 	return c, nil
-}
-
-// WithRemote attaches a shared network cache tier (see cache.RemoteTier)
-// to the serializable stages: compilation, simulation, and — when
-// shareAnalysis is set — the assembled Analysis. Sharing the Analysis is
-// what lets distributed workers converge on one cache (an Analysis hit
-// skips sim+lift+synth entirely), but a remotely fetched Analysis has no
-// candidate Designs, so front-ends that emit VHDL must pass
-// shareAnalysis=false.
-func (c *Caches) WithRemote(rt *cache.RemoteTier, shareAnalysis bool) *Caches {
-	c.Compile.WithTiers(compileCodec(), rt)
-	c.Sim.WithTiers(SimCodec(), rt)
-	if shareAnalysis {
-		c.Analysis.WithTiers(AnalysisCodec(), rt)
-	}
-	return c
 }
 
 // cacheNames is the rendering order of the stage caches; StatsMap carries
@@ -128,23 +112,23 @@ func (c *Caches) StatsMap() map[string]cache.Stats {
 	}
 }
 
-// TierLatencyMap snapshots every stage cache's per-tier read-latency
-// histograms, keyed by stage name then tier name. Stages with no backing
-// tiers are omitted, so a memory-only run contributes nothing.
-func (c *Caches) TierLatencyMap() map[string]map[string]hist.Snapshot {
+// DiskLatencyMap snapshots every stage cache's disk read-latency
+// histogram, keyed by stage name. Stages with no disk tier are omitted,
+// so a memory-only run contributes nothing.
+func (c *Caches) DiskLatencyMap() map[string]hist.Snapshot {
 	if c == nil {
 		return nil
 	}
-	out := map[string]map[string]hist.Snapshot{}
-	for name, lats := range map[string]map[string]hist.Snapshot{
-		"compile":  c.Compile.TierLatencies(),
-		"sim":      c.Sim.TierLatencies(),
-		"lift":     c.Lift.TierLatencies(),
-		"synth":    c.Synth.TierLatencies(),
-		"analysis": c.Analysis.TierLatencies(),
+	out := map[string]hist.Snapshot{}
+	for _, st := range []struct {
+		name string
+		c    interface{ DiskLatency() (hist.Snapshot, bool) }
+	}{
+		{"compile", c.Compile}, {"sim", c.Sim}, {"lift", c.Lift},
+		{"synth", c.Synth}, {"analysis", c.Analysis},
 	} {
-		if len(lats) > 0 {
-			out[name] = lats
+		if snap, ok := st.c.DiskLatency(); ok {
+			out[st.name] = snap
 		}
 	}
 	return out
@@ -157,11 +141,11 @@ func (c *Caches) StatsString() string {
 	}
 	stats := c.StatsMap()
 	var b strings.Builder
-	b.WriteString("cache  stage      hits   miss  disk  remote  rwait  wait  corrupt  evict  entries\n")
+	b.WriteString("cache  stage      hits   miss  disk  wait  corrupt  evict  entries\n")
 	for _, name := range cacheNames {
 		s := stats[name]
-		fmt.Fprintf(&b, "cache  %-8s %6d %6d %5d %7d %6d %5d %7d %6d %8d\n",
-			name, s.Hits, s.Misses, s.DiskHits, s.RemoteHits, s.RemoteWaits, s.Waits, s.Corrupt, s.Evictions, s.Entries)
+		fmt.Fprintf(&b, "cache  %-8s %6d %6d %5d %5d %7d %6d %8d\n",
+			name, s.Hits, s.Misses, s.DiskHits, s.Waits, s.Corrupt, s.Evictions, s.Entries)
 	}
 	return b.String()
 }

@@ -5,22 +5,13 @@ import (
 	"encoding/gob"
 
 	"binpart/internal/cache"
-	"binpart/internal/dopt"
 	"binpart/internal/sim"
 )
 
-// Codecs for the tiered cache (disk and remote): each stage whose value
-// has a byte format gets a cache.Codec so its results can cross process
-// boundaries. Compilation already round-trips through binimg; this file
-// adds simulation results (plain data, gob) and the assembled Analysis.
-//
-// The Analysis codec is lossy by design: synth.Design holds the lifted
-// function's cyclic CDFG and unexported schedules, neither of which
-// serializes, so candidates cross the wire without their Design. That
-// loses nothing a sweep reads — Evaluate prices candidates from the
-// platform-independent numbers (SWCycles, HWCycles, HWClockNs,
-// AreaGates) — but Report.VHDL needs the Design, so front-ends that emit
-// VHDL must not attach this codec (see cmd/bparts -vhdl).
+// Codecs for the disk tier: each stage whose value has a byte format
+// gets a cache.Codec so its results persist across processes.
+// Compilation already round-trips through binimg; this file adds
+// simulation results (plain data, gob).
 
 // SimCodec round-trips sim.Result through gob. Profiles are maps of
 // plain counters; the whole value is platform-independent data.
@@ -37,98 +28,6 @@ func SimCodec() cache.Codec[sim.Result] {
 			var r sim.Result
 			err := gob.NewDecoder(bytes.NewReader(b)).Decode(&r)
 			return r, err
-		},
-	}
-}
-
-// regionCandidateWire is RegionCandidate minus the non-serializable
-// Design pointer.
-type regionCandidateWire struct {
-	Name        string
-	Func        string
-	SWCycles    uint64
-	HWCycles    float64
-	HWClockNs   float64
-	Invocations uint64
-	AreaGates   int
-	Footprint   []string
-	SizeInstrs  int
-}
-
-// analysisWire is the gob image of an Analysis: the unexported options
-// become an exported field and candidates lose their Designs.
-type analysisWire struct {
-	Opts        Options
-	ExitCode    int32
-	SWCycles    uint64
-	Recovery    RecoveryStats
-	DoptReports map[string]dopt.Report
-	Outlines    map[string]string
-	Candidates  []regionCandidateWire
-}
-
-// AnalysisCodec round-trips *Analysis (minus candidate Designs) through
-// gob. A decoded Analysis evaluates and reports identically to the
-// original except for VHDL emission.
-func AnalysisCodec() cache.Codec[*Analysis] {
-	return cache.Codec[*Analysis]{
-		Marshal: func(a *Analysis) ([]byte, error) {
-			w := analysisWire{
-				Opts:        a.opts,
-				ExitCode:    a.ExitCode,
-				SWCycles:    a.SWCycles,
-				Recovery:    a.Recovery,
-				DoptReports: a.DoptReports,
-				Outlines:    a.Outlines,
-				Candidates:  make([]regionCandidateWire, len(a.Candidates)),
-			}
-			for i, c := range a.Candidates {
-				w.Candidates[i] = regionCandidateWire{
-					Name:        c.Name,
-					Func:        c.Func,
-					SWCycles:    c.SWCycles,
-					HWCycles:    c.HWCycles,
-					HWClockNs:   c.HWClockNs,
-					Invocations: c.Invocations,
-					AreaGates:   c.AreaGates,
-					Footprint:   c.Footprint,
-					SizeInstrs:  c.SizeInstrs,
-				}
-			}
-			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(w); err != nil {
-				return nil, err
-			}
-			return buf.Bytes(), nil
-		},
-		Unmarshal: func(b []byte) (*Analysis, error) {
-			var w analysisWire
-			if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&w); err != nil {
-				return nil, err
-			}
-			a := &Analysis{
-				opts:        w.Opts,
-				ExitCode:    w.ExitCode,
-				SWCycles:    w.SWCycles,
-				Recovery:    w.Recovery,
-				DoptReports: w.DoptReports,
-				Outlines:    w.Outlines,
-				Candidates:  make([]*RegionCandidate, len(w.Candidates)),
-			}
-			for i, c := range w.Candidates {
-				a.Candidates[i] = &RegionCandidate{
-					Name:        c.Name,
-					Func:        c.Func,
-					SWCycles:    c.SWCycles,
-					HWCycles:    c.HWCycles,
-					HWClockNs:   c.HWClockNs,
-					Invocations: c.Invocations,
-					AreaGates:   c.AreaGates,
-					Footprint:   c.Footprint,
-					SizeInstrs:  c.SizeInstrs,
-				}
-			}
-			return a, nil
 		},
 	}
 }

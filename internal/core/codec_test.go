@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"binpart/internal/bench"
-	"binpart/internal/cache"
 	"binpart/internal/sim"
 )
 
@@ -34,99 +33,5 @@ func TestSimCodecRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, res) {
 		t.Errorf("sim result changed across the codec:\n got %+v\nwant %+v", got, res)
-	}
-}
-
-// TestAnalysisCodecRoundTrip checks the lossy-by-design Analysis wire
-// format: a decoded Analysis must evaluate to a Report with an identical
-// fingerprint (options, metrics, regions, footprints, outlines, dopt
-// logs), losing only the candidates' Design pointers.
-func TestAnalysisCodecRoundTrip(t *testing.T) {
-	b, _ := bench.ByName("crc")
-	img, err := b.Compile(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := DefaultOptions()
-	a, err := Analyze(img, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	codec := AnalysisCodec()
-	blob, err := codec.Marshal(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := codec.Unmarshal(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Evaluate(a, opts.Platform, 0, opts.Algorithm)
-	have := Evaluate(got, opts.Platform, 0, opts.Algorithm)
-	if fullFingerprint(have) != fullFingerprint(want) {
-		t.Errorf("decoded analysis evaluates differently:\n got %s\nwant %s",
-			fullFingerprint(have), fullFingerprint(want))
-	}
-	for _, c := range got.Candidates {
-		if c.Design != nil {
-			t.Errorf("candidate %s kept a Design across the wire", c.Name)
-		}
-	}
-}
-
-// TestRemoteSharedAnalysis is the distributed-sweep contract end to end:
-// worker A analyzes through a shared cache server; worker B — a fresh
-// process-equivalent cache set — must fetch that Analysis remotely
-// (skipping sim/lift/synth entirely) and evaluate byte-identically.
-func TestRemoteSharedAnalysis(t *testing.T) {
-	srv, err := cache.ListenAndServe("127.0.0.1:0", cache.ServerConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	newRemoteCaches := func() *Caches {
-		rt, err := cache.NewRemoteTier([]string{srv.Addr()}, cache.RemoteConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(rt.Close)
-		return NewCaches().WithRemote(rt, true)
-	}
-
-	b, _ := bench.ByName("crc")
-	img, err := b.Compile(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := DefaultOptions()
-
-	cachesA := newRemoteCaches()
-	a, err := AnalyzeWith(img, opts, cachesA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := cachesA.Analysis.Stats(); s.Misses != 1 {
-		t.Fatalf("worker A stats = %+v, want one analysis miss", s)
-	}
-
-	cachesB := newRemoteCaches()
-	bAnalysis, err := AnalyzeWith(img, opts, cachesB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := cachesB.Analysis.Stats(); s.RemoteHits != 1 || s.Misses != 0 {
-		t.Errorf("worker B stats = %+v, want one remote analysis hit", s)
-	}
-	// B's sim cache must be untouched: the analysis hit skipped the stage.
-	if s := cachesB.Sim.Stats(); s.Hits+s.Misses != 0 {
-		t.Errorf("worker B ran simulation despite a remote analysis hit: %+v", s)
-	}
-
-	want := Evaluate(a, opts.Platform, 0, opts.Algorithm)
-	have := Evaluate(bAnalysis, opts.Platform, 0, opts.Algorithm)
-	if fullFingerprint(have) != fullFingerprint(want) {
-		t.Errorf("remote analysis evaluates differently:\n got %s\nwant %s",
-			fullFingerprint(have), fullFingerprint(want))
 	}
 }

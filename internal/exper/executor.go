@@ -29,14 +29,6 @@ type Runner struct {
 	// the benchmark, opt level, and worker id; nil disables recording
 	// (the alloc-free fast path — tables are byte-identical either way).
 	Obs *obs.Recorder
-	// ShardIndex/ShardCount split a sweep across cooperating processes
-	// converging on one shared cache (-dist): a sharded runner executes
-	// only the jobs whose index i satisfies i%ShardCount == ShardIndex
-	// and skips the rest. A sharded worker exists to warm the shared
-	// cache, not to render output — its tables carry zero rows for the
-	// jobs it skipped, and the launcher re-runs the full sweep afterwards,
-	// served from the now-warm cache. ShardCount <= 1 disables sharding.
-	ShardIndex, ShardCount int
 
 	// interrupted, once set by Interrupt, makes every not-yet-started job
 	// fail fast with ErrInterrupted; in-flight jobs drain normally. That
@@ -54,11 +46,6 @@ var ErrInterrupted = errors.New("exper: run interrupted")
 // ErrInterrupted, in-flight jobs complete. Safe from any goroutine
 // (it is called from signal handlers).
 func (r *Runner) Interrupt() { r.interrupted.Store(true) }
-
-// owns reports whether this runner's shard executes job i.
-func (r *Runner) owns(i int) bool {
-	return r.ShardCount <= 1 || i%r.ShardCount == r.ShardIndex
-}
 
 // NewRunner builds a Runner. workers <= 0 selects GOMAXPROCS; caches may
 // be nil.
@@ -177,9 +164,6 @@ func (r *Runner) rows(jobs []rowJob) ([]Row, error) {
 		if r.interrupted.Load() {
 			return Row{}, ErrInterrupted
 		}
-		if !r.owns(i) {
-			return Row{}, nil
-		}
 		sc := r.scope(jobs[i], w)
 		sp := sc.Start(obs.StageJob)
 		row, err := r.runOne(jobs[i], sc)
@@ -196,9 +180,6 @@ func (r *Runner) analyses(jobs []rowJob) ([]*core.Analysis, error) {
 	return fanOut(r.workers(), len(jobs), func(w, i int) (*core.Analysis, error) {
 		if r.interrupted.Load() {
 			return nil, ErrInterrupted
-		}
-		if !r.owns(i) {
-			return nil, nil // skipped by this shard; consumers tolerate nil
 		}
 		j := jobs[i]
 		sc := r.scope(j, w)

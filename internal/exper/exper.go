@@ -163,9 +163,6 @@ func (r *Runner) Table2() (*Table2, error) {
 		p := platform.MIPS(mhz, platform.MIPS200.Device)
 		rows := make([]Row, len(jobs))
 		for i, a := range as {
-			if a == nil {
-				continue // job owned by another shard
-			}
 			rows[i] = rowFrom(jobs[i], core.EvaluateScoped(a, p, 0, jobs[i].opts.Algorithm, r.scope(jobs[i], 0)))
 		}
 		t.MHz = append(t.MHz, mhz)
@@ -312,9 +309,6 @@ func (r *Runner) Figure1() (*Figure1, error) {
 		p := platform.MIPS(200, dev)
 		var sum float64
 		for i, a := range as {
-			if a == nil {
-				continue // job owned by another shard
-			}
 			sum += core.EvaluateScoped(a, p, 0, jobs[i].opts.Algorithm, r.scope(jobs[i], 0)).Metrics.AppSpeedup
 		}
 		f.Devices = append(f.Devices, dev.Name)
@@ -370,9 +364,6 @@ func (r *Runner) PartitionerComparison() (*Ablation, error) {
 		var sum float64
 		var ptime time.Duration
 		for i, an := range as {
-			if an == nil {
-				continue // job owned by another shard
-			}
 			rep := core.EvaluateScoped(an, jobs[i].opts.Platform, jobs[i].opts.AreaBudgetGates, alg, r.scope(jobs[i], 0))
 			sum += rep.Metrics.AppSpeedup
 			ptime += rep.PartitionTime

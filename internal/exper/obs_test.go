@@ -152,9 +152,9 @@ func TestManifestReconciliation(t *testing.T) {
 			continue // job/evaluate stages have no cache
 		}
 		s := statsMap[cacheName]
-		if got, want := st.Hit+st.Wait+st.Disk+st.Remote+st.RemoteWait, s.Hits; got != want {
-			t.Errorf("%s: span hits %d (hit %d + wait %d + disk %d + remote %d + rwait %d) != cache %q hits %d",
-				st.Stage, got, st.Hit, st.Wait, st.Disk, st.Remote, st.RemoteWait, cacheName, want)
+		if got, want := st.Hit+st.Wait+st.Disk, s.Hits; got != want {
+			t.Errorf("%s: span hits %d (hit %d + wait %d + disk %d) != cache %q hits %d",
+				st.Stage, got, st.Hit, st.Wait, st.Disk, cacheName, want)
 		}
 		if got, want := st.Miss+st.Corrupt, s.Misses; got != want {
 			t.Errorf("%s: span misses %d (miss %d + corrupt %d) != cache %q misses %d",
@@ -177,7 +177,7 @@ func TestMetricsScrapeDuringSweep(t *testing.T) {
 	dbg, err := obs.ServeDebug("127.0.0.1:0", obs.DebugSources{
 		Rec:           r.Obs,
 		Caches:        caches.StatsMap,
-		TierLatencies: caches.TierLatencyMap,
+		DiskLatencies: caches.DiskLatencyMap,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -16,14 +16,13 @@ import (
 )
 
 // DebugSources is what the debug listener reads: the live recorder, the
-// per-stage cache counters, the per-tier read-latency histograms, and
-// the client-side remote-peer wire metrics. Every field may be nil —
-// the corresponding metrics are simply absent.
+// per-stage cache counters, and the per-stage disk read-latency
+// histograms. Every field may be nil — the corresponding metrics are
+// simply absent.
 type DebugSources struct {
 	Rec           *Recorder
 	Caches        func() map[string]cache.Stats
-	TierLatencies func() map[string]map[string]hist.Snapshot
-	Peers         func() []cache.PeerMetrics
+	DiskLatencies func() map[string]hist.Snapshot
 	// Extra, when set, is appended to the /metrics exposition after the
 	// standard families — how a front-end (the bpartd daemon) publishes
 	// its own counters through the shared ops surface.
@@ -55,9 +54,8 @@ type DebugServer struct {
 // /debug/vars serves expvar (including binpart.stages, the live
 // per-stage span totals, and binpart.caches, the live cache counters),
 // /debug/pprof/* serves net/pprof, and /metrics serves the Prometheus
-// text exposition — stage counters and latency summaries, per-tier
-// cache latencies, per-peer remote wire metrics, and whatever
-// src.Extra appends. The listener runs on an http.Server with
+// text exposition — stage counters and latency summaries, disk-tier
+// cache latencies, and whatever src.Extra appends. The listener runs on an http.Server with
 // read-header and idle timeouts so a slow or stalled client cannot
 // wedge it; stop it with Shutdown or Close on the returned handle.
 func ServeDebug(addr string, src DebugSources) (*DebugServer, error) {
@@ -150,9 +148,7 @@ func currentSources() DebugSources {
 
 // WriteMetrics renders the sweep-side metrics in the Prometheus text
 // exposition format: per-stage span counters, cache-outcome counters,
-// and latency summaries; per-stage per-tier cache read latencies; and
-// per-peer remote wire metrics. The cache server's own /metrics (see
-// cache.Server.WriteMetrics) is the other half of the surface.
+// and latency summaries; and per-stage disk-tier read latencies.
 func WriteMetrics(w io.Writer, src DebugSources) {
 	p := hist.NewProm(w)
 	totals := src.Rec.StageTotals()
@@ -169,8 +165,7 @@ func WriteMetrics(w io.Writer, src DebugSources) {
 			n    uint64
 		}{
 			{"hit", st.Hit}, {"miss", st.Miss}, {"wait", st.Wait},
-			{"disk", st.Disk}, {"remote", st.Remote}, {"rwait", st.RemoteWait},
-			{"corrupt", st.Corrupt},
+			{"disk", st.Disk}, {"corrupt", st.Corrupt},
 		} {
 			if oc.n > 0 {
 				p.Counter("binpart_stage_cache_outcomes_total",
@@ -199,33 +194,11 @@ func WriteMetrics(w io.Writer, src DebugSources) {
 			p.Gauge("binpart_cache_entries", hist.Label("cache", name), float64(stats[name].Entries))
 		}
 	}
-	if src.TierLatencies != nil {
-		lats := src.TierLatencies()
+	if src.DiskLatencies != nil {
+		lats := src.DiskLatencies()
 		for _, name := range sortedKeys(lats) {
-			tiers := lats[name]
-			for _, tier := range sortedKeys(tiers) {
-				p.Summary("binpart_cache_tier_latency_seconds",
-					hist.Labels(hist.Label("cache", name), hist.Label("tier", tier)), tiers[tier])
-			}
-		}
-	}
-	if src.Peers != nil {
-		peers := src.Peers()
-		for _, pm := range peers {
-			p.Counter("binpart_remote_peer_ops_total", hist.Label("peer", pm.Addr), float64(pm.Ops))
-		}
-		for _, pm := range peers {
-			p.Counter("binpart_remote_peer_errs_total", hist.Label("peer", pm.Addr), float64(pm.Errs))
-		}
-		for _, pm := range peers {
-			peer := hist.Label("peer", pm.Addr)
-			p.Counter("binpart_remote_peer_bytes_total",
-				hist.Labels(peer, hist.Label("direction", "in")), float64(pm.BytesIn))
-			p.Counter("binpart_remote_peer_bytes_total",
-				hist.Labels(peer, hist.Label("direction", "out")), float64(pm.BytesOut))
-		}
-		for _, pm := range peers {
-			p.Summary("binpart_remote_peer_rtt_seconds", hist.Label("peer", pm.Addr), pm.RTT)
+			p.Summary("binpart_cache_tier_latency_seconds",
+				hist.Labels(hist.Label("cache", name), hist.Label("tier", "disk")), lats[name])
 		}
 	}
 }

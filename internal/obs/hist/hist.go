@@ -1,9 +1,8 @@
 // Package hist provides the fixed log-bucketed latency histograms
 // behind the observability layer's p50/p90/p99 surfaces. It is a leaf
 // package — no binpart imports — so both internal/obs (stage spans) and
-// internal/cache (tier probes, remote peers, the cache server) can
-// record into the same bucket layout and their snapshots merge
-// bucket-exactly across processes.
+// internal/cache (disk-tier probes) can record into the same bucket
+// layout and their snapshots merge bucket-exactly.
 //
 // The layout is one bucket per power of two of nanoseconds: a recorded
 // duration d lands in bucket bits.Len64(d), so bucket i covers
@@ -15,8 +14,7 @@
 // three orders of magnitude above the p50.
 //
 // Histogram is the live, concurrency-safe accumulator: recording is two
-// atomic adds and allocates nothing, so it can sit on cache and network
-// hot paths. Snapshot is the frozen value type that travels through
+// atomic adds and allocates nothing, so it can sit on cache hot paths. Snapshot is the frozen value type that travels through
 // stats tables, manifests, and /metrics.
 package hist
 

@@ -40,11 +40,10 @@ func TestBucketBounds(t *testing.T) {
 	}
 }
 
-// TestMergeEqualsConcatenation is the distributed-trace property: the
-// merge of N worker histograms must be bucket-exact equal to one
-// histogram fed the concatenation of every worker's samples. This is
-// what lets the parent of a -dist run reconstruct suite-wide
-// percentiles from per-worker snapshots.
+// TestMergeEqualsConcatenation is the mergeability property: the merge
+// of N worker histograms must be bucket-exact equal to one histogram fed
+// the concatenation of every worker's samples, so per-worker snapshots
+// combine into exact suite-wide percentiles.
 func TestMergeEqualsConcatenation(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const workers = 5

@@ -14,7 +14,7 @@ import (
 // Manifest is the run record written alongside sweep output: what ran
 // (tool, arguments, toolchain, source revision), how long it took, the
 // per-stage span totals, and the cache accounting. The cache numbers are
-// snapshots of the same counters -cachestats/-stats print, so a manifest
+// snapshots of the same counters -stats prints, so a manifest
 // reconciles exactly with the stats table of the run that produced it.
 type Manifest struct {
 	Tool    string                 `json:"tool"`

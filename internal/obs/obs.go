@@ -168,7 +168,6 @@ type Recorder struct {
 
 	mu        sync.Mutex
 	traceID   string
-	proc      string
 	spans     []Span
 	bw        *bufio.Writer
 	enc       *json.Encoder
@@ -181,8 +180,8 @@ func NewRecorder() *Recorder {
 }
 
 // NewTraceID mints a random 128-bit run/trace identifier as lowercase
-// hex. The parent of a distributed sweep mints one and hands it to every
-// worker process, so all their spans tag into one coherent trace.
+// hex. It tags the trace stream's header and the run manifest, so the
+// two artifacts of one run can be matched up.
 func NewTraceID() string {
 	var b [16]byte
 	if _, err := rand.Read(b[:]); err != nil {
@@ -193,28 +192,15 @@ func NewTraceID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// SetTrace tags every subsequently emitted span (and the stream's meta
-// header) with a trace ID and a process label. proc is "" in a
-// single-process run and "k/N" in shard k of a distributed sweep. Call
-// before StreamTo.
-func (r *Recorder) SetTrace(traceID, proc string) {
+// SetTrace tags the stream's meta header (and the run manifest) with a
+// trace ID. Call before StreamTo.
+func (r *Recorder) SetTrace(traceID string) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	r.traceID = traceID
-	r.proc = proc
 	r.mu.Unlock()
-}
-
-// EpochUnixMicro is the recorder's absolute epoch — what span StartUS
-// offsets are relative to. The distributed merge uses it to place this
-// process's spans on the combined timeline. 0 on a nil recorder.
-func (r *Recorder) EpochUnixMicro() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.epoch.UnixMicro()
 }
 
 // TraceID returns the tag set by SetTrace ("" when untagged).
@@ -240,9 +226,9 @@ func (r *Recorder) Scope(bench string, level, worker int) *Scope {
 
 // StreamTo mirrors every span to w as one JSON object per line, in
 // emission order (see SpanRecord for the schema). The stream opens with
-// one TraceMeta header line carrying the trace ID, process label, and
-// absolute epoch — what the distributed merge needs to align worker
-// timelines. Call before the run starts; finish with Flush.
+// one TraceMeta header line carrying the trace ID and the absolute
+// epoch that span start offsets count from. Call before the run starts;
+// finish with Flush.
 func (r *Recorder) StreamTo(w io.Writer) {
 	if r == nil {
 		return
@@ -253,7 +239,6 @@ func (r *Recorder) StreamTo(w io.Writer) {
 	r.encodeLocked(TraceMeta{
 		Meta:        MetaTrace,
 		Trace:       r.traceID,
-		Proc:        r.proc,
 		EpochUnixUS: r.epoch.UnixMicro(),
 	})
 	r.mu.Unlock()
@@ -271,10 +256,9 @@ func (r *Recorder) encodeLocked(v any) {
 }
 
 // EmitCaches appends a cache-accounting meta line to the stream: the
-// same per-stage counter snapshot the -stats table prints. A worker of
-// a distributed sweep emits it as the trace's trailer so the parent can
-// reconcile merged span counts against summed per-tier cache stats
-// without a side channel. No-op when not streaming.
+// same per-stage counter snapshot the -stats table prints. Emitted as
+// the trace's trailer, it lets any reader reconcile span counts against
+// the cache counters without a side channel. No-op when not streaming.
 func (r *Recorder) EmitCaches(stats map[string]cache.Stats) {
 	if r == nil || stats == nil {
 		return
@@ -301,7 +285,7 @@ func (r *Recorder) Flush() error {
 
 // Trace meta line kinds (the TraceMeta.Meta field).
 const (
-	// MetaTrace is the stream header: trace ID, process label, epoch.
+	// MetaTrace is the stream header: trace ID and epoch.
 	MetaTrace = "trace"
 	// MetaCaches is the accounting trailer: per-stage cache counters.
 	MetaCaches = "caches"
@@ -313,22 +297,17 @@ const (
 type TraceMeta struct {
 	Meta        string                 `json:"meta"`
 	Trace       string                 `json:"trace,omitempty"`
-	Proc        string                 `json:"proc,omitempty"`
 	EpochUnixUS int64                  `json:"epoch_unix_us,omitempty"`
 	Caches      map[string]cache.Stats `json:"caches,omitempty"`
 }
 
 // SpanRecord is the trace line schema. Durations are integer
-// microseconds: stable to diff, trivial to load into anything. Trace
-// and Proc repeat the stream header's tags on every line so a merged
-// trace stays self-describing span by span.
+// microseconds: stable to diff, trivial to load into anything.
 type SpanRecord struct {
 	Stage    string `json:"stage"`
 	Bench    string `json:"bench,omitempty"`
 	Level    int    `json:"opt"`
 	Worker   int    `json:"worker"`
-	Trace    string `json:"trace,omitempty"`
-	Proc     string `json:"proc,omitempty"`
 	StartUS  int64  `json:"start_us"`
 	DurUS    int64  `json:"dur_us"`
 	Cache    string `json:"cache,omitempty"`
@@ -338,16 +317,13 @@ type SpanRecord struct {
 	Selected uint64 `json:"selected,omitempty"`
 }
 
-// toRecord renders a span for the trace stream, tagged with the
-// recorder's trace context. Callers hold r.mu.
+// toRecord renders a span for the trace stream. Callers hold r.mu.
 func (r *Recorder) toRecord(s *Span) SpanRecord {
 	return SpanRecord{
 		Stage:    s.Stage,
 		Bench:    s.Bench,
 		Level:    s.Level,
 		Worker:   s.Worker,
-		Trace:    r.traceID,
-		Proc:     r.proc,
 		StartUS:  s.Start.Microseconds(),
 		DurUS:    s.Dur.Microseconds(),
 		Cache:    s.Outcome.String(),
@@ -367,9 +343,7 @@ func (r *Recorder) emit(sp Span) {
 	r.mu.Unlock()
 }
 
-// Records renders every recorded span as its trace-line form, tagged
-// with the recorder's trace context — what the distributed merge feeds
-// alongside the worker files.
+// Records renders every recorded span as its trace-line form.
 func (r *Recorder) Records() []SpanRecord {
 	if r == nil {
 		return nil
@@ -398,33 +372,30 @@ func (r *Recorder) Spans() []Span {
 // StageTotal aggregates every span of one stage: span count, total wall
 // time, latency percentiles, cache outcomes, and counter sums. The
 // percentiles are bucket upper bounds of the stage's fixed log-bucketed
-// latency histogram (see internal/obs/hist), so aggregating a merged
-// distributed trace yields exactly the percentiles of the concatenated
-// worker samples.
+// latency histogram (see internal/obs/hist), so aggregating a trace
+// read back from disk yields exactly the live recorder's percentiles.
 type StageTotal struct {
-	Stage      string        `json:"stage"`
-	Spans      int           `json:"spans"`
-	WallUS     int64         `json:"wall_us"`
-	P50US      int64         `json:"p50_us,omitempty"`
-	P90US      int64         `json:"p90_us,omitempty"`
-	P99US      int64         `json:"p99_us,omitempty"`
-	Hit        uint64        `json:"hit"`
-	Miss       uint64        `json:"miss"`
-	Wait       uint64        `json:"wait"`
-	Disk       uint64        `json:"disk"`
-	Remote     uint64        `json:"remote"`
-	RemoteWait uint64        `json:"rwait"`
-	Corrupt    uint64        `json:"corrupt"`
-	Instrs     uint64        `json:"instrs,omitempty"`
-	Regions    uint64        `json:"regions,omitempty"`
-	Selected   uint64        `json:"selected,omitempty"`
-	Latency    hist.Snapshot `json:"-"`
+	Stage    string        `json:"stage"`
+	Spans    int           `json:"spans"`
+	WallUS   int64         `json:"wall_us"`
+	P50US    int64         `json:"p50_us,omitempty"`
+	P90US    int64         `json:"p90_us,omitempty"`
+	P99US    int64         `json:"p99_us,omitempty"`
+	Hit      uint64        `json:"hit"`
+	Miss     uint64        `json:"miss"`
+	Wait     uint64        `json:"wait"`
+	Disk     uint64        `json:"disk"`
+	Corrupt  uint64        `json:"corrupt"`
+	Instrs   uint64        `json:"instrs,omitempty"`
+	Regions  uint64        `json:"regions,omitempty"`
+	Selected uint64        `json:"selected,omitempty"`
+	Latency  hist.Snapshot `json:"-"`
 }
 
 // countOutcome routes a span's cache-outcome string to its StageTotal
 // counter. The strings are cache.Outcome.String() values; counting by
-// string keeps merged traces (which only have the JSONL form)
-// aggregatable by the same code as live spans.
+// string keeps traces read back from disk (which only have the JSONL
+// form) aggregatable by the same code as live spans.
 func (st *StageTotal) countOutcome(outcome string) {
 	switch outcome {
 	case "hit":
@@ -435,10 +406,6 @@ func (st *StageTotal) countOutcome(outcome string) {
 		st.Wait++
 	case "disk":
 		st.Disk++
-	case "remote":
-		st.Remote++
-	case "rwait":
-		st.RemoteWait++
 	case "corrupt":
 		st.Corrupt++
 	}
@@ -446,8 +413,8 @@ func (st *StageTotal) countOutcome(outcome string) {
 
 // AggregateRecords folds trace lines into per-stage totals, in pipeline
 // order (unknown stages after, by name). It serves both the live
-// recorder (via StageTotals) and merged distributed traces, which exist
-// only in SpanRecord form.
+// recorder (via StageTotals) and traces read back with ReadTrace, which
+// exist only in SpanRecord form.
 func AggregateRecords(records []SpanRecord) []StageTotal {
 	byStage := map[string]*StageTotal{}
 	for i := range records {
@@ -505,17 +472,16 @@ func (r *Recorder) Table() string {
 	return FormatStageTable(r.StageTotals())
 }
 
-// FormatStageTable renders stage totals as the -stats text table; the
-// trace-merge path reuses it for the merged view.
+// FormatStageTable renders stage totals as the -stats text table.
 func FormatStageTable(totals []StageTotal) string {
 	var b strings.Builder
-	b.WriteString("obs    stage     spans   wall(ms)  p50(us)  p90(us)  p99(us)    hit   miss   wait   disk remote  rwait corrupt\n")
+	b.WriteString("obs    stage     spans   wall(ms)  p50(us)  p90(us)  p99(us)    hit   miss   wait   disk corrupt\n")
 	var instrs, regions, selected uint64
 	for _, st := range totals {
-		fmt.Fprintf(&b, "obs    %-8s %6d %10.1f %8d %8d %8d %6d %6d %6d %6d %6d %6d %7d\n",
+		fmt.Fprintf(&b, "obs    %-8s %6d %10.1f %8d %8d %8d %6d %6d %6d %6d %7d\n",
 			st.Stage, st.Spans, float64(st.WallUS)/1e3,
 			st.P50US, st.P90US, st.P99US,
-			st.Hit, st.Miss, st.Wait, st.Disk, st.Remote, st.RemoteWait, st.Corrupt)
+			st.Hit, st.Miss, st.Wait, st.Disk, st.Corrupt)
 		instrs += st.Instrs
 		regions += st.Regions
 		selected += st.Selected
