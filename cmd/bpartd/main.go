@@ -235,12 +235,7 @@ func main() {
 	// The invariant that makes the trace trustworthy: every span outcome
 	// the drained requests recorded reconciles against the cache
 	// counters. A daemon that drops spans on shutdown fails here.
-	tf := &obs.TraceFile{
-		Trace:  rec.TraceID(),
-		Spans:  rec.Records(),
-		Caches: caches.StatsMap(),
-	}
-	if err := tf.Reconcile(); err != nil {
+	if err := rec.Reconcile(caches.StatsMap()); err != nil {
 		fmt.Fprintf(os.Stderr, "bpartd: %v\n", err)
 		clean = false
 	}

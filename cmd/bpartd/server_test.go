@@ -421,8 +421,7 @@ func TestMetricsScrapeableMidLoad(t *testing.T) {
 
 	// The serving spans must reconcile against the cache counters even
 	// mid-life — the same invariant the daemon checks at shutdown.
-	tf := &obs.TraceFile{Trace: rec.TraceID(), Spans: rec.Records(), Caches: caches.StatsMap()}
-	if err := tf.Reconcile(); err != nil {
+	if err := rec.Reconcile(caches.StatsMap()); err != nil {
 		t.Errorf("mid-load reconcile: %v", err)
 	}
 }

@@ -139,7 +139,6 @@ func computeAnalysis(img *binimg.Image, opts Options, caches *Caches, sc *obs.Sc
 
 	// 1. Profile the all-software execution.
 	simSp := sc.Start(obs.StageSim)
-	simSp.SetEngine(opts.Sim.Engine.String())
 	res, simOut, err := simulate(img, opts, imgKey, caches)
 	simSp.SetOutcome(simOut)
 	simSp.SetInstrs(res.Steps)

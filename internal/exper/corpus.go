@@ -119,7 +119,6 @@ func (r *Runner) Corpus(n int, baseSeed int64) (*Corpus, error) {
 		sp := sc.Start(obs.StageSim)
 		res, out, ok := caches.Sim.GetOutcome(core.SimKey(g.img.Key(), refCfg))
 		sp.SetOutcome(out)
-		sp.SetEngine(refCfg.Engine.String())
 		sp.End()
 		if ok {
 			refs[i] = refOut{res: res}

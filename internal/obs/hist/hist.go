@@ -109,8 +109,9 @@ func (s Snapshot) Merge(other Snapshot) Snapshot {
 	return s
 }
 
-// Observe adds one duration to a frozen snapshot: the path used when a
-// histogram is rebuilt from recorded spans rather than accumulated live.
+// Observe adds one duration to a snapshot held as a plain value — the
+// path for an accumulator already guarded by its owner's lock, such as
+// a stage's totals in the span recorder.
 func (s *Snapshot) Observe(d time.Duration) {
 	ns := uint64(0)
 	if d > 0 {

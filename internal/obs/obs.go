@@ -11,11 +11,12 @@
 // pointer test when it is off. The cmd/benchjson Stage* allocs/op gates
 // hold the disabled path to zero overhead.
 //
-// Spans surface three ways: streamed as JSONL while the run executes
-// (-trace), aggregated into a per-stage table at exit (-stats), and
-// folded into a run manifest written alongside sweep output (-manifest,
-// see manifest.go). For long sweeps, ServeDebug (debug.go) exposes the
-// same aggregates over expvar plus net/pprof.
+// The recorder keeps no spans: each one is folded into its stage's live
+// StageTotal as it ends, and optionally streamed as JSONL (-trace), which
+// is the only per-span record. The totals surface as a per-stage table at
+// exit (-stats), in a run manifest written alongside sweep output
+// (-manifest, see manifest.go), and, for long sweeps and the daemon, over
+// expvar and /metrics via ServeDebug (debug.go).
 package obs
 
 import (
@@ -74,9 +75,6 @@ type Span struct {
 	Dur   time.Duration
 	// Outcome is the stage-cache outcome (OutcomeNone for uncached work).
 	Outcome cache.Outcome
-	// Engine is the simulator engine that produced a sim span ("" for
-	// stages where the engine is irrelevant).
-	Engine string
 	// Counters. Zero means "not applicable" and is omitted from the trace.
 	Instrs   uint64 // instructions simulated
 	Regions  uint64 // regions/functions recovered (lift), candidates (analyze)
@@ -89,14 +87,6 @@ func (s *Span) SetOutcome(o cache.Outcome) {
 		return
 	}
 	s.Outcome = o
-}
-
-// SetEngine records the simulator engine behind a sim span.
-func (s *Span) SetEngine(engine string) {
-	if s.rec == nil {
-		return
-	}
-	s.Engine = engine
 }
 
 // SetInstrs records instructions simulated.
@@ -160,15 +150,17 @@ func (s *Scope) Start(stage string) Span {
 	}
 }
 
-// Recorder collects spans from a run. Safe for concurrent use by every
-// worker of a sweep. The zero value is not usable; create with
-// NewRecorder. A nil *Recorder is the disabled fast path.
+// Recorder folds a run's spans into per-stage totals (and the optional
+// trace stream). Safe for concurrent use by every worker of a sweep; its
+// memory is bounded by the number of distinct stages, not by uptime. The
+// zero value is not usable; create with NewRecorder. A nil *Recorder is
+// the disabled fast path.
 type Recorder struct {
 	epoch time.Time
 
 	mu        sync.Mutex
 	traceID   string
-	spans     []Span
+	totals    map[string]*StageTotal
 	bw        *bufio.Writer
 	enc       *json.Encoder
 	streamErr error
@@ -176,7 +168,7 @@ type Recorder struct {
 
 // NewRecorder starts a recorder; its epoch is the creation time.
 func NewRecorder() *Recorder {
-	return &Recorder{epoch: time.Now()}
+	return &Recorder{epoch: time.Now(), totals: map[string]*StageTotal{}}
 }
 
 // NewTraceID mints a random 128-bit run/trace identifier as lowercase
@@ -311,7 +303,6 @@ type SpanRecord struct {
 	StartUS  int64  `json:"start_us"`
 	DurUS    int64  `json:"dur_us"`
 	Cache    string `json:"cache,omitempty"`
-	Engine   string `json:"engine,omitempty"`
 	Instrs   uint64 `json:"instrs,omitempty"`
 	Regions  uint64 `json:"regions,omitempty"`
 	Selected uint64 `json:"selected,omitempty"`
@@ -327,7 +318,6 @@ func (r *Recorder) toRecord(s *Span) SpanRecord {
 		StartUS:  s.Start.Microseconds(),
 		DurUS:    s.Dur.Microseconds(),
 		Cache:    s.Outcome.String(),
-		Engine:   s.Engine,
 		Instrs:   s.Instrs,
 		Regions:  s.Regions,
 		Selected: s.Selected,
@@ -336,44 +326,23 @@ func (r *Recorder) toRecord(s *Span) SpanRecord {
 
 func (r *Recorder) emit(sp Span) {
 	r.mu.Lock()
-	r.spans = append(r.spans, sp)
+	st := r.totals[sp.Stage]
+	if st == nil {
+		st = &StageTotal{Stage: sp.Stage}
+		r.totals[sp.Stage] = st
+	}
+	st.add(&sp)
 	if r.enc != nil {
 		r.encodeLocked(r.toRecord(&sp))
 	}
 	r.mu.Unlock()
 }
 
-// Records renders every recorded span as its trace-line form.
-func (r *Recorder) Records() []SpanRecord {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]SpanRecord, len(r.spans))
-	for i := range r.spans {
-		out[i] = r.toRecord(&r.spans[i])
-	}
-	return out
-}
-
-// Spans returns a snapshot copy of every span recorded so far.
-func (r *Recorder) Spans() []Span {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Span, len(r.spans))
-	copy(out, r.spans)
-	return out
-}
-
 // StageTotal aggregates every span of one stage: span count, total wall
 // time, latency percentiles, cache outcomes, and counter sums. The
 // percentiles are bucket upper bounds of the stage's fixed log-bucketed
-// latency histogram (see internal/obs/hist), so aggregating a trace
-// read back from disk yields exactly the live recorder's percentiles.
+// latency histogram (see internal/obs/hist), fed with each span's exact
+// duration.
 type StageTotal struct {
 	Stage    string        `json:"stage"`
 	Spans    int           `json:"spans"`
@@ -392,53 +361,48 @@ type StageTotal struct {
 	Latency  hist.Snapshot `json:"-"`
 }
 
-// countOutcome routes a span's cache-outcome string to its StageTotal
-// counter. The strings are cache.Outcome.String() values; counting by
-// string keeps traces read back from disk (which only have the JSONL
-// form) aggregatable by the same code as live spans.
-func (st *StageTotal) countOutcome(outcome string) {
-	switch outcome {
-	case "hit":
+// add folds one span into the totals. Wall time accumulates in the
+// histogram's nanosecond sum; WallUS is derived from it only when
+// StageTotals snapshots, so short spans are never truncated one by one.
+func (st *StageTotal) add(sp *Span) {
+	st.Spans++
+	st.Latency.Observe(sp.Dur)
+	switch sp.Outcome {
+	case cache.OutcomeHit:
 		st.Hit++
-	case "miss":
+	case cache.OutcomeMiss:
 		st.Miss++
-	case "wait":
+	case cache.OutcomeWait:
 		st.Wait++
-	case "disk":
+	case cache.OutcomeDisk:
 		st.Disk++
-	case "corrupt":
+	case cache.OutcomeCorrupt:
 		st.Corrupt++
 	}
+	st.Instrs += sp.Instrs
+	st.Regions += sp.Regions
+	st.Selected += sp.Selected
 }
 
-// AggregateRecords folds trace lines into per-stage totals, in pipeline
-// order (unknown stages after, by name). It serves both the live
-// recorder (via StageTotals) and traces read back with ReadTrace, which
-// exist only in SpanRecord form.
-func AggregateRecords(records []SpanRecord) []StageTotal {
-	byStage := map[string]*StageTotal{}
-	for i := range records {
-		sp := &records[i]
-		st := byStage[sp.Stage]
-		if st == nil {
-			st = &StageTotal{Stage: sp.Stage}
-			byStage[sp.Stage] = st
-		}
-		st.Spans++
-		st.WallUS += sp.DurUS
-		st.Latency.Observe(time.Duration(sp.DurUS) * time.Microsecond)
-		st.countOutcome(sp.Cache)
-		st.Instrs += sp.Instrs
-		st.Regions += sp.Regions
-		st.Selected += sp.Selected
+// StageTotals snapshots the per-stage totals in pipeline order (unknown
+// stages after, by name). A nil recorder returns nil.
+func (r *Recorder) StageTotals() []StageTotal {
+	if r == nil {
+		return nil
 	}
+	r.mu.Lock()
+	out := make([]StageTotal, 0, len(r.totals))
+	for _, st := range r.totals {
+		out = append(out, *st)
+	}
+	r.mu.Unlock()
 
-	out := make([]StageTotal, 0, len(byStage))
-	for _, st := range byStage {
+	for i := range out {
+		st := &out[i]
+		st.WallUS = int64(st.Latency.SumNs / uint64(time.Microsecond))
 		st.P50US = st.Latency.QuantileUS(0.50)
 		st.P90US = st.Latency.QuantileUS(0.90)
 		st.P99US = st.Latency.QuantileUS(0.99)
-		out = append(out, *st)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		ri, iKnown := stageRank[out[i].Stage]
@@ -453,15 +417,6 @@ func AggregateRecords(records []SpanRecord) []StageTotal {
 		}
 	})
 	return out
-}
-
-// StageTotals aggregates the recorded spans per stage, in pipeline order
-// (unknown stages after, by name). A nil recorder returns nil.
-func (r *Recorder) StageTotals() []StageTotal {
-	if r == nil {
-		return nil
-	}
-	return AggregateRecords(r.Records())
 }
 
 // Table renders the per-stage aggregation as the -stats text table.

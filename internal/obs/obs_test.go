@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -32,9 +34,6 @@ func TestNilDisabledPath(t *testing.T) {
 	sp.SetSelected(3)
 	sp.End()
 
-	if got := rec.Spans(); got != nil {
-		t.Errorf("nil recorder spans = %v", got)
-	}
 	if got := rec.StageTotals(); got != nil {
 		t.Errorf("nil recorder totals = %v", got)
 	}
@@ -89,20 +88,17 @@ func TestSpanRecordingAndAggregation(t *testing.T) {
 	sp.SetSelected(2)
 	sp.End()
 
-	spans := rec.Spans()
-	if len(spans) != 4 {
-		t.Fatalf("got %d spans, want 4", len(spans))
-	}
-	if spans[1].Bench != "brev" || spans[1].Level != 2 || spans[1].Worker != 1 {
-		t.Errorf("attribution lost: %+v", spans[1])
-	}
-
 	totals := rec.StageTotals()
 	order := make([]string, len(totals))
 	byStage := map[string]StageTotal{}
+	n := 0
 	for i, st := range totals {
 		order[i] = st.Stage
 		byStage[st.Stage] = st
+		n += st.Spans
+	}
+	if n != 4 {
+		t.Fatalf("got %d spans, want 4", n)
 	}
 	want := []string{StageSim, StageLift, StageEvaluate}
 	if fmt.Sprint(order) != fmt.Sprint(want) {
@@ -124,6 +120,112 @@ func TestSpanRecordingAndAggregation(t *testing.T) {
 		if !bytes.Contains([]byte(table), []byte(want)) {
 			t.Errorf("table missing %q:\n%s", want, table)
 		}
+	}
+}
+
+// TestStageWallNotTruncated: wall time accumulates in nanoseconds and is
+// converted to microseconds only when snapshotted, so a thousand 900ns
+// spans report 900us rather than rounding each span down to zero.
+func TestStageWallNotTruncated(t *testing.T) {
+	rec := NewRecorder()
+	for i := 0; i < 1000; i++ {
+		rec.emit(Span{Stage: StageSim, Dur: 900 * time.Nanosecond})
+	}
+	st := rec.StageTotals()[0]
+	if st.Spans != 1000 || st.WallUS != 900 {
+		t.Errorf("1000 x 900ns spans: %d spans, wall %dus, want 1000 spans, 900us", st.Spans, st.WallUS)
+	}
+	if st.Latency.SumNs != 900_000 {
+		t.Errorf("histogram sum %dns, want 900000ns", st.Latency.SumNs)
+	}
+}
+
+// TestRecorderMemoryBounded: the recorder keeps per-stage totals, not
+// spans, so a million ended spans must not grow the heap.
+func TestRecorderMemoryBounded(t *testing.T) {
+	rec := NewRecorder()
+	sc := rec.Scope("fir", 0, 0)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 1_000_000; i++ {
+		sp := sc.Start(StageSim)
+		sp.SetOutcome(cache.OutcomeHit)
+		sp.End()
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	grown := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("heap growth over 1M spans: %d bytes", grown)
+	if grown > 1<<20 {
+		t.Errorf("1M spans grew the heap by %d bytes, want < 1MB", grown)
+	}
+	if st := rec.StageTotals()[0]; st.Spans != 1_000_000 || st.Hit != 1_000_000 {
+		t.Errorf("totals = %d spans, %d hits, want 1M each", st.Spans, st.Hit)
+	}
+	runtime.KeepAlive(rec)
+}
+
+// TestRecorderConcurrentScrape: spans ending on many goroutines while
+// another scrapes /metrics and the stage totals must all be counted
+// exactly. Run under -race this is the recorder's concurrency test.
+func TestRecorderConcurrentScrape(t *testing.T) {
+	const workers, perWorker = 8, 10_000
+	rec := NewRecorder()
+	src := DebugSources{Rec: rec}
+	stop := make(chan struct{})
+	scraped := make(chan int)
+	go func() {
+		n := 0
+		defer func() { scraped <- n }()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			WriteMetrics(io.Discard, src)
+			rec.StageTotals()
+			n++
+		}
+	}()
+
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			sc := rec.Scope("fir", 0, w)
+			for i := 0; i < perWorker; i++ {
+				sp := sc.Start(StageSim)
+				if i%2 == 0 {
+					sp.SetOutcome(cache.OutcomeHit)
+				} else {
+					sp.SetOutcome(cache.OutcomeMiss)
+				}
+				sp.SetInstrs(1)
+				sp.End()
+				ev := sc.Start(StageEvaluate)
+				ev.End()
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	if <-scraped == 0 {
+		t.Error("scraper never completed a pass")
+	}
+
+	totals := rec.StageTotals()
+	if len(totals) != 2 {
+		t.Fatalf("got %d stages, want 2: %+v", len(totals), totals)
+	}
+	const n = workers * perWorker
+	if sim := totals[0]; sim.Stage != StageSim || sim.Spans != n || sim.Hit != n/2 || sim.Miss != n/2 || sim.Instrs != n {
+		t.Errorf("sim totals = %+v, want %d spans, %d hits, %d misses", sim, n, n/2, n/2)
+	}
+	if ev := totals[1]; ev.Stage != StageEvaluate || ev.Spans != n || ev.Hit+ev.Miss != 0 {
+		t.Errorf("evaluate totals = %+v, want %d uncached spans", ev, n)
 	}
 }
 

@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"bufio"
 	"compress/gzip"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -56,83 +54,6 @@ func (t *TraceWriter) Close() error {
 	return first
 }
 
-// TraceFile is one parsed trace stream: the header tags, every span, and
-// the cache-accounting trailer (nil when the producer emitted none).
-type TraceFile struct {
-	Trace       string
-	EpochUnixUS int64
-	Spans       []SpanRecord
-	Caches      map[string]cache.Stats
-}
-
-// ReadTrace parses a trace file written by StreamTo/EmitCaches,
-// transparently ungzipping when the path ends in ".gz". Unknown meta
-// kinds are skipped, so readers stay compatible with newer producers.
-func ReadTrace(path string) (*TraceFile, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var r io.Reader = f
-	if strings.HasSuffix(path, ".gz") {
-		gz, err := gzip.NewReader(f)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		defer gz.Close()
-		r = gz
-	}
-	tf, err := parseTrace(r)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return tf, nil
-}
-
-func parseTrace(r io.Reader) (*TraceFile, error) {
-	tf := &TraceFile{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		// Meta lines carry a non-empty "meta" field; everything else is
-		// a span. Peek cheaply before committing to a schema.
-		var probe struct {
-			Meta string `json:"meta"`
-		}
-		if err := json.Unmarshal(line, &probe); err != nil {
-			return nil, fmt.Errorf("bad trace line: %w", err)
-		}
-		if probe.Meta == "" {
-			var sp SpanRecord
-			if err := json.Unmarshal(line, &sp); err != nil {
-				return nil, fmt.Errorf("bad span line: %w", err)
-			}
-			tf.Spans = append(tf.Spans, sp)
-			continue
-		}
-		var meta TraceMeta
-		if err := json.Unmarshal(line, &meta); err != nil {
-			return nil, fmt.Errorf("bad meta line: %w", err)
-		}
-		switch meta.Meta {
-		case MetaTrace:
-			tf.Trace = meta.Trace
-			tf.EpochUnixUS = meta.EpochUnixUS
-		case MetaCaches:
-			tf.Caches = meta.Caches
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return tf, nil
-}
-
 // CacheForStage maps a span stage to the key its stage cache reports
 // under in Stats maps ("" for stages with no cache). The analysis cache
 // predates the span layer and kept its longer name.
@@ -144,22 +65,21 @@ var CacheForStage = map[string]string{
 	StageSynth:   "synth",
 }
 
-// Reconcile checks the trace's span outcomes against its cache
+// Reconcile checks the recorder's span outcomes against the cache
 // accounting: for every stage with a cache, spans tagged hit+wait+disk
 // must equal the cache's Hits, and miss+corrupt its Misses. A mismatch
 // means spans or stats were dropped in flight.
-func (tf *TraceFile) Reconcile() error {
-	if tf.Caches == nil {
-		return fmt.Errorf("reconcile: trace has no cache accounting trailer")
+func (r *Recorder) Reconcile(caches map[string]cache.Stats) error {
+	if caches == nil {
+		return fmt.Errorf("reconcile: no cache accounting")
 	}
-	totals := AggregateRecords(tf.Spans)
 	var problems []string
-	for _, st := range totals {
+	for _, st := range r.StageTotals() {
 		key := CacheForStage[st.Stage]
 		if key == "" {
 			continue
 		}
-		cs, ok := tf.Caches[key]
+		cs, ok := caches[key]
 		if !ok {
 			continue
 		}

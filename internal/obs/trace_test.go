@@ -1,6 +1,11 @@
 package obs
 
 import (
+	"bufio"
+	"compress/gzip"
+	"encoding/json"
+	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -9,24 +14,9 @@ import (
 	"binpart/internal/cache"
 )
 
-// traceWithSpans builds a recorder with n synthetic spans and returns
-// its trace-file form.
-func traceWithSpans(t *testing.T, trace string, n int, outcome cache.Outcome) *Recorder {
-	t.Helper()
-	rec := NewRecorder()
-	rec.SetTrace(trace)
-	sc := rec.Scope("fir", 0, 0)
-	for i := 0; i < n; i++ {
-		sp := sc.Start(StageSim)
-		sp.SetOutcome(outcome)
-		sp.End()
-	}
-	return rec
-}
-
-// TestTraceGzipRoundTrip is the satellite contract: a .gz trace path
-// compresses transparently, and ReadTrace recovers the exact stream —
-// header, spans, and the cache trailer.
+// TestTraceGzipRoundTrip: a .gz trace path compresses transparently, and
+// the file holds the exact stream — header, spans emitted after StreamTo,
+// and the cache trailer.
 func TestTraceGzipRoundTrip(t *testing.T) {
 	for _, name := range []string{"t.jsonl", "t.jsonl.gz"} {
 		t.Run(name, func(t *testing.T) {
@@ -35,13 +25,17 @@ func TestTraceGzipRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rec := traceWithSpans(t, "abc123", 4, cache.OutcomeMiss)
+			rec := NewRecorder()
+			rec.SetTrace("abc123")
+			// Spans ended before StreamTo are counted but not streamed.
+			sc := rec.Scope("fir", 0, 0)
+			for i := 0; i < 4; i++ {
+				sp := sc.Start(StageSim)
+				sp.SetOutcome(cache.OutcomeMiss)
+				sp.End()
+			}
 			rec.StreamTo(tw.Writer())
-			// Re-emit the spans recorded before streaming started by
-			// writing them through a fresh pass: StreamTo only mirrors
-			// spans emitted after it, so emit live ones too.
-			sc := rec.Scope("brev", 2, 1)
-			sp := sc.Start(StageLift)
+			sp := rec.Scope("brev", 2, 1).Start(StageLift)
 			sp.SetOutcome(cache.OutcomeHit)
 			sp.End()
 			rec.EmitCaches(map[string]cache.Stats{"sim": {Hits: 1, Misses: 4}})
@@ -52,54 +46,93 @@ func TestTraceGzipRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			tf, err := ReadTrace(path)
+			f, err := os.Open(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tf.Trace != "abc123" || tf.EpochUnixUS == 0 {
-				t.Errorf("header lost: %+v", tf)
+			defer f.Close()
+			var r io.Reader = f
+			if strings.HasSuffix(path, ".gz") {
+				gz, err := gzip.NewReader(f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer gz.Close()
+				r = gz
 			}
-			if len(tf.Spans) != 1 {
-				t.Fatalf("got %d streamed spans, want 1", len(tf.Spans))
+			var (
+				header  TraceMeta
+				trailer TraceMeta
+				spans   []SpanRecord
+			)
+			lines := bufio.NewScanner(r)
+			for lines.Scan() {
+				var meta TraceMeta
+				if err := json.Unmarshal(lines.Bytes(), &meta); err != nil {
+					t.Fatalf("bad line %q: %v", lines.Text(), err)
+				}
+				switch meta.Meta {
+				case MetaTrace:
+					header = meta
+				case MetaCaches:
+					trailer = meta
+				default:
+					var sr SpanRecord
+					if err := json.Unmarshal(lines.Bytes(), &sr); err != nil {
+						t.Fatalf("bad span line %q: %v", lines.Text(), err)
+					}
+					spans = append(spans, sr)
+				}
 			}
-			sp0 := tf.Spans[0]
-			if sp0.Stage != StageLift || sp0.Bench != "brev" || sp0.Level != 2 || sp0.Worker != 1 {
+			if err := lines.Err(); err != nil {
+				t.Fatal(err)
+			}
+			if header.Trace != "abc123" || header.EpochUnixUS == 0 {
+				t.Errorf("header lost: %+v", header)
+			}
+			if len(spans) != 1 {
+				t.Fatalf("got %d streamed spans, want 1", len(spans))
+			}
+			sp0 := spans[0]
+			if sp0.Stage != StageLift || sp0.Bench != "brev" || sp0.Level != 2 || sp0.Worker != 1 || sp0.Cache != "hit" {
 				t.Errorf("span lost fields: %+v", sp0)
 			}
-			if tf.Caches["sim"].Misses != 4 {
-				t.Errorf("cache trailer lost: %+v", tf.Caches)
+			if trailer.Caches["sim"].Misses != 4 {
+				t.Errorf("cache trailer lost: %+v", trailer.Caches)
 			}
 		})
 	}
 }
 
-// TestReconcileDetectsDrift: a trace whose span outcomes disagree with
-// its cache accounting must fail Reconcile with the stage named.
+// TestReconcileDetectsDrift: span outcomes that disagree with the cache
+// accounting must fail Reconcile with the stage named.
 func TestReconcileDetectsDrift(t *testing.T) {
-	tf := &TraceFile{
-		Trace: "run1",
-		Spans: []SpanRecord{
-			{Stage: StageSim, Cache: "hit"},
-			{Stage: StageSim, Cache: "miss"},
-		},
-		Caches: map[string]cache.Stats{"sim": {Hits: 2, Misses: 1}},
+	rec := NewRecorder()
+	sc := rec.Scope("fir", 0, 0)
+	for _, o := range []cache.Outcome{cache.OutcomeHit, cache.OutcomeMiss} {
+		sp := sc.Start(StageSim)
+		sp.SetOutcome(o)
+		sp.End()
 	}
-	err := tf.Reconcile()
+	caches := map[string]cache.Stats{"sim": {Hits: 2, Misses: 1}}
+	err := rec.Reconcile(caches)
 	if err == nil || !strings.Contains(err.Error(), "sim") {
-		t.Fatalf("drifted trace reconciled: %v", err)
+		t.Fatalf("drifted counts reconciled: %v", err)
 	}
-	tf.Caches["sim"] = cache.Stats{Hits: 1, Misses: 1}
-	if err := tf.Reconcile(); err != nil {
-		t.Fatalf("consistent trace failed: %v", err)
+	caches["sim"] = cache.Stats{Hits: 1, Misses: 1}
+	if err := rec.Reconcile(caches); err != nil {
+		t.Fatalf("consistent counts failed: %v", err)
 	}
 	// The analyze stage reports under the "analysis" cache key.
-	tf.Spans = append(tf.Spans, SpanRecord{Stage: StageAnalyze, Cache: "disk"})
-	tf.Caches["analysis"] = cache.Stats{Hits: 1}
-	if err := tf.Reconcile(); err != nil {
+	sp := sc.Start(StageAnalyze)
+	sp.SetOutcome(cache.OutcomeDisk)
+	sp.End()
+	caches["analysis"] = cache.Stats{Hits: 1}
+	if err := rec.Reconcile(caches); err != nil {
 		t.Fatalf("analyze/analysis mapping broken: %v", err)
 	}
-	if (&TraceFile{}).Reconcile() == nil {
-		t.Fatal("trace without accounting reconciled")
+	if rec.Reconcile(nil) == nil {
+		t.Fatal("recorder without accounting reconciled")
 	}
 }
 
