@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race stress vet check bench experiments obs-smoke corpus-smoke engine-smoke bpartd-smoke
+.PHONY: build test race stress vet check bench experiments obs-smoke corpus-smoke bpartd-smoke
 
 build:
 	$(GO) build ./...
@@ -46,14 +46,6 @@ corpus-smoke:
 	$(GO) run -race ./cmd/experiments -corpus 120 -j 8 \
 		-corpus-out /tmp/binpart-corpus-summary.json >/dev/null
 
-# The simulator engine differential: every suite benchmark at -O0..-O3
-# through the reference and threaded engines as multi-core batches,
-# bit-identity checked down to the profile maps. Exits nonzero on any
-# divergence; the E2 table (wall and CPU times) lands in /tmp for
-# inspection.
-engine-smoke:
-	$(GO) run ./cmd/experiments -engines -j 8 >/tmp/binpart-engines.txt
-
 # The partitioning daemon end to end over a real process: priced
 # partition + streamed sweep over HTTP, ops /metrics scrape, sustained
 # load above 1000 req/s on the warm Analysis cache, then SIGTERM under
@@ -63,7 +55,7 @@ engine-smoke:
 bpartd-smoke:
 	sh scripts/bpartd-smoke.sh
 
-check: vet build test race stress obs-smoke corpus-smoke engine-smoke bpartd-smoke
+check: vet build test race stress obs-smoke corpus-smoke bpartd-smoke
 
 # Runs every benchmark and distills the results (per-stage ns/op plus the
 # T1 headline custom metrics) into BENCH.json via cmd/benchjson. The text

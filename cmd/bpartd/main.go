@@ -65,7 +65,7 @@ func main() {
 	alg := flag.String("alg", "90-10", "default partitioning algorithm (request \"alg\" overrides)")
 	cacheDir := flag.String("cachedir", "", "directory for the on-disk stage cache (empty: memory only)")
 	cacheDirMax := flag.String("cachedir-max", "", "byte budget for -cachedir (e.g. 256M)")
-	trace := flag.String("trace", "", "stream per-stage spans to this file as JSONL (flushed on shutdown)")
+	trace := flag.String("trace", "", "stream per-stage spans to this file as JSONL (gzip when the path ends in .gz; flushed on shutdown)")
 	manifestPath := flag.String("manifest", "", "write a run manifest to this JSON file on shutdown")
 	stats := flag.Bool("stats", false, "print per-stage span and cache counters to stderr on shutdown")
 	post := flag.String("post", "", "client mode: POST -data to this URL, print the response, exit")
@@ -108,15 +108,8 @@ func main() {
 	}
 	opts := core.DefaultOptions()
 	opts.Platform = platform.MIPS(*mhz, dev)
-	switch *alg {
-	case "90-10":
-		opts.Algorithm = core.AlgNinetyTen
-	case "greedy":
-		opts.Algorithm = core.AlgGreedy
-	case "gclp":
-		opts.Algorithm = core.AlgGCLP
-	default:
-		fatal(fmt.Errorf("unknown algorithm %q", *alg))
+	if opts.Algorithm, err = core.ParseAlgorithm(*alg); err != nil {
+		fatal(err)
 	}
 
 	caches := core.NewCaches()

@@ -330,16 +330,10 @@ func (d *daemon) decode(r *http.Request) (*apiRequest, core.Options, error) {
 		}
 		opts.Platform = platform.MIPS(mhz, dev)
 	}
-	switch req.Alg {
-	case "":
-	case "90-10":
-		opts.Algorithm = core.AlgNinetyTen
-	case "greedy":
-		opts.Algorithm = core.AlgGreedy
-	case "gclp":
-		opts.Algorithm = core.AlgGCLP
-	default:
-		return nil, core.Options{}, fmt.Errorf("unknown algorithm %q", req.Alg)
+	if req.Alg != "" {
+		if opts.Algorithm, err = core.ParseAlgorithm(req.Alg); err != nil {
+			return nil, core.Options{}, err
+		}
 	}
 	if req.AreaBudgetGates > 0 {
 		opts.AreaBudgetGates = req.AreaBudgetGates

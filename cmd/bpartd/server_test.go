@@ -440,6 +440,8 @@ func TestBadRequests(t *testing.T) {
 		{"/v1/partition", `{"bench":"no-such-bench"}`},
 		{"/v1/partition", `not json`},
 		{"/v1/sweep", `{"bench":"crc","sweep":"nope"}`},
+		{"/v1/partition", `{"bench":"crc","alg":"nope"}`},
+		{"/v1/partition", `{"bench":"crc","device":"nope"}`},
 	} {
 		resp, err := ts.Client().Post(ts.URL+tc.route, "application/json", strings.NewReader(tc.body))
 		if err != nil {

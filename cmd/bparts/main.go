@@ -29,6 +29,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -46,43 +47,56 @@ import (
 )
 
 func main() {
-	mhz := flag.Float64("mhz", 200, "CPU clock in MHz")
-	device := flag.String("device", "XC2V2000", "Virtex-II device")
-	alg := flag.String("alg", "90-10", "partitioning algorithm: 90-10, greedy, gclp")
-	whole := flag.Bool("whole", false, "partition whole call-free functions instead of loops")
-	structure := flag.Bool("structure", false, "print recovered control structure per function")
-	jumpTables := flag.Bool("jumptables", true, "recover switch jump tables at indirect jumps (=false reproduces the paper's failures)")
-	vhdlDir := flag.String("vhdl", "", "directory to write VHDL for selected regions")
-	workers := flag.Int("j", runtime.GOMAXPROCS(0), "worker pool size when partitioning several binaries")
-	cacheDir := flag.String("cachedir", "", "directory for the on-disk stage cache (empty: memory only)")
-	cacheDirMax := flag.String("cachedir-max", "", "byte budget for -cachedir (e.g. 256M); oldest-mtime blobs are evicted past it (empty: unbounded)")
-	stats := flag.Bool("stats", false, "print per-stage span and cache counters to stderr")
-	trace := flag.String("trace", "", "stream per-stage spans to this file as JSONL")
-	manifestPath := flag.String("manifest", "", "write a run manifest (config, git, per-stage totals, cache accounting) to this JSON file")
-	debugAddr := flag.String("debug-addr", "", "serve expvar + net/pprof on this address (e.g. :6060)")
-	sweep := flag.String("sweep", "", "sweep mode: devices (Virtex-II catalog) or clocks (see -clocks)")
-	clockList := flag.String("clocks", "40,100,200,400", "CPU clocks in MHz for -sweep clocks")
-	flag.Parse()
-	if flag.NArg() < 1 {
-		fmt.Fprintln(os.Stderr, "usage: bparts [flags] program.sbf...")
-		os.Exit(2)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command over explicit arguments and output streams,
+// returning the process exit code: 2 for a usage error, 1 for any other
+// failure, 0 for a clean run. A failing input does not cut the run short:
+// every other report still prints, and the stats, trace trailer and
+// manifest are still written before the exit code is settled.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("bparts", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	mhz := fs.Float64("mhz", 200, "CPU clock in MHz")
+	device := fs.String("device", "XC2V2000", "Virtex-II device")
+	alg := fs.String("alg", "90-10", "partitioning algorithm: 90-10, greedy, gclp")
+	whole := fs.Bool("whole", false, "partition whole call-free functions instead of loops")
+	structure := fs.Bool("structure", false, "print recovered control structure per function")
+	jumpTables := fs.Bool("jumptables", true, "recover switch jump tables at indirect jumps (=false reproduces the paper's failures)")
+	vhdlDir := fs.String("vhdl", "", "directory to write VHDL for selected regions")
+	workers := fs.Int("j", runtime.GOMAXPROCS(0), "worker pool size when partitioning several binaries")
+	cacheDir := fs.String("cachedir", "", "directory for the on-disk stage cache (empty: memory only)")
+	cacheDirMax := fs.String("cachedir-max", "", "byte budget for -cachedir (e.g. 256M); oldest-mtime blobs are evicted past it (empty: unbounded)")
+	stats := fs.Bool("stats", false, "print per-stage span and cache counters to stderr")
+	trace := fs.String("trace", "", "stream per-stage spans to this file as JSONL (gzip when the path ends in .gz)")
+	manifestPath := fs.String("manifest", "", "write a run manifest (config, git, per-stage totals, cache accounting) to this JSON file")
+	debugAddr := fs.String("debug-addr", "", "serve expvar + net/pprof + Prometheus /metrics on this address (e.g. :6060)")
+	sweep := fs.String("sweep", "", "sweep mode: devices (Virtex-II catalog) or clocks (see -clocks)")
+	clockList := fs.String("clocks", "40,100,200,400", "CPU clocks in MHz for -sweep clocks")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() < 1 {
+		fmt.Fprintln(stderr, "usage: bparts [flags] program.sbf...")
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 
 	dev, err := fpga.ByName(*device)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	opts := core.DefaultOptions()
 	opts.Platform = platform.MIPS(*mhz, dev)
-	switch *alg {
-	case "90-10":
-		opts.Algorithm = core.AlgNinetyTen
-	case "greedy":
-		opts.Algorithm = core.AlgGreedy
-	case "gclp":
-		opts.Algorithm = core.AlgGCLP
-	default:
-		fatal(fmt.Errorf("unknown algorithm %q", *alg))
+	if opts.Algorithm, err = core.ParseAlgorithm(*alg); err != nil {
+		return fail(err)
 	}
 	if *whole {
 		opts.Granularity = core.GranFunctions
@@ -96,12 +110,12 @@ func main() {
 		for _, s := range strings.Split(*clockList, ",") {
 			v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
 			if err != nil || v <= 0 {
-				fatal(fmt.Errorf("bad -clocks entry %q", s))
+				return fail(fmt.Errorf("bad -clocks entry %q", s))
 			}
 			clocks = append(clocks, v)
 		}
 	default:
-		fatal(fmt.Errorf("unknown sweep mode %q (want devices or clocks)", *sweep))
+		return fail(fmt.Errorf("unknown sweep mode %q (want devices or clocks)", *sweep))
 	}
 
 	caches := core.NewCaches()
@@ -110,11 +124,11 @@ func main() {
 		if *cacheDirMax != "" {
 			maxBytes, err = cache.ParseByteSize(*cacheDirMax)
 			if err != nil {
-				fatal(err)
+				return fail(err)
 			}
 		}
 		if _, err := caches.WithDiskMax(*cacheDir, maxBytes); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	}
 	// A recorder only when some surface will read it; nil keeps the flow
@@ -124,15 +138,6 @@ func main() {
 		rec = obs.NewRecorder()
 		rec.SetTrace(obs.NewTraceID())
 	}
-	var traceFile *obs.TraceWriter
-	if *trace != "" {
-		tw, err := obs.CreateTrace(*trace)
-		if err != nil {
-			fatal(err)
-		}
-		traceFile = tw
-		rec.StreamTo(tw.Writer())
-	}
 	if *debugAddr != "" {
 		dbg, err := obs.ServeDebug(*debugAddr, obs.DebugSources{
 			Rec:           rec,
@@ -140,13 +145,22 @@ func main() {
 			DiskLatencies: caches.DiskLatencyMap,
 		})
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		defer dbg.Close()
-		fmt.Fprintf(os.Stderr, "debug listener on http://%s/debug/vars (metrics on /metrics)\n", dbg.Addr())
+		fmt.Fprintf(stderr, "debug listener on http://%s/debug/vars (metrics on /metrics)\n", dbg.Addr())
+	}
+	var traceFile *obs.TraceWriter
+	if *trace != "" {
+		tw, err := obs.CreateTrace(*trace)
+		if err != nil {
+			return fail(err)
+		}
+		traceFile = tw
+		rec.StreamTo(tw.Writer())
 	}
 
-	paths := flag.Args()
+	paths := fs.Args()
 	outputs := make([]string, len(paths))
 	errs := make([]error, len(paths))
 	pool := *workers
@@ -180,34 +194,39 @@ func main() {
 	close(jobCh)
 	wg.Wait()
 
+	code := 0
+	printed := 0
 	for i := range paths {
 		if errs[i] != nil {
-			fatal(errs[i])
+			code = fail(errs[i])
+			continue
 		}
-		if i > 0 {
-			fmt.Println()
+		if printed > 0 {
+			fmt.Fprintln(stdout)
 		}
-		fmt.Print(outputs[i])
+		fmt.Fprint(stdout, outputs[i])
+		printed++
 	}
 	if *stats {
-		fmt.Fprint(os.Stderr, rec.Table())
-		fmt.Fprint(os.Stderr, caches.StatsString())
+		fmt.Fprint(stderr, rec.Table())
+		fmt.Fprint(stderr, caches.StatsString())
 	}
 	if traceFile != nil {
 		rec.EmitCaches(caches.StatsMap())
 		if err := rec.Flush(); err != nil {
-			fatal(fmt.Errorf("trace: %w", err))
+			code = fail(fmt.Errorf("trace: %w", err))
 		}
 		if err := traceFile.Close(); err != nil {
-			fatal(fmt.Errorf("trace: %w", err))
+			code = fail(fmt.Errorf("trace: %w", err))
 		}
 	}
 	if *manifestPath != "" {
-		m := obs.BuildManifest("bparts", os.Args[1:], pool, rec, caches.StatsMap())
+		m := obs.BuildManifest("bparts", args, pool, rec, caches.StatsMap())
 		if err := m.Write(*manifestPath); err != nil {
-			fatal(fmt.Errorf("manifest: %w", err))
+			code = fail(fmt.Errorf("manifest: %w", err))
 		}
 	}
+	return code
 }
 
 // sweepOne analyzes one binary once and prices every sweep point with
@@ -297,9 +316,4 @@ func partitionOne(path string, opts core.Options, caches *core.Caches,
 		}
 	}
 	return b.String(), nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
 }

@@ -9,7 +9,6 @@
 //	experiments -ablation    # partitioner + pass ablations
 //	experiments -corpus 1000 # differential fuzz corpus of generated programs
 //	experiments -corpus 1000 -corpus-seed 7 -corpus-out sum.json
-//	experiments -engines     # simulator engine ablation (batched, differential)
 //	experiments -j 8         # fan sweep points over 8 workers
 //	experiments -cachedir d  # persist the stage cache under d
 //	experiments -cachedir d -cachedir-max 256M  # bound it (oldest-mtime eviction)
@@ -50,7 +49,6 @@ func main() {
 	corpusN := flag.Int("corpus", 0, "sweep N generated switch-shaped programs through the differential corpus (0: off)")
 	corpusSeed := flag.Int64("corpus-seed", 1, "first generator seed for -corpus")
 	corpusOut := flag.String("corpus-out", "", "write the corpus summary (recovery rate, speedup distribution, mismatches) to this JSON file")
-	engines := flag.Bool("engines", false, "run the simulator engine ablation (batched differential of the threaded engine against the reference)")
 	workers := flag.Int("j", runtime.GOMAXPROCS(0), "worker pool size for experiment sweeps")
 	cacheDir := flag.String("cachedir", "", "directory for the on-disk stage cache (empty: memory only)")
 	cacheDirMax := flag.String("cachedir-max", "", "byte budget for -cachedir (e.g. 256M); oldest-mtime blobs are evicted past it (empty: unbounded)")
@@ -167,7 +165,7 @@ func main() {
 		os.Exit(2)
 	}()
 
-	all := *table == 0 && *figure == 0 && !*ablation && !*extension && *corpusN == 0 && !*engines
+	all := *table == 0 && *figure == 0 && !*ablation && !*extension && *corpusN == 0
 	// A failure no longer exits on the spot: it skips the remaining
 	// experiments and falls through to the tail, so the trace and
 	// manifest always flush — the exit code is settled at the bottom.
@@ -206,24 +204,6 @@ func main() {
 	}
 	if all || *extension {
 		run("extension 1", func() (fmt.Stringer, error) { return wrap(runner.JumpTableExtension()) })
-	}
-	// Like the corpus, the ablation runs only when asked for: its table
-	// contains measured wall/CPU times, which would break the
-	// serial-vs-parallel byte-identity of the default full run.
-	if *engines && !failed {
-		switch abl, err := runner.EngineAblation(); {
-		case err != nil:
-			fmt.Fprintf(os.Stderr, "engine ablation: %v\n", err)
-			failed = true
-		default:
-			fmt.Println(abl.Format())
-			// The ablation is a differential gate: the threaded engine
-			// deviating from the reference stepper fails the run.
-			if !abl.Identical() {
-				fmt.Fprintln(os.Stderr, "engine ablation: engines are not bit-identical")
-				failed = true
-			}
-		}
 	}
 	if *corpusN > 0 && !failed {
 		switch corpus, err := runner.Corpus(*corpusN, *corpusSeed); {

@@ -273,39 +273,29 @@ func (c *Cache[V]) DiskLatency() (snap hist.Snapshot, ok bool) {
 // Get returns the cached value for k, consulting memory then the disk
 // tier. Disk I/O runs outside the cache lock.
 func (c *Cache[V]) Get(k Key) (V, bool) {
-	v, _, ok := c.GetOutcome(k)
-	return v, ok
-}
-
-// GetOutcome is Get reporting which layer served the lookup (OutcomeMiss
-// or OutcomeCorrupt when it missed). Callers that probe, batch the
-// misses elsewhere, and Put the results back — the corpus harness's
-// reference-simulation phase — use it to emit one span per probe, so
-// span totals still reconcile with the cache counters.
-func (c *Cache[V]) GetOutcome(k Key) (V, Outcome, bool) {
 	var zero V
 	if c == nil {
-		return zero, OutcomeNone, false
+		return zero, false
 	}
 	if v, ok := c.fastGet(k); ok {
-		return v, OutcomeHit, true
+		return v, true
 	}
 	c.mu.Lock()
 	v, ok := c.memLocked(k)
 	c.mu.Unlock()
 	if ok {
-		return v, OutcomeHit, true
+		return v, true
 	}
 	v, out := c.loadDisk(k)
 	if out != OutcomeDisk {
 		c.misses.Add(1)
-		return zero, out, false
+		return zero, false
 	}
 	c.mu.Lock()
 	c.drainPendingLocked()
 	c.insertLocked(k, v)
 	c.mu.Unlock()
-	return v, out, true
+	return v, true
 }
 
 // fastGet is the contention-free hit path: a read lock, an atomic hit

@@ -138,11 +138,7 @@ func computeAnalysis(img *binimg.Image, opts Options, caches *Caches, sc *obs.Sc
 	}
 
 	// 1. Profile the all-software execution.
-	simSp := sc.Start(obs.StageSim)
-	res, simOut, err := simulate(img, opts, imgKey, caches)
-	simSp.SetOutcome(simOut)
-	simSp.SetInstrs(res.Steps)
-	simSp.End()
+	res, err := Simulate(img, opts.Sim, caches, sc)
 	if err != nil {
 		return nil, fmt.Errorf("core: software simulation: %w", err)
 	}
@@ -317,14 +313,25 @@ func evaluateOpts(a *Analysis, opts Options, sc *obs.Scope) *Report {
 	return rep
 }
 
-// simulate is stage 1 behind its cache, reporting how the cache served it
-// (OutcomeNone when uncached).
-func simulate(img *binimg.Image, opts Options, imgKey cache.Key, caches *Caches) (sim.Result, cache.Outcome, error) {
+// Simulate is stage 1 of the flow behind the sim cache: it executes img
+// under cfg (or serves the result from caches.Sim, keyed by the image and
+// every cfg field, engine included) and records a sim span with the cache
+// outcome and the instructions retired. Nil caches and a nil scope are
+// both allowed.
+func Simulate(img *binimg.Image, cfg sim.Config, caches *Caches, sc *obs.Scope) (sim.Result, error) {
+	sp := sc.Start(obs.StageSim)
+	var res sim.Result
+	var err error
 	if caches != nil && caches.Sim != nil {
-		return caches.Sim.GetOrComputeOutcome(simKey(imgKey, opts.Sim), func() (sim.Result, error) {
-			return sim.Execute(img, opts.Sim)
+		var out cache.Outcome
+		res, out, err = caches.Sim.GetOrComputeOutcome(simKey(img.Key(), cfg), func() (sim.Result, error) {
+			return sim.Execute(img, cfg)
 		})
+		sp.SetOutcome(out)
+	} else {
+		res, err = sim.Execute(img, cfg)
 	}
-	res, err := sim.Execute(img, opts.Sim)
-	return res, cache.OutcomeNone, err
+	sp.SetInstrs(res.Steps)
+	sp.End()
+	return res, err
 }

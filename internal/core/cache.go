@@ -185,13 +185,6 @@ func simKey(imgKey cache.Key, cfg sim.Config) cache.Key {
 	return h.Sum()
 }
 
-// SimKey exposes the simulation stage's cache key so batch front-ends
-// (the experiment corpus harness) can pre-warm Caches.Sim with results
-// produced by sim.RunBatch.
-func SimKey(imgKey cache.Key, cfg sim.Config) cache.Key {
-	return simKey(imgKey, cfg)
-}
-
 func liftKey(imgKey cache.Key, dec decompile.Options, cfg dopt.Config) cache.Key {
 	h := cache.NewHasher("lift")
 	h.Bytes(imgKey[:]).Bool(dec.RecoverJumpTables)

@@ -20,6 +20,7 @@
 package core
 
 import (
+	"fmt"
 	"time"
 
 	"binpart/internal/alias"
@@ -53,6 +54,16 @@ func (a Algorithm) String() string {
 		return "gclp"
 	}
 	return "unknown"
+}
+
+// ParseAlgorithm is the inverse of Algorithm.String.
+func ParseAlgorithm(name string) (Algorithm, error) {
+	for _, a := range []Algorithm{AlgNinetyTen, AlgGreedy, AlgGCLP} {
+		if a.String() == name {
+			return a, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown algorithm %q", name)
 }
 
 // Granularity selects the regions offered to the partitioner.

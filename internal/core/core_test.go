@@ -157,6 +157,17 @@ func TestAlgorithmsProduceValidPartitions(t *testing.T) {
 	}
 }
 
+func TestParseAlgorithmRoundTrip(t *testing.T) {
+	for _, a := range []Algorithm{AlgNinetyTen, AlgGreedy, AlgGCLP} {
+		if got, err := ParseAlgorithm(a.String()); err != nil || got != a {
+			t.Errorf("ParseAlgorithm(%q) = %v, %v; want %v", a.String(), got, err, a)
+		}
+	}
+	if _, err := ParseAlgorithm("nope"); err == nil || err.Error() != `unknown algorithm "nope"` {
+		t.Errorf("ParseAlgorithm(\"nope\") error = %v", err)
+	}
+}
+
 func TestRecoveryStatsPopulated(t *testing.T) {
 	rep := runBench(t, "matmul", 3, DefaultOptions())
 	if rep.Recovery.FuncsRecovered == 0 || rep.Recovery.LoopsFound == 0 {

@@ -167,6 +167,24 @@ func TestManifestReconciliation(t *testing.T) {
 	}
 }
 
+// TestCorpusReconciles runs a traced corpus cold, then warm, over one
+// cache set: the reference-oracle sims record through core.Simulate like
+// every other sim, so span outcomes must reconcile with the cache
+// counters after each run.
+func TestCorpusReconciles(t *testing.T) {
+	caches := core.NewCaches()
+	r := NewRunner(2, caches)
+	r.Obs = obs.NewRecorder()
+	for _, run := range []string{"cold", "warm"} {
+		if _, err := r.Corpus(8, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Obs.Reconcile(caches.StatsMap()); err != nil {
+			t.Errorf("%s corpus run: %v", run, err)
+		}
+	}
+}
+
 // TestMetricsScrapeDuringSweep hammers the /metrics endpoint from four
 // scraper goroutines while an 8-worker sweep runs underneath it. Every
 // scrape must return 200 with well-formed exposition text (scrapes see a
