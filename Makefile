@@ -47,11 +47,11 @@ corpus-smoke:
 		-corpus-out /tmp/binpart-corpus-summary.json >/dev/null
 
 # The partitioning daemon end to end over a real process: priced
-# partition + streamed sweep over HTTP, ops /metrics scrape, sustained
-# load above 1000 req/s on the warm Analysis cache, then SIGTERM under
-# load asserting the clean-drain contract (exit 0, reconciled trace,
-# un-interrupted manifest, addr files removed). Artifacts land in
-# /tmp/binpart-bpartd.
+# partition + streamed sweep over HTTP with curl, ops /metrics scrape, a
+# perfbench warm-partition run holding 1000 req/s with every response
+# correct, then SIGTERM under a curl load loop asserting the clean-drain
+# contract (exit 0, reconciled trace, un-interrupted manifest, addr files
+# removed). Needs curl and jq. Artifacts land in /tmp/binpart-bpartd.
 bpartd-smoke:
 	sh scripts/bpartd-smoke.sh
 

@@ -11,23 +11,20 @@
 // core.RenderReport and friends.
 //
 // Serving backbone: a bounded admission queue (-queue; full returns 429
-// with Retry-After), a bounded execution pool (-inflight), per-tenant
-// token-bucket rate limits keyed on the X-Tenant header (-tenant-rps),
-// and a per-request deadline (-deadline). SIGINT/SIGTERM drains
-// in-flight requests (-drain budget), flushes the -trace stream and
-// -manifest, verifies the span/cache reconciliation invariant, and exits
-// 0 only when all of that succeeded.
+// with Retry-After), a bounded execution pool (-inflight), and a
+// per-request deadline (-deadline). SIGINT/SIGTERM drains in-flight
+// requests (-drain budget), flushes the -trace stream and -manifest,
+// verifies the span/cache reconciliation invariant, and exits 0 only
+// when all of that succeeded.
 //
 // Ops surface (-ops-addr): /healthz, /readyz (503 while draining),
 // /metrics (the shared binpart exposition plus bpartd_* serving
-// families), expvar, and net/pprof — obs.ServeDebug promoted to a
-// daemon lifecycle.
+// families), and net/pprof — obs.ServeDebug promoted to a daemon
+// lifecycle.
 //
-// Client modes (same binary, for scripts and the smoke test):
+// bpartd is a server only; any HTTP client drives it, e.g.
 //
-//	bpartd -post URL -data '{"bench":"crc","opt":1}'   # POST JSON, print response
-//	bpartd -get URL                                    # GET, print body
-//	bpartd -loadgen URL -loadgen-duration 2s           # sustained load + latency report
+//	curl -d '{"bench":"crc","opt":1}' http://127.0.0.1:8080/v1/partition
 package main
 
 import (
@@ -52,12 +49,10 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "serve the v1 API on this address (\":0\" picks a free port)")
 	addrFile := flag.String("addr-file", "", "also write the bound API address to this file (removed on clean exit)")
-	opsAddr := flag.String("ops-addr", "", "serve /healthz, /readyz, /metrics, expvar, pprof on this address")
+	opsAddr := flag.String("ops-addr", "", "serve /healthz, /readyz, /metrics, pprof on this address")
 	opsAddrFile := flag.String("ops-addr-file", "", "with -ops-addr, also write the bound ops address to this file (removed on clean exit)")
 	queue := flag.Int("queue", 64, "admission bound: max requests admitted (waiting + executing); beyond it POSTs get 429")
 	inflight := flag.Int("inflight", runtime.GOMAXPROCS(0), "execution bound: max requests partitioning concurrently")
-	tenantRPS := flag.Float64("tenant-rps", 0, "per-tenant token-bucket refill rate in req/s, keyed on X-Tenant (0: unlimited)")
-	tenantBurst := flag.Float64("tenant-burst", 0, "per-tenant bucket depth (0: 2x -tenant-rps)")
 	deadline := flag.Duration("deadline", 30*time.Second, "per-request deadline (admission wait + compute)")
 	drain := flag.Duration("drain", 10*time.Second, "shutdown budget for draining in-flight requests")
 	mhz := flag.Float64("mhz", 200, "default CPU clock in MHz (request \"mhz\" overrides)")
@@ -68,28 +63,7 @@ func main() {
 	trace := flag.String("trace", "", "stream per-stage spans to this file as JSONL (gzip when the path ends in .gz; flushed on shutdown)")
 	manifestPath := flag.String("manifest", "", "write a run manifest to this JSON file on shutdown")
 	stats := flag.Bool("stats", false, "print per-stage span and cache counters to stderr on shutdown")
-	post := flag.String("post", "", "client mode: POST -data to this URL, print the response, exit")
-	get := flag.String("get", "", "client mode: GET this URL, print the body, exit")
-	data := flag.String("data", "", "request body for -post (a JSON string, or @file)")
-	loadgen := flag.String("loadgen", "", "client mode: drive sustained load at this /v1/partition URL, print throughput + latency, exit")
-	lgBench := flag.String("loadgen-bench", "crc", "benchmark the load generator posts")
-	lgOpt := flag.Int("loadgen-opt", 1, "opt level the load generator posts")
-	lgConns := flag.Int("loadgen-conns", 4, "concurrent load-generator connections")
-	lgDur := flag.Duration("loadgen-duration", 2*time.Second, "how long the load generator runs")
-	lgMinRPS := flag.Float64("loadgen-min-rps", 0, "exit nonzero when sustained req/s falls below this")
 	flag.Parse()
-
-	switch {
-	case *get != "":
-		os.Exit(clientGet(*get))
-	case *post != "":
-		os.Exit(clientPost(*post, *data))
-	case *loadgen != "":
-		os.Exit(runLoadgen(loadgenConfig{
-			url: *loadgen, bench: *lgBench, opt: *lgOpt,
-			conns: *lgConns, dur: *lgDur, minRPS: *lgMinRPS,
-		}))
-	}
 
 	// Signals are watched from before the listener opens: a SIGTERM at
 	// any point of the daemon's life must run the drain path, not die by
@@ -139,14 +113,12 @@ func main() {
 	}
 
 	d := newDaemon(daemonConfig{
-		Opts:        opts,
-		Caches:      caches,
-		Rec:         rec,
-		Queue:       *queue,
-		Inflight:    *inflight,
-		TenantRPS:   *tenantRPS,
-		TenantBurst: *tenantBurst,
-		Deadline:    *deadline,
+		Opts:     opts,
+		Caches:   caches,
+		Rec:      rec,
+		Queue:    *queue,
+		Inflight: *inflight,
+		Deadline: *deadline,
 	})
 
 	var dbg *obs.DebugServer

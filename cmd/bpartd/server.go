@@ -3,9 +3,9 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"sort"
 	"sync"
@@ -85,18 +85,16 @@ type sweepChunk struct {
 }
 
 type daemonConfig struct {
-	Opts        core.Options
-	Caches      *core.Caches
-	Rec         *obs.Recorder
-	Queue       int
-	Inflight    int
-	TenantRPS   float64
-	TenantBurst float64
-	Deadline    time.Duration
+	Opts     core.Options
+	Caches   *core.Caches
+	Rec      *obs.Recorder
+	Queue    int
+	Inflight int
+	Deadline time.Duration
 }
 
-// daemon is the serving core: admission, rate limits, the two API
-// handlers, and the counters /metrics exposes.
+// daemon is the serving core: admission, the two API handlers, and the
+// counters /metrics exposes.
 type daemon struct {
 	opts     core.Options
 	caches   *core.Caches
@@ -110,15 +108,10 @@ type daemon struct {
 
 	draining atomic.Bool
 
-	rps, burst float64
-	tenantMu   sync.Mutex
-	tenants    map[string]*tokenBucket
-
-	served                      atomic.Uint64
-	codes                       [2]syncCounters // indexed by route
-	rejectQueue, rejectRate     atomic.Uint64
-	rejectDrain, rejectDeadline atomic.Uint64
-	lat                         [2]hist.Histogram
+	served                                   atomic.Uint64
+	codes                                    [2]syncCounters // indexed by route
+	rejectQueue, rejectDrain, rejectDeadline atomic.Uint64
+	lat                                      [2]hist.Histogram
 
 	// gate, when set by a test, runs while the request holds its
 	// execution slot — how the e2e tests pin a request in flight.
@@ -160,14 +153,6 @@ func (c *syncCounters) snapshot() map[int]uint64 {
 	return out
 }
 
-// tokenBucket is a hand-rolled token bucket (stdlib only — no
-// golang.org/x/time dependency): refilled at rps up to burst, one token
-// per request.
-type tokenBucket struct {
-	tokens float64
-	last   time.Time
-}
-
 func newDaemon(cfg daemonConfig) *daemon {
 	if cfg.Queue < 1 {
 		cfg.Queue = 1
@@ -181,10 +166,6 @@ func newDaemon(cfg daemonConfig) *daemon {
 	if cfg.Deadline <= 0 {
 		cfg.Deadline = 30 * time.Second
 	}
-	burst := cfg.TenantBurst
-	if burst <= 0 {
-		burst = 2 * cfg.TenantRPS
-	}
 	d := &daemon{
 		opts:     cfg.Opts,
 		caches:   cfg.Caches,
@@ -192,9 +173,6 @@ func newDaemon(cfg daemonConfig) *daemon {
 		deadline: cfg.Deadline,
 		queue:    make(chan struct{}, cfg.Queue),
 		slots:    make(chan int, cfg.Inflight),
-		rps:      cfg.TenantRPS,
-		burst:    burst,
-		tenants:  map[string]*tokenBucket{},
 	}
 	for i := 0; i < cfg.Inflight; i++ {
 		d.slots <- i
@@ -238,46 +216,15 @@ func (d *daemon) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintln(w, "ready")
 }
 
-// allowTenant charges the request's tenant (X-Tenant header, ""
-// otherwise) one token.
-func (d *daemon) allowTenant(r *http.Request) bool {
-	if d.rps <= 0 {
-		return true
-	}
-	tenant := r.Header.Get("X-Tenant")
-	now := time.Now()
-	d.tenantMu.Lock()
-	defer d.tenantMu.Unlock()
-	b := d.tenants[tenant]
-	if b == nil {
-		b = &tokenBucket{tokens: d.burst, last: now}
-		d.tenants[tenant] = b
-	}
-	b.tokens = math.Min(d.burst, b.tokens+now.Sub(b.last).Seconds()*d.rps)
-	b.last = now
-	if b.tokens < 1 {
-		return false
-	}
-	b.tokens--
-	return true
-}
-
-// admit runs the admission pipeline: draining check, tenant rate limit,
-// bounded queue (429 + Retry-After when full), then an execution slot
-// under the request deadline. On success the caller owns a slot and
-// must call the returned release.
+// admit runs the admission pipeline: draining check, bounded queue
+// (429 + Retry-After when full), then an execution slot under the
+// request deadline. On success the caller owns a slot and must call the
+// returned release.
 func (d *daemon) admit(w http.ResponseWriter, r *http.Request, route int) (release func(), worker int, ok bool) {
 	if d.draining.Load() {
 		d.rejectDrain.Add(1)
 		d.codes[route].add(http.StatusServiceUnavailable)
 		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return nil, 0, false
-	}
-	if !d.allowTenant(r) {
-		d.rejectRate.Add(1)
-		d.codes[route].add(http.StatusTooManyRequests)
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, "tenant rate limit", http.StatusTooManyRequests)
 		return nil, 0, false
 	}
 	select {
@@ -301,11 +248,25 @@ func (d *daemon) admit(w http.ResponseWriter, r *http.Request, route int) (relea
 	}
 }
 
+// maxBodyBytes bounds a request body, SBF upload included.
+const maxBodyBytes = 16 << 20
+
+// fail answers a request the daemon cannot serve: 413 naming the limit
+// for a body over maxBodyBytes, 400 with the error for anything else.
+func (d *daemon) fail(w http.ResponseWriter, route int, err error) {
+	code, msg := http.StatusBadRequest, err.Error()
+	if errors.As(err, new(*http.MaxBytesError)) {
+		code, msg = http.StatusRequestEntityTooLarge, fmt.Sprintf("request body over the %d MiB limit", maxBodyBytes>>20)
+	}
+	d.codes[route].add(code)
+	http.Error(w, msg, code)
+}
+
 // decode parses and validates the request body against the daemon's
 // default options.
-func (d *daemon) decode(r *http.Request) (*apiRequest, core.Options, error) {
+func (d *daemon) decode(w http.ResponseWriter, r *http.Request) (*apiRequest, core.Options, error) {
 	var req apiRequest
-	body, err := io.ReadAll(io.LimitReader(r.Body, 16<<20))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		return nil, core.Options{}, err
 	}
@@ -392,10 +353,9 @@ func (d *daemon) handlePartition(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), d.deadline)
 	defer cancel()
 
-	req, opts, err := d.decode(r)
+	req, opts, err := d.decode(w, r)
 	if err != nil {
-		d.codes[routePartition].add(http.StatusBadRequest)
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		d.fail(w, routePartition, err)
 		return
 	}
 	if ctx.Err() != nil {
@@ -414,8 +374,7 @@ func (d *daemon) handlePartition(w http.ResponseWriter, r *http.Request) {
 	}()
 	sp.End()
 	if err != nil {
-		d.codes[routePartition].add(http.StatusBadRequest)
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		d.fail(w, routePartition, err)
 		return
 	}
 
@@ -447,15 +406,13 @@ func (d *daemon) handleSweep(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), d.deadline)
 	defer cancel()
 
-	req, opts, err := d.decode(r)
+	req, opts, err := d.decode(w, r)
 	if err != nil {
-		d.codes[routeSweep].add(http.StatusBadRequest)
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		d.fail(w, routeSweep, err)
 		return
 	}
 	if req.Sweep != "devices" && req.Sweep != "clocks" {
-		d.codes[routeSweep].add(http.StatusBadRequest)
-		http.Error(w, fmt.Sprintf("unknown sweep mode %q (want devices or clocks)", req.Sweep), http.StatusBadRequest)
+		d.fail(w, routeSweep, fmt.Errorf("unknown sweep mode %q (want devices or clocks)", req.Sweep))
 		return
 	}
 	if req.Sweep == "clocks" && len(req.Clocks) == 0 {
@@ -473,8 +430,7 @@ func (d *daemon) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}()
 	if err != nil {
 		sp.End()
-		d.codes[routeSweep].add(http.StatusBadRequest)
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		d.fail(w, routeSweep, err)
 		return
 	}
 
@@ -533,7 +489,6 @@ func (d *daemon) WriteMetrics(w io.Writer) {
 		}
 	}
 	p.Counter("bpartd_rejected_total", hist.Label("reason", "queue"), float64(d.rejectQueue.Load()))
-	p.Counter("bpartd_rejected_total", hist.Label("reason", "rate"), float64(d.rejectRate.Load()))
 	p.Counter("bpartd_rejected_total", hist.Label("reason", "draining"), float64(d.rejectDrain.Load()))
 	p.Counter("bpartd_rejected_total", hist.Label("reason", "deadline"), float64(d.rejectDeadline.Load()))
 	p.Gauge("bpartd_queue_depth", "", float64(len(d.queue)))

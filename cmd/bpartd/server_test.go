@@ -241,36 +241,6 @@ func TestQueueFullReturns429(t *testing.T) {
 	}
 }
 
-// TestTenantRateLimit exhausts one tenant's bucket and checks the next
-// request from that tenant is 429 while another tenant still passes.
-func TestTenantRateLimit(t *testing.T) {
-	d := testDaemon(t, daemonConfig{TenantRPS: 0.001, TenantBurst: 1})
-	ts := httptest.NewServer(d.Mux())
-	defer ts.Close()
-
-	post := func(tenant string) int {
-		body, _ := json.Marshal(apiRequest{Bench: "crc", Opt: 1})
-		req, _ := http.NewRequest("POST", ts.URL+"/v1/partition", bytes.NewReader(body))
-		req.Header.Set("X-Tenant", tenant)
-		resp, err := ts.Client().Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body) //nolint:errcheck
-		resp.Body.Close()
-		return resp.StatusCode
-	}
-	if code := post("a"); code != http.StatusOK {
-		t.Fatalf("tenant a first request: %d", code)
-	}
-	if code := post("a"); code != http.StatusTooManyRequests {
-		t.Errorf("tenant a second request = %d, want 429", code)
-	}
-	if code := post("b"); code != http.StatusOK {
-		t.Errorf("tenant b first request = %d, want 200 (buckets must be per-tenant)", code)
-	}
-}
-
 // TestInflightCompletesAcrossShutdown holds a request in flight, starts
 // a graceful Shutdown, and checks the request still completes with 200
 // while new requests are refused (draining).
@@ -426,31 +396,37 @@ func TestMetricsScrapeableMidLoad(t *testing.T) {
 	}
 }
 
-// TestBadRequests covers the 400 paths: no binary named, unknown bench,
-// unknown sweep mode, malformed JSON.
+// TestBadRequests covers the refusal paths: no binary named, unknown
+// bench, unknown sweep mode, malformed JSON (400), and a body over the
+// size limit (413 naming the limit, not a truncated-JSON 400).
 func TestBadRequests(t *testing.T) {
 	d := testDaemon(t, daemonConfig{})
 	ts := httptest.NewServer(d.Mux())
 	defer ts.Close()
 
+	oversized := `{"bench":"crc","pad":"` + strings.Repeat("x", maxBodyBytes) + `"}`
 	for _, tc := range []struct {
 		route, body string
+		want        int
 	}{
-		{"/v1/partition", `{}`},
-		{"/v1/partition", `{"bench":"no-such-bench"}`},
-		{"/v1/partition", `not json`},
-		{"/v1/sweep", `{"bench":"crc","sweep":"nope"}`},
-		{"/v1/partition", `{"bench":"crc","alg":"nope"}`},
-		{"/v1/partition", `{"bench":"crc","device":"nope"}`},
+		{"/v1/partition", `{}`, http.StatusBadRequest},
+		{"/v1/partition", `{"bench":"no-such-bench"}`, http.StatusBadRequest},
+		{"/v1/partition", `not json`, http.StatusBadRequest},
+		{"/v1/sweep", `{"bench":"crc","sweep":"nope"}`, http.StatusBadRequest},
+		{"/v1/partition", `{"bench":"crc","alg":"nope"}`, http.StatusBadRequest},
+		{"/v1/partition", `{"bench":"crc","device":"nope"}`, http.StatusBadRequest},
+		{"/v1/partition", oversized, http.StatusRequestEntityTooLarge},
 	} {
 		resp, err := ts.Client().Post(ts.URL+tc.route, "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		io.Copy(io.Discard, resp.Body) //nolint:errcheck
+		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s %q: status %d, want 400", tc.route, tc.body, resp.StatusCode)
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s %.40q: status %d, want %d (%s)", tc.route, tc.body, resp.StatusCode, tc.want, body)
+		} else if tc.want == http.StatusRequestEntityTooLarge && !strings.Contains(string(body), "16 MiB") {
+			t.Errorf("413 body %q does not name the limit", body)
 		}
 	}
 }

@@ -21,9 +21,8 @@
 // Observability: -trace streams per-stage spans as JSONL (a .gz path
 // gzip-compresses), -stats prints the per-stage and cache tables with
 // p50/p90/p99 latency columns to stderr, -manifest writes a run
-// manifest, and -debug-addr serves
-// expvar + net/pprof + Prometheus-text /metrics. All of it is off — and
-// alloc-free — by default.
+// manifest, and -debug-addr serves net/pprof + Prometheus-text
+// /metrics. All of it is off — and alloc-free — by default.
 package main
 
 import (
@@ -71,7 +70,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	stats := fs.Bool("stats", false, "print per-stage span and cache counters to stderr")
 	trace := fs.String("trace", "", "stream per-stage spans to this file as JSONL (gzip when the path ends in .gz)")
 	manifestPath := fs.String("manifest", "", "write a run manifest (config, git, per-stage totals, cache accounting) to this JSON file")
-	debugAddr := fs.String("debug-addr", "", "serve expvar + net/pprof + Prometheus /metrics on this address (e.g. :6060)")
+	debugAddr := fs.String("debug-addr", "", "serve net/pprof + Prometheus /metrics on this address (e.g. :6060)")
 	sweep := fs.String("sweep", "", "sweep mode: devices (Virtex-II catalog) or clocks (see -clocks)")
 	clockList := fs.String("clocks", "40,100,200,400", "CPU clocks in MHz for -sweep clocks")
 	if err := fs.Parse(args); err != nil {
@@ -148,7 +147,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 		defer dbg.Close()
-		fmt.Fprintf(stderr, "debug listener on http://%s/debug/vars (metrics on /metrics)\n", dbg.Addr())
+		fmt.Fprintf(stderr, "debug listener on http://%s/metrics (pprof on /debug/pprof/)\n", dbg.Addr())
 	}
 	var traceFile *obs.TraceWriter
 	if *trace != "" {

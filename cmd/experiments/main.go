@@ -15,7 +15,7 @@
 //	experiments -trace t.jsonl     # stream per-stage spans as JSONL (.gz gzips)
 //	experiments -stats             # per-stage span + cache tables (p50/p90/p99) to stderr
 //	experiments -manifest m.json   # write the run manifest (config, git, totals)
-//	experiments -debug-addr :6060  # expvar + net/pprof + /metrics for long sweeps
+//	experiments -debug-addr :6060  # net/pprof + /metrics for long sweeps
 //	experiments -cpuprofile p.out  # write a pprof CPU profile of the run
 //	experiments -memprofile m.out  # write a pprof heap profile at exit
 //
@@ -55,7 +55,7 @@ func main() {
 	stats := flag.Bool("stats", false, "print per-stage span and cache counters to stderr")
 	trace := flag.String("trace", "", "stream per-stage spans to this file as JSONL (gzip when the path ends in .gz)")
 	manifestPath := flag.String("manifest", "", "write a run manifest (config, git, per-stage totals, cache accounting) to this JSON file")
-	debugAddr := flag.String("debug-addr", "", "serve expvar + net/pprof + Prometheus /metrics on this address (e.g. :6060) for long sweeps")
+	debugAddr := flag.String("debug-addr", "", "serve net/pprof + Prometheus /metrics on this address (e.g. :6060) for long sweeps")
 	noCache := flag.Bool("nocache", false, "disable the stage cache entirely")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
@@ -144,7 +144,7 @@ func main() {
 			os.Exit(1)
 		}
 		defer dbg.Close()
-		fmt.Fprintf(os.Stderr, "debug listener on http://%s/debug/vars (metrics on /metrics)\n", dbg.Addr())
+		fmt.Fprintf(os.Stderr, "debug listener on http://%s/metrics (pprof on /debug/pprof/)\n", dbg.Addr())
 	}
 
 	runner := exper.NewRunner(*workers, caches)

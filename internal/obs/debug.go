@@ -2,13 +2,11 @@ package obs
 
 import (
 	"context"
-	"expvar"
 	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"sort"
-	"sync"
 	"time"
 
 	"binpart/internal/cache"
@@ -29,16 +27,6 @@ type DebugSources struct {
 	Extra func(io.Writer)
 }
 
-// debugSources holds what the expvar callbacks read. Set by ServeDebug;
-// the callbacks are registered once per process (expvar.Publish panics on
-// duplicates) and always read the latest sources.
-var debugSources struct {
-	mu  sync.Mutex
-	src DebugSources
-}
-
-var publishOnce sync.Once
-
 // DebugServer is the handle returned by ServeDebug: the ops listener on
 // a properly configured http.Server. Callers register extra routes with
 // Handle before traffic matters and tear the listener down with
@@ -51,32 +39,15 @@ type DebugServer struct {
 }
 
 // ServeDebug starts an HTTP listener for long sweeps and daemons:
-// /debug/vars serves expvar (including binpart.stages, the live
-// per-stage span totals, and binpart.caches, the live cache counters),
 // /debug/pprof/* serves net/pprof, and /metrics serves the Prometheus
-// text exposition — stage counters and latency summaries, disk-tier
-// cache latencies, and whatever src.Extra appends. The listener runs on an http.Server with
-// read-header and idle timeouts so a slow or stalled client cannot
-// wedge it; stop it with Shutdown or Close on the returned handle.
+// text exposition of src — stage counters and latency summaries, cache
+// counters, disk-tier cache latencies, and whatever src.Extra appends.
+// Each listener reads only its own src. The listener runs on an
+// http.Server with read-header and idle timeouts so a slow or stalled
+// client cannot wedge it; stop it with Shutdown or Close on the
+// returned handle.
 func ServeDebug(addr string, src DebugSources) (*DebugServer, error) {
-	debugSources.mu.Lock()
-	debugSources.src = src
-	debugSources.mu.Unlock()
-
-	publishOnce.Do(func() {
-		expvar.Publish("binpart.stages", expvar.Func(func() any {
-			return currentSources().Rec.StageTotals()
-		}))
-		expvar.Publish("binpart.caches", expvar.Func(func() any {
-			if f := currentSources().Caches; f != nil {
-				return f()
-			}
-			return nil
-		}))
-	})
-
 	mux := http.NewServeMux()
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -84,10 +55,9 @@ func ServeDebug(addr string, src DebugSources) (*DebugServer, error) {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		s := currentSources()
-		WriteMetrics(w, s)
-		if s.Extra != nil {
-			s.Extra(w)
+		WriteMetrics(w, src)
+		if src.Extra != nil {
+			src.Extra(w)
 		}
 	})
 
@@ -138,12 +108,6 @@ func (d *DebugServer) Close() error {
 	err := d.srv.Close()
 	<-d.done
 	return err
-}
-
-func currentSources() DebugSources {
-	debugSources.mu.Lock()
-	defer debugSources.mu.Unlock()
-	return debugSources.src
 }
 
 // WriteMetrics renders the sweep-side metrics in the Prometheus text

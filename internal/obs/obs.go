@@ -16,7 +16,7 @@
 // is the only per-span record. The totals surface as a per-stage table at
 // exit (-stats), in a run manifest written alongside sweep output
 // (-manifest, see manifest.go), and, for long sweeps and the daemon, over
-// expvar and /metrics via ServeDebug (debug.go).
+// /metrics via ServeDebug (debug.go).
 package obs
 
 import (

@@ -349,9 +349,9 @@ func TestBuildManifestNil(t *testing.T) {
 	}
 }
 
-// TestServeDebug smoke-tests the -debug-addr listener: expvar must serve
-// the live per-stage totals and cache counters, and /metrics the
-// Prometheus exposition with stage, cache, and disk-tier series.
+// TestServeDebug smoke-tests the -debug-addr listener: /metrics must
+// serve the Prometheus exposition with stage, cache, and disk-tier
+// series.
 func TestServeDebug(t *testing.T) {
 	rec := NewRecorder()
 	sp := rec.Scope("fir", 0, 0).Start(StageSim)
@@ -372,36 +372,7 @@ func TestServeDebug(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dbg.Close()
-	addr := dbg.Addr()
-	client := &http.Client{Timeout: 5 * time.Second}
-	resp, err := client.Get("http://" + addr + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var vars struct {
-		Stages []StageTotal           `json:"binpart.stages"`
-		Caches map[string]cache.Stats `json:"binpart.caches"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
-		t.Fatal(err)
-	}
-	if len(vars.Stages) != 1 || vars.Stages[0].Stage != StageSim {
-		t.Errorf("expvar stages = %+v", vars.Stages)
-	}
-	if vars.Caches["sim"].Hits != 7 {
-		t.Errorf("expvar caches = %+v", vars.Caches)
-	}
-
-	mresp, err := client.Get("http://" + addr + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mresp.Body.Close()
-	body, err := io.ReadAll(mresp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
+	body := scrapeMetrics(t, dbg.Addr())
 	for _, want := range []string{
 		`binpart_stage_spans_total{stage="sim"} 1`,
 		`binpart_cache_hits_total{cache="sim"} 7`,
@@ -414,6 +385,50 @@ func TestServeDebug(t *testing.T) {
 			t.Errorf("/metrics missing %q:\n%s", want, body)
 		}
 	}
+}
+
+// TestServeDebugListenersKeepOwnSources runs two listeners side by side,
+// as a process hosting two recorders would: each /metrics must serve
+// its own recorder's stages and never the other listener's.
+func TestServeDebugListenersKeepOwnSources(t *testing.T) {
+	stages := []string{StageSim, StageLift}
+	addrs := make([]string, len(stages))
+	for i, stage := range stages {
+		rec := NewRecorder()
+		sp := rec.Scope("fir", 0, 0).Start(stage)
+		sp.End()
+		dbg, err := ServeDebug("127.0.0.1:0", DebugSources{Rec: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer dbg.Close()
+		addrs[i] = dbg.Addr()
+	}
+	for i, stage := range stages {
+		body := scrapeMetrics(t, addrs[i])
+		for j, other := range stages {
+			series := []byte(`binpart_stage_spans_total{stage="` + other + `"} 1`)
+			if got := bytes.Contains(body, series); got != (i == j) {
+				t.Errorf("listener for %s: serves %s series = %v, want %v:\n%s", stage, other, got, i == j, body)
+			}
+		}
+	}
+}
+
+// scrapeMetrics fetches a debug listener's /metrics body.
+func scrapeMetrics(t *testing.T, addr string) []byte {
+	t.Helper()
+	client := &http.Client{Timeout: 5 * time.Second}
+	resp, err := client.Get("http://" + addr + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
 }
 
 // TestSpanOutcomeReconciliation pins the span↔counter invariant the
