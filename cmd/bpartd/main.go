@@ -13,9 +13,10 @@
 // Serving backbone: a bounded admission queue (-queue; full returns 429
 // with Retry-After), a bounded execution pool (-inflight), and a
 // per-request deadline (-deadline). SIGINT/SIGTERM drains in-flight
-// requests (-drain budget), flushes the -trace stream and -manifest,
-// verifies the span/cache reconciliation invariant, and exits 0 only
-// when all of that succeeded.
+// requests (-drain budget), then closes the run session: it flushes the
+// -trace stream and -manifest and verifies the span/cache reconciliation
+// invariant. bpartd exits 0 only when all of that succeeded; a second
+// signal exits at once.
 //
 // Ops surface (-ops-addr): /healthz, /readyz (503 while draining),
 // /metrics (the shared binpart exposition plus bpartd_* serving
@@ -29,27 +30,24 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
-	"os/signal"
 	"runtime"
-	"syscall"
 	"time"
 
-	"binpart/internal/cache"
 	"binpart/internal/core"
 	"binpart/internal/fpga"
-	"binpart/internal/obs"
 	"binpart/internal/platform"
+	"binpart/internal/session"
 )
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "serve the v1 API on this address (\":0\" picks a free port)")
 	addrFile := flag.String("addr-file", "", "also write the bound API address to this file (removed on clean exit)")
-	opsAddr := flag.String("ops-addr", "", "serve /healthz, /readyz, /metrics, pprof on this address")
 	opsAddrFile := flag.String("ops-addr-file", "", "with -ops-addr, also write the bound ops address to this file (removed on clean exit)")
 	queue := flag.Int("queue", 64, "admission bound: max requests admitted (waiting + executing); beyond it POSTs get 429")
 	inflight := flag.Int("inflight", runtime.GOMAXPROCS(0), "execution bound: max requests partitioning concurrently")
@@ -58,21 +56,14 @@ func main() {
 	mhz := flag.Float64("mhz", 200, "default CPU clock in MHz (request \"mhz\" overrides)")
 	device := flag.String("device", "XC2V2000", "default Virtex-II device (request \"device\" overrides)")
 	alg := flag.String("alg", "90-10", "default partitioning algorithm (request \"alg\" overrides)")
-	cacheDir := flag.String("cachedir", "", "directory for the on-disk stage cache (empty: memory only)")
-	cacheDirMax := flag.String("cachedir-max", "", "byte budget for -cachedir (e.g. 256M)")
-	trace := flag.String("trace", "", "stream per-stage spans to this file as JSONL (gzip when the path ends in .gz; flushed on shutdown)")
-	manifestPath := flag.String("manifest", "", "write a run manifest to this JSON file on shutdown")
-	stats := flag.Bool("stats", false, "print per-stage span and cache counters to stderr on shutdown")
+	sf := session.Register(flag.CommandLine, "ops-addr", "serve /healthz, /readyz, /metrics, pprof on this address")
 	flag.Parse()
-
-	// Signals are watched from before the listener opens: a SIGTERM at
-	// any point of the daemon's life must run the drain path, not die by
-	// default termination with the trace and manifest unwritten.
-	sigCh := make(chan os.Signal, 2)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 
 	fatal := func(err error) {
 		fmt.Fprintln(os.Stderr, "bpartd:", err)
+		if errors.Is(err, session.ErrUsage) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 
@@ -86,57 +77,27 @@ func main() {
 		fatal(err)
 	}
 
-	caches := core.NewCaches()
-	if *cacheDir != "" {
-		var maxBytes int64
-		if *cacheDirMax != "" {
-			if maxBytes, err = cache.ParseByteSize(*cacheDirMax); err != nil {
-				fatal(err)
-			}
-		}
-		if _, err := caches.WithDiskMax(*cacheDir, maxBytes); err != nil {
-			fatal(err)
-		}
-	}
-
-	rec := obs.NewRecorder()
-	rec.SetTrace(obs.NewTraceID())
-
-	var traceFile *obs.TraceWriter
-	if *trace != "" {
-		tw, err := obs.CreateTrace(*trace)
-		if err != nil {
-			fatal(err)
-		}
-		traceFile = tw
-		rec.StreamTo(tw.Writer())
-	}
-
+	// The session watches signals from before the listeners open: a
+	// SIGTERM at any point of the daemon's life runs the drain path. The
+	// daemon exists first so its serving families join /metrics; it gets
+	// the session's caches and recorder before any request can arrive.
 	d := newDaemon(daemonConfig{
 		Opts:     opts,
-		Caches:   caches,
-		Rec:      rec,
 		Queue:    *queue,
 		Inflight: *inflight,
 		Deadline: *deadline,
 	})
+	s, err := sf.Open(session.Config{Tool: "bpartd", Args: os.Args[1:], Workers: *inflight, Record: true, Extra: d.WriteMetrics})
+	if err != nil {
+		fatal(err)
+	}
+	d.caches, d.rec = s.Caches, s.Rec
 
-	var dbg *obs.DebugServer
-	if *opsAddr != "" {
-		dbg, err = obs.ServeDebug(*opsAddr, obs.DebugSources{
-			Rec:           rec,
-			Caches:        caches.StatsMap,
-			DiskLatencies: caches.DiskLatencyMap,
-			Extra:         d.WriteMetrics,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		dbg.Handle("/healthz", http.HandlerFunc(d.handleHealthz))
-		dbg.Handle("/readyz", http.HandlerFunc(d.handleReadyz))
-		fmt.Fprintf(os.Stderr, "bpartd: ops on http://%s/metrics\n", dbg.Addr())
+	if s.Debug != nil {
+		s.Debug.Handle("/healthz", http.HandlerFunc(d.handleHealthz))
+		s.Debug.Handle("/readyz", http.HandlerFunc(d.handleReadyz))
 		if *opsAddrFile != "" {
-			if err := os.WriteFile(*opsAddrFile, []byte(dbg.Addr()), 0o644); err != nil {
+			if err := os.WriteFile(*opsAddrFile, []byte(s.Debug.Addr()), 0o644); err != nil {
 				fatal(err)
 			}
 		}
@@ -163,59 +124,28 @@ func main() {
 	go func() { serveErr <- srv.Serve(ln) }()
 
 	select {
-	case s := <-sigCh:
-		fmt.Fprintf(os.Stderr, "bpartd: %v: draining (budget %v)\n", s, *drain)
+	case <-s.Interrupted():
+		fmt.Fprintf(os.Stderr, "bpartd: draining (budget %v)\n", *drain)
 	case err := <-serveErr:
 		fatal(fmt.Errorf("serve: %v", err))
 	}
 
 	// Shutdown order: stop admitting (readyz flips 503), drain in-flight
-	// requests, then flush observability and verify the reconciliation
-	// invariant — traces and manifests must capture every span the
-	// drained requests recorded.
-	clean := true
+	// requests, then close the session, which flushes observability and
+	// verifies that every span the drained requests recorded reconciles
+	// against the cache counters. SIGTERM is the normal stop, so the
+	// manifest is marked interrupted only when the drain or a flush
+	// failed.
 	d.SetDraining()
 	ctx, cancel := context.WithTimeout(context.Background(), *drain)
-	if err := srv.Shutdown(ctx); err != nil {
-		fmt.Fprintf(os.Stderr, "bpartd: drain incomplete: %v\n", err)
-		clean = false
-	}
+	drainErr := srv.Shutdown(ctx)
 	cancel()
-
-	if *stats {
-		fmt.Fprint(os.Stderr, rec.Table())
-		fmt.Fprint(os.Stderr, caches.StatsString())
+	if drainErr != nil {
+		fmt.Fprintf(os.Stderr, "bpartd: drain incomplete: %v\n", drainErr)
 	}
-	if traceFile != nil {
-		rec.EmitCaches(caches.StatsMap())
-		if err := rec.Flush(); err != nil {
-			fmt.Fprintf(os.Stderr, "bpartd: trace: %v\n", err)
-			clean = false
-		}
-		if err := traceFile.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "bpartd: trace: %v\n", err)
-			clean = false
-		}
-	}
-	// The invariant that makes the trace trustworthy: every span outcome
-	// the drained requests recorded reconciles against the cache
-	// counters. A daemon that drops spans on shutdown fails here.
-	if err := rec.Reconcile(caches.StatsMap()); err != nil {
-		fmt.Fprintf(os.Stderr, "bpartd: %v\n", err)
-		clean = false
-	}
-	if *manifestPath != "" {
-		m := obs.BuildManifest("bpartd", os.Args[1:], *inflight, rec, caches.StatsMap())
-		m.Interrupted = !clean
-		if err := m.Write(*manifestPath); err != nil {
-			fmt.Fprintf(os.Stderr, "bpartd: manifest: %v\n", err)
-			clean = false
-		}
-	}
-	if dbg != nil {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		dbg.Shutdown(ctx) //nolint:errcheck // ops scrapes are best-effort at exit
-		cancel()
+	closeErr := s.Close(drainErr != nil)
+	if closeErr != nil {
+		fmt.Fprintln(os.Stderr, "bpartd:", closeErr)
 	}
 	if *addrFile != "" {
 		os.Remove(*addrFile)
@@ -223,7 +153,7 @@ func main() {
 	if *opsAddrFile != "" {
 		os.Remove(*opsAddrFile)
 	}
-	if !clean {
+	if drainErr != nil || closeErr != nil {
 		fmt.Fprintln(os.Stderr, "bpartd: shutdown with errors")
 		os.Exit(1)
 	}

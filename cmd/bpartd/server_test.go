@@ -37,7 +37,6 @@ func testDaemon(t *testing.T, cfg daemonConfig) *daemon {
 	}
 	if cfg.Rec == nil {
 		cfg.Rec = obs.NewRecorder()
-		cfg.Rec.SetTrace(obs.NewTraceID())
 	}
 	if cfg.Queue == 0 {
 		cfg.Queue = 64
@@ -314,7 +313,6 @@ func TestInflightCompletesAcrossShutdown(t *testing.T) {
 // every scrape succeeds mid-mutation.
 func TestMetricsScrapeableMidLoad(t *testing.T) {
 	rec := obs.NewRecorder()
-	rec.SetTrace(obs.NewTraceID())
 	caches := core.NewCaches()
 	d := testDaemon(t, daemonConfig{Rec: rec, Caches: caches})
 	ts := httptest.NewServer(d.Mux())

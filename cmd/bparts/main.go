@@ -23,9 +23,15 @@
 // p50/p90/p99 latency columns to stderr, -manifest writes a run
 // manifest, and -debug-addr serves net/pprof + Prometheus-text
 // /metrics. All of it is off — and alloc-free — by default.
+//
+// SIGINT/SIGTERM skips the inputs that have not started; the running
+// ones finish, their reports print, the trace and manifest (marked
+// interrupted) still flush, and bparts exits 128+signum. A second signal
+// exits at once.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -37,11 +43,11 @@ import (
 	"sync"
 
 	"binpart/internal/binimg"
-	"binpart/internal/cache"
 	"binpart/internal/core"
 	"binpart/internal/fpga"
 	"binpart/internal/obs"
 	"binpart/internal/platform"
+	"binpart/internal/session"
 	"binpart/internal/vhdl"
 )
 
@@ -50,10 +56,11 @@ func main() {
 }
 
 // run is the whole command over explicit arguments and output streams,
-// returning the process exit code: 2 for a usage error, 1 for any other
-// failure, 0 for a clean run. A failing input does not cut the run short:
-// every other report still prints, and the stats, trace trailer and
-// manifest are still written before the exit code is settled.
+// returning the process exit code: 2 for a usage error, 128+signum after
+// a signal, 1 for any other failure, 0 for a clean run. A failing input
+// does not cut the run short: every other report still prints, and the
+// stats, trace trailer and manifest are still written before the exit
+// code is settled.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("bparts", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -65,12 +72,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	jumpTables := fs.Bool("jumptables", true, "recover switch jump tables at indirect jumps (=false reproduces the paper's failures)")
 	vhdlDir := fs.String("vhdl", "", "directory to write VHDL for selected regions")
 	workers := fs.Int("j", runtime.GOMAXPROCS(0), "worker pool size when partitioning several binaries")
-	cacheDir := fs.String("cachedir", "", "directory for the on-disk stage cache (empty: memory only)")
-	cacheDirMax := fs.String("cachedir-max", "", "byte budget for -cachedir (e.g. 256M); oldest-mtime blobs are evicted past it (empty: unbounded)")
-	stats := fs.Bool("stats", false, "print per-stage span and cache counters to stderr")
-	trace := fs.String("trace", "", "stream per-stage spans to this file as JSONL (gzip when the path ends in .gz)")
-	manifestPath := fs.String("manifest", "", "write a run manifest (config, git, per-stage totals, cache accounting) to this JSON file")
-	debugAddr := fs.String("debug-addr", "", "serve net/pprof + Prometheus /metrics on this address (e.g. :6060)")
+	sf := session.Register(fs, "debug-addr", "serve net/pprof + Prometheus /metrics on this address (e.g. :6060)")
 	sweep := fs.String("sweep", "", "sweep mode: devices (Virtex-II catalog) or clocks (see -clocks)")
 	clockList := fs.String("clocks", "40,100,200,400", "CPU clocks in MHz for -sweep clocks")
 	if err := fs.Parse(args); err != nil {
@@ -117,58 +119,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(fmt.Errorf("unknown sweep mode %q (want devices or clocks)", *sweep))
 	}
 
-	caches := core.NewCaches()
-	if *cacheDir != "" {
-		var maxBytes int64
-		if *cacheDirMax != "" {
-			maxBytes, err = cache.ParseByteSize(*cacheDirMax)
-			if err != nil {
-				return fail(err)
-			}
+	paths := fs.Args()
+	pool := min(max(*workers, 1), len(paths))
+	sess, err := sf.Open(session.Config{Tool: "bparts", Args: args, Workers: pool, Stderr: stderr})
+	if err != nil {
+		if errors.Is(err, session.ErrUsage) {
+			fmt.Fprintln(stderr, err)
+			return 2
 		}
-		if _, err := caches.WithDiskMax(*cacheDir, maxBytes); err != nil {
-			return fail(err)
-		}
-	}
-	// A recorder only when some surface will read it; nil keeps the flow
-	// on its alloc-free fast path.
-	var rec *obs.Recorder
-	if *trace != "" || *stats || *manifestPath != "" || *debugAddr != "" {
-		rec = obs.NewRecorder()
-		rec.SetTrace(obs.NewTraceID())
-	}
-	if *debugAddr != "" {
-		dbg, err := obs.ServeDebug(*debugAddr, obs.DebugSources{
-			Rec:           rec,
-			Caches:        caches.StatsMap,
-			DiskLatencies: caches.DiskLatencyMap,
-		})
-		if err != nil {
-			return fail(err)
-		}
-		defer dbg.Close()
-		fmt.Fprintf(stderr, "debug listener on http://%s/metrics (pprof on /debug/pprof/)\n", dbg.Addr())
-	}
-	var traceFile *obs.TraceWriter
-	if *trace != "" {
-		tw, err := obs.CreateTrace(*trace)
-		if err != nil {
-			return fail(err)
-		}
-		traceFile = tw
-		rec.StreamTo(tw.Writer())
+		return fail(err)
 	}
 
-	paths := fs.Args()
+	out := output{sweep: *sweep, clocks: clocks, structure: *structure, vhdlDir: *vhdlDir, multi: len(paths) > 1}
 	outputs := make([]string, len(paths))
 	errs := make([]error, len(paths))
-	pool := *workers
-	if pool < 1 {
-		pool = 1
-	}
-	if pool > len(paths) {
-		pool = len(paths)
-	}
 	jobCh := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < pool; w++ {
@@ -176,26 +140,30 @@ func run(args []string, stdout, stderr io.Writer) int {
 		go func(worker int) {
 			defer wg.Done()
 			for i := range jobCh {
-				sc := rec.Scope(paths[i], -1, worker)
+				sc := sess.Rec.Scope(paths[i], -1, worker)
 				sp := sc.Start(obs.StageJob)
-				if *sweep != "" {
-					outputs[i], errs[i] = sweepOne(paths[i], opts, caches, *sweep, clocks, len(paths) > 1, sc)
-				} else {
-					outputs[i], errs[i] = partitionOne(paths[i], opts, caches, *structure, *vhdlDir, len(paths) > 1, sc)
-				}
+				outputs[i], errs[i] = partitionOne(paths[i], opts, sess.Caches, out, sc)
 				sp.End()
 			}
 		}(w)
 	}
-	for i := range paths {
-		jobCh <- i
+	// A signal stops the feed: inputs not yet handed to a worker are
+	// skipped, the ones running finish.
+	started := 0
+feed:
+	for ; started < len(paths); started++ {
+		select {
+		case jobCh <- started:
+		case <-sess.Interrupted():
+			break feed
+		}
 	}
 	close(jobCh)
 	wg.Wait()
 
 	code := 0
 	printed := 0
-	for i := range paths {
+	for i := range paths[:started] {
 		if errs[i] != nil {
 			code = fail(errs[i])
 			continue
@@ -206,33 +174,30 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprint(stdout, outputs[i])
 		printed++
 	}
-	if *stats {
-		fmt.Fprint(stderr, rec.Table())
-		fmt.Fprint(stderr, caches.StatsString())
+	if skipped := len(paths) - started; skipped > 0 {
+		fmt.Fprintf(stderr, "bparts: interrupted: skipped %d of %d inputs\n", skipped, len(paths))
 	}
-	if traceFile != nil {
-		rec.EmitCaches(caches.StatsMap())
-		if err := rec.Flush(); err != nil {
-			code = fail(fmt.Errorf("trace: %w", err))
-		}
-		if err := traceFile.Close(); err != nil {
-			code = fail(fmt.Errorf("trace: %w", err))
-		}
+	if err := sess.Close(sess.Signal() != nil); err != nil {
+		code = fail(err)
 	}
-	if *manifestPath != "" {
-		m := obs.BuildManifest("bparts", args, pool, rec, caches.StatsMap())
-		if err := m.Write(*manifestPath); err != nil {
-			code = fail(fmt.Errorf("manifest: %w", err))
-		}
-	}
-	return code
+	return sess.ExitCode(code != 0)
 }
 
-// sweepOne analyzes one binary once and prices every sweep point with
-// core.Evaluate.
-func sweepOne(path string, opts core.Options, caches *core.Caches,
-	mode string, clocks []float64, multi bool, sc *obs.Scope) (string, error) {
+// output is what a report shows: a sweep mode ("" for one priced
+// partition) and its clocks, the recovered structure, the VHDL directory,
+// and whether several inputs need "==> path" headers.
+type output struct {
+	sweep     string
+	clocks    []float64
+	structure bool
+	vhdlDir   string
+	multi     bool
+}
 
+// partitionOne runs the flow on one binary and renders its report. A
+// sweep analyzes the binary once and prices every sweep point with
+// core.Evaluate.
+func partitionOne(path string, opts core.Options, caches *core.Caches, out output, sc *obs.Scope) (string, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return "", err
@@ -241,53 +206,34 @@ func sweepOne(path string, opts core.Options, caches *core.Caches,
 	if err != nil {
 		return "", err
 	}
-	a, err := core.AnalyzeScoped(img, opts, caches, sc)
-	if err != nil {
-		return "", err
-	}
-
 	var b strings.Builder
-	if multi {
+	if out.multi {
 		fmt.Fprintf(&b, "==> %s\n", path)
 	}
-	b.WriteString(core.RenderSweepHeader(mode, opts))
-	var pts []core.SweepPoint
-	switch mode {
-	case "devices":
-		pts = core.DeviceSweepPoints(a, opts, sc)
-	case "clocks":
-		pts = core.ClockSweepPoints(a, opts, clocks, sc)
-	}
-	for _, pt := range pts {
-		b.WriteString(pt.Text)
-	}
-	return b.String(), nil
-}
-
-// partitionOne runs the flow on one binary and renders its report.
-func partitionOne(path string, opts core.Options, caches *core.Caches,
-	structure bool, vhdlDir string, multi bool, sc *obs.Scope) (string, error) {
-
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return "", err
-	}
-	img, err := binimg.Unmarshal(data)
-	if err != nil {
-		return "", err
+	if out.sweep != "" {
+		a, err := core.AnalyzeScoped(img, opts, caches, sc)
+		if err != nil {
+			return "", err
+		}
+		b.WriteString(core.RenderSweepHeader(out.sweep, opts))
+		var pts []core.SweepPoint
+		if out.sweep == "clocks" {
+			pts = core.ClockSweepPoints(a, opts, out.clocks, sc)
+		} else {
+			pts = core.DeviceSweepPoints(a, opts, sc)
+		}
+		for _, pt := range pts {
+			b.WriteString(pt.Text)
+		}
+		return b.String(), nil
 	}
 	rep, err := core.RunScoped(img, opts, caches, sc)
 	if err != nil {
 		return "", err
 	}
+	b.WriteString(core.RenderReport(rep, out.structure))
 
-	var b strings.Builder
-	if multi {
-		fmt.Fprintf(&b, "==> %s\n", path)
-	}
-	b.WriteString(core.RenderReport(rep, structure))
-
-	if vhdlDir != "" {
+	if vhdlDir := out.vhdlDir; vhdlDir != "" {
 		files, err := rep.VHDL()
 		if err != nil {
 			return "", err

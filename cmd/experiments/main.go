@@ -16,29 +16,24 @@
 //	experiments -stats             # per-stage span + cache tables (p50/p90/p99) to stderr
 //	experiments -manifest m.json   # write the run manifest (config, git, totals)
 //	experiments -debug-addr :6060  # net/pprof + /metrics for long sweeps
-//	experiments -cpuprofile p.out  # write a pprof CPU profile of the run
-//	experiments -memprofile m.out  # write a pprof heap profile at exit
 //
 // Tables are byte-identical at any -j and with tracing on or off: the
 // executor reassembles rows in submission order and the recorder only
 // observes. The stage cache is shared by every experiment in one
-// invocation, so the full run lifts each distinct binary once.
+// invocation, so the full run lifts each distinct binary once. The first
+// SIGINT/SIGTERM cancels the queued sweep points; the trace and manifest
+// still flush and the exit status is 128+signum.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"runtime"
-	"runtime/pprof"
-	"sync/atomic"
-	"syscall"
 
-	"binpart/internal/cache"
-	"binpart/internal/core"
 	"binpart/internal/exper"
-	"binpart/internal/obs"
+	"binpart/internal/session"
 )
 
 func main() {
@@ -50,160 +45,59 @@ func main() {
 	corpusSeed := flag.Int64("corpus-seed", 1, "first generator seed for -corpus")
 	corpusOut := flag.String("corpus-out", "", "write the corpus summary (recovery rate, speedup distribution, mismatches) to this JSON file")
 	workers := flag.Int("j", runtime.GOMAXPROCS(0), "worker pool size for experiment sweeps")
-	cacheDir := flag.String("cachedir", "", "directory for the on-disk stage cache (empty: memory only)")
-	cacheDirMax := flag.String("cachedir-max", "", "byte budget for -cachedir (e.g. 256M); oldest-mtime blobs are evicted past it (empty: unbounded)")
-	stats := flag.Bool("stats", false, "print per-stage span and cache counters to stderr")
-	trace := flag.String("trace", "", "stream per-stage spans to this file as JSONL (gzip when the path ends in .gz)")
-	manifestPath := flag.String("manifest", "", "write a run manifest (config, git, per-stage totals, cache accounting) to this JSON file")
-	debugAddr := flag.String("debug-addr", "", "serve net/pprof + Prometheus /metrics on this address (e.g. :6060) for long sweeps")
 	noCache := flag.Bool("nocache", false, "disable the stage cache entirely")
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
+	sf := session.Register(flag.CommandLine, "debug-addr", "serve net/pprof + Prometheus /metrics on this address (e.g. :6060)")
 	flag.Parse()
 
-	// Signals are watched from the start of the run: an unhandled
-	// SIGINT/SIGTERM mid-sweep would die by default termination and
-	// silently lose the partially written -trace and -manifest. The
-	// channel buffers two so a signal delivered before the handling
-	// goroutine starts is not dropped.
-	sigCh := make(chan os.Signal, 2)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+	s, err := sf.Open(session.Config{Tool: "experiments", Args: os.Args[1:], Workers: *workers, NoCache: *noCache})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		if errors.Is(err, session.ErrUsage) {
+			os.Exit(2)
 		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // settle live heap before the snapshot
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-			}
-		}()
+		os.Exit(1)
 	}
 
-	caches := core.NewCaches()
-	if *noCache {
-		caches = nil
-	} else if *cacheDir != "" {
-		var maxBytes int64
-		if *cacheDirMax != "" {
-			n, err := cache.ParseByteSize(*cacheDirMax)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			maxBytes = n
-		}
-		if _, err := caches.WithDiskMax(*cacheDir, maxBytes); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	// The recorder exists only when some surface will read it; a nil
-	// recorder keeps the pipeline on its alloc-free fast path. Every
-	// observed run gets a trace ID tying its trace to its manifest.
-	var rec *obs.Recorder
-	if *trace != "" || *stats || *manifestPath != "" || *debugAddr != "" {
-		rec = obs.NewRecorder()
-		rec.SetTrace(obs.NewTraceID())
-	}
-	var traceFile *obs.TraceWriter
-	if *trace != "" {
-		tw, err := obs.CreateTrace(*trace)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		traceFile = tw
-		rec.StreamTo(tw.Writer())
-	}
-	if *debugAddr != "" {
-		dbg, err := obs.ServeDebug(*debugAddr, obs.DebugSources{
-			Rec:           rec,
-			Caches:        caches.StatsMap,
-			DiskLatencies: caches.DiskLatencyMap,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer dbg.Close()
-		fmt.Fprintf(os.Stderr, "debug listener on http://%s/metrics (pprof on /debug/pprof/)\n", dbg.Addr())
-	}
+	runner := exper.NewRunner(*workers, s.Caches)
+	runner.Obs = s.Rec
 
-	runner := exper.NewRunner(*workers, caches)
-	runner.Obs = rec
-
-	// First signal: cancel the sweep — queued points fail fast with
-	// ErrInterrupted, in-flight ones drain, and the tail below still
-	// flushes the trace and writes the manifest (marked interrupted)
-	// before exiting nonzero. Second signal: give up and exit hard.
-	var gotSig atomic.Value
+	// First signal: cancel the sweep. Queued points fail fast with
+	// ErrInterrupted, in-flight ones drain, and Close still flushes the
+	// trace and writes the manifest (marked interrupted).
 	go func() {
-		s := <-sigCh
-		gotSig.Store(s)
-		fmt.Fprintf(os.Stderr, "experiments: %v: cancelling run (trace/manifest will still flush; signal again to force exit)\n", s)
+		<-s.Interrupted()
 		runner.Interrupt()
-		<-sigCh
-		fmt.Fprintln(os.Stderr, "experiments: second signal: exiting immediately")
-		os.Exit(2)
 	}()
 
 	all := *table == 0 && *figure == 0 && !*ablation && !*extension && *corpusN == 0
-	// A failure no longer exits on the spot: it skips the remaining
-	// experiments and falls through to the tail, so the trace and
-	// manifest always flush — the exit code is settled at the bottom.
+	steps := []struct {
+		on   bool
+		name string
+		run  func() (string, error)
+	}{
+		{all || *table == 1, "table 1", format(runner.Table1)},
+		{all || *table == 2, "table 2", format(runner.Table2)},
+		{all || *table == 3, "table 3", format(runner.Table3)},
+		{all || *table == 4, "table 4", format(runner.Table4)},
+		{all || *figure == 1, "figure 1", format(runner.Figure1)},
+		{all || *ablation, "ablation 1", format(runner.PartitionerComparison)},
+		{all || *ablation, "ablation 2", format(runner.PassAblation)},
+		{all || *extension, "extension 1", format(runner.JumpTableExtension)},
+	}
+	// A failure skips the remaining experiments and falls through to
+	// Close, so the trace and manifest always flush.
 	failed := false
-	run := func(name string, f func() (fmt.Stringer, error)) {
-		if failed {
-			return
+	for _, st := range steps {
+		if !st.on || failed {
+			continue
 		}
-		out, err := f()
+		out, err := st.run()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+			fmt.Fprintf(os.Stderr, "%s: %v\n", st.name, err)
 			failed = true
-			return
+			continue
 		}
 		fmt.Println(out)
-	}
-
-	if all || *table == 1 {
-		run("table 1", func() (fmt.Stringer, error) { return wrap(runner.Table1()) })
-	}
-	if all || *table == 2 {
-		run("table 2", func() (fmt.Stringer, error) { return wrap(runner.Table2()) })
-	}
-	if all || *table == 3 {
-		run("table 3", func() (fmt.Stringer, error) { return wrap(runner.Table3()) })
-	}
-	if all || *table == 4 {
-		run("table 4", func() (fmt.Stringer, error) { return wrap(runner.Table4()) })
-	}
-	if all || *figure == 1 {
-		run("figure 1", func() (fmt.Stringer, error) { return wrap(runner.Figure1()) })
-	}
-	if all || *ablation {
-		run("ablation 1", func() (fmt.Stringer, error) { return wrap(runner.PartitionerComparison()) })
-		run("ablation 2", func() (fmt.Stringer, error) { return wrap(runner.PassAblation()) })
-	}
-	if all || *extension {
-		run("extension 1", func() (fmt.Stringer, error) { return wrap(runner.JumpTableExtension()) })
 	}
 	if *corpusN > 0 && !failed {
 		switch corpus, err := runner.Corpus(*corpusN, *corpusSeed); {
@@ -220,63 +114,28 @@ func main() {
 			}
 			// A corpus invocation is a differential gate, not just a report:
 			// any mismatch or a recovery rate below 99% fails the run.
-			if s := corpus.Summary(); len(s.Mismatches) > 0 || s.RecoveryRate < 0.99 {
+			if sum := corpus.Summary(); len(sum.Mismatches) > 0 || sum.RecoveryRate < 0.99 {
 				fmt.Fprintf(os.Stderr, "corpus: %d mismatches, recovery rate %.2f%%\n",
-					len(s.Mismatches), 100*s.RecoveryRate)
+					len(sum.Mismatches), 100*sum.RecoveryRate)
 				failed = true
 			}
 		}
 	}
 
-	if *stats {
-		fmt.Fprint(os.Stderr, rec.Table())
-		fmt.Fprint(os.Stderr, caches.StatsString())
+	if err := s.Close(s.Signal() != nil); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		failed = true
 	}
-	if traceFile != nil {
-		// The accounting trailer lets any reader of this trace reconcile
-		// span outcomes against the cache counters. This flush runs even
-		// for a failed or interrupted sweep: a partial trace that
-		// reconciles is evidence, a vanished one is a bug.
-		rec.EmitCaches(caches.StatsMap())
-		if err := rec.Flush(); err != nil {
-			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-			failed = true
-		}
-		if err := traceFile.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-			failed = true
-		}
-	}
-	if *manifestPath != "" {
-		m := obs.BuildManifest("experiments", os.Args[1:], *workers, rec, caches.StatsMap())
-		m.Interrupted = gotSig.Load() != nil
-		if err := m.Write(*manifestPath); err != nil {
-			fmt.Fprintf(os.Stderr, "manifest: %v\n", err)
-			failed = true
-		}
-	}
-	// Exit code: 128+signum for a signal-cancelled run (the shell
-	// convention), 1 for any other failure, 0 only for a clean sweep.
-	if s := gotSig.Load(); s != nil {
-		code := 130
-		if sn, ok := s.(syscall.Signal); ok {
-			code = 128 + int(sn)
-		}
-		os.Exit(code)
-	}
-	if failed {
-		os.Exit(1)
-	}
+	os.Exit(s.ExitCode(failed))
 }
 
-// formatter adapts the exper result types to fmt.Stringer.
-type formatter struct{ format func() string }
-
-func (f formatter) String() string { return f.format() }
-
-func wrap[T interface{ Format() string }](v T, err error) (fmt.Stringer, error) {
-	if err != nil {
-		return nil, err
+// format adapts an experiment to a step that renders its result.
+func format[T interface{ Format() string }](f func() (T, error)) func() (string, error) {
+	return func() (string, error) {
+		v, err := f()
+		if err != nil {
+			return "", err
+		}
+		return v.Format(), nil
 	}
-	return formatter{v.Format}, nil
 }

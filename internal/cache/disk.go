@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -217,7 +218,8 @@ func (d *DiskStore) scanSize() int64 {
 
 // ParseByteSize parses a human-friendly byte size: a plain integer is
 // bytes; suffixes K, M, G, T (optionally followed by "B", case
-// insensitive) scale by 1024. Used by the -cachedir-max flag.
+// insensitive) scale by 1024. Sizes that overflow int64 are rejected.
+// Used by the -cachedir-max flag.
 func ParseByteSize(s string) (int64, error) {
 	t := strings.TrimSpace(strings.ToUpper(s))
 	t = strings.TrimSuffix(t, "B")
@@ -233,7 +235,7 @@ func ParseByteSize(s string) (int64, error) {
 		mult, t = 1<<40, strings.TrimSuffix(t, "T")
 	}
 	n, err := strconv.ParseInt(strings.TrimSpace(t), 10, 64)
-	if err != nil || n < 0 {
+	if err != nil || n < 0 || n > math.MaxInt64/mult {
 		return 0, fmt.Errorf("cache: bad byte size %q", s)
 	}
 	return n * mult, nil

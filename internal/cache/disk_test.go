@@ -139,7 +139,7 @@ func TestParseByteSize(t *testing.T) {
 			t.Errorf("ParseByteSize(%q) = %d, %v; want %d", in, got, err, want)
 		}
 	}
-	for _, in := range []string{"", "-1", "1X", "K", "1.5G", "one"} {
+	for _, in := range []string{"", "-1", "1X", "K", "1.5G", "one", "9000000T", "9223372036854775807K"} {
 		if _, err := ParseByteSize(in); err == nil {
 			t.Errorf("ParseByteSize(%q) accepted", in)
 		}

@@ -71,25 +71,21 @@ func compileCodec() cache.Codec[*binimg.Image] {
 	}
 }
 
-// WithDisk attaches an unbounded on-disk tier under dir to the stages
-// whose values have a byte format: compilation (SBF images) and
-// simulation (gob results). The Analysis stage stays off disk so a warm
-// single-process run keeps candidate Designs (VHDL emission) intact.
-func (c *Caches) WithDisk(dir string) (*Caches, error) {
-	return c.WithDiskMax(dir, 0)
-}
-
-// WithDiskMax is WithDisk with a byte budget: when the directory's blobs
-// exceed maxBytes, the store evicts oldest-mtime-first in a background
-// sweep (0 means unbounded). This is the -cachedir-max flag.
-func (c *Caches) WithDiskMax(dir string, maxBytes int64) (*Caches, error) {
+// WithDiskMax attaches an on-disk tier under dir to the stages whose
+// values have a byte format: compilation (SBF images) and simulation (gob
+// results). The Analysis stage stays off disk so a warm single-process
+// run keeps candidate Designs (VHDL emission) intact. When the
+// directory's blobs exceed maxBytes, the store evicts oldest-mtime-first
+// in a background sweep (0 means unbounded). This is the -cachedir and
+// -cachedir-max flags.
+func (c *Caches) WithDiskMax(dir string, maxBytes int64) error {
 	store, err := cache.OpenDiskMax(dir, maxBytes)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	c.Compile.WithDisk(store, compileCodec())
 	c.Sim.WithDisk(store, SimCodec())
-	return c, nil
+	return nil
 }
 
 // cacheNames is the rendering order of the stage caches; StatsMap carries

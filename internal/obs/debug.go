@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"io"
 	"net"
 	"net/http"
@@ -29,8 +28,7 @@ type DebugSources struct {
 
 // DebugServer is the handle returned by ServeDebug: the ops listener on
 // a properly configured http.Server. Callers register extra routes with
-// Handle before traffic matters and tear the listener down with
-// Shutdown (drains in-flight scrapes) or Close (abrupt).
+// Handle before traffic matters and tear the listener down with Close.
 type DebugServer struct {
 	addr string
 	mux  *http.ServeMux
@@ -44,8 +42,7 @@ type DebugServer struct {
 // counters, disk-tier cache latencies, and whatever src.Extra appends.
 // Each listener reads only its own src. The listener runs on an
 // http.Server with read-header and idle timeouts so a slow or stalled
-// client cannot wedge it; stop it with Shutdown or Close on the
-// returned handle.
+// client cannot wedge it; stop it with Close on the returned handle.
 func ServeDebug(addr string, src DebugSources) (*DebugServer, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -77,7 +74,7 @@ func ServeDebug(addr string, src DebugSources) (*DebugServer, error) {
 	}
 	go func() {
 		defer close(d.done)
-		d.srv.Serve(ln) //nolint:errcheck // ErrServerClosed after Shutdown/Close
+		d.srv.Serve(ln) //nolint:errcheck // ErrServerClosed after Close
 	}()
 	return d, nil
 }
@@ -88,20 +85,6 @@ func (d *DebugServer) Addr() string { return d.addr }
 // Handle registers an extra route on the ops mux — how bpartd mounts
 // /healthz and /readyz next to the shared /metrics and pprof surface.
 func (d *DebugServer) Handle(pattern string, h http.Handler) { d.mux.Handle(pattern, h) }
-
-// Shutdown stops accepting connections and drains in-flight requests,
-// then waits for the serve loop to exit.
-func (d *DebugServer) Shutdown(ctx context.Context) error {
-	err := d.srv.Shutdown(ctx)
-	select {
-	case <-d.done:
-	case <-ctx.Done():
-		if err == nil {
-			err = ctx.Err()
-		}
-	}
-	return err
-}
 
 // Close tears the listener and all connections down immediately.
 func (d *DebugServer) Close() error {

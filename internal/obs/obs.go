@@ -156,25 +156,25 @@ func (s *Scope) Start(stage string) Span {
 // zero value is not usable; create with NewRecorder. A nil *Recorder is
 // the disabled fast path.
 type Recorder struct {
-	epoch time.Time
+	epoch   time.Time
+	traceID string
 
 	mu        sync.Mutex
-	traceID   string
 	totals    map[string]*StageTotal
 	bw        *bufio.Writer
 	enc       *json.Encoder
 	streamErr error
 }
 
-// NewRecorder starts a recorder; its epoch is the creation time.
+// NewRecorder starts a recorder; its epoch is the creation time. It mints
+// the run's random 128-bit trace ID, which tags the trace stream's header
+// and the run manifest so the two artifacts of one run can be matched up.
 func NewRecorder() *Recorder {
-	return &Recorder{epoch: time.Now(), totals: map[string]*StageTotal{}}
+	return &Recorder{epoch: time.Now(), traceID: newTraceID(), totals: map[string]*StageTotal{}}
 }
 
-// NewTraceID mints a random 128-bit run/trace identifier as lowercase
-// hex. It tags the trace stream's header and the run manifest, so the
-// two artifacts of one run can be matched up.
-func NewTraceID() string {
+// newTraceID returns 128 random bits as lowercase hex.
+func newTraceID() string {
 	var b [16]byte
 	if _, err := rand.Read(b[:]); err != nil {
 		// crypto/rand failing is effectively fatal elsewhere; fall back
@@ -184,24 +184,11 @@ func NewTraceID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// SetTrace tags the stream's meta header (and the run manifest) with a
-// trace ID. Call before StreamTo.
-func (r *Recorder) SetTrace(traceID string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.traceID = traceID
-	r.mu.Unlock()
-}
-
-// TraceID returns the tag set by SetTrace ("" when untagged).
+// TraceID returns the run's trace ID ("" for a nil recorder).
 func (r *Recorder) TraceID() string {
 	if r == nil {
 		return ""
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.traceID
 }
 

@@ -234,7 +234,6 @@ func TestRecorderConcurrentScrape(t *testing.T) {
 // with the documented field names.
 func TestStreamJSONL(t *testing.T) {
 	rec := NewRecorder()
-	rec.SetTrace("deadbeef")
 	var buf bytes.Buffer
 	rec.StreamTo(&buf)
 
@@ -269,7 +268,7 @@ func TestStreamJSONL(t *testing.T) {
 			if metas != 0 || n != 0 {
 				t.Errorf("meta line %q after %d spans, want exactly one header", line.Meta, n)
 			}
-			if line.Meta != MetaTrace || line.Trace != "deadbeef" || line.Epoch == 0 {
+			if line.Meta != MetaTrace || line.Trace != rec.TraceID() || line.Epoch == 0 {
 				t.Errorf("bad stream header: %+v", line)
 			}
 			metas++

@@ -26,7 +26,6 @@ func TestTraceGzipRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			rec := NewRecorder()
-			rec.SetTrace("abc123")
 			// Spans ended before StreamTo are counted but not streamed.
 			sc := rec.Scope("fir", 0, 0)
 			for i := 0; i < 4; i++ {
@@ -87,7 +86,7 @@ func TestTraceGzipRoundTrip(t *testing.T) {
 			if err := lines.Err(); err != nil {
 				t.Fatal(err)
 			}
-			if header.Trace != "abc123" || header.EpochUnixUS == 0 {
+			if header.Trace != rec.TraceID() || header.EpochUnixUS == 0 {
 				t.Errorf("header lost: %+v", header)
 			}
 			if len(spans) != 1 {

@@ -1,0 +1,226 @@
+// Package session is the run lifecycle shared by experiments, bparts and
+// bpartd: the stage caches and their disk tier, the recorder, the -trace
+// stream, the ops listener and the SIGINT/SIGTERM watch open in one
+// place, and the -stats tables, trace trailer, reconciliation check and
+// -manifest are written in one fixed order when the run closes.
+package session
+
+import (
+	"errors"
+	"flag"
+	"fmt"
+	"io"
+	"os"
+	"os/signal"
+	"sync"
+	"syscall"
+
+	"binpart/internal/cache"
+	"binpart/internal/core"
+	"binpart/internal/obs"
+)
+
+// ErrUsage marks an Open error caused by contradictory flags; commands
+// report it as a usage error (exit 2).
+var ErrUsage = errors.New("usage")
+
+// Flags holds the session flags a command registered with Register.
+type Flags struct {
+	cacheDir, cacheDirMax, trace, manifest, listen string
+	stats                                          bool
+}
+
+// Register adds -cachedir, -cachedir-max, -trace, -manifest, -stats and
+// the ops listener flag (-debug-addr for the batch commands, -ops-addr
+// for bpartd) to fs.
+func Register(fs *flag.FlagSet, listenFlag, listenHelp string) *Flags {
+	f := &Flags{}
+	fs.StringVar(&f.cacheDir, "cachedir", "", "directory for the on-disk stage cache (empty: memory only)")
+	fs.StringVar(&f.cacheDirMax, "cachedir-max", "", "byte budget for -cachedir (e.g. 256M); oldest-mtime blobs are evicted past it (empty: unbounded)")
+	fs.StringVar(&f.trace, "trace", "", "stream per-stage spans to this file as JSONL (gzip when the path ends in .gz)")
+	fs.StringVar(&f.manifest, "manifest", "", "write a run manifest (config, git, per-stage totals, cache accounting) to this JSON file")
+	fs.BoolVar(&f.stats, "stats", false, "print per-stage span and cache counters to stderr at exit")
+	fs.StringVar(&f.listen, listenFlag, "", listenHelp)
+	return f
+}
+
+// Config is what a command tells Open about its run.
+type Config struct {
+	Tool    string   // manifest tool name and stderr prefix
+	Args    []string // manifest arguments
+	Workers int      // manifest worker count
+	NoCache bool     // run without stage caches
+	// Record creates the recorder even when no flag reads it. Otherwise a
+	// nil recorder keeps the pipeline on its alloc-free fast path.
+	Record bool
+	Extra  func(io.Writer) // appended to the listener's /metrics
+	Stderr io.Writer       // -stats tables and notes (default os.Stderr)
+}
+
+// Session is one open run. Caches is nil under Config.NoCache, Rec is nil
+// when nothing reads it, and Debug is nil without the listener flag.
+type Session struct {
+	Caches *core.Caches
+	Rec    *obs.Recorder
+	Debug  *obs.DebugServer
+
+	f     *Flags
+	cfg   Config
+	trace *obs.TraceWriter
+
+	sigCh       chan os.Signal
+	once        sync.Once
+	sig         os.Signal     // set before interrupted closes
+	interrupted chan struct{} // closed by the first signal
+}
+
+// Open validates the flags and starts the run: the caches, the recorder,
+// the trace stream and the ops listener. SIGINT and SIGTERM are watched
+// from here until Close: the first closes Interrupted, a second exits the
+// process at once with status 2.
+func (f *Flags) Open(cfg Config) (*Session, error) {
+	if cfg.Stderr == nil {
+		cfg.Stderr = os.Stderr
+	}
+	if f.cacheDirMax != "" && f.cacheDir == "" {
+		return nil, fmt.Errorf("%w: -cachedir-max needs -cachedir", ErrUsage)
+	}
+	if cfg.NoCache && f.cacheDir != "" {
+		return nil, fmt.Errorf("%w: -nocache and -cachedir are mutually exclusive", ErrUsage)
+	}
+	s := &Session{f: f, cfg: cfg, interrupted: make(chan struct{})}
+	if !cfg.NoCache {
+		s.Caches = core.NewCaches()
+	}
+	if f.cacheDir != "" {
+		var maxBytes int64
+		var err error
+		if f.cacheDirMax != "" {
+			if maxBytes, err = cache.ParseByteSize(f.cacheDirMax); err != nil {
+				return nil, err
+			}
+		}
+		if err := s.Caches.WithDiskMax(f.cacheDir, maxBytes); err != nil {
+			return nil, err
+		}
+	}
+	if cfg.Record || f.trace != "" || f.stats || f.manifest != "" || f.listen != "" {
+		s.Rec = obs.NewRecorder()
+	}
+	if f.trace != "" {
+		tw, err := obs.CreateTrace(f.trace)
+		if err != nil {
+			return nil, err
+		}
+		s.trace = tw
+		s.Rec.StreamTo(tw.Writer())
+	}
+	if f.listen != "" {
+		dbg, err := obs.ServeDebug(f.listen, obs.DebugSources{
+			Rec:           s.Rec,
+			Caches:        s.Caches.StatsMap,
+			DiskLatencies: s.Caches.DiskLatencyMap,
+			Extra:         cfg.Extra,
+		})
+		if err != nil {
+			return nil, err
+		}
+		s.Debug = dbg
+		fmt.Fprintf(cfg.Stderr, "%s: ops on http://%s/metrics (pprof on /debug/pprof/)\n", cfg.Tool, dbg.Addr())
+	}
+
+	// Two slots, so a signal delivered before the watch runs is kept.
+	s.sigCh = make(chan os.Signal, 2)
+	signal.Notify(s.sigCh, os.Interrupt, syscall.SIGTERM)
+	go func() {
+		sig, ok := <-s.sigCh
+		if !ok {
+			return
+		}
+		s.interrupt(sig)
+		if _, ok := <-s.sigCh; ok {
+			fmt.Fprintf(cfg.Stderr, "%s: second signal: exiting immediately\n", cfg.Tool)
+			os.Exit(2)
+		}
+	}()
+	return s, nil
+}
+
+// interrupt records the first signal and closes Interrupted. The signal
+// watch calls it; tests call it directly.
+func (s *Session) interrupt(sig os.Signal) {
+	s.once.Do(func() {
+		fmt.Fprintf(s.cfg.Stderr, "%s: %v: stopping (signal again to force exit)\n", s.cfg.Tool, sig)
+		s.sig = sig
+		close(s.interrupted)
+	})
+}
+
+// Interrupted is closed when the first SIGINT/SIGTERM arrives.
+func (s *Session) Interrupted() <-chan struct{} { return s.interrupted }
+
+// Signal returns the first signal received, or nil.
+func (s *Session) Signal() os.Signal {
+	select {
+	case <-s.interrupted:
+		return s.sig
+	default:
+		return nil
+	}
+}
+
+// Close finishes the run in one fixed order: the -stats tables, the
+// trace's cache trailer, the stream flush, the trace file close, the
+// span/cache reconciliation, the -manifest and the listener. Every step
+// runs; the error joins each one that failed. The manifest is marked
+// interrupted when cut is set or an earlier step failed. Close ends the
+// signal watch.
+func (s *Session) Close(cut bool) error {
+	var errs []error
+	if s.f.stats {
+		fmt.Fprint(s.cfg.Stderr, s.Rec.Table())
+		fmt.Fprint(s.cfg.Stderr, s.Caches.StatsString())
+	}
+	stats := s.Caches.StatsMap()
+	if s.trace != nil {
+		s.Rec.EmitCaches(stats)
+		if err := s.Rec.Flush(); err != nil {
+			errs = append(errs, fmt.Errorf("trace: %w", err))
+		}
+		if err := s.trace.Close(); err != nil {
+			errs = append(errs, fmt.Errorf("trace: %w", err))
+		}
+	}
+	if s.Rec != nil && stats != nil {
+		if err := s.Rec.Reconcile(stats); err != nil {
+			errs = append(errs, err)
+		}
+	}
+	if s.f.manifest != "" {
+		m := obs.BuildManifest(s.cfg.Tool, s.cfg.Args, s.cfg.Workers, s.Rec, stats)
+		m.Interrupted = cut || len(errs) > 0
+		if err := m.Write(s.f.manifest); err != nil {
+			errs = append(errs, fmt.Errorf("manifest: %w", err))
+		}
+	}
+	if s.Debug != nil {
+		s.Debug.Close() //nolint:errcheck // ops scrapes are best-effort at exit
+	}
+	// After Stop no signal is sent on sigCh, so closing it is safe and
+	// ends the watch.
+	signal.Stop(s.sigCh)
+	close(s.sigCh)
+	return errors.Join(errs...)
+}
+
+// ExitCode is the process status: 128+signum after a signal (the shell
+// convention), 1 when failed, 0 otherwise.
+func (s *Session) ExitCode(failed bool) int {
+	if sig, ok := s.Signal().(syscall.Signal); ok {
+		return 128 + int(sig)
+	}
+	if failed {
+		return 1
+	}
+	return 0
+}
