@@ -25,8 +25,12 @@ race:
 stress:
 	$(GO) test -race -count=20 ./cmd/bpartd ./internal/cache
 
+# perfbench is its own module, outside the root ./... patterns, so it is
+# vetted and built explicitly: an API break in core, cache or bench that
+# only perfbench sees fails here.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./... && $(GO) build .
 
 # One traced golden run: exercises -trace/-stats/-manifest end to end on
 # the T1 sweep (the golden test separately pins that tracing never moves

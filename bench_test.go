@@ -40,8 +40,9 @@ func printTable(key, text string) {
 // benchmarks on the 200 MHz MIPS + XC2V2000 platform (paper: speedup 5.4,
 // kernel speedup 44.8, energy savings 69 %, 26,261 gates).
 func BenchmarkTable1MainResults(b *testing.B) {
+	r := exper.NewRunner(1, nil)
 	for i := 0; i < b.N; i++ {
-		t, err := exper.RunTable1()
+		t, err := r.Table1()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -56,8 +57,9 @@ func BenchmarkTable1MainResults(b *testing.B) {
 // BenchmarkTable2PlatformSweep regenerates the platform clock sweep
 // (paper: 12.6x/84% at 40 MHz, 5.4x/69% at 200 MHz, 3.8x/49% at 400 MHz).
 func BenchmarkTable2PlatformSweep(b *testing.B) {
+	r := exper.NewRunner(1, nil)
 	for i := 0; i < b.N; i++ {
-		t, err := exper.RunTable2()
+		t, err := r.Table2()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -72,8 +74,9 @@ func BenchmarkTable2PlatformSweep(b *testing.B) {
 // sweep over crc, fir, brev, matmul (paper: speedup significant at every
 // level but not monotone; software time improves with level).
 func BenchmarkTable3OptLevels(b *testing.B) {
+	r := exper.NewRunner(1, nil)
 	for i := 0; i < b.N; i++ {
-		t, err := exper.RunTable3()
+		t, err := r.Table3()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -85,8 +88,9 @@ func BenchmarkTable3OptLevels(b *testing.B) {
 // (paper: high-level constructs recovered for 18 of 20 benchmarks; two
 // EEMBC examples fail on indirect jumps).
 func BenchmarkTable4Recovery(b *testing.B) {
+	r := exper.NewRunner(1, nil)
 	for i := 0; i < b.N; i++ {
-		t, err := exper.RunTable4()
+		t, err := r.Table4()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -98,8 +102,9 @@ func BenchmarkTable4Recovery(b *testing.B) {
 // BenchmarkFigure1AreaSweep regenerates the speedup-vs-FPGA-size series
 // over the Virtex-II catalog.
 func BenchmarkFigure1AreaSweep(b *testing.B) {
+	r := exper.NewRunner(1, nil)
 	for i := 0; i < b.N; i++ {
-		f, err := exper.RunFigure1()
+		f, err := r.Figure1()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -111,8 +116,9 @@ func BenchmarkFigure1AreaSweep(b *testing.B) {
 // BenchmarkAblationPartitioners compares the 90-10 heuristic with the
 // greedy and GCLP baselines (quality and selection time).
 func BenchmarkAblationPartitioners(b *testing.B) {
+	r := exper.NewRunner(1, nil)
 	for i := 0; i < b.N; i++ {
-		a, err := exper.RunPartitionerComparison()
+		a, err := r.PartitionerComparison()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -123,8 +129,9 @@ func BenchmarkAblationPartitioners(b *testing.B) {
 // BenchmarkAblationPasses toggles decompiler passes off one at a time on
 // -O3 binaries.
 func BenchmarkAblationPasses(b *testing.B) {
+	r := exper.NewRunner(1, nil)
 	for i := 0; i < b.N; i++ {
-		a, err := exper.RunPassAblation()
+		a, err := r.PassAblation()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -398,8 +405,9 @@ func BenchmarkExecutorTable1Cached(b *testing.B) {
 // the paper's two indirect-jump failures with and without jump-table
 // recovery.
 func BenchmarkExtensionJumpTables(b *testing.B) {
+	r := exper.NewRunner(1, nil)
 	for i := 0; i < b.N; i++ {
-		e, err := exper.RunJumpTableExtension()
+		e, err := r.JumpTableExtension()
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -125,11 +125,12 @@ const (
 
 var routeNames = [2]string{"partition", "sweep"}
 
-// routeCodes are the response codes the API routes answer with. Every
-// {route, code} series is registered at zero by newDaemon, so each
-// bpartd family is present from the first /metrics scrape, before any
-// request has completed.
-var routeCodes = []int{http.StatusOK, http.StatusBadRequest, http.StatusTooManyRequests, http.StatusServiceUnavailable}
+// routeCodes are the response codes the API routes answer with (fail and
+// admit produce every one but 200). Every {route, code} series is
+// registered at zero by newDaemon, so each bpartd family is present from
+// the first /metrics scrape, before any request has completed.
+var routeCodes = []int{http.StatusOK, http.StatusBadRequest, http.StatusRequestEntityTooLarge,
+	http.StatusTooManyRequests, http.StatusServiceUnavailable}
 
 // syncCounters tallies response codes for one route.
 type syncCounters struct {
@@ -309,9 +310,9 @@ func (d *daemon) decode(w http.ResponseWriter, r *http.Request) (*apiRequest, co
 }
 
 // image resolves the request's binary: a raw SBF image, or a benchmark
-// compiled through the compile cache with a span recording the outcome
-// — the same discipline as the experiment runner, which is what keeps
-// the daemon's trace reconciling against its cache counters.
+// compiled by core.Compile — the experiment runner's compile stage, whose
+// span is what keeps the daemon's trace reconciling against its cache
+// counters.
 func (d *daemon) image(req *apiRequest, sc *obs.Scope) (*binimg.Image, error) {
 	if len(req.SBF) > 0 {
 		return binimg.Unmarshal(req.SBF)
@@ -320,16 +321,7 @@ func (d *daemon) image(req *apiRequest, sc *obs.Scope) (*binimg.Image, error) {
 	if !ok {
 		return nil, fmt.Errorf("unknown benchmark %q", req.Bench)
 	}
-	sp := sc.Start(obs.StageCompile)
-	defer sp.End()
-	if d.caches != nil && d.caches.Compile != nil {
-		img, out, err := d.caches.Compile.GetOrComputeOutcome(
-			bench.CompileKey(b.Source, req.Opt),
-			func() (*binimg.Image, error) { return b.Compile(req.Opt) })
-		sp.SetOutcome(out)
-		return img, err
-	}
-	return b.Compile(req.Opt)
+	return core.Compile(b, req.Opt, d.caches, sc)
 }
 
 // jobName labels the request's spans.

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -391,6 +392,24 @@ func TestMetricsScrapeableMidLoad(t *testing.T) {
 	// mid-life — the same invariant the daemon checks at shutdown.
 	if err := rec.Reconcile(caches.StatsMap()); err != nil {
 		t.Errorf("mid-load reconcile: %v", err)
+	}
+}
+
+// TestMetricsSeriesAtZero checks that a fresh daemon, before any
+// request, exposes a zero bpartd_requests_total series for every route
+// and every code the handlers answer with: 200, fail's 400 and 413, and
+// admit's 429 and 503.
+func TestMetricsSeriesAtZero(t *testing.T) {
+	var buf bytes.Buffer
+	testDaemon(t, daemonConfig{}).WriteMetrics(&buf)
+	for _, route := range routeNames {
+		for _, code := range []int{http.StatusOK, http.StatusBadRequest, http.StatusRequestEntityTooLarge,
+			http.StatusTooManyRequests, http.StatusServiceUnavailable} {
+			series := fmt.Sprintf(`bpartd_requests_total{route=%q,code="%d"} 0`, route, code)
+			if !strings.Contains(buf.String(), series+"\n") {
+				t.Errorf("missing %s in:\n%s", series, buf.String())
+			}
+		}
 	}
 }
 

@@ -56,9 +56,10 @@ func (b Benchmark) CompileCached(optLevel int, c *cache.Cache[*binimg.Image]) (*
 	if c == nil {
 		return b.Compile(optLevel)
 	}
-	return c.GetOrCompute(CompileKey(b.Source, optLevel), func() (*binimg.Image, error) {
+	img, _, err := c.GetOrCompute(CompileKey(b.Source, optLevel), func() (*binimg.Image, error) {
 		return b.Compile(optLevel)
 	})
+	return img, err
 }
 
 // CompileKey is the compile-stage cache key recipe: every compiler input

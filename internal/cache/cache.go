@@ -193,29 +193,17 @@ type inflightCall[V any] struct {
 	err  error
 }
 
-// Cache is a bounded, concurrency-safe, content-addressed LRU.
-// A nil *Cache is valid and caches nothing: Get always misses, Put is a
-// no-op, and GetOrCompute always computes. That lets call sites thread an
-// optional cache without branching.
-//
-// The hit path takes only a read lock: counters are atomic and recency
-// updates are buffered rather than applied in place, so a warm sweep's
-// workers never serialize on list bookkeeping. Buffered promotions are
-// applied, oldest first, under the next write lock — before any insert or
-// eviction — which keeps eviction order identical to an LRU that promotes
-// immediately (as the single-threaded eviction tests require).
+// Cache is a bounded, concurrency-safe, content-addressed LRU behind one
+// mutex. A nil *Cache is valid and caches nothing: GetOrCompute always
+// computes (OutcomeNone). That lets call sites thread an optional cache
+// without branching.
 type Cache[V any] struct {
 	capacity int
 
-	mu       sync.RWMutex
+	mu       sync.Mutex
 	ll       *list.List               // front = most recently used
 	items    map[Key]*list.Element    // key -> *entry
 	inflight map[Key]*inflightCall[V] // keys being computed right now
-
-	// pending buffers hit promotions recorded under the read lock. When
-	// the buffer is full the note is dropped: recency degrades but
-	// correctness does not.
-	pending chan Key
 
 	hits      atomic.Uint64
 	misses    atomic.Uint64
@@ -244,13 +232,12 @@ func New[V any](capacity int) *Cache[V] {
 		ll:       list.New(),
 		items:    make(map[Key]*list.Element),
 		inflight: make(map[Key]*inflightCall[V]),
-		pending:  make(chan Key, 1024),
 	}
 }
 
-// WithDisk attaches a write-through disk tier: Put persists entries via
-// the codec, and a memory miss consults the store before recomputing.
-// Call during wiring, before the cache sees concurrent use.
+// WithDisk attaches a write-through disk tier: computed values are
+// persisted via the codec, and a memory miss consults the store before
+// recomputing. Call during wiring, before the cache sees concurrent use.
 func (c *Cache[V]) WithDisk(d *DiskStore, codec Codec[V]) *Cache[V] {
 	if c == nil || d == nil {
 		return c
@@ -268,84 +255,6 @@ func (c *Cache[V]) DiskLatency() (snap hist.Snapshot, ok bool) {
 		return snap, false
 	}
 	return c.diskLat.Snapshot(), true
-}
-
-// Get returns the cached value for k, consulting memory then the disk
-// tier. Disk I/O runs outside the cache lock.
-func (c *Cache[V]) Get(k Key) (V, bool) {
-	var zero V
-	if c == nil {
-		return zero, false
-	}
-	if v, ok := c.fastGet(k); ok {
-		return v, true
-	}
-	c.mu.Lock()
-	v, ok := c.memLocked(k)
-	c.mu.Unlock()
-	if ok {
-		return v, true
-	}
-	v, out := c.loadDisk(k)
-	if out != OutcomeDisk {
-		c.misses.Add(1)
-		return zero, false
-	}
-	c.mu.Lock()
-	c.drainPendingLocked()
-	c.insertLocked(k, v)
-	c.mu.Unlock()
-	return v, true
-}
-
-// fastGet is the contention-free hit path: a read lock, an atomic hit
-// count, and a buffered recency note. The list is only mutated under the
-// write lock, so concurrent readers are safe.
-func (c *Cache[V]) fastGet(k Key) (V, bool) {
-	var v V
-	c.mu.RLock()
-	e, ok := c.items[k]
-	if ok {
-		v = e.Value.(*entry[V]).val
-	}
-	c.mu.RUnlock()
-	if !ok {
-		return v, false
-	}
-	c.hits.Add(1)
-	select {
-	case c.pending <- k:
-	default:
-	}
-	return v, true
-}
-
-// drainPendingLocked applies buffered hit promotions in arrival order.
-// Every write-lock holder drains before inserting or evicting.
-func (c *Cache[V]) drainPendingLocked() {
-	for {
-		select {
-		case k := <-c.pending:
-			if e, ok := c.items[k]; ok {
-				c.ll.MoveToFront(e)
-			}
-		default:
-			return
-		}
-	}
-}
-
-// memLocked checks the memory layer, recording a hit but never a miss,
-// so callers decide how a miss is counted. Callers hold the write lock.
-func (c *Cache[V]) memLocked(k Key) (V, bool) {
-	c.drainPendingLocked()
-	if e, ok := c.items[k]; ok {
-		c.ll.MoveToFront(e)
-		c.hits.Add(1)
-		return e.Value.(*entry[V]).val, true
-	}
-	var zero V
-	return zero, false
 }
 
 // loadDisk probes the disk tier, timing the read into diskLat. A blob
@@ -374,7 +283,7 @@ func (c *Cache[V]) loadDisk(k Key) (V, Outcome) {
 		}
 	}
 	c.corrupt.Add(1)
-	c.disk.Delete(k) //nolint:errcheck // best effort, like Put
+	c.disk.Delete(k) //nolint:errcheck // best effort; the recompute rewrites it
 	return zero, OutcomeCorrupt
 }
 
@@ -393,88 +302,36 @@ func (c *Cache[V]) storeDisk(k Key, v V) {
 	c.disk.Put(k, Seal(payload)) //nolint:errcheck // best effort; memory stays primary
 }
 
-// Put inserts (or refreshes) a value, evicting the least recently used
-// entry when over capacity, and writes through to the disk tier.
-func (c *Cache[V]) Put(k Key, v V) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.drainPendingLocked()
-	c.insertLocked(k, v)
-	c.mu.Unlock()
-	c.storeDisk(k, v)
-}
-
-// Delete removes k from the memory layer and the disk tier.
-func (c *Cache[V]) Delete(k Key) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.drainPendingLocked()
-	if e, ok := c.items[k]; ok {
-		c.ll.Remove(e)
-		delete(c.items, k)
-	}
-	c.mu.Unlock()
-	if c.disk != nil {
-		c.disk.Delete(k) //nolint:errcheck // best effort
-	}
-}
-
-// insertLocked updates the memory layer only; disk write-through happens
-// outside the lock (see Put and fill).
-func (c *Cache[V]) insertLocked(k Key, v V) {
-	if e, ok := c.items[k]; ok {
-		e.Value.(*entry[V]).val = v
-		c.ll.MoveToFront(e)
-		return
-	}
-	c.items[k] = c.ll.PushFront(&entry[V]{key: k, val: v})
-	for c.ll.Len() > c.capacity {
-		back := c.ll.Back()
-		c.ll.Remove(back)
-		delete(c.items, back.Value.(*entry[V]).key)
-		c.evictions.Add(1)
-	}
-}
-
-// GetOrCompute returns the value for k, computing it with fn on a miss.
-// Concurrent calls for the same key coalesce: one caller computes, the
-// rest wait and share the result (a waiter counts as a hit, and also as a
-// wait — the contention-visible counter). Errors are not cached.
-func (c *Cache[V]) GetOrCompute(k Key, fn func() (V, error)) (V, error) {
-	v, _, err := c.GetOrComputeOutcome(k, fn)
-	return v, err
-}
-
-// GetOrComputeOutcome is GetOrCompute reporting how the call was served,
-// so observability spans can attribute cache behavior per stage execution
-// without re-deriving it from counter deltas.
+// GetOrCompute returns the value for k, computing it with fn on a miss,
+// and reports how the call was served so observability spans can
+// attribute cache behavior per stage execution. It is the cache's only
+// lookup. Concurrent calls for the same key coalesce: one caller
+// computes, the rest wait and share the result (a waiter counts as a
+// hit, and also as a wait — the contention-visible counter). Errors are
+// not cached.
 //
 // Disk I/O happens outside the cache lock: the caller first registers
 // itself in the inflight map, which gives it per-key exclusion, then
 // probes the disk. Later same-key callers coalesce on the inflight entry
 // as waits — including callers that would have hit the disk — so a slow
 // disk never blocks unrelated keys.
-func (c *Cache[V]) GetOrComputeOutcome(k Key, fn func() (V, error)) (V, Outcome, error) {
+func (c *Cache[V]) GetOrCompute(k Key, fn func() (V, error)) (V, Outcome, error) {
 	if c == nil {
 		v, err := fn()
 		return v, OutcomeNone, err
 	}
-	if v, ok := c.fastGet(k); ok {
-		return v, OutcomeHit, nil
-	}
 	c.mu.Lock()
-	if v, ok := c.memLocked(k); ok {
+	if e, ok := c.items[k]; ok {
+		c.ll.MoveToFront(e)
+		v := e.Value.(*entry[V]).val
 		c.mu.Unlock()
+		c.hits.Add(1)
 		return v, OutcomeHit, nil
 	}
 	if fl, ok := c.inflight[k]; ok {
+		c.mu.Unlock()
 		c.hits.Add(1)
 		c.waits.Add(1)
-		c.mu.Unlock()
 		<-fl.done
 		if fl.err != nil {
 			var zero V
@@ -491,8 +348,15 @@ func (c *Cache[V]) GetOrComputeOutcome(k Key, fn func() (V, error)) (V, Outcome,
 	c.mu.Lock()
 	delete(c.inflight, k)
 	if fl.err == nil {
-		c.drainPendingLocked()
-		c.insertLocked(k, fl.val)
+		// k cannot be resident: it was absent when fl registered, and
+		// until now every other caller for k waited on fl.
+		c.items[k] = c.ll.PushFront(&entry[V]{key: k, val: fl.val})
+		for c.ll.Len() > c.capacity {
+			back := c.ll.Back()
+			c.ll.Remove(back)
+			delete(c.items, back.Value.(*entry[V]).key)
+			c.evictions.Add(1)
+		}
 	}
 	c.mu.Unlock()
 	return fl.val, out, fl.err
@@ -521,16 +385,6 @@ func (c *Cache[V]) fill(k Key, fl *inflightCall[V], fn func() (V, error)) Outcom
 	return out
 }
 
-// Len returns the current entry count.
-func (c *Cache[V]) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.ll.Len()
-}
-
 // Stats returns a snapshot of the counters.
 func (c *Cache[V]) Stats() Stats {
 	if c == nil {
@@ -544,8 +398,8 @@ func (c *Cache[V]) Stats() Stats {
 		Waits:     c.waits.Load(),
 		Corrupt:   c.corrupt.Load(),
 	}
-	c.mu.RLock()
+	c.mu.Lock()
 	s.Entries = c.ll.Len()
-	c.mu.RUnlock()
+	c.mu.Unlock()
 	return s
 }

@@ -65,31 +65,38 @@ func TestKeyInvalidation(t *testing.T) {
 	}
 }
 
-// TestLRUEvictionOrder checks both eviction order and that Get refreshes
-// recency.
+// TestLRUEvictionOrder checks both eviction order and that a hit
+// refreshes recency, by which keys recompute.
 func TestLRUEvictionOrder(t *testing.T) {
 	key := func(i int) Key { return NewHasher("t").Int(int64(i)).Sum() }
 	c := New[int](2)
-	c.Put(key(1), 1)
-	c.Put(key(2), 2)
-	if _, ok := c.Get(key(1)); !ok { // refresh 1; 2 becomes LRU
-		t.Fatal("entry 1 missing")
-	}
-	c.Put(key(3), 3) // evicts 2
-	if _, ok := c.Get(key(2)); ok {
-		t.Error("entry 2 survived eviction; LRU order wrong")
-	}
-	for _, i := range []int{1, 3} {
-		if v, ok := c.Get(key(i)); !ok || v != i {
-			t.Errorf("entry %d lost (ok=%v v=%d)", i, ok, v)
+	get := func(i int) Outcome {
+		v, out, err := c.GetOrCompute(key(i), func() (int, error) { return i, nil })
+		if err != nil || v != i {
+			t.Fatalf("entry %d: %d, %v", i, v, err)
 		}
+		return out
 	}
+	get(1)
+	get(2)
+	if out := get(1); out != OutcomeHit { // refresh 1; 2 becomes LRU
+		t.Fatalf("entry 1 missing (outcome %v)", out)
+	}
+	get(3) // evicts 2
 	s := c.Stats()
 	if s.Evictions != 1 {
 		t.Errorf("evictions = %d, want 1", s.Evictions)
 	}
 	if s.Entries != 2 {
 		t.Errorf("entries = %d, want 2", s.Entries)
+	}
+	for _, i := range []int{1, 3} {
+		if out := get(i); out != OutcomeHit {
+			t.Errorf("entry %d lost (outcome %v)", i, out)
+		}
+	}
+	if out := get(2); out != OutcomeMiss {
+		t.Errorf("entry 2 survived eviction; LRU order wrong (outcome %v)", out)
 	}
 }
 
@@ -100,9 +107,16 @@ func TestGetOrCompute(t *testing.T) {
 	calls := 0
 	get := func() (string, error) { calls++; return "v", nil }
 	for i := 0; i < 3; i++ {
-		v, err := c.GetOrCompute(k, get)
+		v, out, err := c.GetOrCompute(k, get)
 		if err != nil || v != "v" {
 			t.Fatalf("round %d: %q, %v", i, v, err)
+		}
+		want := OutcomeHit
+		if i == 0 {
+			want = OutcomeMiss
+		}
+		if out != want {
+			t.Errorf("round %d: outcome %v, want %v", i, out, want)
 		}
 	}
 	if calls != 1 {
@@ -111,10 +125,10 @@ func TestGetOrCompute(t *testing.T) {
 	// Errors are not cached: the next call recomputes.
 	ke := NewHasher("t").String("err").Sum()
 	boom := errors.New("boom")
-	if _, err := c.GetOrCompute(ke, func() (string, error) { return "", boom }); err != boom {
+	if _, _, err := c.GetOrCompute(ke, func() (string, error) { return "", boom }); err != boom {
 		t.Fatalf("error not propagated: %v", err)
 	}
-	if v, err := c.GetOrCompute(ke, func() (string, error) { return "ok", nil }); err != nil || v != "ok" {
+	if v, _, err := c.GetOrCompute(ke, func() (string, error) { return "ok", nil }); err != nil || v != "ok" {
 		t.Fatalf("error was cached: %q, %v", v, err)
 	}
 	s := c.Stats()
@@ -123,8 +137,9 @@ func TestGetOrCompute(t *testing.T) {
 	}
 }
 
-// TestConcurrentGetPut hammers a small cache from many goroutines; run
-// under -race this is the data-race check for the LRU internals.
+// TestConcurrentGetPut hammers a small cache from many goroutines with
+// hits, misses, evictions and coalesced waits; run under -race this is
+// the data-race check for the LRU internals.
 func TestConcurrentGetPut(t *testing.T) {
 	c := New[int](16)
 	var wg sync.WaitGroup
@@ -134,20 +149,21 @@ func TestConcurrentGetPut(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				k := NewHasher("t").Int(int64(i % 32)).Sum()
-				switch i % 3 {
-				case 0:
-					c.Put(k, i)
-				case 1:
-					c.Get(k)
-				default:
-					c.GetOrCompute(k, func() (int, error) { return i, nil })
+				v, _, err := c.GetOrCompute(k, func() (int, error) { return i % 32, nil })
+				if err != nil || v != i%32 {
+					t.Errorf("goroutine %d: key %d = %d, %v", g, i%32, v, err)
+					return
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	if n := c.Len(); n > 16 {
-		t.Errorf("capacity exceeded: %d entries", n)
+	s := c.Stats()
+	if s.Entries > 16 {
+		t.Errorf("capacity exceeded: %d entries", s.Entries)
+	}
+	if s.Hits+s.Misses != 8*500 {
+		t.Errorf("stats = %+v, want 4000 lookups", s)
 	}
 }
 
@@ -165,7 +181,7 @@ func TestInflightCoalescing(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, err := c.GetOrCompute(k, func() (int, error) {
+			v, _, err := c.GetOrCompute(k, func() (int, error) {
 				computes.Add(1)
 				<-gate // hold every racer in the in-flight window
 				return 42, nil
@@ -193,24 +209,28 @@ func TestInflightCoalescing(t *testing.T) {
 func TestNilCacheSafe(t *testing.T) {
 	var c *Cache[int]
 	k := NewHasher("t").Sum()
-	if _, ok := c.Get(k); ok {
-		t.Error("nil cache hit")
-	}
-	c.Put(k, 1)
-	v, err := c.GetOrCompute(k, func() (int, error) { return 9, nil })
-	if err != nil || v != 9 {
-		t.Errorf("nil GetOrCompute = %d, %v", v, err)
+	for i := 0; i < 2; i++ {
+		v, out, err := c.GetOrCompute(k, func() (int, error) { return 9, nil })
+		if err != nil || v != 9 || out != OutcomeNone {
+			t.Errorf("nil GetOrCompute = %d, %v, %v", v, out, err)
+		}
 	}
 	if s := c.Stats(); s != (Stats{}) {
 		t.Errorf("nil stats = %+v", s)
 	}
+	if _, ok := c.DiskLatency(); ok {
+		t.Error("nil cache reports a disk latency")
+	}
+	if c.WithDisk(nil, Codec[int]{}) != nil {
+		t.Error("nil WithDisk returned a cache")
+	}
 }
 
 // TestDiskStoreRoundTrip checks the write-through layer: a second cache
-// sharing the directory serves a cold Get from disk.
+// sharing the directory serves a cold lookup from disk.
 func TestDiskStoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	store, err := OpenDisk(dir)
+	store, err := OpenDiskMax(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,27 +241,35 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 	k := NewHasher("t").String("persist").Sum()
 
 	warm := New[string](4).WithDisk(store, codec)
-	warm.Put(k, "hello")
+	if _, _, err := warm.GetOrCompute(k, func() (string, error) { return "hello", nil }); err != nil {
+		t.Fatal(err)
+	}
 
 	cold := New[string](4).WithDisk(store, codec)
-	v, ok := cold.Get(k)
-	if !ok || v != "hello" {
-		t.Fatalf("disk miss: %q, %v", v, ok)
+	v, out, err := cold.GetOrCompute(k, func() (string, error) {
+		t.Error("cold lookup recomputed; value was not persisted")
+		return "", nil
+	})
+	if err != nil || v != "hello" || out != OutcomeDisk {
+		t.Fatalf("disk miss: %q, %v, %v", v, out, err)
 	}
 	s := cold.Stats()
 	if s.DiskHits != 1 {
 		t.Errorf("disk hits = %d, want 1", s.DiskHits)
 	}
-	// A corrupt blob must fall through to a miss, not an error.
+	// A corrupt blob must fall through to a recompute, not an error.
 	k2 := NewHasher("t").String("corrupt").Sum()
 	bad := Codec[string]{
 		Marshal:   codec.Marshal,
 		Unmarshal: func([]byte) (string, error) { return "", fmt.Errorf("corrupt") },
 	}
-	store.Put(k2, []byte("junk"))
+	if err := store.Put(k2, []byte("junk")); err != nil {
+		t.Fatal(err)
+	}
 	c3 := New[string](4).WithDisk(store, bad)
-	if _, ok := c3.Get(k2); ok {
-		t.Error("corrupt blob served")
+	v, out, err = c3.GetOrCompute(k2, func() (string, error) { return "fresh", nil })
+	if err != nil || v != "fresh" || out != OutcomeCorrupt {
+		t.Errorf("corrupt blob: %q, %v, %v; want the recompute", v, out, err)
 	}
 }
 
@@ -274,7 +302,7 @@ var lengthCodec = Codec[string]{
 // exactly the cold run's results.
 func TestCorruptBlobRecovery(t *testing.T) {
 	dir := t.TempDir()
-	store, err := OpenDisk(dir)
+	store, err := OpenDiskMax(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +311,7 @@ func TestCorruptBlobRecovery(t *testing.T) {
 
 	// Cold run: compute and persist.
 	cold := New[string](4).WithDisk(store, lengthCodec)
-	coldVal, err := cold.GetOrCompute(k, compute)
+	coldVal, _, err := cold.GetOrCompute(k, compute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +329,7 @@ func TestCorruptBlobRecovery(t *testing.T) {
 	// Warm rerun in a fresh process (new cache, same directory): the
 	// corrupt blob must not be served; the recompute must match cold.
 	warm := New[string](4).WithDisk(store, lengthCodec)
-	warmVal, out, err := warm.GetOrComputeOutcome(k, compute)
+	warmVal, out, err := warm.GetOrCompute(k, compute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +350,7 @@ func TestCorruptBlobRecovery(t *testing.T) {
 	// The recompute must have replaced the damaged blob with a good one:
 	// a third cold cache now serves it from disk.
 	third := New[string](4).WithDisk(store, lengthCodec)
-	v, out, err := third.GetOrComputeOutcome(k, func() (string, error) {
+	v, out, err := third.GetOrCompute(k, func() (string, error) {
 		t.Error("recompute ran; corrupt blob was not rewritten")
 		return "", nil
 	})
@@ -335,11 +363,11 @@ func TestCorruptBlobRecovery(t *testing.T) {
 }
 
 // TestCorruptBlobDeleted checks the delete half in isolation: after the
-// corrupt lookup the damaged file is gone even if nothing recomputes (a
-// plain Get), so later runs do not trip over it again.
+// corrupt lookup the damaged file is gone even if nothing rewrites it (the
+// recompute fails), so later runs do not trip over it again.
 func TestCorruptBlobDeleted(t *testing.T) {
 	dir := t.TempDir()
-	store, err := OpenDisk(dir)
+	store, err := OpenDiskMax(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,8 +376,10 @@ func TestCorruptBlobDeleted(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := New[string](4).WithDisk(store, lengthCodec)
-	if _, ok := c.Get(k); ok {
-		t.Fatal("corrupt blob served")
+	boom := errors.New("boom")
+	_, out, err := c.GetOrCompute(k, func() (string, error) { return "", boom })
+	if err != boom || out != OutcomeCorrupt {
+		t.Fatalf("corrupt lookup = %v, %v; want the failed recompute", out, err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, k.String()+".sbc")); !os.IsNotExist(err) {
 		t.Errorf("corrupt blob still on disk (err=%v)", err)
@@ -357,4 +387,32 @@ func TestCorruptBlobDeleted(t *testing.T) {
 	if got := c.Stats().Corrupt; got != 1 {
 		t.Errorf("corrupt stat = %d, want 1", got)
 	}
+}
+
+// BenchmarkCacheHitParallel measures the hit path under contention:
+// every goroutine cycles through 64 warm keys, so each op is one memory
+// hit (lock, recency update, hit count). Run with -cpu 1,2 to compare
+// the uncontended and contended cost.
+func BenchmarkCacheHitParallel(b *testing.B) {
+	const nkeys = 64
+	c := New[int](nkeys)
+	keys := make([]Key, nkeys)
+	for i := range keys {
+		keys[i] = NewHasher("t").Int(int64(i)).Sum()
+		if _, _, err := c.GetOrCompute(keys[i], func() (int, error) { return i, nil }); err != nil {
+			b.Fatal(err)
+		}
+	}
+	compute := func() (int, error) { return 0, errors.New("unexpected miss") }
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := 0
+		for pb.Next() {
+			if _, out, _ := c.GetOrCompute(keys[i%nkeys], compute); out != OutcomeHit {
+				b.Errorf("outcome %v, want hit", out)
+				return
+			}
+			i++
+		}
+	})
 }

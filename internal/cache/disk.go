@@ -37,14 +37,10 @@ type DiskStore struct {
 	sweeping atomic.Bool
 }
 
-// OpenDisk opens (creating if needed) an unbounded store rooted at dir.
-func OpenDisk(dir string) (*DiskStore, error) {
-	return OpenDiskMax(dir, 0)
-}
-
-// OpenDiskMax opens a store rooted at dir bounded to maxBytes of blobs
-// (0 means unbounded). The opening scan prices the existing contents so
-// a long-lived directory is swept from the first overflowing Put.
+// OpenDiskMax opens (creating if needed) a store rooted at dir bounded
+// to maxBytes of blobs (0 means unbounded). The opening scan prices the
+// existing contents so a long-lived directory is swept from the first
+// overflowing Put.
 func OpenDiskMax(dir string, maxBytes int64) (*DiskStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cache: open disk store: %w", err)
@@ -55,12 +51,6 @@ func OpenDiskMax(dir string, maxBytes int64) (*DiskStore, error) {
 	}
 	return d, nil
 }
-
-// Dir returns the store's root directory.
-func (d *DiskStore) Dir() string { return d.dir }
-
-// MaxBytes returns the byte budget (0 when unbounded).
-func (d *DiskStore) MaxBytes() int64 { return d.maxBytes }
 
 // Size returns the approximate blob bytes currently stored. Only
 // tracked on a bounded store; an unbounded store reports 0.

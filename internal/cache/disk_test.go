@@ -80,7 +80,7 @@ func TestDiskSweepTriggersOnPut(t *testing.T) {
 // counts what is already on disk, so the first overflowing Put sweeps.
 func TestOpenDiskMaxPricesExisting(t *testing.T) {
 	dir := t.TempDir()
-	d1, err := OpenDisk(dir)
+	d1, err := OpenDiskMax(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

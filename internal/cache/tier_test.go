@@ -50,7 +50,7 @@ func TestSealOpen(t *testing.T) {
 // fill's inflight exclusion races disk probes and write-backs). Under
 // -race this is the concurrency audit for fill over a backing tier.
 func TestConcurrentTieredCache(t *testing.T) {
-	store, err := OpenDisk(t.TempDir())
+	store, err := OpenDiskMax(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestConcurrentTieredCache(t *testing.T) {
 				k := NewHasher("t").Int(int64(i % 8)).Sum()
 				want := fmt.Sprintf("v%d", i%8)
 				for _, c := range []*Cache[string]{own, shared} {
-					v, err := c.GetOrCompute(k, func() (string, error) { return want, nil })
+					v, _, err := c.GetOrCompute(k, func() (string, error) { return want, nil })
 					if err != nil || v != want {
 						t.Errorf("goroutine %d: %q, %v", g, v, err)
 						return
@@ -83,14 +83,14 @@ func TestConcurrentTieredCache(t *testing.T) {
 // TestCacheTierLatencies checks that disk probes feed the disk latency
 // histogram, and that a cache without a disk tier reports none.
 func TestCacheTierLatencies(t *testing.T) {
-	store, err := OpenDisk(t.TempDir())
+	store, err := OpenDiskMax(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := New[string](8).WithDisk(store, stringCodec)
 
 	k := NewHasher("t").String("lat").Sum()
-	if _, err := c.GetOrCompute(k, func() (string, error) { return "v", nil }); err != nil {
+	if _, _, err := c.GetOrCompute(k, func() (string, error) { return "v", nil }); err != nil {
 		t.Fatal(err)
 	}
 

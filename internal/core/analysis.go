@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"binpart/internal/bench"
 	"binpart/internal/binimg"
 	"binpart/internal/cache"
 	"binpart/internal/decompile"
@@ -89,18 +90,11 @@ func AnalyzeWith(img *binimg.Image, opts Options, caches *Caches) (*Analysis, er
 // zero overhead.
 func AnalyzeScoped(img *binimg.Image, opts Options, caches *Caches, sc *obs.Scope) (*Analysis, error) {
 	opts.Sim.Profile = true
+	caches = caches.orNone()
 	sp := sc.Start(obs.StageAnalyze)
-	var a *Analysis
-	var err error
-	if caches != nil && caches.Analysis != nil {
-		var out cache.Outcome
-		a, out, err = caches.Analysis.GetOrComputeOutcome(analysisKey(img.Key(), opts), func() (*Analysis, error) {
-			return computeAnalysis(img, opts, caches, sc)
-		})
-		sp.SetOutcome(out)
-	} else {
-		a, err = computeAnalysis(img, opts, caches, sc)
-	}
+	a, err := cached(caches.Analysis, &sp,
+		func() cache.Key { return analysisKey(img.Key(), opts) },
+		func() (*Analysis, error) { return computeAnalysis(img, opts, caches, sc) })
 	if a != nil {
 		sp.SetRegions(uint64(len(a.Candidates)))
 	}
@@ -128,14 +122,9 @@ func analysisKey(imgKey cache.Key, opts Options) cache.Key {
 
 // computeAnalysis is stages 1-4 of the flow (see RunWith's doc): profile,
 // lift, and candidate construction, stopping short of anything that reads
-// the platform.
+// the platform. caches is non-nil (AnalyzeScoped normalises it).
 func computeAnalysis(img *binimg.Image, opts Options, caches *Caches, sc *obs.Scope) (*Analysis, error) {
 	a := &Analysis{opts: opts}
-
-	var imgKey cache.Key
-	if caches != nil {
-		imgKey = img.Key()
-	}
 
 	// 1. Profile the all-software execution.
 	res, err := Simulate(img, opts.Sim, caches, sc)
@@ -148,17 +137,10 @@ func computeAnalysis(img *binimg.Image, opts Options, caches *Caches, sc *obs.Sc
 
 	// 2+3. Decompile and run the decompiler optimization pipeline.
 	decOpts := decompile.Options{RecoverJumpTables: opts.RecoverJumpTables}
-	var lr *LiftResult
 	liftSp := sc.Start(obs.StageLift)
-	if caches != nil && caches.Lift != nil {
-		var out cache.Outcome
-		lr, out, err = caches.Lift.GetOrComputeOutcome(liftKey(imgKey, decOpts, opts.Dopt), func() (*LiftResult, error) {
-			return computeLift(img, decOpts, opts.Dopt)
-		})
-		liftSp.SetOutcome(out)
-	} else {
-		lr, err = computeLift(img, decOpts, opts.Dopt)
-	}
+	lr, err := cached(caches.Lift, &liftSp,
+		func() cache.Key { return liftKey(img.Key(), decOpts, opts.Dopt) },
+		func() (*LiftResult, error) { return computeLift(img, decOpts, opts.Dopt) })
 	if lr != nil {
 		liftSp.SetRegions(uint64(lr.Recovery.FuncsRecovered))
 	}
@@ -172,12 +154,12 @@ func computeAnalysis(img *binimg.Image, opts Options, caches *Caches, sc *obs.Sc
 
 	// 4. Build candidates: outermost loops (default), or whole call-free
 	// functions when running at function granularity.
-	sctx := &synthCtx{caches: caches, imgKey: imgKey, obs: sc}
+	sctx := &synthCtx{cache: caches.Synth, obs: sc}
 	for _, f := range lr.Dec.Funcs {
 		if f.Name == "_start" {
 			continue
 		}
-		if caches != nil && caches.Synth != nil {
+		if sctx.cache != nil {
 			sctx.sig = funcSignature(f)
 		}
 		extents := blockExtents(f, img)
@@ -313,6 +295,19 @@ func evaluateOpts(a *Analysis, opts Options, sc *obs.Scope) *Report {
 	return rep
 }
 
+// Compile builds a suite benchmark at optLevel behind the compile cache
+// (keyed by bench.CompileKey) and records a compile span with the cache
+// outcome. It is the flow's front end for every caller that names a
+// benchmark rather than supplying a binary. Nil caches and a nil scope
+// are both allowed.
+func Compile(b bench.Benchmark, optLevel int, caches *Caches, sc *obs.Scope) (*binimg.Image, error) {
+	sp := sc.Start(obs.StageCompile)
+	defer sp.End()
+	return cached(caches.orNone().Compile, &sp,
+		func() cache.Key { return bench.CompileKey(b.Source, optLevel) },
+		func() (*binimg.Image, error) { return b.Compile(optLevel) })
+}
+
 // Simulate is stage 1 of the flow behind the sim cache: it executes img
 // under cfg (or serves the result from caches.Sim, keyed by the image and
 // every cfg field, engine included) and records a sim span with the cache
@@ -320,17 +315,9 @@ func evaluateOpts(a *Analysis, opts Options, sc *obs.Scope) *Report {
 // both allowed.
 func Simulate(img *binimg.Image, cfg sim.Config, caches *Caches, sc *obs.Scope) (sim.Result, error) {
 	sp := sc.Start(obs.StageSim)
-	var res sim.Result
-	var err error
-	if caches != nil && caches.Sim != nil {
-		var out cache.Outcome
-		res, out, err = caches.Sim.GetOrComputeOutcome(simKey(img.Key(), cfg), func() (sim.Result, error) {
-			return sim.Execute(img, cfg)
-		})
-		sp.SetOutcome(out)
-	} else {
-		res, err = sim.Execute(img, cfg)
-	}
+	res, err := cached(caches.orNone().Sim, &sp,
+		func() cache.Key { return simKey(img.Key(), cfg) },
+		func() (sim.Result, error) { return sim.Execute(img, cfg) })
 	sp.SetInstrs(res.Steps)
 	sp.End()
 	return res, err

@@ -42,6 +42,33 @@ type Caches struct {
 	Analysis *cache.Cache[*Analysis]
 }
 
+// noCaches is what a nil *Caches means: every stage cache is nil, so
+// every stage computes directly.
+var noCaches Caches
+
+// orNone maps a nil *Caches to noCaches, so the flow's entry points
+// normalise once and then read stage caches without nil checks.
+func (c *Caches) orNone() *Caches {
+	if c == nil {
+		return &noCaches
+	}
+	return c
+}
+
+// cached is the one way into a stage cache. With no cache attached it
+// calls compute directly and never hashes; otherwise it looks up key()
+// in c (computing on a miss) and records on sp how the lookup was
+// served. Routing every cached stage call through here is what keeps the
+// trace's per-stage span outcomes reconciling with the caches' Stats.
+func cached[V any](c *cache.Cache[V], sp *obs.Span, key func() cache.Key, compute func() (V, error)) (V, error) {
+	if c == nil {
+		return compute()
+	}
+	v, out, err := c.GetOrCompute(key(), compute)
+	sp.SetOutcome(out)
+	return v, err
+}
+
 // Default per-stage capacities. The suite has 20 benchmarks x 4 opt
 // levels; synthesis sees a few candidate regions per binary.
 const (
@@ -219,13 +246,12 @@ func funcSignature(f *ir.Func) cache.Key {
 }
 
 // synthCtx threads the synthesis cache and the observability scope
-// through candidate construction. The zero/nil context synthesizes
-// directly and records nothing.
+// through candidate construction. The zero context synthesizes directly
+// and records nothing.
 type synthCtx struct {
-	caches *Caches
-	imgKey cache.Key
+	cache *cache.Cache[*synth.Design]
 	// sig is the enclosing function's CDFG signature, computed once per
-	// function while building its candidates.
+	// function while building its candidates (only when cache is set).
 	sig cache.Key
 	// obs attributes per-region synth spans to the current sweep point.
 	obs *obs.Scope
@@ -238,18 +264,17 @@ type synthCtx struct {
 // deliberately excluded — synthesis is platform-independent, which is
 // what makes the clock and area sweeps nearly free on a warm cache.
 func (sc *synthCtx) synthesize(r synth.Region, img *binimg.Image, opts synth.Options) (*synth.Design, error) {
-	if sc == nil || sc.caches == nil || sc.caches.Synth == nil {
-		var scope *obs.Scope
-		if sc != nil {
-			scope = sc.obs
-		}
-		sp := scope.Start(obs.StageSynth)
-		d, err := synth.Synthesize(r, img, opts)
-		sp.End()
-		return d, err
-	}
+	sp := sc.obs.Start(obs.StageSynth)
+	d, err := cached(sc.cache, &sp,
+		func() cache.Key { return synthKey(img.Key(), sc.sig, r, opts) },
+		func() (*synth.Design, error) { return synth.Synthesize(r, img, opts) })
+	sp.End()
+	return d, err
+}
+
+func synthKey(imgKey, sig cache.Key, r synth.Region, opts synth.Options) cache.Key {
 	h := cache.NewHasher("synth")
-	h.Bytes(sc.imgKey[:]).Bytes(sc.sig[:]).String(r.Name)
+	h.Bytes(imgKey[:]).Bytes(sig[:]).String(r.Name)
 	if r.Blocks == nil {
 		h.Int(-1)
 	} else {
@@ -264,13 +289,7 @@ func (sc *synthCtx) synthesize(r synth.Region, img *binimg.Image, opts synth.Opt
 		}
 	}
 	hashSynthOptions(h, opts)
-	sp := sc.obs.Start(obs.StageSynth)
-	d, out, err := sc.caches.Synth.GetOrComputeOutcome(h.Sum(), func() (*synth.Design, error) {
-		return synth.Synthesize(r, img, opts)
-	})
-	sp.SetOutcome(out)
-	sp.End()
-	return d, err
+	return h.Sum()
 }
 
 // LiftResult is the cached product of decompilation plus the decompiler

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"binpart/internal/bench"
-	"binpart/internal/binimg"
 	"binpart/internal/core"
 	"binpart/internal/obs"
 )
@@ -52,11 +51,6 @@ func (r *Runner) Interrupt() { r.interrupted.Store(true) }
 func NewRunner(workers int, caches *core.Caches) *Runner {
 	return &Runner{Workers: workers, Caches: caches}
 }
-
-// defaultRunner backs the package-level Run* entry points: serial and
-// cacheless, preserving the historical behavior the per-stage benchmarks
-// in bench_test.go measure.
-var defaultRunner = &Runner{Workers: 1}
 
 // rowJob is one sweep point: a benchmark compiled at one optimization
 // level and partitioned under one configuration.
@@ -185,7 +179,7 @@ func (r *Runner) analyses(jobs []rowJob) ([]*core.Analysis, error) {
 		sc := r.scope(j, w)
 		sp := sc.Start(obs.StageJob)
 		defer sp.End()
-		img, err := r.compile(j, sc)
+		img, err := core.Compile(j.bench, j.level, r.Caches, sc)
 		if err != nil {
 			return nil, err
 		}
@@ -200,24 +194,9 @@ func (r *Runner) analyses(jobs []rowJob) ([]*core.Analysis, error) {
 // errSkipped marks jobs abandoned after another job already failed.
 var errSkipped = fmt.Errorf("exper: skipped after earlier failure")
 
-// compile builds a job's binary, through the compile cache when present,
-// recording a compile span with the cache outcome.
-func (r *Runner) compile(j rowJob, sc *obs.Scope) (*binimg.Image, error) {
-	sp := sc.Start(obs.StageCompile)
-	defer sp.End()
-	if r.Caches != nil && r.Caches.Compile != nil {
-		img, out, err := r.Caches.Compile.GetOrComputeOutcome(
-			bench.CompileKey(j.bench.Source, j.level),
-			func() (*binimg.Image, error) { return j.bench.Compile(j.level) })
-		sp.SetOutcome(out)
-		return img, err
-	}
-	return j.bench.Compile(j.level)
-}
-
 // runOne executes the full flow for one sweep point.
 func (r *Runner) runOne(j rowJob, sc *obs.Scope) (Row, error) {
-	img, err := r.compile(j, sc)
+	img, err := core.Compile(j.bench, j.level, r.Caches, sc)
 	if err != nil {
 		return Row{}, err
 	}

@@ -11,10 +11,8 @@
 // core.Evaluate call. Sweeps that vary analysis inputs (opt level, dopt
 // config, synthesis options) fan full-flow points over the pool instead.
 // Either way a Runner bounds the worker pool and reuses stage results
-// through a content-addressed cache (see internal/cache); the
-// package-level Run* functions execute serially without caching and exist
-// for API stability. Row order — and therefore every formatted table — is
-// identical at any worker count.
+// through a content-addressed cache (see internal/cache). Row order — and
+// therefore every formatted table — is identical at any worker count.
 package exper
 
 import (
@@ -100,9 +98,6 @@ type Table1 struct {
 	Summary Summary
 }
 
-// RunTable1 executes the main-results experiment serially.
-func RunTable1() (*Table1, error) { return defaultRunner.Table1() }
-
 // Table1 executes the main-results experiment.
 func (r *Runner) Table1() (*Table1, error) {
 	return r.tableOn(platform.MIPS200)
@@ -144,9 +139,6 @@ type Table2 struct {
 	MHz       []float64
 	Summaries []Summary
 }
-
-// RunTable2 executes the platform sweep serially.
-func RunTable2() (*Table2, error) { return defaultRunner.Table2() }
 
 // Table2 executes the platform sweep analyze-once: the analysis stages
 // never observe the CPU clock, so each benchmark is analyzed once (the
@@ -192,9 +184,6 @@ type Table3 struct {
 	Rows []Row // grouped by benchmark, levels 0..3
 }
 
-// RunTable3 executes the optimization-level experiment serially.
-func RunTable3() (*Table3, error) { return defaultRunner.Table3() }
-
 // Table3 executes the optimization-level experiment.
 func (r *Runner) Table3() (*Table3, error) {
 	var jobs []rowJob
@@ -232,9 +221,6 @@ type Table4 struct {
 	Failed     int
 	FailedList []string
 }
-
-// RunTable4 executes the recovery audit serially.
-func RunTable4() (*Table4, error) { return defaultRunner.Table4() }
 
 // Table4 executes the recovery audit.
 func (r *Runner) Table4() (*Table4, error) {
@@ -290,9 +276,6 @@ type Figure1 struct {
 	Areas    []int
 }
 
-// RunFigure1 executes the area sweep serially.
-func RunFigure1() (*Figure1, error) { return defaultRunner.Figure1() }
-
 // Figure1 executes the area sweep over the Virtex-II catalog analyze-
 // once: compilation, simulation, lift, and synthesis are all device-
 // independent, so each of the 20 benchmarks is analyzed once (the
@@ -344,9 +327,6 @@ type Ablation struct {
 	PartTimes []time.Duration
 }
 
-// RunPartitionerComparison compares partitioning algorithms serially.
-func RunPartitionerComparison() (*Ablation, error) { return defaultRunner.PartitionerComparison() }
-
 // PartitionerComparison compares partitioning algorithms over the suite
 // analyze-once: the candidate set is algorithm-independent, so each
 // benchmark is analyzed once and every algorithm is a core.Evaluate call
@@ -393,9 +373,6 @@ type PassAblation struct {
 	Speedups []float64
 	Areas    []int
 }
-
-// RunPassAblation toggles decompiler passes off one at a time, serially.
-func RunPassAblation() (*PassAblation, error) { return defaultRunner.PassAblation() }
 
 // PassAblation toggles decompiler passes off one at a time.
 func (r *Runner) PassAblation() (*PassAblation, error) {
@@ -463,9 +440,6 @@ type Extension struct {
 	BaseRecovered []bool
 	ExtRecovered  []bool
 }
-
-// RunJumpTableExtension executes the extension experiment serially.
-func RunJumpTableExtension() (*Extension, error) { return defaultRunner.JumpTableExtension() }
 
 // JumpTableExtension executes the extension experiment.
 func (r *Runner) JumpTableExtension() (*Extension, error) {

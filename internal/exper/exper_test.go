@@ -8,7 +8,7 @@ import (
 // TestTable1ShapeClaims checks the paper's headline claims hold on the
 // regenerated main-results table.
 func TestTable1ShapeClaims(t *testing.T) {
-	t1, err := RunTable1()
+	t1, err := NewRunner(1, nil).Table1()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestTable2MonotoneShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("3x full-suite runs")
 	}
-	t2, err := RunTable2()
+	t2, err := NewRunner(1, nil).Table2()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestTable2MonotoneShape(t *testing.T) {
 
 // TestTable3Claims checks the optimization-level experiment's claims.
 func TestTable3Claims(t *testing.T) {
-	t3, err := RunTable3()
+	t3, err := NewRunner(1, nil).Table3()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestTable3Claims(t *testing.T) {
 // TestTable4Exact checks the recovery audit: with switch-table recovery
 // on by default, every kernel recovers (the paper stops at 18/20).
 func TestTable4Exact(t *testing.T) {
-	t4, err := RunTable4()
+	t4, err := NewRunner(1, nil).Table4()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestFigure1Saturates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("11x full-suite runs")
 	}
-	f1, err := RunFigure1()
+	f1, err := NewRunner(1, nil).Figure1()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestPartitionerComparisonRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("3x full-suite runs")
 	}
-	a, err := RunPartitionerComparison()
+	a, err := NewRunner(1, nil).PartitionerComparison()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestPartitionerComparisonRuns(t *testing.T) {
 
 // TestPassAblationShape checks the headline ablation claims.
 func TestPassAblationShape(t *testing.T) {
-	a, err := RunPassAblation()
+	a, err := NewRunner(1, nil).PassAblation()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestPassAblationShape(t *testing.T) {
 // TestJumpTableExtension checks the E1 extension experiment: both of the
 // paper's failures recover and accelerate.
 func TestJumpTableExtension(t *testing.T) {
-	e, err := RunJumpTableExtension()
+	e, err := NewRunner(1, nil).JumpTableExtension()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,15 +60,15 @@ func TestTable1Golden(t *testing.T) {
 // worker pool while sharing cached profiles, lifted functions, and
 // designs.
 func TestParallelSweepsMatchSerial(t *testing.T) {
-	serialT3, err := RunTable3()
+	serialT3, err := NewRunner(1, nil).Table3()
 	if err != nil {
 		t.Fatal(err)
 	}
-	serialT4, err := RunTable4()
+	serialT4, err := NewRunner(1, nil).Table4()
 	if err != nil {
 		t.Fatal(err)
 	}
-	serialE1, err := RunJumpTableExtension()
+	serialE1, err := NewRunner(1, nil).JumpTableExtension()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,15 +109,15 @@ func TestParallelSweepsMatchSerial(t *testing.T) {
 // plus the Analysis cache itself. The partitioner comparison checks
 // speedups only — its Format includes measured partition wall-clock.
 func TestAnalyzeOnceSweepsMatchSerial(t *testing.T) {
-	serialF1, err := RunFigure1()
+	serialF1, err := NewRunner(1, nil).Figure1()
 	if err != nil {
 		t.Fatal(err)
 	}
-	serialT2, err := RunTable2()
+	serialT2, err := NewRunner(1, nil).Table2()
 	if err != nil {
 		t.Fatal(err)
 	}
-	serialA1, err := RunPartitionerComparison()
+	serialA1, err := NewRunner(1, nil).PartitionerComparison()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -442,7 +442,7 @@ func TestSpanOutcomeReconciliation(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		for i := 0; i < 4; i++ {
 			sp := sc.Start(StageSim)
-			_, out, err := c.GetOrComputeOutcome(key(i), func() (int, error) { return i, nil })
+			_, out, err := c.GetOrCompute(key(i), func() (int, error) { return i, nil })
 			if err != nil {
 				t.Fatal(err)
 			}

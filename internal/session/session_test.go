@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"binpart/internal/bench"
-	"binpart/internal/binimg"
 	"binpart/internal/core"
 	"binpart/internal/obs"
 )
@@ -36,11 +35,7 @@ func compileCRC(t *testing.T, s *Session, span bool) {
 		return
 	}
 	sc := s.Rec.Scope(b.Name, 1, 0)
-	sp := sc.Start(obs.StageCompile)
-	img, out, err := s.Caches.Compile.GetOrComputeOutcome(bench.CompileKey(b.Source, 1),
-		func() (*binimg.Image, error) { return b.Compile(1) })
-	sp.SetOutcome(out)
-	sp.End()
+	img, err := core.Compile(b, 1, s.Caches, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
