@@ -61,7 +61,8 @@ bpartd-smoke:
 
 check: vet build test race stress obs-smoke corpus-smoke bpartd-smoke
 
-# Runs every benchmark and distills the results (per-stage ns/op plus the
+# Runs every benchmark (the root package's and bpartd's warm-request
+# benchmark) and distills the results (per-stage ns/op plus the
 # T1 headline custom metrics) into BENCH.json via cmd/benchjson. The text
 # output still streams to the terminal. The committed BENCH.json is
 # snapshotted first and used as the regression baseline: a >10% Stage*
@@ -70,7 +71,7 @@ check: vet build test race stress obs-smoke corpus-smoke bpartd-smoke
 # timing noise; allocs/op is exact regardless.
 bench:
 	@if [ -f BENCH.json ]; then cp BENCH.json .bench-baseline.json; fi
-	$(GO) test -run NONE -bench . -benchmem -count 3 . | $(GO) run ./cmd/benchjson -o BENCH.json -baseline .bench-baseline.json
+	$(GO) test -run NONE -bench . -benchmem -count 3 . ./cmd/bpartd | $(GO) run ./cmd/benchjson -o BENCH.json -baseline .bench-baseline.json
 	@rm -f .bench-baseline.json
 
 experiments:

@@ -326,6 +326,36 @@ func BenchmarkStageEndToEnd(b *testing.B) {
 	}
 }
 
+// BenchmarkStageEvaluate measures the platform-dependent tail of the
+// flow on crc's analysis — candidate pricing, the 90-10 partitioner and
+// platform evaluation — the compute a warm bpartd request does per call.
+func BenchmarkStageEvaluate(b *testing.B) {
+	a, err := core.Analyze(crcImage(b), core.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := core.DefaultOptions().Platform
+	core.Evaluate(a, p, 0, core.AlgNinetyTen) // warm-up
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		core.Evaluate(a, p, 0, core.AlgNinetyTen)
+	}
+}
+
+// BenchmarkStageRenderReport measures rendering crc's report text into a
+// reused buffer, as bpartd does per request; it allocates nothing.
+func BenchmarkStageRenderReport(b *testing.B) {
+	rep, err := core.Run(crcImage(b), core.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	buf := core.AppendReport(nil, rep, false) // warm-up sizes the buffer
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = core.AppendReport(buf[:0], rep, false)
+	}
+}
+
 // BenchmarkPartitionerSelection isolates the selection heuristics on a
 // synthetic 64-candidate set — the paper picks the 90-10 heuristic for
 // its speed ("to reduce the time required for partitioning"), targeting

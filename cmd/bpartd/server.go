@@ -1,13 +1,14 @@
 package main
 
 import (
-	"context"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,6 +17,7 @@ import (
 	"binpart/internal/binimg"
 	"binpart/internal/core"
 	"binpart/internal/fpga"
+	"binpart/internal/mcc"
 	"binpart/internal/obs"
 	"binpart/internal/obs/hist"
 	"binpart/internal/platform"
@@ -218,10 +220,12 @@ func (d *daemon) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 }
 
 // admit runs the admission pipeline: draining check, bounded queue
-// (429 + Retry-After when full), then an execution slot under the
-// request deadline. On success the caller owns a slot and must call the
-// returned release.
-func (d *daemon) admit(w http.ResponseWriter, r *http.Request, route int) (release func(), worker int, ok bool) {
+// (429 + Retry-After when full), then an execution slot. The wait for a
+// slot is bounded by what is left of the request deadline, counted from
+// start, and by the client's context; the timer for it is created only
+// when no slot is free. On success the caller owns a slot and must call
+// the returned release.
+func (d *daemon) admit(w http.ResponseWriter, r *http.Request, route int, start time.Time) (release func(), worker int, ok bool) {
 	if d.draining.Load() {
 		d.rejectDrain.Add(1)
 		d.codes[route].add(http.StatusServiceUnavailable)
@@ -237,20 +241,58 @@ func (d *daemon) admit(w http.ResponseWriter, r *http.Request, route int) (relea
 		http.Error(w, "queue full", http.StatusTooManyRequests)
 		return nil, 0, false
 	}
-	select {
-	case wkr := <-d.slots:
-		return func() { d.slots <- wkr; <-d.queue }, wkr, true
-	case <-r.Context().Done():
+	wkr, ok := d.slot(r, start)
+	if !ok {
 		<-d.queue
 		d.rejectDeadline.Add(1)
 		d.codes[route].add(http.StatusServiceUnavailable)
 		http.Error(w, "deadline waiting for a slot", http.StatusServiceUnavailable)
 		return nil, 0, false
 	}
+	return func() { d.slots <- wkr; <-d.queue }, wkr, true
+}
+
+// slot takes a free execution slot, waiting at most until the request
+// deadline (start + d.deadline) or until the client goes away.
+func (d *daemon) slot(r *http.Request, start time.Time) (int, bool) {
+	select {
+	case wkr := <-d.slots:
+		return wkr, true
+	default:
+	}
+	timer := time.NewTimer(d.deadline - time.Since(start))
+	defer timer.Stop()
+	select {
+	case wkr := <-d.slots:
+		return wkr, true
+	case <-timer.C:
+		return 0, false
+	case <-r.Context().Done():
+		return 0, false
+	}
+}
+
+// overDeadline reports whether the request has used up its deadline.
+func (d *daemon) overDeadline(start time.Time) bool {
+	return time.Since(start) > d.deadline
 }
 
 // maxBodyBytes bounds a request body, SBF upload included.
 const maxBodyBytes = 16 << 20
+
+// bufPool recycles the buffer a /v1/partition request reads its body
+// into and encodes its response in. A buffer grown past maxPooledBuf (a
+// large SBF upload) is dropped rather than pinned in the pool.
+var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBuf = 64 << 10
+
+func putBuf(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBuf {
+		buf.Reset()
+		bufPool.Put(buf)
+	}
+}
 
 // fail answers a request the daemon cannot serve: 413 naming the limit
 // for a body over maxBodyBytes, 400 with the error for anything else.
@@ -264,20 +306,24 @@ func (d *daemon) fail(w http.ResponseWriter, route int, err error) {
 }
 
 // decode parses and validates the request body against the daemon's
-// default options.
-func (d *daemon) decode(w http.ResponseWriter, r *http.Request) (*apiRequest, core.Options, error) {
+// default options. The body is read into buf, which the caller owns and
+// may reuse once decode returns: nothing decoded aliases it.
+func (d *daemon) decode(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer) (*apiRequest, core.Options, error) {
 	var req apiRequest
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
 		return nil, core.Options{}, err
 	}
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err := json.Unmarshal(buf.Bytes(), &req); err != nil {
 		return nil, core.Options{}, fmt.Errorf("bad request body: %w", err)
 	}
 	if req.Bench == "" && len(req.SBF) == 0 {
 		return nil, core.Options{}, fmt.Errorf("request needs \"bench\" or \"sbf\"")
 	}
+	if req.Opt < 0 || req.Opt > mcc.MaxOptLevel {
+		return nil, core.Options{}, fmt.Errorf("opt %d out of range 0-%d", req.Opt, mcc.MaxOptLevel)
+	}
 
+	var err error
 	opts := d.opts
 	if req.MHz != 0 || req.Device != "" {
 		mhz := opts.Platform.CPUMHz
@@ -334,7 +380,7 @@ func (req *apiRequest) jobName() string {
 
 func (d *daemon) handlePartition(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	release, worker, ok := d.admit(w, r, routePartition)
+	release, worker, ok := d.admit(w, r, routePartition, start)
 	if !ok {
 		return
 	}
@@ -342,15 +388,15 @@ func (d *daemon) handlePartition(w http.ResponseWriter, r *http.Request) {
 	if d.gate != nil {
 		d.gate()
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), d.deadline)
-	defer cancel()
 
-	req, opts, err := d.decode(w, r)
+	buf := bufPool.Get().(*bytes.Buffer)
+	defer putBuf(buf)
+	req, opts, err := d.decode(w, r, buf)
 	if err != nil {
 		d.fail(w, routePartition, err)
 		return
 	}
-	if ctx.Err() != nil {
+	if d.overDeadline(start) {
 		d.codes[routePartition].add(http.StatusServiceUnavailable)
 		http.Error(w, "deadline", http.StatusServiceUnavailable)
 		return
@@ -370,16 +416,26 @@ func (d *daemon) handlePartition(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	selected := 0
+	for _, reg := range rep.Regions {
+		if reg.Selected {
+			selected++
+		}
+	}
+	buf.Reset()
 	resp := partitionResponse{
-		Report:    core.RenderReport(rep, req.Structure),
+		Report:    string(core.AppendReport(buf.AvailableBuffer(), rep, req.Structure)),
 		Metrics:   metricsFrom(rep.Metrics),
-		Selected:  len(rep.SelectedRegions()),
+		Selected:  selected,
 		SWCycles:  rep.SWCycles,
 		ExitCode:  rep.ExitCode,
 		ElapsedUS: time.Since(start).Microseconds(),
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp) //nolint:errcheck // client went away
+	json.NewEncoder(buf).Encode(resp) //nolint:errcheck // fails only on a non-finite metric, leaving buf empty
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(buf.Len()))
+	w.Write(buf.Bytes()) //nolint:errcheck // client went away
 	d.codes[routePartition].add(http.StatusOK)
 	d.served.Add(1)
 	d.lat[routePartition].Record(time.Since(start))
@@ -387,7 +443,7 @@ func (d *daemon) handlePartition(w http.ResponseWriter, r *http.Request) {
 
 func (d *daemon) handleSweep(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	release, worker, ok := d.admit(w, r, routeSweep)
+	release, worker, ok := d.admit(w, r, routeSweep, start)
 	if !ok {
 		return
 	}
@@ -395,10 +451,10 @@ func (d *daemon) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if d.gate != nil {
 		d.gate()
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), d.deadline)
-	defer cancel()
 
-	req, opts, err := d.decode(w, r)
+	buf := bufPool.Get().(*bytes.Buffer)
+	req, opts, err := d.decode(w, r, buf)
+	putBuf(buf)
 	if err != nil {
 		d.fail(w, routeSweep, err)
 		return
@@ -447,7 +503,7 @@ func (d *daemon) handleSweep(w http.ResponseWriter, r *http.Request) {
 	sp.End()
 	n := 0
 	for _, pt := range pts {
-		if ctx.Err() != nil {
+		if r.Context().Err() != nil || d.overDeadline(start) {
 			return // client gone or out of time: stop streaming
 		}
 		m := metricsFrom(pt.Rep.Metrics)

@@ -22,13 +22,13 @@ import (
 )
 
 // testOptions mirrors the daemon's default option construction.
-func testOptions(t *testing.T) core.Options {
+func testOptions(t testing.TB) core.Options {
 	t.Helper()
 	opts := core.DefaultOptions()
 	return opts
 }
 
-func testDaemon(t *testing.T, cfg daemonConfig) *daemon {
+func testDaemon(t testing.TB, cfg daemonConfig) *daemon {
 	t.Helper()
 	if cfg.Opts.Platform.Name == "" {
 		cfg.Opts = testOptions(t)
@@ -135,6 +135,76 @@ func TestPartitionMatchesCLI(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestPartitionBodyIsMarshaledResponse checks /v1/partition's exact
+// bytes: each body must equal json.Marshal of the response the CLI
+// rendering implies, plus a newline, with only the measured partition
+// time and elapsed_us taken from the daemon's answer, and Content-Length
+// must match. Long (structure) and short bodies alternate, so a pooled
+// buffer that leaked bytes between requests would show.
+func TestPartitionBodyIsMarshaledResponse(t *testing.T) {
+	d := testDaemon(t, daemonConfig{Inflight: 1})
+	ts := httptest.NewServer(d.Mux())
+	defer ts.Close()
+
+	for i, req := range []apiRequest{
+		{Bench: "matmul", Opt: 2, Structure: true},
+		{Bench: "crc", Opt: 1, MHz: 400, Device: "XC2V1000", Alg: "greedy"},
+		{Bench: "matmul", Opt: 2, Structure: true},
+		{Bench: "brev"},
+	} {
+		resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/partition", req)
+		if resp == nil {
+			return
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: status %d: %s", i, resp.StatusCode, body)
+		}
+		if cl := resp.Header.Get("Content-Length"); cl != fmt.Sprint(len(body)) {
+			t.Errorf("request %d: Content-Length %q for a %d-byte body", i, cl, len(body))
+		}
+		var got partitionResponse
+		if err := json.Unmarshal(body, &got); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+
+		_, opts, err := d.decode(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(mustJSON(t, req))), new(bytes.Buffer))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := bench.ByName(req.Bench)
+		img, err := b.Compile(req.Opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := core.RunScoped(img, opts, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		measured := partitionTime.FindString(got.Report)
+		want := partitionResponse{
+			Report:    partitionTime.ReplaceAllLiteralString(core.RenderReport(rep, req.Structure), measured),
+			Metrics:   metricsFrom(rep.Metrics),
+			Selected:  len(rep.SelectedRegions()),
+			SWCycles:  rep.SWCycles,
+			ExitCode:  rep.ExitCode,
+			ElapsedUS: got.ElapsedUS,
+		}
+		wantBody := append(mustJSON(t, want), '\n')
+		if !bytes.Equal(body, wantBody) {
+			t.Errorf("request %d: body differs from json.Marshal(response)+newline:\n--- daemon ---\n%s--- want ---\n%s", i, body, wantBody)
+		}
+	}
+}
+
+func mustJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // TestSweepStreamMatchesCLI reassembles the ndjson sweep stream and
@@ -414,8 +484,9 @@ func TestMetricsSeriesAtZero(t *testing.T) {
 }
 
 // TestBadRequests covers the refusal paths: no binary named, unknown
-// bench, unknown sweep mode, malformed JSON (400), and a body over the
-// size limit (413 naming the limit, not a truncated-JSON 400).
+// bench, unknown sweep mode, malformed JSON, an opt level outside 0-3
+// (400), and a body over the size limit (413 naming the limit, not a
+// truncated-JSON 400).
 func TestBadRequests(t *testing.T) {
 	d := testDaemon(t, daemonConfig{})
 	ts := httptest.NewServer(d.Mux())
@@ -433,6 +504,9 @@ func TestBadRequests(t *testing.T) {
 		{"/v1/partition", `{"bench":"crc","alg":"nope"}`, http.StatusBadRequest},
 		{"/v1/partition", `{"bench":"crc","device":"nope"}`, http.StatusBadRequest},
 		{"/v1/partition", oversized, http.StatusRequestEntityTooLarge},
+		{"/v1/partition", `{"bench":"crc","opt":4}`, http.StatusBadRequest},
+		{"/v1/partition", `{"bench":"crc","opt":-1}`, http.StatusBadRequest},
+		{"/v1/sweep", `{"bench":"crc","opt":9,"sweep":"devices"}`, http.StatusBadRequest},
 	} {
 		resp, err := ts.Client().Post(ts.URL+tc.route, "application/json", strings.NewReader(tc.body))
 		if err != nil {
@@ -445,5 +519,56 @@ func TestBadRequests(t *testing.T) {
 		} else if tc.want == http.StatusRequestEntityTooLarge && !strings.Contains(string(body), "16 MiB") {
 			t.Errorf("413 body %q does not name the limit", body)
 		}
+	}
+	// An out-of-range level is refused before any cache is consulted.
+	if st := d.caches.Compile.Stats(); st.Hits+st.Misses != 0 {
+		t.Errorf("bad requests reached the compile cache: %+v", st)
+	}
+}
+
+// TestDeadlineBoundsAdmissionWait holds the only execution slot and
+// posts a second request under a 100 ms deadline: it must be refused with
+// 503 "deadline waiting for a slot" within about the deadline (not park
+// until the client gives up), and counted as a deadline rejection.
+func TestDeadlineBoundsAdmissionWait(t *testing.T) {
+	const deadline = 100 * time.Millisecond
+	d := testDaemon(t, daemonConfig{Queue: 4, Inflight: 1, Deadline: deadline})
+	hold := make(chan struct{})
+	entered := make(chan struct{}, 1)
+	d.gate = func() {
+		entered <- struct{}{}
+		<-hold
+	}
+	ts := httptest.NewServer(d.Mux())
+	defer ts.Close()
+
+	first := make(chan struct{})
+	go func() {
+		defer close(first)
+		postJSON(t, ts.Client(), ts.URL+"/v1/partition", apiRequest{Bench: "crc", Opt: 1})
+	}()
+	<-entered
+	defer func() {
+		close(hold)
+		<-first
+	}()
+
+	client := &http.Client{Timeout: 2 * time.Second}
+	begin := time.Now()
+	resp, body := postJSON(t, client, ts.URL+"/v1/partition", apiRequest{Bench: "crc", Opt: 1})
+	waited := time.Since(begin)
+	if resp == nil {
+		return
+	}
+	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(body), "deadline waiting for a slot") {
+		t.Errorf("status %d body %q, want 503 \"deadline waiting for a slot\"", resp.StatusCode, body)
+	}
+	if waited < deadline || waited > deadline+time.Second {
+		t.Errorf("refused after %v, want about the %v deadline", waited, deadline)
+	}
+	var buf bytes.Buffer
+	d.WriteMetrics(&buf)
+	if want := `bpartd_rejected_total{reason="deadline"} 1` + "\n"; !strings.Contains(buf.String(), want) {
+		t.Errorf("metrics lack %q:\n%s", want, buf.String())
 	}
 }

@@ -14,6 +14,7 @@ package bench
 
 import (
 	"fmt"
+	"sync"
 
 	"binpart/internal/binimg"
 	"binpart/internal/cache"
@@ -63,8 +64,32 @@ func (b Benchmark) CompileCached(optLevel int, c *cache.Cache[*binimg.Image]) (*
 }
 
 // CompileKey is the compile-stage cache key recipe: every compiler input
-// that can change the produced image.
+// that can change the produced image. The keys of the suite's own
+// sources at the levels mcc accepts are memoized, one slot per suite
+// benchmark and level, because hashing a source costs microseconds and a
+// warm request would otherwise pay it every time; the memo never holds
+// more than 20 × (mcc.MaxOptLevel+1) keys, and anything else is hashed
+// afresh.
 func CompileKey(source string, optLevel int) cache.Key {
+	if optLevel >= 0 && optLevel <= mcc.MaxOptLevel {
+		for i := range suite {
+			if suite[i].Source == source {
+				slot := &suiteKeys[i][optLevel]
+				slot.once.Do(func() { slot.key = compileKey(source, optLevel) })
+				return slot.key
+			}
+		}
+	}
+	return compileKey(source, optLevel)
+}
+
+// suiteKeys is CompileKey's memo, indexed like suite and then by level.
+var suiteKeys = make([][mcc.MaxOptLevel + 1]struct {
+	once sync.Once
+	key  cache.Key
+}, len(suite))
+
+func compileKey(source string, optLevel int) cache.Key {
 	opts := mcc.Options{OptLevel: optLevel}
 	return cache.NewHasher("mcc-compile").
 		String(source).

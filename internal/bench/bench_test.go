@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"binpart/internal/decompile"
+	"binpart/internal/mcc"
 	"binpart/internal/sim"
 )
 
@@ -58,6 +59,35 @@ func TestByName(t *testing.T) {
 	}
 	if got := len(OptSweepSet()); got != 4 {
 		t.Errorf("OptSweepSet has %d entries", got)
+	}
+}
+
+// TestCompileKeyMemo checks the memoized keys against the recipe for
+// every suite benchmark and level, that the memo serves without
+// allocating, and that anything outside the suite × O0–O3 table — a
+// changed source, a level mcc rejects — is hashed afresh.
+func TestCompileKeyMemo(t *testing.T) {
+	for _, b := range All() {
+		for lvl := 0; lvl <= mcc.MaxOptLevel; lvl++ {
+			for range 2 { // the second call is served from the memo
+				if got, want := CompileKey(b.Source, lvl), compileKey(b.Source, lvl); got != want {
+					t.Fatalf("%s -O%d: CompileKey %x, recipe %x", b.Name, lvl, got, want)
+				}
+			}
+		}
+	}
+	crc, _ := ByName("crc")
+	if n := testing.AllocsPerRun(100, func() { CompileKey(crc.Source, 2) }); n != 0 {
+		t.Errorf("memoized CompileKey allocates %.0f times per call", n)
+	}
+	edited := crc.Source + "\n"
+	if CompileKey(edited, 1) != compileKey(edited, 1) || CompileKey(edited, 1) == CompileKey(crc.Source, 1) {
+		t.Error("an edited source must not share the suite's memoized key")
+	}
+	for _, lvl := range []int{-1, mcc.MaxOptLevel + 1} {
+		if CompileKey(crc.Source, lvl) != compileKey(crc.Source, lvl) {
+			t.Errorf("level %d: CompileKey differs from the recipe", lvl)
+		}
 	}
 }
 

@@ -204,10 +204,12 @@ func EvaluateScoped(a *Analysis, p platform.Platform, areaBudgetGates int, alg A
 }
 
 // evaluateOpts is the platform-dependent tail of the flow: candidate
-// pricing, partitioning, and platform evaluation. The Report's top-level
-// maps and regions are freshly built per call, so concurrent evaluations
-// of one Analysis are safe and a Report's Selected/Step marks are its
-// own.
+// pricing, partitioning, and platform evaluation. The Report's regions
+// are built per call, so concurrent evaluations of one Analysis are safe
+// and a Report's Selected/Step marks are its own. Its maps
+// (Recovery.FailReasons, DoptReports, Outlines), like the footprints and
+// designs, are the Analysis' own, shared read-only with every other
+// Report evaluated from it.
 func evaluateOpts(a *Analysis, opts Options, sc *obs.Scope) *Report {
 	sp := sc.Start(obs.StageEvaluate)
 	if opts.Platform.CPUMHz == 0 {
@@ -221,21 +223,26 @@ func evaluateOpts(a *Analysis, opts Options, sc *obs.Scope) *Report {
 	}
 	opts.Sim.Profile = true
 	rep := &Report{
-		Options:  opts,
-		ExitCode: a.ExitCode,
-		SWCycles: a.SWCycles,
-		Recovery: a.Recovery,
+		Options:     opts,
+		ExitCode:    a.ExitCode,
+		SWCycles:    a.SWCycles,
+		Recovery:    a.Recovery,
+		DoptReports: a.DoptReports,
+		Outlines:    a.Outlines,
 	}
-	rep.Recovery.FailReasons = copyStringMap(a.Recovery.FailReasons)
-	rep.DoptReports = copyStringMap(a.DoptReports)
-	rep.Outlines = copyStringMap(a.Outlines)
 
 	// Price the candidates: software time from the CPU clock, hardware
 	// time from the synthesized clock plus the per-invocation
-	// communication overhead on the CPU side.
-	var cands []*partition.Candidate
-	for _, rc := range a.Candidates {
-		rr := &RegionReport{
+	// communication overhead on the CPU side. Regions and candidates
+	// each live in one backing array.
+	n := len(a.Candidates)
+	regions := make([]RegionReport, n)
+	priced := make([]partition.Candidate, n)
+	rep.Regions = make([]*RegionReport, n)
+	cands := make([]*partition.Candidate, n)
+	for i, rc := range a.Candidates {
+		rr := &regions[i]
+		*rr = RegionReport{
 			Name:        rc.Name,
 			Func:        rc.Func,
 			SWCycles:    rc.SWCycles,
@@ -246,8 +253,8 @@ func evaluateOpts(a *Analysis, opts Options, sc *obs.Scope) *Report {
 			Footprint:   rc.Footprint,
 			Design:      rc.Design,
 		}
-		rep.Regions = append(rep.Regions, rr)
-		cands = append(cands, &partition.Candidate{
+		rep.Regions[i] = rr
+		priced[i] = partition.Candidate{
 			Name:       rc.Name,
 			SWTimeNs:   float64(rc.SWCycles) / opts.Platform.CPUMHz * 1000,
 			HWTimeNs:   rc.HWCycles*rc.HWClockNs + float64(rc.Invocations*opts.Platform.CommCPUCycles)/opts.Platform.CPUMHz*1000,
@@ -256,7 +263,8 @@ func evaluateOpts(a *Analysis, opts Options, sc *obs.Scope) *Report {
 			SizeInstrs: rc.SizeInstrs,
 			IsLoop:     true,
 			Payload:    rr,
-		})
+		}
+		cands[i] = &priced[i]
 	}
 	sort.Slice(rep.Regions, func(i, j int) bool { return rep.Regions[i].SWCycles > rep.Regions[j].SWCycles })
 
@@ -274,12 +282,12 @@ func evaluateOpts(a *Analysis, opts Options, sc *obs.Scope) *Report {
 	rep.PartitionTime = time.Since(start)
 
 	// 6. Evaluate on the platform.
-	var regions []platform.Region
+	selected := make([]platform.Region, 0, len(pres.Selected))
 	for _, c := range pres.Selected {
 		rr := c.Payload.(*RegionReport)
 		rr.Selected = true
 		rr.Step = pres.Step[c.Name]
-		regions = append(regions, platform.Region{
+		selected = append(selected, platform.Region{
 			Name:        rr.Name,
 			SWCycles:    rr.SWCycles,
 			HWCycles:    rr.HWCycles,
@@ -289,17 +297,17 @@ func evaluateOpts(a *Analysis, opts Options, sc *obs.Scope) *Report {
 			ActiveGates: rr.AreaGates,
 		})
 	}
-	rep.Metrics = opts.Platform.Evaluate(a.SWCycles, regions)
+	rep.Metrics = opts.Platform.Evaluate(a.SWCycles, selected)
 	sp.SetSelected(uint64(len(pres.Selected)))
 	sp.End()
 	return rep
 }
 
 // Compile builds a suite benchmark at optLevel behind the compile cache
-// (keyed by bench.CompileKey) and records a compile span with the cache
-// outcome. It is the flow's front end for every caller that names a
-// benchmark rather than supplying a binary. Nil caches and a nil scope
-// are both allowed.
+// (keyed by bench.CompileKey) and records a
+// compile span with the cache outcome. It is the flow's front end for
+// every caller that names a benchmark rather than supplying a binary.
+// Nil caches and a nil scope are both allowed.
 func Compile(b bench.Benchmark, optLevel int, caches *Caches, sc *obs.Scope) (*binimg.Image, error) {
 	sp := sc.Start(obs.StageCompile)
 	defer sp.End()

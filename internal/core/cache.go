@@ -356,11 +356,3 @@ func computeLift(img *binimg.Image, decOpts decompile.Options, cfg dopt.Config) 
 	}
 	return lr, nil
 }
-
-func copyStringMap[V any](m map[string]V) map[string]V {
-	out := make(map[string]V, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}

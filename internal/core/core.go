@@ -143,7 +143,10 @@ type RecoveryStats struct {
 	OpsNarrowed        int
 }
 
-// Report is the full outcome of a partitioning run.
+// Report is the full outcome of a partitioning run. Regions and their
+// Selected/Step marks belong to the report; the maps, footprints and
+// designs are shared with the Analysis it was evaluated from (and so
+// with every other Report of that Analysis) and must not be modified.
 type Report struct {
 	Options  Options
 	ExitCode int32
@@ -194,9 +197,10 @@ func Run(img *binimg.Image, opts Options) (*Report, error) {
 // RunWith executes the full flow on a binary image, memoizing the
 // simulation, lift (decompile + dopt), synthesis, and assembled-analysis
 // stages through the given cache set. A nil cache set computes everything
-// directly. The returned Report is freshly built either way; only stage
-// products (profiles, lifted functions, designs) are shared with other
-// runs, and those are treated as immutable throughout this package.
+// directly. The returned Report's regions are built per call; its maps
+// (Recovery.FailReasons, DoptReports, Outlines), footprints and designs
+// are the cached analysis' own, shared with every other run of the same
+// binary and options, and read-only like every stage product.
 //
 // RunWith is a thin composition of the two layers of the flow: the
 // platform-independent AnalyzeWith (simulate, lift, synthesize — see

@@ -2,7 +2,10 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -252,4 +255,102 @@ func TestRunWithMatchesMonolithic(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestConcurrentEvaluateSharesMaps runs concurrent Evaluate calls on one
+// Analysis (a benchmark with failed functions, so every shared map is
+// populated) while each goroutine reads the maps its reports share with
+// the Analysis and renders them. Under -race this is the proof that the
+// shared maps are only read; it also checks they are the Analysis' own
+// maps, and that every report's Selected/Step marks match a serial
+// evaluation of the same point.
+func TestConcurrentEvaluateSharesMaps(t *testing.T) {
+	b, _ := bench.ByName("routelookup")
+	img, err := b.Compile(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.RecoverJumpTables = false
+	a, err := Analyze(img, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a.Recovery.FailReasons) == 0 || len(a.Outlines) == 0 || len(a.DoptReports) == 0 {
+		t.Fatalf("analysis maps not all populated: %d fail reasons, %d outlines, %d dopt reports",
+			len(a.Recovery.FailReasons), len(a.Outlines), len(a.DoptReports))
+	}
+	same := func(x, y any) bool { return reflect.ValueOf(x).UnsafePointer() == reflect.ValueOf(y).UnsafePointer() }
+	type point struct {
+		dev fpga.Device
+		alg Algorithm
+	}
+	var points []point
+	want := map[point]string{}
+	for _, dev := range fpga.Catalog {
+		for _, alg := range []Algorithm{AlgNinetyTen, AlgGreedy, AlgGCLP} {
+			pt := point{dev, alg}
+			points = append(points, pt)
+			want[pt] = stripPartitionTime(RenderReport(Evaluate(a, platform.MIPS(200, dev), 0, alg), true))
+		}
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 4*len(points); i++ {
+				pt := points[(g+i)%len(points)]
+				rep := Evaluate(a, platform.MIPS(200, pt.dev), 0, pt.alg)
+				if !same(rep.Recovery.FailReasons, a.Recovery.FailReasons) || !same(rep.Outlines, a.Outlines) ||
+					!same(rep.DoptReports, a.DoptReports) {
+					errs <- "report maps are copies, not the Analysis' shared maps"
+					return
+				}
+				n := 0
+				for name, reason := range rep.Recovery.FailReasons {
+					n += len(name) + len(reason) + len(rep.Outlines[name])
+				}
+				for name := range rep.DoptReports {
+					n += len(rep.Outlines[name])
+				}
+				if n == 0 {
+					errs <- "shared maps read empty"
+					return
+				}
+				if got := stripPartitionTime(RenderReport(rep, true)); got != want[pt] {
+					errs <- fmt.Sprintf("%s %s: concurrent report differs from serial:\n%s\n--- serial ---\n%s", pt.dev.Name, pt.alg, got, want[pt])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+}
+
+// stripPartitionTime masks the measured partition wall time, the one
+// token two renderings of one point may differ in.
+func stripPartitionTime(s string) string {
+	i := strings.Index(s, "\npartition (")
+	j := strings.Index(s, "):\n  application")
+	if i < 0 || j < i {
+		return s
+	}
+	return s[:i] + s[j:]
+}
+
+// copyStringMap gives the reference flow's report maps of its own, as
+// the pre-split flow built them.
+func copyStringMap[V any](m map[string]V) map[string]V {
+	out := make(map[string]V, len(m))
+	for k, v := range m {
+		out[k] = v
+	}
+	return out
 }

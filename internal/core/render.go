@@ -2,8 +2,9 @@ package core
 
 import (
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
+	"unicode/utf8"
 
 	"binpart/internal/fpga"
 	"binpart/internal/obs"
@@ -16,44 +17,117 @@ import (
 // lives here rather than in either command. With structure set, the
 // recovered control-structure outlines are included.
 func RenderReport(rep *Report, structure bool) string {
-	var b strings.Builder
+	return string(AppendReport(nil, rep, structure))
+}
+
+// AppendReport appends RenderReport's text to dst and returns the
+// extended slice. It formats with appends instead of fmt, so a caller
+// that reuses dst renders without allocating; the layout is the one a
+// fmt.Fprintf renderer would print (fields left-justified and
+// space-padded to a width counted in runes, floats in %.Nf form).
+func AppendReport(dst []byte, rep *Report, structure bool) []byte {
 	opts := rep.Options
-	fmt.Fprintf(&b, "platform: %s\n", opts.Platform.Name)
-	fmt.Fprintf(&b, "software-only: %d cycles (%.3f ms), exit code %d\n",
-		rep.SWCycles, rep.Metrics.SWTimeS*1e3, rep.ExitCode)
-	fmt.Fprintf(&b, "recovery: %d functions, %d failed", rep.Recovery.FuncsRecovered, rep.Recovery.FuncsFailed)
-	for _, name := range renderKeys(rep.Recovery.FailReasons) {
-		fmt.Fprintf(&b, "\n  %s: %s", name, rep.Recovery.FailReasons[name])
+	m := rep.Metrics
+	dst = append(dst, "platform: "...)
+	dst = append(dst, opts.Platform.Name...)
+	dst = append(dst, "\nsoftware-only: "...)
+	dst = strconv.AppendUint(dst, rep.SWCycles, 10)
+	dst = append(dst, " cycles ("...)
+	dst = strconv.AppendFloat(dst, m.SWTimeS*1e3, 'f', 3, 64)
+	dst = append(dst, " ms), exit code "...)
+	dst = strconv.AppendInt(dst, int64(rep.ExitCode), 10)
+	dst = append(dst, "\nrecovery: "...)
+	dst = strconv.AppendInt(dst, int64(rep.Recovery.FuncsRecovered), 10)
+	dst = append(dst, " functions, "...)
+	dst = strconv.AppendInt(dst, int64(rep.Recovery.FuncsFailed), 10)
+	dst = append(dst, " failed"...)
+	var keyBuf [16]string
+	for _, name := range sortedKeys(keyBuf[:0], rep.Recovery.FailReasons) {
+		dst = append(dst, "\n  "...)
+		dst = append(dst, name...)
+		dst = append(dst, ": "...)
+		dst = append(dst, rep.Recovery.FailReasons[name]...)
 	}
-	fmt.Fprintln(&b)
-	fmt.Fprintf(&b, "decompiler: %d loops rerolled, %d multiplies promoted, %d stack slots promoted, %d operators narrowed\n",
-		rep.Recovery.RerolledLoops, rep.Recovery.PromotedMultiplies,
-		rep.Recovery.StackSlotsPromoted, rep.Recovery.OpsNarrowed)
+	dst = append(dst, "\ndecompiler: "...)
+	dst = strconv.AppendInt(dst, int64(rep.Recovery.RerolledLoops), 10)
+	dst = append(dst, " loops rerolled, "...)
+	dst = strconv.AppendInt(dst, int64(rep.Recovery.PromotedMultiplies), 10)
+	dst = append(dst, " multiplies promoted, "...)
+	dst = strconv.AppendInt(dst, int64(rep.Recovery.StackSlotsPromoted), 10)
+	dst = append(dst, " stack slots promoted, "...)
+	dst = strconv.AppendInt(dst, int64(rep.Recovery.OpsNarrowed), 10)
+	dst = append(dst, " operators narrowed\n"...)
 
 	if structure {
-		fmt.Fprintf(&b, "\nrecovered structure:\n")
-		for _, name := range renderKeys(rep.Outlines) {
-			fmt.Fprintln(&b, rep.Outlines[name])
+		dst = append(dst, "\nrecovered structure:\n"...)
+		for _, name := range sortedKeys(keyBuf[:0], rep.Outlines) {
+			dst = append(dst, rep.Outlines[name]...)
+			dst = append(dst, '\n')
 		}
 	}
 
-	fmt.Fprintf(&b, "\ncandidate regions:\n")
+	dst = append(dst, "\ncandidate regions:\n"...)
 	for _, r := range rep.Regions {
-		mark := " "
+		dst = append(dst, "  "...)
+		col := len(dst)
 		if r.Selected {
-			mark = fmt.Sprintf("*%d", r.Step)
+			dst = append(dst, '*')
+			dst = strconv.AppendInt(dst, int64(r.Step), 10)
+		} else {
+			dst = append(dst, ' ')
 		}
-		fmt.Fprintf(&b, "  %-2s %-32s sw=%-9d hw=%-9.0f clk=%.1fns area=%-7d mem=%v\n",
-			mark, r.Name, r.SWCycles, r.HWCycles, r.HWClockNs, r.AreaGates, r.Footprint)
+		dst = padTo(dst, col, 2)
+		dst = append(dst, ' ')
+		col = len(dst)
+		dst = append(dst, r.Name...)
+		dst = padTo(dst, col, 32)
+		dst = append(dst, " sw="...)
+		col = len(dst)
+		dst = strconv.AppendUint(dst, r.SWCycles, 10)
+		dst = padTo(dst, col, 9)
+		dst = append(dst, " hw="...)
+		col = len(dst)
+		dst = strconv.AppendFloat(dst, r.HWCycles, 'f', 0, 64)
+		dst = padTo(dst, col, 9)
+		dst = append(dst, " clk="...)
+		dst = strconv.AppendFloat(dst, r.HWClockNs, 'f', 1, 64)
+		dst = append(dst, "ns area="...)
+		col = len(dst)
+		dst = strconv.AppendInt(dst, int64(r.AreaGates), 10)
+		dst = padTo(dst, col, 7)
+		dst = append(dst, " mem=["...)
+		for i, s := range r.Footprint {
+			if i > 0 {
+				dst = append(dst, ' ')
+			}
+			dst = append(dst, s...)
+		}
+		dst = append(dst, "]\n"...)
 	}
 
-	m := rep.Metrics
-	fmt.Fprintf(&b, "\npartition (%s, %v):\n", opts.Algorithm, rep.PartitionTime)
-	fmt.Fprintf(&b, "  application speedup: %.2fx\n", m.AppSpeedup)
-	fmt.Fprintf(&b, "  kernel speedup:      %.2fx\n", m.KernelSpeedup)
-	fmt.Fprintf(&b, "  energy savings:      %.1f%%\n", 100*m.EnergySavings)
-	fmt.Fprintf(&b, "  area:                %d equivalent gates\n", m.AreaGates)
-	return b.String()
+	dst = append(dst, "\npartition ("...)
+	dst = append(dst, opts.Algorithm.String()...)
+	dst = append(dst, ", "...)
+	dst = append(dst, rep.PartitionTime.String()...)
+	dst = append(dst, "):\n  application speedup: "...)
+	dst = strconv.AppendFloat(dst, m.AppSpeedup, 'f', 2, 64)
+	dst = append(dst, "x\n  kernel speedup:      "...)
+	dst = strconv.AppendFloat(dst, m.KernelSpeedup, 'f', 2, 64)
+	dst = append(dst, "x\n  energy savings:      "...)
+	dst = strconv.AppendFloat(dst, 100*m.EnergySavings, 'f', 1, 64)
+	dst = append(dst, "%\n  area:                "...)
+	dst = strconv.AppendInt(dst, int64(m.AreaGates), 10)
+	dst = append(dst, " equivalent gates\n"...)
+	return dst
+}
+
+// padTo left-justifies the field dst[col:] in width runes, padding with
+// spaces as fmt's %-Ns does.
+func padTo(dst []byte, col, width int) []byte {
+	for n := utf8.RuneCount(dst[col:]); n < width; n++ {
+		dst = append(dst, ' ')
+	}
+	return dst
 }
 
 // RenderSweepHeader renders the one-line sweep banner for mode
@@ -106,12 +180,13 @@ func ClockSweepPoints(a *Analysis, opts Options, clocks []float64, sc *obs.Scope
 	return pts
 }
 
-// renderKeys orders a string-keyed map for deterministic rendering.
-func renderKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
+// sortedKeys appends m's keys to keys in sorted order, for deterministic
+// rendering. A caller passing a stack array's empty slice sorts a small
+// map without allocating.
+func sortedKeys[V any](keys []string, m map[string]V) []string {
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	return keys
 }

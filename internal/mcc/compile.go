@@ -8,9 +8,12 @@ import (
 	"binpart/internal/mips"
 )
 
+// MaxOptLevel is the highest optimization level Compile accepts.
+const MaxOptLevel = 3
+
 // Options configures a compilation.
 type Options struct {
-	// OptLevel is 0..3, mirroring -O0..-O3.
+	// OptLevel is 0..MaxOptLevel, mirroring -O0..-O3.
 	OptLevel int
 	// TextBase/DataBase override the default load addresses when nonzero.
 	TextBase uint32
@@ -21,7 +24,7 @@ type Options struct {
 // starts at a two-instruction _start stub (jal main; break), so the
 // simulator halts with main's return value in $v0.
 func Compile(src string, opts Options) (*binimg.Image, error) {
-	if opts.OptLevel < 0 || opts.OptLevel > 3 {
+	if opts.OptLevel < 0 || opts.OptLevel > MaxOptLevel {
 		return nil, fmt.Errorf("mcc: bad optimization level %d", opts.OptLevel)
 	}
 	if opts.TextBase == 0 {
