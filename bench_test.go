@@ -326,6 +326,35 @@ func BenchmarkStageEndToEnd(b *testing.B) {
 	}
 }
 
+// BenchmarkStageAnalyzeSuite measures the cold analysis of the whole
+// suite: an uncached core.Analyze (profile simulation, decompile, dopt,
+// candidate construction and synthesis) of each of the 20 benchmarks at
+// -O1, the per-binary work every table regeneration starts from. The
+// binaries are compiled before the timer starts.
+func BenchmarkStageAnalyzeSuite(b *testing.B) {
+	var imgs []*binimg.Image
+	for _, bm := range bench.All() {
+		img, err := bm.Compile(1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		imgs = append(imgs, img)
+	}
+	opts := core.DefaultOptions()
+	analyze := func() {
+		for _, img := range imgs {
+			if _, err := core.Analyze(img, opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	analyze() // warm-up
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		analyze()
+	}
+}
+
 // BenchmarkStageEvaluate measures the platform-dependent tail of the
 // flow on crc's analysis — candidate pricing, the 90-10 partitioner and
 // platform evaluation — the compute a warm bpartd request does per call.

@@ -94,11 +94,17 @@ func (in *Info) FuncFootprint(f *ir.Func) (syms []string, hasUnknown bool) {
 // symbols. Run it after the dopt pipeline: constant propagation must have
 // exposed the base addresses first.
 func Analyze(f *ir.Func, img *binimg.Image) *Info {
+	return AnalyzeLoops(f, img, ir.FindLoops(f))
+}
+
+// AnalyzeLoops is Analyze for a caller that already holds f's loops
+// (ir.FindLoops(f) on f as it is now): their induction variables give
+// the access strides.
+func AnalyzeLoops(f *ir.Func, img *binimg.Image, loops []*ir.Loop) *Info {
 	info := &Info{refs: map[*ir.Instr]Ref{}}
 	dataSyms := dataSymbols(img)
 
 	// Induction steps per loop for stride inference.
-	loops := ir.FindLoops(f)
 	stepOf := map[ir.Loc]int32{}
 	for _, l := range loops {
 		for _, iv := range l.IndVars {

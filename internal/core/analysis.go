@@ -11,7 +11,6 @@ import (
 	"binpart/internal/decompile"
 	"binpart/internal/dopt"
 	"binpart/internal/fpga"
-	"binpart/internal/ir"
 	"binpart/internal/obs"
 	"binpart/internal/partition"
 	"binpart/internal/platform"
@@ -153,7 +152,9 @@ func computeAnalysis(img *binimg.Image, opts Options, caches *Caches, sc *obs.Sc
 	a.Outlines = lr.Outlines
 
 	// 4. Build candidates: outermost loops (default), or whole call-free
-	// functions when running at function granularity.
+	// functions when running at function granularity. Each function's
+	// facts are gathered once and shared by all of its candidates.
+	pf := &profileFacts{prof: res.Profile, cycAt: cycAt, takenFrom: takenEdges(res.Profile)}
 	sctx := &synthCtx{cache: caches.Synth, obs: sc}
 	for _, f := range lr.Dec.Funcs {
 		if f.Name == "_start" {
@@ -162,19 +163,25 @@ func computeAnalysis(img *binimg.Image, opts Options, caches *Caches, sc *obs.Sc
 		if sctx.cache != nil {
 			sctx.sig = funcSignature(f)
 		}
-		extents := blockExtents(f, img)
+		fx := &funcFacts{
+			f:       f,
+			img:     img,
+			extents: blockExtents(f, img),
+			factors: lr.Factors[f.Name],
+			loops:   lr.Loops[f.Name],
+		}
 		if opts.Granularity == GranFunctions {
-			rc, err := buildFuncCandidate(f, img, extents, res.Profile, cycAt, lr.Factors[f.Name], opts, sctx)
+			rc, err := buildFuncCandidate(fx, pf, opts, sctx)
 			if err == nil && rc != nil {
 				a.Candidates = append(a.Candidates, rc)
 			}
 			continue
 		}
-		for _, l := range ir.FindLoops(f) {
+		for _, l := range fx.loops {
 			if l.Depth != 1 || !synthesizable(l) {
 				continue
 			}
-			rc, err := buildCandidate(f, l, img, extents, res.Profile, cycAt, lr.Factors[f.Name], opts, sctx)
+			rc, err := buildCandidate(fx, l, pf, opts, sctx)
 			if err != nil || rc == nil {
 				continue
 			}

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"binpart/internal/binimg"
 	"binpart/internal/cache"
@@ -218,31 +220,62 @@ func liftKey(imgKey cache.Key, dec decompile.Options, cfg dopt.Config) cache.Key
 // funcSignature content-addresses a lifted function's CDFG: every block's
 // instructions (all operand, width, and control fields) plus the CFG edge
 // structure. Two functions with equal signatures schedule, allocate, and
-// cost identically.
+// cost identically. The fields are encoded at fixed widths, with a length
+// before each variable-length part, into one pooled buffer that is hashed
+// in a single write.
 func funcSignature(f *ir.Func) cache.Key {
-	h := cache.NewHasher("cdfg")
-	h.String(f.Name).Uint32(f.Entry).Int(int64(len(f.Blocks)))
-	for _, b := range f.Blocks {
-		h.Int(int64(b.Index)).Uint32(b.Start).Int(int64(len(b.Instrs)))
-		for i := range b.Instrs {
-			in := &b.Instrs[i]
-			h.Int(int64(in.Op)).Int(int64(in.Dst))
-			h.Bool(in.A.IsConst).Int(int64(in.A.Loc)).Int(int64(in.A.Val))
-			h.Bool(in.B.IsConst).Int(int64(in.B.Loc)).Int(int64(in.B.Val))
-			h.Int(int64(in.Off)).Int(int64(in.Width)).Bool(in.Signed)
-			h.Int(int64(in.Cond)).Uint32(in.Target).Uint32(in.Addr)
-			h.Int(int64(in.WidthBits))
-			h.Int(int64(len(in.Table)))
+	bp := sigBufPool.Get().(*[]byte)
+	le := binary.LittleEndian
+	arg := func(b []byte, a ir.Arg) []byte {
+		b = append(b, boolByte(a.IsConst))
+		b = le.AppendUint32(b, uint32(a.Loc))
+		return le.AppendUint32(b, uint32(a.Val))
+	}
+	b := le.AppendUint64((*bp)[:0], uint64(len(f.Name)))
+	b = append(b, f.Name...)
+	b = le.AppendUint32(b, f.Entry)
+	b = le.AppendUint64(b, uint64(len(f.Blocks)))
+	for _, blk := range f.Blocks {
+		b = le.AppendUint64(b, uint64(blk.Index))
+		b = le.AppendUint32(b, blk.Start)
+		b = le.AppendUint64(b, uint64(len(blk.Instrs)))
+		for i := range blk.Instrs {
+			in := &blk.Instrs[i]
+			b = le.AppendUint64(b, uint64(in.Op))
+			b = le.AppendUint32(b, uint32(in.Dst))
+			b = arg(b, in.A)
+			b = arg(b, in.B)
+			b = le.AppendUint32(b, uint32(in.Off))
+			b = le.AppendUint64(b, uint64(in.Width))
+			b = append(b, boolByte(in.Signed))
+			b = le.AppendUint64(b, uint64(in.Cond))
+			b = le.AppendUint32(b, in.Target)
+			b = le.AppendUint32(b, in.Addr)
+			b = le.AppendUint64(b, uint64(in.WidthBits))
+			b = le.AppendUint64(b, uint64(len(in.Table)))
 			for _, t := range in.Table {
-				h.Uint32(t)
+				b = le.AppendUint32(b, t)
 			}
 		}
-		h.Int(int64(len(b.Succs)))
-		for _, s := range b.Succs {
-			h.Int(int64(s.Index))
+		b = le.AppendUint64(b, uint64(len(blk.Succs)))
+		for _, s := range blk.Succs {
+			b = le.AppendUint64(b, uint64(s.Index))
 		}
 	}
-	return h.Sum()
+	k := cache.NewHasher("cdfg").Bytes(b).Sum()
+	*bp = b
+	sigBufPool.Put(bp)
+	return k
+}
+
+// sigBufPool recycles funcSignature's encoding buffers.
+var sigBufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+func boolByte(v bool) byte {
+	if v {
+		return 1
+	}
+	return 0
 }
 
 // synthCtx threads the synthesis cache and the observability scope
@@ -303,6 +336,10 @@ type LiftResult struct {
 	Factors map[string]map[int]int
 	// Outlines renders each function's recovered control structure.
 	Outlines map[string]string
+	// Loops holds each function's natural loops on its final IR, as
+	// structure recovery found them (ir.FindLoops order; never nil).
+	// Candidate construction and synthesis share them read-only.
+	Loops map[string][]*ir.Loop
 	// Recovery aggregates recovery statistics; FailReasons is shared.
 	Recovery RecoveryStats
 }
@@ -319,6 +356,7 @@ func computeLift(img *binimg.Image, decOpts decompile.Options, cfg dopt.Config) 
 		Reports:  map[string]dopt.Report{},
 		Factors:  map[string]map[int]int{},
 		Outlines: map[string]string{},
+		Loops:    map[string][]*ir.Loop{},
 	}
 	lr.Recovery.FailReasons = map[string]string{}
 	for name, ferr := range dec.Failed {
@@ -341,12 +379,15 @@ func computeLift(img *binimg.Image, decOpts decompile.Options, cfg dopt.Config) 
 			sig += " -> value"
 		}
 		lr.Outlines[f.Name] = st.Outline(f) + sig + "\n"
-		for _, l := range st.Loops {
+		loops := make([]*ir.Loop, len(st.Loops))
+		for i, l := range st.Loops {
+			loops[i] = l.Loop
 			lr.Recovery.LoopsFound++
 			if l.Shape != ir.LoopOther {
 				lr.Recovery.LoopsShaped++
 			}
 		}
+		lr.Loops[f.Name] = loops
 		for _, i := range st.Ifs {
 			lr.Recovery.IfsFound++
 			if i.Shape != ir.IfUnstructured {

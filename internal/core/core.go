@@ -224,12 +224,58 @@ func RunScoped(img *binimg.Image, opts Options, caches *Caches, sc *obs.Scope) (
 	return evaluateOpts(a, opts, sc), nil
 }
 
+// funcFacts are the facts every candidate of one function reads: its
+// blocks' address extents, reroll factors, loops and alias information.
+// They are gathered once per function and shared read-only by its
+// candidates and their synthesis.
+type funcFacts struct {
+	f       *ir.Func
+	img     *binimg.Image
+	extents map[int][2]uint32
+	factors map[int]int
+	loops   []*ir.Loop // ir.FindLoops(f)
+	// am is computed by alias on first use unless set beforehand.
+	am *alias.Info
+}
+
+// alias returns f's alias information, analyzing f on the first call.
+func (fx *funcFacts) alias() *alias.Info {
+	if fx.am == nil {
+		fx.am = alias.AnalyzeLoops(fx.f, fx.img, fx.loops)
+	}
+	return fx.am
+}
+
+// region completes a synth region of fx's function with the shared
+// facts, so synthesis does not recompute them.
+func (fx *funcFacts) region(r synth.Region) synth.Region {
+	r.Loops = fx.loops
+	r.Alias = fx.alias()
+	return r
+}
+
+// profileFacts are the profile-derived facts every candidate of one
+// analysis reads, shared read-only.
+type profileFacts struct {
+	prof  *sim.Profile
+	cycAt map[uint32]uint64
+	// takenFrom sums the taken-edge counts of each branch PC.
+	takenFrom map[uint32]uint64
+}
+
+// takenEdges sums the profile's taken-edge counts per source PC.
+func takenEdges(prof *sim.Profile) map[uint32]uint64 {
+	takenFrom := make(map[uint32]uint64, len(prof.EdgeCount))
+	for e, n := range prof.EdgeCount {
+		takenFrom[e.From] += n
+	}
+	return takenFrom
+}
+
 // buildFuncCandidate synthesizes an entire call-free function as one
 // hardware region.
-func buildFuncCandidate(f *ir.Func, img *binimg.Image,
-	extents map[int][2]uint32, prof *sim.Profile, cycAt map[uint32]uint64,
-	rerollFactors map[int]int, opts Options, sctx *synthCtx) (*RegionCandidate, error) {
-
+func buildFuncCandidate(fx *funcFacts, pf *profileFacts, opts Options, sctx *synthCtx) (*RegionCandidate, error) {
+	f := fx.f
 	for _, b := range f.Blocks {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
@@ -241,12 +287,12 @@ func buildFuncCandidate(f *ir.Func, img *binimg.Image,
 	var swCycles uint64
 	blockExecs := map[int]uint64{}
 	for _, b := range f.Blocks {
-		ext := extents[b.Index]
+		ext := fx.extents[b.Index]
 		for pc := ext[0]; pc < ext[1]; pc += 4 {
-			swCycles += cycAt[pc]
+			swCycles += pf.cycAt[pc]
 		}
-		execs := prof.InstCount[ext[0]]
-		if k, ok := rerollFactors[b.Index]; ok && k > 1 {
+		execs := pf.prof.InstCount[ext[0]]
+		if k, ok := fx.factors[b.Index]; ok && k > 1 {
 			execs *= uint64(k)
 		}
 		blockExecs[b.Index] = execs
@@ -254,16 +300,15 @@ func buildFuncCandidate(f *ir.Func, img *binimg.Image,
 	if swCycles == 0 {
 		return nil, nil
 	}
-	invocations := prof.InstCount[f.Entry]
+	invocations := pf.prof.InstCount[f.Entry]
 	if invocations == 0 {
 		invocations = 1
 	}
-	d, err := sctx.synthesize(synth.FuncRegion(f), img, opts.Synth)
+	d, err := sctx.synthesize(fx.region(synth.FuncRegion(f)), fx.img, opts.Synth)
 	if err != nil {
 		return nil, err
 	}
-	am := alias.Analyze(f, img)
-	fp, _ := am.FuncFootprint(f)
+	fp, _ := fx.alias().FuncFootprint(f)
 	return &RegionCandidate{
 		Name:        d.Name,
 		Func:        f.Name,
@@ -315,20 +360,19 @@ func blockExtents(f *ir.Func, img *binimg.Image) map[int][2]uint32 {
 
 // buildCandidate synthesizes one loop region and gathers its profile
 // numbers.
-func buildCandidate(f *ir.Func, l *ir.Loop, img *binimg.Image,
-	extents map[int][2]uint32, prof *sim.Profile, cycAt map[uint32]uint64,
-	rerollFactors map[int]int, opts Options, sctx *synthCtx) (*RegionCandidate, error) {
+func buildCandidate(fx *funcFacts, l *ir.Loop, pf *profileFacts, opts Options, sctx *synthCtx) (*RegionCandidate, error) {
+	prof := pf.prof
 
 	// Software cycles and block execution counts from the profile.
 	var swCycles uint64
 	blockExecs := map[int]uint64{}
 	for idx := range l.Blocks {
-		ext := extents[idx]
+		ext := fx.extents[idx]
 		for pc := ext[0]; pc < ext[1]; pc += 4 {
-			swCycles += cycAt[pc]
+			swCycles += pf.cycAt[pc]
 		}
 		execs := prof.InstCount[ext[0]]
-		if k, ok := rerollFactors[idx]; ok && k > 1 {
+		if k, ok := fx.factors[idx]; ok && k > 1 {
 			execs *= uint64(k)
 		}
 		blockExecs[idx] = execs
@@ -340,10 +384,6 @@ func buildCandidate(f *ir.Func, l *ir.Loop, img *binimg.Image,
 	// Invocations: header executions minus re-entries from inside the
 	// loop. Taken branches are in the edge profile; fallthrough and
 	// unconditional flows contribute the predecessor's execution count.
-	takenFrom := map[uint32]uint64{}
-	for e, n := range prof.EdgeCount {
-		takenFrom[e.From] += n
-	}
 	headerExecs := prof.InstCount[l.Header.Start]
 	var backFlow uint64
 	for _, p := range l.Header.Preds {
@@ -361,8 +401,8 @@ func buildCandidate(f *ir.Func, l *ir.Loop, img *binimg.Image,
 			taken := prof.EdgeCount[sim.Edge{From: t.Addr, To: l.Header.Start}]
 			if t.Target == l.Header.Start {
 				backFlow += taken
-			} else if execs >= takenFrom[t.Addr] {
-				backFlow += execs - takenFrom[t.Addr]
+			} else if execs >= pf.takenFrom[t.Addr] {
+				backFlow += execs - pf.takenFrom[t.Addr]
 			}
 		default:
 			backFlow += execs
@@ -373,16 +413,15 @@ func buildCandidate(f *ir.Func, l *ir.Loop, img *binimg.Image,
 		invocations = headerExecs - backFlow
 	}
 
-	d, err := sctx.synthesize(synth.LoopRegion(f, l), img, opts.Synth)
+	d, err := sctx.synthesize(fx.region(synth.LoopRegion(fx.f, l)), fx.img, opts.Synth)
 	if err != nil {
 		return nil, err
 	}
-	am := alias.Analyze(f, img)
-	fp, _ := am.Footprint(l.Blocks)
+	fp, _ := fx.alias().Footprint(l.Blocks)
 
 	return &RegionCandidate{
 		Name:        d.Name,
-		Func:        f.Name,
+		Func:        fx.f.Name,
 		SWCycles:    swCycles,
 		HWCycles:    d.Cycles(blockExecs),
 		HWClockNs:   d.ClockNs,

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"binpart/internal/alias"
 	"binpart/internal/bench"
 	"binpart/internal/binimg"
 	"binpart/internal/decompile"
@@ -85,13 +86,22 @@ func runMonolithic(img *binimg.Image, opts Options) (*Report, error) {
 			Payload:    rr,
 		})
 	}
+	// Every candidate gets facts of its own, computed from scratch: the
+	// function's loops and alias information and the summed taken
+	// edges. Nothing is shared between candidates or taken from the
+	// lift result's loops.
+	facts := func(f *ir.Func) (*funcFacts, *profileFacts) {
+		fx := &funcFacts{f: f, img: img, extents: blockExtents(f, img), factors: lr.Factors[f.Name],
+			loops: ir.FindLoops(f), am: alias.Analyze(f, img)}
+		return fx, &profileFacts{prof: res.Profile, cycAt: cycAt, takenFrom: takenEdges(res.Profile)}
+	}
 	for _, f := range lr.Dec.Funcs {
 		if f.Name == "_start" {
 			continue
 		}
-		extents := blockExtents(f, img)
 		if opts.Granularity == GranFunctions {
-			rc, err := buildFuncCandidate(f, img, extents, res.Profile, cycAt, lr.Factors[f.Name], opts, sctx)
+			fx, pf := facts(f)
+			rc, err := buildFuncCandidate(fx, pf, opts, sctx)
 			if err == nil && rc != nil {
 				addCand(rc)
 			}
@@ -101,7 +111,8 @@ func runMonolithic(img *binimg.Image, opts Options) (*Report, error) {
 			if l.Depth != 1 || !synthesizable(l) {
 				continue
 			}
-			rc, err := buildCandidate(f, l, img, extents, res.Profile, cycAt, lr.Factors[f.Name], opts, sctx)
+			fx, pf := facts(f)
+			rc, err := buildCandidate(fx, l, pf, opts, sctx)
 			if err != nil || rc == nil {
 				continue
 			}
@@ -331,6 +342,77 @@ func TestConcurrentEvaluateSharesMaps(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Error(e)
+	}
+}
+
+// TestConcurrentAnalyzeSharesLift runs concurrent analyses of one image
+// through one cache set whose Synth and Analysis stages are off, so every
+// call builds and synthesizes its candidates again from the one cached
+// LiftResult: its functions and the loops structure recovery found, which
+// candidate construction, alias analysis and synthesis share. (A synth or
+// analysis cache would serialize that work behind its lock and hide a
+// write from the race detector.) The analyses mix loop and function
+// granularity and two synthesis option sets (both pipelining, so
+// synthesis reads the shared loops). Under -race this is the proof that
+// the shared lift facts are only read; every report must also match an
+// uncached serial analysis of the same options.
+func TestConcurrentAnalyzeSharesLift(t *testing.T) {
+	b, _ := bench.ByName("engine")
+	img, err := b.Compile(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var variants []Options
+	for _, gran := range []Granularity{GranLoops, GranFunctions} {
+		for _, banks := range []int{0, 4} {
+			opts := DefaultOptions()
+			opts.Granularity = gran
+			opts.Synth.Resources.MemBanks = banks
+			variants = append(variants, opts)
+		}
+	}
+	want := make([]string, len(variants))
+	for i, opts := range variants {
+		a, err := Analyze(img, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(a.Candidates) == 0 {
+			t.Fatalf("variant %d: no candidates to build", i)
+		}
+		want[i] = fullFingerprint(Evaluate(a, opts.Platform, 0, opts.Algorithm))
+	}
+
+	caches := NewCaches()
+	caches.Synth, caches.Analysis = nil, nil
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 2*len(variants); i++ {
+				v := (g + i) % len(variants)
+				opts := variants[v]
+				a, err := AnalyzeWith(img, opts, caches)
+				if err != nil {
+					errs <- err.Error()
+					return
+				}
+				if got := fullFingerprint(Evaluate(a, opts.Platform, 0, opts.Algorithm)); got != want[v] {
+					errs <- fmt.Sprintf("variant %d: concurrent analysis differs from serial:\n%s\n--- serial ---\n%s", v, got, want[v])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	if st := caches.Lift.Stats(); st.Misses != 1 {
+		t.Errorf("lift cache: %d misses, want 1 shared LiftResult", st.Misses)
 	}
 }
 

@@ -243,19 +243,33 @@ func liftFunction(img *binimg.Image, fn funcSpan, opts Options) (*ir.Func, []uin
 	}
 
 	f := &ir.Func{Name: fn.Name, Entry: fn.Start, NextLoc: ir.FirstVirtual}
-	// Build blocks.
+	// Build blocks. The function lifts into one presized array; each
+	// block's instructions are a capacity-capped window of it, so a later
+	// append to one block reallocates that block instead of overwriting
+	// the next.
+	buf := make([]ir.Instr, 0, liftedLen(insts))
 	var cur *ir.Block
-	for i, in := range insts {
-		pc := fn.Start + uint32(4*i)
-		if leader[i] || cur == nil {
-			cur = &ir.Block{Start: pc}
-			f.Blocks = append(f.Blocks, cur)
-		}
-		lift(cur, in, pc, tables)
-		if in.EndsBlock() && in.Op != mips.JAL {
+	first := 0
+	endBlock := func() {
+		if cur != nil {
+			cur.Instrs = buf[first:len(buf):len(buf)]
 			cur = nil
 		}
 	}
+	for i, in := range insts {
+		pc := fn.Start + uint32(4*i)
+		if leader[i] || cur == nil {
+			endBlock()
+			cur = &ir.Block{Start: pc}
+			f.Blocks = append(f.Blocks, cur)
+			first = len(buf)
+		}
+		buf = lift(buf, in, pc, tables)
+		if in.EndsBlock() && in.Op != mips.JAL {
+			endBlock()
+		}
+	}
+	endBlock()
 	f.Reindex()
 
 	// Wire edges.
@@ -318,11 +332,24 @@ func liftFunction(img *binimg.Image, fn funcSpan, opts Options) (*ir.Func, []uin
 	return f, calls, nil
 }
 
-// lift translates one MIPS instruction to IR, appending to the block.
-func lift(b *ir.Block, in mips.Inst, pc uint32, tables map[uint32][]uint32) {
+// liftedLen bounds the number of IR instructions lift emits for insts:
+// one each, two for the instructions that lift to a pair.
+func liftedLen(insts []mips.Inst) int {
+	n := len(insts)
+	for _, in := range insts {
+		switch in.Op {
+		case mips.MULT, mips.MULTU, mips.DIV, mips.DIVU, mips.NOR:
+			n++
+		}
+	}
+	return n
+}
+
+// lift translates one MIPS instruction to IR, appending to out.
+func lift(out []ir.Instr, in mips.Inst, pc uint32, tables map[uint32][]uint32) []ir.Instr {
 	emit := func(i ir.Instr) {
 		i.Addr = pc
-		b.Instrs = append(b.Instrs, i)
+		out = append(out, i)
 	}
 	rl := func(r mips.Reg) ir.Arg { return ir.L(ir.Loc(r)) }
 	dst := func(r mips.Reg) ir.Loc { return ir.Loc(r) }
@@ -330,7 +357,7 @@ func lift(b *ir.Block, in mips.Inst, pc uint32, tables map[uint32][]uint32) {
 	// Writes to $zero are architectural no-ops.
 	if d, ok := in.Dest(); ok && d == mips.Zero && in.Op != mips.JAL {
 		emit(ir.Instr{Op: ir.Nop})
-		return
+		return out
 	}
 
 	switch in.Op {
@@ -420,7 +447,7 @@ func lift(b *ir.Block, in mips.Inst, pc uint32, tables map[uint32][]uint32) {
 		if in.Rs == in.Rt {
 			// beq x, x is the standard unconditional-branch idiom ("b").
 			emit(ir.Instr{Op: ir.Jump, Target: pc + 4 + uint32(in.Imm)*4})
-			return
+			return out
 		}
 		emit(ir.Instr{Op: ir.Branch, Cond: ir.CondEQ, A: rl(in.Rs), B: rl(in.Rt), Target: pc + 4 + uint32(in.Imm)*4})
 	case mips.BNE:
@@ -441,7 +468,7 @@ func lift(b *ir.Block, in mips.Inst, pc uint32, tables map[uint32][]uint32) {
 		if in.Rs != mips.RA {
 			// A resolved jump table (unresolved ones failed earlier).
 			emit(ir.Instr{Op: ir.IJump, A: rl(in.Rs), Table: tables[pc]})
-			return
+			return out
 		}
 		emit(ir.Instr{Op: ir.Ret})
 	case mips.BREAK:
@@ -449,4 +476,5 @@ func lift(b *ir.Block, in mips.Inst, pc uint32, tables map[uint32][]uint32) {
 	default:
 		emit(ir.Instr{Op: ir.Nop})
 	}
+	return out
 }

@@ -534,16 +534,22 @@ func GlobalConstProp(f *ir.Func) int {
 	return n
 }
 
+// cleanupRounds caps Cleanup's iterations.
+const cleanupRounds = 8
+
 // Cleanup iterates ConstProp, FoldMoves and DeadCode to a fixpoint; this
-// is the paper's "constant propagation" overhead-removal stage.
-func Cleanup(f *ir.Func) {
-	for i := 0; i < 8; i++ {
+// is the paper's "constant propagation" overhead-removal stage. It
+// reports whether it reached the fixpoint (a round that changed nothing)
+// within cleanupRounds rounds; at a fixpoint, running it again is a no-op.
+func Cleanup(f *ir.Func) bool {
+	for i := 0; i < cleanupRounds; i++ {
 		c := ConstProp(f)
 		c += GlobalConstProp(f)
 		c += FoldMoves(f)
 		c += DeadCode(f)
 		if c == 0 {
-			return
+			return true
 		}
 	}
+	return false
 }

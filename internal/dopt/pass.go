@@ -35,6 +35,11 @@ func Optimize(f *ir.Func) Report {
 }
 
 // OptimizeWith runs the pipeline with selected passes disabled.
+//
+// Each pass between two Cleanups reports what it rewrote, and reports
+// nothing exactly when it left the IR unchanged. So a Cleanup is skipped
+// when the previous one reached its fixpoint and every pass since then
+// reports no change: it would find nothing to do.
 func OptimizeWith(f *ir.Func, cfg Config) Report {
 	var rep Report
 
@@ -42,25 +47,34 @@ func OptimizeWith(f *ir.Func, cfg Config) Report {
 	ConstProp(f)
 	rep.MovesFolded += FoldMoves(f)
 	rep.DeadRemoved += DeadCode(f)
-	Cleanup(f)
+	fixed := Cleanup(f)
 	if !cfg.NoStackRemoval {
 		rep.Stack = RemoveStackOps(f)
-		Cleanup(f)
+		if !fixed || rep.Stack.Changed() {
+			fixed = Cleanup(f)
+		}
 	}
 
 	// Undo compiler optimizations.
+	changed := false
 	if !cfg.NoReroll {
 		rep.Reroll = Reroll(f)
+		changed = rep.Reroll.Changed()
 	}
 	if !cfg.NoPromote {
 		rep.Promote = PromoteStrength(f)
+		changed = changed || rep.Promote.Changed()
 	}
-	Cleanup(f)
+	if !fixed || changed {
+		fixed = Cleanup(f)
+	}
 
 	// Final synthesis-oriented rewrites and annotations.
 	if !cfg.NoStrengthRed {
 		rep.StrengthReduced = StrengthReduce(f)
-		Cleanup(f)
+		if !fixed || rep.StrengthReduced > 0 {
+			Cleanup(f)
+		}
 	}
 	if !cfg.NoWidthReduce {
 		rep.Width = ReduceWidths(f)

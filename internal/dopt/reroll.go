@@ -18,6 +18,9 @@ type RerollReport struct {
 	Factors map[int]int
 }
 
+// Changed reports whether Reroll rewrote the IR: it rerolled a loop.
+func (r RerollReport) Changed() bool { return len(r.Rerolled) > 0 }
+
 // Reroll performs the paper's "loop rerolling": it detects loop bodies
 // consisting of k copies of a statement group whose induction uses step
 // from copy to copy, keeps one copy, and divides every induction step by

@@ -20,6 +20,10 @@ type StackReport struct {
 	EscapedSlots int
 }
 
+// Changed reports whether RemoveStackOps rewrote the IR: it promoted a
+// slot (rewriting its accesses) or deleted a stack adjustment.
+func (r StackReport) Changed() bool { return r.OpsRewritten > 0 || r.AdjustsRemoved > 0 }
+
 // RemoveStackOps performs the paper's "stack operation removal": frame
 // slots that are only ever accessed as word-sized sp-relative loads and
 // stores are promoted to virtual registers, which erases callee-save

@@ -63,6 +63,10 @@ type PromoteReport struct {
 	OpsCollapsed int
 }
 
+// Changed reports whether PromoteStrength rewrote the IR: it recovered
+// a multiplication.
+func (r PromoteReport) Changed() bool { return r.Multiplies > 0 }
+
 // PromoteStrength performs the paper's "strength promotion": shift/add/sub
 // sequences that compute x*C (the residue of compiler strength reduction)
 // are folded back into a single multiplication, restoring the synthesis

@@ -87,6 +87,25 @@ var memOps = map[Op]uint32{
 	SB: opSB, SH: opSH, SW: opSW,
 }
 
+// Decode's lookup tables, inverted once from the encode maps: the op for
+// a SPECIAL funct in rfuncts, and for a primary opcode in immOps or
+// memOps. NOP (the zero Op) is in none of those maps, so it marks an
+// encoding the table does not cover.
+var rfunctOp, primaryOp = decodeTables()
+
+func decodeTables() (byFunct, byOpcode [64]Op) {
+	for o, fn := range rfuncts {
+		byFunct[fn] = o
+	}
+	for o, code := range immOps {
+		byOpcode[code] = o
+	}
+	for o, code := range memOps {
+		byOpcode[code] = o
+	}
+	return byFunct, byOpcode
+}
+
 // Encode converts the instruction to its 32-bit machine encoding.
 func Encode(i Inst) (uint32, error) {
 	switch i.Op {
@@ -100,7 +119,17 @@ func Encode(i Inst) (uint32, error) {
 		}
 		return rtype(shiftFuncts[i.Op], 0, i.Rt, i.Rd, uint32(i.Imm)), nil
 	case MULT, MULTU, DIV, DIVU:
-		fn := map[Op]uint32{MULT: fnMULT, MULTU: fnMULTU, DIV: fnDIV, DIVU: fnDIVU}[i.Op]
+		var fn uint32
+		switch i.Op {
+		case MULT:
+			fn = fnMULT
+		case MULTU:
+			fn = fnMULTU
+		case DIV:
+			fn = fnDIV
+		default:
+			fn = fnDIVU
+		}
 		return rtype(fn, i.Rs, i.Rt, 0, 0), nil
 	case MFHI, MFLO:
 		fn := fnMFHI
@@ -225,10 +254,8 @@ func Decode(w uint32) (Inst, error) {
 		case fnDIVU:
 			return Inst{Op: DIVU, Rs: rs, Rt: rt}, nil
 		}
-		for o, f := range rfuncts {
-			if f == fn {
-				return Inst{Op: o, Rd: rd, Rs: rs, Rt: rt}, nil
-			}
+		if o := rfunctOp[fn]; o != NOP {
+			return Inst{Op: o, Rd: rd, Rs: rs, Rt: rt}, nil
 		}
 		return Inst{}, fmt.Errorf("mips: unknown SPECIAL funct 0x%02x in word 0x%08x", fn, w)
 	case opRegimm:
@@ -254,19 +281,12 @@ func Decode(w uint32) (Inst, error) {
 	case opLUI:
 		return Inst{Op: LUI, Rt: rt, Imm: uimm}, nil
 	}
-	for o, code := range immOps {
-		if code == op {
-			imm := simm
-			if o == ANDI || o == ORI || o == XORI {
-				imm = uimm
-			}
-			return Inst{Op: o, Rs: rs, Rt: rt, Imm: imm}, nil
-		}
+	switch o := primaryOp[op]; o {
+	case NOP:
+		return Inst{}, fmt.Errorf("mips: unknown opcode 0x%02x in word 0x%08x", op, w)
+	case ANDI, ORI, XORI:
+		return Inst{Op: o, Rs: rs, Rt: rt, Imm: uimm}, nil
+	default:
+		return Inst{Op: o, Rs: rs, Rt: rt, Imm: simm}, nil
 	}
-	for o, code := range memOps {
-		if code == op {
-			return Inst{Op: o, Rs: rs, Rt: rt, Imm: simm}, nil
-		}
-	}
-	return Inst{}, fmt.Errorf("mips: unknown opcode 0x%02x in word 0x%08x", op, w)
 }

@@ -63,47 +63,52 @@ func TestEncodeDecodeKnownWords(t *testing.T) {
 // randomInst builds a random but encodable instruction.
 func randomInst(r *rand.Rand) Inst {
 	for {
-		op := Op(r.Intn(int(numOps)))
-		in := Inst{Op: op}
-		reg := func() Reg { return Reg(r.Intn(32)) }
-		switch op {
-		case NOP, BREAK:
-		case ADD, ADDU, SUB, SUBU, AND, OR, XOR, NOR, SLT, SLTU, SLLV, SRLV, SRAV:
-			in.Rd, in.Rs, in.Rt = reg(), reg(), reg()
-		case SLL, SRL, SRA:
-			in.Rd, in.Rt, in.Imm = reg(), reg(), int32(r.Intn(32))
-		case MULT, MULTU, DIV, DIVU:
-			in.Rs, in.Rt = reg(), reg()
-		case MFHI, MFLO:
-			in.Rd = reg()
-		case MTHI, MTLO, JR:
-			in.Rs = reg()
-		case JALR:
-			in.Rd, in.Rs = reg(), reg()
-		case ADDI, ADDIU, SLTI, SLTIU:
-			in.Rt, in.Rs, in.Imm = reg(), reg(), int32(int16(r.Uint32()))
-		case ANDI, ORI, XORI:
-			in.Rt, in.Rs, in.Imm = reg(), reg(), int32(r.Intn(0x10000))
-		case LUI:
-			in.Rt, in.Imm = reg(), int32(r.Intn(0x10000))
-		case LB, LBU, LH, LHU, LW, SB, SH, SW:
-			in.Rt, in.Rs, in.Imm = reg(), reg(), int32(int16(r.Uint32()))
-		case BEQ, BNE:
-			in.Rs, in.Rt, in.Imm = reg(), reg(), int32(int16(r.Uint32()))
-		case BLEZ, BGTZ, BLTZ, BGEZ:
-			in.Rs, in.Imm = reg(), int32(int16(r.Uint32()))
-		case J, JAL:
-			in.Target = uint32(r.Intn(1<<26)) << 2
-		default:
-			continue
+		if in, ok := randomInstOf(r, Op(r.Intn(int(numOps)))); ok {
+			return in
 		}
-		// NOP has a canonical zero encoding; SLL $zero,... variants decode
-		// back to NOP, so skip colliding random SLLs.
-		if op == SLL && in.Rd == Zero && in.Rt == Zero && in.Imm == 0 {
-			continue
-		}
-		return in
 	}
+}
+
+// randomInstOf builds a random encodable instruction with the given op.
+// It reports false for a draw that does not round-trip: an SLL that
+// encodes as the canonical NOP word.
+func randomInstOf(r *rand.Rand, op Op) (Inst, bool) {
+	in := Inst{Op: op}
+	reg := func() Reg { return Reg(r.Intn(32)) }
+	switch op {
+	case NOP, BREAK:
+	case ADD, ADDU, SUB, SUBU, AND, OR, XOR, NOR, SLT, SLTU, SLLV, SRLV, SRAV:
+		in.Rd, in.Rs, in.Rt = reg(), reg(), reg()
+	case SLL, SRL, SRA:
+		in.Rd, in.Rt, in.Imm = reg(), reg(), int32(r.Intn(32))
+	case MULT, MULTU, DIV, DIVU:
+		in.Rs, in.Rt = reg(), reg()
+	case MFHI, MFLO:
+		in.Rd = reg()
+	case MTHI, MTLO, JR:
+		in.Rs = reg()
+	case JALR:
+		in.Rd, in.Rs = reg(), reg()
+	case ADDI, ADDIU, SLTI, SLTIU:
+		in.Rt, in.Rs, in.Imm = reg(), reg(), int32(int16(r.Uint32()))
+	case ANDI, ORI, XORI:
+		in.Rt, in.Rs, in.Imm = reg(), reg(), int32(r.Intn(0x10000))
+	case LUI:
+		in.Rt, in.Imm = reg(), int32(r.Intn(0x10000))
+	case LB, LBU, LH, LHU, LW, SB, SH, SW:
+		in.Rt, in.Rs, in.Imm = reg(), reg(), int32(int16(r.Uint32()))
+	case BEQ, BNE:
+		in.Rs, in.Rt, in.Imm = reg(), reg(), int32(int16(r.Uint32()))
+	case BLEZ, BGTZ, BLTZ, BGEZ:
+		in.Rs, in.Imm = reg(), int32(int16(r.Uint32()))
+	case J, JAL:
+		in.Target = uint32(r.Intn(1<<26)) << 2
+	default:
+		return in, false
+	}
+	// NOP has a canonical zero encoding; SLL $zero,... variants decode
+	// back to NOP.
+	return in, !(op == SLL && in.Rd == Zero && in.Rt == Zero && in.Imm == 0)
 }
 
 func TestEncodeDecodeRoundTripProperty(t *testing.T) {

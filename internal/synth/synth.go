@@ -88,6 +88,12 @@ type Region struct {
 	Func   *ir.Func
 	Blocks map[int]*ir.Block // nil = all
 	Name   string
+	// Loops and Alias are facts about Func that a caller synthesizing
+	// several regions of one function computes once and shares:
+	// ir.FindLoops(Func) and alias.Analyze(Func, img). Synthesize only
+	// reads them, and computes either one itself when it is nil.
+	Loops []*ir.Loop
+	Alias *alias.Info
 }
 
 // LoopRegion builds a Region from a recovered loop.
@@ -135,8 +141,8 @@ func Synthesize(r Region, img *binimg.Image, opts Options) (*Design, error) {
 			}
 		}
 	}
-	var am *alias.Info
-	if img != nil {
+	am := r.Alias
+	if am == nil && img != nil {
 		am = alias.Analyze(r.Func, img)
 	}
 
@@ -219,7 +225,10 @@ func findSymbol(img *binimg.Image, name string) (binimg.Symbol, bool) {
 // iterations can overlap. II = max(resource II, recurrence II).
 func pipelineLoops(r Region, d *Design, res Resources) []PipeInfo {
 	var out []PipeInfo
-	loops := ir.FindLoops(r.Func)
+	loops := r.Loops
+	if loops == nil {
+		loops = ir.FindLoops(r.Func)
+	}
 	for _, l := range loops {
 		if r.Blocks != nil {
 			inRegion := true
