@@ -66,9 +66,9 @@ check: vet build test race stress obs-smoke corpus-smoke bpartd-smoke
 # T1 headline custom metrics) into BENCH.json via cmd/benchjson. The text
 # output still streams to the terminal. The committed BENCH.json is
 # snapshotted first and used as the regression baseline: a >10% Stage*
-# regression fails the target (allocs/op always; ns/op only on the same CPU).
-# -count=3 with benchjson keeping the per-benchmark minimum damps shared-host
-# timing noise; allocs/op is exact regardless.
+# regression fails the target (allocs/op and B/op always; ns/op only on the
+# same CPU). -count=3 with benchjson keeping the per-benchmark minimum damps
+# shared-host timing noise; allocs/op and B/op are steady regardless.
 bench:
 	@if [ -f BENCH.json ]; then cp BENCH.json .bench-baseline.json; fi
 	$(GO) test -run NONE -bench . -benchmem -count 3 . ./cmd/bpartd | $(GO) run ./cmd/benchjson -o BENCH.json -baseline .bench-baseline.json

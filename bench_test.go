@@ -355,6 +355,41 @@ func BenchmarkStageAnalyzeSuite(b *testing.B) {
 	}
 }
 
+// BenchmarkStageRegenerate measures one cold regeneration of every
+// default table, figure, ablation and extension on fresh stage caches
+// with 2 workers: the work of one `experiments -j 2` run, which compiles
+// the suite at O0–O3 and analyzes every binary once. Its B/op gates the
+// bytes a table regeneration allocates, which set how often the garbage
+// collector runs on the cold path.
+func BenchmarkStageRegenerate(b *testing.B) {
+	regenerate := func() {
+		type formatter interface{ Format() string }
+		r := exper.NewRunner(2, core.NewCaches())
+		steps := []func() (formatter, error){
+			func() (formatter, error) { return r.Table1() },
+			func() (formatter, error) { return r.Table2() },
+			func() (formatter, error) { return r.Table3() },
+			func() (formatter, error) { return r.Table4() },
+			func() (formatter, error) { return r.Figure1() },
+			func() (formatter, error) { return r.PartitionerComparison() },
+			func() (formatter, error) { return r.PassAblation() },
+			func() (formatter, error) { return r.JumpTableExtension() },
+		}
+		for _, step := range steps {
+			t, err := step()
+			if err != nil {
+				b.Fatal(err)
+			}
+			_ = t.Format()
+		}
+	}
+	regenerate() // warm-up
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		regenerate()
+	}
+}
+
 // BenchmarkStageEvaluate measures the platform-dependent tail of the
 // flow on crc's analysis — candidate pricing, the 90-10 partitioner and
 // platform evaluation — the compute a warm bpartd request does per call.

@@ -12,9 +12,10 @@
 //
 // With -baseline, the new results are diffed against a previous
 // BENCH.json and the run fails (exit 1) if any Stage* benchmark
-// regressed by more than 10%: allocs/op is gated unconditionally (it is
-// exact and machine-independent), ns/op only when the baseline was
-// recorded on the same CPU. This is the perf ratchet
+// regressed by more than 10%: allocs/op and B/op are gated
+// unconditionally (they are machine-independent, and the Stage*
+// benchmarks warm up so one iteration sees steady state), ns/op only
+// when the baseline was recorded on the same CPU. This is the perf ratchet
 // `make bench` and CI run.
 //
 // Repeated result lines for one benchmark (from `go test -count=N`) are
@@ -151,9 +152,9 @@ func gatedBench(name string) bool {
 
 // diffReports prints a per-benchmark comparison and returns the gate
 // violations: Stage* benchmarks more than regressLimit
-// worse than the baseline on allocs/op (always) or ns/op (only when both
-// reports were recorded on the same CPU, since wall-clock does not
-// transfer across machines), and gated baseline benchmarks absent from
+// worse than the baseline on allocs/op or B/op (always) or ns/op (only
+// when both reports were recorded on the same CPU, since wall-clock does
+// not transfer across machines), and gated baseline benchmarks absent from
 // the run — a renamed or deleted benchmark must leave the baseline
 // explicitly, not unhook its gate silently.
 func diffReports(w io.Writer, old, cur Report) []string {
@@ -183,7 +184,7 @@ func diffReports(w io.Writer, old, cur Report) []string {
 			continue
 		}
 		gated := gatedBench(b.Name)
-		for _, unit := range []string{"ns/op", "allocs/op"} {
+		for _, unit := range []string{"ns/op", "allocs/op", "B/op"} {
 			nv, haveNew := b.Metrics[unit]
 			ov, haveOld := ob.Metrics[unit]
 			if !haveNew || !haveOld {

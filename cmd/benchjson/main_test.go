@@ -26,6 +26,29 @@ func TestDiffReportsGatesStageAllocs(t *testing.T) {
 	}
 }
 
+// TestDiffReportsGatesStageBytes pins the B/op gate: like allocs/op it
+// holds on any CPU, at the same 10%.
+func TestDiffReportsGatesStageBytes(t *testing.T) {
+	withBytes := func(b Benchmark, bytes float64) Benchmark {
+		b.Metrics["B/op"] = bytes
+		return b
+	}
+	old := report("cpuA", withBytes(bench("StageRegenerate", 1000, 100), 8000))
+	cur := report("cpuB", withBytes(bench("StageRegenerate", 1000, 100), 9000)) // +12.5% bytes
+	regs := diffReports(io.Discard, old, cur)
+	if len(regs) != 1 || !strings.Contains(regs[0], "StageRegenerate B/op") {
+		t.Fatalf("B/op regression not caught: %v", regs)
+	}
+	ok := report("cpuB", withBytes(bench("StageRegenerate", 1000, 100), 8700)) // +8.75%
+	if regs := diffReports(io.Discard, old, ok); len(regs) != 0 {
+		t.Fatalf("B/op within 10%% should pass: %v", regs)
+	}
+	ungated := report("cpuA", withBytes(bench("Table1MainResults", 1000, 100), 8000))
+	if regs := diffReports(io.Discard, ungated, report("cpuA", withBytes(bench("Table1MainResults", 1000, 100), 90000))); len(regs) != 0 {
+		t.Fatalf("B/op of an ungated benchmark should not gate: %v", regs)
+	}
+}
+
 func TestDiffReportsNsGateNeedsCPUMatch(t *testing.T) {
 	old := report("cpuA", bench("StageDopt", 1000, 100))
 	slow := report("cpuA", bench("StageDopt", 1200, 100)) // +20% ns/op, same CPU

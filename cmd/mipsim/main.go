@@ -48,8 +48,10 @@ func main() {
 			cyc uint64
 		}
 		var hots []hot
-		for pc, c := range cycles {
-			hots = append(hots, hot{pc, c})
+		for i, c := range cycles.Cycles {
+			if c > 0 {
+				hots = append(hots, hot{cycles.Base + uint32(4*i), c})
+			}
 		}
 		sort.Slice(hots, func(i, j int) bool { return hots[i].cyc > hots[j].cyc })
 		fmt.Printf("hottest addresses:\n")

@@ -52,10 +52,6 @@ func OpenDiskMax(dir string, maxBytes int64) (*DiskStore, error) {
 	return d, nil
 }
 
-// Size returns the approximate blob bytes currently stored. Only
-// tracked on a bounded store; an unbounded store reports 0.
-func (d *DiskStore) Size() int64 { return d.size.Load() }
-
 func (d *DiskStore) path(k Key) string {
 	return filepath.Join(d.dir, k.String()+".sbc")
 }

@@ -49,7 +49,7 @@ func TestDiskSweepEvictsOldest(t *testing.T) {
 			t.Errorf("young blob %s evicted", k)
 		}
 	}
-	if got := d.Size(); got != 900 {
+	if got := d.size.Load(); got != 900 {
 		t.Errorf("size after sweep = %d, want 900", got)
 	}
 }
@@ -69,7 +69,7 @@ func TestDiskSweepTriggersOnPut(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "background sweep", func() bool {
-		return !d.sweeping.Load() && d.Size() <= 450 // low watermark
+		return !d.sweeping.Load() && d.size.Load() <= 450 // low watermark
 	})
 	if _, ok := d.Get(NewHasher("t").String("new").Sum()); !ok {
 		t.Error("newest blob evicted by its own sweep")
@@ -91,7 +91,7 @@ func TestOpenDiskMaxPricesExisting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := d2.Size(); got != 400 {
+	if got := d2.size.Load(); got != 400 {
 		t.Errorf("opening scan priced %d bytes, want 400", got)
 	}
 }
@@ -110,7 +110,7 @@ func TestDiskDeleteAdjustsSize(t *testing.T) {
 	if err := d.Delete(k); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.Size(); got != 0 {
+	if got := d.size.Load(); got != 0 {
 		t.Errorf("size after delete = %d, want 0", got)
 	}
 	if err := d.Delete(k); err != nil {

@@ -252,8 +252,12 @@ func funcSignature(f *ir.Func) cache.Key {
 			b = le.AppendUint32(b, in.Target)
 			b = le.AppendUint32(b, in.Addr)
 			b = le.AppendUint64(b, uint64(in.WidthBits))
-			b = le.AppendUint64(b, uint64(len(in.Table)))
-			for _, t := range in.Table {
+			var table []uint32
+			if in.Table != nil {
+				table = in.Table.Targets
+			}
+			b = le.AppendUint64(b, uint64(len(table)))
+			for _, t := range table {
 				b = le.AppendUint32(b, t)
 			}
 		}

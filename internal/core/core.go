@@ -258,7 +258,7 @@ func (fx *funcFacts) region(r synth.Region) synth.Region {
 // analysis reads, shared read-only.
 type profileFacts struct {
 	prof  *sim.Profile
-	cycAt map[uint32]uint64
+	cycAt sim.Attribution
 	// takenFrom sums the taken-edge counts of each branch PC.
 	takenFrom map[uint32]uint64
 }
@@ -289,7 +289,7 @@ func buildFuncCandidate(fx *funcFacts, pf *profileFacts, opts Options, sctx *syn
 	for _, b := range f.Blocks {
 		ext := fx.extents[b.Index]
 		for pc := ext[0]; pc < ext[1]; pc += 4 {
-			swCycles += pf.cycAt[pc]
+			swCycles += pf.cycAt.At(pc)
 		}
 		execs := pf.prof.InstCount[ext[0]]
 		if k, ok := fx.factors[b.Index]; ok && k > 1 {
@@ -369,7 +369,7 @@ func buildCandidate(fx *funcFacts, l *ir.Loop, pf *profileFacts, opts Options, s
 	for idx := range l.Blocks {
 		ext := fx.extents[idx]
 		for pc := ext[0]; pc < ext[1]; pc += 4 {
-			swCycles += pf.cycAt[pc]
+			swCycles += pf.cycAt.At(pc)
 		}
 		execs := prof.InstCount[ext[0]]
 		if k, ok := fx.factors[idx]; ok && k > 1 {

@@ -140,7 +140,7 @@ func TestAdversarialWellFormedControl(t *testing.T) {
 	f := res.Func("kernel")
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
-			if in.Op == ir.IJump && len(in.Table) == 4 {
+			if in.Op == ir.IJump && in.Table != nil && len(in.Table.Targets) == 4 {
 				return
 			}
 		}

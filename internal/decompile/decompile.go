@@ -185,7 +185,7 @@ func liftFunction(img *binimg.Image, fn funcSpan, opts Options) (*ir.Func, []uin
 	// control transfer.
 	leader := make([]bool, n)
 	leader[0] = true
-	tables := map[uint32][]uint32{}
+	var tables map[uint32]*ir.JumpTable // by IJump pc
 	var calls []uint32
 	for i, in := range insts {
 		pc := fn.Start + uint32(4*i)
@@ -218,7 +218,10 @@ func liftFunction(img *binimg.Image, fn funcSpan, opts Options) (*ir.Func, []uin
 			if opts.RecoverJumpTables {
 				targets, jerr := resolveJumpTable(img, insts, i, fn)
 				if jerr == nil {
-					tables[pc] = targets
+					if tables == nil {
+						tables = make(map[uint32]*ir.JumpTable)
+					}
+					tables[pc] = &ir.JumpTable{Targets: targets}
 					for _, tgt := range targets {
 						leader[(tgt-fn.Start)/4] = true
 					}
@@ -311,7 +314,7 @@ func liftFunction(img *binimg.Image, fn funcSpan, opts Options) (*ir.Func, []uin
 			addEdge(b, target)
 		case ir.IJump:
 			seen := map[uint32]bool{}
-			for _, tgt := range t.Table {
+			for _, tgt := range t.Table.Targets {
 				if seen[tgt] {
 					continue
 				}
@@ -346,7 +349,7 @@ func liftedLen(insts []mips.Inst) int {
 }
 
 // lift translates one MIPS instruction to IR, appending to out.
-func lift(out []ir.Instr, in mips.Inst, pc uint32, tables map[uint32][]uint32) []ir.Instr {
+func lift(out []ir.Instr, in mips.Inst, pc uint32, tables map[uint32]*ir.JumpTable) []ir.Instr {
 	emit := func(i ir.Instr) {
 		i.Addr = pc
 		out = append(out, i)

@@ -74,8 +74,8 @@ func TestJumpTableRecovery(t *testing.T) {
 					}
 					// The table spans the explicit cases 0..6; the default
 					// arm goes through the bound check instead.
-					if len(in.Table) != 7 {
-						t.Errorf("O%d: table has %d entries, want 7", lvl, len(in.Table))
+					if len(in.Table.Targets) != 7 {
+						t.Errorf("O%d: table has %d entries, want 7", lvl, len(in.Table.Targets))
 					}
 					found = true
 					// The switch head must have edges to every distinct

@@ -280,7 +280,7 @@ func FoldMoves(f *ir.Func) int {
 			if !prev.HasDst() || prev.Dst != x || prev.Op == ir.Move {
 				continue
 			}
-			if usedLater(b, i+1, x) || liveOut[b.Index].has(x) {
+			if usedLater(b, i+1, x) || liveOut.at(b.Index).has(x) {
 				continue
 			}
 			prev.Dst = mv.Dst
@@ -321,11 +321,11 @@ func usedLater(b *ir.Block, from int, loc ir.Loc) bool {
 // abiLiveness computes block liveness with ABI-aware uses (calls read
 // argument registers, returns read the ABI-live set). The returned sets
 // share one backing allocation; treat them as read-only.
-func abiLiveness(f *ir.Func) (liveIn, liveOut []locSet) {
+func abiLiveness(f *ir.Func) (liveIn, liveOut locSets) {
 	n := len(f.Blocks)
-	sets, scratch := newLocSets(2*n, 1, locSpace(f))
-	liveIn, liveOut = sets[:n], sets[n:]
-	live := scratch[0]
+	sets := newLocSets(2*n+1, locSpace(f))
+	liveIn, liveOut = sets.slice(0, n), sets.slice(n, 2*n)
+	live := sets.at(2 * n)
 	var ub [2]ir.Loc
 	for changed := true; changed; {
 		changed = false
@@ -333,9 +333,9 @@ func abiLiveness(f *ir.Func) (liveIn, liveOut []locSet) {
 			b := f.Blocks[i]
 			live.reset()
 			for _, s := range b.Succs {
-				live.or(liveIn[s.Index])
+				live.or(liveIn.at(s.Index))
 			}
-			if liveOut[i].or(live) {
+			if liveOut.at(i).or(live) {
 				changed = true
 			}
 			for j := len(b.Instrs) - 1; j >= 0; j-- {
@@ -352,7 +352,7 @@ func abiLiveness(f *ir.Func) (liveIn, liveOut []locSet) {
 					live.set(u)
 				}
 			}
-			if liveIn[i].or(live) {
+			if liveIn.at(i).or(live) {
 				changed = true
 			}
 		}
@@ -385,8 +385,8 @@ var haltUses = []ir.Loc{ir.RegV0}
 func DeadCode(f *ir.Func) int {
 	// Block-level liveness with ABI uses folded in.
 	n := len(f.Blocks)
-	liveIn, scratch := newLocSets(n, 1, locSpace(f))
-	live := scratch[0]
+	sets := newLocSets(n+1, locSpace(f))
+	liveIn, live := sets.slice(0, n), sets.at(n)
 	var ub [2]ir.Loc
 	for changed := true; changed; {
 		changed = false
@@ -394,7 +394,7 @@ func DeadCode(f *ir.Func) int {
 			b := f.Blocks[i]
 			live.reset()
 			for _, s := range b.Succs {
-				live.or(liveIn[s.Index])
+				live.or(liveIn.at(s.Index))
 			}
 			for j := len(b.Instrs) - 1; j >= 0; j-- {
 				in := &b.Instrs[j]
@@ -410,7 +410,7 @@ func DeadCode(f *ir.Func) int {
 					live.set(u)
 				}
 			}
-			if liveIn[i].or(live) {
+			if liveIn.at(i).or(live) {
 				changed = true
 			}
 		}
@@ -421,7 +421,7 @@ func DeadCode(f *ir.Func) int {
 		b := f.Blocks[i]
 		live.reset()
 		for _, s := range b.Succs {
-			live.or(liveIn[s.Index])
+			live.or(liveIn.at(s.Index))
 		}
 		for j := len(b.Instrs) - 1; j >= 0; j-- {
 			in := &b.Instrs[j]

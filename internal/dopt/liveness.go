@@ -55,15 +55,26 @@ func locSpace(f *ir.Func) int {
 	return int(max)
 }
 
-// newLocSets carves n+extra bitsets for a location space of size space
-// out of one backing allocation. The first n are returned as a slice;
-// scratch sets follow at indices n..n+extra-1 of the second return.
-func newLocSets(n, extra, space int) ([]locSet, []locSet) {
+// locSets is a family of equal-size bitsets over one location space,
+// carved from a single backing array: at(i) views set i without a
+// per-set slice header.
+type locSets struct {
+	words int
+	w     []uint64
+}
+
+// newLocSets allocates n empty sets for a location space of size space.
+func newLocSets(n, space int) locSets {
 	words := (space + 63) / 64
-	backing := make([]uint64, (n+extra)*words)
-	sets := make([]locSet, n+extra)
-	for i := range sets {
-		sets[i] = locSet(backing[i*words : (i+1)*words])
-	}
-	return sets[:n], sets[n:]
+	return locSets{words: words, w: make([]uint64, n*words)}
+}
+
+// at returns set i.
+func (ls locSets) at(i int) locSet {
+	return locSet(ls.w[i*ls.words : (i+1)*ls.words : (i+1)*ls.words])
+}
+
+// slice returns sets [lo, hi) as a family of their own.
+func (ls locSets) slice(lo, hi int) locSets {
+	return locSets{words: ls.words, w: ls.w[lo*ls.words : hi*ls.words]}
 }

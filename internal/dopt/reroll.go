@@ -113,7 +113,7 @@ func tryReroll(f *ir.Func, l *ir.Loop) (factor, removed, bodyIdx int) {
 		}
 	}
 	_, liveOut := abiLiveness(f)
-	m := newRerollMatcher(body, ivStep, liveOut[body.Index], defsInLoop, loopStores)
+	m := newRerollMatcher(body, ivStep, liveOut.at(body.Index), defsInLoop, loopStores)
 	if m == nil {
 		return 0, 0, 0
 	}

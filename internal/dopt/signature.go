@@ -16,7 +16,7 @@ func InferParams(f *ir.Func) int {
 	}
 	arity := 0
 	for i := 0; i < 4; i++ {
-		if liveIn[f.Blocks[0].Index].has(ir.RegA0 + ir.Loc(i)) {
+		if liveIn.at(f.Blocks[0].Index).has(ir.RegA0 + ir.Loc(i)) {
 			arity = i + 1
 		}
 	}

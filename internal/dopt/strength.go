@@ -83,8 +83,9 @@ func PromoteStrength(f *ir.Func) PromoteReport {
 	var rep PromoteReport
 	_, liveOut := abiLiveness(f)
 
+	var bc blockChains
 	for _, b := range f.Blocks {
-		bc := newBlockChains(b, liveOut[b.Index])
+		bc.reset(b, liveOut.at(b.Index))
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			if in.Op != ir.Add && in.Op != ir.Sub {
@@ -98,7 +99,7 @@ func PromoteStrength(f *ir.Func) PromoteReport {
 			rep.Multiplies++
 			rep.OpsCollapsed += len(members)
 			// Definitions changed; rebuild the block's def chains.
-			bc = newBlockChains(b, liveOut[b.Index])
+			bc.reset(b, liveOut.at(b.Index))
 		}
 	}
 	return rep
@@ -115,18 +116,28 @@ type blockChains struct {
 	defOfA, defOfB []int
 	useCount       []int
 	escapes        []bool
+	lastDef        map[ir.Loc]int // scratch: the reaching def of each location
 }
 
 func newBlockChains(b *ir.Block, liveOut locSet) *blockChains {
+	bc := new(blockChains)
+	bc.reset(b, liveOut)
+	return bc
+}
+
+// reset rebuilds the chains for block b, reusing bc's buffers.
+func (bc *blockChains) reset(b *ir.Block, liveOut locSet) {
 	n := len(b.Instrs)
-	bc := &blockChains{
-		b:        b,
-		defOfA:   make([]int, n),
-		defOfB:   make([]int, n),
-		useCount: make([]int, n),
-		escapes:  make([]bool, n),
+	bc.b = b
+	bc.defOfA = reuse(bc.defOfA, n)
+	bc.defOfB = reuse(bc.defOfB, n)
+	bc.useCount = reuse(bc.useCount, n)
+	bc.escapes = reuse(bc.escapes, n)
+	if bc.lastDef == nil {
+		bc.lastDef = make(map[ir.Loc]int)
 	}
-	lastDef := map[ir.Loc]int{}
+	lastDef := bc.lastDef
+	clear(lastDef)
 	resolve := func(a ir.Arg) int {
 		if a.IsConst {
 			return -1
@@ -159,7 +170,17 @@ func newBlockChains(b *ir.Block, liveOut locSet) *blockChains {
 			bc.escapes[d] = true
 		}
 	}
-	return bc
+}
+
+// reuse returns s resized to n zero values, reusing its array when large
+// enough.
+func reuse[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // linearChain tries to express the value computed at instruction index

@@ -39,7 +39,7 @@ func ReduceWidths(f *ir.Func) WidthReport {
 		case ir.Move:
 			return get(in.A)
 		case ir.Load:
-			return 8 * in.Width
+			return 8 * int(in.Width)
 		case ir.SetLT, ir.SetLTU:
 			return 1
 		case ir.Add, ir.Sub:
@@ -120,7 +120,7 @@ func ReduceWidths(f *ir.Func) WidthReport {
 			// The location's joined width governs downstream users, but
 			// the unit computing this particular def only needs w bits.
 			w := defWidth(in)
-			in.WidthBits = w
+			in.WidthBits = uint8(w)
 			rep.TotalOps++
 			if w < 32 {
 				rep.OpsNarrowed++

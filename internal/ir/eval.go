@@ -81,7 +81,7 @@ func Eval(f *Func, st *EvalState) error {
 			case in.Op == Load:
 				addr := uint32(st.arg(in.A)) + uint32(in.Off)
 				var v uint32
-				for k := 0; k < in.Width; k++ {
+				for k := 0; k < int(in.Width); k++ {
 					v |= uint32(st.Mem[addr+uint32(k)]) << (8 * k)
 				}
 				res := int32(v)
@@ -99,7 +99,7 @@ func Eval(f *Func, st *EvalState) error {
 			case in.Op == Store:
 				addr := uint32(st.arg(in.B)) + uint32(in.Off)
 				v := uint32(st.arg(in.A))
-				for k := 0; k < in.Width; k++ {
+				for k := 0; k < int(in.Width); k++ {
 					st.Mem[addr+uint32(k)] = byte(v >> (8 * k))
 				}
 			case in.Op == Branch:

@@ -75,7 +75,7 @@ func TestEvalMemoryRoundTrip(t *testing.T) {
 }
 
 func TestEvalNarrowLoads(t *testing.T) {
-	mk := func(width int, signed bool) int32 {
+	mk := func(width uint8, signed bool) int32 {
 		f := &Func{Blocks: []*Block{{
 			Instrs: []Instr{
 				{Op: Move, Dst: 40, A: C(0x3000)},

@@ -72,7 +72,7 @@ func (a Arg) String() string {
 }
 
 // Op enumerates IR operations.
-type Op int
+type Op uint8
 
 const (
 	Nop Op = iota
@@ -149,7 +149,7 @@ func (o Op) Commutative() bool {
 }
 
 // Cond is a branch condition.
-type Cond int
+type Cond uint8
 
 const (
 	CondNone Cond = iota
@@ -221,25 +221,33 @@ func (c Cond) Eval(a, b int32) bool {
 	return false
 }
 
-// Instr is one IR instruction.
+// Instr is one IR instruction: 56 bytes. The narrow fields lead so the
+// record has no padding between them.
 type Instr struct {
 	Op     Op
-	Dst    Loc
-	A, B   Arg
-	Off    int32 // load/store displacement
-	Width  int   // load/store width in bytes
-	Signed bool  // sign-extend narrow loads
 	Cond   Cond  // Branch condition
-	Target uint32
-	Addr   uint32 // original program counter (provenance)
+	Width  uint8 // load/store width in bytes
+	Signed bool  // sign-extend narrow loads
 	// WidthBits, when nonzero, is the operator bit-width assigned by
 	// operator size reduction; 0 means the full 32 bits.
-	WidthBits int
+	WidthBits uint8
+	Dst       Loc
+	A, B      Arg
+	Off       int32 // load/store displacement
+	Target    uint32
+	Addr      uint32 // original program counter (provenance)
 	// Table holds the resolved target addresses of an IJump whose jump
 	// table was recovered from the data section (the optional extension
 	// to the paper's failing indirect-jump cases). A nil Table means the
-	// indirect jump is unresolved and defeats CDFG recovery.
-	Table []uint32
+	// indirect jump is unresolved and defeats CDFG recovery. A pointer
+	// rather than a slice keeps the record at 56 bytes for a field that
+	// almost every instruction leaves empty.
+	Table *JumpTable
+}
+
+// JumpTable is the target set of a resolved indirect jump.
+type JumpTable struct {
+	Targets []uint32
 }
 
 // HasDst reports whether the instruction writes Dst.

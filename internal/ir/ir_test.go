@@ -3,6 +3,7 @@ package ir
 import (
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // link wires blocks into a Func with Succs/Preds derived from succ lists.
@@ -302,5 +303,13 @@ func TestStructureOutline(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("outline missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestInstrSize pins the lifted instruction record at 56 bytes: every
+// lifted function is an array of them.
+func TestInstrSize(t *testing.T) {
+	if s := unsafe.Sizeof(Instr{}); s > 56 {
+		t.Errorf("Instr is %d bytes, want <= 56", s)
 	}
 }

@@ -123,8 +123,9 @@ func TestLivenessAcrossCallClassification(t *testing.T) {
 		t.Fatal(err)
 	}
 	var mainTF *tacFunc
+	u := newUnit(prog, new(scratch))
 	for _, fn := range prog.Funcs {
-		tf, err := lowerFunc(fn, false, true)
+		tf, err := u.lowerFunc(fn, false, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +141,7 @@ func TestLivenessAcrossCallClassification(t *testing.T) {
 		if !iv.acrossCall {
 			continue
 		}
-		if r, ok := a.reg[iv.t]; ok {
+		if r := a.reg[iv.t]; r != 0 {
 			isCalleeSaved := r >= mips.S0 && r <= mips.S7
 			if !isCalleeSaved {
 				t.Errorf("temp t%d live across call allocated to caller-saved %v", iv.t, r)

@@ -6,72 +6,71 @@ import (
 	"binpart/internal/mips"
 )
 
-// genFunc is the machine code of one function before final placement.
-type genFunc struct {
-	name      string
-	insts     []mips.Inst
-	callFix   []callFix
-	labelAddr map[string]int // label -> instruction index within function
-	tables    []jumpTable
-}
-
+// callFix records a jal whose target is patched once every function is
+// placed.
 type callFix struct {
-	instIdx int
-	callee  string
+	instIdx int32 // index into the program's machine code
+	callee  int32 // function id
 }
 
-// codegen translates one TAC function to MIPS. globalAddr resolves global
-// data symbols (including jump tables) to absolute addresses.
+// argRegs are the argument registers, in parameter order.
+var argRegs = [...]mips.Reg{mips.A0, mips.A1, mips.A2, mips.A3}
+
+// codegen translates one TAC function to MIPS, appending to the
+// program's machine code.
 type codegen struct {
 	f         *tacFunc
 	alloc     *allocation
-	globals   map[string]uint32
+	dataAddr  []uint32 // data symbol id -> address
 	insts     []mips.Inst
-	labelPos  map[string]int
+	labelPos  []int32 // label id -> index into insts; the epilogue is label f.NLabel
 	branchFix []branchFix
 	callFix   []callFix
 	frame     int32
 	slotOff   []int32
 	spillOff  int32
 	raOff     int32
-	saveOff   map[mips.Reg]int32
+	saveOff   [32]int32
 }
 
 type branchFix struct {
-	instIdx int
-	label   string
+	instIdx int32
+	label   int32
 }
 
-const epilogueLabel = ".epilogue"
-
-// genFunction compiles one TAC function to relocatable machine code.
-func genFunction(f *tacFunc, globals map[string]uint32) (*genFunc, error) {
+// genFunction compiles one TAC function, appending its machine code to
+// insts and its unresolved calls to calls. dataAddr resolves data symbols
+// (globals and jump tables) to absolute addresses. labelPos maps each
+// label id to the index in insts it marks (-1 if the label was
+// optimized away); it lives in the function's scratch.
+func genFunction(f *tacFunc, dataAddr []uint32, insts []mips.Inst, calls []callFix) (_ []mips.Inst, _ []callFix, labelPos []int32, _ error) {
+	sc := f.sc
 	cg := &codegen{
-		f:        f,
-		alloc:    allocate(f),
-		globals:  globals,
-		labelPos: make(map[string]int),
-		saveOff:  make(map[mips.Reg]int32),
+		f:         f,
+		alloc:     allocate(f),
+		dataAddr:  dataAddr,
+		insts:     insts,
+		callFix:   calls,
+		labelPos:  resize(sc.labelPos, int(f.NLabel)+1),
+		branchFix: sc.branchFix[:0],
+	}
+	for i := range cg.labelPos {
+		cg.labelPos[i] = -1
 	}
 	cg.layoutFrame()
 	cg.prologue()
 	for i := range f.Ins {
 		if err := cg.genIns(&f.Ins[i]); err != nil {
-			return nil, fmt.Errorf("mcc: %s: %w", f.Name, err)
+			return nil, nil, nil, fmt.Errorf("mcc: %s: %w", f.Name, err)
 		}
 	}
-	cg.labelPos[epilogueLabel] = len(cg.insts)
+	cg.labelPos[f.NLabel] = int32(len(cg.insts))
 	cg.epilogue()
+	sc.labelPos, sc.branchFix = cg.labelPos, cg.branchFix
 	if err := cg.fixBranches(); err != nil {
-		return nil, fmt.Errorf("mcc: %s: %w", f.Name, err)
+		return nil, nil, nil, fmt.Errorf("mcc: %s: %w", f.Name, err)
 	}
-	return &genFunc{
-		name:      f.Name,
-		insts:     cg.insts,
-		callFix:   cg.callFix,
-		labelAddr: cg.labelPos,
-		tables:    f.Tables,
-	}, nil
+	return cg.insts, cg.callFix, cg.labelPos, nil
 }
 
 func (cg *codegen) layoutFrame() {
@@ -91,7 +90,8 @@ func (cg *codegen) layoutFrame() {
 		off += 4
 	}
 	// Local slots.
-	cg.slotOff = make([]int32, len(cg.f.Slots))
+	cg.slotOff = resize(cg.f.sc.slotOff, len(cg.f.Slots))
+	cg.f.sc.slotOff = cg.slotOff
 	for i, s := range cg.f.Slots {
 		align := int32(s.Align)
 		if align < 4 {
@@ -129,7 +129,6 @@ func (cg *codegen) prologue() {
 		cg.emit(mips.Inst{Op: mips.SW, Rt: r, Rs: mips.SP, Imm: cg.saveOff[r]})
 	}
 	// Bind incoming arguments to their temps.
-	argRegs := []mips.Reg{mips.A0, mips.A1, mips.A2, mips.A3}
 	for i, p := range cg.f.Params {
 		if i >= len(argRegs) {
 			break
@@ -152,11 +151,11 @@ func (cg *codegen) epilogue() {
 // tempReg returns the register holding t, loading a spilled temp into the
 // given scratch first.
 func (cg *codegen) tempReg(t Temp, scratch mips.Reg) mips.Reg {
-	if r, ok := cg.alloc.reg[t]; ok {
+	if r := cg.alloc.reg[t]; r != 0 {
 		return r
 	}
-	slot, ok := cg.alloc.spill[t]
-	if !ok {
+	slot := cg.alloc.spill[t]
+	if slot < 0 {
 		// A temp with no allocation was never live; its value is
 		// irrelevant, but reads must still produce something.
 		return mips.Zero
@@ -169,15 +168,15 @@ func (cg *codegen) tempReg(t Temp, scratch mips.Reg) mips.Reg {
 // temp t; if t is spilled the result goes into scratch and writeBack must
 // be called after the computation.
 func (cg *codegen) destReg(t Temp, scratch mips.Reg) (mips.Reg, bool) {
-	if r, ok := cg.alloc.reg[t]; ok {
+	if r := cg.alloc.reg[t]; r != 0 {
 		return r, false
 	}
 	return scratch, true
 }
 
 func (cg *codegen) writeBack(t Temp, from mips.Reg) {
-	slot, ok := cg.alloc.spill[t]
-	if !ok {
+	slot := cg.alloc.spill[t]
+	if slot < 0 {
 		return // dead temp
 	}
 	cg.emit(mips.Inst{Op: mips.SW, Rt: from, Rs: mips.SP, Imm: cg.spillOff + int32(4*slot)})
@@ -185,7 +184,7 @@ func (cg *codegen) writeBack(t Temp, from mips.Reg) {
 
 // writeTemp moves a value already in register from into temp t.
 func (cg *codegen) writeTemp(t Temp, from mips.Reg) {
-	if r, ok := cg.alloc.reg[t]; ok {
+	if r := cg.alloc.reg[t]; r != 0 {
 		if r != from {
 			cg.emit(mips.Inst{Op: mips.ADDU, Rd: r, Rs: from, Rt: mips.Zero})
 		}
@@ -209,7 +208,7 @@ func (cg *codegen) loadImm(reg mips.Reg, v int32) {
 
 // operandReg places an operand in a register.
 func (cg *codegen) operandReg(o Operand, scratch mips.Reg) mips.Reg {
-	if o.IsConst {
+	if o.IsConst() {
 		if o.Val == 0 {
 			return mips.Zero
 		}
@@ -226,10 +225,10 @@ func (cg *codegen) genIns(in *ins) error {
 	switch in.Kind {
 	case iNop:
 	case iLabel:
-		cg.labelPos[in.Sym] = len(cg.insts)
+		cg.labelPos[in.Sym] = int32(len(cg.insts))
 	case iMov:
 		d, spilled := cg.destReg(in.Dst, mips.K0)
-		if in.A.IsConst {
+		if in.A.IsConst() {
 			cg.loadImm(d, in.A.Val)
 		} else {
 			src := cg.tempReg(in.A.Temp, mips.K0)
@@ -278,10 +277,10 @@ func (cg *codegen) genIns(in *ins) error {
 		}
 		cg.emit(mips.Inst{Op: op, Rt: val, Rs: base, Imm: in.Off})
 	case iAddrG:
-		addr, ok := cg.globals[in.Sym]
-		if !ok {
-			return fmt.Errorf("unknown global %q", in.Sym)
+		if int(in.Sym) >= len(cg.dataAddr) {
+			return fmt.Errorf("unknown data symbol %d", in.Sym)
 		}
+		addr := cg.dataAddr[in.Sym]
 		d, spilled := cg.destReg(in.Dst, mips.K0)
 		cg.loadImm(d, int32(addr))
 		if spilled {
@@ -299,7 +298,7 @@ func (cg *codegen) genIns(in *ins) error {
 			cg.writeBack(in.Dst, d)
 		}
 	case iBr:
-		cg.branchFix = append(cg.branchFix, branchFix{len(cg.insts), in.Sym})
+		cg.branchFix = append(cg.branchFix, branchFix{int32(len(cg.insts)), in.Sym})
 		cg.emit(mips.Inst{Op: mips.BEQ, Rs: mips.Zero, Rt: mips.Zero})
 	case iCBr:
 		return cg.genCBr(in)
@@ -307,12 +306,8 @@ func (cg *codegen) genIns(in *ins) error {
 		r := cg.operandReg(in.A, mips.K0)
 		cg.emit(mips.Inst{Op: mips.JR, Rs: r})
 	case iCall:
-		argRegs := []mips.Reg{mips.A0, mips.A1, mips.A2, mips.A3}
-		if len(in.Args) > len(argRegs) {
-			return fmt.Errorf("call to %q with %d args", in.Sym, len(in.Args))
-		}
-		for i, a := range in.Args {
-			if a.IsConst {
+		for i, a := range cg.f.args(in) {
+			if a.IsConst() {
 				cg.loadImm(argRegs[i], a.Val)
 				continue
 			}
@@ -321,14 +316,14 @@ func (cg *codegen) genIns(in *ins) error {
 				cg.emit(mips.Inst{Op: mips.ADDU, Rd: argRegs[i], Rs: src, Rt: mips.Zero})
 			}
 		}
-		cg.callFix = append(cg.callFix, callFix{len(cg.insts), in.Sym})
+		cg.callFix = append(cg.callFix, callFix{int32(len(cg.insts)), in.Sym})
 		cg.emit(mips.Inst{Op: mips.JAL})
 		if in.HasDst {
 			cg.writeTemp(in.Dst, mips.V0)
 		}
 	case iRet:
 		if in.HasA {
-			if in.A.IsConst {
+			if in.A.IsConst() {
 				cg.loadImm(mips.V0, in.A.Val)
 			} else {
 				src := cg.tempReg(in.A.Temp, mips.K0)
@@ -337,10 +332,10 @@ func (cg *codegen) genIns(in *ins) error {
 				}
 			}
 		}
-		cg.branchFix = append(cg.branchFix, branchFix{len(cg.insts), epilogueLabel})
+		cg.branchFix = append(cg.branchFix, branchFix{int32(len(cg.insts)), cg.f.NLabel})
 		cg.emit(mips.Inst{Op: mips.BEQ, Rs: mips.Zero, Rt: mips.Zero})
 	default:
-		return fmt.Errorf("unhandled TAC instruction %v", *in)
+		return fmt.Errorf("unhandled TAC instruction %s", cg.f.insString(in))
 	}
 	return nil
 }
@@ -368,59 +363,59 @@ func (cg *codegen) genBin(in *ins) error {
 	a, b := in.A, in.B
 	// Try immediate forms with the constant on the right; commute where
 	// legal.
-	if a.IsConst && !b.IsConst {
+	if a.IsConst() && !b.IsConst() {
 		switch in.Op {
-		case "+", "&", "|", "^", "*":
+		case opAdd, opAnd, opOr, opXor, opMul:
 			a, b = b, a
 		}
 	}
 
-	if !a.IsConst && b.IsConst {
+	if !a.IsConst() && b.IsConst() {
 		ra := func() mips.Reg { return cg.tempReg(a.Temp, mips.K0) }
 		v := b.Val
 		switch in.Op {
-		case "+":
+		case opAdd:
 			if fitsSigned16(v) {
 				cg.emit(mips.Inst{Op: mips.ADDIU, Rt: d, Rs: ra(), Imm: v})
 				return nil
 			}
-		case "-":
+		case opSub:
 			if fitsSigned16(-v) {
 				cg.emit(mips.Inst{Op: mips.ADDIU, Rt: d, Rs: ra(), Imm: -v})
 				return nil
 			}
-		case "&":
+		case opAnd:
 			if fitsUnsigned16(v) {
 				cg.emit(mips.Inst{Op: mips.ANDI, Rt: d, Rs: ra(), Imm: v})
 				return nil
 			}
-		case "|":
+		case opOr:
 			if fitsUnsigned16(v) {
 				cg.emit(mips.Inst{Op: mips.ORI, Rt: d, Rs: ra(), Imm: v})
 				return nil
 			}
-		case "^":
+		case opXor:
 			if fitsUnsigned16(v) {
 				cg.emit(mips.Inst{Op: mips.XORI, Rt: d, Rs: ra(), Imm: v})
 				return nil
 			}
-		case "<":
+		case opLT:
 			if fitsSigned16(v) {
 				cg.emit(mips.Inst{Op: mips.SLTI, Rt: d, Rs: ra(), Imm: v})
 				return nil
 			}
-		case "<u":
+		case opLTU:
 			if fitsSigned16(v) {
 				cg.emit(mips.Inst{Op: mips.SLTIU, Rt: d, Rs: ra(), Imm: v})
 				return nil
 			}
-		case "<<":
+		case opShl:
 			cg.emit(mips.Inst{Op: mips.SLL, Rd: d, Rt: ra(), Imm: v & 31})
 			return nil
-		case ">>s":
+		case opShrS:
 			cg.emit(mips.Inst{Op: mips.SRA, Rd: d, Rt: ra(), Imm: v & 31})
 			return nil
-		case ">>u":
+		case opShrU:
 			cg.emit(mips.Inst{Op: mips.SRL, Rd: d, Rt: ra(), Imm: v & 31})
 			return nil
 		}
@@ -429,93 +424,93 @@ func (cg *codegen) genBin(in *ins) error {
 	rs := cg.operandReg(a, mips.K0)
 	rt := cg.operandReg(b, mips.K1)
 	switch in.Op {
-	case "+":
+	case opAdd:
 		cg.emit(mips.Inst{Op: mips.ADDU, Rd: d, Rs: rs, Rt: rt})
-	case "-":
+	case opSub:
 		cg.emit(mips.Inst{Op: mips.SUBU, Rd: d, Rs: rs, Rt: rt})
-	case "&":
+	case opAnd:
 		cg.emit(mips.Inst{Op: mips.AND, Rd: d, Rs: rs, Rt: rt})
-	case "|":
+	case opOr:
 		cg.emit(mips.Inst{Op: mips.OR, Rd: d, Rs: rs, Rt: rt})
-	case "^":
+	case opXor:
 		cg.emit(mips.Inst{Op: mips.XOR, Rd: d, Rs: rs, Rt: rt})
-	case "<":
+	case opLT:
 		cg.emit(mips.Inst{Op: mips.SLT, Rd: d, Rs: rs, Rt: rt})
-	case "<u":
+	case opLTU:
 		cg.emit(mips.Inst{Op: mips.SLTU, Rd: d, Rs: rs, Rt: rt})
-	case "<<":
+	case opShl:
 		cg.emit(mips.Inst{Op: mips.SLLV, Rd: d, Rs: rt, Rt: rs})
-	case ">>s":
+	case opShrS:
 		cg.emit(mips.Inst{Op: mips.SRAV, Rd: d, Rs: rt, Rt: rs})
-	case ">>u":
+	case opShrU:
 		cg.emit(mips.Inst{Op: mips.SRLV, Rd: d, Rs: rt, Rt: rs})
-	case "*":
+	case opMul:
 		cg.emit(mips.Inst{Op: mips.MULT, Rs: rs, Rt: rt})
 		cg.emit(mips.Inst{Op: mips.MFLO, Rd: d})
-	case "/":
+	case opDiv:
 		cg.emit(mips.Inst{Op: mips.DIV, Rs: rs, Rt: rt})
 		cg.emit(mips.Inst{Op: mips.MFLO, Rd: d})
-	case "/u":
+	case opDivU:
 		cg.emit(mips.Inst{Op: mips.DIVU, Rs: rs, Rt: rt})
 		cg.emit(mips.Inst{Op: mips.MFLO, Rd: d})
-	case "%":
+	case opRem:
 		cg.emit(mips.Inst{Op: mips.DIV, Rs: rs, Rt: rt})
 		cg.emit(mips.Inst{Op: mips.MFHI, Rd: d})
-	case "%u":
+	case opRemU:
 		cg.emit(mips.Inst{Op: mips.DIVU, Rs: rs, Rt: rt})
 		cg.emit(mips.Inst{Op: mips.MFHI, Rd: d})
 	default:
-		return fmt.Errorf("unhandled binary operator %q", in.Op)
+		return fmt.Errorf("unhandled binary operator %q", in.Op.String())
 	}
 	return nil
 }
 
 func (cg *codegen) genCBr(in *ins) error {
 	branch := func(inst mips.Inst) {
-		cg.branchFix = append(cg.branchFix, branchFix{len(cg.insts), in.Sym})
+		cg.branchFix = append(cg.branchFix, branchFix{int32(len(cg.insts)), in.Sym})
 		cg.emit(inst)
 	}
 	// Comparisons against constant zero map to MIPS's dedicated branches.
-	if in.B.IsConst && in.B.Val == 0 && !in.A.IsConst {
+	if in.B.IsConst() && in.B.Val == 0 && !in.A.IsConst() {
 		ra := cg.tempReg(in.A.Temp, mips.K0)
 		switch in.Op {
-		case "==":
+		case opEQ:
 			branch(mips.Inst{Op: mips.BEQ, Rs: ra, Rt: mips.Zero})
 			return nil
-		case "!=":
+		case opNE:
 			branch(mips.Inst{Op: mips.BNE, Rs: ra, Rt: mips.Zero})
 			return nil
-		case "<":
+		case opLT:
 			branch(mips.Inst{Op: mips.BLTZ, Rs: ra})
 			return nil
-		case "<=":
+		case opLE:
 			branch(mips.Inst{Op: mips.BLEZ, Rs: ra})
 			return nil
-		case ">":
+		case opGT:
 			branch(mips.Inst{Op: mips.BGTZ, Rs: ra})
 			return nil
-		case ">=":
+		case opGE:
 			branch(mips.Inst{Op: mips.BGEZ, Rs: ra})
 			return nil
-		case "<u":
+		case opLTU:
 			return nil // x <u 0 is never true
-		case ">=u":
+		case opGEU:
 			branch(mips.Inst{Op: mips.BEQ, Rs: mips.Zero, Rt: mips.Zero})
 			return nil
-		case ">u":
+		case opGTU:
 			branch(mips.Inst{Op: mips.BNE, Rs: ra, Rt: mips.Zero})
 			return nil
-		case "<=u":
+		case opLEU:
 			branch(mips.Inst{Op: mips.BEQ, Rs: ra, Rt: mips.Zero})
 			return nil
 		}
 	}
 
-	if in.Op == "==" || in.Op == "!=" {
+	if in.Op == opEQ || in.Op == opNE {
 		ra := cg.operandReg(in.A, mips.K0)
 		rb := cg.operandReg(in.B, mips.K1)
 		op := mips.BEQ
-		if in.Op == "!=" {
+		if in.Op == opNE {
 			op = mips.BNE
 		}
 		branch(mips.Inst{Op: op, Rs: ra, Rt: rb})
@@ -525,7 +520,7 @@ func (cg *codegen) genCBr(in *ins) error {
 	// General relational: slt into $at, then branch on $at.
 	sltInto := func(x, y Operand, unsigned bool) {
 		rx := cg.operandReg(x, mips.K0)
-		if y.IsConst && fitsSigned16(y.Val) {
+		if y.IsConst() && fitsSigned16(y.Val) {
 			op := mips.SLTI
 			if unsigned {
 				op = mips.SLTIU
@@ -541,32 +536,32 @@ func (cg *codegen) genCBr(in *ins) error {
 		cg.emit(mips.Inst{Op: op, Rd: mips.AT, Rs: rx, Rt: ry})
 	}
 	switch in.Op {
-	case "<":
+	case opLT:
 		sltInto(in.A, in.B, false)
 		branch(mips.Inst{Op: mips.BNE, Rs: mips.AT, Rt: mips.Zero})
-	case "<u":
+	case opLTU:
 		sltInto(in.A, in.B, true)
 		branch(mips.Inst{Op: mips.BNE, Rs: mips.AT, Rt: mips.Zero})
-	case ">=":
+	case opGE:
 		sltInto(in.A, in.B, false)
 		branch(mips.Inst{Op: mips.BEQ, Rs: mips.AT, Rt: mips.Zero})
-	case ">=u":
+	case opGEU:
 		sltInto(in.A, in.B, true)
 		branch(mips.Inst{Op: mips.BEQ, Rs: mips.AT, Rt: mips.Zero})
-	case ">":
+	case opGT:
 		sltInto(in.B, in.A, false)
 		branch(mips.Inst{Op: mips.BNE, Rs: mips.AT, Rt: mips.Zero})
-	case ">u":
+	case opGTU:
 		sltInto(in.B, in.A, true)
 		branch(mips.Inst{Op: mips.BNE, Rs: mips.AT, Rt: mips.Zero})
-	case "<=":
+	case opLE:
 		sltInto(in.B, in.A, false)
 		branch(mips.Inst{Op: mips.BEQ, Rs: mips.AT, Rt: mips.Zero})
-	case "<=u":
+	case opLEU:
 		sltInto(in.B, in.A, true)
 		branch(mips.Inst{Op: mips.BEQ, Rs: mips.AT, Rt: mips.Zero})
 	default:
-		return fmt.Errorf("unhandled branch condition %q", in.Op)
+		return fmt.Errorf("unhandled branch condition %q", in.Op.String())
 	}
 	return nil
 }
@@ -574,13 +569,13 @@ func (cg *codegen) genCBr(in *ins) error {
 // fixBranches resolves local branch targets to PC-relative word offsets.
 func (cg *codegen) fixBranches() error {
 	for _, fx := range cg.branchFix {
-		pos, ok := cg.labelPos[fx.label]
-		if !ok {
-			return fmt.Errorf("undefined label %q", fx.label)
+		pos := cg.labelPos[fx.label]
+		if pos < 0 {
+			return fmt.Errorf("undefined label L%d", fx.label)
 		}
 		off := pos - (fx.instIdx + 1)
 		if off < -32768 || off > 32767 {
-			return fmt.Errorf("branch to %q out of range (%d instructions)", fx.label, off)
+			return fmt.Errorf("branch to L%d out of range (%d instructions)", fx.label, off)
 		}
 		cg.insts[fx.instIdx].Imm = int32(off)
 	}

@@ -45,26 +45,18 @@ func Compile(src string, opts Options) (*binimg.Image, error) {
 		unrollProgram(prog)
 	}
 
-	// Lower and optimize every function.
-	var tfs []*tacFunc
-	for _, fn := range prog.Funcs {
-		tf, err := lowerFunc(fn, opts.OptLevel == 0, opts.OptLevel >= 1)
-		if err != nil {
-			return nil, err
-		}
-		optimize(tf, opts.OptLevel)
-		tfs = append(tfs, tf)
-	}
+	sc := new(scratch)
+	u := newUnit(prog, sc)
 
-	// Lay out the data section: globals first, then switch jump tables.
-	globals := make(map[string]uint32)
+	// Lay out the data section: globals first, then switch jump tables
+	// in function order.
+	dataAddr := make([]uint32, 0, u.nData)
 	var data []byte
-	addGlobal := func(name string, size, align int) uint32 {
+	addData := func(size, align int) uint32 {
 		for len(data)%align != 0 {
 			data = append(data, 0)
 		}
 		addr := opts.DataBase + uint32(len(data))
-		globals[name] = addr
 		data = append(data, make([]byte, size)...)
 		return addr
 	}
@@ -79,76 +71,77 @@ func Compile(src string, opts Options) (*binimg.Image, error) {
 		if align < 1 {
 			align = 1
 		}
-		addr := addGlobal(g.Name, g.Type.Size(), align)
+		addr := addData(g.Type.Size(), align)
+		dataAddr = append(dataAddr, addr)
 		if err := initGlobal(data, addr-opts.DataBase, g); err != nil {
 			return nil, err
 		}
 	}
-	type tableLoc struct {
-		table jumpTable
-		fn    string
-		off   uint32 // offset into data
-	}
-	var tables []tableLoc
-	for i, tf := range tfs {
-		for _, t := range tf.Tables {
-			addr := addGlobal(t.Sym, 4*len(t.Labels), 4)
-			tables = append(tables, tableLoc{table: t, fn: tfs[i].Name, off: addr - opts.DataBase})
-		}
-	}
 
-	// Generate machine code for each function.
-	var gfs []*genFunc
-	for _, tf := range tfs {
-		gf, err := genFunction(tf, globals)
-		if err != nil {
-			return nil, err
-		}
-		gfs = append(gfs, gf)
-	}
-
-	// Place: _start stub then functions in source order.
+	// Lower, optimize and generate one function at a time, so every
+	// function reuses the same TAC buffers. Functions are placed in
+	// source order after the two-instruction _start stub, so a function's
+	// address is known when its code is generated and only calls need
+	// patching afterwards. A function's jump tables are placed once
+	// optimization has decided which survive; their data symbols were
+	// numbered during lowering.
+	var text []mips.Inst
+	var calls []callFix
+	funcAddr := make([]uint32, len(prog.Funcs)) // by function id: prog.Funcs order
 	im := &binimg.Image{
 		Entry:    opts.TextBase,
 		TextBase: opts.TextBase,
 		DataBase: opts.DataBase,
-		Data:     data,
+		Symbols:  make([]binimg.Symbol, 0, 1+len(prog.Funcs)+len(prog.Globals)),
 	}
-	funcAddr := make(map[string]uint32)
-	funcOf := make(map[string]*genFunc)
-	cursor := opts.TextBase + 8 // after jal main; break
-	for _, gf := range gfs {
-		funcAddr[gf.name] = cursor
-		funcOf[gf.name] = gf
-		cursor += uint32(4 * len(gf.insts))
-	}
-
-	// Patch call targets.
-	for _, gf := range gfs {
-		for _, fx := range gf.callFix {
-			target, ok := funcAddr[fx.callee]
-			if !ok {
-				return nil, fmt.Errorf("mcc: call to undefined function %q", fx.callee)
-			}
-			gf.insts[fx.instIdx].Target = target
+	im.Symbols = append(im.Symbols, binimg.Symbol{Name: "_start", Addr: opts.TextBase, Size: 8})
+	addrOf := func(idx int32) uint32 { return opts.TextBase + 8 + uint32(4*idx) }
+	for i, fn := range prog.Funcs {
+		tf, err := u.lowerFunc(fn, opts.OptLevel == 0, opts.OptLevel >= 1)
+		if err != nil {
+			return nil, err
 		}
-	}
-	// Patch jump tables with absolute label addresses.
-	for _, tl := range tables {
-		gf := funcOf[tl.fn]
-		for i, label := range tl.table.Labels {
-			pos, ok := gf.labelAddr[label]
-			if !ok {
-				return nil, fmt.Errorf("mcc: jump table references unknown label %q", label)
-			}
-			addr := funcAddr[tl.fn] + uint32(4*pos)
-			binary.LittleEndian.PutUint32(im.Data[tl.off+uint32(4*i):], addr)
+		optimize(tf, opts.OptLevel)
+		for len(dataAddr) < int(u.nData) {
+			dataAddr = append(dataAddr, 0) // the function's jump tables
 		}
+		for _, t := range tf.Tables {
+			dataAddr[t.Sym] = addData(4*len(t.Labels), 4)
+		}
+		start := int32(len(text))
+		funcAddr[i] = addrOf(start)
+		var labelPos []int32
+		text, calls, labelPos, err = genFunction(tf, dataAddr, text, calls)
+		if err != nil {
+			return nil, err
+		}
+		// Patch the jump tables with absolute label addresses.
+		for _, t := range tf.Tables {
+			off := dataAddr[t.Sym] - opts.DataBase
+			for j, label := range t.Labels {
+				pos := labelPos[label]
+				if pos < 0 {
+					return nil, fmt.Errorf("mcc: jump table references unknown label L%d", label)
+				}
+				binary.LittleEndian.PutUint32(data[off+uint32(4*j):], addrOf(pos))
+			}
+		}
+		sc.recycle(tf)
+		im.Symbols = append(im.Symbols, binimg.Symbol{
+			Name: fn.Name,
+			Addr: funcAddr[i],
+			Size: uint32(4 * (int32(len(text)) - start)),
+		})
 	}
+	im.Data = data
 
-	// Encode.
-	startInsts := []mips.Inst{
-		{Op: mips.JAL, Target: funcAddr["main"]},
+	// Patch call targets and encode.
+	for _, fx := range calls {
+		text[fx.instIdx].Target = funcAddr[fx.callee]
+	}
+	im.Text = make([]uint32, 0, 2+len(text))
+	startInsts := [...]mips.Inst{
+		{Op: mips.JAL, Target: funcAddr[u.funcID["main"]]},
 		{Op: mips.BREAK},
 	}
 	for _, in := range startInsts {
@@ -158,25 +151,17 @@ func Compile(src string, opts Options) (*binimg.Image, error) {
 		}
 		im.Text = append(im.Text, w)
 	}
-	im.Symbols = append(im.Symbols, binimg.Symbol{Name: "_start", Addr: opts.TextBase, Size: 8})
-	for _, gf := range gfs {
-		for _, in := range gf.insts {
-			w, err := mips.Encode(in)
-			if err != nil {
-				return nil, fmt.Errorf("mcc: %s: encode %v: %w", gf.name, in, err)
-			}
-			im.Text = append(im.Text, w)
+	for _, in := range text {
+		w, err := mips.Encode(in)
+		if err != nil {
+			return nil, fmt.Errorf("mcc: encode %v: %w", in, err)
 		}
-		im.Symbols = append(im.Symbols, binimg.Symbol{
-			Name: gf.name,
-			Addr: funcAddr[gf.name],
-			Size: uint32(4 * len(gf.insts)),
-		})
+		im.Text = append(im.Text, w)
 	}
-	for _, g := range prog.Globals {
+	for i, g := range prog.Globals {
 		im.Symbols = append(im.Symbols, binimg.Symbol{
 			Name: g.Name,
-			Addr: globals[g.Name],
+			Addr: dataAddr[i],
 			Size: uint32(g.Type.Size()),
 		})
 	}

@@ -3,14 +3,16 @@ package mcc
 import (
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // Front-end unit tests: lexer, parser, and semantic analysis in
 // isolation (compile_test.go covers the full pipeline end to end).
 
 func TestLexerTokens(t *testing.T) {
-	toks, err := lex(`int x = 0x1f + 'A' - '\n'; // comment
-		/* block */ x <<= 2;`)
+	src := `int x = 0x1f + 'A' - '\n'; // comment
+		/* block */ x <<= 2;`
+	toks, err := lex(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,7 +20,7 @@ func TestLexerTokens(t *testing.T) {
 	var texts []string
 	for _, tk := range toks {
 		kinds = append(kinds, tk.kind)
-		texts = append(texts, tk.text)
+		texts = append(texts, tk.text(src))
 	}
 	// int x = 0x1f + 'A' - '\n' ; x <<= 2 ; EOF
 	wantTexts := []string{"int", "x", "=", "0x1f", "+", "'", "-", "'", ";", "x", "<<=", "2", ";", ""}
@@ -190,7 +192,7 @@ func TestFoldBinProperties(t *testing.T) {
 func TestCSDRecoding(t *testing.T) {
 	// CSD of every small constant must reconstruct the constant.
 	for c := int64(1); c < 4096; c++ {
-		terms := csdRecode(c)
+		terms := csdRecode(nil, c)
 		var sum int64
 		for _, tm := range terms {
 			v := int64(1) << uint(tm.shift)
@@ -303,12 +305,14 @@ func TestUnrollEligibility(t *testing.T) {
 }
 
 func TestBlockRangesAndTACString(t *testing.T) {
-	f := &tacFunc{Name: "t"}
+	f := &tacFunc{Name: "t", sc: new(scratch)}
 	d := f.newTemp()
 	f.emit(ins{Kind: iMov, Dst: d, A: cnst(1)})
-	f.emit(ins{Kind: iLabel, Sym: "L1"})
-	f.emit(ins{Kind: iBin, Op: "+", Dst: f.newTemp(), A: tmp(d), B: cnst(2)})
-	f.emit(ins{Kind: iCBr, Op: "<", A: tmp(d), B: cnst(10), Sym: "L1"})
+	f.newLabel()
+	l1 := f.newLabel()
+	f.emit(ins{Kind: iLabel, Sym: l1})
+	f.emit(ins{Kind: iBin, Op: opAdd, Dst: f.newTemp(), A: tmp(d), B: cnst(2)})
+	f.emit(ins{Kind: iCBr, Op: opLT, A: tmp(d), B: cnst(10), Sym: l1})
 	f.emit(ins{Kind: iRet, HasA: true, A: tmp(d)})
 	rs := blockRanges(f)
 	if len(rs) != 3 {
@@ -319,5 +323,40 @@ func TestBlockRangesAndTACString(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("TAC dump missing %q:\n%s", want, s)
 		}
+	}
+}
+
+// TestRecordSizes pins the compact, pointer-free layouts of the records
+// the compiler allocates per token and per TAC instruction.
+func TestRecordSizes(t *testing.T) {
+	if s := unsafe.Sizeof(token{}); s > 24 {
+		t.Errorf("token is %d bytes, want <= 24", s)
+	}
+	if s := unsafe.Sizeof(ins{}); s > 48 {
+		t.Errorf("ins is %d bytes, want <= 48", s)
+	}
+	if s := unsafe.Sizeof(Operand{}); s != 8 {
+		t.Errorf("Operand is %d bytes, want 8", s)
+	}
+}
+
+// TestUnterminatedBlockComment pins the lexer's rejection of a block
+// comment that reaches end of file, reported at its opening "/*",
+// whether it trails a complete program or swallows the rest of one.
+func TestUnterminatedBlockComment(t *testing.T) {
+	for _, c := range []struct{ src, want string }{
+		{"int main() { return 7; }\n/* never closed", "mcc: 2:1: unterminated block comment"},
+		{"int main() { return 7; } /* never closed\n", "mcc: 1:26: unterminated block comment"},
+		{"int main() {\n  /* open\n  return 7;\n}\n", "mcc: 2:3: unterminated block comment"},
+		{"int x; /*", "mcc: 1:8: unterminated block comment"},
+	} {
+		_, err := Compile(c.src, Options{OptLevel: 1})
+		if err == nil || err.Error() != c.want {
+			t.Errorf("Compile(%q) error = %v, want %q", c.src, err, c.want)
+		}
+	}
+	// A comment closed at the very end of the input is fine.
+	if _, err := Compile("int main() { return 7; } /* closed */", Options{}); err != nil {
+		t.Errorf("closed trailing comment: %v", err)
 	}
 }

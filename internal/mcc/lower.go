@@ -1,16 +1,13 @@
 package mcc
 
-import (
-	"fmt"
-	"strconv"
-)
+import "fmt"
 
 // varLoc says where a variable lives during lowering.
 type varLoc struct {
 	kind locKind
-	temp Temp   // locTemp
-	slot int    // locSlot
-	sym  string // locGlobal
+	temp Temp  // locTemp
+	slot int32 // locSlot
+	sym  int32 // locGlobal: data symbol id
 	typ  *Type
 }
 
@@ -24,22 +21,57 @@ const (
 
 // lowerer translates one function's AST to TAC.
 type lowerer struct {
+	u        *unit
 	f        *tacFunc
-	labelN   int
-	tableN   int
 	vars     map[*symbol]varLoc
-	breakLs  []string
-	contLs   []string
+	breakLs  []int32
+	contLs   []int32
 	memLocal bool // O0: every scalar local lives in a stack slot
 	rotate   bool // O1+: bottom-test ("rotated") loops
 }
 
+// unit is the compile-wide context functions are lowered against: the
+// numbering of data symbols (globals, then jump tables) and functions,
+// plus the scratch buffers each function borrows in turn.
+type unit struct {
+	globalID map[string]int32
+	funcID   map[string]int32
+	nData    int32
+	sc       *scratch
+}
+
+func newUnit(prog *Program, sc *scratch) *unit {
+	u := &unit{
+		globalID: make(map[string]int32, len(prog.Globals)),
+		funcID:   make(map[string]int32, len(prog.Funcs)),
+		sc:       sc,
+	}
+	for _, g := range prog.Globals {
+		u.globalID[g.Name] = u.newData()
+	}
+	for i, fn := range prog.Funcs {
+		u.funcID[fn.Name] = int32(i)
+	}
+	return u
+}
+
+// newData numbers a new data symbol.
+func (u *unit) newData() int32 {
+	u.nData++
+	return u.nData - 1
+}
+
 // lowerFunc converts fn to TAC. memLocals selects O0-style slot-allocated
 // locals; rotate selects bottom-test loop shape (both match what real
-// compilers emit at the corresponding levels).
-func lowerFunc(fn *FuncDecl, memLocals, rotate bool) (*tacFunc, error) {
+// compilers emit at the corresponding levels). The function takes over
+// the unit's instruction and operand buffers until scratch.recycle.
+func (u *unit) lowerFunc(fn *FuncDecl, memLocals, rotate bool) (*tacFunc, error) {
+	f := &tacFunc{Name: fn.Name, IsVoid: fn.Ret.Kind == TypeVoid, sc: u.sc,
+		Ins: u.sc.ins[:0], Args: u.sc.args[:0]}
+	u.sc.ins, u.sc.args = nil, nil
 	lo := &lowerer{
-		f:        &tacFunc{Name: fn.Name, IsVoid: fn.Ret.Kind == TypeVoid},
+		u:        u,
+		f:        f,
 		vars:     make(map[*symbol]varLoc),
 		memLocal: memLocals,
 		rotate:   rotate,
@@ -90,20 +122,9 @@ func (lo *lowerer) memQualifies(sym *symbol) bool {
 	return lo.memLocal || sym.addrOf
 }
 
-func (lo *lowerer) newSlot(size, align int, name string) int {
+func (lo *lowerer) newSlot(size, align int, name string) int32 {
 	lo.f.Slots = append(lo.f.Slots, slotInfo{Size: size, Align: align, Name: name})
-	return len(lo.f.Slots) - 1
-}
-
-func (lo *lowerer) newLabel(hint string) string {
-	lo.labelN++
-	var b []byte
-	b = append(b, '.')
-	b = append(b, lo.f.Name...)
-	b = append(b, '.')
-	b = append(b, hint...)
-	b = strconv.AppendInt(b, int64(lo.labelN), 10)
-	return string(b)
+	return int32(len(lo.f.Slots) - 1)
 }
 
 func (lo *lowerer) errf(format string, args ...any) error {
@@ -113,7 +134,7 @@ func (lo *lowerer) errf(format string, args ...any) error {
 // loc returns (creating if needed) the storage binding of a symbol.
 func (lo *lowerer) loc(sym *symbol) varLoc {
 	if sym.global {
-		return varLoc{kind: locGlobal, sym: sym.name, typ: sym.typ}
+		return varLoc{kind: locGlobal, sym: lo.u.globalID[sym.name], typ: sym.typ}
 	}
 	if l, ok := lo.vars[sym]; ok {
 		return l
@@ -205,7 +226,7 @@ func (lo *lowerer) declOne(d *VarDecl) error {
 			addr := lo.f.newTemp()
 			lo.f.emit(ins{Kind: iAddrL, Dst: addr, Slot: l.slot})
 			es := d.Type.Elem.Size()
-			lo.f.emit(ins{Kind: iStore, A: val, B: tmp(addr), Off: int32(i * es), Width: es})
+			lo.f.emit(ins{Kind: iStore, A: val, B: tmp(addr), Off: int32(i * es), Width: uint8(es)})
 		}
 		return nil
 	}
@@ -237,11 +258,11 @@ func (lo *lowerer) storeTo(l varLoc, v Operand, t *Type) error {
 	return nil
 }
 
-func scalarWidth(t *Type) int {
+func scalarWidth(t *Type) uint8 {
 	if t.Kind == TypePtr {
 		return 4
 	}
-	return t.Size()
+	return uint8(t.Size())
 }
 
 // truncate normalizes a value to a narrow type's range, as a real compiler
@@ -251,36 +272,36 @@ func (lo *lowerer) truncate(v Operand, t *Type) Operand {
 	case TypeChar:
 		return lo.extend(v, 24, true)
 	case TypeUChar:
-		return lo.binOp("&", v, cnst(0xff))
+		return lo.binOp(opAnd, v, cnst(0xff))
 	case TypeShort:
 		return lo.extend(v, 16, true)
 	case TypeUShort:
-		return lo.binOp("&", v, cnst(0xffff))
+		return lo.binOp(opAnd, v, cnst(0xffff))
 	}
 	return v
 }
 
 func (lo *lowerer) extend(v Operand, sh int32, arith bool) Operand {
-	t1 := lo.binOp("<<", v, cnst(sh))
-	op := ">>u"
+	t1 := lo.binOp(opShl, v, cnst(sh))
+	op := opShrU
 	if arith {
-		op = ">>s"
+		op = opShrS
 	}
 	return lo.binOp(op, t1, cnst(sh))
 }
 
-func (lo *lowerer) binOp(op string, a, b Operand) Operand {
+func (lo *lowerer) binOp(op tacOp, a, b Operand) Operand {
 	d := lo.f.newTemp()
 	lo.f.emit(ins{Kind: iBin, Op: op, Dst: d, A: a, B: b})
 	return tmp(d)
 }
 
 func (lo *lowerer) ifStmt(st *IfStmt) error {
-	thenL := lo.newLabel("then")
-	endL := lo.newLabel("endif")
+	thenL := lo.f.newLabel()
+	endL := lo.f.newLabel()
 	elseL := endL
 	if st.Else != nil {
-		elseL = lo.newLabel("else")
+		elseL = lo.f.newLabel()
 	}
 	if err := lo.cond(st.Cond, thenL, elseL); err != nil {
 		return err
@@ -300,7 +321,7 @@ func (lo *lowerer) ifStmt(st *IfStmt) error {
 	return nil
 }
 
-func (lo *lowerer) loopBody(body Stmt, breakL, contL string) error {
+func (lo *lowerer) loopBody(body Stmt, breakL, contL int32) error {
 	lo.breakLs = append(lo.breakLs, breakL)
 	lo.contLs = append(lo.contLs, contL)
 	err := lo.stmt(body)
@@ -312,9 +333,9 @@ func (lo *lowerer) loopBody(body Stmt, breakL, contL string) error {
 func (lo *lowerer) whileStmt(st *WhileStmt) error {
 	if lo.rotate {
 		// goto cond; body: ...; cond: if (c) goto body; end:
-		bodyL := lo.newLabel("wbody")
-		condL := lo.newLabel("wcond")
-		endL := lo.newLabel("wend")
+		bodyL := lo.f.newLabel()
+		condL := lo.f.newLabel()
+		endL := lo.f.newLabel()
 		lo.f.emit(ins{Kind: iBr, Sym: condL})
 		lo.f.emit(ins{Kind: iLabel, Sym: bodyL})
 		if err := lo.loopBody(st.Body, endL, condL); err != nil {
@@ -328,9 +349,9 @@ func (lo *lowerer) whileStmt(st *WhileStmt) error {
 		return nil
 	}
 	// Top-test shape: cond: if (!c) goto end; body; goto cond; end:
-	condL := lo.newLabel("wcond")
-	bodyL := lo.newLabel("wbody")
-	endL := lo.newLabel("wend")
+	condL := lo.f.newLabel()
+	bodyL := lo.f.newLabel()
+	endL := lo.f.newLabel()
 	lo.f.emit(ins{Kind: iLabel, Sym: condL})
 	if err := lo.cond(st.Cond, bodyL, endL); err != nil {
 		return err
@@ -345,9 +366,9 @@ func (lo *lowerer) whileStmt(st *WhileStmt) error {
 }
 
 func (lo *lowerer) doWhileStmt(st *DoWhileStmt) error {
-	bodyL := lo.newLabel("dbody")
-	condL := lo.newLabel("dcond")
-	endL := lo.newLabel("dend")
+	bodyL := lo.f.newLabel()
+	condL := lo.f.newLabel()
+	endL := lo.f.newLabel()
 	lo.f.emit(ins{Kind: iLabel, Sym: bodyL})
 	if err := lo.loopBody(st.Body, endL, condL); err != nil {
 		return err
@@ -366,10 +387,10 @@ func (lo *lowerer) forStmt(st *ForStmt) error {
 			return err
 		}
 	}
-	bodyL := lo.newLabel("fbody")
-	condL := lo.newLabel("fcond")
-	contL := lo.newLabel("fcont")
-	endL := lo.newLabel("fend")
+	bodyL := lo.f.newLabel()
+	condL := lo.f.newLabel()
+	contL := lo.f.newLabel()
+	endL := lo.f.newLabel()
 
 	if lo.rotate {
 		lo.f.emit(ins{Kind: iBr, Sym: condL})
@@ -418,21 +439,21 @@ func (lo *lowerer) switchStmt(st *SwitchStmt) error {
 	if err != nil {
 		return err
 	}
-	endL := lo.newLabel("swend")
+	endL := lo.f.newLabel()
 	defL := endL
 	if st.Default != nil {
-		defL = lo.newLabel("swdef")
+		defL = lo.f.newLabel()
 	}
-	caseLs := make([]string, len(st.Cases))
+	caseLs := make([]int32, len(st.Cases))
 	for i := range st.Cases {
-		caseLs[i] = lo.newLabel(fmt.Sprintf("case%d", i))
+		caseLs[i] = lo.f.newLabel()
 	}
 
 	if useJumpTable(st) {
 		lo.emitJumpTable(st, tag, caseLs, defL)
 	} else {
 		for i, c := range st.Cases {
-			lo.f.emit(ins{Kind: iCBr, Op: "==", A: tag, B: cnst(c.Val), Sym: caseLs[i]})
+			lo.f.emit(ins{Kind: iCBr, Op: opEQ, A: tag, B: cnst(c.Val), Sym: caseLs[i]})
 		}
 		lo.f.emit(ins{Kind: iBr, Sym: defL})
 	}
@@ -480,7 +501,7 @@ func useJumpTable(st *SwitchStmt) bool {
 	return span <= int64(3*len(st.Cases))
 }
 
-func (lo *lowerer) emitJumpTable(st *SwitchStmt, tag Operand, caseLs []string, defL string) {
+func (lo *lowerer) emitJumpTable(st *SwitchStmt, tag Operand, caseLs []int32, defL int32) {
 	min, max := st.Cases[0].Val, st.Cases[0].Val
 	for _, c := range st.Cases {
 		if c.Val < min {
@@ -491,31 +512,22 @@ func (lo *lowerer) emitJumpTable(st *SwitchStmt, tag Operand, caseLs []string, d
 		}
 	}
 	span := max - min + 1
-	table := jumpTable{Sym: fmt.Sprintf(".jt.%s.%d", lo.f.Name, lo.tableN)}
-	lo.tableN++
-	byVal := make(map[int32]string)
-	for i, c := range st.Cases {
-		byVal[c.Val] = caseLs[i]
+	table := jumpTable{Sym: lo.u.newData(), Labels: make([]int32, span)}
+	for i := range table.Labels {
+		table.Labels[i] = defL
 	}
-	for v := min; ; v++ {
-		if l, ok := byVal[v]; ok {
-			table.Labels = append(table.Labels, l)
-		} else {
-			table.Labels = append(table.Labels, defL)
-		}
-		if v == max {
-			break
-		}
+	for i, c := range st.Cases {
+		table.Labels[c.Val-min] = caseLs[i]
 	}
 	lo.f.Tables = append(lo.f.Tables, table)
 
-	idx := lo.binOp("-", tag, cnst(min))
-	inRange := lo.binOp("<u", idx, cnst(span))
-	lo.f.emit(ins{Kind: iCBr, Op: "==", A: inRange, B: cnst(0), Sym: defL})
-	off := lo.binOp("<<", idx, cnst(2))
+	idx := lo.binOp(opSub, tag, cnst(min))
+	inRange := lo.binOp(opLTU, idx, cnst(span))
+	lo.f.emit(ins{Kind: iCBr, Op: opEQ, A: inRange, B: cnst(0), Sym: defL})
+	off := lo.binOp(opShl, idx, cnst(2))
 	base := lo.f.newTemp()
 	lo.f.emit(ins{Kind: iAddrG, Dst: base, Sym: table.Sym})
-	slotAddr := lo.binOp("+", tmp(base), off)
+	slotAddr := lo.binOp(opAdd, tmp(base), off)
 	target := lo.f.newTemp()
 	lo.f.emit(ins{Kind: iLoad, Dst: target, A: slotAddr, Width: 4})
 	lo.f.emit(ins{Kind: iJT, A: tmp(target)})

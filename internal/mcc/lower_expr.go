@@ -1,5 +1,7 @@
 package mcc
 
+import "fmt"
+
 // lval describes an assignable location: either a temp-resident scalar or a
 // memory address with width and signedness.
 type lval struct {
@@ -7,7 +9,7 @@ type lval struct {
 	loc    varLoc
 	addr   Operand
 	off    int32
-	width  int
+	width  uint8
 	signed bool
 	typ    *Type
 }
@@ -87,11 +89,11 @@ func (lo *lowerer) indexAddress(base Operand, idx Expr, elem *Type) (Operand, in
 		return Operand{}, 0, err
 	}
 	es := int32(elem.Size())
-	if iv.IsConst {
+	if iv.IsConst() {
 		return base, iv.Val * es, nil
 	}
 	scaled := lo.scale(iv, es)
-	return lo.binOp("+", base, scaled), 0, nil
+	return lo.binOp(opAdd, base, scaled), 0, nil
 }
 
 // scale multiplies v by a constant element size using a shift when the
@@ -105,9 +107,9 @@ func (lo *lowerer) scale(v Operand, size int32) Operand {
 		for s := size; s > 1; s >>= 1 {
 			sh++
 		}
-		return lo.binOp("<<", v, cnst(sh))
+		return lo.binOp(opShl, v, cnst(sh))
 	default:
-		return lo.binOp("*", v, cnst(size))
+		return lo.binOp(opMul, v, cnst(size))
 	}
 }
 
@@ -145,31 +147,48 @@ func signedOf(a, b *Type) bool {
 }
 
 // tacBinOp maps a source operator plus signedness to the TAC operator.
-func tacBinOp(op string, signed bool) string {
-	if signed {
-		switch op {
-		case ">>":
-			return ">>s"
+func tacBinOp(op string, signed bool) tacOp {
+	pick := func(s, u tacOp) tacOp {
+		if signed {
+			return s
 		}
-		return op
+		return u
 	}
 	switch op {
+	case "+":
+		return opAdd
+	case "-":
+		return opSub
+	case "*":
+		return opMul
 	case "/":
-		return "/u"
+		return pick(opDiv, opDivU)
 	case "%":
-		return "%u"
+		return pick(opRem, opRemU)
+	case "&":
+		return opAnd
+	case "|":
+		return opOr
+	case "^":
+		return opXor
+	case "<<":
+		return opShl
 	case ">>":
-		return ">>u"
+		return pick(opShrS, opShrU)
 	case "<":
-		return "<u"
+		return pick(opLT, opLTU)
 	case "<=":
-		return "<=u"
+		return pick(opLE, opLEU)
 	case ">":
-		return ">u"
+		return pick(opGT, opGTU)
 	case ">=":
-		return ">=u"
+		return pick(opGE, opGEU)
+	case "==":
+		return opEQ
+	case "!=":
+		return opNE
 	}
-	return op
+	return opNone
 }
 
 func (lo *lowerer) expr(e Expr) (Operand, error) {
@@ -232,11 +251,11 @@ func (lo *lowerer) binExpr(e *BinExpr) (Operand, error) {
 	// Pointer arithmetic scales the integer operand by the element size.
 	if pt := pointerish(lt); pt != nil && rt.IsScalar() && (e.Op == "+" || e.Op == "-") {
 		sb := lo.scale(b, int32(pt.Elem.Size()))
-		return lo.binOp(e.Op, a, sb), nil
+		return lo.binOp(tacBinOp(e.Op, true), a, sb), nil
 	}
 	if pt := pointerish(rt); pt != nil && lt.IsScalar() && e.Op == "+" {
 		sa := lo.scale(a, int32(pt.Elem.Size()))
-		return lo.binOp("+", sa, b), nil
+		return lo.binOp(opAdd, sa, b), nil
 	}
 
 	signed := signedOf(lt, rt)
@@ -247,16 +266,16 @@ func (lo *lowerer) binExpr(e *BinExpr) (Operand, error) {
 		return lo.binOp(tacBinOp("<", signed), b, a), nil
 	case "<=":
 		t := lo.binOp(tacBinOp("<", signed), b, a)
-		return lo.binOp("^", t, cnst(1)), nil
+		return lo.binOp(opXor, t, cnst(1)), nil
 	case ">=":
 		t := lo.binOp(tacBinOp("<", signed), a, b)
-		return lo.binOp("^", t, cnst(1)), nil
+		return lo.binOp(opXor, t, cnst(1)), nil
 	case "==":
-		t := lo.binOp("^", a, b)
-		return lo.binOp("<u", t, cnst(1)), nil
+		t := lo.binOp(opXor, a, b)
+		return lo.binOp(opLTU, t, cnst(1)), nil
 	case "!=":
-		t := lo.binOp("^", a, b)
-		return lo.binOp("<u", cnst(0), t), nil
+		t := lo.binOp(opXor, a, b)
+		return lo.binOp(opLTU, cnst(0), t), nil
 	}
 	return lo.binOp(tacBinOp(e.Op, signed), a, b), nil
 }
@@ -268,19 +287,19 @@ func (lo *lowerer) unExpr(e *UnExpr) (Operand, error) {
 		if err != nil {
 			return Operand{}, err
 		}
-		return lo.binOp("-", cnst(0), v), nil
+		return lo.binOp(opSub, cnst(0), v), nil
 	case "~":
 		v, err := lo.expr(e.X)
 		if err != nil {
 			return Operand{}, err
 		}
-		return lo.binOp("^", v, cnst(-1)), nil
+		return lo.binOp(opXor, v, cnst(-1)), nil
 	case "!":
 		v, err := lo.expr(e.X)
 		if err != nil {
 			return Operand{}, err
 		}
-		return lo.binOp("<u", v, cnst(1)), nil
+		return lo.binOp(opLTU, v, cnst(1)), nil
 	case "*":
 		l, err := lo.lvalue(e)
 		if err != nil {
@@ -317,7 +336,7 @@ func (lo *lowerer) addressOf(e Expr) (Operand, error) {
 			return Operand{}, err
 		}
 		if off != 0 {
-			return lo.binOp("+", addr, cnst(off)), nil
+			return lo.binOp(opAdd, addr, cnst(off)), nil
 		}
 		return addr, nil
 	case *UnExpr:
@@ -363,9 +382,9 @@ func (lo *lowerer) incDecExpr(e *IncDecExpr) (Operand, error) {
 	if pt := pointerish(e.LV.ExprType()); pt != nil {
 		step = int32(pt.Elem.Size())
 	}
-	op := "+"
+	op := opAdd
 	if e.Op == "--" {
-		op = "-"
+		op = opSub
 	}
 	old := lo.read(l)
 	if e.Post && l.isTemp {
@@ -387,7 +406,16 @@ func (lo *lowerer) incDecExpr(e *IncDecExpr) (Operand, error) {
 }
 
 func (lo *lowerer) callExpr(e *CallExpr) (Operand, error) {
-	args := make([]Operand, len(e.Args))
+	callee, ok := lo.u.funcID[e.Name]
+	if !ok {
+		return Operand{}, fmt.Errorf("mcc: call to undefined function %q", e.Name)
+	}
+	if len(e.Args) > len(argRegs) {
+		return Operand{}, lo.errf("call to %q with %d args", e.Name, len(e.Args))
+	}
+	// Arguments are evaluated first (nested calls append their own) and
+	// then copied into the pool together.
+	var args [len(argRegs)]Operand
 	for i, a := range e.Args {
 		v, err := lo.expr(a)
 		if err != nil {
@@ -395,7 +423,8 @@ func (lo *lowerer) callExpr(e *CallExpr) (Operand, error) {
 		}
 		args[i] = v
 	}
-	call := ins{Kind: iCall, Sym: e.Name, Args: args}
+	call := ins{Kind: iCall, Sym: callee, Args: int32(len(lo.f.Args)), NArgs: uint8(len(e.Args))}
+	lo.f.Args = append(lo.f.Args, args[:len(e.Args)]...)
 	if e.T.Kind != TypeVoid {
 		call.HasDst = true
 		call.Dst = lo.f.newTemp()
@@ -409,9 +438,9 @@ func (lo *lowerer) callExpr(e *CallExpr) (Operand, error) {
 
 func (lo *lowerer) condExpr(e *CondExpr) (Operand, error) {
 	r := lo.f.newTemp()
-	thenL := lo.newLabel("ct")
-	elseL := lo.newLabel("cf")
-	endL := lo.newLabel("ce")
+	thenL := lo.f.newLabel()
+	elseL := lo.f.newLabel()
+	endL := lo.f.newLabel()
 	if err := lo.cond(e.Cond, thenL, elseL); err != nil {
 		return Operand{}, err
 	}
@@ -435,9 +464,9 @@ func (lo *lowerer) condExpr(e *CondExpr) (Operand, error) {
 // boolValue materializes a short-circuit expression as 0/1.
 func (lo *lowerer) boolValue(e Expr) (Operand, error) {
 	r := lo.f.newTemp()
-	tL := lo.newLabel("bt")
-	fL := lo.newLabel("bf")
-	endL := lo.newLabel("be")
+	tL := lo.f.newLabel()
+	fL := lo.f.newLabel()
+	endL := lo.f.newLabel()
 	if err := lo.cond(e, tL, fL); err != nil {
 		return Operand{}, err
 	}
@@ -452,19 +481,19 @@ func (lo *lowerer) boolValue(e Expr) (Operand, error) {
 
 // cond lowers a boolean expression to branches: control reaches trueL when
 // the expression is nonzero, falseL otherwise.
-func (lo *lowerer) cond(e Expr, trueL, falseL string) error {
+func (lo *lowerer) cond(e Expr, trueL, falseL int32) error {
 	switch e := e.(type) {
 	case *BinExpr:
 		switch e.Op {
 		case "&&":
-			mid := lo.newLabel("and")
+			mid := lo.f.newLabel()
 			if err := lo.cond(e.L, mid, falseL); err != nil {
 				return err
 			}
 			lo.f.emit(ins{Kind: iLabel, Sym: mid})
 			return lo.cond(e.R, trueL, falseL)
 		case "||":
-			mid := lo.newLabel("or")
+			mid := lo.f.newLabel()
 			if err := lo.cond(e.L, trueL, mid); err != nil {
 				return err
 			}
@@ -479,11 +508,7 @@ func (lo *lowerer) cond(e Expr, trueL, falseL string) error {
 			if err != nil {
 				return err
 			}
-			signed := signedOf(e.L.ExprType(), e.R.ExprType())
-			op := e.Op
-			if op != "==" && op != "!=" {
-				op = tacBinOp(op, signed)
-			}
+			op := tacBinOp(e.Op, signedOf(e.L.ExprType(), e.R.ExprType()))
 			lo.f.emit(ins{Kind: iCBr, Op: op, A: a, B: b, Sym: trueL})
 			lo.f.emit(ins{Kind: iBr, Sym: falseL})
 			return nil
@@ -504,7 +529,7 @@ func (lo *lowerer) cond(e Expr, trueL, falseL string) error {
 	if err != nil {
 		return err
 	}
-	lo.f.emit(ins{Kind: iCBr, Op: "!=", A: v, B: cnst(0), Sym: trueL})
+	lo.f.emit(ins{Kind: iCBr, Op: opNE, A: v, B: cnst(0), Sym: trueL})
 	lo.f.emit(ins{Kind: iBr, Sym: falseL})
 	return nil
 }

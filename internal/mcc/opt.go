@@ -36,120 +36,97 @@ func optimize(f *tacFunc, level int) {
 // constant switch tag folded the whole indirect jump away); otherwise the
 // linker would try to patch labels of deleted case blocks.
 func pruneDeadTables(f *tacFunc) {
-	if len(f.Tables) == 0 {
-		return
-	}
-	live := map[string]bool{}
-	for i := range f.Ins {
-		if f.Ins[i].Kind == iAddrG {
-			live[f.Ins[i].Sym] = true
-		}
-	}
 	out := f.Tables[:0]
 	for _, t := range f.Tables {
-		if live[t.Sym] {
-			out = append(out, t)
+		for i := range f.Ins {
+			if f.Ins[i].Kind == iAddrG && f.Ins[i].Sym == t.Sym {
+				out = append(out, t)
+				break
+			}
 		}
 	}
 	f.Tables = out
 }
 
 // blockRanges splits f.Ins into basic-block index ranges [start,end).
-// Every TAC pass re-derives block structure through this, so it counts
-// first and allocates the result exactly once.
-func blockRanges(f *tacFunc) [][2]int {
-	n, start := 0, 0
+// Every TAC pass re-derives block structure through this; the result
+// lives in the function's scratch and is valid until the next call.
+func blockRanges(f *tacFunc) [][2]int32 {
+	sc := f.sc
+	out := sc.ranges[:0]
+	start := 0
 	for i := range f.Ins {
 		switch f.Ins[i].Kind {
 		case iLabel:
 			if i > start {
-				n++
+				out = append(out, [2]int32{int32(start), int32(i)})
 			}
 			start = i
 		case iBr, iCBr, iJT, iRet:
-			n++
+			out = append(out, [2]int32{int32(start), int32(i + 1)})
 			start = i + 1
 		}
 	}
 	if start < len(f.Ins) {
-		n++
+		out = append(out, [2]int32{int32(start), int32(len(f.Ins))})
 	}
-	out := make([][2]int, 0, n)
-	start = 0
-	for i := range f.Ins {
-		switch f.Ins[i].Kind {
-		case iLabel:
-			if i > start {
-				out = append(out, [2]int{start, i})
-			}
-			start = i
-		case iBr, iCBr, iJT, iRet:
-			out = append(out, [2]int{start, i + 1})
-			start = i + 1
-		}
-	}
-	if start < len(f.Ins) {
-		out = append(out, [2]int{start, len(f.Ins)})
-	}
+	sc.ranges = out
 	return out
-}
-
-// foldTac folds a TAC binary operator over two constants.
-func foldTac(op string, a, b int32) (int32, bool) {
-	switch op {
-	case "/u":
-		return foldBin("/", a, b, false)
-	case "%u":
-		return foldBin("%", a, b, false)
-	case ">>s":
-		return foldBin(">>", a, b, true)
-	case ">>u":
-		return foldBin(">>", a, b, false)
-	case "<u":
-		return foldBin("<", a, b, false)
-	case "<=u":
-		return foldBin("<=", a, b, false)
-	case ">u":
-		return foldBin(">", a, b, false)
-	case ">=u":
-		return foldBin(">=", a, b, false)
-	default:
-		return foldBin(op, a, b, true)
-	}
 }
 
 // propagate performs per-block constant and copy propagation plus algebraic
 // simplification and constant folding.
+//
+// The known values are Temp-indexed: val[t] holds t's constant or copy
+// source when stamp[t] names the current block. A copy is valid only
+// while its source keeps the definition count it had when the copy was
+// recorded, so redefining a temp invalidates every copy of it in O(1),
+// with no scan of the table.
 func propagate(f *tacFunc) {
-	for _, r := range blockRanges(f) {
-		val := make(map[Temp]Operand) // temp -> known const or copy source
-		invalidate := func(t Temp) {
-			delete(val, t)
-			for k, v := range val {
-				if !v.IsConst && v.Temp == t {
-					delete(val, k)
-				}
-			}
+	sc := f.sc
+	sc.resetTemps(f.NTemp)
+	val, stamp, srcVer, defVer := sc.val, sc.stamp, sc.srcVer, sc.defVer
+	var blk int32
+	sub := func(o Operand) Operand {
+		if o.IsConst() || stamp[o.Temp] != blk {
+			return o
 		}
+		v := val[o.Temp]
+		if !v.IsConst() && defVer[v.Temp] != srcVer[o.Temp] {
+			return o // the copy's source was redefined since
+		}
+		return v
+	}
+	set := func(d Temp, v Operand) {
+		val[d], stamp[d] = v, blk
+		if !v.IsConst() {
+			srcVer[d] = defVer[v.Temp]
+		}
+	}
+	for bi, r := range blockRanges(f) {
+		blk = int32(bi + 1)
 		for i := r[0]; i < r[1]; i++ {
 			in := &f.Ins[i]
-			in.replaceUses(val)
+			f.replaceUses(in, sub)
 			if in.Kind == iBin {
 				simplifyBin(in)
 			}
-			if d, ok := in.def(); ok {
-				invalidate(d)
-				switch in.Kind {
-				case iMov:
-					if in.A.IsConst || in.A.Temp != d {
-						val[d] = in.A
-					}
-				case iBin:
-					if in.A.IsConst && in.B.IsConst {
-						if v, ok := foldTac(in.Op, in.A.Val, in.B.Val); ok {
-							*in = ins{Kind: iMov, Dst: d, A: cnst(v)}
-							val[d] = cnst(v)
-						}
+			d, ok := in.def()
+			if !ok {
+				continue
+			}
+			defVer[d]++
+			stamp[d] = 0
+			switch in.Kind {
+			case iMov:
+				if in.A.IsConst() || in.A.Temp != d {
+					set(d, in.A)
+				}
+			case iBin:
+				if in.A.IsConst() && in.B.IsConst() {
+					if v, ok := foldTac(in.Op, in.A.Val, in.B.Val); ok {
+						*in = ins{Kind: iMov, Dst: d, A: cnst(v)}
+						set(d, cnst(v))
 					}
 				}
 			}
@@ -160,22 +137,22 @@ func propagate(f *tacFunc) {
 // simplifyBin applies algebraic identities in place, possibly turning the
 // instruction into a move.
 func simplifyBin(in *ins) {
-	isC := func(o Operand, v int32) bool { return o.IsConst && o.Val == v }
+	isC := func(o Operand, v int32) bool { return o.IsConst() && o.Val == v }
 	toMov := func(a Operand) { *in = ins{Kind: iMov, Dst: in.Dst, A: a} }
 	switch in.Op {
-	case "+":
+	case opAdd:
 		if isC(in.B, 0) {
 			toMov(in.A)
 		} else if isC(in.A, 0) {
 			toMov(in.B)
 		}
-	case "-":
+	case opSub:
 		if isC(in.B, 0) {
 			toMov(in.A)
-		} else if !in.A.IsConst && !in.B.IsConst && in.A.Temp == in.B.Temp {
+		} else if !in.A.IsConst() && !in.B.IsConst() && in.A.Temp == in.B.Temp {
 			toMov(cnst(0))
 		}
-	case "*":
+	case opMul:
 		if isC(in.B, 1) {
 			toMov(in.A)
 		} else if isC(in.A, 1) {
@@ -183,7 +160,7 @@ func simplifyBin(in *ins) {
 		} else if isC(in.A, 0) || isC(in.B, 0) {
 			toMov(cnst(0))
 		}
-	case "&":
+	case opAnd:
 		if isC(in.B, 0) || isC(in.A, 0) {
 			toMov(cnst(0))
 		} else if isC(in.B, -1) {
@@ -191,71 +168,88 @@ func simplifyBin(in *ins) {
 		} else if isC(in.A, -1) {
 			toMov(in.B)
 		}
-	case "|", "^":
+	case opOr, opXor:
 		if isC(in.B, 0) {
 			toMov(in.A)
 		} else if isC(in.A, 0) {
 			toMov(in.B)
 		}
-	case "<<", ">>s", ">>u":
+	case opShl, opShrS, opShrU:
 		if isC(in.B, 0) {
 			toMov(in.A)
 		}
-	case "/", "/u":
+	case opDiv, opDivU:
 		if isC(in.B, 1) {
 			toMov(in.A)
 		}
 	}
 }
 
-// localCSE eliminates repeated pure computations within a block.
+// cseKey identifies a pure computation: an operator over two operands, or
+// the address of a data symbol (iAddrG) or frame slot (iAddrL) in sym.
 type cseKey struct {
-	op   string
 	kind insKind
+	op   tacOp
 	a, b Operand
-	off  int32
-	sym  string
-	slot int
+	sym  int32
 }
 
+// cseEntry is an available computation: temp t holds it as long as t and
+// the key's operand temps keep the definition counts recorded here, in
+// block blk.
+type cseEntry struct {
+	t                Temp
+	tVer, aVer, bVer int32
+	blk              int32
+}
+
+// localCSE eliminates repeated pure computations within a block. An
+// available expression dies when its result or an operand temp is
+// redefined; the definition counts check that on lookup, so a definition
+// costs O(1), with no scan of the available expressions.
 func localCSE(f *tacFunc) {
-	for _, r := range blockRanges(f) {
-		avail := make(map[cseKey]Temp)
-		invalidate := func(t Temp) {
-			for k, v := range avail {
-				if (!k.a.IsConst && k.a.Temp == t) || (!k.b.IsConst && k.b.Temp == t) || v == t {
-					delete(avail, k)
-				}
-			}
+	sc := f.sc
+	sc.resetTemps(f.NTemp)
+	defVer := sc.defVer
+	if sc.cse == nil {
+		sc.cse = make(map[cseKey]cseEntry)
+	}
+	avail := sc.cse
+	clear(avail)
+	ver := func(o Operand) int32 {
+		if o.IsConst() {
+			return 0
 		}
+		return defVer[o.Temp]
+	}
+	for bi, r := range blockRanges(f) {
+		blk := int32(bi + 1)
 		for i := r[0]; i < r[1]; i++ {
 			in := &f.Ins[i]
 			var key cseKey
-			cacheable := false
+			cacheable := true
 			switch in.Kind {
 			case iBin:
-				key = cseKey{op: in.Op, kind: iBin, a: in.A, b: in.B}
-				cacheable = true
+				key = cseKey{kind: iBin, op: in.Op, a: in.A, b: in.B}
 			case iAddrG:
 				key = cseKey{kind: iAddrG, sym: in.Sym}
-				cacheable = true
 			case iAddrL:
-				key = cseKey{kind: iAddrL, slot: in.Slot}
-				cacheable = true
+				key = cseKey{kind: iAddrL, sym: in.Slot}
+			default:
+				cacheable = false
 			}
 			if cacheable {
-				if t, ok := avail[key]; ok {
-					*in = ins{Kind: iMov, Dst: in.Dst, A: tmp(t)}
-					if d, ok := in.def(); ok {
-						invalidate(d)
-					}
+				if e, ok := avail[key]; ok && e.blk == blk && defVer[e.t] == e.tVer &&
+					ver(key.a) == e.aVer && ver(key.b) == e.bVer {
+					*in = ins{Kind: iMov, Dst: in.Dst, A: tmp(e.t)}
+					defVer[in.Dst]++
 					continue
 				}
 			}
 			if d, ok := in.def(); ok {
-				invalidate(d)
+				defVer[d]++
 				if cacheable {
-					avail[key] = d
+					avail[key] = cseEntry{t: d, tVer: defVer[d], aVer: ver(key.a), bVer: ver(key.b), blk: blk}
 				}
 			}
 		}
@@ -265,55 +259,63 @@ func localCSE(f *tacFunc) {
 // simplifyBranches folds constant conditional branches and removes jumps to
 // the immediately following label.
 func simplifyBranches(f *tacFunc) {
-	out := f.Ins[:0]
-	for _, in := range f.Ins {
-		if in.Kind == iCBr && in.A.IsConst && in.B.IsConst {
-			if v, ok := foldTac(cbrFoldOp(in.Op), in.A.Val, in.B.Val); ok {
+	n := 0
+	for i := range f.Ins {
+		in := &f.Ins[i]
+		if in.Kind == iCBr && in.A.IsConst() && in.B.IsConst() {
+			if v, ok := foldTac(in.Op, in.A.Val, in.B.Val); ok {
 				if v != 0 {
-					out = append(out, ins{Kind: iBr, Sym: in.Sym})
+					f.Ins[n] = ins{Kind: iBr, Sym: in.Sym}
+					n++
 				}
 				continue
 			}
 		}
-		out = append(out, in)
+		if n != i {
+			f.Ins[n] = *in
+		}
+		n++
 	}
-	f.Ins = out
+	f.Ins = f.Ins[:n]
 	// Drop br/cbr to the next label.
-	out = f.Ins[:0]
-	for i, in := range f.Ins {
+	n = 0
+	for i := range f.Ins {
+		in := &f.Ins[i]
 		if (in.Kind == iBr || in.Kind == iCBr) && i+1 < len(f.Ins) &&
 			f.Ins[i+1].Kind == iLabel && f.Ins[i+1].Sym == in.Sym {
 			continue
 		}
-		out = append(out, in)
+		if n != i {
+			f.Ins[n] = *in
+		}
+		n++
 	}
-	f.Ins = out
-}
-
-func cbrFoldOp(op string) string {
-	// iCBr ops are already TAC comparison operators.
-	return op
+	f.Ins = f.Ins[:n]
 }
 
 // removeUnreachable deletes instructions between an unconditional control
 // transfer and the next label, then removes whole blocks no control flow
 // can reach (e.g. arms of statically folded branches).
 func removeUnreachable(f *tacFunc) {
-	out := f.Ins[:0]
+	n := 0
 	dead := false
-	for _, in := range f.Ins {
+	for i := range f.Ins {
+		in := &f.Ins[i]
 		if in.Kind == iLabel {
 			dead = false
 		}
 		if dead {
 			continue
 		}
-		out = append(out, in)
+		if n != i {
+			f.Ins[n] = *in
+		}
+		n++
 		if in.Kind == iBr || in.Kind == iRet || in.Kind == iJT {
 			dead = true
 		}
 	}
-	f.Ins = out
+	f.Ins = f.Ins[:n]
 	removeUnreachableBlocks(f)
 }
 
@@ -329,62 +331,63 @@ func removeUnreachableBlocks(f *tacFunc) {
 	if len(ranges) == 0 {
 		return
 	}
-	labelBlock := map[string]int{}
-	for bi, r := range ranges {
-		for j := r[0]; j < r[1] && f.Ins[j].Kind == iLabel; j++ {
-			labelBlock[f.Ins[j].Sym] = bi
-		}
-	}
-	reach := make([]bool, len(ranges))
-	var visit func(bi int)
-	visit = func(bi int) {
-		if bi >= len(ranges) || reach[bi] {
-			return
+	sc := f.sc
+	labelBlock := sc.labelBlocks(f, ranges)
+	reach := resize(sc.reach, len(ranges))
+	clear(reach)
+	stack := append(sc.stack[:0], 0)
+	for len(stack) > 0 {
+		bi := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if int(bi) >= len(ranges) || reach[bi] {
+			continue
 		}
 		reach[bi] = true
-		r := ranges[bi]
-		last := f.Ins[r[1]-1]
+		last := &f.Ins[ranges[bi][1]-1]
 		switch last.Kind {
 		case iBr:
-			if t, ok := labelBlock[last.Sym]; ok {
-				visit(t)
+			if t := labelBlock[last.Sym]; t >= 0 {
+				stack = append(stack, t)
 			}
 		case iCBr:
-			if t, ok := labelBlock[last.Sym]; ok {
-				visit(t)
+			if t := labelBlock[last.Sym]; t >= 0 {
+				stack = append(stack, t)
 			}
-			visit(bi + 1)
+			stack = append(stack, bi+1)
 		case iRet:
 		default:
-			visit(bi + 1)
+			stack = append(stack, bi+1)
 		}
 	}
-	visit(0)
-	out := f.Ins[:0]
+	sc.reach, sc.stack = reach, stack
+	n := 0
 	for bi, r := range ranges {
 		if !reach[bi] {
 			continue
 		}
-		out = append(out, f.Ins[r[0]:r[1]]...)
+		n += copy(f.Ins[n:], f.Ins[r[0]:r[1]])
 	}
-	f.Ins = out
+	f.Ins = f.Ins[:n]
 }
 
 // deadCode removes pure instructions whose results are never used anywhere
 // in the function. Loads are pure in MicroC (no volatile).
 func deadCode(f *tacFunc) {
-	used := newTempSet(f.NTemp)
+	sc := f.sc
+	sc.resetSets()
+	used := sc.newSet(f.NTemp)
 	var ub [4]Temp
 	for {
 		used.reset()
 		for i := range f.Ins {
-			for _, t := range f.Ins[i].appendUses(ub[:0]) {
+			for _, t := range f.appendUses(ub[:0], &f.Ins[i]) {
 				used.set(t)
 			}
 		}
 		changed := false
-		out := f.Ins[:0]
-		for _, in := range f.Ins {
+		n := 0
+		for i := range f.Ins {
+			in := &f.Ins[i]
 			if d, ok := in.def(); ok && !used.has(d) {
 				switch in.Kind {
 				case iMov, iBin, iLoad, iAddrG, iAddrL:
@@ -395,9 +398,12 @@ func deadCode(f *tacFunc) {
 					in.HasDst = false
 				}
 			}
-			out = append(out, in)
+			if n != i {
+				f.Ins[n] = *in
+			}
+			n++
 		}
-		f.Ins = out
+		f.Ins = f.Ins[:n]
 		if !changed {
 			return
 		}
@@ -409,41 +415,62 @@ func deadCode(f *tacFunc) {
 // cheaper than a pipelined multiply), and unsigned divisions/remainders by
 // powers of two into shifts/masks. This is the compiler optimization the
 // paper's "strength promotion" decompiler pass must undo.
+//
+// A function with nothing to reduce is left as it is; the first rewrite
+// copies the instructions before it into the scratch's spare buffer,
+// which then becomes f.Ins.
 func strengthReduce(f *tacFunc) {
+	sc := f.sc
 	var out []ins
-	for _, in := range f.Ins {
+	started := false
+	var tb [40]csdTerm
+	for i := range f.Ins {
+		in := &f.Ins[i]
+		var terms []csdTerm
+		var x Operand
+		var c int32
+		reduce := false
 		if in.Kind == iBin {
 			switch in.Op {
-			case "*":
-				c, x, ok := constOperand(&in)
-				if ok {
-					if seq, ok2 := mulSequence(f, x, c, in.Dst); ok2 {
-						out = append(out, seq...)
-						continue
-					}
+			case opMul:
+				var ok bool
+				if c, x, ok = constOperand(in); ok {
+					terms, reduce = mulPlan(tb[:0], c)
 				}
-			case "/u":
-				if in.B.IsConst && isPow2(in.B.Val) {
-					out = append(out, ins{Kind: iBin, Op: ">>u", Dst: in.Dst, A: in.A, B: cnst(log2(in.B.Val))})
-					continue
-				}
-			case "%u":
-				if in.B.IsConst && isPow2(in.B.Val) {
-					out = append(out, ins{Kind: iBin, Op: "&", Dst: in.Dst, A: in.A, B: cnst(in.B.Val - 1)})
-					continue
-				}
+			case opDivU, opRemU:
+				reduce = in.B.IsConst() && isPow2(in.B.Val)
 			}
 		}
-		out = append(out, in)
+		if !reduce {
+			if started {
+				out = append(out, *in)
+			}
+			continue
+		}
+		if !started {
+			out = append(sc.spare[:0], f.Ins[:i]...)
+			started = true
+		}
+		switch in.Op {
+		case opMul:
+			out = appendMulSequence(out, f, x, c, terms, in.Dst)
+		case opDivU:
+			out = append(out, ins{Kind: iBin, Op: opShrU, Dst: in.Dst, A: in.A, B: cnst(log2(in.B.Val))})
+		case opRemU:
+			out = append(out, ins{Kind: iBin, Op: opAnd, Dst: in.Dst, A: in.A, B: cnst(in.B.Val - 1)})
+		}
 	}
-	f.Ins = out
+	if started {
+		sc.spare = f.Ins[:0]
+		f.Ins = out
+	}
 }
 
 func constOperand(in *ins) (int32, Operand, bool) {
-	if in.B.IsConst && !in.A.IsConst {
+	if in.B.IsConst() && !in.A.IsConst() {
 		return in.B.Val, in.A, true
 	}
-	if in.A.IsConst && !in.B.IsConst {
+	if in.A.IsConst() && !in.B.IsConst() {
 		return in.A.Val, in.B, true
 	}
 	return 0, Operand{}, false
@@ -466,34 +493,32 @@ type csdTerm struct {
 	neg   bool
 }
 
-// csdRecode decomposes c into signed power-of-two terms using canonical
-// signed-digit recoding, which minimizes the term count.
-func csdRecode(c int64) []csdTerm {
-	var terms []csdTerm
+// csdRecode appends the terms of c to dst using canonical signed-digit
+// recoding, which minimizes the term count.
+func csdRecode(dst []csdTerm, c int64) []csdTerm {
 	for i := 0; c != 0 && i < 40; i++ {
 		if c&1 != 0 {
 			// Choose digit +1 or -1 so the remaining value is even.
 			if c&3 == 3 { // ...11 -> digit -1, carry
-				terms = append(terms, csdTerm{shift: int32(i), neg: true})
+				dst = append(dst, csdTerm{shift: int32(i), neg: true})
 				c++
 			} else {
-				terms = append(terms, csdTerm{shift: int32(i)})
+				dst = append(dst, csdTerm{shift: int32(i)})
 				c--
 			}
 		}
 		c >>= 1
 	}
-	return terms
+	return dst
 }
 
-// mulSequence builds the shift/add/sub sequence computing dst = x*c, or
-// reports false when a multiply instruction is cheaper.
-func mulSequence(f *tacFunc, x Operand, c int32, dst Temp) ([]ins, bool) {
+// mulPlan recodes the multiplier c into buf and reports whether the
+// shift/add/sub sequence is cheaper than a multiply instruction.
+func mulPlan(buf []csdTerm, c int32) ([]csdTerm, bool) {
 	if c == 0 {
-		return []ins{{Kind: iMov, Dst: dst, A: cnst(0)}}, true
+		return nil, true
 	}
-	neg := c < 0
-	terms := csdRecode(int64(abs64(int64(c))))
+	terms := csdRecode(buf, abs64(int64(c)))
 	// Cost: one shift per nonzero-shift term plus one add/sub per extra
 	// term, plus a final negate. More than 4 ops: keep the multiply.
 	cost := len(terms) - 1
@@ -502,13 +527,21 @@ func mulSequence(f *tacFunc, x Operand, c int32, dst Temp) ([]ins, bool) {
 			cost++
 		}
 	}
-	if neg {
+	if c < 0 {
 		cost++
 	}
 	if cost > 4 || len(terms) == 0 {
 		return nil, false
 	}
-	var seq []ins
+	return terms, true
+}
+
+// appendMulSequence appends the shift/add/sub sequence computing
+// dst = x*c from mulPlan's terms.
+func appendMulSequence(out []ins, f *tacFunc, x Operand, c int32, terms []csdTerm, dst Temp) []ins {
+	if c == 0 {
+		return append(out, ins{Kind: iMov, Dst: dst, A: cnst(0)})
+	}
 	// acc holds the running sum as an operand.
 	var acc Operand
 	for i, t := range terms {
@@ -517,33 +550,32 @@ func mulSequence(f *tacFunc, x Operand, c int32, dst Temp) ([]ins, bool) {
 			term = x
 		} else {
 			tt := f.newTemp()
-			seq = append(seq, ins{Kind: iBin, Op: "<<", Dst: tt, A: x, B: cnst(t.shift)})
+			out = append(out, ins{Kind: iBin, Op: opShl, Dst: tt, A: x, B: cnst(t.shift)})
 			term = tmp(tt)
 		}
 		if i == 0 {
 			if t.neg {
 				tt := f.newTemp()
-				seq = append(seq, ins{Kind: iBin, Op: "-", Dst: tt, A: cnst(0), B: term})
+				out = append(out, ins{Kind: iBin, Op: opSub, Dst: tt, A: cnst(0), B: term})
 				term = tmp(tt)
 			}
 			acc = term
 			continue
 		}
 		tt := f.newTemp()
-		op := "+"
+		op := opAdd
 		if t.neg {
-			op = "-"
+			op = opSub
 		}
-		seq = append(seq, ins{Kind: iBin, Op: op, Dst: tt, A: acc, B: term})
+		out = append(out, ins{Kind: iBin, Op: op, Dst: tt, A: acc, B: term})
 		acc = tmp(tt)
 	}
-	if neg {
+	if c < 0 {
 		tt := f.newTemp()
-		seq = append(seq, ins{Kind: iBin, Op: "-", Dst: tt, A: cnst(0), B: acc})
+		out = append(out, ins{Kind: iBin, Op: opSub, Dst: tt, A: cnst(0), B: acc})
 		acc = tmp(tt)
 	}
-	seq = append(seq, ins{Kind: iMov, Dst: dst, A: acc})
-	return seq, true
+	return append(out, ins{Kind: iMov, Dst: dst, A: acc})
 }
 
 func abs64(v int64) int64 {

@@ -24,7 +24,7 @@ func tacOf(t *testing.T, src string, level int, fn string) *tacFunc {
 		if f.Name != fn {
 			continue
 		}
-		tf, err := lowerFunc(f, level == 0, level >= 1)
+		tf, err := newUnit(prog, new(scratch)).lowerFunc(f, level == 0, level >= 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,7 +48,7 @@ func countKind(tf *tacFunc, k insKind) int {
 func countBinOp(tf *tacFunc, op string) int {
 	n := 0
 	for i := range tf.Ins {
-		if tf.Ins[i].Kind == iBin && tf.Ins[i].Op == op {
+		if tf.Ins[i].Kind == iBin && tf.Ins[i].Op.String() == op {
 			n++
 		}
 	}
@@ -63,7 +63,7 @@ func TestConstantFoldingCollapses(t *testing.T) {
 	// The return value must be the folded constant 56.
 	found := false
 	for i := range tf.Ins {
-		if tf.Ins[i].Kind == iRet && tf.Ins[i].A.IsConst && tf.Ins[i].A.Val == 56 {
+		if tf.Ins[i].Kind == iRet && tf.Ins[i].A.IsConst() && tf.Ins[i].A.Val == 56 {
 			found = true
 		}
 	}

@@ -4,6 +4,7 @@ import "fmt"
 
 // parser is a recursive-descent parser for MicroC.
 type parser struct {
+	src  string
 	toks []token
 	pos  int
 	// Slabs for the highest-volume AST nodes: expression-heavy sources
@@ -32,7 +33,7 @@ func Parse(src string) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
+	p := &parser{src: src, toks: toks}
 	prog := &Program{}
 	for !p.at(tokEOF) {
 		if err := p.parseTopLevel(prog); err != nil {
@@ -45,14 +46,16 @@ func Parse(src string) (*Program, error) {
 func (p *parser) cur() token        { return p.toks[p.pos] }
 func (p *parser) at(k tokKind) bool { return p.cur().kind == k }
 
+func (p *parser) text(t token) string { return t.text(p.src) }
+
 func (p *parser) atPunct(s string) bool {
 	t := p.cur()
-	return t.kind == tokPunct && t.text == s
+	return t.kind == tokPunct && p.text(t) == s
 }
 
 func (p *parser) atKeyword(s string) bool {
 	t := p.cur()
-	return t.kind == tokKeyword && t.text == s
+	return t.kind == tokKeyword && p.text(t) == s
 }
 
 func (p *parser) advance() token {
@@ -70,7 +73,7 @@ func (p *parser) errf(format string, args ...any) error {
 
 func (p *parser) expectPunct(s string) error {
 	if !p.atPunct(s) {
-		return p.errf("expected %q, found %s", s, p.cur())
+		return p.errf("expected %q, found %s", s, p.cur().describe(p.src))
 	}
 	p.advance()
 	return nil
@@ -86,16 +89,16 @@ func (p *parser) atType() bool {
 	if t.kind != tokKeyword {
 		return false
 	}
-	_, ok := typeKeywords[t.text]
+	_, ok := typeKeywords[p.text(t)]
 	return ok
 }
 
 // parseBaseType consumes a type keyword plus any '*' suffixes.
 func (p *parser) parseBaseType() (*Type, error) {
 	t := p.cur()
-	base, ok := typeKeywords[t.text]
+	base, ok := typeKeywords[p.text(t)]
 	if t.kind != tokKeyword || !ok {
-		return nil, p.errf("expected type, found %s", t)
+		return nil, p.errf("expected type, found %s", t.describe(p.src))
 	}
 	p.advance()
 	for p.atPunct("*") {
@@ -106,15 +109,15 @@ func (p *parser) parseBaseType() (*Type, error) {
 }
 
 func (p *parser) parseTopLevel(prog *Program) error {
-	line := p.cur().line
+	line := int(p.cur().line)
 	base, err := p.parseBaseType()
 	if err != nil {
 		return err
 	}
 	if !p.at(tokIdent) {
-		return p.errf("expected identifier, found %s", p.cur())
+		return p.errf("expected identifier, found %s", p.cur().describe(p.src))
 	}
-	name := p.advance().text
+	name := p.text(p.advance())
 
 	if p.atPunct("(") {
 		fn, err := p.parseFuncRest(base, name, line)
@@ -137,8 +140,8 @@ func (p *parser) parseTopLevel(prog *Program) error {
 			if !p.at(tokIdent) {
 				return p.errf("expected identifier after ','")
 			}
-			name = p.advance().text
-			line = p.cur().line
+			name = p.text(p.advance())
+			line = int(p.cur().line)
 			continue
 		}
 		break
@@ -155,7 +158,7 @@ func (p *parser) parseDeclarator(base *Type, name string, line int) (*VarDecl, e
 		if !p.at(tokNumber) {
 			return nil, p.errf("array length must be a number literal")
 		}
-		n := p.advance().val
+		n := int64(p.advance().val)
 		if n <= 0 || n > 1<<20 {
 			return nil, p.errf("array length %d out of range", n)
 		}
@@ -205,7 +208,7 @@ func (p *parser) parseFuncRest(ret *Type, name string, line int) (*FuncDecl, err
 	if err := p.expectPunct("("); err != nil {
 		return nil, err
 	}
-	if p.atKeyword("void") && p.toks[p.pos+1].kind == tokPunct && p.toks[p.pos+1].text == ")" {
+	if p.atKeyword("void") && p.toks[p.pos+1].kind == tokPunct && p.text(p.toks[p.pos+1]) == ")" {
 		p.advance()
 	}
 	for !p.atPunct(")") {
@@ -216,7 +219,7 @@ func (p *parser) parseFuncRest(ret *Type, name string, line int) (*FuncDecl, err
 		if !p.at(tokIdent) {
 			return nil, p.errf("expected parameter name")
 		}
-		pname := p.advance().text
+		pname := p.text(p.advance())
 		ptype := base
 		if p.atPunct("[") {
 			// `int a[]` decays to a pointer parameter, as in C.
@@ -348,7 +351,7 @@ func (p *parser) parseStmt() (Stmt, error) {
 }
 
 func (p *parser) parseDeclStmt() (Stmt, error) {
-	line := p.cur().line
+	line := int(p.cur().line)
 	base, err := p.parseBaseType()
 	if err != nil {
 		return nil, err
@@ -356,7 +359,7 @@ func (p *parser) parseDeclStmt() (Stmt, error) {
 	if !p.at(tokIdent) {
 		return nil, p.errf("expected identifier in declaration")
 	}
-	name := p.advance().text
+	name := p.text(p.advance())
 	ds := &DeclStmt{}
 	for {
 		d, err := p.parseDeclarator(base, name, line)
@@ -369,7 +372,7 @@ func (p *parser) parseDeclStmt() (Stmt, error) {
 			if !p.at(tokIdent) {
 				return nil, p.errf("expected identifier after ','")
 			}
-			name = p.advance().text
+			name = p.text(p.advance())
 			continue
 		}
 		break
@@ -516,7 +519,7 @@ func (p *parser) parseSwitch() (Stmt, error) {
 				st.Default = append(st.Default, s)
 			}
 		default:
-			return nil, p.errf("expected 'case' or 'default' in switch, found %s", p.cur())
+			return nil, p.errf("expected 'case' or 'default' in switch, found %s", p.cur().describe(p.src))
 		}
 	}
 	p.advance()
@@ -537,8 +540,8 @@ func (p *parser) parseAssign() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.cur().kind == tokPunct && assignOps[p.cur().text] {
-		op := p.advance().text
+	if p.cur().kind == tokPunct && assignOps[p.text(p.cur())] {
+		op := p.text(p.advance())
 		rhs, err := p.parseAssign()
 		if err != nil {
 			return nil, err
@@ -597,7 +600,7 @@ func (p *parser) parseBinary(level int) (Expr, error) {
 		matched := ""
 		if p.cur().kind == tokPunct {
 			for _, op := range binLevels[level] {
-				if p.cur().text == op {
+				if p.text(p.cur()) == op {
 					matched = op
 					break
 				}
@@ -620,7 +623,7 @@ func (p *parser) parseBinary(level int) (Expr, error) {
 func (p *parser) parseUnary() (Expr, error) {
 	switch {
 	case p.atPunct("-") || p.atPunct("~") || p.atPunct("!") || p.atPunct("*") || p.atPunct("&"):
-		op := p.advance().text
+		op := p.text(p.advance())
 		x, err := p.parseUnary()
 		if err != nil {
 			return nil, err
@@ -630,7 +633,7 @@ func (p *parser) parseUnary() (Expr, error) {
 		p.advance()
 		return p.parseUnary()
 	case p.atPunct("++") || p.atPunct("--"):
-		op := p.advance().text
+		op := p.text(p.advance())
 		x, err := p.parseUnary()
 		if err != nil {
 			return nil, err
@@ -639,7 +642,7 @@ func (p *parser) parseUnary() (Expr, error) {
 	case p.atPunct("("):
 		// Either a cast or a parenthesized expression.
 		if p.toks[p.pos+1].kind == tokKeyword {
-			if _, ok := typeKeywords[p.toks[p.pos+1].text]; ok {
+			if _, ok := typeKeywords[p.text(p.toks[p.pos+1])]; ok {
 				p.advance()
 				t, err := p.parseBaseType()
 				if err != nil {
@@ -679,7 +682,7 @@ func (p *parser) parsePostfix() (Expr, error) {
 			}
 			x = &IndexExpr{Arr: x, Idx: idx}
 		case p.atPunct("++") || p.atPunct("--"):
-			op := p.advance().text
+			op := p.text(p.advance())
 			x = &IncDecExpr{Op: op, Post: true, LV: x}
 		default:
 			return x, nil
@@ -696,7 +699,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 		n.Val = int32(t.val)
 		return n, nil
 	case t.kind == tokIdent:
-		name := p.advance().text
+		name := p.text(p.advance())
 		if p.atPunct("(") {
 			p.advance()
 			call := &CallExpr{Name: name}
@@ -728,5 +731,5 @@ func (p *parser) parsePrimary() (Expr, error) {
 		}
 		return x, p.expectPunct(")")
 	}
-	return nil, p.errf("expected expression, found %s", t)
+	return nil, p.errf("expected expression, found %s", t.describe(p.src))
 }

@@ -1,7 +1,8 @@
 package mcc
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"binpart/internal/mips"
 )
@@ -13,19 +14,19 @@ import (
 // registers, which the MicroC runtime never uses otherwise. $at is reserved
 // for immediate materialization and branch lowering.
 
-var callerPool = []mips.Reg{
+var callerPool = [...]mips.Reg{
 	mips.T0, mips.T1, mips.T2, mips.T3, mips.T4, mips.T5, mips.T6, mips.T7,
 	mips.T8, mips.T9, mips.V1,
 }
 
-var calleePool = []mips.Reg{
+var calleePool = [...]mips.Reg{
 	mips.S0, mips.S1, mips.S2, mips.S3, mips.S4, mips.S5, mips.S6, mips.S7,
 }
 
 // allocation is the result of register allocation for one function.
 type allocation struct {
-	reg        map[Temp]mips.Reg
-	spill      map[Temp]int // temp -> spill slot index (within spill area)
+	reg        []mips.Reg // temp -> register; 0 ($zero, never allocated) for none
+	spill      []int32    // temp -> spill slot index (within spill area); -1 for none
 	numSpills  int
 	usedCallee []mips.Reg // callee-saved registers the prologue must save
 	hasCall    bool
@@ -33,82 +34,78 @@ type allocation struct {
 
 // tacBlock is a basic block over instruction index ranges with successors.
 type tacBlock struct {
-	start, end int // [start, end)
-	succs      []int
+	start, end int32 // [start, end)
+	succs      []int32
 	liveIn     tempSet
 	liveOut    tempSet
 }
 
 // buildBlocks splits the function into basic blocks and wires successors.
-func buildBlocks(f *tacFunc) []*tacBlock {
+// It starts a register-allocation round in the function's scratch: the
+// blocks and their live sets stay valid until the next one.
+func buildBlocks(f *tacFunc) []tacBlock {
+	sc := f.sc
 	ranges := blockRanges(f)
-	blocks := make([]*tacBlock, len(ranges))
-	store := make([]tacBlock, len(ranges))
-	words := tempWords(f.NTemp)
-	backing := make([]uint64, 2*len(ranges)*words)
-	labelBlock := make(map[string]int)
+	blocks := resize(sc.blocks, len(ranges))
+	sc.resetSets()
+	labelBlock := sc.labelBlocks(f, ranges)
+	succs := sc.succs[:0]
+	ends := resize(sc.succEnd, len(ranges)) // end of each block's successors in succs
 	for i, r := range ranges {
-		store[i] = tacBlock{start: r[0], end: r[1],
-			liveIn:  tempSet(backing[2*i*words : (2*i+1)*words]),
-			liveOut: tempSet(backing[(2*i+1)*words : (2*i+2)*words])}
-		blocks[i] = &store[i]
-		if f.Ins[r[0]].Kind == iLabel {
-			labelBlock[f.Ins[r[0]].Sym] = i
-		}
-	}
-	// A block may start with several consecutive labels only if empty
-	// blocks exist between them; blockRanges creates one block per label,
-	// so map every label at a block head.
-	for i, r := range ranges {
-		for j := r[0]; j < r[1] && f.Ins[j].Kind == iLabel; j++ {
-			labelBlock[f.Ins[j].Sym] = i
-		}
-	}
-	allLabelBlocks := make([]int, 0, len(labelBlock))
-	for _, b := range labelBlock {
-		allLabelBlocks = append(allLabelBlocks, b)
-	}
-	for i, b := range blocks {
-		last := f.Ins[b.end-1]
+		last := &f.Ins[r[1]-1]
 		switch last.Kind {
 		case iBr:
-			if t, ok := labelBlock[last.Sym]; ok {
-				b.succs = append(b.succs, t)
+			if t := labelBlock[last.Sym]; t >= 0 {
+				succs = append(succs, t)
 			}
 		case iCBr:
-			if t, ok := labelBlock[last.Sym]; ok {
-				b.succs = append(b.succs, t)
+			if t := labelBlock[last.Sym]; t >= 0 {
+				succs = append(succs, t)
 			}
-			if i+1 < len(blocks) {
-				b.succs = append(b.succs, i+1)
+			if i+1 < len(ranges) {
+				succs = append(succs, int32(i+1))
 			}
 		case iRet:
 		case iJT:
 			// Conservative: an indirect jump may reach any label.
-			b.succs = append(b.succs, allLabelBlocks...)
+			for _, b := range labelBlock {
+				if b >= 0 {
+					succs = append(succs, b)
+				}
+			}
 		default:
-			if i+1 < len(blocks) {
-				b.succs = append(b.succs, i+1)
+			if i+1 < len(ranges) {
+				succs = append(succs, int32(i+1))
 			}
 		}
+		ends[i] = int32(len(succs))
 	}
+	lo := int32(0)
+	for i, r := range ranges {
+		blocks[i] = tacBlock{start: r[0], end: r[1], succs: succs[lo:ends[i]],
+			liveIn: sc.newSet(f.NTemp), liveOut: sc.newSet(f.NTemp)}
+		lo = ends[i]
+	}
+	sc.blocks, sc.succs, sc.succEnd = blocks, succs, ends
 	return blocks
 }
 
 // liveness computes live-in/out sets per block by iteration to fixpoint.
-func liveness(f *tacFunc, blocks []*tacBlock) {
+func liveness(f *tacFunc, blocks []tacBlock) {
+	sc := f.sc
 	n := len(blocks)
-	words := tempWords(f.NTemp)
-	backing := make([]uint64, 2*n*words)
-	gen := make([]tempSet, n)
-	kill := make([]tempSet, n)
+	sets := sc.sets[:0]
+	for range 2 * n {
+		sets = append(sets, sc.newSet(f.NTemp))
+	}
+	sc.sets = sets
+	gen, kill := sets[:n], sets[n:]
 	var ub [4]Temp
-	for i, b := range blocks {
-		gen[i] = tempSet(backing[2*i*words : (2*i+1)*words])
-		kill[i] = tempSet(backing[(2*i+1)*words : (2*i+2)*words])
+	for i := range blocks {
+		b := &blocks[i]
 		for j := b.start; j < b.end; j++ {
 			in := &f.Ins[j]
-			for _, u := range in.appendUses(ub[:0]) {
+			for _, u := range f.appendUses(ub[:0], in) {
 				if !kill[i].has(u) {
 					gen[i].set(u)
 				}
@@ -121,7 +118,7 @@ func liveness(f *tacFunc, blocks []*tacBlock) {
 	for changed := true; changed; {
 		changed = false
 		for i := len(blocks) - 1; i >= 0; i-- {
-			b := blocks[i]
+			b := &blocks[i]
 			for _, s := range b.succs {
 				if b.liveOut.or(blocks[s].liveIn) {
 					changed = true
@@ -142,30 +139,32 @@ func liveness(f *tacFunc, blocks []*tacBlock) {
 // interval is the linearized live range of a temp.
 type interval struct {
 	t          Temp
-	start, end int
+	start, end int32
 	acrossCall bool
 }
 
 // computeIntervals builds conservative live intervals and marks temps live
 // across calls.
-func computeIntervals(f *tacFunc, blocks []*tacBlock) []interval {
+func computeIntervals(f *tacFunc, blocks []tacBlock) []interval {
+	sc := f.sc
 	// start < 0 marks a temp never touched; start and end are always
 	// stamped together.
-	start := make([]int32, f.NTemp)
-	end := make([]int32, f.NTemp)
+	start := resize(sc.start, f.NTemp)
+	end := resize(sc.end, f.NTemp)
+	sc.start, sc.end = start, end
 	for i := range start {
 		start[i] = -1
 	}
-	touch := func(t Temp, i int) {
+	touch := func(t Temp, i int32) {
 		if start[t] < 0 {
-			start[t], end[t] = int32(i), int32(i)
+			start[t], end[t] = i, i
 			return
 		}
-		if int32(i) < start[t] {
-			start[t] = int32(i)
+		if i < start[t] {
+			start[t] = i
 		}
-		if int32(i) > end[t] {
-			end[t] = int32(i)
+		if i > end[t] {
+			end[t] = i
 		}
 	}
 	// Parameters are defined at entry.
@@ -175,22 +174,23 @@ func computeIntervals(f *tacFunc, blocks []*tacBlock) []interval {
 	var ub [4]Temp
 	for i := range f.Ins {
 		in := &f.Ins[i]
-		for _, u := range in.appendUses(ub[:0]) {
-			touch(u, i)
+		for _, u := range f.appendUses(ub[:0], in) {
+			touch(u, int32(i))
 		}
 		if d, ok := in.def(); ok {
-			touch(d, i)
+			touch(d, int32(i))
 		}
 	}
-	for _, b := range blocks {
-		bb := b
-		bb.liveIn.forEach(func(t Temp) { touch(t, bb.start) })
-		bb.liveOut.forEach(func(t Temp) { touch(t, bb.end-1) })
+	for i := range blocks {
+		b := &blocks[i]
+		b.liveIn.forEach(func(t Temp) { touch(t, b.start) })
+		b.liveOut.forEach(func(t Temp) { touch(t, b.end-1) })
 	}
 
-	across := newTempSet(f.NTemp)
-	live := newTempSet(f.NTemp)
-	for _, b := range blocks {
+	across := sc.newSet(f.NTemp)
+	live := sc.newSet(f.NTemp)
+	for i := range blocks {
+		b := &blocks[i]
 		// Per-instruction liveness backward within the block.
 		live.reset()
 		live.or(b.liveOut)
@@ -202,35 +202,44 @@ func computeIntervals(f *tacFunc, blocks []*tacBlock) []interval {
 			if in.Kind == iCall {
 				across.or(live)
 			}
-			for _, u := range in.appendUses(ub[:0]) {
+			for _, u := range f.appendUses(ub[:0], in) {
 				live.set(u)
 			}
 		}
 	}
 
-	var ivs []interval
+	ivs := sc.ivs[:0]
 	for t := Temp(0); int(t) < f.NTemp; t++ {
 		if start[t] < 0 {
 			continue
 		}
-		ivs = append(ivs, interval{t: t, start: int(start[t]), end: int(end[t]), acrossCall: across.has(t)})
+		ivs = append(ivs, interval{t: t, start: start[t], end: end[t], acrossCall: across.has(t)})
 	}
-	sort.Slice(ivs, func(i, j int) bool {
-		if ivs[i].start != ivs[j].start {
-			return ivs[i].start < ivs[j].start
+	// (start, t) is a total order, so the result does not depend on the
+	// sort algorithm.
+	slices.SortFunc(ivs, func(a, b interval) int {
+		if a.start != b.start {
+			return cmp.Compare(a.start, b.start)
 		}
-		return ivs[i].t < ivs[j].t
+		return cmp.Compare(a.t, b.t)
 	})
+	sc.ivs = ivs
 	return ivs
 }
 
 // allocate runs linear scan over the intervals.
 func allocate(f *tacFunc) *allocation {
+	sc := f.sc
 	blocks := buildBlocks(f)
 	liveness(f, blocks)
 	ivs := computeIntervals(f, blocks)
 
-	a := &allocation{reg: make(map[Temp]mips.Reg), spill: make(map[Temp]int)}
+	a := &allocation{reg: resize(sc.reg, f.NTemp), spill: resize(sc.spill, f.NTemp)}
+	sc.reg, sc.spill = a.reg, a.spill
+	clear(a.reg)
+	for i := range a.spill {
+		a.spill[i] = -1
+	}
 	for i := range f.Ins {
 		if f.Ins[i].Kind == iCall {
 			a.hasCall = true
@@ -242,15 +251,19 @@ func allocate(f *tacFunc) *allocation {
 		iv  interval
 		reg mips.Reg
 	}
-	var act []active
-	freeCaller := append([]mips.Reg(nil), callerPool...)
-	freeCallee := append([]mips.Reg(nil), calleePool...)
-	usedCallee := make(map[mips.Reg]bool)
+	var actBuf [len(callerPool) + len(calleePool)]active
+	act := actBuf[:0]
+	var callerBuf [len(callerPool)]mips.Reg
+	var calleeBuf [len(calleePool)]mips.Reg
+	freeCaller := append(callerBuf[:0], callerPool[:]...)
+	freeCallee := append(calleeBuf[:0], calleePool[:]...)
+	var usedCallee [32]bool
 
-	expire := func(pos int) {
-		out := act[:0]
+	for _, iv := range ivs {
+		// Expire intervals that ended before this one starts.
+		n := 0
 		for _, ac := range act {
-			if ac.iv.end < pos {
+			if ac.iv.end < iv.start {
 				if ac.iv.acrossCall {
 					freeCallee = append(freeCallee, ac.reg)
 				} else {
@@ -258,13 +271,11 @@ func allocate(f *tacFunc) *allocation {
 				}
 				continue
 			}
-			out = append(out, ac)
+			act[n] = ac
+			n++
 		}
-		act = out
-	}
+		act = act[:n]
 
-	for _, iv := range ivs {
-		expire(iv.start)
 		pool := &freeCaller
 		if iv.acrossCall {
 			pool = &freeCallee
@@ -282,13 +293,13 @@ func allocate(f *tacFunc) *allocation {
 			}
 			if victim >= 0 {
 				v := act[victim]
-				a.spill[v.iv.t] = a.numSpills
+				a.spill[v.iv.t] = int32(a.numSpills)
 				a.numSpills++
-				delete(a.reg, v.iv.t)
+				a.reg[v.iv.t] = 0
 				a.reg[iv.t] = v.reg
 				act[victim] = active{iv: iv, reg: v.reg}
 			} else {
-				a.spill[iv.t] = a.numSpills
+				a.spill[iv.t] = int32(a.numSpills)
 				a.numSpills++
 			}
 			continue

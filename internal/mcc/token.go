@@ -25,7 +25,7 @@ import (
 	"unicode"
 )
 
-type tokKind int
+type tokKind uint8
 
 const (
 	tokEOF tokKind = iota
@@ -37,22 +37,26 @@ const (
 	tokChar
 )
 
+// token is a 24-byte, pointer-free view of one lexeme: its text is
+// src[off:end]. A character literal spans only its opening quote.
 type token struct {
-	kind tokKind
-	text string
-	val  int64 // for tokNumber and tokChar
-	line int
-	col  int
+	off, end  int32
+	line, col int32
+	val       uint32 // tokNumber and tokChar value (literals are 0..0xffffffff)
+	kind      tokKind
 }
 
-func (t token) String() string {
+func (t token) text(src string) string { return src[t.off:t.end] }
+
+// describe renders a token for diagnostics.
+func (t token) describe(src string) string {
 	switch t.kind {
 	case tokEOF:
 		return "end of file"
 	case tokNumber:
-		return fmt.Sprintf("number %s", t.text)
+		return fmt.Sprintf("number %s", t.text(src))
 	default:
-		return fmt.Sprintf("%q", t.text)
+		return fmt.Sprintf("%q", t.text(src))
 	}
 }
 
@@ -64,34 +68,45 @@ var keywords = map[string]bool{
 	"break": true, "continue": true, "return": true,
 }
 
-// multi-character punctuators, longest first.
-var puncts = []string{
-	"<<=", ">>=", "...",
-	"==", "!=", "<=", ">=", "&&", "||", "<<", ">>",
-	"+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "++", "--",
-	"+", "-", "*", "/", "%", "&", "|", "^", "~", "!", "<", ">", "=",
-	"(", ")", "{", "}", "[", "]", ";", ",", ":", "?",
+// puncts lists every punctuator by its first byte, longest first.
+var puncts = [256][]string{
+	'<': {"<<=", "<=", "<<", "<"},
+	'>': {">>=", ">=", ">>", ">"},
+	'.': {"..."},
+	'=': {"==", "="},
+	'!': {"!=", "!"},
+	'&': {"&&", "&=", "&"},
+	'|': {"||", "|=", "|"},
+	'+': {"+=", "++", "+"},
+	'-': {"-=", "--", "-"},
+	'*': {"*=", "*"},
+	'/': {"/=", "/"},
+	'%': {"%=", "%"},
+	'^': {"^=", "^"},
+	'~': {"~"}, '(': {"("}, ')': {")"}, '{': {"{"}, '}': {"}"},
+	'[': {"["}, ']': {"]"}, ';': {";"}, ',': {","}, ':': {":"}, '?': {"?"},
 }
 
 type lexer struct {
-	src  string
-	pos  int
-	line int
-	col  int
-	toks []token
+	src       string
+	pos       int
+	line      int
+	lineStart int // offset of the current line's first byte
+	toks      []token
 }
 
-// lex tokenizes src. It returns a descriptive error with line/column on any
-// malformed input.
+// lex tokenizes src. It returns a descriptive error with line/column on
+// any malformed input.
 func lex(src string) ([]token, error) {
-	// One token per ~4 source bytes is a close upper estimate for MicroC;
-	// reserving it up front avoids the append-growth copies on every
-	// compile.
-	lx := &lexer{src: src, line: 1, col: 1, toks: make([]token, 0, len(src)/4+16)}
+	// One token per 3 source bytes bounds the suite's programs (3.2-4.0
+	// bytes a token); denser generated code grows the slice once.
+	lx := &lexer{src: src, line: 1, toks: make([]token, 0, len(src)/3+16)}
 	for {
-		lx.skipSpaceAndComments()
+		if err := lx.skipSpaceAndComments(); err != nil {
+			return nil, err
+		}
 		if lx.pos >= len(lx.src) {
-			lx.toks = append(lx.toks, token{kind: tokEOF, line: lx.line, col: lx.col})
+			lx.toks = append(lx.toks, token{kind: tokEOF, off: int32(lx.pos), end: int32(lx.pos), line: int32(lx.line), col: int32(lx.col())})
 			return lx.toks, nil
 		}
 		if err := lx.next(); err != nil {
@@ -100,64 +115,79 @@ func lex(src string) ([]token, error) {
 	}
 }
 
+func (lx *lexer) col() int { return lx.pos - lx.lineStart + 1 }
+
 func (lx *lexer) errf(format string, args ...any) error {
-	return fmt.Errorf("mcc: %d:%d: %s", lx.line, lx.col, fmt.Sprintf(format, args...))
+	return lx.errAt(lx.line, lx.col(), format, args...)
 }
 
-func (lx *lexer) advance(n int) {
-	for i := 0; i < n && lx.pos < len(lx.src); i++ {
-		if lx.src[lx.pos] == '\n' {
-			lx.line++
-			lx.col = 1
-		} else {
-			lx.col++
-		}
-		lx.pos++
-	}
+func (lx *lexer) errAt(line, col int, format string, args ...any) error {
+	return fmt.Errorf("mcc: %d:%d: %s", line, col, fmt.Sprintf(format, args...))
 }
 
-func (lx *lexer) skipSpaceAndComments() {
+func (lx *lexer) newline() {
+	lx.line++
+	lx.lineStart = lx.pos + 1
+}
+
+func (lx *lexer) skipSpaceAndComments() error {
 	for lx.pos < len(lx.src) {
 		c := lx.src[lx.pos]
 		switch {
-		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
-			lx.advance(1)
+		case c == '\n':
+			lx.newline()
+			lx.pos++
+		case c == ' ' || c == '\t' || c == '\r':
+			lx.pos++
 		case c == '/' && lx.pos+1 < len(lx.src) && lx.src[lx.pos+1] == '/':
 			for lx.pos < len(lx.src) && lx.src[lx.pos] != '\n' {
-				lx.advance(1)
+				lx.pos++
 			}
 		case c == '/' && lx.pos+1 < len(lx.src) && lx.src[lx.pos+1] == '*':
-			lx.advance(2)
-			for lx.pos+1 < len(lx.src) && !(lx.src[lx.pos] == '*' && lx.src[lx.pos+1] == '/') {
-				lx.advance(1)
+			line, col := lx.line, lx.col()
+			lx.pos += 2
+			for {
+				if lx.pos+1 >= len(lx.src) {
+					return lx.errAt(line, col, "unterminated block comment")
+				}
+				if lx.src[lx.pos] == '*' && lx.src[lx.pos+1] == '/' {
+					lx.pos += 2
+					break
+				}
+				if lx.src[lx.pos] == '\n' {
+					lx.newline()
+				}
+				lx.pos++
 			}
-			lx.advance(2)
 		default:
-			return
+			return nil
 		}
 	}
+	return nil
+}
+
+func (lx *lexer) push(kind tokKind, start int, val uint32, line, col int) {
+	lx.toks = append(lx.toks, token{kind: kind, off: int32(start), end: int32(lx.pos), val: val, line: int32(line), col: int32(col)})
 }
 
 func (lx *lexer) next() error {
-	line, col := lx.line, lx.col
+	line, col := lx.line, lx.col()
+	start := lx.pos
 	c := lx.src[lx.pos]
 	switch {
 	case unicode.IsLetter(rune(c)) || c == '_':
-		start := lx.pos
-		for lx.pos < len(lx.src) && (isIdentChar(lx.src[lx.pos])) {
-			lx.advance(1)
+		for lx.pos < len(lx.src) && isIdentChar(lx.src[lx.pos]) {
+			lx.pos++
 		}
-		text := lx.src[start:lx.pos]
 		kind := tokIdent
-		if keywords[text] {
+		if keywords[lx.src[start:lx.pos]] {
 			kind = tokKeyword
 		}
-		lx.toks = append(lx.toks, token{kind: kind, text: text, line: line, col: col})
+		lx.push(kind, start, 0, line, col)
 		return nil
 	case unicode.IsDigit(rune(c)):
-		start := lx.pos
-		for lx.pos < len(lx.src) && (isIdentChar(lx.src[lx.pos])) {
-			lx.advance(1)
+		for lx.pos < len(lx.src) && isIdentChar(lx.src[lx.pos]) {
+			lx.pos++
 		}
 		text := lx.src[start:lx.pos]
 		// Allow trailing u/U suffix as in C.
@@ -169,16 +199,16 @@ func (lx *lexer) next() error {
 		if v > 0xffffffff || v < -(1<<31) {
 			return lx.errf("number %q out of 32-bit range", text)
 		}
-		lx.toks = append(lx.toks, token{kind: tokNumber, text: text, val: v, line: line, col: col})
+		lx.push(tokNumber, start, uint32(v), line, col)
 		return nil
 	case c == '\'':
-		lx.advance(1)
+		lx.pos++
 		if lx.pos >= len(lx.src) {
 			return lx.errf("unterminated character literal")
 		}
-		var v int64
+		var v uint32
 		if lx.src[lx.pos] == '\\' {
-			lx.advance(1)
+			lx.pos++
 			if lx.pos >= len(lx.src) {
 				return lx.errf("unterminated character literal")
 			}
@@ -197,20 +227,23 @@ func (lx *lexer) next() error {
 				return lx.errf("unknown escape \\%c", lx.src[lx.pos])
 			}
 		} else {
-			v = int64(lx.src[lx.pos])
+			v = uint32(lx.src[lx.pos])
 		}
-		lx.advance(1)
+		if lx.src[lx.pos] == '\n' {
+			lx.newline()
+		}
+		lx.pos++
 		if lx.pos >= len(lx.src) || lx.src[lx.pos] != '\'' {
 			return lx.errf("unterminated character literal")
 		}
-		lx.advance(1)
-		lx.toks = append(lx.toks, token{kind: tokChar, text: "'", val: v, line: line, col: col})
+		lx.pos++
+		lx.toks = append(lx.toks, token{kind: tokChar, off: int32(start), end: int32(start + 1), val: v, line: int32(line), col: int32(col)})
 		return nil
 	}
-	for _, p := range puncts {
+	for _, p := range puncts[c] {
 		if strings.HasPrefix(lx.src[lx.pos:], p) {
-			lx.advance(len(p))
-			lx.toks = append(lx.toks, token{kind: tokPunct, text: p, line: line, col: col})
+			lx.pos += len(p)
+			lx.push(tokPunct, start, 0, line, col)
 			return nil
 		}
 	}

@@ -5,16 +5,32 @@ import (
 	"binpart/internal/mips"
 )
 
+// Attribution is the CPU cycles a profiled run spent at each text word:
+// Cycles[i] belongs to the instruction at Base+4*i.
+type Attribution struct {
+	Base   uint32
+	Cycles []uint64
+}
+
+// At returns the cycles attributed to the instruction at pc; 0 outside
+// the text.
+func (a Attribution) At(pc uint32) uint64 {
+	if i := uint64(pc-a.Base) / 4; pc >= a.Base && i < uint64(len(a.Cycles)) {
+		return a.Cycles[i]
+	}
+	return 0
+}
+
 // AttributeCycles converts an execution profile into per-address cycle
 // counts under the cycle model: each instruction's executions multiplied
 // by its class cost, with branches split between taken and not-taken
 // using the recorded edge counts. The partitioner uses this to know how
 // many CPU cycles each loop consumed.
-func AttributeCycles(img *binimg.Image, prof *Profile, cm CycleModel) map[uint32]uint64 {
+func AttributeCycles(img *binimg.Image, prof *Profile, cm CycleModel) Attribution {
 	if cm == (CycleModel{}) {
 		cm = DefaultCycleModel
 	}
-	out := make(map[uint32]uint64, len(prof.InstCount))
+	out := Attribution{Base: img.TextBase, Cycles: make([]uint64, len(img.Text))}
 	takenFrom := make(map[uint32]uint64)
 	for e, n := range prof.EdgeCount {
 		takenFrom[e.From] += n
@@ -51,7 +67,7 @@ func AttributeCycles(img *binimg.Image, prof *Profile, cm CycleModel) map[uint32
 		default:
 			cycles = count * cm.ALU
 		}
-		out[pc] = cycles
+		out.Cycles[(pc-img.TextBase)/4] = cycles
 	}
 	return out
 }

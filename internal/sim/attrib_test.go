@@ -36,21 +36,21 @@ func TestAttributeCycles(t *testing.T) {
 
 	base := img.TextBase
 	// The loop body runs 4 times; the load at +12 costs Load cycles each.
-	if got, want := cyc[base+12], 4*cfg.Cycles.Load; got != want {
+	if got, want := cyc.At(base+12), 4*cfg.Cycles.Load; got != want {
 		t.Errorf("load cycles = %d, want %d", got, want)
 	}
 	// The branch at +20: taken 3 times, not taken once.
 	wantBr := 3*cfg.Cycles.BranchTaken + 1*cfg.Cycles.BranchNot
-	if got := cyc[base+20]; got != wantBr {
+	if got := cyc.At(base + 20); got != wantBr {
 		t.Errorf("branch cycles = %d, want %d", got, wantBr)
 	}
 	// Plain ALU op at +8 costs ALU each of its 4 executions.
-	if got, want := cyc[base+8], 4*cfg.Cycles.ALU; got != want {
+	if got, want := cyc.At(base+8), 4*cfg.Cycles.ALU; got != want {
 		t.Errorf("alu cycles = %d, want %d", got, want)
 	}
 	// Total attribution equals the run's cycle count.
 	var sum uint64
-	for _, c := range cyc {
+	for _, c := range cyc.Cycles {
 		sum += c
 	}
 	if sum != res.Cycles {
@@ -79,10 +79,10 @@ func TestAttributeCyclesMultDiv(t *testing.T) {
 		t.Fatal(err)
 	}
 	cyc := AttributeCycles(img, res.Profile, cfg.Cycles)
-	if got := cyc[img.TextBase+8]; got != cfg.Cycles.Mult {
+	if got := cyc.At(img.TextBase + 8); got != cfg.Cycles.Mult {
 		t.Errorf("mult cycles = %d, want %d", got, cfg.Cycles.Mult)
 	}
-	if got := cyc[img.TextBase+16]; got != cfg.Cycles.Div {
+	if got := cyc.At(img.TextBase + 16); got != cfg.Cycles.Div {
 		t.Errorf("div cycles = %d, want %d", got, cfg.Cycles.Div)
 	}
 }

@@ -171,10 +171,10 @@ func buildDFG(b *ir.Block, am *alias.Info) *dfg {
 // opWidth returns the operator width assigned by size reduction, or 32.
 func opWidth(in *ir.Instr) int {
 	if in.WidthBits > 0 {
-		return in.WidthBits
+		return int(in.WidthBits)
 	}
 	if in.Op == ir.Load || in.Op == ir.Store {
-		return 8 * in.Width
+		return 8 * int(in.Width)
 	}
 	return 32
 }
@@ -335,32 +335,35 @@ type allocation struct {
 func allocate(scheds []*scheduleResult) *allocation {
 	al := &allocation{units: map[fpga.OpClass]map[int]int{}}
 	totalOps := map[fpga.OpClass]int{}
+	// counts[(state*classes+class)*len(widthBuckets)+bucket] is one
+	// block's op count per state, class and width bucket.
+	const classes = int(fpga.ClassMemPort) + 1
+	var counts []int32
 	for _, sr := range scheds {
-		perState := map[int]map[fpga.OpClass]map[int]int{}
+		if n := sr.states * classes * len(widthBuckets); cap(counts) < n {
+			counts = make([]int32, n)
+		} else {
+			counts = counts[:n]
+			clear(counts)
+		}
 		for _, n := range sr.g.nodes {
-			if _, counts := opClass(n.in); !counts {
+			if _, ok := opClass(n.in); !ok {
 				continue
 			}
-			if perState[n.state] == nil {
-				perState[n.state] = map[fpga.OpClass]map[int]int{}
-			}
-			if perState[n.state][n.class] == nil {
-				perState[n.state][n.class] = map[int]int{}
-			}
-			w := widthBucket(n.width)
-			perState[n.state][n.class][w]++
+			counts[(n.state*classes+int(n.class))*len(widthBuckets)+widthBucketIndex(n.width)]++
 			totalOps[n.class]++
 		}
-		for _, classes := range perState {
-			for cls, widths := range classes {
-				if al.units[cls] == nil {
-					al.units[cls] = map[int]int{}
-				}
-				for w, c := range widths {
-					if c > al.units[cls][w] {
-						al.units[cls][w] = c
-					}
-				}
+		for i, c := range counts {
+			if c == 0 {
+				continue
+			}
+			cls := fpga.OpClass(i / len(widthBuckets) % classes)
+			w := widthBuckets[i%len(widthBuckets)]
+			if al.units[cls] == nil {
+				al.units[cls] = map[int]int{}
+			}
+			if int(c) > al.units[cls][w] {
+				al.units[cls][w] = int(c)
 			}
 		}
 		// Registers: producer values consumed in a later state.
@@ -390,18 +393,22 @@ func allocate(scheds []*scheduleResult) *allocation {
 	return al
 }
 
-// widthBucket rounds widths up to hardware-friendly sizes so that ops of
-// similar width share a unit.
-func widthBucket(w int) int {
+// widthBuckets are the hardware-friendly unit widths operator widths
+// round up to, so that ops of similar width share a unit.
+var widthBuckets = [...]int{4, 8, 16, 32}
+
+// widthBucketIndex returns the index in widthBuckets of the bucket that
+// width w rounds up to.
+func widthBucketIndex(w int) int {
 	switch {
 	case w <= 4:
-		return 4
+		return 0
 	case w <= 8:
-		return 8
+		return 1
 	case w <= 16:
-		return 16
+		return 2
 	default:
-		return 32
+		return 3
 	}
 }
 

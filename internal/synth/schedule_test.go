@@ -44,7 +44,7 @@ func randomBlock(r *rand.Rand, n int) *ir.Block {
 			op := ops[r.Intn(len(ops))]
 			in := ir.Instr{Op: op, Dst: next, A: arg(), B: arg()}
 			if r.Intn(2) == 0 {
-				in.WidthBits = 4 + r.Intn(29)
+				in.WidthBits = uint8(4 + r.Intn(29))
 			}
 			b.Instrs = append(b.Instrs, in)
 			defined = append(defined, next)
@@ -173,8 +173,8 @@ func TestMemoryDependenceOrdering(t *testing.T) {
 func TestWidthBucketing(t *testing.T) {
 	cases := map[int]int{1: 4, 4: 4, 5: 8, 8: 8, 9: 16, 16: 16, 17: 32, 32: 32}
 	for w, want := range cases {
-		if got := widthBucket(w); got != want {
-			t.Errorf("widthBucket(%d) = %d, want %d", w, got, want)
+		if got := widthBuckets[widthBucketIndex(w)]; got != want {
+			t.Errorf("bucket of width %d = %d, want %d", w, got, want)
 		}
 	}
 }

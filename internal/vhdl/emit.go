@@ -323,7 +323,7 @@ func emitInstr(b *strings.Builder, blk *ir.Block, i int, inRegion map[int]bool, 
 		fmt.Fprintf(b, "%s%s := %s;\n", ind, dst, arg(in.A))
 	case ir.Load:
 		fmt.Fprintf(b, "%smem1_addr <= std_logic_vector(%s + to_signed(%d, 32));\n", ind, arg(in.A), in.Off)
-		fmt.Fprintf(b, "%smem1_size <= \"%s\";\n", ind, sizeBits(in.Width))
+		fmt.Fprintf(b, "%smem1_size <= \"%s\";\n", ind, sizeBits(int(in.Width)))
 		sx := "0"
 		if in.Signed {
 			sx = "1"
@@ -333,7 +333,7 @@ func emitInstr(b *strings.Builder, blk *ir.Block, i int, inRegion map[int]bool, 
 	case ir.Store:
 		fmt.Fprintf(b, "%smem0_addr <= std_logic_vector(%s + to_signed(%d, 32));\n", ind, arg(in.B), in.Off)
 		fmt.Fprintf(b, "%smem0_wdata <= std_logic_vector(%s);\n", ind, arg(in.A))
-		fmt.Fprintf(b, "%smem0_size <= \"%s\";\n", ind, sizeBits(in.Width))
+		fmt.Fprintf(b, "%smem0_size <= \"%s\";\n", ind, sizeBits(int(in.Width)))
 		fmt.Fprintf(b, "%smem0_we <= '1';\n", ind)
 	case ir.Branch:
 		taken, ftarget := branchTargets(blk, in, inRegion)
@@ -351,9 +351,13 @@ func emitInstr(b *strings.Builder, blk *ir.Block, i int, inRegion map[int]bool, 
 		return true, nil
 	case ir.IJump:
 		// Resolved jump table: dispatch on the computed target address.
+		var table []uint32
+		if in.Table != nil {
+			table = in.Table.Targets
+		}
 		emitted := false
 		seen := map[uint32]bool{}
-		for _, tgt := range in.Table {
+		for _, tgt := range table {
 			if seen[tgt] {
 				continue
 			}

@@ -10,9 +10,10 @@ import (
 // EmitTestbench renders a simulation testbench for a design: it
 // instantiates the entity, generates the clock at the design's estimated
 // period, applies reset, pulses start, and waits for done. This mirrors
-// the RTL-verification step of a conventional flow; with no VHDL
-// simulator in the loop, the structural checker validates it and the IR
-// interpreter provides the behavioural oracle instead.
+// the RTL-verification step of a conventional flow, for an external
+// simulator. In this repository the structural checker validates the
+// testbench, and SimulateDesign runs the same reset/start/done protocol
+// on the design itself against the IR interpreter's results.
 func EmitTestbench(d *synth.Design) (string, error) {
 	name := sanitize(d.Name)
 	half := d.ClockNs / 2
