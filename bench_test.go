@@ -24,6 +24,7 @@ import (
 	"binpart/internal/mcc"
 	"binpart/internal/mips"
 	"binpart/internal/partition"
+	"binpart/internal/progen"
 	"binpart/internal/sim"
 	"binpart/internal/synth"
 )
@@ -335,6 +336,41 @@ func BenchmarkStageAnalyzeSuite(b *testing.B) {
 	var imgs []*binimg.Image
 	for _, bm := range bench.All() {
 		img, err := bm.Compile(1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		imgs = append(imgs, img)
+	}
+	opts := core.DefaultOptions()
+	analyze := func() {
+		for _, img := range imgs {
+			if _, err := core.Analyze(img, opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	analyze() // warm-up
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		analyze()
+	}
+}
+
+// BenchmarkStageAnalyzeUploads measures the cold analysis of binaries
+// no cache has seen: an uncached core.Analyze of each of 40 generated
+// programs, built the way perfbench builds its upload corpus (progen
+// seeds 1-40 cycling through the four upload shapes, at a rotating opt
+// level O0-O3). It covers the straight-line, branchy and switch shapes
+// that StageAnalyzeSuite's -O1 suite does not. The programs are compiled
+// before the timer starts.
+func BenchmarkStageAnalyzeUploads(b *testing.B) {
+	shapes := []progen.Config{
+		progen.DefaultConfig(), progen.SwitchConfig(), progen.StraightlineConfig(), progen.BranchyConfig(),
+	}
+	var imgs []*binimg.Image
+	for i := 0; i < 40; i++ {
+		p := progen.Generate(int64(i+1), shapes[i%len(shapes)])
+		img, err := mcc.Compile(p.Source, mcc.Options{OptLevel: (i / len(shapes)) % 4})
 		if err != nil {
 			b.Fatal(err)
 		}

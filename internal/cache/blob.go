@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"sync"
 )
 
 // Sealed blob framing. Every serialized cache value that leaves the
@@ -29,7 +30,10 @@ const blobMagic = "SBC1"
 // blobHeaderLen is the sealed header size in bytes.
 const blobHeaderLen = 8
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+// castagnoli returns the CRC32-C table, built on first use: only the disk
+// tier seals and opens blobs, and building the table at package init
+// would cost every process start.
+var castagnoli = sync.OnceValue(func() *crc32.Table { return crc32.MakeTable(crc32.Castagnoli) })
 
 // Blob corruption errors. All unwrap to ErrBlobCorrupt so callers can
 // classify without string matching.
@@ -44,7 +48,7 @@ var (
 func Seal(payload []byte) []byte {
 	out := make([]byte, blobHeaderLen+len(payload))
 	copy(out, blobMagic)
-	binary.LittleEndian.PutUint32(out[4:8], crc32.Checksum(payload, castagnoli))
+	binary.LittleEndian.PutUint32(out[4:8], crc32.Checksum(payload, castagnoli()))
 	copy(out[blobHeaderLen:], payload)
 	return out
 }
@@ -60,7 +64,7 @@ func Open(blob []byte) ([]byte, error) {
 		return nil, errBlobMagic
 	}
 	payload := blob[blobHeaderLen:]
-	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(blob[4:8]) {
+	if crc32.Checksum(payload, castagnoli()) != binary.LittleEndian.Uint32(blob[4:8]) {
 		return nil, errBlobChecksum
 	}
 	return payload, nil

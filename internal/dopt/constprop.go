@@ -27,15 +27,12 @@ import "binpart/internal/ir"
 // MIPS idioms "addu rd, rs, $zero" (move) and "addiu rt, $zero, imm"
 // (constant load). Returns the number of instructions simplified.
 func ConstProp(f *ir.Func) int {
-	// The per-block environment is an epoch-stamped dense array over the
-	// function's location space: entering a block bumps the epoch instead
-	// of clearing (or reallocating) the bindings, and a binding counts
-	// only if its stamp matches the current epoch. ConstProp runs inside
-	// Cleanup's fixpoint, so keeping this loop allocation-light matters.
-	env := constEnv{
-		val:   make([]ir.Arg, locSpace(f)),
-		stamp: make([]uint32, locSpace(f)),
-	}
+	return newWorkspace(f).constProp(f)
+}
+
+func (ws *workspace) constProp(f *ir.Func) int {
+	env := &ws.env
+	env.size(ws.spaceOf(f))
 	changed := 0
 	for _, b := range f.Blocks {
 		env.epoch++
@@ -74,11 +71,31 @@ func ConstProp(f *ir.Func) int {
 }
 
 // constEnv is ConstProp's per-block binding environment: location ->
-// known Arg, valid only while the stamp matches the current epoch.
+// known Arg, over dense arrays indexed by location.
+//
+// Entering a block bumps the epoch instead of clearing the bindings: a
+// binding counts only while its stamp matches the current epoch. A copy
+// binding "l = src" also dies when src is redefined. Rather than scan
+// for the copies of src on every definition, each location counts its
+// definitions (gen), and a copy binding records its source's count when
+// it is made (srcGen): the binding holds while the two still agree.
 type constEnv struct {
-	val   []ir.Arg
-	stamp []uint32
-	epoch uint32
+	val    []ir.Arg
+	stamp  []uint32
+	gen    []uint32
+	srcGen []uint32
+	epoch  uint32
+}
+
+// size makes the environment cover n locations. Reallocated arrays start
+// with zero stamps, which no epoch matches.
+func (e *constEnv) size(n int) {
+	if len(e.val) < n {
+		e.val = make([]ir.Arg, n)
+		e.stamp = make([]uint32, n)
+		e.gen = make([]uint32, n)
+		e.srcGen = make([]uint32, n)
+	}
 }
 
 func (e *constEnv) sub(a ir.Arg) ir.Arg {
@@ -89,7 +106,9 @@ func (e *constEnv) sub(a ir.Arg) ir.Arg {
 		return ir.C(0)
 	}
 	if e.stamp[a.Loc] == e.epoch {
-		return e.val[a.Loc]
+		if v := e.val[a.Loc]; v.IsConst || e.gen[v.Loc] == e.srcGen[a.Loc] {
+			return v
+		}
 	}
 	return a
 }
@@ -97,17 +116,16 @@ func (e *constEnv) sub(a ir.Arg) ir.Arg {
 func (e *constEnv) define(l ir.Loc, a ir.Arg) {
 	e.val[l] = a
 	e.stamp[l] = e.epoch
+	if !a.IsConst {
+		e.srcGen[l] = e.gen[a.Loc]
+	}
 }
 
-// invalidate drops the binding for l and every copy binding that reads
-// it.
+// invalidate drops the binding for l and, through l's definition count,
+// every copy binding that reads it.
 func (e *constEnv) invalidate(l ir.Loc) {
 	e.stamp[l] = 0
-	for k := range e.val {
-		if e.stamp[k] == e.epoch && !e.val[k].IsConst && e.val[k].Loc == l {
-			e.stamp[k] = 0
-		}
-	}
+	e.gen[l]++
 }
 
 // callClobbered lists locations a call may redefine (MIPS o32
@@ -264,100 +282,44 @@ func evalBinary(op ir.Op, a, b int32) (int32, bool) {
 // "r25 = add r25, 1"). Registers are freely reused by compilers, so the
 // deadness check must be liveness-based rather than use-count-based.
 func FoldMoves(f *ir.Func) int {
-	_, liveOut := abiLiveness(f)
+	ws := newWorkspace(f)
+	ws.liveness(f)
+	return ws.foldMoves(f)
+}
+
+// foldMoves is FoldMoves over the block liveness in ws. A fold changes
+// no block's live-in set, so that liveness stays valid for DeadCode.
+//
+// Each block is walked backwards, carrying the set of locations read
+// later in the block before being redefined. The set starts empty rather
+// than at the block's live-out set: a location live out of the block
+// blocks the fold even when the block redefines it after the move.
+// Folds never overlap (a fold needs a move at i and a non-move at i-1),
+// and the set carried past a folded pair is the one the unfolded pair
+// would give, so the walk folds exactly the pairs a forward scan would.
+func (ws *workspace) foldMoves(f *ir.Func) int {
 	folded := 0
+	used := ws.live
 	for _, b := range f.Blocks {
-		for i := 1; i < len(b.Instrs); i++ {
+		liveOut := ws.liveOut.at(b.Index)
+		used.reset()
+		for i := len(b.Instrs) - 1; i >= 1; i-- {
 			mv := &b.Instrs[i]
-			if mv.Op != ir.Move || mv.A.IsConst {
-				continue
+			if mv.Op == ir.Move && !mv.A.IsConst {
+				x := mv.A.Loc
+				prev := &b.Instrs[i-1]
+				if x != ir.RegZero && x != mv.Dst && prev.HasDst() && prev.Dst == x && prev.Op != ir.Move &&
+					!used.has(x) && !liveOut.has(x) {
+					prev.Dst = mv.Dst
+					*mv = ir.Instr{Op: ir.Nop, Addr: mv.Addr}
+					folded++
+					continue
+				}
 			}
-			x := mv.A.Loc
-			if x == ir.RegZero || x == mv.Dst {
-				continue
-			}
-			prev := &b.Instrs[i-1]
-			if !prev.HasDst() || prev.Dst != x || prev.Op == ir.Move {
-				continue
-			}
-			if usedLater(b, i+1, x) || liveOut.at(b.Index).has(x) {
-				continue
-			}
-			prev.Dst = mv.Dst
-			*mv = ir.Instr{Op: ir.Nop, Addr: mv.Addr}
-			folded++
+			used.transfer(mv)
 		}
 	}
 	return folded
-}
-
-// usedLater reports whether loc is read in b at or after index from,
-// before being redefined.
-func usedLater(b *ir.Block, from int, loc ir.Loc) bool {
-	var ub [2]ir.Loc
-	for i := from; i < len(b.Instrs); i++ {
-		in := &b.Instrs[i]
-		for _, u := range effUses(in, ub[:0]) {
-			if u == loc {
-				return true
-			}
-		}
-		if in.Op == ir.Call {
-			// The call may observe caller-saved state only via args,
-			// which effUses covers; a clobber ends the live range.
-			for _, l := range callClobbered {
-				if l == loc {
-					return false
-				}
-			}
-		}
-		if in.HasDst() && in.Dst == loc {
-			return false
-		}
-	}
-	return false
-}
-
-// abiLiveness computes block liveness with ABI-aware uses (calls read
-// argument registers, returns read the ABI-live set). The returned sets
-// share one backing allocation; treat them as read-only.
-func abiLiveness(f *ir.Func) (liveIn, liveOut locSets) {
-	n := len(f.Blocks)
-	sets := newLocSets(2*n+1, locSpace(f))
-	liveIn, liveOut = sets.slice(0, n), sets.slice(n, 2*n)
-	live := sets.at(2 * n)
-	var ub [2]ir.Loc
-	for changed := true; changed; {
-		changed = false
-		for i := n - 1; i >= 0; i-- {
-			b := f.Blocks[i]
-			live.reset()
-			for _, s := range b.Succs {
-				live.or(liveIn.at(s.Index))
-			}
-			if liveOut.at(i).or(live) {
-				changed = true
-			}
-			for j := len(b.Instrs) - 1; j >= 0; j-- {
-				in := &b.Instrs[j]
-				if in.HasDst() {
-					live.clear(in.Dst)
-				}
-				if in.Op == ir.Call {
-					for _, l := range callClobbered {
-						live.clear(l)
-					}
-				}
-				for _, u := range effUses(in, ub[:0]) {
-					live.set(u)
-				}
-			}
-			if liveIn.at(i).or(live) {
-				changed = true
-			}
-		}
-	}
-	return liveIn, liveOut
 }
 
 // effUses extends Instr.Uses with ABI effects: calls read the argument
@@ -383,46 +345,19 @@ var haltUses = []ir.Loc{ir.RegV0}
 // using backwards per-instruction liveness with ABI-aware uses. Returns
 // the number of instructions removed.
 func DeadCode(f *ir.Func) int {
-	// Block-level liveness with ABI uses folded in.
-	n := len(f.Blocks)
-	sets := newLocSets(n+1, locSpace(f))
-	liveIn, live := sets.slice(0, n), sets.at(n)
-	var ub [2]ir.Loc
-	for changed := true; changed; {
-		changed = false
-		for i := n - 1; i >= 0; i-- {
-			b := f.Blocks[i]
-			live.reset()
-			for _, s := range b.Succs {
-				live.or(liveIn.at(s.Index))
-			}
-			for j := len(b.Instrs) - 1; j >= 0; j-- {
-				in := &b.Instrs[j]
-				if in.HasDst() {
-					live.clear(in.Dst)
-				}
-				if in.Op == ir.Call {
-					for _, l := range callClobbered {
-						live.clear(l)
-					}
-				}
-				for _, u := range effUses(in, ub[:0]) {
-					live.set(u)
-				}
-			}
-			if liveIn.at(i).or(live) {
-				changed = true
-			}
-		}
-	}
+	ws := newWorkspace(f)
+	ws.liveness(f)
+	return ws.deadCode(f)
+}
 
+// deadCode is DeadCode over the block liveness in ws, which must be
+// current for f.
+func (ws *workspace) deadCode(f *ir.Func) int {
 	removed := 0
-	for i := n - 1; i >= 0; i-- {
+	live := ws.live
+	for i := len(f.Blocks) - 1; i >= 0; i-- {
 		b := f.Blocks[i]
-		live.reset()
-		for _, s := range b.Succs {
-			live.or(liveIn.at(s.Index))
-		}
+		copy(live, ws.liveOut.at(i))
 		for j := len(b.Instrs) - 1; j >= 0; j-- {
 			in := &b.Instrs[j]
 			if in.HasDst() && !live.has(in.Dst) && pure(in) {
@@ -430,17 +365,7 @@ func DeadCode(f *ir.Func) int {
 				removed++
 				continue
 			}
-			if in.HasDst() {
-				live.clear(in.Dst)
-			}
-			if in.Op == ir.Call {
-				for _, l := range callClobbered {
-					live.clear(l)
-				}
-			}
-			for _, u := range effUses(in, ub[:0]) {
-				live.set(u)
-			}
+			live.transfer(in)
 		}
 	}
 	// Drop accumulated Nops.
@@ -471,52 +396,66 @@ func pure(in *ir.Instr) bool {
 // every later program point (the entry block dominates everything, and a
 // single def cannot be shadowed). Returns substitutions made.
 func GlobalConstProp(f *ir.Func) int {
+	return newWorkspace(f).globalConstProp(f)
+}
+
+// gcpEntry is GlobalConstProp's per-location record.
+type gcpEntry struct {
+	defs int32 // definitions in the function
+	val  int32 // the constant, when entryConst
+	// entryConst reports that the location's last definition is a
+	// constant move in the entry block.
+	entryConst bool
+	// seen reports that a substitutable location's definition has been
+	// passed in the rewrite walk.
+	seen bool
+}
+
+func (ws *workspace) globalConstProp(f *ir.Func) int {
 	if len(f.Blocks) == 0 {
 		return 0
 	}
-	defCount := map[ir.Loc]int{}
-	constVal := map[ir.Loc]int32{}
-	inEntry := map[ir.Loc]bool{}
+	ws.gcp = reuse(ws.gcp, ws.spaceOf(f))
+	tab := ws.gcp
 	for bi, b := range f.Blocks {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			if !in.HasDst() {
 				continue
 			}
-			defCount[in.Dst]++
-			if in.Op == ir.Move && in.A.IsConst {
-				constVal[in.Dst] = in.A.Val
-				inEntry[in.Dst] = bi == 0
-			} else {
-				delete(constVal, in.Dst)
+			e := &tab[in.Dst]
+			e.defs++
+			e.entryConst = bi == 0 && in.Op == ir.Move && in.A.IsConst
+			if e.entryConst {
+				e.val = in.A.Val
 			}
 		}
 	}
 	// Only locations with exactly one def: a constant move in the entry
 	// block.
-	sub := map[ir.Loc]int32{}
-	for loc, v := range constVal {
-		if defCount[loc] == 1 && inEntry[loc] {
-			sub[loc] = v
+	found := false
+	for i := range tab {
+		if tab[i].entryConst && tab[i].defs == 1 {
+			found = true
+			break
 		}
 	}
-	if len(sub) == 0 {
+	if !found {
 		return 0
 	}
 	n := 0
-	seenDef := map[ir.Loc]bool{}
+	rewrite := func(a *ir.Arg) {
+		if a.IsConst {
+			return
+		}
+		if e := &tab[a.Loc]; e.seen {
+			*a = ir.C(e.val)
+			n++
+		}
+	}
 	for _, b := range f.Blocks {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
-			rewrite := func(a *ir.Arg) {
-				if a.IsConst {
-					return
-				}
-				if v, ok := sub[a.Loc]; ok && seenDef[a.Loc] {
-					*a = ir.C(v)
-					n++
-				}
-			}
 			switch {
 			case in.Op.IsBinary() || in.Op == ir.Branch || in.Op == ir.Store:
 				rewrite(&in.A)
@@ -525,8 +464,8 @@ func GlobalConstProp(f *ir.Func) int {
 				rewrite(&in.A)
 			}
 			if in.HasDst() {
-				if _, ok := sub[in.Dst]; ok {
-					seenDef[in.Dst] = true
+				if e := &tab[in.Dst]; e.entryConst && e.defs == 1 {
+					e.seen = true
 				}
 			}
 		}
@@ -542,11 +481,18 @@ const cleanupRounds = 8
 // reports whether it reached the fixpoint (a round that changed nothing)
 // within cleanupRounds rounds; at a fixpoint, running it again is a no-op.
 func Cleanup(f *ir.Func) bool {
+	return newWorkspace(f).cleanup(f)
+}
+
+// cleanup is Cleanup in ws. Each round computes block liveness once,
+// after the constant passes, and FoldMoves and DeadCode share it.
+func (ws *workspace) cleanup(f *ir.Func) bool {
 	for i := 0; i < cleanupRounds; i++ {
-		c := ConstProp(f)
-		c += GlobalConstProp(f)
-		c += FoldMoves(f)
-		c += DeadCode(f)
+		c := ws.constProp(f)
+		c += ws.globalConstProp(f)
+		ws.liveness(f)
+		c += ws.foldMoves(f)
+		c += ws.deadCode(f)
 		if c == 0 {
 			return true
 		}

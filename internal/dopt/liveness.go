@@ -78,3 +78,111 @@ func (ls locSets) at(i int) locSet {
 func (ls locSets) slice(lo, hi int) locSets {
 	return locSets{words: ls.words, w: ls.w[lo*ls.words : hi*ls.words]}
 }
+
+// workspace holds the dense, location-indexed tables the passes of one
+// OptimizeWith call share, so a fact is computed into a slice that lives
+// for the call instead of a map or a fresh allocation per pass. Tables
+// are sized on use by spaceOf. Nothing in a workspace outlives the call
+// that made it.
+type workspace struct {
+	space int
+	// liveIn and liveOut are the block liveness the last liveness call
+	// computed; live is a scratch set over the same space.
+	sets            locSets
+	liveIn, liveOut locSets
+	live            locSet
+	env             constEnv
+	gcp             []gcpEntry
+	width           []uint8
+	chains          blockChains
+}
+
+// newWorkspace returns a workspace over f's current location space.
+func newWorkspace(f *ir.Func) *workspace {
+	return &workspace{space: locSpace(f)}
+}
+
+// spaceOf returns the location space a table over f must span: the
+// space scanned when ws was made, grown by any virtual location a pass
+// has allocated since.
+func (ws *workspace) spaceOf(f *ir.Func) int {
+	ws.space = max(ws.space, int(f.NextLoc))
+	return ws.space
+}
+
+// liveness computes block liveness with ABI-aware uses (calls read
+// argument registers, returns read the ABI-live set) into ws.liveIn and
+// ws.liveOut, which stay valid until the IR or the next liveness call
+// changes them.
+//
+// Each block is summarized once, as the locations it reads before
+// writing them (use) and the locations it writes (def), so the fixpoint
+// iterates over words: live-in = use ∪ (live-out \ def).
+func (ws *workspace) liveness(f *ir.Func) {
+	n, space := len(f.Blocks), ws.spaceOf(f)
+	if ws.sets.words != (space+63)/64 || len(ws.sets.w) != (4*n+1)*ws.sets.words {
+		ws.sets = newLocSets(4*n+1, space)
+	} else {
+		clear(ws.sets.w)
+	}
+	ws.liveIn, ws.liveOut = ws.sets.slice(0, n), ws.sets.slice(n, 2*n)
+	use, def := ws.sets.slice(2*n, 3*n), ws.sets.slice(3*n, 4*n)
+	ws.live = ws.sets.at(4 * n)
+	for i, b := range f.Blocks {
+		u, d := use.at(i), def.at(i)
+		for j := len(b.Instrs) - 1; j >= 0; j-- {
+			in := &b.Instrs[j]
+			u.transfer(in)
+			if in.HasDst() {
+				d.set(in.Dst)
+			}
+			if in.Op == ir.Call {
+				for _, l := range callClobbered {
+					d.set(l)
+				}
+			}
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		for i := n - 1; i >= 0; i-- {
+			out := ws.liveOut.at(i)
+			for _, s := range f.Blocks[i].Succs {
+				out.or(ws.liveIn.at(s.Index))
+			}
+			in, u, d := ws.liveIn.at(i), use.at(i), def.at(i)
+			for w := range in {
+				if nw := in[w] | u[w] | out[w]&^d[w]; nw != in[w] {
+					in[w] = nw
+					changed = true
+				}
+			}
+		}
+	}
+}
+
+// transfer moves s backwards across in: in's definitions (a call's
+// clobbers included) leave the set, then its ABI-aware uses join it.
+func (s locSet) transfer(in *ir.Instr) {
+	if in.HasDst() {
+		s.clear(in.Dst)
+	}
+	if in.Op == ir.Call {
+		for _, l := range callClobbered {
+			s.clear(l)
+		}
+	}
+	var ub [2]ir.Loc
+	for _, u := range effUses(in, ub[:0]) {
+		s.set(u)
+	}
+}
+
+// abiLiveness computes f's ABI-aware block liveness in a workspace of
+// its own. The returned sets share one backing allocation; treat them as
+// read-only.
+func abiLiveness(f *ir.Func) (liveIn, liveOut locSets) {
+	ws := newWorkspace(f)
+	ws.liveness(f)
+	return ws.liveIn, ws.liveOut
+}

@@ -40,44 +40,49 @@ func Optimize(f *ir.Func) Report {
 // nothing exactly when it left the IR unchanged. So a Cleanup is skipped
 // when the previous one reached its fixpoint and every pass since then
 // reports no change: it would find nothing to do.
+//
+// The passes share one workspace of dense tables, made for this call and
+// dropped with it.
 func OptimizeWith(f *ir.Func, cfg Config) Report {
 	var rep Report
+	ws := newWorkspace(f)
 
 	// Instruction-set overhead removal.
-	ConstProp(f)
-	rep.MovesFolded += FoldMoves(f)
-	rep.DeadRemoved += DeadCode(f)
-	fixed := Cleanup(f)
+	ws.constProp(f)
+	ws.liveness(f)
+	rep.MovesFolded += ws.foldMoves(f)
+	rep.DeadRemoved += ws.deadCode(f)
+	fixed := ws.cleanup(f)
 	if !cfg.NoStackRemoval {
 		rep.Stack = RemoveStackOps(f)
 		if !fixed || rep.Stack.Changed() {
-			fixed = Cleanup(f)
+			fixed = ws.cleanup(f)
 		}
 	}
 
 	// Undo compiler optimizations.
 	changed := false
 	if !cfg.NoReroll {
-		rep.Reroll = Reroll(f)
+		rep.Reroll = ws.reroll(f)
 		changed = rep.Reroll.Changed()
 	}
 	if !cfg.NoPromote {
-		rep.Promote = PromoteStrength(f)
+		rep.Promote = ws.promoteStrength(f)
 		changed = changed || rep.Promote.Changed()
 	}
 	if !fixed || changed {
-		fixed = Cleanup(f)
+		fixed = ws.cleanup(f)
 	}
 
 	// Final synthesis-oriented rewrites and annotations.
 	if !cfg.NoStrengthRed {
 		rep.StrengthReduced = StrengthReduce(f)
 		if !fixed || rep.StrengthReduced > 0 {
-			Cleanup(f)
+			ws.cleanup(f)
 		}
 	}
 	if !cfg.NoWidthReduce {
-		rep.Width = ReduceWidths(f)
+		rep.Width = ws.reduceWidths(f)
 	}
 	return rep
 }

@@ -47,12 +47,20 @@ func (r RerollReport) Changed() bool { return len(r.Rerolled) > 0 }
 // Anything else aborts the reroll, so the rewrite is semantics-preserving
 // by construction.
 func Reroll(f *ir.Func) RerollReport {
+	return newWorkspace(f).reroll(f)
+}
+
+// reroll is Reroll in ws. Each loop-search round computes block liveness
+// at most once, when its first candidate body needs it; a successful
+// reroll ends the round.
+func (ws *workspace) reroll(f *ir.Func) RerollReport {
 	rep := RerollReport{Factors: map[int]int{}}
 	for {
 		loops := ir.FindLoops(f)
 		done := true
+		live := false
 		for _, l := range loops {
-			if k, removed, body := tryReroll(f, l); k > 1 {
+			if k, removed, body := ws.tryReroll(f, l, &live); k > 1 {
 				rep.Rerolled = append(rep.Rerolled, k)
 				rep.InstrsRemoved += removed
 				for idx := range l.Blocks {
@@ -72,7 +80,10 @@ func Reroll(f *ir.Func) RerollReport {
 	}
 }
 
-func tryReroll(f *ir.Func, l *ir.Loop) (factor, removed, bodyIdx int) {
+// tryReroll rerolls l if its body is k copies of one group. live reports
+// whether ws holds the round's liveness, and is set when tryReroll
+// computes it.
+func (ws *workspace) tryReroll(f *ir.Func, l *ir.Loop, live *bool) (factor, removed, bodyIdx int) {
 	if len(l.IndVars) == 0 || len(l.Blocks) > 2 {
 		return 0, 0, 0
 	}
@@ -112,8 +123,11 @@ func tryReroll(f *ir.Func, l *ir.Loop) (factor, removed, bodyIdx int) {
 			}
 		}
 	}
-	_, liveOut := abiLiveness(f)
-	m := newRerollMatcher(body, ivStep, liveOut.at(body.Index), defsInLoop, loopStores)
+	if !*live {
+		ws.liveness(f)
+		*live = true
+	}
+	m := newRerollMatcher(body, ivStep, ws.liveOut.at(body.Index), &ws.chains, defsInLoop, loopStores)
 	if m == nil {
 		return 0, 0, 0
 	}
@@ -219,13 +233,15 @@ type rerollMatcher struct {
 	dstMismatch map[int]bool
 }
 
-func newRerollMatcher(b *ir.Block, ivStep map[ir.Loc]int32, liveOut locSet, defsInLoop map[ir.Loc]bool, loopStores bool) *rerollMatcher {
+// newRerollMatcher analyzes body block b, building its def chains in bc.
+func newRerollMatcher(b *ir.Block, ivStep map[ir.Loc]int32, liveOut locSet, bc *blockChains, defsInLoop map[ir.Loc]bool, loopStores bool) *rerollMatcher {
+	bc.reset(b, liveOut)
 	m := &rerollMatcher{
 		b:          b,
 		ivStep:     ivStep,
 		classes:    make([]instrClass, len(b.Instrs)),
 		binding:    map[int]offsetBinding{},
-		bc:         newBlockChains(b, liveOut),
+		bc:         bc,
 		coreIdx:    make([]int, len(b.Instrs)),
 		liveOut:    liveOut,
 		defsInLoop: defsInLoop,

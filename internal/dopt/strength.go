@@ -80,12 +80,16 @@ func (r PromoteReport) Changed() bool { return r.Multiplies > 0 }
 // definition may be subsumed only if that one instruction is its sole
 // consumer and its value does not escape the block.
 func PromoteStrength(f *ir.Func) PromoteReport {
-	var rep PromoteReport
-	_, liveOut := abiLiveness(f)
+	return newWorkspace(f).promoteStrength(f)
+}
 
-	var bc blockChains
+func (ws *workspace) promoteStrength(f *ir.Func) PromoteReport {
+	var rep PromoteReport
+	ws.liveness(f)
+	bc := &ws.chains
 	for _, b := range f.Blocks {
-		bc.reset(b, liveOut.at(b.Index))
+		liveOut := ws.liveOut.at(b.Index)
+		bc.reset(b, liveOut)
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			if in.Op != ir.Add && in.Op != ir.Sub {
@@ -99,7 +103,7 @@ func PromoteStrength(f *ir.Func) PromoteReport {
 			rep.Multiplies++
 			rep.OpsCollapsed += len(members)
 			// Definitions changed; rebuild the block's def chains.
-			bc.reset(b, liveOut.at(b.Index))
+			bc.reset(b, liveOut)
 		}
 	}
 	return rep
@@ -116,16 +120,14 @@ type blockChains struct {
 	defOfA, defOfB []int
 	useCount       []int
 	escapes        []bool
-	lastDef        map[ir.Loc]int // scratch: the reaching def of each location
+	// lastDef is scratch over the location space: the reaching def of
+	// each location during reset, -1 for none. It is all -1 between
+	// resets.
+	lastDef []int32
 }
 
-func newBlockChains(b *ir.Block, liveOut locSet) *blockChains {
-	bc := new(blockChains)
-	bc.reset(b, liveOut)
-	return bc
-}
-
-// reset rebuilds the chains for block b, reusing bc's buffers.
+// reset rebuilds the chains for block b, reusing bc's buffers. liveOut
+// spans the function's location space.
 func (bc *blockChains) reset(b *ir.Block, liveOut locSet) {
 	n := len(b.Instrs)
 	bc.b = b
@@ -133,19 +135,18 @@ func (bc *blockChains) reset(b *ir.Block, liveOut locSet) {
 	bc.defOfB = reuse(bc.defOfB, n)
 	bc.useCount = reuse(bc.useCount, n)
 	bc.escapes = reuse(bc.escapes, n)
-	if bc.lastDef == nil {
-		bc.lastDef = make(map[ir.Loc]int)
+	if space := 64 * len(liveOut); len(bc.lastDef) < space {
+		bc.lastDef = make([]int32, space)
+		for i := range bc.lastDef {
+			bc.lastDef[i] = -1
+		}
 	}
 	lastDef := bc.lastDef
-	clear(lastDef)
 	resolve := func(a ir.Arg) int {
 		if a.IsConst {
 			return -1
 		}
-		if d, ok := lastDef[a.Loc]; ok {
-			return d
-		}
-		return -1
+		return int(lastDef[a.Loc])
 	}
 	var ub [2]ir.Loc
 	for i := range b.Instrs {
@@ -155,19 +156,21 @@ func (bc *blockChains) reset(b *ir.Block, liveOut locSet) {
 		// Count consumers: every read of a location resolves to its
 		// reaching def.
 		for _, u := range effUses(in, ub[:0]) {
-			if d, ok := lastDef[u]; ok {
+			if d := lastDef[u]; d >= 0 {
 				bc.useCount[d]++
 			}
 		}
 		if in.HasDst() {
-			lastDef[in.Dst] = i
+			lastDef[in.Dst] = int32(i)
 		}
 	}
 	// The final def of a live-out location escapes; so does anything a
 	// call could observe indirectly (covered by effUses of the call).
-	for loc, d := range lastDef {
-		if liveOut.has(loc) {
-			bc.escapes[d] = true
+	// Visiting each final def also restores lastDef to all -1.
+	for i := range b.Instrs {
+		if in := &b.Instrs[i]; in.HasDst() && lastDef[in.Dst] == int32(i) {
+			bc.escapes[i] = liveOut.has(in.Dst)
+			lastDef[in.Dst] = -1
 		}
 	}
 }

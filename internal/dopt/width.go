@@ -17,10 +17,21 @@ type WidthReport struct {
 // ReduceWidths performs the paper's "operator size reduction": a
 // flow-insensitive bit-width analysis over the function that annotates
 // every binary operation with the number of low bits a synthesized
-// functional unit actually needs. Widths start at 32 and shrink
-// monotonically to a fixpoint, so the result is sound for any execution.
+// functional unit actually needs.
+//
+// A location's width is the join (maximum) over everything stored in
+// it. The first definition seen installs its width, and widths only grow
+// from there, bounded by 32 bits; the analysis iterates to that fixpoint,
+// so the result is sound for any execution.
 func ReduceWidths(f *ir.Func) WidthReport {
-	width := map[ir.Loc]int{}
+	return newWorkspace(f).reduceWidths(f)
+}
+
+// reduceWidths is ReduceWidths over a dense width table: 0 means no
+// definition seen yet (every width is at least 1).
+func (ws *workspace) reduceWidths(f *ir.Func) WidthReport {
+	ws.width = reuse(ws.width, ws.spaceOf(f))
+	width := ws.width
 	get := func(a ir.Arg) int {
 		if a.IsConst {
 			return constBits(a.Val)
@@ -28,8 +39,8 @@ func ReduceWidths(f *ir.Func) WidthReport {
 		if a.Loc == ir.RegZero {
 			return 1
 		}
-		if w, ok := width[a.Loc]; ok {
-			return w
+		if w := width[a.Loc]; w != 0 {
+			return int(w)
 		}
 		return 32
 	}
@@ -72,41 +83,24 @@ func ReduceWidths(f *ir.Func) WidthReport {
 		return 32
 	}
 
-	// Iterate to a (greatest) fixpoint. Widths can only shrink from the
-	// implicit initial 32, so iteration terminates.
-	for round := 0; round < 40; round++ {
-		changed := false
+	// Iterate to the fixpoint. After the first round every defined
+	// location has a width, each transfer is monotone in its operands'
+	// widths, and widths are bounded by 32, so iteration terminates.
+	for changed := true; changed; {
+		changed = false
 		for _, b := range f.Blocks {
 			for i := range b.Instrs {
 				in := &b.Instrs[i]
 				if !in.HasDst() {
 					continue
 				}
-				w := defWidth(in)
-				old, ok := width[in.Dst]
-				if !ok {
-					old = 32
-				}
 				// Join over multiple defs: a location needs the max
 				// width of anything stored in it.
-				nw := w
-				if ok && old > nw {
-					nw = old
-				}
-				if !ok || nw != old {
-					// First sight: install; afterwards only grow.
-					if !ok {
-						width[in.Dst] = w
-						changed = true
-					} else if nw > old {
-						width[in.Dst] = nw
-						changed = true
-					}
+				if w := uint8(defWidth(in)); width[in.Dst] == 0 || w > width[in.Dst] {
+					width[in.Dst] = w
+					changed = true
 				}
 			}
-		}
-		if !changed {
-			break
 		}
 	}
 

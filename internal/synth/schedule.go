@@ -17,7 +17,6 @@ package synth
 
 import (
 	"fmt"
-	"sort"
 
 	"binpart/internal/alias"
 	"binpart/internal/fpga"
@@ -48,23 +47,21 @@ func (r Resources) effectivePorts() int {
 // DefaultResources matches a mid-size Virtex-II deployment.
 var DefaultResources = Resources{MemPorts: 2, Multipliers: 8, Dividers: 1}
 
-// node is one operation in a block's dataflow graph.
+// node is one operation in a block's dataflow graph. A node's index in
+// dfg.nodes is its instruction's index in the block.
 type node struct {
-	idx    int // instruction index within the block
 	in     *ir.Instr
 	preds  []dep
-	succs  []int
 	state  int     // assigned control step
 	finish float64 // accumulated combinational delay at end of its state
-	class  fpga.OpClass
 	width  int
-	isMem  bool
-	// memObj is the resolved data object of a memory op. Each known
-	// object lives in its own dual-ported block RAM (the paper's step 2
-	// moves arrays into FPGA memory "increasing parallelism"), so port
-	// contention is per object; unresolved accesses share one default
-	// port pair.
-	memObj string
+	class  fpga.OpClass
+	// mem indexes the dfg's objs: the resolved data object of a memory
+	// op. Each known object lives in its own dual-ported block RAM (the
+	// paper's step 2 moves arrays into FPGA memory "increasing
+	// parallelism"), so port contention is per object; unresolved
+	// accesses share one default port pair, the object "".
+	mem int32
 }
 
 // dep is a dependence edge; chainable edges allow same-state execution.
@@ -75,8 +72,10 @@ type dep struct {
 
 // dfg is the per-block dataflow graph.
 type dfg struct {
-	nodes []*node
+	nodes []node
 	block *ir.Block
+	// objs lists the data objects the block's memory ops touch.
+	objs []string
 }
 
 // opClass maps an IR operation to its FPGA cost class. The bool result is
@@ -107,65 +106,125 @@ func opClass(in *ir.Instr) (fpga.OpClass, bool) {
 	return fpga.ClassLogic, false
 }
 
-// buildDFG constructs the dataflow graph of a block: true data
-// dependences via reaching definitions, plus ordering edges between
-// conflicting memory operations (alias-pruned), plus edges keeping the
-// terminator last.
-func buildDFG(b *ir.Block, am *alias.Info) *dfg {
-	g := &dfg{block: b}
-	lastDef := map[ir.Loc]int{}
-	var memOps []int
+// dfgBuilder carries dataflow-graph construction across the blocks of
+// one synthesis call: one node array for all of them, and dense scratch
+// tables indexed by location that every block reuses.
+type dfgBuilder struct {
+	nodes []node
+	edges []dep
+	// lastDef is each location's reaching definition in the block being
+	// built, -1 for none; it is all -1 between blocks.
+	lastDef []int32
+	memOps  []int32
+	refs    []alias.Ref
+	rec     []recEntry
+}
 
-	addDep := func(n *node, from int, chainable bool) {
-		for _, d := range n.preds {
-			if d.from == from {
+// newDFGBuilder sizes a builder for blocks.
+func newDFGBuilder(blocks []*ir.Block) *dfgBuilder {
+	total, space := 0, 0
+	for _, b := range blocks {
+		total += len(b.Instrs)
+		for i := range b.Instrs {
+			in := &b.Instrs[i]
+			space = max(space, int(in.Dst)+1, int(in.A.Loc)+1, int(in.B.Loc)+1)
+		}
+	}
+	bd := &dfgBuilder{
+		nodes:   make([]node, total),
+		edges:   make([]dep, 0, 2*total),
+		lastDef: make([]int32, space),
+	}
+	for i := range bd.lastDef {
+		bd.lastDef[i] = -1
+	}
+	return bd
+}
+
+// build constructs the dataflow graph of a block: true data dependences
+// via reaching definitions, plus ordering edges between conflicting
+// memory operations (alias-pruned), plus edges keeping the terminator
+// last. Each memory op's alias reference is fetched once.
+func (bd *dfgBuilder) build(b *ir.Block, am *alias.Info) *dfg {
+	n := len(b.Instrs)
+	g := &dfg{block: b, nodes: bd.nodes[:n:n]}
+	bd.nodes = bd.nodes[n:]
+	bd.memOps, bd.refs = bd.memOps[:0], bd.refs[:0]
+	// Every edge into a node is added while that node is current, so its
+	// preds are the tail of the edge list from first. A later append that
+	// moves the list leaves earlier nodes' preds on the old array, which
+	// nothing writes again.
+	first := 0
+	addDep := func(from int32, chainable bool) {
+		for _, d := range bd.edges[first:] {
+			if d.from == int(from) {
 				return
 			}
 		}
-		n.preds = append(n.preds, dep{from: from, chainable: chainable})
-		g.nodes[from].succs = append(g.nodes[from].succs, n.idx)
+		bd.edges = append(bd.edges, dep{from: int(from), chainable: chainable})
 	}
-
+	var ub [2]ir.Loc
 	for i := range b.Instrs {
 		in := &b.Instrs[i]
 		cls, _ := opClass(in)
-		n := &node{idx: i, in: in, class: cls, width: opWidth(in)}
-		g.nodes = append(g.nodes, n)
+		nd := &g.nodes[i]
+		*nd = node{in: in, class: cls, width: opWidth(in)}
+		first = len(bd.edges)
 
-		for _, u := range in.Uses() {
-			if d, ok := lastDef[u]; ok {
-				n.preds = append(n.preds, dep{from: d, chainable: true})
-				g.nodes[d].succs = append(g.nodes[d].succs, i)
+		for _, u := range in.AppendUses(ub[:0]) {
+			if d := bd.lastDef[u]; d >= 0 {
+				bd.edges = append(bd.edges, dep{from: int(d), chainable: true})
 			}
 		}
 		if in.Op == ir.Load || in.Op == ir.Store {
-			n.isMem = true
+			var r alias.Ref
 			if am != nil {
-				if r := am.RefOf(in); r.Known {
-					n.memObj = r.Sym
-				}
+				r = am.RefOf(in)
 			}
-			for _, m := range memOps {
-				mn := g.nodes[m]
-				if mn.in.Op == ir.Store || in.Op == ir.Store {
-					if am == nil || am.RefOf(mn.in).Conflicts(am.RefOf(in)) {
-						addDep(n, m, false)
+			sym := ""
+			if r.Known {
+				sym = r.Sym
+			}
+			nd.mem = g.object(sym)
+			for k, m := range bd.memOps {
+				if b.Instrs[m].Op == ir.Store || in.Op == ir.Store {
+					if am == nil || bd.refs[k].Conflicts(r) {
+						addDep(m, false)
 					}
 				}
 			}
-			memOps = append(memOps, i)
+			bd.memOps = append(bd.memOps, int32(i))
+			bd.refs = append(bd.refs, r)
 		}
 		if in.Op == ir.Branch || in.Op == ir.Jump || in.Op == ir.IJump || in.Op == ir.Ret || in.Op == ir.Halt {
 			// Terminators run after everything with a side effect.
-			for _, m := range memOps {
-				addDep(n, m, false)
+			for _, m := range bd.memOps {
+				addDep(m, false)
 			}
 		}
 		if in.HasDst() {
-			lastDef[in.Dst] = i
+			bd.lastDef[in.Dst] = int32(i)
+		}
+		end := len(bd.edges)
+		nd.preds = bd.edges[first:end:end]
+	}
+	for i := range b.Instrs {
+		if in := &b.Instrs[i]; in.HasDst() {
+			bd.lastDef[in.Dst] = -1
 		}
 	}
 	return g
+}
+
+// object returns the index of data object sym in g.objs, adding it.
+func (g *dfg) object(sym string) int32 {
+	for i, o := range g.objs {
+		if o == sym {
+			return int32(i)
+		}
+	}
+	g.objs = append(g.objs, sym)
+	return int32(len(g.objs) - 1)
 }
 
 // opWidth returns the operator width assigned by size reduction, or 32.
@@ -198,38 +257,40 @@ func schedule(g *dfg, res Resources, clockNs float64) *scheduleResult {
 	if clockNs <= 0 {
 		clockNs = DefaultTargetClockNs
 	}
-	type slot struct {
-		mem  map[string]int // per data object; "" = shared default pair
-		mult int
-		div  int
-	}
-	usage := []slot{{mem: map[string]int{}}}
-	ensure := func(s int) {
-		for len(usage) <= s {
-			usage = append(usage, slot{mem: map[string]int{}})
+	// usage[s*stride+k] counts state s's uses of shared resource k: the
+	// port pair of each data object in g.objs, then the multipliers, then
+	// the dividers.
+	nobj := len(g.objs)
+	stride := nobj + 2
+	var usage []int32
+	// resource returns n's shared resource and its per-state budget, or
+	// -1 when n uses none.
+	resource := func(n *node) (k, budget int) {
+		switch n.class {
+		case fpga.ClassMemPort:
+			return int(n.mem), res.effectivePorts()
+		case fpga.ClassMult:
+			return nobj, res.Multipliers
+		case fpga.ClassDiv:
+			return nobj + 1, res.Dividers
 		}
+		return -1, 0
+	}
+	// count returns the usage counter of resource k in state s, growing
+	// the table to reach it.
+	count := func(s, k int) *int32 {
+		if n := (s + 1) * stride; len(usage) < n {
+			usage = append(usage, make([]int32, n-len(usage))...)
+		}
+		return &usage[s*stride+k]
 	}
 	hasRoom := func(s int, n *node) bool {
-		ensure(s)
-		switch n.class {
-		case fpga.ClassMemPort:
-			return usage[s].mem[n.memObj] < res.effectivePorts()
-		case fpga.ClassMult:
-			return usage[s].mult < res.Multipliers
-		case fpga.ClassDiv:
-			return usage[s].div < res.Dividers
-		}
-		return true
+		k, budget := resource(n)
+		return k < 0 || int(*count(s, k)) < budget
 	}
 	take := func(s int, n *node) {
-		ensure(s)
-		switch n.class {
-		case fpga.ClassMemPort:
-			usage[s].mem[n.memObj]++
-		case fpga.ClassMult:
-			usage[s].mult++
-		case fpga.ClassDiv:
-			usage[s].div++
+		if k, _ := resource(n); k >= 0 {
+			*count(s, k)++
 		}
 	}
 
@@ -237,7 +298,8 @@ func schedule(g *dfg, res Resources, clockNs float64) *scheduleResult {
 	// DFG since edges point backwards.
 	maxState := 0
 	var maxChain float64
-	for _, n := range g.nodes {
+	for i := range g.nodes {
+		n := &g.nodes[i]
 		cost := fpga.CostOf(n.class, n.width)
 		if _, counts := opClass(n.in); !counts {
 			cost.DelayNs = 0.05 // moves and nops are wiring
@@ -257,7 +319,7 @@ func schedule(g *dfg, res Resources, clockNs float64) *scheduleResult {
 			moved := false
 			chainIn = 0
 			for _, d := range n.preds {
-				p := g.nodes[d.from]
+				p := &g.nodes[d.from]
 				min := p.state
 				if !d.chainable {
 					min = p.state + 1
@@ -311,7 +373,7 @@ func schedule(g *dfg, res Resources, clockNs float64) *scheduleResult {
 	// and would otherwise schedule into state 0, truncating the block's
 	// FSM).
 	if len(g.nodes) > 0 {
-		last := g.nodes[len(g.nodes)-1]
+		last := &g.nodes[len(g.nodes)-1]
 		switch last.in.Op {
 		case ir.Branch, ir.Jump, ir.IJump, ir.Ret, ir.Halt:
 			last.state = maxState
@@ -339,6 +401,7 @@ func allocate(scheds []*scheduleResult) *allocation {
 	// block's op count per state, class and width bucket.
 	const classes = int(fpga.ClassMemPort) + 1
 	var counts []int32
+	var crossing []bool
 	for _, sr := range scheds {
 		if n := sr.states * classes * len(widthBuckets); cap(counts) < n {
 			counts = make([]int32, n)
@@ -346,7 +409,8 @@ func allocate(scheds []*scheduleResult) *allocation {
 			counts = counts[:n]
 			clear(counts)
 		}
-		for _, n := range sr.g.nodes {
+		for i := range sr.g.nodes {
+			n := &sr.g.nodes[i]
 			if _, ok := opClass(n.in); !ok {
 				continue
 			}
@@ -367,15 +431,19 @@ func allocate(scheds []*scheduleResult) *allocation {
 			}
 		}
 		// Registers: producer values consumed in a later state.
-		for _, n := range sr.g.nodes {
-			crossing := false
-			for _, s := range n.succs {
-				if sr.g.nodes[s].state > n.state {
-					crossing = true
+		if n := len(sr.g.nodes); cap(crossing) < n {
+			crossing = make([]bool, n)
+		} else {
+			crossing = crossing[:n]
+			clear(crossing)
+		}
+		for i := range sr.g.nodes {
+			n := &sr.g.nodes[i]
+			for _, d := range n.preds {
+				if n.state > sr.g.nodes[d.from].state && !crossing[d.from] {
+					crossing[d.from] = true
+					al.regs++
 				}
-			}
-			if crossing {
-				al.regs++
 			}
 		}
 	}
@@ -436,21 +504,17 @@ func (al *allocation) area(states int) fpga.Area {
 
 // debugString renders a schedule for tests and tooling.
 func (sr *scheduleResult) debugString() string {
-	byState := map[int][]*node{}
 	maxS := 0
-	for _, n := range sr.g.nodes {
-		byState[n.state] = append(byState[n.state], n)
-		if n.state > maxS {
-			maxS = n.state
-		}
+	for i := range sr.g.nodes {
+		maxS = max(maxS, sr.g.nodes[i].state)
 	}
 	out := ""
 	for s := 0; s <= maxS; s++ {
 		out += fmt.Sprintf("state %d:\n", s)
-		ns := byState[s]
-		sort.Slice(ns, func(i, j int) bool { return ns[i].idx < ns[j].idx })
-		for _, n := range ns {
-			out += fmt.Sprintf("\t%s (w%d, end %.2fns)\n", n.in, n.width, n.finish)
+		for i := range sr.g.nodes {
+			if n := &sr.g.nodes[i]; n.state == s {
+				out += fmt.Sprintf("\t%s (w%d, end %.2fns)\n", n.in, n.width, n.finish)
+			}
 		}
 	}
 	return out

@@ -4,9 +4,15 @@ import (
 	"math/rand"
 	"testing"
 
+	"binpart/internal/alias"
 	"binpart/internal/fpga"
 	"binpart/internal/ir"
 )
+
+// buildDFG builds one block's dataflow graph in a builder of its own.
+func buildDFG(b *ir.Block, am *alias.Info) *dfg {
+	return newDFGBuilder([]*ir.Block{b}).build(b, am)
+}
 
 // randomBlock builds a random but well-formed straight-line block over
 // virtual locations, ending in a Ret.

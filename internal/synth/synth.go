@@ -56,8 +56,11 @@ type Design struct {
 	BlockStates map[int]int
 	Pipelines   []PipeInfo
 	MemObjects  []MemObject
-	// scheds retains the schedules for VHDL emission.
-	scheds map[int]*scheduleResult
+	// steps maps source block index to the control step of each of its
+	// instructions: all VHDL emission reads of a block's schedule. The
+	// dataflow graphs and schedules themselves are dropped when
+	// Synthesize returns.
+	steps map[int][]int
 	// Blocks retains the synthesized region for VHDL emission.
 	Blocks []*ir.Block
 }
@@ -69,17 +72,14 @@ func (d *Design) ClockMHz() float64 { return fpga.MHz(d.ClockNs) }
 func (d *Design) GateEquivalent() int { return d.Area.GateEquivalent() }
 
 // Schedule exposes a block's scheduled operations for the VHDL backend:
-// for each instruction index, the control step it executes in.
+// for each instruction index, the control step it executes in. stepOf is
+// the design's own table; treat it as read-only.
 func (d *Design) Schedule(blockIndex int) (states int, stepOf []int, ok bool) {
-	sr, found := d.scheds[blockIndex]
-	if !found {
+	stepOf, ok = d.steps[blockIndex]
+	if !ok {
 		return 0, nil, false
 	}
-	stepOf = make([]int, len(sr.g.nodes))
-	for i, n := range sr.g.nodes {
-		stepOf[i] = n.state
-	}
-	return sr.states, stepOf, true
+	return d.BlockStates[blockIndex], stepOf, true
 }
 
 // Region selects the blocks of a function to synthesize. A nil block set
@@ -148,18 +148,24 @@ func Synthesize(r Region, img *binimg.Image, opts Options) (*Design, error) {
 
 	d := &Design{
 		Name:        r.Name,
-		BlockStates: map[int]int{},
-		scheds:      map[int]*scheduleResult{},
+		BlockStates: make(map[int]int, len(blocks)),
+		steps:       make(map[int][]int, len(blocks)),
 		Blocks:      blocks,
 	}
-	var scheds []*scheduleResult
+	bd := newDFGBuilder(blocks)
+	scheds := make([]*scheduleResult, len(blocks))
+	steps := make([]int, len(bd.nodes))
 	var maxChain float64
-	for _, b := range blocks {
-		g := buildDFG(b, am)
-		sr := schedule(g, opts.Resources, opts.ClockNs)
-		scheds = append(scheds, sr)
-		d.scheds[b.Index] = sr
+	for i, b := range blocks {
+		sr := schedule(bd.build(b, am), opts.Resources, opts.ClockNs)
+		scheds[i] = sr
 		d.BlockStates[b.Index] = sr.states
+		stepOf := steps[:len(sr.g.nodes):len(sr.g.nodes)]
+		steps = steps[len(sr.g.nodes):]
+		for j := range sr.g.nodes {
+			stepOf[j] = sr.g.nodes[j].state
+		}
+		d.steps[b.Index] = stepOf
 		if sr.maxChain > maxChain {
 			maxChain = sr.maxChain
 		}
@@ -177,7 +183,7 @@ func Synthesize(r Region, img *binimg.Image, opts Options) (*Design, error) {
 
 	// Loop pipelining of single-block inner loops.
 	if opts.Pipeline {
-		d.Pipelines = pipelineLoops(r, d, opts.Resources)
+		d.Pipelines = pipelineLoops(r, scheds, bd, opts.Resources)
 	}
 
 	// Array migration into block RAM.
@@ -222,8 +228,9 @@ func findSymbol(img *binimg.Image, name string) (binimg.Symbol, bool) {
 
 // pipelineLoops computes initiation intervals for pipelinable loops in
 // the region: single-block bodies (plus the rotated test header) whose
-// iterations can overlap. II = max(resource II, recurrence II).
-func pipelineLoops(r Region, d *Design, res Resources) []PipeInfo {
+// iterations can overlap. II = max(resource II, recurrence II). scheds
+// are the region's block schedules, built by bd.
+func pipelineLoops(r Region, scheds []*scheduleResult, bd *dfgBuilder, res Resources) []PipeInfo {
 	var out []PipeInfo
 	loops := r.Loops
 	if loops == nil {
@@ -258,12 +265,17 @@ func pipelineLoops(r Region, d *Design, res Resources) []PipeInfo {
 				body = b
 			}
 		}
-		sr, ok := d.scheds[body.Index]
-		if !ok {
+		var sr *scheduleResult
+		for _, s := range scheds {
+			if s.g.block.Index == body.Index {
+				sr = s
+			}
+		}
+		if sr == nil {
 			continue
 		}
 		ii := resourceII(sr, res)
-		if rec := recurrenceII(sr); rec > ii {
+		if rec := bd.recurrenceII(sr); rec > ii {
 			ii = rec
 		}
 		if ii < 1 {
@@ -284,15 +296,16 @@ func pipelineLoops(r Region, d *Design, res Resources) []PipeInfo {
 // known data object owns a dual-ported block RAM (partitioning step 2
 // moved it on chip), so memory pressure is per object.
 func resourceII(sr *scheduleResult, res Resources) int {
-	memPerObj := map[string]int{}
+	perObj := make([]int, len(sr.g.objs))
 	mult, div := 0, 0
-	for _, n := range sr.g.nodes {
+	for i := range sr.g.nodes {
+		n := &sr.g.nodes[i]
 		if _, counts := opClass(n.in); !counts {
 			continue
 		}
 		switch n.class {
 		case fpga.ClassMemPort:
-			memPerObj[n.memObj]++
+			perObj[n.mem]++
 		case fpga.ClassMult:
 			mult++
 		case fpga.ClassDiv:
@@ -301,7 +314,7 @@ func resourceII(sr *scheduleResult, res Resources) int {
 	}
 	ii := 1
 	if ports := res.effectivePorts(); ports > 0 {
-		for _, c := range memPerObj {
+		for _, c := range perObj {
 			ii = maxI(ii, ceilDiv(c, ports))
 		}
 	}
@@ -314,47 +327,63 @@ func resourceII(sr *scheduleResult, res Resources) int {
 	return ii
 }
 
+// recEntry is recurrenceII's per-location record.
+type recEntry struct {
+	firstRead int32 // state of the first read before any write; -1 none
+	written   int32 // completion state of the final write; -1 none
+	reads     int32
+	def       bool
+	// selfAssoc reports that the final write is an associative
+	// self-update (x = x op y).
+	selfAssoc bool
+}
+
 // recurrenceII is the initiation interval forced by loop-carried scalar
 // dependences: for each location both read-before-write and written in
 // the block, the chain from first read to last write must fit in II.
 // Pure accumulators — a location read exactly once, by the associative
 // self-update that writes it — are re-associated into a reduction tree
-// and contribute no recurrence.
-func recurrenceII(sr *scheduleResult) int {
+// and contribute no recurrence. Its table over the locations is the
+// builder's, so the block must be one the builder was sized for.
+func (bd *dfgBuilder) recurrenceII(sr *scheduleResult) int {
+	if len(bd.rec) < len(bd.lastDef) {
+		bd.rec = make([]recEntry, len(bd.lastDef))
+	}
+	rec := bd.rec
+	for i := range rec {
+		rec[i] = recEntry{firstRead: -1, written: -1}
+	}
 	b := sr.g.block
-	written := map[ir.Loc]int{} // loc -> completion state of final write
-	firstRead := map[ir.Loc]int{}
-	def := map[ir.Loc]bool{}
-	readCount := map[ir.Loc]int{}
-	selfAssoc := map[ir.Loc]bool{}
-	for i, n := range sr.g.nodes {
+	var ub [2]ir.Loc
+	for i := range sr.g.nodes {
+		state := int32(sr.g.nodes[i].state)
 		in := &b.Instrs[i]
-		for _, u := range in.Uses() {
-			readCount[u]++
-			if !def[u] {
-				if _, seen := firstRead[u]; !seen {
-					firstRead[u] = n.state
-				}
+		for _, u := range in.AppendUses(ub[:0]) {
+			e := &rec[u]
+			e.reads++
+			if !e.def && e.firstRead < 0 {
+				e.firstRead = state
 			}
 		}
 		if in.HasDst() {
-			def[in.Dst] = true
-			written[in.Dst] = n.state
+			e := &rec[in.Dst]
+			e.def = true
+			e.written = state
 			isAssoc := in.Op == ir.Add || in.Op == ir.Xor || in.Op == ir.Or || in.Op == ir.And
 			readsSelf := (!in.A.IsConst && in.A.Loc == in.Dst) || (!in.B.IsConst && in.B.Loc == in.Dst)
-			selfAssoc[in.Dst] = isAssoc && readsSelf
+			e.selfAssoc = isAssoc && readsSelf
 		}
 	}
 	ii := 1
-	for loc, r := range firstRead {
-		w, ok := written[loc]
-		if !ok {
+	for i := range rec {
+		e := &rec[i]
+		if e.firstRead < 0 || e.written < 0 {
 			continue
 		}
-		if selfAssoc[loc] && readCount[loc] == 1 {
+		if e.selfAssoc && e.reads == 1 {
 			continue // tree-reducible accumulator
 		}
-		if span := w - r + 1; span > ii {
+		if span := int(e.written - e.firstRead + 1); span > ii {
 			ii = span
 		}
 	}
