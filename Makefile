@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race stress vet check bench experiments obs-smoke corpus-smoke bpartd-smoke
+.PHONY: build test race stress vet check bench experiments examples obs-smoke corpus-smoke bpartd-smoke
 
 build:
 	$(GO) build ./...
@@ -59,7 +59,12 @@ corpus-smoke:
 bpartd-smoke:
 	sh scripts/bpartd-smoke.sh
 
-check: vet build test race stress obs-smoke corpus-smoke bpartd-smoke
+# Runs every program under examples/; each must exit 0. crcaccel is also
+# the one non-test caller of vhdl.Check.
+examples:
+	for e in examples/*/; do $(GO) run ./$$e >/dev/null || exit 1; done
+
+check: vet build test race stress examples obs-smoke corpus-smoke bpartd-smoke
 
 # Runs every benchmark (the root package's and bpartd's warm-request
 # benchmark) and distills the results (per-stage ns/op plus the

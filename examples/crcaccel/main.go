@@ -80,10 +80,10 @@ func main() {
 		log.Fatal(err)
 	}
 	if err := vhdl.Check(text); err != nil {
-		log.Fatalf("generated VHDL failed structural check: %v", err)
+		log.Fatalf("generated VHDL failed to parse: %v", err)
 	}
 	lines := strings.Split(text, "\n")
-	fmt.Printf("== VHDL (%d lines, structurally checked); first 20:\n", len(lines))
+	fmt.Printf("== VHDL (%d lines, parsed and checked); first 20:\n", len(lines))
 	for i := 0; i < 20 && i < len(lines); i++ {
 		fmt.Printf("   %s\n", lines[i])
 	}

@@ -219,7 +219,7 @@ func TestFunctionGranularity(t *testing.T) {
 
 func TestAllBenchmarksEmitCheckedVHDL(t *testing.T) {
 	// System-level sweep: every selected region of every benchmark must
-	// synthesize to VHDL that passes the structural checker, with a
+	// synthesize to VHDL that the strict VHDL parser accepts, with a
 	// testbench to match.
 	for _, b := range bench.All() {
 		b := b

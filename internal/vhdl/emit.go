@@ -1,7 +1,7 @@
 // Package vhdl emits register-transfer-level VHDL for synthesized designs
-// (the output format of the reproduced paper's synthesis tool) and
-// provides a structural checker that validates the emitted text — the
-// stand-in for "Xilinx ISE accepts the VHDL and maps it to a netlist".
+// (the output format of the reproduced paper's synthesis tool) and reads
+// it back with one strict parser — the stand-in for "Xilinx ISE accepts
+// the VHDL and maps it to a netlist" — whose tree SimulateDesign runs.
 //
 // The generated style is a classic single-process FSMD: one clocked
 // process holding the state register and datapath variables, a case over

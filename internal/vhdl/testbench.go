@@ -11,8 +11,8 @@ import (
 // instantiates the entity, generates the clock at the design's estimated
 // period, applies reset, pulses start, and waits for done. This mirrors
 // the RTL-verification step of a conventional flow, for an external
-// simulator. In this repository the structural checker validates the
-// testbench, and SimulateDesign runs the same reset/start/done protocol
+// simulator. In this repository Check parses the testbench with the
+// reader SimulateDesign uses, and SimulateDesign runs the same protocol
 // on the design itself against the IR interpreter's results.
 func EmitTestbench(d *synth.Design) (string, error) {
 	name := sanitize(d.Name)

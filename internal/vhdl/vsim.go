@@ -1,18 +1,19 @@
 package vhdl
 
 import (
+	"cmp"
 	"fmt"
-	"strconv"
-	"strings"
 )
 
-// This file implements a simulator for the VHDL subset Emit generates:
-// one clocked FSMD process with variables, signal assignments, if/elsif
+// This file implements a simulator for the designs Emit generates: one
+// clocked FSMD process with variables, signal assignments, if/elsif
 // chains, a case over the state enum, and ieee.numeric_std arithmetic.
-// Together with the structural checker it closes the RTL verification
-// loop without an external toolchain: the generated text itself — not the
-// in-memory design — is parsed and executed, and differential tests
-// compare it against the IR interpreter.
+// It executes the tree the package's one VHDL reader (parse.go) builds,
+// so the generated text itself — not the in-memory design — is parsed,
+// checked and run without an external toolchain, and differential tests
+// compare it against the IR interpreter. The reader resolves every name
+// and keeps enumeration values apart from numbers, so evaluation cannot
+// fail.
 
 // SimConfig drives one simulation.
 type SimConfig struct {
@@ -54,431 +55,13 @@ type vval struct {
 	s    string // vEnum literal
 }
 
-func num32(n int32) vval   { return vval{kind: vNum, n: int64(n)} }
-func unum32(n uint32) vval { return vval{kind: vNum, n: int64(n), uns: true} }
-
-// ---------------------------------------------------------------------
-// AST.
-
-type vexpr interface{}
-
-type (
-	vIdent struct{ name string }
-	vLit   struct{ n int64 }
-	vCharL struct{ b byte }
-	vBitsL struct{ s string }
-	vCall  struct {
-		name string
-		args []vexpr
-	}
-	vSlice struct {
-		x      vexpr
-		hi, lo int
-	}
-	vUnary struct {
-		op string
-		x  vexpr
-	}
-	vBin struct {
-		op   string
-		l, r vexpr
-	}
-)
-
-type vstmt interface{}
-
-type (
-	vAssign struct {
-		dst    string
-		signal bool // "<=" vs ":="
-		rhs    vexpr
-	}
-	vIf struct {
-		conds []vexpr   // if + elsif conditions
-		arms  [][]vstmt // matching bodies
-		els   []vstmt
-	}
-	vCase struct {
-		sel  string
-		arms map[string][]vstmt
-	}
-)
-
-// fsmdDesign is the parsed FSMD.
-type fsmdDesign struct {
-	signals []string
-	vars    []string
-	states  map[string]bool
-	body    []vstmt
-}
-
-// ---------------------------------------------------------------------
-// Parser.
-
-type vparser struct {
-	toks []string
-	pos  int
-}
-
-func (p *vparser) peek() string {
-	if p.pos < len(p.toks) {
-		return p.toks[p.pos]
-	}
-	return ""
-}
-
-func (p *vparser) peekAt(k int) string {
-	if p.pos+k < len(p.toks) {
-		return p.toks[p.pos+k]
-	}
-	return ""
-}
-
-func (p *vparser) next() string {
-	t := p.peek()
-	p.pos++
-	return t
-}
-
-func (p *vparser) expect(t string) error {
-	if p.peek() != t {
-		return fmt.Errorf("vhdl-sim: expected %q, found %q (pos %d)", t, p.peek(), p.pos)
-	}
-	p.pos++
-	return nil
-}
-
-// parseDesign extracts the state enum, signal/variable names, and the
-// process body from the generated architecture.
-func parseDesign(text string) (*fsmdDesign, error) {
-	p := &vparser{toks: tokenize(text)}
-	d := &fsmdDesign{states: map[string]bool{}}
-
-	// Scan to the architecture declarations.
-	for p.pos < len(p.toks) {
-		switch p.peek() {
-		case "type":
-			// type state_t is ( a, b, ... );
-			p.next()
-			p.next() // state_t
-			if err := p.expect("is"); err != nil {
-				return nil, err
-			}
-			if err := p.expect("("); err != nil {
-				return nil, err
-			}
-			for p.peek() != ")" && p.pos < len(p.toks) {
-				if isIdent(p.peek()) {
-					d.states[p.peek()] = true
-				}
-				p.next()
-			}
-			p.next() // )
-		case "signal":
-			p.next()
-			d.signals = append(d.signals, p.next())
-		case "variable":
-			p.next()
-			d.vars = append(d.vars, p.next())
-		case "process":
-			// fsmd : process (clk) ... begin BODY end process fsmd;
-			p.next()
-			// Skip sensitivity list and variable decls up to "begin".
-			for p.peek() != "begin" && p.pos < len(p.toks) {
-				if p.peek() == "variable" {
-					p.next()
-					d.vars = append(d.vars, p.next())
-					continue
-				}
-				p.next()
-			}
-			if err := p.expect("begin"); err != nil {
-				return nil, err
-			}
-			body, err := p.stmts(map[string]bool{"end": true})
-			if err != nil {
-				return nil, err
-			}
-			d.body = body
-			return d, nil
-		default:
-			p.next()
-		}
-	}
-	return nil, fmt.Errorf("vhdl-sim: no process found")
-}
-
-// stmts parses statements until one of the stop keywords appears at the
-// statement position.
-func (p *vparser) stmts(stop map[string]bool) ([]vstmt, error) {
-	var out []vstmt
-	for p.pos < len(p.toks) {
-		t := p.peek()
-		if stop[t] {
-			return out, nil
-		}
-		switch t {
-		case "if":
-			s, err := p.ifStmt()
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, s)
-		case "case":
-			s, err := p.caseStmt()
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, s)
-		default:
-			if !isIdent(t) {
-				return nil, fmt.Errorf("vhdl-sim: unexpected token %q in statements", t)
-			}
-			dst := p.next()
-			op := p.next()
-			if op != "<=" && op != ":=" {
-				return nil, fmt.Errorf("vhdl-sim: expected assignment after %q, found %q", dst, op)
-			}
-			rhs, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expect(";"); err != nil {
-				return nil, err
-			}
-			out = append(out, &vAssign{dst: dst, signal: op == "<=", rhs: rhs})
-		}
-	}
-	return out, nil
-}
-
-func (p *vparser) ifStmt() (vstmt, error) {
-	s := &vIf{}
-	if err := p.expect("if"); err != nil {
-		return nil, err
-	}
-	for {
-		cond, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expect("then"); err != nil {
-			return nil, err
-		}
-		body, err := p.stmts(map[string]bool{"elsif": true, "else": true, "end": true})
-		if err != nil {
-			return nil, err
-		}
-		s.conds = append(s.conds, cond)
-		s.arms = append(s.arms, body)
-		if p.peek() != "elsif" {
-			break
-		}
-		p.next()
-	}
-	if p.peek() == "else" {
-		p.next()
-		els, err := p.stmts(map[string]bool{"end": true})
-		if err != nil {
-			return nil, err
-		}
-		s.els = els
-	}
-	if err := p.expect("end"); err != nil {
-		return nil, err
-	}
-	if err := p.expect("if"); err != nil {
-		return nil, err
-	}
-	if err := p.expect(";"); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-func (p *vparser) caseStmt() (vstmt, error) {
-	if err := p.expect("case"); err != nil {
-		return nil, err
-	}
-	sel := p.next()
-	if err := p.expect("is"); err != nil {
-		return nil, err
-	}
-	s := &vCase{sel: sel, arms: map[string][]vstmt{}}
-	for p.peek() == "when" {
-		p.next()
-		label := p.next()
-		if err := p.expect("=>"); err != nil {
-			return nil, err
-		}
-		body, err := p.stmts(map[string]bool{"when": true, "end": true})
-		if err != nil {
-			return nil, err
-		}
-		s.arms[label] = body
-	}
-	if err := p.expect("end"); err != nil {
-		return nil, err
-	}
-	if err := p.expect("case"); err != nil {
-		return nil, err
-	}
-	if err := p.expect(";"); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// Expressions: cmp over add over mul over unary over postfix/primary.
-
-func (p *vparser) expr() (vexpr, error) {
-	l, err := p.addExpr()
-	if err != nil {
-		return nil, err
-	}
-	switch p.peek() {
-	case "=", "/=", "<", "<=", ">", ">=":
-		op := p.next()
-		r, err := p.addExpr()
-		if err != nil {
-			return nil, err
-		}
-		return &vBin{op: op, l: l, r: r}, nil
-	}
-	return l, nil
-}
-
-func (p *vparser) addExpr() (vexpr, error) {
-	l, err := p.mulExpr()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		switch p.peek() {
-		case "+", "-", "and", "or", "xor":
-			op := p.next()
-			r, err := p.mulExpr()
-			if err != nil {
-				return nil, err
-			}
-			l = &vBin{op: op, l: l, r: r}
-		default:
-			return l, nil
-		}
-	}
-}
-
-func (p *vparser) mulExpr() (vexpr, error) {
-	l, err := p.unaryExpr()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		switch p.peek() {
-		case "*", "/", "rem":
-			op := p.next()
-			r, err := p.unaryExpr()
-			if err != nil {
-				return nil, err
-			}
-			l = &vBin{op: op, l: l, r: r}
-		default:
-			return l, nil
-		}
-	}
-}
-
-func (p *vparser) unaryExpr() (vexpr, error) {
-	if p.peek() == "-" {
-		p.next()
-		x, err := p.unaryExpr()
-		if err != nil {
-			return nil, err
-		}
-		return &vUnary{op: "-", x: x}, nil
-	}
-	return p.postfix()
-}
-
-func (p *vparser) postfix() (vexpr, error) {
-	x, err := p.primary()
-	if err != nil {
-		return nil, err
-	}
-	// Optional slice: (hi downto lo).
-	for p.peek() == "(" && p.peekAt(2) == "downto" {
-		p.next()
-		hi, err := strconv.Atoi(p.next())
-		if err != nil {
-			return nil, fmt.Errorf("vhdl-sim: bad slice bound")
-		}
-		if err := p.expect("downto"); err != nil {
-			return nil, err
-		}
-		lo2, err := strconv.Atoi(p.next())
-		if err != nil {
-			return nil, fmt.Errorf("vhdl-sim: bad slice bound")
-		}
-		if err := p.expect(")"); err != nil {
-			return nil, err
-		}
-		x = &vSlice{x: x, hi: hi, lo: lo2}
-	}
-	return x, nil
-}
-
-func (p *vparser) primary() (vexpr, error) {
-	t := p.peek()
-	switch {
-	case t == "(":
-		p.next()
-		x, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		return x, p.expect(")")
-	case len(t) == 3 && t[0] == '\'' && t[2] == '\'':
-		p.next()
-		return &vCharL{b: t[1]}, nil
-	case len(t) >= 2 && t[0] == '"':
-		p.next()
-		return &vBitsL{s: strings.Trim(t, `"`)}, nil
-	case isNumber(t):
-		p.next()
-		n, err := strconv.ParseInt(t, 10, 64)
-		if err != nil {
-			return nil, err
-		}
-		return &vLit{n: n}, nil
-	case isIdent(t):
-		p.next()
-		if p.peek() == "(" && p.peekAt(2) != "downto" {
-			p.next()
-			call := &vCall{name: t}
-			for p.peek() != ")" {
-				a, err := p.expr()
-				if err != nil {
-					return nil, err
-				}
-				call.args = append(call.args, a)
-				if p.peek() == "," {
-					p.next()
-				}
-			}
-			p.next() // )
-			return call, nil
-		}
-		return &vIdent{name: t}, nil
-	}
-	return nil, fmt.Errorf("vhdl-sim: unexpected token %q in expression", t)
-}
+func num32(n int32) vval { return vval{kind: vNum, n: int64(n)} }
 
 // ---------------------------------------------------------------------
 // Interpreter.
 
 type vmachine struct {
-	d       *fsmdDesign
-	signals map[string]vval
+	signals map[string]vval // ports and signals
 	pending map[string]vval
 	vars    map[string]vval
 	inputs  map[string]vval
@@ -520,14 +103,19 @@ func (m *vmachine) sig(name string) vval {
 	return m.signals[name]
 }
 
-func (m *vmachine) readMem(addr uint32, size int64, signed bool) int32 {
-	width := 4
+// accessWidth decodes the size port: 0 byte, 1 halfword, else word.
+func accessWidth(size int64) int {
 	switch size {
 	case 0:
-		width = 1
+		return 1
 	case 1:
-		width = 2
+		return 2
 	}
+	return 4
+}
+
+func (m *vmachine) readMem(addr uint32, size int64, signed bool) int32 {
+	width := accessWidth(size)
 	var v uint32
 	for i := 0; i < width; i++ {
 		v |= uint32(m.mem[addr+uint32(i)]) << (8 * i)
@@ -544,125 +132,100 @@ func (m *vmachine) readMem(addr uint32, size int64, signed bool) int32 {
 }
 
 func (m *vmachine) writeMem(addr uint32, v uint32, size int64) {
-	width := 4
-	switch size {
-	case 0:
-		width = 1
-	case 1:
-		width = 2
-	}
-	for i := 0; i < width; i++ {
+	for i := 0; i < accessWidth(size); i++ {
 		m.mem[addr+uint32(i)] = byte(v >> (8 * i))
 	}
 }
 
-func (m *vmachine) eval(e vexpr) (vval, error) {
+func (m *vmachine) eval(e vexpr) vval {
 	switch e := e.(type) {
 	case *vLit:
-		return vval{kind: vNum, n: e.n}, nil
-	case *vCharL:
-		return vval{kind: vBit, n: int64(e.b - '0')}, nil
-	case *vBitsL:
-		n, err := strconv.ParseInt(e.s, 2, 64)
-		if err != nil {
-			return vval{}, err
-		}
-		return vval{kind: vNum, n: n, uns: true}, nil
+		return e.v
 	case *vIdent:
 		if v, ok := m.vars[e.name]; ok {
-			return v, nil
+			return v
 		}
 		if v, ok := m.inputs[e.name]; ok {
-			return v, nil
+			return v
 		}
 		if v, ok := m.portRead(e.name); ok {
-			return v, nil
+			return v
 		}
-		if v, ok := m.signals[e.name]; ok {
-			return v, nil
-		}
-		if m.d.states[e.name] {
-			return vval{kind: vEnum, s: e.name}, nil
-		}
-		return vval{}, fmt.Errorf("vhdl-sim: unknown identifier %q", e.name)
-	case *vUnary:
-		x, err := m.eval(e.x)
-		if err != nil {
-			return vval{}, err
-		}
+		return m.signals[e.name]
+	case *vNeg:
+		x := m.eval(e.x)
 		x.n = int64(int32(-x.n))
-		return x, nil
+		return x
 	case *vSlice:
-		x, err := m.eval(e.x)
-		if err != nil {
-			return vval{}, err
-		}
+		x := m.eval(e.x)
 		width := e.hi - e.lo + 1
 		mask := int64(1)<<uint(width) - 1
-		return vval{kind: vNum, n: (x.n >> uint(e.lo)) & mask, uns: true}, nil
+		return vval{kind: vNum, n: (x.n >> uint(e.lo)) & mask, uns: true}
 	case *vCall:
-		return m.evalCall(e)
+		argv := make([]vval, len(e.args))
+		for i, a := range e.args {
+			argv[i] = m.eval(a)
+		}
+		return e.f.call(argv)
 	case *vBin:
-		return m.evalBin(e)
+		return evalBin(e.op, m.eval(e.l), m.eval(e.r))
 	}
-	return vval{}, fmt.Errorf("vhdl-sim: cannot evaluate %T", e)
+	panic(fmt.Sprintf("vhdl-sim: cannot evaluate %T", e))
 }
 
-func (m *vmachine) evalCall(e *vCall) (vval, error) {
-	argv := make([]vval, len(e.args))
-	for i, a := range e.args {
-		v, err := m.eval(a)
-		if err != nil {
-			return vval{}, err
-		}
-		argv[i] = v
-	}
-	switch e.name {
-	case "rising_edge":
-		return vval{kind: vBool, n: 1}, nil
-	case "to_signed":
-		return num32(int32(argv[0].n)), nil
-	case "signed":
-		v := argv[0]
-		v.uns = false
-		v.n = int64(int32(v.n))
-		v.kind = vNum
-		return v, nil
-	case "unsigned":
-		v := argv[0]
-		v.uns = true
-		v.n = int64(uint32(v.n))
-		v.kind = vNum
-		return v, nil
-	case "std_logic_vector":
-		return argv[0], nil
-	case "resize":
-		v := argv[0]
+// predef is one name from the ieee packages: a type, a function, or an
+// array type that also converts.
+type predef struct {
+	scalar bool // a type declared without a constraint
+	array  bool // a type declared with a (hi downto lo) constraint
+	arity  int
+	call   func(argv []vval) vval // nil: not callable
+}
+
+// predefined lists what the reader knows of std_logic_1164 and
+// numeric_std: the types a declaration may name and the functions, type
+// conversions included, an expression may call. The parser accepts a
+// call only to a name listed here with a call, and the evaluator runs
+// exactly that call.
+var predefined = map[string]predef{
+	"std_logic":        {scalar: true},
+	"std_logic_vector": {array: true, arity: 1, call: first},
+	// The machine only steps on rising edges.
+	"rising_edge": {arity: 1, call: func([]vval) vval { return vval{kind: vBool, n: 1} }},
+	"signed": {array: true, arity: 1, call: func(a []vval) vval {
+		return vval{kind: vNum, n: int64(int32(a[0].n))}
+	}},
+	"unsigned": {array: true, arity: 1, call: func(a []vval) vval {
+		return vval{kind: vNum, n: int64(uint32(a[0].n)), uns: true}
+	}},
+	"to_signed":  {arity: 2, call: func(a []vval) vval { return num32(int32(a[0].n)) }},
+	"to_integer": {arity: 1, call: first},
+	"resize": {arity: 2, call: func(a []vval) vval {
+		v := a[0]
 		if v.uns {
 			v.n = int64(uint32(v.n))
 		} else {
 			v.n = int64(int32(v.n))
 		}
-		return v, nil
-	case "to_integer":
-		return argv[0], nil
-	case "shift_left":
-		v := argv[0]
-		sh := uint(argv[1].n) & 63
-		v.n <<= sh
-		return v, nil
-	case "shift_right":
-		v := argv[0]
-		sh := uint(argv[1].n) & 63
+		return v
+	}},
+	"shift_left": {arity: 2, call: func(a []vval) vval {
+		v := a[0]
+		v.n <<= uint(a[1].n) & 63
+		return v
+	}},
+	"shift_right": {arity: 2, call: func(a []vval) vval {
+		v, sh := a[0], uint(a[1].n)&63
 		if v.uns {
 			v.n = int64(uint64(v.n) >> sh)
 		} else {
 			v.n >>= sh
 		}
-		return v, nil
-	}
-	return vval{}, fmt.Errorf("vhdl-sim: unknown function %q", e.name)
+		return v
+	}},
 }
+
+func first(a []vval) vval { return a[0] }
 
 func trunc32(v vval) vval {
 	if v.kind != vNum {
@@ -676,113 +239,77 @@ func trunc32(v vval) vval {
 	return v
 }
 
-func (m *vmachine) evalBin(e *vBin) (vval, error) {
-	l, err := m.eval(e.l)
-	if err != nil {
-		return vval{}, err
-	}
-	r, err := m.eval(e.r)
-	if err != nil {
-		return vval{}, err
-	}
+func evalBin(op string, l, r vval) vval {
 	uns := l.uns || r.uns
 	b2v := func(b bool) vval { return vval{kind: vBool, n: boolN(b)} }
 
-	// Enum and bit comparisons.
-	if l.kind == vEnum || r.kind == vEnum {
-		switch e.op {
-		case "=":
-			return b2v(l.s == r.s), nil
-		case "/=":
-			return b2v(l.s != r.s), nil
+	// The reader lets enumeration values meet only in = and /=.
+	if l.kind == vEnum {
+		if op == "=" {
+			return b2v(l.s == r.s)
 		}
-		return vval{}, fmt.Errorf("vhdl-sim: bad enum operation %q", e.op)
+		return b2v(l.s != r.s)
 	}
-	switch e.op {
+	switch op {
 	case "+":
-		return vval{kind: vNum, n: l.n + r.n, uns: uns}, nil
+		return vval{kind: vNum, n: l.n + r.n, uns: uns}
 	case "-":
-		return vval{kind: vNum, n: l.n - r.n, uns: uns}, nil
+		return vval{kind: vNum, n: l.n - r.n, uns: uns}
 	case "*":
 		// Keep the exact 64-bit product for mulh patterns; 32-bit users
 		// immediately resize.
 		if uns {
-			return vval{kind: vNum, n: int64(uint64(uint32(l.n)) * uint64(uint32(r.n))), uns: true}, nil
+			return vval{kind: vNum, n: int64(uint64(uint32(l.n)) * uint64(uint32(r.n))), uns: true}
 		}
-		return vval{kind: vNum, n: int64(int32(l.n)) * int64(int32(r.n))}, nil
+		return vval{kind: vNum, n: int64(int32(l.n)) * int64(int32(r.n))}
 	case "/":
 		if uint32(r.n) == 0 && int32(r.n) == 0 {
-			return vval{kind: vNum, n: 0, uns: uns}, nil
+			return vval{kind: vNum, n: 0, uns: uns}
 		}
 		if uns {
-			return vval{kind: vNum, n: int64(uint32(l.n) / uint32(r.n)), uns: true}, nil
+			return vval{kind: vNum, n: int64(uint32(l.n) / uint32(r.n)), uns: true}
 		}
 		if int32(l.n) == -1<<31 && int32(r.n) == -1 {
-			return num32(-1 << 31), nil
+			return num32(-1 << 31)
 		}
-		return vval{kind: vNum, n: int64(int32(l.n) / int32(r.n))}, nil
+		return vval{kind: vNum, n: int64(int32(l.n) / int32(r.n))}
 	case "rem":
 		if uint32(r.n) == 0 && int32(r.n) == 0 {
-			return vval{kind: vNum, n: 0, uns: uns}, nil
+			return vval{kind: vNum, n: 0, uns: uns}
 		}
 		if uns {
-			return vval{kind: vNum, n: int64(uint32(l.n) % uint32(r.n)), uns: true}, nil
+			return vval{kind: vNum, n: int64(uint32(l.n) % uint32(r.n)), uns: true}
 		}
 		if int32(l.n) == -1<<31 && int32(r.n) == -1 {
-			return num32(0), nil
+			return num32(0)
 		}
-		return vval{kind: vNum, n: int64(int32(l.n) % int32(r.n))}, nil
+		return vval{kind: vNum, n: int64(int32(l.n) % int32(r.n))}
 	case "and":
-		return vval{kind: l.kind, n: l.n & r.n, uns: uns}, nil
+		return vval{kind: l.kind, n: l.n & r.n, uns: uns}
 	case "or":
-		return vval{kind: l.kind, n: l.n | r.n, uns: uns}, nil
+		return vval{kind: l.kind, n: l.n | r.n, uns: uns}
 	case "xor":
-		return vval{kind: l.kind, n: l.n ^ r.n, uns: uns}, nil
+		return vval{kind: l.kind, n: l.n ^ r.n, uns: uns}
 	case "=":
-		return b2v(trunc32(l).n == trunc32(r).n), nil
+		return b2v(trunc32(l).n == trunc32(r).n)
 	case "/=":
-		return b2v(trunc32(l).n != trunc32(r).n), nil
-	case "<", "<=", ">", ">=":
-		var cmp int
-		if uns {
-			a, b := uint32(l.n), uint32(r.n)
-			cmp = compareU(a, b)
-		} else {
-			a, b := int32(l.n), int32(r.n)
-			cmp = compareS(a, b)
-		}
-		switch e.op {
-		case "<":
-			return b2v(cmp < 0), nil
-		case "<=":
-			return b2v(cmp <= 0), nil
-		case ">":
-			return b2v(cmp > 0), nil
-		default:
-			return b2v(cmp >= 0), nil
-		}
+		return b2v(trunc32(l).n != trunc32(r).n)
 	}
-	return vval{}, fmt.Errorf("vhdl-sim: unknown operator %q", e.op)
-}
-
-func compareU(a, b uint32) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
+	var c int
+	if uns {
+		c = cmp.Compare(uint32(l.n), uint32(r.n))
+	} else {
+		c = cmp.Compare(int32(l.n), int32(r.n))
 	}
-	return 0
-}
-
-func compareS(a, b int32) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
+	switch op {
+	case "<":
+		return b2v(c < 0)
+	case "<=":
+		return b2v(c <= 0)
+	case ">":
+		return b2v(c > 0)
 	}
-	return 0
+	return b2v(c >= 0)
 }
 
 func boolN(b bool) int64 {
@@ -792,15 +319,11 @@ func boolN(b bool) int64 {
 	return 0
 }
 
-func (m *vmachine) exec(stmts []vstmt) error {
+func (m *vmachine) exec(stmts []vstmt) {
 	for _, s := range stmts {
 		switch s := s.(type) {
 		case *vAssign:
-			v, err := m.eval(s.rhs)
-			if err != nil {
-				return err
-			}
-			v = trunc32(v)
+			v := trunc32(m.eval(s.rhs))
 			if s.signal {
 				m.pending[s.dst] = v
 				if s.dst == "mem0_we" && v.n == 1 {
@@ -816,42 +339,23 @@ func (m *vmachine) exec(stmts []vstmt) error {
 		case *vIf:
 			taken := false
 			for i, c := range s.conds {
-				v, err := m.eval(c)
-				if err != nil {
-					return err
-				}
-				if v.n != 0 {
-					if err := m.exec(s.arms[i]); err != nil {
-						return err
-					}
+				if m.eval(c).n != 0 {
+					m.exec(s.arms[i])
 					taken = true
 					break
 				}
 			}
-			if !taken && s.els != nil {
-				if err := m.exec(s.els); err != nil {
-					return err
-				}
+			if !taken {
+				m.exec(s.els)
 			}
 		case *vCase:
-			sel, err := m.eval(&vIdent{name: s.sel})
-			if err != nil {
-				return err
-			}
-			if body, ok := s.arms[sel.s]; ok {
-				if err := m.exec(body); err != nil {
-					return err
-				}
-			}
-		default:
-			return fmt.Errorf("vhdl-sim: cannot execute %T", s)
+			m.exec(s.arms[m.eval(s.sel).s])
 		}
 	}
-	return nil
 }
 
 // step runs one rising clock edge.
-func (m *vmachine) step(rst, start bool, arg0 int32) error {
+func (m *vmachine) step(body []vstmt, rst, start bool, arg0 int32) {
 	m.pending = map[string]vval{}
 	m.inputs = map[string]vval{
 		"clk":   {kind: vBit, n: 1},
@@ -860,9 +364,7 @@ func (m *vmachine) step(rst, start bool, arg0 int32) error {
 		"arg0":  num32(arg0),
 		"arg1":  num32(0),
 	}
-	if err := m.exec(m.d.body); err != nil {
-		return err
-	}
+	m.exec(body)
 	// Commit queued stores in issue order, then signal updates.
 	for _, st := range m.stores {
 		m.writeMem(st.addr, st.data, st.size)
@@ -871,28 +373,42 @@ func (m *vmachine) step(rst, start bool, arg0 int32) error {
 	for k, v := range m.pending {
 		m.signals[k] = v
 	}
-	return nil
+}
+
+// initial is the value an object of type typ starts with: the first
+// literal of an enumeration, zero otherwise.
+func (u *unit) initial(typ string) vval {
+	if lits := u.enums[typ]; lits != nil {
+		return vval{kind: vEnum, s: lits[0]}
+	}
+	return num32(0)
 }
 
 // SimulateDesign parses generated VHDL text and executes it: reset, start
-// pulse, then clocking until done.
+// pulse, then clocking until done. The text must be one entity whose
+// architecture is a single process clocked by clk, as Emit writes; a
+// testbench is not.
 func SimulateDesign(text string, cfg SimConfig) (*SimResult, error) {
-	d, err := parseDesign(text)
+	u, err := parse(text)
 	if err != nil {
 		return nil, err
 	}
+	if len(u.procs) != 1 || u.insts != 0 || u.procs[0].clock != "clk" {
+		return nil, fmt.Errorf("vhdl-sim: %s is not one FSMD process clocked by clk", u.entity)
+	}
+	proc := u.procs[0]
 	m := &vmachine{
-		d:       d,
 		signals: map[string]vval{},
 		vars:    map[string]vval{},
 		mem:     map[uint32]byte{},
 	}
-	for _, s := range d.signals {
-		m.signals[s] = num32(0)
+	for name, s := range u.names {
+		if s.kind == symIn || s.kind == symOut || s.kind == symSignal {
+			m.signals[name] = u.initial(s.typ)
+		}
 	}
-	m.signals["state"] = vval{kind: vEnum, s: "st_idle"}
-	for _, v := range d.vars {
-		m.vars[v] = num32(0)
+	for _, v := range proc.vars {
+		m.vars[v.name] = u.initial(v.typ)
 	}
 	for a, b := range cfg.Mem {
 		m.mem[a] = b
@@ -903,14 +419,10 @@ func SimulateDesign(text string, cfg SimConfig) (*SimResult, error) {
 	}
 
 	res := &SimResult{}
-	if err := m.step(true, false, cfg.Arg0); err != nil {
-		return nil, err
-	}
+	m.step(proc.body, true, false, cfg.Arg0)
 	res.Cycles++
 	for res.Cycles < max {
-		if err := m.step(false, true, cfg.Arg0); err != nil {
-			return nil, err
-		}
+		m.step(proc.body, false, true, cfg.Arg0)
 		res.Cycles++
 		if m.signals["done"].n == 1 {
 			res.Result = int32(m.signals["result"].n)

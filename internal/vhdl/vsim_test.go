@@ -1,8 +1,10 @@
 package vhdl
 
 import (
+	"strings"
 	"testing"
 
+	"binpart/internal/binimg"
 	"binpart/internal/decompile"
 	"binpart/internal/dopt"
 	"binpart/internal/ir"
@@ -10,10 +12,9 @@ import (
 	"binpart/internal/synth"
 )
 
-// rtlVsIR synthesizes a whole call-free kernel function, emits VHDL,
-// executes the TEXT under the VHDL-subset simulator, and compares result
-// and final memory against the IR interpreter running the same region.
-func rtlVsIR(t *testing.T, src string, arg int32) {
+// kernelDesign synthesizes a whole call-free kernel function compiled at
+// -O2.
+func kernelDesign(t *testing.T, src string) (*binimg.Image, *ir.Func, *synth.Design) {
 	t.Helper()
 	img, err := mcc.Compile(src, mcc.Options{OptLevel: 2})
 	if err != nil {
@@ -28,6 +29,19 @@ func rtlVsIR(t *testing.T, src string, arg int32) {
 		t.Fatal("kernel not recovered")
 	}
 	dopt.Optimize(f)
+	d, err := synth.Synthesize(synth.FuncRegion(f), img, synth.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img, f, d
+}
+
+// rtlVsIR synthesizes a whole call-free kernel function, emits VHDL,
+// executes the TEXT under the VHDL-subset simulator, and compares result
+// and final memory against the IR interpreter running the same region.
+func rtlVsIR(t *testing.T, src string, arg int32) {
+	t.Helper()
+	img, f, d := kernelDesign(t, src)
 
 	// Oracle: IR interpreter.
 	st := ir.NewEvalState()
@@ -41,15 +55,8 @@ func rtlVsIR(t *testing.T, src string, arg int32) {
 	}
 
 	// Subject: emitted VHDL text under the RTL simulator.
-	d, err := synth.Synthesize(synth.FuncRegion(f), img, synth.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
 	text, err := Emit(d)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Check(text); err != nil {
 		t.Fatal(err)
 	}
 	mem := map[uint32]byte{}
@@ -76,14 +83,13 @@ func rtlVsIR(t *testing.T, src string, arg int32) {
 	}
 }
 
-// TestRTLMatchesIR is the end-of-flow differential: the generated VHDL
-// *text*, executed, computes exactly what the decompiled region computes.
-func TestRTLMatchesIR(t *testing.T) {
-	kernels := map[string]struct {
-		src string
-		arg int32
-	}{
-		"accumulate": {`
+// rtlKernels are the call-free kernels whose emitted VHDL is executed
+// against the IR interpreter and mutated to probe the reader.
+var rtlKernels = map[string]struct {
+	src string
+	arg int32
+}{
+	"accumulate": {`
 			int a[16] = {5, -3, 9, 1, 0, 2, 2, -7, 11, 4, 6, -1, 8, 3, 3, 100};
 			int kernel(int n) {
 				int s = 0;
@@ -93,7 +99,7 @@ func TestRTLMatchesIR(t *testing.T) {
 			}
 			int main() { return kernel(3); }
 		`, 3},
-		"branchy": {`
+	"branchy": {`
 			int a[12] = {3, -6, 9, -12, 15, -18, 21, -24, 27, -30, 33, -36};
 			int kernel(int n) {
 				int pos = 0;
@@ -106,7 +112,7 @@ func TestRTLMatchesIR(t *testing.T) {
 			}
 			int main() { return kernel(7); }
 		`, 7},
-		"stores-bytes": {`
+	"stores-bytes": {`
 			uchar buf[24];
 			int kernel(int seed) {
 				int i;
@@ -121,7 +127,7 @@ func TestRTLMatchesIR(t *testing.T) {
 			}
 			int main() { return kernel(99); }
 		`, 99},
-		"shifty-unsigned": {`
+	"shifty-unsigned": {`
 			uint w[8] = {0xdeadbeef, 1, 0x80000000, 7, 0xffffffff, 12345, 0, 42};
 			int kernel(int n) {
 				uint acc = (uint)n;
@@ -133,7 +139,7 @@ func TestRTLMatchesIR(t *testing.T) {
 			}
 			int main() { return kernel(5); }
 		`, 5},
-		"divmod": {`
+	"divmod": {`
 			int a[10] = {100, -37, 250, 81, -9, 64, 999, -1000, 3, 17};
 			int kernel(int n) {
 				int q = 0;
@@ -147,7 +153,7 @@ func TestRTLMatchesIR(t *testing.T) {
 			}
 			int main() { return kernel(1); }
 		`, 1},
-		"mulwide": {`
+	"mulwide": {`
 			int kernel(int n) {
 				int big = n * 75321;
 				int more = big * big;
@@ -155,7 +161,7 @@ func TestRTLMatchesIR(t *testing.T) {
 			}
 			int main() { return kernel(1234); }
 		`, 1234},
-		"halfwords": {`
+	"halfwords": {`
 			short h[12] = {-300, 500, -700, 900, -1100, 1300, -1500, 1700, -1900, 2100, -2300, 2500};
 			int kernel(int n) {
 				int s = 0;
@@ -168,8 +174,12 @@ func TestRTLMatchesIR(t *testing.T) {
 			}
 			int main() { return kernel(11); }
 		`, 11},
-	}
-	for name, k := range kernels {
+}
+
+// TestRTLMatchesIR is the end-of-flow differential: the generated VHDL
+// *text*, executed, computes exactly what the decompiled region computes.
+func TestRTLMatchesIR(t *testing.T) {
+	for name, k := range rtlKernels {
 		k := k
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
@@ -260,5 +270,13 @@ func TestSimulateDesignErrors(t *testing.T) {
 	}
 	if _, err := SimulateDesign(text, SimConfig{MaxCycles: 3}); err == nil {
 		t.Error("tiny cycle bound not enforced")
+	}
+	// A testbench parses but is not one clocked FSMD process.
+	tb, err := EmitTestbench(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := SimulateDesign(tb, SimConfig{}); err == nil || !strings.Contains(err.Error(), "not one FSMD process") {
+		t.Errorf("testbench simulated: %v", err)
 	}
 }
