@@ -153,9 +153,16 @@ func crcImage(b *testing.B) *binimg.Image {
 	return img
 }
 
-// BenchmarkStageCompile measures MicroC compilation.
+// BenchmarkStageCompile measures MicroC compilation. One untimed compile
+// first warms the compiler's free list, so B/op is what a compile
+// returns plus what its reused scratch does not cover, not the cost of a
+// first compile in a fresh process.
 func BenchmarkStageCompile(b *testing.B) {
 	bm, _ := bench.ByName("crc")
+	if _, err := mcc.Compile(bm.Source, mcc.Options{OptLevel: 2}); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := mcc.Compile(bm.Source, mcc.Options{OptLevel: 2}); err != nil {
 			b.Fatal(err)
@@ -164,9 +171,9 @@ func BenchmarkStageCompile(b *testing.B) {
 }
 
 // BenchmarkStageSimulate measures bare simulation (profiling off) — the
-// raw interpreter hot path. One untimed run first warms the machine pool,
-// so even a single-iteration run (-benchtime 1x) reports steady-state
-// allocations.
+// raw interpreter hot path. One untimed run first leaves a machine in
+// the simulator's free list, so even a single-iteration run (-benchtime
+// 1x) reports steady-state allocations.
 func BenchmarkStageSimulate(b *testing.B) {
 	img := crcImage(b)
 	cfg := sim.DefaultConfig()
@@ -188,7 +195,7 @@ func BenchmarkStageSimulateProfiled(b *testing.B) {
 	img := crcImage(b)
 	cfg := sim.DefaultConfig()
 	cfg.Profile = true
-	if _, err := sim.Execute(img, cfg); err != nil { // warm the pool, as in StageSimulate
+	if _, err := sim.Execute(img, cfg); err != nil { // warm the free list, as in StageSimulate
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -262,9 +269,14 @@ func BenchmarkSimMemory(b *testing.B) {
 	}
 }
 
-// BenchmarkStageDecompile measures binary parsing + CDFG creation.
+// BenchmarkStageDecompile measures binary parsing + CDFG creation. An
+// untimed run first warms the decompiler's free list, as in
+// StageSimulate; B/op is then the lifted IR a call returns.
 func BenchmarkStageDecompile(b *testing.B) {
 	img := crcImage(b)
+	if _, err := decompile.Decompile(img); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := decompile.Decompile(img); err != nil {
@@ -273,9 +285,16 @@ func BenchmarkStageDecompile(b *testing.B) {
 	}
 }
 
-// BenchmarkStageDopt measures the decompiler optimization pipeline.
+// BenchmarkStageDopt measures the decompiler optimization pipeline. An
+// untimed run first warms dopt's workspace free list, as in
+// StageSimulate.
 func BenchmarkStageDopt(b *testing.B) {
 	img := crcImage(b)
+	res, err := decompile.Decompile(img)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dopt.Optimize(res.Func("crc_kernel"))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -331,7 +350,9 @@ func BenchmarkStageEndToEnd(b *testing.B) {
 // suite: an uncached core.Analyze (profile simulation, decompile, dopt,
 // candidate construction and synthesis) of each of the 20 benchmarks at
 // -O1, the per-binary work every table regeneration starts from. The
-// binaries are compiled before the timer starts.
+// binaries are compiled before the timer starts, and an untimed pass
+// first brings the stages' free lists to their steady size, so B/op is
+// what the analyses return plus what the lists do not cover.
 func BenchmarkStageAnalyzeSuite(b *testing.B) {
 	var imgs []*binimg.Image
 	for _, bm := range bench.All() {
@@ -362,7 +383,8 @@ func BenchmarkStageAnalyzeSuite(b *testing.B) {
 // seeds 1-40 cycling through the four upload shapes, at a rotating opt
 // level O0-O3). It covers the straight-line, branchy and switch shapes
 // that StageAnalyzeSuite's -O1 suite does not. The programs are compiled
-// before the timer starts.
+// before the timer starts, and an untimed pass warms the free lists, as
+// in StageAnalyzeSuite.
 func BenchmarkStageAnalyzeUploads(b *testing.B) {
 	shapes := []progen.Config{
 		progen.DefaultConfig(), progen.SwitchConfig(), progen.StraightlineConfig(), progen.BranchyConfig(),
@@ -393,33 +415,30 @@ func BenchmarkStageAnalyzeUploads(b *testing.B) {
 
 // BenchmarkStageRegenerate measures one cold regeneration of every
 // default table, figure, ablation and extension on fresh stage caches
-// with 2 workers: the work of one `experiments -j 2` run, which compiles
-// the suite at O0–O3 and analyzes every binary once. Its B/op gates the
-// bytes a table regeneration allocates, which set how often the garbage
-// collector runs on the cold path.
+// with 2 workers: exactly what `experiments -j 2` runs (both walk
+// exper.Experiments), which compiles the suite at O0–O3 and analyzes
+// every binary once. Its B/op gates the bytes a table regeneration
+// allocates, which set how often the garbage collector runs on the cold
+// path. Untimed warm-up runs leave the stages' free lists holding their
+// working memory, as later regenerations in one process find them, so
+// B/op counts what a regeneration keeps or returns plus what the free
+// lists do not cover. Which of the two workers' workspaces serves which
+// binary varies from run to run, and a workspace grows when it first
+// meets a larger binary than before; three warm-ups let every workspace
+// reach its final size, which keeps B/op steady from the first timed
+// run.
 func BenchmarkStageRegenerate(b *testing.B) {
 	regenerate := func() {
-		type formatter interface{ Format() string }
 		r := exper.NewRunner(2, core.NewCaches())
-		steps := []func() (formatter, error){
-			func() (formatter, error) { return r.Table1() },
-			func() (formatter, error) { return r.Table2() },
-			func() (formatter, error) { return r.Table3() },
-			func() (formatter, error) { return r.Table4() },
-			func() (formatter, error) { return r.Figure1() },
-			func() (formatter, error) { return r.PartitionerComparison() },
-			func() (formatter, error) { return r.PassAblation() },
-			func() (formatter, error) { return r.JumpTableExtension() },
-		}
-		for _, step := range steps {
-			t, err := step()
-			if err != nil {
+		for _, e := range exper.Experiments {
+			if _, err := e.Run(r); err != nil {
 				b.Fatal(err)
 			}
-			_ = t.Format()
 		}
 	}
-	regenerate() // warm-up
+	for range 3 {
+		regenerate()
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		regenerate()

@@ -17,6 +17,7 @@ import (
 	"binpart/internal/binimg"
 	"binpart/internal/core"
 	"binpart/internal/fpga"
+	"binpart/internal/freelist"
 	"binpart/internal/mcc"
 	"binpart/internal/obs"
 	"binpart/internal/obs/hist"
@@ -280,17 +281,17 @@ func (d *daemon) overDeadline(start time.Time) bool {
 // maxBodyBytes bounds a request body, SBF upload included.
 const maxBodyBytes = 16 << 20
 
-// bufPool recycles the buffer a /v1/partition request reads its body
-// into and encodes its response in. A buffer grown past maxPooledBuf (a
-// large SBF upload) is dropped rather than pinned in the pool.
-var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// bufs keeps the buffers a request reads its body into and encodes its
+// response in. A buffer grown past maxPooledBuf (a large SBF upload) is
+// dropped rather than kept.
+var bufs freelist.List[bytes.Buffer]
 
 const maxPooledBuf = 64 << 10
 
 func putBuf(buf *bytes.Buffer) {
 	if buf.Cap() <= maxPooledBuf {
 		buf.Reset()
-		bufPool.Put(buf)
+		bufs.Put(buf)
 	}
 }
 
@@ -389,7 +390,7 @@ func (d *daemon) handlePartition(w http.ResponseWriter, r *http.Request) {
 		d.gate()
 	}
 
-	buf := bufPool.Get().(*bytes.Buffer)
+	buf := bufs.Get()
 	defer putBuf(buf)
 	req, opts, err := d.decode(w, r, buf)
 	if err != nil {
@@ -452,7 +453,7 @@ func (d *daemon) handleSweep(w http.ResponseWriter, r *http.Request) {
 		d.gate()
 	}
 
-	buf := bufPool.Get().(*bytes.Buffer)
+	buf := bufs.Get()
 	req, opts, err := d.decode(w, r, buf)
 	putBuf(buf)
 	if err != nil {

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	experiments              # everything
-//	experiments -table 1     # one table (1-4)
+//	experiments -table 1     # one table (1-4; other values are a usage error)
 //	experiments -figure 1    # the area-sweep figure
 //	experiments -ablation    # partitioner + pass ablations
 //	experiments -corpus 1000 # differential fuzz corpus of generated programs
@@ -29,33 +29,61 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
+	"slices"
+	"strings"
 
 	"binpart/internal/exper"
 	"binpart/internal/session"
 )
 
 func main() {
-	table := flag.Int("table", 0, "run a single table (1-4)")
-	figure := flag.Int("figure", 0, "run a single figure (1)")
-	ablation := flag.Bool("ablation", false, "run the ablation studies")
-	extension := flag.Bool("extension", false, "run the jump-table recovery extension experiment")
-	corpusN := flag.Int("corpus", 0, "sweep N generated switch-shaped programs through the differential corpus (0: off)")
-	corpusSeed := flag.Int64("corpus-seed", 1, "first generator seed for -corpus")
-	corpusOut := flag.String("corpus-out", "", "write the corpus summary (recovery rate, speedup distribution, mismatches) to this JSON file")
-	workers := flag.Int("j", runtime.GOMAXPROCS(0), "worker pool size for experiment sweeps")
-	noCache := flag.Bool("nocache", false, "disable the stage cache entirely")
-	sf := session.Register(flag.CommandLine, "debug-addr", "serve net/pprof + Prometheus /metrics on this address (e.g. :6060)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	s, err := sf.Open(session.Config{Tool: "experiments", Args: os.Args[1:], Workers: *workers, NoCache: *noCache})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		if errors.Is(err, session.ErrUsage) {
-			os.Exit(2)
+// run is the command with its arguments and output streams; it returns
+// the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	table := fs.Int("table", 0, "run a single table ("+list(exper.Numbers("table"))+")")
+	figure := fs.Int("figure", 0, "run a single figure ("+list(exper.Numbers("figure"))+")")
+	ablation := fs.Bool("ablation", false, "run the ablation studies")
+	extension := fs.Bool("extension", false, "run the jump-table recovery extension experiment")
+	corpusN := fs.Int("corpus", 0, "sweep N generated switch-shaped programs through the differential corpus (0: off)")
+	corpusSeed := fs.Int64("corpus-seed", 1, "first generator seed for -corpus")
+	corpusOut := fs.String("corpus-out", "", "write the corpus summary (recovery rate, speedup distribution, mismatches) to this JSON file")
+	workers := fs.Int("j", runtime.GOMAXPROCS(0), "worker pool size for experiment sweeps (<= 0: GOMAXPROCS)")
+	noCache := fs.Bool("nocache", false, "disable the stage cache entirely")
+	sf := session.Register(fs, "debug-addr", "serve net/pprof + Prometheus /metrics on this address (e.g. :6060)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		os.Exit(1)
+		return 2
+	}
+	for _, sel := range []struct {
+		flag, kind string
+		n          int
+	}{{"table", "table", *table}, {"figure", "figure", *figure}} {
+		if valid := exper.Numbers(sel.kind); sel.n != 0 && !slices.Contains(valid, sel.n) {
+			fmt.Fprintf(stderr, "experiments: -%s %d: valid values are %s\n", sel.flag, sel.n, list(valid))
+			return 2
+		}
+	}
+	if *workers <= 0 {
+		*workers = runtime.GOMAXPROCS(0)
+	}
+
+	s, err := sf.Open(session.Config{Tool: "experiments", Args: args, Workers: *workers, NoCache: *noCache, Stderr: stderr})
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		if errors.Is(err, session.ErrUsage) {
+			return 2
+		}
+		return 1
 	}
 
 	runner := exper.NewRunner(*workers, s.Caches)
@@ -70,52 +98,43 @@ func main() {
 	}()
 
 	all := *table == 0 && *figure == 0 && !*ablation && !*extension && *corpusN == 0
-	steps := []struct {
-		on   bool
-		name string
-		run  func() (string, error)
-	}{
-		{all || *table == 1, "table 1", format(runner.Table1)},
-		{all || *table == 2, "table 2", format(runner.Table2)},
-		{all || *table == 3, "table 3", format(runner.Table3)},
-		{all || *table == 4, "table 4", format(runner.Table4)},
-		{all || *figure == 1, "figure 1", format(runner.Figure1)},
-		{all || *ablation, "ablation 1", format(runner.PartitionerComparison)},
-		{all || *ablation, "ablation 2", format(runner.PassAblation)},
-		{all || *extension, "extension 1", format(runner.JumpTableExtension)},
-	}
 	// A failure skips the remaining experiments and falls through to
 	// Close, so the trace and manifest always flush.
 	failed := false
-	for _, st := range steps {
-		if !st.on || failed {
+	for _, e := range exper.Experiments {
+		on := all ||
+			e.Kind == "table" && e.Num == *table ||
+			e.Kind == "figure" && e.Num == *figure ||
+			e.Kind == "ablation" && *ablation ||
+			e.Kind == "extension" && *extension
+		if !on || failed {
 			continue
 		}
-		out, err := st.run()
+		out, err := e.Run(runner)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", st.name, err)
+			fmt.Fprintf(stderr, "%s: %v\n", e.Name(), err)
 			failed = true
 			continue
 		}
-		fmt.Println(out)
+		fmt.Fprintln(stdout, out)
 	}
 	if *corpusN > 0 && !failed {
 		switch corpus, err := runner.Corpus(*corpusN, *corpusSeed); {
 		case err != nil:
-			fmt.Fprintf(os.Stderr, "corpus: %v\n", err)
+			fmt.Fprintf(stderr, "corpus: %v\n", err)
 			failed = true
 		default:
-			fmt.Println(corpus.Format())
+			fmt.Fprintln(stdout, corpus.Format())
 			if *corpusOut != "" {
 				if err := corpus.WriteSummary(*corpusOut); err != nil {
-					fmt.Fprintf(os.Stderr, "corpus summary: %v\n", err)
+					fmt.Fprintf(stderr, "corpus summary: %v\n", err)
 					failed = true
 				}
 			}
 			// A corpus invocation is a differential gate, not just a report:
 			// any mismatch or a recovery rate below 99% fails the run.
 			if sum := corpus.Summary(); len(sum.Mismatches) > 0 || sum.RecoveryRate < 0.99 {
-				fmt.Fprintf(os.Stderr, "corpus: %d mismatches, recovery rate %.2f%%\n",
+				fmt.Fprintf(stderr, "corpus: %d mismatches, recovery rate %.2f%%\n",
 					len(sum.Mismatches), 100*sum.RecoveryRate)
 				failed = true
 			}
@@ -123,19 +142,17 @@ func main() {
 	}
 
 	if err := s.Close(s.Signal() != nil); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
+		fmt.Fprintln(stderr, "experiments:", err)
 		failed = true
 	}
-	os.Exit(s.ExitCode(failed))
+	return s.ExitCode(failed)
 }
 
-// format adapts an experiment to a step that renders its result.
-func format[T interface{ Format() string }](f func() (T, error)) func() (string, error) {
-	return func() (string, error) {
-		v, err := f()
-		if err != nil {
-			return "", err
-		}
-		return v.Format(), nil
+// list renders numbers as "1, 2, 3".
+func list(ns []int) string {
+	parts := make([]string, len(ns))
+	for i, n := range ns {
+		parts[i] = fmt.Sprint(n)
 	}
+	return strings.Join(parts, ", ")
 }

@@ -112,9 +112,11 @@ func AnalyzeLoops(f *ir.Func, img *binimg.Image, loops []*ir.Loop) *Info {
 		}
 	}
 
+	// In-block reaching definitions for address chasing, one map emptied
+	// per block.
+	lastDef := map[ir.Loc]int{}
 	for _, b := range f.Blocks {
-		// In-block reaching definitions for address chasing.
-		lastDef := map[ir.Loc]int{}
+		clear(lastDef)
 		for i := range b.Instrs {
 			instr := &b.Instrs[i]
 			if instr.Op == ir.Load || instr.Op == ir.Store {

@@ -51,15 +51,52 @@ func imageDigest(t *testing.T, name, src string, level int) [sha256.Size]byte {
 	return sha256.Sum256(data)
 }
 
-// compileDigests returns one line per digest: the SHA-256 of every suite
-// image at O0–O3, and per progen configuration and level the SHA-256
-// over the concatenated image digests of seeds 1..digestSeeds.
-func compileDigests(t *testing.T) []string {
-	var lines []string
+// compileJob is one compile whose image digest the pinned file covers.
+type compileJob struct {
+	name, src string
+	level     int
+}
+
+// compileJobs lists every suite program at O0–O3, then per progen
+// configuration seeds 1..digestSeeds, each at O0–O3.
+func compileJobs() []compileJob {
+	var jobs []compileJob
 	for _, bm := range bench.All() {
 		for level := 0; level <= mcc.MaxOptLevel; level++ {
-			d := imageDigest(t, bm.Name, bm.Source, level)
-			lines = append(lines, fmt.Sprintf("suite/%s O%d %s", bm.Name, level, hex.EncodeToString(d[:])))
+			jobs = append(jobs, compileJob{bm.Name, bm.Source, level})
+		}
+	}
+	for _, uc := range uploadConfigs {
+		for seed := int64(1); seed <= digestSeeds; seed++ {
+			p := progen.Generate(seed, uc.cfg)
+			for level := 0; level <= mcc.MaxOptLevel; level++ {
+				jobs = append(jobs, compileJob{fmt.Sprintf("progen/%s/%d", uc.name, seed), p.Source, level})
+			}
+		}
+	}
+	return jobs
+}
+
+// compileDigests returns one line per digest: the SHA-256 of every suite
+// image at O0–O3, and per progen configuration and level the SHA-256
+// over the concatenated image digests of seeds 1..digestSeeds. reverse
+// compiles the jobs last to first; the lines do not depend on the order.
+func compileDigests(t *testing.T, reverse bool) []string {
+	jobs := compileJobs()
+	digests := make([][sha256.Size]byte, len(jobs))
+	for k := range jobs {
+		i := k
+		if reverse {
+			i = len(jobs) - 1 - k
+		}
+		digests[i] = imageDigest(t, jobs[i].name, jobs[i].src, jobs[i].level)
+	}
+	var lines []string
+	next := 0
+	for _, bm := range bench.All() {
+		for level := 0; level <= mcc.MaxOptLevel; level++ {
+			lines = append(lines, fmt.Sprintf("suite/%s O%d %s", bm.Name, level, hex.EncodeToString(digests[next][:])))
+			next++
 		}
 	}
 	for _, uc := range uploadConfigs {
@@ -68,11 +105,9 @@ func compileDigests(t *testing.T) []string {
 			groups[level] = sha256.New()
 		}
 		for seed := int64(1); seed <= digestSeeds; seed++ {
-			p := progen.Generate(seed, uc.cfg)
-			name := fmt.Sprintf("progen/%s/%d", uc.name, seed)
 			for level := range groups {
-				d := imageDigest(t, name, p.Source, level)
-				groups[level].Write(d[:])
+				groups[level].Write(digests[next][:])
+				next++
 			}
 		}
 		for level, h := range groups {
@@ -84,13 +119,14 @@ func compileDigests(t *testing.T) []string {
 
 // TestCompileDigests pins the compiler's output byte for byte: any change
 // to an emitted SBF image, for the suite or the progen upload corpus,
-// fails here. Regenerate with -update only for a change that means to
-// alter the code mcc emits.
+// fails here, whether the compiler runs on fresh or reused working
+// memory. Regenerate with -update only for a change that means to alter
+// the code mcc emits.
 func TestCompileDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles 3,920 programs")
 	}
-	got := compileDigests(t)
+	got := compileDigests(t, false)
 	if *updateDigests {
 		if err := os.WriteFile(digestFile, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
@@ -116,6 +152,14 @@ func TestCompileDigests(t *testing.T) {
 	for i := range got {
 		if got[i] != want[i] {
 			t.Errorf("digest drift:\n got %s\nwant %s", got[i], want[i])
+		}
+	}
+	// The compiler reuses its working memory from compile to compile, so
+	// compile everything again, last to first, on the workspaces the
+	// first pass left warm: reuse must not move a byte.
+	for i, line := range compileDigests(t, true) {
+		if line != want[i] {
+			t.Errorf("digest drift on warm workspaces, reverse order:\n got %s\nwant %s", line, want[i])
 		}
 	}
 }

@@ -30,6 +30,7 @@ type Mem struct {
 	l1       [memL1Size]*[memL2Size][]byte
 	lastPN   uint32
 	lastPage []byte
+	pages    int // pages allocated
 }
 
 // Page returns the 4 KiB page containing addr, allocating it on first
@@ -53,6 +54,7 @@ func (m *Mem) pageSlow(pn uint32) []byte {
 	if p == nil {
 		p = make([]byte, PageSize)
 		l2[pn&(memL2Size-1)] = p
+		m.pages++
 	}
 	m.lastPN, m.lastPage = pn, p
 	return p
@@ -74,6 +76,10 @@ func (m *Mem) Reset() {
 	}
 	m.lastPN, m.lastPage = 0, nil
 }
+
+// Pages reports how many pages the memory holds, touched since it was
+// made; Reset keeps them.
+func (m *Mem) Pages() int { return m.pages }
 
 // WriteBytes copies b into memory starting at addr, page by page.
 func (m *Mem) WriteBytes(addr uint32, b []byte) {

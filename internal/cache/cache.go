@@ -27,6 +27,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"binpart/internal/freelist"
 	"binpart/internal/obs/hist"
 )
 
@@ -39,15 +40,27 @@ func (k Key) String() string { return hex.EncodeToString(k[:]) }
 // Hasher accumulates stage inputs into a Key. Every write is tagged with
 // a type byte and, for variable-length data, a length prefix, so distinct
 // input sequences cannot collide by concatenation ("ab"+"c" vs "a"+"bc").
+//
+// Hashers are kept between keys in a free list: Sum hands its Hasher
+// back, and NewHasher resets the one it takes.
 type Hasher struct {
 	h   hash.Hash
 	buf [10]byte
+	str []byte // String's copy of its argument
+	sum Key
 }
+
+var hashers freelist.List[Hasher]
 
 // NewHasher starts a key for the named stage. The stage name separates
 // key spaces: a compile key and a lift key over identical bytes differ.
 func NewHasher(stage string) *Hasher {
-	h := &Hasher{h: sha256.New()}
+	h := hashers.Get()
+	if h.h == nil {
+		h.h = sha256.New()
+	} else {
+		h.h.Reset()
+	}
 	h.String(stage)
 	return h
 }
@@ -68,7 +81,8 @@ func (h *Hasher) Bytes(b []byte) *Hasher {
 // String hashes a string.
 func (h *Hasher) String(s string) *Hasher {
 	h.tag('s', len(s))
-	h.h.Write([]byte(s))
+	h.str = append(h.str[:0], s...)
+	h.h.Write(h.str)
 	return h
 }
 
@@ -120,8 +134,9 @@ func (h *Hasher) Words(ws []uint32) *Hasher {
 
 // Sum finalizes the key. The Hasher must not be used afterwards.
 func (h *Hasher) Sum() Key {
-	var k Key
-	h.h.Sum(k[:0])
+	h.h.Sum(h.sum[:0])
+	k := h.sum
+	hashers.Put(h)
 	return k
 }
 

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"binpart/internal/bench"
@@ -11,6 +12,7 @@ import (
 	"binpart/internal/decompile"
 	"binpart/internal/dopt"
 	"binpart/internal/fpga"
+	"binpart/internal/freelist"
 	"binpart/internal/obs"
 	"binpart/internal/partition"
 	"binpart/internal/platform"
@@ -132,7 +134,10 @@ func computeAnalysis(img *binimg.Image, opts Options, caches *Caches, sc *obs.Sc
 	}
 	a.ExitCode = res.ExitCode
 	a.SWCycles = res.Cycles
-	cycAt := sim.AttributeCycles(img, res.Profile, opts.Sim.Cycles)
+	ws := analysisScratches.Get()
+	defer ws.release()
+	cycAt := sim.AttributeCycles(img, res.Profile, opts.Sim.Cycles, ws.cycles)
+	ws.cycles = cycAt.Cycles
 
 	// 2+3. Decompile and run the decompiler optimization pipeline.
 	decOpts := decompile.Options{RecoverJumpTables: opts.RecoverJumpTables}
@@ -154,7 +159,7 @@ func computeAnalysis(img *binimg.Image, opts Options, caches *Caches, sc *obs.Sc
 	// 4. Build candidates: outermost loops (default), or whole call-free
 	// functions when running at function granularity. Each function's
 	// facts are gathered once and shared by all of its candidates.
-	pf := &profileFacts{prof: res.Profile, cycAt: cycAt, takenFrom: takenEdges(res.Profile)}
+	pf := &profileFacts{prof: res.Profile, cycAt: cycAt, takenFrom: ws.takenEdges(res.Profile)}
 	sctx := &synthCtx{cache: caches.Synth, obs: sc}
 	for _, f := range lr.Dec.Funcs {
 		if f.Name == "_start" {
@@ -166,7 +171,7 @@ func computeAnalysis(img *binimg.Image, opts Options, caches *Caches, sc *obs.Sc
 		fx := &funcFacts{
 			f:       f,
 			img:     img,
-			extents: blockExtents(f, img),
+			extents: ws.blockExtents(f, img),
 			factors: lr.Factors[f.Name],
 			loops:   lr.Loops[f.Name],
 		}
@@ -243,10 +248,13 @@ func evaluateOpts(a *Analysis, opts Options, sc *obs.Scope) *Report {
 	// communication overhead on the CPU side. Regions and candidates
 	// each live in one backing array.
 	n := len(a.Candidates)
+	ws := evalScratches.Get()
+	defer ws.release()
 	regions := make([]RegionReport, n)
-	priced := make([]partition.Candidate, n)
+	ws.priced = freelist.Resize(ws.priced, n)
+	ws.cands = freelist.Resize(ws.cands, n)
+	priced, cands := ws.priced, ws.cands
 	rep.Regions = make([]*RegionReport, n)
-	cands := make([]*partition.Candidate, n)
 	for i, rc := range a.Candidates {
 		rr := &regions[i]
 		*rr = RegionReport{
@@ -273,7 +281,7 @@ func evaluateOpts(a *Analysis, opts Options, sc *obs.Scope) *Report {
 		}
 		cands[i] = &priced[i]
 	}
-	sort.Slice(rep.Regions, func(i, j int) bool { return rep.Regions[i].SWCycles > rep.Regions[j].SWCycles })
+	slices.SortFunc(rep.Regions, func(a, b *RegionReport) int { return cmp.Compare(b.SWCycles, a.SWCycles) })
 
 	// 5. Partition (timed: the paper's heuristic targets dynamic use).
 	start := time.Now()
@@ -289,7 +297,7 @@ func evaluateOpts(a *Analysis, opts Options, sc *obs.Scope) *Report {
 	rep.PartitionTime = time.Since(start)
 
 	// 6. Evaluate on the platform.
-	selected := make([]platform.Region, 0, len(pres.Selected))
+	selected := ws.selected[:0]
 	for _, c := range pres.Selected {
 		rr := c.Payload.(*RegionReport)
 		rr.Selected = true
@@ -305,6 +313,7 @@ func evaluateOpts(a *Analysis, opts Options, sc *obs.Scope) *Report {
 		})
 	}
 	rep.Metrics = opts.Platform.Evaluate(a.SWCycles, selected)
+	ws.selected = selected
 	sp.SetSelected(uint64(len(pres.Selected)))
 	sp.End()
 	return rep

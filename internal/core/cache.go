@@ -5,12 +5,12 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"binpart/internal/binimg"
 	"binpart/internal/cache"
 	"binpart/internal/decompile"
 	"binpart/internal/dopt"
+	"binpart/internal/freelist"
 	"binpart/internal/ir"
 	"binpart/internal/obs"
 	"binpart/internal/obs/hist"
@@ -224,7 +224,7 @@ func liftKey(imgKey cache.Key, dec decompile.Options, cfg dopt.Config) cache.Key
 // before each variable-length part, into one pooled buffer that is hashed
 // in a single write.
 func funcSignature(f *ir.Func) cache.Key {
-	bp := sigBufPool.Get().(*[]byte)
+	bp := sigBufs.Get()
 	le := binary.LittleEndian
 	arg := func(b []byte, a ir.Arg) []byte {
 		b = append(b, boolByte(a.IsConst))
@@ -268,12 +268,12 @@ func funcSignature(f *ir.Func) cache.Key {
 	}
 	k := cache.NewHasher("cdfg").Bytes(b).Sum()
 	*bp = b
-	sigBufPool.Put(bp)
+	sigBufs.Put(bp)
 	return k
 }
 
-// sigBufPool recycles funcSignature's encoding buffers.
-var sigBufPool = sync.Pool{New: func() any { return new([]byte) }}
+// sigBufs keeps funcSignature's encoding buffers between calls.
+var sigBufs freelist.List[[]byte]
 
 func boolByte(v bool) byte {
 	if v {

@@ -26,6 +26,7 @@ import (
 	"binpart/internal/alias"
 	"binpart/internal/binimg"
 	"binpart/internal/dopt"
+	"binpart/internal/freelist"
 	"binpart/internal/ir"
 	"binpart/internal/obs"
 	"binpart/internal/partition"
@@ -231,7 +232,7 @@ func RunScoped(img *binimg.Image, opts Options, caches *Caches, sc *obs.Scope) (
 type funcFacts struct {
 	f       *ir.Func
 	img     *binimg.Image
-	extents map[int][2]uint32
+	extents [][2]uint32 // by block index
 	factors map[int]int
 	loops   []*ir.Loop // ir.FindLoops(f)
 	// am is computed by alias on first use unless set beforehand.
@@ -263,13 +264,49 @@ type profileFacts struct {
 	takenFrom map[uint32]uint64
 }
 
+// analysisScratch is computeAnalysis' working memory: the cycle
+// attribution, the taken-edge sums and one function's block extents at a
+// time. It comes from a free list; candidates copy numbers out of it and
+// never keep a reference.
+type analysisScratch struct {
+	cycles  []uint64
+	taken   map[uint32]uint64
+	extents [][2]uint32
+}
+
+var analysisScratches freelist.List[analysisScratch]
+
+func (ws *analysisScratch) release() { analysisScratches.Put(ws) }
+
 // takenEdges sums the profile's taken-edge counts per source PC.
-func takenEdges(prof *sim.Profile) map[uint32]uint64 {
-	takenFrom := make(map[uint32]uint64, len(prof.EdgeCount))
-	for e, n := range prof.EdgeCount {
-		takenFrom[e.From] += n
+func (ws *analysisScratch) takenEdges(prof *sim.Profile) map[uint32]uint64 {
+	if ws.taken == nil {
+		ws.taken = make(map[uint32]uint64, len(prof.EdgeCount))
 	}
-	return takenFrom
+	clear(ws.taken)
+	for e, n := range prof.EdgeCount {
+		ws.taken[e.From] += n
+	}
+	return ws.taken
+}
+
+// evalScratch is evaluateOpts' working memory: the priced candidates and
+// the selected platform regions, which no Report keeps.
+type evalScratch struct {
+	priced   []partition.Candidate
+	cands    []*partition.Candidate
+	selected []platform.Region
+}
+
+var evalScratches freelist.List[evalScratch]
+
+// release drops ws's references into the report it priced and returns it
+// to the free list.
+func (ws *evalScratch) release() {
+	clear(ws.priced)
+	clear(ws.cands)
+	clear(ws.selected[:cap(ws.selected)])
+	evalScratches.Put(ws)
 }
 
 // buildFuncCandidate synthesizes an entire call-free function as one
@@ -337,21 +374,24 @@ func synthesizable(l *ir.Loop) bool {
 	return true
 }
 
-// blockExtents computes each block's original address range [start,end).
-func blockExtents(f *ir.Func, img *binimg.Image) map[int][2]uint32 {
-	starts := make([]uint32, len(f.Blocks))
-	for i, b := range f.Blocks {
-		starts[i] = b.Start
+// blockExtents computes each block's original address range [start,end),
+// indexed by block index, in ws.
+func (ws *analysisScratch) blockExtents(f *ir.Func, img *binimg.Image) [][2]uint32 {
+	n := 0
+	for _, b := range f.Blocks {
+		n = max(n, b.Index+1)
 	}
+	out := freelist.Resize(ws.extents, n)
+	ws.extents = out
+	clear(out)
 	end := img.TextEnd()
 	if s, ok := img.SymbolAt(f.Entry); ok && s.Size > 0 {
 		end = s.Addr + s.Size
 	}
-	out := map[int][2]uint32{}
 	for i, b := range f.Blocks {
 		e := end
 		if i+1 < len(f.Blocks) {
-			e = starts[i+1]
+			e = f.Blocks[i+1].Start
 		}
 		out[b.Index] = [2]uint32{b.Start, e}
 	}

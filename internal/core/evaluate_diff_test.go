@@ -46,7 +46,7 @@ func runMonolithic(img *binimg.Image, opts Options) (*Report, error) {
 	}
 	rep.ExitCode = res.ExitCode
 	rep.SWCycles = res.Cycles
-	cycAt := sim.AttributeCycles(img, res.Profile, opts.Sim.Cycles)
+	cycAt := sim.AttributeCycles(img, res.Profile, opts.Sim.Cycles, nil)
 
 	// 2+3. Decompile and run the decompiler optimization pipeline.
 	lr, err := computeLift(img, decompile.Options{RecoverJumpTables: opts.RecoverJumpTables}, opts.Dopt)
@@ -91,9 +91,10 @@ func runMonolithic(img *binimg.Image, opts Options) (*Report, error) {
 	// edges. Nothing is shared between candidates or taken from the
 	// lift result's loops.
 	facts := func(f *ir.Func) (*funcFacts, *profileFacts) {
-		fx := &funcFacts{f: f, img: img, extents: blockExtents(f, img), factors: lr.Factors[f.Name],
+		ws := new(analysisScratch)
+		fx := &funcFacts{f: f, img: img, extents: ws.blockExtents(f, img), factors: lr.Factors[f.Name],
 			loops: ir.FindLoops(f), am: alias.Analyze(f, img)}
-		return fx, &profileFacts{prof: res.Profile, cycAt: cycAt, takenFrom: takenEdges(res.Profile)}
+		return fx, &profileFacts{prof: res.Profile, cycAt: cycAt, takenFrom: ws.takenEdges(res.Profile)}
 	}
 	for _, f := range lr.Dec.Funcs {
 		if f.Name == "_start" {

@@ -12,12 +12,15 @@
 package decompile
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	"binpart/internal/binimg"
+	"binpart/internal/freelist"
 	"binpart/internal/ir"
 	"binpart/internal/mips"
 )
@@ -105,8 +108,9 @@ func DecompileWith(img *binimg.Image, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("decompile: no functions found in image")
 	}
 	res := &Result{Failed: make(map[string]error), Calls: make(map[string][]uint32)}
+	ws := scratches.Get()
 	for _, fn := range funcs {
-		f, calls, err := liftFunction(img, fn, opts)
+		f, calls, err := ws.liftFunction(img, fn, opts)
 		if err != nil {
 			res.Failed[fn.Name] = err
 			continue
@@ -114,9 +118,25 @@ func DecompileWith(img *binimg.Image, opts Options) (*Result, error) {
 		res.Funcs = append(res.Funcs, f)
 		res.Calls[fn.Name] = calls
 	}
-	sort.Slice(res.Funcs, func(i, j int) bool { return res.Funcs[i].Entry < res.Funcs[j].Entry })
+	scratches.Put(ws)
+	slices.SortFunc(res.Funcs, func(a, b *ir.Func) int { return cmp.Compare(a.Entry, b.Entry) })
 	return res, nil
 }
+
+// scratch is the per-function working memory of liftFunction: the
+// decoded instructions, the leader marks, the block index of each
+// instruction slot and the CFG edges before they are carved into the
+// blocks. The lifted IR itself is the result and is never kept here.
+type scratch struct {
+	insts   []mips.Inst
+	leader  []bool
+	blockOf []int32    // by instruction slot: index of the block starting there, or -1
+	edges   [][2]int32 // (from, to) block indices
+	deg     []int32
+}
+
+// scratches keeps lift scratch between DecompileWith calls.
+var scratches freelist.List[scratch]
 
 type funcSpan struct {
 	Name  string
@@ -163,12 +183,13 @@ func findFunctions(img *binimg.Image) []funcSpan {
 
 // liftFunction lifts one function's text into an ir.Func with basic blocks
 // and CFG edges, returning the direct call targets it makes.
-func liftFunction(img *binimg.Image, fn funcSpan, opts Options) (*ir.Func, []uint32, error) {
+func (ws *scratch) liftFunction(img *binimg.Image, fn funcSpan, opts Options) (*ir.Func, []uint32, error) {
 	if fn.End <= fn.Start || fn.Start%4 != 0 {
 		return nil, nil, fmt.Errorf("decompile: %s: bad extent [0x%x,0x%x)", fn.Name, fn.Start, fn.End)
 	}
 	n := int(fn.End-fn.Start) / 4
-	insts := make([]mips.Inst, n)
+	insts := freelist.Resize(ws.insts, n)
+	ws.insts = insts
 	for i := 0; i < n; i++ {
 		w, err := img.WordAt(fn.Start + uint32(4*i))
 		if err != nil {
@@ -183,7 +204,9 @@ func liftFunction(img *binimg.Image, fn funcSpan, opts Options) (*ir.Func, []uin
 
 	// Leaders: function entry, branch targets, instruction after any
 	// control transfer.
-	leader := make([]bool, n)
+	leader := freelist.Resize(ws.leader, n)
+	ws.leader = leader
+	clear(leader)
 	leader[0] = true
 	var tables map[uint32]*ir.JumpTable // by IJump pc
 	var calls []uint32
@@ -249,8 +272,23 @@ func liftFunction(img *binimg.Image, fn funcSpan, opts Options) (*ir.Func, []uin
 	// Build blocks. The function lifts into one presized array; each
 	// block's instructions are a capacity-capped window of it, so a later
 	// append to one block reallocates that block instead of overwriting
-	// the next.
+	// the next. The blocks themselves come from one array too, counted
+	// before it is made.
+	nb, ended := 0, true
+	for i, in := range insts {
+		if leader[i] || ended {
+			nb++
+		}
+		ended = in.EndsBlock() && in.Op != mips.JAL
+	}
+	blocks := make([]ir.Block, nb)
+	f.Blocks = make([]*ir.Block, 0, nb)
 	buf := make([]ir.Instr, 0, liftedLen(insts))
+	blockOf := freelist.Resize(ws.blockOf, n)
+	ws.blockOf = blockOf
+	for i := range blockOf {
+		blockOf[i] = -1
+	}
 	var cur *ir.Block
 	first := 0
 	endBlock := func() {
@@ -263,7 +301,9 @@ func liftFunction(img *binimg.Image, fn funcSpan, opts Options) (*ir.Func, []uin
 		pc := fn.Start + uint32(4*i)
 		if leader[i] || cur == nil {
 			endBlock()
-			cur = &ir.Block{Start: pc}
+			cur = &blocks[len(f.Blocks)]
+			cur.Start = pc
+			blockOf[i] = int32(len(f.Blocks))
 			f.Blocks = append(f.Blocks, cur)
 			first = len(buf)
 		}
@@ -275,62 +315,90 @@ func liftFunction(img *binimg.Image, fn funcSpan, opts Options) (*ir.Func, []uin
 	endBlock()
 	f.Reindex()
 
-	// Wire edges.
-	blockAt := make(map[uint32]*ir.Block, len(f.Blocks))
-	for _, b := range f.Blocks {
-		blockAt[b.Start] = b
+	// Wire edges: list them in block order, then carve every block's
+	// Succs and Preds from one array. The windows are capacity-capped,
+	// so a later append to one reallocates it.
+	blockAt := func(addr uint32) (int32, bool) {
+		if addr < fn.Start || addr >= fn.End || (addr-fn.Start)%4 != 0 {
+			return -1, false
+		}
+		bi := blockOf[(addr-fn.Start)/4]
+		return bi, bi >= 0
 	}
-	addEdge := func(from, to *ir.Block) {
-		from.Succs = append(from.Succs, to)
-		to.Preds = append(to.Preds, from)
-	}
+	edges := ws.edges[:0]
 	for i, b := range f.Blocks {
 		t := b.Terminator()
-		fall := (*ir.Block)(nil)
+		fall := int32(-1)
 		if i+1 < len(f.Blocks) {
-			fall = f.Blocks[i+1]
+			fall = int32(i + 1)
 		}
+		from := int32(i)
 		if t == nil {
-			if fall != nil {
-				addEdge(b, fall)
+			if fall >= 0 {
+				edges = append(edges, [2]int32{from, fall})
 			}
 			continue
 		}
 		switch t.Op {
 		case ir.Branch:
-			target, ok := blockAt[t.Target]
+			target, ok := blockAt(t.Target)
 			if !ok {
 				return nil, nil, fmt.Errorf("decompile: %s: branch target 0x%x is not a block leader", fn.Name, t.Target)
 			}
-			addEdge(b, target)
-			if fall != nil {
-				addEdge(b, fall)
+			edges = append(edges, [2]int32{from, target})
+			if fall >= 0 {
+				edges = append(edges, [2]int32{from, fall})
 			}
 		case ir.Jump:
-			target, ok := blockAt[t.Target]
+			target, ok := blockAt(t.Target)
 			if !ok {
 				return nil, nil, fmt.Errorf("decompile: %s: jump target 0x%x is not a block leader", fn.Name, t.Target)
 			}
-			addEdge(b, target)
+			edges = append(edges, [2]int32{from, target})
 		case ir.IJump:
-			seen := map[uint32]bool{}
+			mine := len(edges)
+		targets:
 			for _, tgt := range t.Table.Targets {
-				if seen[tgt] {
-					continue
-				}
-				seen[tgt] = true
-				target, ok := blockAt[tgt]
+				target, ok := blockAt(tgt)
 				if !ok {
 					return nil, nil, fmt.Errorf("decompile: %s: jump-table target 0x%x is not a block leader", fn.Name, tgt)
 				}
-				addEdge(b, target)
+				for _, e := range edges[mine:] {
+					if e[1] == target {
+						continue targets
+					}
+				}
+				edges = append(edges, [2]int32{from, target})
 			}
 		case ir.Ret, ir.Halt:
 		default:
-			if fall != nil {
-				addEdge(b, fall)
+			if fall >= 0 {
+				edges = append(edges, [2]int32{from, fall})
 			}
 		}
+	}
+	ws.edges = edges
+	deg := freelist.Resize(ws.deg, 2*nb) // succ count, then pred count, per block
+	ws.deg = deg
+	clear(deg)
+	for _, e := range edges {
+		deg[2*e[0]]++
+		deg[2*e[1]+1]++
+	}
+	arr := make([]*ir.Block, 2*len(edges))
+	for i := range blocks {
+		b := &blocks[i]
+		if ns := deg[2*i]; ns > 0 {
+			b.Succs, arr = arr[:0:ns], arr[ns:]
+		}
+		if np := deg[2*i+1]; np > 0 {
+			b.Preds, arr = arr[:0:np], arr[np:]
+		}
+	}
+	for _, e := range edges {
+		from, to := &blocks[e[0]], &blocks[e[1]]
+		from.Succs = append(from.Succs, to)
+		to.Preds = append(to.Preds, from)
 	}
 	return f, calls, nil
 }

@@ -27,7 +27,9 @@ import "binpart/internal/ir"
 // MIPS idioms "addu rd, rs, $zero" (move) and "addiu rt, $zero, imm"
 // (constant load). Returns the number of instructions simplified.
 func ConstProp(f *ir.Func) int {
-	return newWorkspace(f).constProp(f)
+	ws := newWorkspace(f)
+	defer ws.release()
+	return ws.constProp(f)
 }
 
 func (ws *workspace) constProp(f *ir.Func) int {
@@ -35,7 +37,7 @@ func (ws *workspace) constProp(f *ir.Func) int {
 	env.size(ws.spaceOf(f))
 	changed := 0
 	for _, b := range f.Blocks {
-		env.epoch++
+		env.nextEpoch()
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			beforeOp, beforeA, beforeB := in.Op, in.A, in.B
@@ -95,6 +97,17 @@ func (e *constEnv) size(n int) {
 		e.stamp = make([]uint32, n)
 		e.gen = make([]uint32, n)
 		e.srcGen = make([]uint32, n)
+	}
+}
+
+// nextEpoch starts a block. A workspace is reused across calls, so the
+// epoch can wrap; then the stamps are cleared, as no binding survives a
+// block anyway.
+func (e *constEnv) nextEpoch() {
+	e.epoch++
+	if e.epoch == 0 {
+		clear(e.stamp)
+		e.epoch = 1
 	}
 }
 
@@ -283,6 +296,7 @@ func evalBinary(op ir.Op, a, b int32) (int32, bool) {
 // deadness check must be liveness-based rather than use-count-based.
 func FoldMoves(f *ir.Func) int {
 	ws := newWorkspace(f)
+	defer ws.release()
 	ws.liveness(f)
 	return ws.foldMoves(f)
 }
@@ -346,6 +360,7 @@ var haltUses = []ir.Loc{ir.RegV0}
 // the number of instructions removed.
 func DeadCode(f *ir.Func) int {
 	ws := newWorkspace(f)
+	defer ws.release()
 	ws.liveness(f)
 	return ws.deadCode(f)
 }
@@ -396,7 +411,9 @@ func pure(in *ir.Instr) bool {
 // every later program point (the entry block dominates everything, and a
 // single def cannot be shadowed). Returns substitutions made.
 func GlobalConstProp(f *ir.Func) int {
-	return newWorkspace(f).globalConstProp(f)
+	ws := newWorkspace(f)
+	defer ws.release()
+	return ws.globalConstProp(f)
 }
 
 // gcpEntry is GlobalConstProp's per-location record.
@@ -481,7 +498,9 @@ const cleanupRounds = 8
 // reports whether it reached the fixpoint (a round that changed nothing)
 // within cleanupRounds rounds; at a fixpoint, running it again is a no-op.
 func Cleanup(f *ir.Func) bool {
-	return newWorkspace(f).cleanup(f)
+	ws := newWorkspace(f)
+	defer ws.release()
+	return ws.cleanup(f)
 }
 
 // cleanup is Cleanup in ws. Each round computes block liveness once,

@@ -1,6 +1,9 @@
 package dopt
 
-import "binpart/internal/ir"
+import (
+	"binpart/internal/freelist"
+	"binpart/internal/ir"
+)
 
 // locSet is a dense bitset over a function's location space. The
 // liveness analyses run to a fixpoint over every block several times per
@@ -63,10 +66,11 @@ type locSets struct {
 	w     []uint64
 }
 
-// newLocSets allocates n empty sets for a location space of size space.
-func newLocSets(n, space int) locSets {
+// resetLocSets returns n empty sets for a location space of size space,
+// reusing ls's array when it is large enough.
+func resetLocSets(ls locSets, n, space int) locSets {
 	words := (space + 63) / 64
-	return locSets{words: words, w: make([]uint64, n*words)}
+	return locSets{words: words, w: reuse(ls.w, n*words)}
 }
 
 // at returns set i.
@@ -82,8 +86,9 @@ func (ls locSets) slice(lo, hi int) locSets {
 // workspace holds the dense, location-indexed tables the passes of one
 // OptimizeWith call share, so a fact is computed into a slice that lives
 // for the call instead of a map or a fresh allocation per pass. Tables
-// are sized on use by spaceOf. Nothing in a workspace outlives the call
-// that made it.
+// are sized on use by spaceOf. Workspaces come from a free list and go
+// back to it when the call ends: every table is reset before it is read,
+// and nothing a pass leaves in the IR or a report points into one.
 type workspace struct {
 	space int
 	// liveIn and liveOut are the block liveness the last liveness call
@@ -95,11 +100,35 @@ type workspace struct {
 	gcp             []gcpEntry
 	width           []uint8
 	chains          blockChains
+	// Reroll's loop search and per-loop tables.
+	loops      ir.LoopFinder
+	matcher    rerollMatcher
+	ivStep     map[ir.Loc]int32
+	defsInLoop map[ir.Loc]bool
+	bidx       []int
 }
 
-// newWorkspace returns a workspace over f's current location space.
+// workspaces keeps workspaces between calls.
+var workspaces freelist.List[workspace]
+
+// newWorkspace returns a workspace over f's current location space; the
+// caller gives it back with release.
 func newWorkspace(f *ir.Func) *workspace {
-	return &workspace{space: locSpace(f)}
+	ws := workspaces.Get()
+	ws.space = locSpace(f)
+	return ws
+}
+
+// release drops ws's references into the IR and returns it to the free
+// list; ws must not be used after.
+func (ws *workspace) release() {
+	ws.chains.b = nil
+	ws.loops.Reset()
+	ws.matcher = rerollMatcher{
+		classes: ws.matcher.classes, binding: ws.matcher.binding,
+		core: ws.matcher.core, coreIdx: ws.matcher.coreIdx,
+	}
+	workspaces.Put(ws)
 }
 
 // spaceOf returns the location space a table over f must span: the
@@ -120,11 +149,7 @@ func (ws *workspace) spaceOf(f *ir.Func) int {
 // iterates over words: live-in = use ∪ (live-out \ def).
 func (ws *workspace) liveness(f *ir.Func) {
 	n, space := len(f.Blocks), ws.spaceOf(f)
-	if ws.sets.words != (space+63)/64 || len(ws.sets.w) != (4*n+1)*ws.sets.words {
-		ws.sets = newLocSets(4*n+1, space)
-	} else {
-		clear(ws.sets.w)
-	}
+	ws.sets = resetLocSets(ws.sets, 4*n+1, space)
 	ws.liveIn, ws.liveOut = ws.sets.slice(0, n), ws.sets.slice(n, 2*n)
 	use, def := ws.sets.slice(2*n, 3*n), ws.sets.slice(3*n, 4*n)
 	ws.live = ws.sets.at(4 * n)
@@ -176,13 +201,4 @@ func (s locSet) transfer(in *ir.Instr) {
 	for _, u := range effUses(in, ub[:0]) {
 		s.set(u)
 	}
-}
-
-// abiLiveness computes f's ABI-aware block liveness in a workspace of
-// its own. The returned sets share one backing allocation; treat them as
-// read-only.
-func abiLiveness(f *ir.Func) (liveIn, liveOut locSets) {
-	ws := newWorkspace(f)
-	ws.liveness(f)
-	return ws.liveIn, ws.liveOut
 }

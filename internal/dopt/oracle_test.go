@@ -93,7 +93,7 @@ func (e *scanEnv) invalidate(l ir.Loc) {
 // instruction's transfer in every round.
 func abiLivenessOracle(f *ir.Func) (liveIn, liveOut locSets) {
 	n := len(f.Blocks)
-	sets := newLocSets(2*n+1, locSpace(f))
+	sets := resetLocSets(locSets{}, 2*n+1, locSpace(f))
 	liveIn, liveOut = sets.slice(0, n), sets.slice(n, 2*n)
 	live := sets.at(2 * n)
 	var ub [2]ir.Loc
@@ -187,7 +187,7 @@ func usedLater(b *ir.Block, from int, loc ir.Loc) bool {
 // deadCodeOracle is DeadCode running its own block-liveness fixpoint.
 func deadCodeOracle(f *ir.Func) int {
 	n := len(f.Blocks)
-	sets := newLocSets(n+1, locSpace(f))
+	sets := resetLocSets(locSets{}, n+1, locSpace(f))
 	liveIn, live := sets.slice(0, n), sets.at(n)
 	var ub [2]ir.Loc
 	for changed := true; changed; {

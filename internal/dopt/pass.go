@@ -41,11 +41,12 @@ func Optimize(f *ir.Func) Report {
 // when the previous one reached its fixpoint and every pass since then
 // reports no change: it would find nothing to do.
 //
-// The passes share one workspace of dense tables, made for this call and
-// dropped with it.
+// The passes share one workspace of dense tables, taken from the free
+// list for this call and given back when it returns.
 func OptimizeWith(f *ir.Func, cfg Config) Report {
 	var rep Report
 	ws := newWorkspace(f)
+	defer ws.release()
 
 	// Instruction-set overhead removal.
 	ws.constProp(f)

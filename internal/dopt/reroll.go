@@ -47,7 +47,9 @@ func (r RerollReport) Changed() bool { return len(r.Rerolled) > 0 }
 // Anything else aborts the reroll, so the rewrite is semantics-preserving
 // by construction.
 func Reroll(f *ir.Func) RerollReport {
-	return newWorkspace(f).reroll(f)
+	ws := newWorkspace(f)
+	defer ws.release()
+	return ws.reroll(f)
 }
 
 // reroll is Reroll in ws. Each loop-search round computes block liveness
@@ -56,7 +58,7 @@ func Reroll(f *ir.Func) RerollReport {
 func (ws *workspace) reroll(f *ir.Func) RerollReport {
 	rep := RerollReport{Factors: map[int]int{}}
 	for {
-		loops := ir.FindLoops(f)
+		loops := ws.loops.Find(f)
 		done := true
 		live := false
 		for _, l := range loops {
@@ -87,18 +89,23 @@ func (ws *workspace) tryReroll(f *ir.Func, l *ir.Loop, live *bool) (factor, remo
 	if len(l.IndVars) == 0 || len(l.Blocks) > 2 {
 		return 0, 0, 0
 	}
-	ivStep := map[ir.Loc]int32{}
+	if ws.ivStep == nil {
+		ws.ivStep, ws.defsInLoop = map[ir.Loc]int32{}, map[ir.Loc]bool{}
+	}
+	ivStep := ws.ivStep
+	clear(ivStep)
 	for _, iv := range l.IndVars {
 		ivStep[iv.Loc] = iv.Step
 	}
 	// Scan candidates in block-index order: l.Blocks is a map, and if two
 	// blocks both update every induction variable the rewrite must not
 	// depend on iteration order.
-	bidx := make([]int, 0, len(l.Blocks))
+	bidx := ws.bidx[:0]
 	for idx := range l.Blocks {
 		bidx = append(bidx, idx)
 	}
 	sort.Ints(bidx)
+	ws.bidx = bidx
 	var body *ir.Block
 	for _, idx := range bidx {
 		if b := l.Blocks[idx]; countIVUpdates(b, ivStep) == len(l.IndVars) {
@@ -111,7 +118,8 @@ func (ws *workspace) tryReroll(f *ir.Func, l *ir.Loop, live *bool) (factor, remo
 	}
 	// Locations defined anywhere in the loop (for invariance checks) and
 	// whether any loop block writes memory.
-	defsInLoop := map[ir.Loc]bool{}
+	defsInLoop := ws.defsInLoop
+	clear(defsInLoop)
 	loopStores := false
 	for _, b := range l.Blocks {
 		for i := range b.Instrs {
@@ -127,8 +135,8 @@ func (ws *workspace) tryReroll(f *ir.Func, l *ir.Loop, live *bool) (factor, remo
 		ws.liveness(f)
 		*live = true
 	}
-	m := newRerollMatcher(body, ivStep, ws.liveOut.at(body.Index), &ws.chains, defsInLoop, loopStores)
-	if m == nil {
+	m := &ws.matcher
+	if !m.reset(body, ivStep, ws.liveOut.at(body.Index), &ws.chains, defsInLoop, loopStores) {
 		return 0, 0, 0
 	}
 	for _, k := range []int{8, 4, 2} {
@@ -233,16 +241,22 @@ type rerollMatcher struct {
 	dstMismatch map[int]bool
 }
 
-// newRerollMatcher analyzes body block b, building its def chains in bc.
-func newRerollMatcher(b *ir.Block, ivStep map[ir.Loc]int32, liveOut locSet, bc *blockChains, defsInLoop map[ir.Loc]bool, loopStores bool) *rerollMatcher {
+// reset makes m analyze body block b, building its def chains in bc and
+// reusing m's buffers. It reports false when b cannot be rerolled.
+func (m *rerollMatcher) reset(b *ir.Block, ivStep map[ir.Loc]int32, liveOut locSet, bc *blockChains, defsInLoop map[ir.Loc]bool, loopStores bool) bool {
 	bc.reset(b, liveOut)
-	m := &rerollMatcher{
+	if m.binding == nil {
+		m.binding = map[int]offsetBinding{}
+	}
+	clear(m.binding)
+	*m = rerollMatcher{
 		b:          b,
 		ivStep:     ivStep,
-		classes:    make([]instrClass, len(b.Instrs)),
-		binding:    map[int]offsetBinding{},
+		classes:    reuse(m.classes, len(b.Instrs)),
+		binding:    m.binding,
 		bc:         bc,
-		coreIdx:    make([]int, len(b.Instrs)),
+		core:       m.core[:0],
+		coreIdx:    reuse(m.coreIdx, len(b.Instrs)),
 		liveOut:    liveOut,
 		defsInLoop: defsInLoop,
 		loopStores: loopStores,
@@ -255,11 +269,11 @@ func newRerollMatcher(b *ir.Block, ivStep map[ir.Loc]int32, liveOut locSet, bc *
 			m.classes[i] = classTerm // ignorable
 		case in.Op == ir.Jump || in.Op == ir.Branch || in.Op == ir.Ret || in.Op == ir.Halt:
 			if i != len(b.Instrs)-1 {
-				return nil
+				return false
 			}
 			m.classes[i] = classTerm
 		case in.Op == ir.Call || in.Op == ir.IJump:
-			return nil
+			return false
 		case isIVUpdate(in, ivStep):
 			m.classes[i] = classUpdate
 		default:
@@ -281,7 +295,7 @@ func newRerollMatcher(b *ir.Block, ivStep map[ir.Loc]int32, liveOut locSet, bc *
 			m.core = append(m.core, i)
 		}
 	}
-	return m
+	return true
 }
 
 // invariantDef reports whether instruction i computes a loop-invariant

@@ -10,13 +10,15 @@ import "binpart/internal/ir"
 // argument registers left to right, so the arity is the highest live-in
 // argument register plus one.
 func InferParams(f *ir.Func) int {
-	liveIn, _ := abiLiveness(f)
 	if len(f.Blocks) == 0 {
 		return 0
 	}
+	ws := newWorkspace(f)
+	defer ws.release()
+	ws.liveness(f)
 	arity := 0
 	for i := 0; i < 4; i++ {
-		if liveIn.at(f.Blocks[0].Index).has(ir.RegA0 + ir.Loc(i)) {
+		if ws.liveIn.at(f.Blocks[0].Index).has(ir.RegA0 + ir.Loc(i)) {
 			arity = i + 1
 		}
 	}

@@ -105,7 +105,8 @@ func RemoveStackOps(f *ir.Func) StackReport {
 				continue
 			}
 			usesSP := false
-			for _, u := range in.Uses() {
+			var ub [2]ir.Loc
+			for _, u := range in.AppendUses(ub[:0]) {
 				if u == ir.RegSP {
 					usesSP = true
 				}

@@ -80,7 +80,9 @@ func (r PromoteReport) Changed() bool { return r.Multiplies > 0 }
 // definition may be subsumed only if that one instruction is its sole
 // consumer and its value does not escape the block.
 func PromoteStrength(f *ir.Func) PromoteReport {
-	return newWorkspace(f).promoteStrength(f)
+	ws := newWorkspace(f)
+	defer ws.release()
+	return ws.promoteStrength(f)
 }
 
 func (ws *workspace) promoteStrength(f *ir.Func) PromoteReport {

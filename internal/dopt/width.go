@@ -24,7 +24,9 @@ type WidthReport struct {
 // from there, bounded by 32 bits; the analysis iterates to that fixpoint,
 // so the result is sound for any execution.
 func ReduceWidths(f *ir.Func) WidthReport {
-	return newWorkspace(f).reduceWidths(f)
+	ws := newWorkspace(f)
+	defer ws.release()
+	return ws.reduceWidths(f)
 }
 
 // reduceWidths is ReduceWidths over a dense width table: 0 means no

@@ -80,7 +80,7 @@ func summarize(rows []Row) Summary {
 
 // suiteJobs builds one job per benchmark at -O1 on the given platform.
 func suiteJobs(p platform.Platform) []rowJob {
-	var jobs []rowJob
+	jobs := make([]rowJob, 0, len(bench.All()))
 	for _, b := range bench.All() {
 		opts := core.DefaultOptions()
 		opts.Platform = p

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -127,8 +128,11 @@ func TestParallelSpanCountsMatchSerial(t *testing.T) {
 // exactly the -stats snapshot, its span total must equal the recorder's,
 // and per stage the span outcomes must sum to the corresponding cache's
 // counters (hits = hit + wait + disk spans, misses = miss + corrupt
-// spans). Run under -race this doubles as the recorder's concurrency test.
+// spans). Its collector section must count the sweep's allocations and
+// a forced cycle. Run under -race this doubles as the recorder's
+// concurrency test.
 func TestManifestReconciliation(t *testing.T) {
+	gc0 := obs.ReadGC()
 	caches := core.NewCaches()
 	r := NewRunner(8, caches)
 	r.Obs = obs.NewRecorder()
@@ -138,6 +142,11 @@ func TestManifestReconciliation(t *testing.T) {
 
 	statsMap := caches.StatsMap()
 	m := obs.BuildManifest("test", nil, 8, r.Obs, statsMap)
+	runtime.GC()
+	m.GC = obs.ReadGC().Sub(gc0)
+	if m.GC.AllocBytes == 0 || m.GC.Cycles == 0 {
+		t.Errorf("manifest gc = %+v, want allocated bytes and at least the forced cycle", m.GC)
+	}
 
 	if fmt.Sprint(m.Caches) != fmt.Sprint(statsMap) {
 		t.Errorf("manifest caches %v != stats map %v", m.Caches, statsMap)

@@ -1,13 +1,72 @@
 package ir
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+
+	"binpart/internal/freelist"
+)
+
+// loopScratch is the working memory of FindLoops and Recover: the DFS
+// and (post)dominator tables, the loop-body walk and findIndVars'
+// per-location counts. Scratches are kept between calls in a free list;
+// none of their slices or maps is ever part of a Loop or Structure.
+type loopScratch struct {
+	seen      []bool
+	postIdx   []int
+	post, rpo []*Block
+	frames    []dfsFrame
+	idom, pd  []int
+	headerOf  []int32 // by block index: index of the loop it heads, or -1
+	stack     []*Block
+	branch    []bool // by block index: its terminator tests a loop
+	iv        map[Loc]ivCount
+}
+
+type dfsFrame struct {
+	b    *Block
+	next int // index of the next successor to visit
+}
+
+// ivCount is findIndVars' record of one location's in-loop writes.
+type ivCount struct {
+	writes, updates int32
+	update          *Instr // the last induction-style update
+}
+
+var loopScratches freelist.List[loopScratch]
+
+// release drops sc's pointers into the IR and returns it to the free
+// list.
+func (sc *loopScratch) release() {
+	sc.clearRefs()
+	loopScratches.Put(sc)
+}
+
+// clearRefs drops sc's pointers into the IR.
+func (sc *loopScratch) clearRefs() {
+	clear(sc.post[:cap(sc.post)])
+	clear(sc.rpo[:cap(sc.rpo)])
+	clear(sc.frames[:cap(sc.frames)])
+	clear(sc.stack[:cap(sc.stack)])
+	clear(sc.iv)
+}
 
 // Dominators computes the immediate dominator of every block using the
 // Cooper/Harvey/Kennedy iterative algorithm. idom[entry] == entry.
 func Dominators(f *Func) []int {
+	sc := loopScratches.Get()
+	idom := slices.Clone(sc.dominators(f))
+	sc.release()
+	return idom
+}
+
+// dominators is Dominators into sc.idom.
+func (sc *loopScratch) dominators(f *Func) []int {
 	n := len(f.Blocks)
-	order, postIdx := reversePostorder(f)
-	idom := make([]int, n)
+	order, postIdx := sc.reversePostorder(f)
+	idom := freelist.Resize(sc.idom, n)
+	sc.idom = idom
 	for i := range idom {
 		idom[i] = -1
 	}
@@ -56,30 +115,39 @@ func Dominators(f *Func) []int {
 }
 
 // reversePostorder returns blocks in reverse postorder from the entry and
-// each block's postorder index.
-func reversePostorder(f *Func) ([]*Block, []int) {
+// each block's postorder index (0 for unreachable blocks), in sc's
+// tables. The walk is a depth-first search visiting successors in order.
+func (sc *loopScratch) reversePostorder(f *Func) ([]*Block, []int) {
 	n := len(f.Blocks)
-	seen := make([]bool, n)
-	postIdx := make([]int, n)
-	var post []*Block
-	var dfs func(b *Block)
-	dfs = func(b *Block) {
-		seen[b.Index] = true
-		for _, s := range b.Succs {
-			if !seen[s.Index] {
-				dfs(s)
-			}
-		}
-		postIdx[b.Index] = len(post)
-		post = append(post, b)
-	}
+	seen := freelist.Resize(sc.seen, n)
+	clear(seen)
+	postIdx := freelist.Resize(sc.postIdx, n)
+	clear(postIdx)
+	post, frames := sc.post[:0], sc.frames[:0]
 	if n > 0 {
-		dfs(f.Blocks[0])
+		seen[f.Blocks[0].Index] = true
+		frames = append(frames, dfsFrame{b: f.Blocks[0]})
+		for len(frames) > 0 {
+			top := &frames[len(frames)-1]
+			if top.next < len(top.b.Succs) {
+				s := top.b.Succs[top.next]
+				top.next++
+				if !seen[s.Index] {
+					seen[s.Index] = true
+					frames = append(frames, dfsFrame{b: s})
+				}
+				continue
+			}
+			postIdx[top.b.Index] = len(post)
+			post = append(post, top.b)
+			frames = frames[:len(frames)-1]
+		}
 	}
-	rpo := make([]*Block, 0, len(post))
-	for i := len(post) - 1; i >= 0; i-- {
-		rpo = append(rpo, post[i])
+	rpo := freelist.Resize(sc.rpo, len(post))
+	for i, b := range post {
+		rpo[len(post)-1-i] = b
 	}
+	sc.seen, sc.postIdx, sc.post, sc.frames, sc.rpo = seen, postIdx, post, frames, rpo
 	return rpo, postIdx
 }
 
@@ -129,22 +197,97 @@ func (l *Loop) NumInstrs() int {
 // FindLoops detects natural loops from back edges and computes nesting.
 // Blocks unreachable from the entry are ignored.
 func FindLoops(f *Func) []*Loop {
-	idom := Dominators(f)
-	byHeader := make(map[int]*Loop)
+	sc := loopScratches.Get()
+	loops := sc.findLoops(f, nil)
+	sc.release()
+	return loops
+}
+
+// LoopFinder is FindLoops for a caller that finds loops again and again
+// and reads each result only until the next search: it keeps its
+// scratch and its Loop records, block maps included, from search to
+// search. The zero value is ready to use.
+type LoopFinder struct {
+	sc   loopScratch
+	pool loopPool
+}
+
+// Find returns f's natural loops as FindLoops does. They are valid until
+// the next Find or Reset.
+func (lf *LoopFinder) Find(f *Func) []*Loop {
+	return lf.sc.findLoops(f, &lf.pool)
+}
+
+// Reset drops every reference into the IR that lf holds, keeping its
+// memory for later searches.
+func (lf *LoopFinder) Reset() {
+	lf.sc.clearRefs()
+	for _, l := range lf.pool.loops {
+		l.reset()
+	}
+	clear(lf.pool.out[:cap(lf.pool.out)])
+}
+
+// loopPool holds the Loop records a LoopFinder reuses.
+type loopPool struct {
+	loops []*Loop // every record made so far
+	out   []*Loop // the last search's result
+}
+
+// newLoop returns loop record k of a search: a kept record, emptied, or
+// a new one. A nil pool makes every record new.
+func (p *loopPool) newLoop(k int) *Loop {
+	if p == nil {
+		return &Loop{Blocks: map[int]*Block{}}
+	}
+	if k < len(p.loops) {
+		l := p.loops[k]
+		l.reset()
+		return l
+	}
+	l := &Loop{Blocks: map[int]*Block{}}
+	p.loops = append(p.loops, l)
+	return l
+}
+
+// reset empties l, keeping its block map and its edge and induction
+// variable arrays.
+func (l *Loop) reset() {
+	clear(l.Blocks)
+	clear(l.Exits[:cap(l.Exits)])
+	*l = Loop{Blocks: l.Blocks, Exits: l.Exits[:0], IndVars: l.IndVars[:0]}
+}
+
+// findLoops is FindLoops in sc, taking its Loop records from pool.
+func (sc *loopScratch) findLoops(f *Func, pool *loopPool) []*Loop {
+	idom := sc.dominators(f)
+	headerOf := freelist.Resize(sc.headerOf, len(f.Blocks))
+	sc.headerOf = headerOf
+	for i := range headerOf {
+		headerOf[i] = -1
+	}
 	var loops []*Loop
+	if pool != nil {
+		loops = pool.out[:0]
+		defer func() { pool.out = loops }()
+	}
 
 	for _, b := range f.Blocks {
 		for _, s := range b.Succs {
 			if idom[b.Index] >= 0 && Dominates(idom, s.Index, b.Index) {
 				// Back edge b -> s: natural loop with header s.
-				l, ok := byHeader[s.Index]
-				if !ok {
-					l = &Loop{Header: s, Latch: b, Blocks: map[int]*Block{s.Index: s}}
-					byHeader[s.Index] = l
+				var l *Loop
+				if li := headerOf[s.Index]; li >= 0 {
+					l = loops[li]
+				} else {
+					l = pool.newLoop(len(loops))
+					l.Header, l.Latch = s, b
+					l.Blocks[s.Index] = s
+					headerOf[s.Index] = int32(len(loops))
 					loops = append(loops, l)
 				}
 				// Collect body: reverse reachability from latch to header.
-				stack := []*Block{b}
+				stack := append(sc.stack[:0], b)
 				for len(stack) > 0 {
 					x := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
@@ -152,10 +295,9 @@ func FindLoops(f *Func) []*Loop {
 						continue
 					}
 					l.Blocks[x.Index] = x
-					for _, p := range x.Preds {
-						stack = append(stack, p)
-					}
+					stack = append(stack, x.Preds...)
 				}
+				sc.stack = stack
 			}
 		}
 	}
@@ -169,11 +311,11 @@ func FindLoops(f *Func) []*Loop {
 				}
 			}
 		}
-		sort.Slice(l.Exits, func(i, j int) bool {
-			if l.Exits[i].From.Index != l.Exits[j].From.Index {
-				return l.Exits[i].From.Index < l.Exits[j].From.Index
+		slices.SortFunc(l.Exits, func(a, b LoopEdge) int {
+			if c := cmp.Compare(a.From.Index, b.From.Index); c != 0 {
+				return c
 			}
-			return l.Exits[i].To.Index < l.Exits[j].To.Index
+			return cmp.Compare(a.To.Index, b.To.Index)
 		})
 	}
 	// Parent: the smallest strictly-containing loop.
@@ -194,9 +336,9 @@ func FindLoops(f *Func) []*Loop {
 		}
 		l.Depth = d
 	}
-	sort.Slice(loops, func(i, j int) bool { return loops[i].Header.Start < loops[j].Header.Start })
+	slices.SortFunc(loops, func(a, b *Loop) int { return cmp.Compare(a.Header.Start, b.Header.Start) })
 	for _, l := range loops {
-		l.IndVars = findIndVars(l)
+		l.IndVars = sc.findIndVars(l, l.IndVars[:0])
 	}
 	return loops
 }
@@ -251,33 +393,37 @@ func (iv *IndVar) TripCount() (int64, bool) {
 }
 
 // findIndVars recovers basic induction variables of the loop: locations
-// whose only in-loop updates are a single "loc = loc + c".
-func findIndVars(l *Loop) []IndVar {
-	updates := make(map[Loc][]*Instr)
-	writes := make(map[Loc]int)
+// whose only in-loop updates are a single "loc = loc + c". It appends
+// them to out.
+func (sc *loopScratch) findIndVars(l *Loop, out []IndVar) []IndVar {
+	if sc.iv == nil {
+		sc.iv = make(map[Loc]ivCount)
+	}
+	counts := sc.iv
+	clear(counts)
 	for _, b := range l.Blocks {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			if !in.HasDst() {
 				continue
 			}
-			writes[in.Dst]++
-			if in.Op == Add &&
+			c := counts[in.Dst]
+			c.writes++
+			if (in.Op == Add &&
 				((!in.A.IsConst && in.A.Loc == in.Dst && in.B.IsConst) ||
-					(!in.B.IsConst && in.B.Loc == in.Dst && in.A.IsConst)) {
-				updates[in.Dst] = append(updates[in.Dst], in)
+					(!in.B.IsConst && in.B.Loc == in.Dst && in.A.IsConst))) ||
+				(in.Op == Sub && !in.A.IsConst && in.A.Loc == in.Dst && in.B.IsConst) {
+				c.updates++
+				c.update = in
 			}
-			if in.Op == Sub && !in.A.IsConst && in.A.Loc == in.Dst && in.B.IsConst {
-				updates[in.Dst] = append(updates[in.Dst], in)
-			}
+			counts[in.Dst] = c
 		}
 	}
-	var out []IndVar
-	for loc, ups := range updates {
-		if writes[loc] != 1 || len(ups) != 1 {
+	for loc, c := range counts {
+		if c.writes != 1 || c.updates != 1 {
 			continue
 		}
-		in := ups[0]
+		in := c.update
 		var step int32
 		switch {
 		case in.Op == Add && in.B.IsConst:
@@ -291,7 +437,7 @@ func findIndVars(l *Loop) []IndVar {
 		findIVBounds(l, &iv)
 		out = append(out, iv)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Loc < out[j].Loc })
+	slices.SortFunc(out, func(a, b IndVar) int { return cmp.Compare(a.Loc, b.Loc) })
 	return out
 }
 

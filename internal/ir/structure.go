@@ -3,6 +3,8 @@ package ir
 import (
 	"fmt"
 	"strings"
+
+	"binpart/internal/freelist"
 )
 
 // Control structure recovery: classify the CFG into high-level constructs
@@ -137,9 +139,13 @@ func (s *Structure) Outline(f *Func) string {
 
 // Recover runs control structure recovery over f.
 func Recover(f *Func) *Structure {
+	sc := loopScratches.Get()
+	defer sc.release()
 	st := &Structure{}
-	loops := FindLoops(f)
-	loopBranch := make(map[int]bool) // blocks whose terminator is a loop test
+	loops := sc.findLoops(f, nil)
+	loopBranch := freelist.Resize(sc.branch, len(f.Blocks)) // blocks whose terminator is a loop test
+	sc.branch = loopBranch
+	clear(loopBranch)
 
 	for _, l := range loops {
 		shape := classifyLoop(l)
@@ -154,7 +160,7 @@ func Recover(f *Func) *Structure {
 		}
 	}
 
-	ipdom := postDominators(f)
+	ipdom := sc.postDominators(f)
 	for _, b := range f.Blocks {
 		t := b.Terminator()
 		if t != nil && t.Op == IJump && t.Table != nil {
@@ -239,9 +245,10 @@ func postDominated(ipdom []int, x, m int) bool {
 // algorithm on the reversed CFG with a virtual exit. Returns -1 where
 // undefined. The virtual exit is not represented; blocks whose only
 // postdominator is the exit get -1.
-func postDominators(f *Func) []int {
+func (sc *loopScratch) postDominators(f *Func) []int {
 	n := len(f.Blocks)
-	ipdom := make([]int, n)
+	ipdom := freelist.Resize(sc.idom, n)
+	sc.idom = ipdom
 	for i := range ipdom {
 		ipdom[i] = -1
 	}
@@ -254,10 +261,11 @@ func postDominators(f *Func) []int {
 	// Simpler formulation: iterate to fixpoint over "pdom sets" encoded
 	// as idom-style trees rooted at the virtual exit.
 	// Order blocks by reverse of a forward RPO for fast convergence.
-	rpo, _ := reversePostorder(f)
+	rpo, _ := sc.reversePostorder(f)
 
 	// pd[i] is either exit, -1 (unknown), or a block index.
-	pd := make([]int, n)
+	pd := freelist.Resize(sc.pd, n)
+	sc.pd = pd
 	for i := range pd {
 		pd[i] = -1
 	}

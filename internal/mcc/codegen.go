@@ -3,6 +3,7 @@ package mcc
 import (
 	"fmt"
 
+	"binpart/internal/freelist"
 	"binpart/internal/mips"
 )
 
@@ -51,7 +52,7 @@ func genFunction(f *tacFunc, dataAddr []uint32, insts []mips.Inst, calls []callF
 		dataAddr:  dataAddr,
 		insts:     insts,
 		callFix:   calls,
-		labelPos:  resize(sc.labelPos, int(f.NLabel)+1),
+		labelPos:  freelist.Resize(sc.labelPos, int(f.NLabel)+1),
 		branchFix: sc.branchFix[:0],
 	}
 	for i := range cg.labelPos {
@@ -90,7 +91,7 @@ func (cg *codegen) layoutFrame() {
 		off += 4
 	}
 	// Local slots.
-	cg.slotOff = resize(cg.f.sc.slotOff, len(cg.f.Slots))
+	cg.slotOff = freelist.Resize(cg.f.sc.slotOff, len(cg.f.Slots))
 	cg.f.sc.slotOff = cg.slotOff
 	for i, s := range cg.f.Slots {
 		align := int32(s.Align)

@@ -34,18 +34,19 @@ func Compile(src string, opts Options) (*binimg.Image, error) {
 		opts.DataBase = binimg.DefaultDataBase
 	}
 
-	prog, err := Parse(src)
+	sc := scratches.Get()
+	defer sc.release()
+	prog, err := parse(src, &sc.toks, &sc.ast)
 	if err != nil {
 		return nil, err
 	}
-	if err := Analyze(prog); err != nil {
+	if err := analyze(prog, &sc.ast.syms, &sc.scopes); err != nil {
 		return nil, err
 	}
 	if opts.OptLevel >= 3 {
 		unrollProgram(prog)
 	}
 
-	sc := new(scratch)
 	u := newUnit(prog, sc)
 
 	// Lay out the data section: globals first, then switch jump tables
@@ -85,8 +86,8 @@ func Compile(src string, opts Options) (*binimg.Image, error) {
 	// patching afterwards. A function's jump tables are placed once
 	// optimization has decided which survive; their data symbols were
 	// numbered during lowering.
-	var text []mips.Inst
-	var calls []callFix
+	text, calls := sc.text[:0], sc.call[:0]
+	defer func() { sc.text, sc.call = text[:0], calls[:0] }()
 	funcAddr := make([]uint32, len(prog.Funcs)) // by function id: prog.Funcs order
 	im := &binimg.Image{
 		Entry:    opts.TextBase,

@@ -12,7 +12,7 @@ import (
 func TestLexerTokens(t *testing.T) {
 	src := `int x = 0x1f + 'A' - '\n'; // comment
 		/* block */ x <<= 2;`
-	toks, err := lex(src)
+	toks, err := lex(src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,14 +51,14 @@ func TestLexerErrors(t *testing.T) {
 		"int a = '\\q';",
 		"int a = @;",
 	} {
-		if _, err := lex(src); err == nil {
+		if _, err := lex(src, nil); err == nil {
 			t.Errorf("lex(%q) succeeded, want error", src)
 		}
 	}
 }
 
 func TestLexerLineNumbers(t *testing.T) {
-	toks, err := lex("int a;\nint b;\nint @")
+	toks, err := lex("int a;\nint b;\nint @", nil)
 	if err == nil {
 		_ = toks
 		t.Fatal("expected error on line 3")

@@ -69,10 +69,14 @@ func (u *unit) lowerFunc(fn *FuncDecl, memLocals, rotate bool) (*tacFunc, error)
 	f := &tacFunc{Name: fn.Name, IsVoid: fn.Ret.Kind == TypeVoid, sc: u.sc,
 		Ins: u.sc.ins[:0], Args: u.sc.args[:0]}
 	u.sc.ins, u.sc.args = nil, nil
+	if u.sc.vars == nil {
+		u.sc.vars = make(map[*symbol]varLoc)
+	}
+	clear(u.sc.vars)
 	lo := &lowerer{
 		u:        u,
 		f:        f,
-		vars:     make(map[*symbol]varLoc),
+		vars:     u.sc.vars,
 		memLocal: memLocals,
 		rotate:   rotate,
 	}

@@ -1,5 +1,7 @@
 package mcc
 
+import "binpart/internal/freelist"
+
 // TAC optimization passes. The pass set per level mirrors a classic C
 // compiler, which matters here: the decompiler must cope with (and undo)
 // exactly these artifacts.
@@ -333,7 +335,7 @@ func removeUnreachableBlocks(f *tacFunc) {
 	}
 	sc := f.sc
 	labelBlock := sc.labelBlocks(f, ranges)
-	reach := resize(sc.reach, len(ranges))
+	reach := freelist.Resize(sc.reach, len(ranges))
 	clear(reach)
 	stack := append(sc.stack[:0], 0)
 	for len(stack) > 0 {

@@ -7,33 +7,69 @@ type parser struct {
 	src  string
 	toks []token
 	pos  int
-	// Slabs for the highest-volume AST nodes: expression-heavy sources
-	// create thousands of these tiny nodes, so they are carved out of
-	// chunked backing arrays instead of allocated one by one.
+	ast  *astSlabs
+}
+
+// astSlabs holds the highest-volume AST nodes: expression-heavy sources
+// create thousands of these tiny nodes, so they are carved out of
+// chunked backing arrays instead of allocated one by one.
+type astSlabs struct {
 	numLits slab[NumLit]
 	idents  slab[Ident]
 	bins    slab[BinExpr]
+	syms    slab[symbol] // sema's symbols
 }
 
-// slab hands out *T values carved from chunked backing arrays.
-type slab[T any] struct{ buf []T }
+// reset zeroes every node handed out, so the slabs can carve them again
+// and keep no pointers into the tree they built.
+func (a *astSlabs) reset() {
+	a.numLits.reset()
+	a.idents.reset()
+	a.bins.reset()
+	a.syms.reset()
+}
+
+const slabChunk = 64
+
+// slab hands out zeroed *T values carved from chunked backing arrays.
+type slab[T any] struct {
+	chunks [][]T
+	n      int // values handed out since the last reset
+}
 
 func (s *slab[T]) new() *T {
-	if len(s.buf) == 0 {
-		s.buf = make([]T, 64)
+	c := s.n / slabChunk
+	if c == len(s.chunks) {
+		s.chunks = append(s.chunks, make([]T, slabChunk))
 	}
-	p := &s.buf[0]
-	s.buf = s.buf[1:]
+	p := &s.chunks[c][s.n%slabChunk]
+	s.n++
 	return p
+}
+
+func (s *slab[T]) reset() {
+	for c := 0; s.n > 0; c++ {
+		k := min(s.n, slabChunk)
+		clear(s.chunks[c][:k])
+		s.n -= k
+	}
 }
 
 // Parse builds the AST for a MicroC translation unit.
 func Parse(src string) (*Program, error) {
-	toks, err := lex(src)
+	var toks []token
+	return parse(src, &toks, new(astSlabs))
+}
+
+// parse is Parse lexing into *toks' array, which it updates, and carving
+// nodes from ast. The AST references src, never the tokens.
+func parse(src string, toks *[]token, ast *astSlabs) (*Program, error) {
+	ts, err := lex(src, *toks)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{src: src, toks: toks}
+	*toks = ts
+	p := &parser{src: src, toks: ts, ast: ast}
 	prog := &Program{}
 	for !p.at(tokEOF) {
 		if err := p.parseTopLevel(prog); err != nil {
@@ -614,7 +650,7 @@ func (p *parser) parseBinary(level int) (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		bin := p.bins.new()
+		bin := p.ast.bins.new()
 		bin.Op, bin.L, bin.R = matched, lhs, rhs
 		lhs = bin
 	}
@@ -695,7 +731,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 	switch {
 	case t.kind == tokNumber || t.kind == tokChar:
 		p.advance()
-		n := p.numLits.new()
+		n := p.ast.numLits.new()
 		n.Val = int32(t.val)
 		return n, nil
 	case t.kind == tokIdent:
@@ -720,7 +756,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 			}
 			return call, nil
 		}
-		id := p.idents.new()
+		id := p.ast.idents.new()
 		id.Name = name
 		return id, nil
 	case p.atPunct("("):

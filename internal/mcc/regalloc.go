@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"slices"
 
+	"binpart/internal/freelist"
 	"binpart/internal/mips"
 )
 
@@ -46,11 +47,11 @@ type tacBlock struct {
 func buildBlocks(f *tacFunc) []tacBlock {
 	sc := f.sc
 	ranges := blockRanges(f)
-	blocks := resize(sc.blocks, len(ranges))
+	blocks := freelist.Resize(sc.blocks, len(ranges))
 	sc.resetSets()
 	labelBlock := sc.labelBlocks(f, ranges)
 	succs := sc.succs[:0]
-	ends := resize(sc.succEnd, len(ranges)) // end of each block's successors in succs
+	ends := freelist.Resize(sc.succEnd, len(ranges)) // end of each block's successors in succs
 	for i, r := range ranges {
 		last := &f.Ins[r[1]-1]
 		switch last.Kind {
@@ -149,8 +150,8 @@ func computeIntervals(f *tacFunc, blocks []tacBlock) []interval {
 	sc := f.sc
 	// start < 0 marks a temp never touched; start and end are always
 	// stamped together.
-	start := resize(sc.start, f.NTemp)
-	end := resize(sc.end, f.NTemp)
+	start := freelist.Resize(sc.start, f.NTemp)
+	end := freelist.Resize(sc.end, f.NTemp)
 	sc.start, sc.end = start, end
 	for i := range start {
 		start[i] = -1
@@ -234,7 +235,7 @@ func allocate(f *tacFunc) *allocation {
 	liveness(f, blocks)
 	ivs := computeIntervals(f, blocks)
 
-	a := &allocation{reg: resize(sc.reg, f.NTemp), spill: resize(sc.spill, f.NTemp)}
+	a := &allocation{reg: freelist.Resize(sc.reg, f.NTemp), spill: freelist.Resize(sc.spill, f.NTemp)}
 	sc.reg, sc.spill = a.reg, a.spill
 	clear(a.reg)
 	for i := range a.spill {

@@ -1,12 +1,25 @@
 package mcc
 
-import "binpart/internal/mips"
+import (
+	"binpart/internal/freelist"
+	"binpart/internal/mips"
+)
 
-// scratch holds the working memory one compile reuses from function to
-// function: the TAC being optimized, its call-operand pool and every
-// pass's Temp- or block-indexed tables. A buffer grows to fit the largest
-// function so far and is reused by the functions after it.
+// scratch holds the working memory of one compile: the tokens, the AST
+// slabs and sema's symbols and scopes, the lowerer's variable map, the
+// TAC being optimized, its call-operand pool, every pass's
+// Temp- or block-indexed tables and the code generator's buffers. A
+// buffer grows to fit the largest function so far and is reused by the
+// functions after it, and scratches go back to a free list between
+// compiles. The image a compile returns never points into one.
 type scratch struct {
+	toks   []token
+	ast    astSlabs
+	scopes []map[string]*symbol // sema's emptied scope maps
+	vars   map[*symbol]varLoc   // the lowerer's variable locations
+	text   []mips.Inst
+	call   []callFix
+
 	ins, spare []ins // the TAC (lent to one tacFunc at a time) and strengthReduce's output
 	args       []Operand
 	ranges     [][2]int32 // blockRanges
@@ -36,27 +49,29 @@ type scratch struct {
 	labelPos  []int32
 }
 
+// scratches keeps compile scratch between Compile calls.
+var scratches freelist.List[scratch]
+
+// release zeroes the AST nodes sc handed out, so it keeps no pointers
+// into the finished compile, and returns sc to the free list.
+func (sc *scratch) release() {
+	sc.ast.reset()
+	clear(sc.vars)
+	scratches.Put(sc)
+}
+
 // recycle takes back the buffers f borrowed; f must not be used after.
 func (sc *scratch) recycle(f *tacFunc) {
 	sc.ins, sc.args = f.Ins[:0], f.Args[:0]
 	f.Ins, f.Args = nil, nil
 }
 
-// resize returns s with length n, reusing its backing array when it is
-// large enough. The contents are not cleared.
-func resize[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
-}
-
 // resetTemps sizes and zeroes the Temp-indexed propagation tables.
 func (sc *scratch) resetTemps(nTemp int) {
-	sc.val = resize(sc.val, nTemp)
-	sc.stamp = resize(sc.stamp, nTemp)
-	sc.srcVer = resize(sc.srcVer, nTemp)
-	sc.defVer = resize(sc.defVer, nTemp)
+	sc.val = freelist.Resize(sc.val, nTemp)
+	sc.stamp = freelist.Resize(sc.stamp, nTemp)
+	sc.srcVer = freelist.Resize(sc.srcVer, nTemp)
+	sc.defVer = freelist.Resize(sc.defVer, nTemp)
 	clear(sc.stamp)
 	clear(sc.defVer)
 }
@@ -82,7 +97,7 @@ func (sc *scratch) newSet(nTemp int) tempSet {
 // labelBlocks maps each label id of f to the index of the block it heads
 // (-1 for none).
 func (sc *scratch) labelBlocks(f *tacFunc, ranges [][2]int32) []int32 {
-	lb := resize(sc.labelBlock, int(f.NLabel))
+	lb := freelist.Resize(sc.labelBlock, int(f.NLabel))
 	for i := range lb {
 		lb[i] = -1
 	}

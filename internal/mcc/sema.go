@@ -10,6 +10,8 @@ type sema struct {
 	prog   *Program
 	funcs  map[string]*FuncDecl
 	scopes []map[string]*symbol
+	spare  []map[string]*symbol // emptied scopes for push to reuse
+	syms   *slab[symbol]
 	fn     *FuncDecl
 	loops  int // nesting depth of breakable/continuable constructs
 	sw     int // nesting depth of switches (break only)
@@ -17,7 +19,17 @@ type sema struct {
 
 // Analyze type-checks the program. It must run before lowering.
 func Analyze(prog *Program) error {
-	s := &sema{prog: prog, funcs: make(map[string]*FuncDecl)}
+	return analyze(prog, new(slab[symbol]), nil)
+}
+
+// analyze is Analyze carving symbols from syms and reusing the emptied
+// scope maps in *spare, which it updates when spare is not nil.
+func analyze(prog *Program, syms *slab[symbol], spare *[]map[string]*symbol) error {
+	s := &sema{prog: prog, funcs: make(map[string]*FuncDecl, len(prog.Funcs)), syms: syms}
+	if spare != nil {
+		s.spare = *spare
+		defer func() { *spare = s.spare }()
+	}
 	for _, fn := range prog.Funcs {
 		if _, dup := s.funcs[fn.Name]; dup {
 			return fmt.Errorf("mcc: function %q redefined", fn.Name)
@@ -59,15 +71,30 @@ func Analyze(prog *Program) error {
 	return nil
 }
 
-func (s *sema) push() { s.scopes = append(s.scopes, make(map[string]*symbol)) }
-func (s *sema) pop()  { s.scopes = s.scopes[:len(s.scopes)-1] }
+func (s *sema) push() {
+	var m map[string]*symbol
+	if n := len(s.spare); n > 0 {
+		m, s.spare = s.spare[n-1], s.spare[:n-1]
+	} else {
+		m = make(map[string]*symbol)
+	}
+	s.scopes = append(s.scopes, m)
+}
+
+func (s *sema) pop() {
+	m := s.scopes[len(s.scopes)-1]
+	clear(m)
+	s.spare = append(s.spare, m)
+	s.scopes = s.scopes[:len(s.scopes)-1]
+}
 
 func (s *sema) declare(d *VarDecl, global bool) error {
 	top := s.scopes[len(s.scopes)-1]
 	if _, dup := top[d.Name]; dup {
 		return fmt.Errorf("mcc: line %d: %q redeclared", d.Line, d.Name)
 	}
-	sym := &symbol{name: d.Name, typ: d.Type, global: global, decl: d, paramIx: -1}
+	sym := s.syms.new()
+	*sym = symbol{name: d.Name, typ: d.Type, global: global, decl: d, paramIx: -1}
 	top[d.Name] = sym
 	d.sym = sym
 	return nil

@@ -95,12 +95,15 @@ type lexer struct {
 	toks      []token
 }
 
-// lex tokenizes src. It returns a descriptive error with line/column on
-// any malformed input.
-func lex(src string) ([]token, error) {
+// lex tokenizes src into buf's array when it is large enough. It
+// returns a descriptive error with line/column on any malformed input.
+func lex(src string, buf []token) ([]token, error) {
 	// One token per 3 source bytes bounds the suite's programs (3.2-4.0
 	// bytes a token); denser generated code grows the slice once.
-	lx := &lexer{src: src, line: 1, toks: make([]token, 0, len(src)/3+16)}
+	if n := len(src)/3 + 16; cap(buf) < n {
+		buf = make([]token, 0, n)
+	}
+	lx := &lexer{src: src, line: 1, toks: buf[:0]}
 	for {
 		if err := lx.skipSpaceAndComments(); err != nil {
 			return nil, err

@@ -30,6 +30,8 @@ type Manifest struct {
 	Spans   int                    `json:"spans"`
 	Stages  []StageTotal           `json:"stages,omitempty"`
 	Caches  map[string]cache.Stats `json:"caches,omitempty"`
+	// GC is the collector's work between the run's open and close.
+	GC GCStats `json:"gc"`
 	// Interrupted marks a run cut short by a signal: the manifest and
 	// trace cover only the work that finished before the cancel.
 	Interrupted bool `json:"interrupted,omitempty"`

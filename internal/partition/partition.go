@@ -18,7 +18,7 @@ package partition
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Candidate is one region eligible for hardware implementation.
@@ -118,7 +118,7 @@ func Partition(cands []*Candidate, budgetGates int, opts Options) *Result {
 			loopTotal += c.SWTimeNs
 		}
 	}
-	sort.SliceStable(loops, func(i, j int) bool { return loops[i].SWTimeNs > loops[j].SWTimeNs })
+	slices.SortStableFunc(loops, func(a, b *Candidate) int { return descending(a.SWTimeNs, b.SWTimeNs) })
 	var covered float64
 	for _, c := range loops {
 		if loopTotal > 0 && covered/loopTotal >= opts.CoverageTarget {
@@ -166,9 +166,7 @@ func Partition(cands []*Candidate, budgetGates int, opts Options) *Result {
 				rest = append(rest, c)
 			}
 		}
-		sort.SliceStable(rest, func(i, j int) bool {
-			return rest[i].Gain()/float64(rest[i].AreaGates) > rest[j].Gain()/float64(rest[j].AreaGates)
-		})
+		slices.SortStableFunc(rest, byDensity)
 		for _, c := range rest {
 			add(c, 3)
 		}
@@ -176,6 +174,24 @@ func Partition(cands []*Candidate, budgetGates int, opts Options) *Result {
 
 	res.TotalGates = area
 	return res
+}
+
+// descending orders x before y when x > y. It is negative exactly where
+// the comparison x > y holds, which is all a stable sort reads, so a NaN
+// gain orders as it did under the former less function.
+func descending(x, y float64) int {
+	switch {
+	case x > y:
+		return -1
+	case x < y:
+		return 1
+	}
+	return 0
+}
+
+// byDensity orders candidates by gain per gate, highest first.
+func byDensity(a, b *Candidate) int {
+	return descending(a.Gain()/float64(a.AreaGates), b.Gain()/float64(b.AreaGates))
 }
 
 // GreedyKnapsack is the Henkel-style baseline: pure gain/area ordering.
@@ -187,9 +203,7 @@ func GreedyKnapsack(cands []*Candidate, budgetGates int) *Result {
 			order = append(order, c)
 		}
 	}
-	sort.SliceStable(order, func(i, j int) bool {
-		return order[i].Gain()/float64(order[i].AreaGates) > order[j].Gain()/float64(order[j].AreaGates)
-	})
+	slices.SortStableFunc(order, byDensity)
 	area := 0
 	for _, c := range order {
 		if area+c.AreaGates > budgetGates {

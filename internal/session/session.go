@@ -68,6 +68,8 @@ type Session struct {
 	cfg   Config
 	trace *obs.TraceWriter
 
+	gc0 obs.GCStats // collector counters at Open
+
 	sigCh       chan os.Signal
 	once        sync.Once
 	sig         os.Signal     // set before interrupted closes
@@ -88,7 +90,7 @@ func (f *Flags) Open(cfg Config) (*Session, error) {
 	if cfg.NoCache && f.cacheDir != "" {
 		return nil, fmt.Errorf("%w: -nocache and -cachedir are mutually exclusive", ErrUsage)
 	}
-	s := &Session{f: f, cfg: cfg, interrupted: make(chan struct{})}
+	s := &Session{f: f, cfg: cfg, interrupted: make(chan struct{}), gc0: obs.ReadGC()}
 	if !cfg.NoCache {
 		s.Caches = core.NewCaches()
 	}
@@ -169,17 +171,20 @@ func (s *Session) Signal() os.Signal {
 	}
 }
 
-// Close finishes the run in one fixed order: the -stats tables, the
-// trace's cache trailer, the stream flush, the trace file close, the
-// span/cache reconciliation, the -manifest and the listener. Every step
+// Close finishes the run in one fixed order: the -stats tables with the
+// collector's work since Open, the trace's cache trailer, the stream
+// flush, the trace file close, the span/cache reconciliation, the
+// -manifest and the listener. Every step
 // runs; the error joins each one that failed. The manifest is marked
 // interrupted when cut is set or an earlier step failed. Close ends the
 // signal watch.
 func (s *Session) Close(cut bool) error {
 	var errs []error
+	gc := obs.ReadGC().Sub(s.gc0)
 	if s.f.stats {
 		fmt.Fprint(s.cfg.Stderr, s.Rec.Table())
 		fmt.Fprint(s.cfg.Stderr, s.Caches.StatsString())
+		fmt.Fprint(s.cfg.Stderr, gc)
 	}
 	stats := s.Caches.StatsMap()
 	if s.trace != nil {
@@ -198,6 +203,7 @@ func (s *Session) Close(cut bool) error {
 	}
 	if s.f.manifest != "" {
 		m := obs.BuildManifest(s.cfg.Tool, s.cfg.Args, s.cfg.Workers, s.Rec, stats)
+		m.GC = gc
 		m.Interrupted = cut || len(errs) > 0
 		if err := m.Write(s.f.manifest); err != nil {
 			errs = append(errs, fmt.Errorf("manifest: %w", err))

@@ -25,23 +25,38 @@ func (a Attribution) At(pc uint32) uint64 {
 // counts under the cycle model: each instruction's executions multiplied
 // by its class cost, with branches split between taken and not-taken
 // using the recorded edge counts. The partitioner uses this to know how
-// many CPU cycles each loop consumed.
-func AttributeCycles(img *binimg.Image, prof *Profile, cm CycleModel) Attribution {
+// many CPU cycles each loop consumed. The counts are written into buf's
+// array when it is large enough; pass nil for a fresh one.
+func AttributeCycles(img *binimg.Image, prof *Profile, cm CycleModel, buf []uint64) Attribution {
 	if cm == (CycleModel{}) {
 		cm = DefaultCycleModel
 	}
-	out := Attribution{Base: img.TextBase, Cycles: make([]uint64, len(img.Text))}
-	takenFrom := make(map[uint32]uint64)
+	if cap(buf) < len(img.Text) {
+		buf = make([]uint64, len(img.Text))
+	}
+	out := Attribution{Base: img.TextBase, Cycles: buf[:len(img.Text)]}
+	clear(out.Cycles)
+	// First sum each branch's taken edges into its own slot; the pass
+	// over the executed instructions below reads that sum and overwrites
+	// it with the cycles.
+	slot := func(pc uint32) (int, bool) {
+		i := uint64(pc-img.TextBase) / 4
+		return int(i), pc >= img.TextBase && pc%4 == 0 && i < uint64(len(out.Cycles))
+	}
 	for e, n := range prof.EdgeCount {
-		takenFrom[e.From] += n
+		if i, ok := slot(e.From); ok {
+			out.Cycles[i] += n
+		}
 	}
 	for pc, count := range prof.InstCount {
 		w, err := img.WordAt(pc)
 		if err != nil {
 			continue
 		}
+		c := &out.Cycles[(pc-img.TextBase)/4]
 		in, err := mips.Decode(w)
 		if err != nil {
+			*c = 0
 			continue
 		}
 		// The class comes from the same decode metadata the interpreter
@@ -49,10 +64,7 @@ func AttributeCycles(img *binimg.Image, prof *Profile, cm CycleModel) Attributio
 		var cycles uint64
 		switch in.Op.Cost() {
 		case mips.CostBranch:
-			taken := takenFrom[pc]
-			if taken > count {
-				taken = count
-			}
+			taken := min(*c, count)
 			cycles = taken*cm.BranchTaken + (count-taken)*cm.BranchNot
 		case mips.CostJump:
 			cycles = count * cm.Jump
@@ -67,7 +79,16 @@ func AttributeCycles(img *binimg.Image, prof *Profile, cm CycleModel) Attributio
 		default:
 			cycles = count * cm.ALU
 		}
-		out.Cycles[(pc-img.TextBase)/4] = cycles
+		*c = cycles
+	}
+	// An edge source the profile never counted as executed keeps no
+	// cycles.
+	for e := range prof.EdgeCount {
+		if _, ok := prof.InstCount[e.From]; !ok {
+			if i, ok := slot(e.From); ok {
+				out.Cycles[i] = 0
+			}
+		}
 	}
 	return out
 }

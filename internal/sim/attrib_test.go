@@ -32,7 +32,7 @@ func TestAttributeCycles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cyc := AttributeCycles(img, res.Profile, cfg.Cycles)
+	cyc := AttributeCycles(img, res.Profile, cfg.Cycles, nil)
 
 	base := img.TextBase
 	// The loop body runs 4 times; the load at +12 costs Load cycles each.
@@ -78,7 +78,7 @@ func TestAttributeCyclesMultDiv(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cyc := AttributeCycles(img, res.Profile, cfg.Cycles)
+	cyc := AttributeCycles(img, res.Profile, cfg.Cycles, nil)
 	if got := cyc.At(img.TextBase + 8); got != cfg.Cycles.Mult {
 		t.Errorf("mult cycles = %d, want %d", got, cfg.Cycles.Mult)
 	}

@@ -29,9 +29,9 @@ package sim
 
 import (
 	"fmt"
-	"sync"
 
 	"binpart/internal/binimg"
+	"binpart/internal/freelist"
 	"binpart/internal/mips"
 )
 
@@ -156,10 +156,9 @@ type Machine struct {
 	PC   uint32
 	mem  binimg.Mem
 
-	// Threaded-code translation state. back is the shared backing array
-	// for code and fops (kept across pooled reuse), tblocks is the
-	// per-entry-point translation cache indexed by pinst.tix.
-	back    []pinst
+	// Threaded-code translation state: fops holds the superop runs the
+	// translator appends, tblocks is the per-entry-point translation
+	// cache indexed by pinst.tix. Both keep their arrays across reuse.
 	fops    []pinst
 	tblocks []tblock
 
@@ -197,15 +196,17 @@ func (m *Machine) init(img *binimg.Image, cfg Config) error {
 	m.HI, m.LO, m.PC = 0, 0, 0
 	m.mem.Reset() // keeps allocated pages for pooled reuse
 	n := len(img.Text)
-	// One backing array for the decoded text and the superop runs the
-	// translator appends behind it. Translations are per entry point, so
-	// only mid-block entries duplicate text; n extra records cover
-	// typical programs, and overflow just reallocates fops.
-	if cap(m.back) < 2*n+1 {
-		m.back = make([]pinst, 2*n+1)
+	// The superop runs start with room for n records. Translations are
+	// per entry point, so only mid-block entries duplicate text: n
+	// records cover typical programs, and fops keeps whatever it grew to.
+	if cap(m.code) < n {
+		m.code = make([]pinst, n)
 	}
-	m.code = m.back[:n:n]
-	m.fops = m.back[n:n]
+	m.code = m.code[:n]
+	if cap(m.fops) < n+1 {
+		m.fops = make([]pinst, 0, n+1)
+	}
+	m.fops = m.fops[:0]
 	for i, w := range img.Text {
 		in, err := mips.Decode(w)
 		if err != nil {
@@ -259,7 +260,11 @@ func (m *Machine) init(img *binimg.Image, cfg Config) error {
 			m.edges = nil
 		}
 		if jrsites > 0 {
-			m.jrs = make([]jrSite, 0, jrsites)
+			if cap(m.jrs) >= jrsites {
+				m.jrs = m.jrs[:0]
+			} else {
+				m.jrs = make([]jrSite, 0, jrsites)
+			}
 		} else {
 			m.jrs = nil
 		}
@@ -440,31 +445,37 @@ func b2u(b bool) uint32 {
 	return 0
 }
 
-// machinePool recycles Machines between Execute calls. The predecoded
-// text, superop runs, translation cache, and profile slots dominate
-// per-run allocation, and init fully rewrites or clears every retained
-// buffer, so pooled reuse is invisible to results. Memory pages are not
-// retained (each run starts from a fresh sparse Mem).
-var machinePool sync.Pool
+// machines keeps Machines between Execute calls. The predecoded text,
+// superop runs, translation cache, profile slots and touched memory
+// pages dominate per-run allocation. init fully rewrites or clears every
+// retained buffer and Mem.Reset zeroes the kept pages, so reuse is
+// invisible to results.
+var machines freelist.List[Machine]
 
-// acquire returns a Machine initialized for img/cfg, reusing a pooled
+// acquire returns a Machine initialized for img/cfg, reusing a kept
 // machine's buffers when they are large enough.
 func acquire(img *binimg.Image, cfg Config) (*Machine, error) {
-	m, _ := machinePool.Get().(*Machine)
-	if m == nil {
-		m = &Machine{}
-	}
+	m := machines.Get()
 	if err := m.init(img, cfg); err != nil {
-		machinePool.Put(m)
+		machines.Put(m)
 		return nil, err
 	}
 	return m, nil
 }
 
-// release returns a Machine to the pool. The caller must be completely
-// done with it: the next acquire rewrites every buffer.
+// maxKeptPages bounds the memory a kept machine holds on to (256 KiB; a
+// suite or progen program touches two pages). A run that touched more,
+// such as an upload with a large working set, leaves its pages to the
+// collector.
+const maxKeptPages = 64
+
+// release gives a Machine back. The caller must be completely done with
+// it: the next acquire rewrites every buffer.
 func release(m *Machine) {
-	machinePool.Put(m)
+	if m.mem.Pages() > maxKeptPages {
+		m.mem = binimg.Mem{}
+	}
+	machines.Put(m)
 }
 
 // Execute is a convenience wrapper: load img and run with cfg, dispatching

@@ -342,3 +342,36 @@ func TestReadWriteWord(t *testing.T) {
 		t.Errorf("ReadWord = 0x%x", got)
 	}
 }
+
+// TestKeptMachineDropsLargeMemory: a run that touches more than
+// maxKeptPages pages does not leave them pinned in the free list.
+func TestKeptMachineDropsLargeMemory(t *testing.T) {
+	words, err := mips.AssembleWords(`
+		lui   $t0, 0x1000        # data base
+		li    $t2, 100           # pages to touch
+	loop:
+		sw    $t2, 0($t0)
+		addiu $t0, $t0, 4096
+		addiu $t2, $t2, -1
+		bgtz  $t2, loop
+		break
+	`, binimg.DefaultTextBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := &binimg.Image{Entry: binimg.DefaultTextBase, TextBase: binimg.DefaultTextBase, Text: words, DataBase: binimg.DefaultDataBase}
+	m, err := acquire(img, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if m.mem.Pages() <= maxKeptPages {
+		t.Fatalf("the program touched %d pages, want more than %d", m.mem.Pages(), maxKeptPages)
+	}
+	release(m)
+	if m.mem.Pages() != 0 {
+		t.Errorf("a released machine keeps %d pages, want 0", m.mem.Pages())
+	}
+}

@@ -20,6 +20,7 @@ import (
 
 	"binpart/internal/alias"
 	"binpart/internal/fpga"
+	"binpart/internal/freelist"
 	"binpart/internal/ir"
 )
 
@@ -108,9 +109,12 @@ func opClass(in *ir.Instr) (fpga.OpClass, bool) {
 
 // dfgBuilder carries dataflow-graph construction across the blocks of
 // one synthesis call: one node array for all of them, and dense scratch
-// tables indexed by location that every block reuses.
+// tables indexed by location that every block reuses. Builders come
+// from a free list and go back to it when Synthesize returns; a Design
+// keeps only its step tables, never a builder's nodes or edges.
 type dfgBuilder struct {
-	nodes []node
+	nodes []node // the part of all not yet handed to a block
+	all   []node
 	edges []dep
 	// lastDef is each location's reaching definition in the block being
 	// built, -1 for none; it is all -1 between blocks.
@@ -118,9 +122,15 @@ type dfgBuilder struct {
 	memOps  []int32
 	refs    []alias.Ref
 	rec     []recEntry
+	// allocate's per-block tables.
+	counts   []int32
+	crossing []bool
 }
 
-// newDFGBuilder sizes a builder for blocks.
+// builders keeps DFG builders between Synthesize calls.
+var builders freelist.List[dfgBuilder]
+
+// newDFGBuilder sizes a builder for blocks, reusing a kept one's tables.
 func newDFGBuilder(blocks []*ir.Block) *dfgBuilder {
 	total, space := 0, 0
 	for _, b := range blocks {
@@ -130,15 +140,26 @@ func newDFGBuilder(blocks []*ir.Block) *dfgBuilder {
 			space = max(space, int(in.Dst)+1, int(in.A.Loc)+1, int(in.B.Loc)+1)
 		}
 	}
-	bd := &dfgBuilder{
-		nodes:   make([]node, total),
-		edges:   make([]dep, 0, 2*total),
-		lastDef: make([]int32, space),
+	bd := builders.Get()
+	bd.all = freelist.Resize(bd.all, total)
+	bd.nodes = bd.all
+	if cap(bd.edges) < 2*total {
+		bd.edges = make([]dep, 0, 2*total)
 	}
+	bd.edges = bd.edges[:0]
+	bd.lastDef = freelist.Resize(bd.lastDef, space)
 	for i := range bd.lastDef {
 		bd.lastDef[i] = -1
 	}
 	return bd
+}
+
+// release drops bd's pointers into the IR and returns it to the free
+// list; bd and the graphs it built must not be used after.
+func (bd *dfgBuilder) release() {
+	clear(bd.all)
+	clear(bd.refs[:cap(bd.refs)])
+	builders.Put(bd)
 }
 
 // build constructs the dataflow graph of a block: true data dependences
@@ -384,8 +405,9 @@ func schedule(g *dfg, res Resources, clockNs float64) *scheduleResult {
 
 // allocation summarizes functional-unit binding for area estimation.
 type allocation struct {
-	// units[class] = per-width peak concurrency.
-	units map[fpga.OpClass]map[int]int
+	// units[class][bucket] is the peak concurrency of the class's ops in
+	// width bucket widthBuckets[bucket].
+	units [numClasses][len(widthBuckets)]int
 	// sharedOps[class] counts ops beyond the unit count (mux overhead).
 	muxes int
 	// regs is the number of 32-bit-equivalent registers needed for
@@ -394,14 +416,14 @@ type allocation struct {
 }
 
 // allocate derives the unit allocation from a set of scheduled blocks.
-func allocate(scheds []*scheduleResult) *allocation {
-	al := &allocation{units: map[fpga.OpClass]map[int]int{}}
-	totalOps := map[fpga.OpClass]int{}
+func (bd *dfgBuilder) allocate(scheds []*scheduleResult) *allocation {
+	al := new(allocation)
+	var totalOps [numClasses]int
 	// counts[(state*classes+class)*len(widthBuckets)+bucket] is one
 	// block's op count per state, class and width bucket.
-	const classes = int(fpga.ClassMemPort) + 1
-	var counts []int32
-	var crossing []bool
+	const classes = numClasses
+	counts, crossing := bd.counts, bd.crossing
+	defer func() { bd.counts, bd.crossing = counts, crossing }()
 	for _, sr := range scheds {
 		if n := sr.states * classes * len(widthBuckets); cap(counts) < n {
 			counts = make([]int32, n)
@@ -421,14 +443,8 @@ func allocate(scheds []*scheduleResult) *allocation {
 			if c == 0 {
 				continue
 			}
-			cls := fpga.OpClass(i / len(widthBuckets) % classes)
-			w := widthBuckets[i%len(widthBuckets)]
-			if al.units[cls] == nil {
-				al.units[cls] = map[int]int{}
-			}
-			if int(c) > al.units[cls][w] {
-				al.units[cls][w] = int(c)
-			}
+			cls, w := i/len(widthBuckets)%classes, i%len(widthBuckets)
+			al.units[cls][w] = max(al.units[cls][w], int(c))
 		}
 		// Registers: producer values consumed in a later state.
 		if n := len(sr.g.nodes); cap(crossing) < n {
@@ -449,7 +465,7 @@ func allocate(scheds []*scheduleResult) *allocation {
 	}
 	// Multiplexer overhead: each op beyond its unit's first binding needs
 	// operand steering.
-	for cls, widths := range al.units {
+	for cls, widths := range &al.units {
 		unitCount := 0
 		for _, c := range widths {
 			unitCount += c
@@ -460,6 +476,9 @@ func allocate(scheds []*scheduleResult) *allocation {
 	}
 	return al
 }
+
+// numClasses counts the operation classes a datapath op can have.
+const numClasses = int(fpga.ClassMemPort) + 1
 
 // widthBuckets are the hardware-friendly unit widths operator widths
 // round up to, so that ops of similar width share a unit.
@@ -483,9 +502,9 @@ func widthBucketIndex(w int) int {
 // area converts an allocation plus control overhead into an area vector.
 func (al *allocation) area(states int) fpga.Area {
 	var a fpga.Area
-	for cls, widths := range al.units {
+	for cls, widths := range &al.units {
 		for w, count := range widths {
-			c := fpga.CostOf(cls, w)
+			c := fpga.CostOf(fpga.OpClass(cls), widthBuckets[w])
 			for i := 0; i < count; i++ {
 				a = a.Add(c.Area)
 			}

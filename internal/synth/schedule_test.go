@@ -197,7 +197,7 @@ func TestAllocationCountsPeakConcurrency(t *testing.T) {
 	}}
 	b.Index = 0
 	sr := schedule(buildDFG(b, nil), DefaultResources, 0)
-	al := allocate([]*scheduleResult{sr})
+	al := new(dfgBuilder).allocate([]*scheduleResult{sr})
 	addUnits := 0
 	for _, c := range al.units[fpga.ClassAdd] {
 		addUnits += c

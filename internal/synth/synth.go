@@ -7,6 +7,7 @@ import (
 	"binpart/internal/alias"
 	"binpart/internal/binimg"
 	"binpart/internal/fpga"
+	"binpart/internal/freelist"
 	"binpart/internal/ir"
 )
 
@@ -153,8 +154,9 @@ func Synthesize(r Region, img *binimg.Image, opts Options) (*Design, error) {
 		Blocks:      blocks,
 	}
 	bd := newDFGBuilder(blocks)
+	defer bd.release()
 	scheds := make([]*scheduleResult, len(blocks))
-	steps := make([]int, len(bd.nodes))
+	steps := make([]int, len(bd.all))
 	var maxChain float64
 	for i, b := range blocks {
 		sr := schedule(bd.build(b, am), opts.Resources, opts.ClockNs)
@@ -172,7 +174,7 @@ func Synthesize(r Region, img *binimg.Image, opts Options) (*Design, error) {
 	}
 	d.ClockNs = fpga.ClockFromCriticalPath(maxChain)
 
-	al := allocate(scheds)
+	al := bd.allocate(scheds)
 	maxStates := 0
 	for _, sr := range scheds {
 		if sr.states > maxStates {
@@ -346,9 +348,7 @@ type recEntry struct {
 // and contribute no recurrence. Its table over the locations is the
 // builder's, so the block must be one the builder was sized for.
 func (bd *dfgBuilder) recurrenceII(sr *scheduleResult) int {
-	if len(bd.rec) < len(bd.lastDef) {
-		bd.rec = make([]recEntry, len(bd.lastDef))
-	}
+	bd.rec = freelist.Resize(bd.rec, len(bd.lastDef))
 	rec := bd.rec
 	for i := range rec {
 		rec[i] = recEntry{firstRead: -1, written: -1}
