@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
+	"regexp"
 	"runtime"
 	"strings"
 	"testing"
@@ -57,5 +59,41 @@ func TestManifestRecordsEffectiveWorkers(t *testing.T) {
 		if want := runtime.GOMAXPROCS(0); m.Workers != want {
 			t.Errorf("-j %s: manifest workers %d, want %d", j, m.Workers, want)
 		}
+	}
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/experiments_golden.txt from the current run")
+
+const goldenPath = "testdata/experiments_golden.txt"
+
+// partitionTime matches A1's measured wall-clock partition times, the
+// only part of the default output that varies from run to run.
+var partitionTime = regexp.MustCompile(`partition time \S+`)
+
+// TestDefaultOutputGolden pins everything a bare `experiments` prints —
+// T1–T4, F1, A1, A2 and E1 — byte for byte, with A1's partition times
+// masked. Regenerate with -update only for a change meant to move a
+// figure.
+func TestDefaultOutputGolden(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run(nil, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr %s", code, stderr.String())
+	}
+	got := partitionTime.ReplaceAllString(stdout.String(), "partition time <masked>")
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatalf("%v (run `go test ./cmd/experiments -run TestDefaultOutputGolden -update` to create it)", err)
+	}
+	if got != string(want) {
+		t.Errorf("default output drifted from %s (re-run with -update if intended):\n--- golden ---\n%s--- got ---\n%s", goldenPath, want, got)
 	}
 }
