@@ -67,8 +67,10 @@ func main() {
 	fmt.Printf("   clock %.2f ns (%.0f MHz), %d slices, %d multipliers, %d BRAMs (%d equivalent gates)\n",
 		design.ClockNs, design.ClockMHz(), design.Area.Slices,
 		design.Area.Mult18, design.Area.BRAM, design.GateEquivalent())
-	for _, p := range design.Pipelines {
-		fmt.Printf("   pipelined body block %d: II=%d, depth=%d\n", p.BodyIndex, p.II, p.Depth)
+	for _, s := range design.Schedule {
+		if s.II > 0 {
+			fmt.Printf("   pipelined body block %d: II=%d, depth=%d\n", s.Block.Index, s.II, s.States)
+		}
 	}
 	for _, m := range design.MemObjects {
 		fmt.Printf("   array %q (%d bytes) moved into block RAM\n", m.Sym, m.Bytes)

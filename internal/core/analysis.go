@@ -176,21 +176,20 @@ func computeAnalysis(img *binimg.Image, opts Options, caches *Caches, sc *obs.Sc
 			loops:   lr.Loops[f.Name],
 		}
 		if opts.Granularity == GranFunctions {
-			rc, err := buildFuncCandidate(fx, pf, opts, sctx)
+			rc, err := buildCandidate(fx, synth.FuncRegion(f), pf.funcInvocations(f), pf, opts, sctx)
 			if err == nil && rc != nil {
 				a.Candidates = append(a.Candidates, rc)
 			}
 			continue
 		}
 		for _, l := range fx.loops {
-			if l.Depth != 1 || !synthesizable(l) {
+			if l.Depth != 1 {
 				continue
 			}
-			rc, err := buildCandidate(fx, l, pf, opts, sctx)
-			if err != nil || rc == nil {
-				continue
+			rc, err := buildCandidate(fx, synth.LoopRegion(f, l), pf.loopInvocations(l), pf, opts, sctx)
+			if err == nil && rc != nil {
+				a.Candidates = append(a.Candidates, rc)
 			}
-			a.Candidates = append(a.Candidates, rc)
 		}
 	}
 	return a, nil

@@ -175,14 +175,6 @@ func (c *Caches) StatsString() string {
 	return b.String()
 }
 
-// ImageKey content-addresses a binary image: every field the simulator,
-// decompiler, and synthesizer can observe. The hash is memoized on the
-// image (see binimg.Image.Key), so repeated stage-cache lookups on one
-// image don't rehash its text section.
-func ImageKey(img *binimg.Image) cache.Key {
-	return img.Key()
-}
-
 func hashSimConfig(h *cache.Hasher, cfg sim.Config) {
 	h.Uint32(cfg.StackTop).Uint64(cfg.MaxSteps).Bool(cfg.Profile)
 	h.Int(int64(cfg.Engine))
@@ -199,8 +191,8 @@ func hashDoptConfig(h *cache.Hasher, c dopt.Config) {
 
 func hashSynthOptions(h *cache.Hasher, o synth.Options) {
 	h.Int(int64(o.Resources.MemPorts)).Int(int64(o.Resources.Multipliers))
-	h.Int(int64(o.Resources.Dividers)).Int(int64(o.Resources.MemBanks))
-	h.Float64(o.ClockNs).Bool(o.Pipeline).Bool(o.MoveArrays)
+	h.Int(int64(o.Resources.Dividers))
+	h.Float64(o.ClockNs).Bool(o.Pipeline)
 }
 
 func simKey(imgKey cache.Key, cfg sim.Config) cache.Key {

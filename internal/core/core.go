@@ -309,71 +309,6 @@ func (ws *evalScratch) release() {
 	evalScratches.Put(ws)
 }
 
-// buildFuncCandidate synthesizes an entire call-free function as one
-// hardware region.
-func buildFuncCandidate(fx *funcFacts, pf *profileFacts, opts Options, sctx *synthCtx) (*RegionCandidate, error) {
-	f := fx.f
-	for _, b := range f.Blocks {
-		for i := range b.Instrs {
-			in := &b.Instrs[i]
-			if in.Op == ir.Call || (in.Op == ir.IJump && in.Table == nil) {
-				return nil, nil // not synthesizable as a whole
-			}
-		}
-	}
-	var swCycles uint64
-	blockExecs := map[int]uint64{}
-	for _, b := range f.Blocks {
-		ext := fx.extents[b.Index]
-		for pc := ext[0]; pc < ext[1]; pc += 4 {
-			swCycles += pf.cycAt.At(pc)
-		}
-		execs := pf.prof.InstCount[ext[0]]
-		if k, ok := fx.factors[b.Index]; ok && k > 1 {
-			execs *= uint64(k)
-		}
-		blockExecs[b.Index] = execs
-	}
-	if swCycles == 0 {
-		return nil, nil
-	}
-	invocations := pf.prof.InstCount[f.Entry]
-	if invocations == 0 {
-		invocations = 1
-	}
-	d, err := sctx.synthesize(fx.region(synth.FuncRegion(f)), fx.img, opts.Synth)
-	if err != nil {
-		return nil, err
-	}
-	fp, _ := fx.alias().FuncFootprint(f)
-	return &RegionCandidate{
-		Name:        d.Name,
-		Func:        f.Name,
-		SWCycles:    swCycles,
-		HWCycles:    d.Cycles(blockExecs),
-		HWClockNs:   d.ClockNs,
-		Invocations: invocations,
-		AreaGates:   d.GateEquivalent(),
-		Footprint:   fp,
-		SizeInstrs:  f.NumInstrs(),
-		Design:      d,
-	}, nil
-}
-
-// synthesizable rejects loops containing calls or unresolved indirect
-// jumps.
-func synthesizable(l *ir.Loop) bool {
-	for _, b := range l.Blocks {
-		for i := range b.Instrs {
-			in := &b.Instrs[i]
-			if in.Op == ir.Call || (in.Op == ir.IJump && in.Table == nil) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // blockExtents computes each block's original address range [start,end),
 // indexed by block index, in ws.
 func (ws *analysisScratch) blockExtents(f *ir.Func, img *binimg.Image) [][2]uint32 {
@@ -398,32 +333,73 @@ func (ws *analysisScratch) blockExtents(f *ir.Func, img *binimg.Image) [][2]uint
 	return out
 }
 
-// buildCandidate synthesizes one loop region and gathers its profile
-// numbers.
-func buildCandidate(fx *funcFacts, l *ir.Loop, pf *profileFacts, opts Options, sctx *synthCtx) (*RegionCandidate, error) {
-	prof := pf.prof
-
-	// Software cycles and block execution counts from the profile.
+// buildCandidate synthesizes region r of fx's function — one of its
+// loops or all of it — and gathers its profile numbers; control enters
+// the region invocations times. A region that is never executed, or that
+// holds an operation no design can implement, is not a candidate.
+func buildCandidate(fx *funcFacts, r synth.Region, invocations uint64, pf *profileFacts, opts Options, sctx *synthCtx) (*RegionCandidate, error) {
+	// Software cycles, size and block execution counts from the profile.
 	var swCycles uint64
+	size := 0
 	blockExecs := map[int]uint64{}
-	for idx := range l.Blocks {
-		ext := fx.extents[idx]
+	for _, b := range fx.f.Blocks {
+		if r.Blocks != nil && r.Blocks[b.Index] == nil {
+			continue
+		}
+		if synth.Unsynthesizable(b) != nil {
+			return nil, nil
+		}
+		size += len(b.Instrs)
+		ext := fx.extents[b.Index]
 		for pc := ext[0]; pc < ext[1]; pc += 4 {
 			swCycles += pf.cycAt.At(pc)
 		}
-		execs := prof.InstCount[ext[0]]
-		if k, ok := fx.factors[idx]; ok && k > 1 {
+		execs := pf.prof.InstCount[ext[0]]
+		if k, ok := fx.factors[b.Index]; ok && k > 1 {
 			execs *= uint64(k)
 		}
-		blockExecs[idx] = execs
+		blockExecs[b.Index] = execs
 	}
 	if swCycles == 0 {
-		return nil, nil // never executed; not a candidate
+		return nil, nil
 	}
 
-	// Invocations: header executions minus re-entries from inside the
-	// loop. Taken branches are in the edge profile; fallthrough and
-	// unconditional flows contribute the predecessor's execution count.
+	d, err := sctx.synthesize(fx.region(r), fx.img, opts.Synth)
+	if err != nil {
+		return nil, err
+	}
+	var fp []string
+	if r.Blocks == nil {
+		fp, _ = fx.alias().FuncFootprint(fx.f)
+	} else {
+		fp, _ = fx.alias().Footprint(r.Blocks)
+	}
+	return &RegionCandidate{
+		Name:        d.Name,
+		Func:        fx.f.Name,
+		SWCycles:    swCycles,
+		HWCycles:    d.Cycles(blockExecs),
+		HWClockNs:   d.ClockNs,
+		Invocations: invocations,
+		AreaGates:   d.GateEquivalent(),
+		Footprint:   fp,
+		SizeInstrs:  size,
+		Design:      d,
+	}, nil
+}
+
+// funcInvocations is how often control enters f: its entry's execution
+// count, at least 1.
+func (pf *profileFacts) funcInvocations(f *ir.Func) uint64 {
+	return max(pf.prof.InstCount[f.Entry], 1)
+}
+
+// loopInvocations is how often control enters loop l: header executions
+// minus re-entries from inside the loop, at least 1. Taken branches are
+// in the edge profile; fallthrough and unconditional flows contribute
+// the predecessor's execution count.
+func (pf *profileFacts) loopInvocations(l *ir.Loop) uint64 {
+	prof := pf.prof
 	headerExecs := prof.InstCount[l.Header.Start]
 	var backFlow uint64
 	for _, p := range l.Header.Preds {
@@ -448,27 +424,8 @@ func buildCandidate(fx *funcFacts, l *ir.Loop, pf *profileFacts, opts Options, s
 			backFlow += execs
 		}
 	}
-	invocations := uint64(1)
 	if headerExecs > backFlow {
-		invocations = headerExecs - backFlow
+		return headerExecs - backFlow
 	}
-
-	d, err := sctx.synthesize(fx.region(synth.LoopRegion(fx.f, l)), fx.img, opts.Synth)
-	if err != nil {
-		return nil, err
-	}
-	fp, _ := fx.alias().Footprint(l.Blocks)
-
-	return &RegionCandidate{
-		Name:        d.Name,
-		Func:        fx.f.Name,
-		SWCycles:    swCycles,
-		HWCycles:    d.Cycles(blockExecs),
-		HWClockNs:   d.ClockNs,
-		Invocations: invocations,
-		AreaGates:   d.GateEquivalent(),
-		Footprint:   fp,
-		SizeInstrs:  l.NumInstrs(),
-		Design:      d,
-	}, nil
+	return 1
 }

@@ -81,7 +81,6 @@ func TestDesignDigests(t *testing.T) {
 	defer f.Close()
 	var want []string
 	sc := bufio.NewScanner(f)
-	sc.Buffer(nil, 1<<20)
 	for sc.Scan() {
 		want = append(want, sc.Text())
 	}

@@ -18,6 +18,7 @@ import (
 	"binpart/internal/partition"
 	"binpart/internal/platform"
 	"binpart/internal/sim"
+	"binpart/internal/synth"
 )
 
 // runMonolithic is the pre-split RunWith flow, preserved as a reference
@@ -102,18 +103,18 @@ func runMonolithic(img *binimg.Image, opts Options) (*Report, error) {
 		}
 		if opts.Granularity == GranFunctions {
 			fx, pf := facts(f)
-			rc, err := buildFuncCandidate(fx, pf, opts, sctx)
+			rc, err := buildCandidate(fx, synth.FuncRegion(f), pf.funcInvocations(f), pf, opts, sctx)
 			if err == nil && rc != nil {
 				addCand(rc)
 			}
 			continue
 		}
 		for _, l := range ir.FindLoops(f) {
-			if l.Depth != 1 || !synthesizable(l) {
+			if l.Depth != 1 {
 				continue
 			}
 			fx, pf := facts(f)
-			rc, err := buildCandidate(fx, l, pf, opts, sctx)
+			rc, err := buildCandidate(fx, synth.LoopRegion(f, l), pf.loopInvocations(l), pf, opts, sctx)
 			if err != nil || rc == nil {
 				continue
 			}
@@ -365,10 +366,10 @@ func TestConcurrentAnalyzeSharesLift(t *testing.T) {
 	}
 	var variants []Options
 	for _, gran := range []Granularity{GranLoops, GranFunctions} {
-		for _, banks := range []int{0, 4} {
+		for _, ports := range []int{2, 1} {
 			opts := DefaultOptions()
 			opts.Granularity = gran
-			opts.Synth.Resources.MemBanks = banks
+			opts.Synth.Resources.MemPorts = ports
 			variants = append(variants, opts)
 		}
 	}

@@ -388,7 +388,6 @@ func (r *Runner) PassAblation() (*PassAblation, error) {
 		{name: "no-width", cfg: dopt.Config{NoWidthReduce: true}},
 		{name: "no-pipeline", cfg: dopt.Config{}, syn: func(o *core.Options) { o.Synth.Pipeline = false }},
 		{name: "no-alias", cfg: dopt.Config{}, syn: func(o *core.Options) { o.Partition.SkipAliasStep = true }},
-		{name: "banked-mem4", cfg: dopt.Config{}, syn: func(o *core.Options) { o.Synth.Resources.MemBanks = 4 }},
 	}
 	var jobs []rowJob
 	for _, c := range cfgs {

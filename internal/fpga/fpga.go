@@ -58,11 +58,6 @@ func (a Area) Add(b Area) Area {
 	return Area{a.Slices + b.Slices, a.Mult18 + b.Mult18, a.BRAM + b.BRAM}
 }
 
-// FitsIn reports whether the area fits the device.
-func (a Area) FitsIn(d Device) bool {
-	return a.Slices <= d.Slices && a.Mult18 <= d.Mult18 && a.BRAM <= d.BRAM
-}
-
 // GatesPerSlice converts slices to the "equivalent logic gates" metric:
 // two 4-input LUTs (~12 gates each) plus two flip-flops (~6 gates each).
 const GatesPerSlice = 36

@@ -37,16 +37,6 @@ func TestAreaArithmetic(t *testing.T) {
 	if sum != (Area{Slices: 15, Mult18: 3, BRAM: 2}) {
 		t.Errorf("Add = %+v", sum)
 	}
-	small, _ := ByName("XC2V40")
-	if (Area{Slices: 257}).FitsIn(small) {
-		t.Error("oversized area fits XC2V40")
-	}
-	if !(Area{Slices: 256, Mult18: 4, BRAM: 4}).FitsIn(small) {
-		t.Error("exact-fit area rejected")
-	}
-	if (Area{Slices: 1, Mult18: 5}).FitsIn(small) {
-		t.Error("too many multipliers fit")
-	}
 }
 
 func TestGateEquivalent(t *testing.T) {

@@ -12,15 +12,15 @@ import (
 // per-location counts. Scratches are kept between calls in a free list;
 // none of their slices or maps is ever part of a Loop or Structure.
 type loopScratch struct {
-	seen      []bool
-	postIdx   []int
-	post, rpo []*Block
-	frames    []dfsFrame
-	idom, pd  []int
-	headerOf  []int32 // by block index: index of the loop it heads, or -1
-	stack     []*Block
-	branch    []bool // by block index: its terminator tests a loop
-	iv        map[Loc]ivCount
+	seen       []bool
+	postIdx    []int
+	post, rpo  []*Block
+	frames     []dfsFrame
+	idom, pd   []int
+	headedLoop []int32 // by block index: index of the loop it heads, or -1
+	stack      []*Block
+	branch     []bool // by block index: its terminator tests a loop
+	iv         map[Loc]ivCount
 }
 
 type dfsFrame struct {
@@ -261,10 +261,10 @@ func (l *Loop) reset() {
 // findLoops is FindLoops in sc, taking its Loop records from pool.
 func (sc *loopScratch) findLoops(f *Func, pool *loopPool) []*Loop {
 	idom := sc.dominators(f)
-	headerOf := freelist.Resize(sc.headerOf, len(f.Blocks))
-	sc.headerOf = headerOf
-	for i := range headerOf {
-		headerOf[i] = -1
+	headedLoop := freelist.Resize(sc.headedLoop, len(f.Blocks))
+	sc.headedLoop = headedLoop
+	for i := range headedLoop {
+		headedLoop[i] = -1
 	}
 	var loops []*Loop
 	if pool != nil {
@@ -277,13 +277,13 @@ func (sc *loopScratch) findLoops(f *Func, pool *loopPool) []*Loop {
 			if idom[b.Index] >= 0 && Dominates(idom, s.Index, b.Index) {
 				// Back edge b -> s: natural loop with header s.
 				var l *Loop
-				if li := headerOf[s.Index]; li >= 0 {
+				if li := headedLoop[s.Index]; li >= 0 {
 					l = loops[li]
 				} else {
 					l = pool.newLoop(len(loops))
 					l.Header, l.Latch = s, b
 					l.Blocks[s.Index] = s
-					headerOf[s.Index] = int32(len(loops))
+					headedLoop[s.Index] = int32(len(loops))
 					loops = append(loops, l)
 				}
 				// Collect body: reverse reachability from latch to header.
@@ -566,57 +566,4 @@ func swapCond(c Cond) Cond {
 		return CondLE
 	}
 	return CondNone
-}
-
-// Liveness computes per-block live-in/live-out location sets.
-func Liveness(f *Func) (liveIn, liveOut []map[Loc]bool) {
-	n := len(f.Blocks)
-	liveIn = make([]map[Loc]bool, n)
-	liveOut = make([]map[Loc]bool, n)
-	gen := make([]map[Loc]bool, n)
-	kill := make([]map[Loc]bool, n)
-	for i, b := range f.Blocks {
-		liveIn[i] = map[Loc]bool{}
-		liveOut[i] = map[Loc]bool{}
-		gen[i] = map[Loc]bool{}
-		kill[i] = map[Loc]bool{}
-		for j := range b.Instrs {
-			in := &b.Instrs[j]
-			for _, u := range in.Uses() {
-				if !kill[i][u] {
-					gen[i][u] = true
-				}
-			}
-			if in.HasDst() {
-				kill[i][in.Dst] = true
-			}
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for i := n - 1; i >= 0; i-- {
-			b := f.Blocks[i]
-			for _, s := range b.Succs {
-				for l := range liveIn[s.Index] {
-					if !liveOut[i][l] {
-						liveOut[i][l] = true
-						changed = true
-					}
-				}
-			}
-			for l := range liveOut[i] {
-				if !kill[i][l] && !liveIn[i][l] {
-					liveIn[i][l] = true
-					changed = true
-				}
-			}
-			for l := range gen[i] {
-				if !liveIn[i][l] {
-					liveIn[i][l] = true
-					changed = true
-				}
-			}
-		}
-	}
-	return liveIn, liveOut
 }

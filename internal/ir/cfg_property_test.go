@@ -143,66 +143,3 @@ func TestFindLoopsProperties(t *testing.T) {
 		}
 	}
 }
-
-// TestLivenessAgainstDefinition checks block liveness on random CFGs with
-// random instructions: a location is live-in iff some path from the block
-// start reaches a use before any redefinition.
-func TestLivenessAgainstDefinition(t *testing.T) {
-	r := rand.New(rand.NewSource(44))
-	for trial := 0; trial < 100; trial++ {
-		f := randomCFG(r, 2+r.Intn(6))
-		locs := []Loc{40, 41, 42}
-		for _, b := range f.Blocks {
-			for k := 0; k < r.Intn(4); k++ {
-				l := locs[r.Intn(len(locs))]
-				if r.Intn(2) == 0 {
-					b.Instrs = append(b.Instrs, Instr{Op: Move, Dst: l, A: C(1)})
-				} else {
-					b.Instrs = append(b.Instrs, Instr{Op: Add, Dst: 43, A: L(l), B: C(1)})
-				}
-			}
-		}
-		liveIn, _ := Liveness(f)
-
-		// Brute force: BFS over (block, position) states.
-		bruteLiveIn := func(start int, loc Loc) bool {
-			type state struct{ blk int }
-			seen := map[int]bool{}
-			var walk func(blk int) bool
-			walk = func(blk int) bool {
-				if seen[blk] {
-					return false
-				}
-				seen[blk] = true
-				for i := range f.Blocks[blk].Instrs {
-					in := &f.Blocks[blk].Instrs[i]
-					for _, u := range in.Uses() {
-						if u == loc {
-							return true
-						}
-					}
-					if in.HasDst() && in.Dst == loc {
-						return false
-					}
-				}
-				for _, s := range f.Blocks[blk].Succs {
-					if walk(s.Index) {
-						return true
-					}
-				}
-				return false
-			}
-			_ = state{}
-			return walk(start)
-		}
-		for _, b := range f.Blocks {
-			for _, loc := range locs {
-				want := bruteLiveIn(b.Index, loc)
-				if liveIn[b.Index][loc] != want {
-					t.Fatalf("trial %d: liveIn[b%d][%v] = %v, brute force %v",
-						trial, b.Index, loc, liveIn[b.Index][loc], want)
-				}
-			}
-		}
-	}
-}

@@ -146,9 +146,10 @@ func Eval(f *Func, st *EvalState) error {
 	}
 }
 
-// evalBinaryIR mirrors the constant folder; exported logic kept in one
-// place would create an import cycle with dopt, so the small table is
-// duplicated here intentionally.
+// evalBinaryIR is the interpreter's table of binary operators. It is
+// written independently of dopt's constant folder (dopt imports ir, so
+// the folder could call this one): dopt's TestEvalMatchesConstantFolder
+// checks the two against each other, which a shared table could not.
 func evalBinaryIR(op Op, a, b int32) (int32, bool) {
 	ua, ub := uint32(a), uint32(b)
 	switch op {

@@ -1,10 +1,6 @@
 package ir
 
-import (
-	"math/rand"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 // evalFunc builds a one-block function computing a single op and returns
 // the result register value.
@@ -162,31 +158,5 @@ func TestEvalWriteReadWordHelpers(t *testing.T) {
 	st.WriteWord(0x4000, -123456)
 	if got := st.ReadWord(0x4000); got != -123456 {
 		t.Errorf("ReadWord = %d", got)
-	}
-}
-
-// TestEvalMatchesConstantFolder cross-checks the interpreter's binary
-// operators against the decompiler's constant folder on random inputs:
-// the two implementations must agree everywhere, or constant propagation
-// would change program behaviour.
-func TestEvalMatchesConstantFolder(t *testing.T) {
-	r := rand.New(rand.NewSource(99))
-	ops := []Op{Add, Sub, Mul, MulH, MulHU, Div, DivU, Rem, RemU,
-		And, Or, Xor, Shl, ShrL, ShrA, SetLT, SetLTU}
-	f := func() bool {
-		op := ops[r.Intn(len(ops))]
-		a, b := int32(r.Uint32()), int32(r.Uint32())
-		if r.Intn(4) == 0 {
-			b = int32(r.Intn(5)) - 2 // exercise small/zero divisors
-		}
-		got := evalOne(t, op, a, b)
-		want, ok := evalBinaryIR(op, a, b)
-		if !ok {
-			want = 0 // interpreter defines division by zero as 0
-		}
-		return got == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
 	}
 }

@@ -139,15 +139,6 @@ func (o Op) IsBinary() bool {
 	return false
 }
 
-// Commutative reports whether swapping A and B preserves the result.
-func (o Op) Commutative() bool {
-	switch o {
-	case Add, Mul, MulH, MulHU, And, Or, Xor:
-		return true
-	}
-	return false
-}
-
 // Cond is a branch condition.
 type Cond uint8
 

@@ -224,30 +224,6 @@ func TestCondHelpers(t *testing.T) {
 	}
 }
 
-func TestLiveness(t *testing.T) {
-	// b0: v40 = 1; b1: v41 = v40 + 1; ret. v40 live into b1.
-	blocks := nBlocks(2)
-	blocks[0].Instrs = []Instr{{Op: Move, Dst: 40, A: C(1)}}
-	blocks[1].Instrs = []Instr{
-		{Op: Add, Dst: 41, A: L(40), B: C(1)},
-		{Op: Ret},
-	}
-	f := link(blocks, map[int][]int{0: {1}})
-	liveIn, liveOut := Liveness(f)
-	if !liveIn[1][40] {
-		t.Error("v40 not live into b1")
-	}
-	if !liveOut[0][40] {
-		t.Error("v40 not live out of b0")
-	}
-	if liveIn[0][40] {
-		t.Error("v40 live into b0 despite being defined there")
-	}
-	if liveOut[1][41] {
-		t.Error("v41 live out of exit block")
-	}
-}
-
 func TestInstrHelpers(t *testing.T) {
 	add := Instr{Op: Add, Dst: 40, A: L(8), B: L(9)}
 	if !add.HasDst() || len(add.Uses()) != 2 {
@@ -260,9 +236,6 @@ func TestInstrHelpers(t *testing.T) {
 	br := Instr{Op: Branch, A: L(8), B: C(0), Cond: CondEQ}
 	if br.HasDst() || len(br.Uses()) != 1 {
 		t.Error("Branch helpers wrong")
-	}
-	if !Add.Commutative() || Sub.Commutative() || !Xor.Commutative() {
-		t.Error("Commutative wrong")
 	}
 	if !Shl.IsBinary() || Move.IsBinary() || Load.IsBinary() {
 		t.Error("IsBinary wrong")

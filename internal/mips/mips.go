@@ -256,42 +256,8 @@ func (o Op) EndsBlock() bool {
 // IsBranch reports whether the instruction is a conditional branch.
 func (i Inst) IsBranch() bool { return i.Op.IsCondBranch() }
 
-// IsJump reports whether the instruction unconditionally transfers control.
-func (i Inst) IsJump() bool { return i.Op.IsJumpOp() }
-
 // EndsBlock reports whether the instruction terminates a basic block.
 func (i Inst) EndsBlock() bool { return i.Op.EndsBlock() }
-
-// IsLoad reports whether the instruction reads memory.
-func (i Inst) IsLoad() bool {
-	switch i.Op {
-	case LB, LBU, LH, LHU, LW:
-		return true
-	}
-	return false
-}
-
-// IsStore reports whether the instruction writes memory.
-func (i Inst) IsStore() bool {
-	switch i.Op {
-	case SB, SH, SW:
-		return true
-	}
-	return false
-}
-
-// MemWidth returns the access width in bytes for loads and stores, or 0.
-func (i Inst) MemWidth() int {
-	switch i.Op {
-	case LB, LBU, SB:
-		return 1
-	case LH, LHU, SH:
-		return 2
-	case LW, SW:
-		return 4
-	}
-	return 0
-}
 
 // Dest returns the register written by the instruction and whether one is
 // written at all. HI/LO side effects of MULT/DIV are not reported here.

@@ -166,18 +166,6 @@ func TestInstPredicates(t *testing.T) {
 	if !(Inst{Op: BEQ}).IsBranch() || (Inst{Op: J}).IsBranch() {
 		t.Error("IsBranch misclassifies")
 	}
-	if !(Inst{Op: JR}).IsJump() || (Inst{Op: BNE}).IsJump() {
-		t.Error("IsJump misclassifies")
-	}
-	if !(Inst{Op: LW}).IsLoad() || (Inst{Op: SW}).IsLoad() {
-		t.Error("IsLoad misclassifies")
-	}
-	if !(Inst{Op: SB}).IsStore() || (Inst{Op: LB}).IsStore() {
-		t.Error("IsStore misclassifies")
-	}
-	if (Inst{Op: LH}).MemWidth() != 2 || (Inst{Op: SW}).MemWidth() != 4 || (Inst{Op: ADD}).MemWidth() != 0 {
-		t.Error("MemWidth wrong")
-	}
 	if !(Inst{Op: BREAK}).EndsBlock() || (Inst{Op: ADD}).EndsBlock() {
 		t.Error("EndsBlock misclassifies")
 	}

@@ -29,20 +29,6 @@ type Resources struct {
 	MemPorts    int // concurrent block-RAM accesses per cycle (per object)
 	Multipliers int
 	Dividers    int
-	// MemBanks partitions each known data object stride-interleaved
-	// across this many block RAMs, multiplying its effective ports.
-	// 1 (or 0) means no banking. Banking adds address-decode logic and
-	// extra BRAM blocks but relieves port-bound loop pipelines.
-	MemBanks int
-}
-
-// effectivePorts is the per-object concurrent access budget.
-func (r Resources) effectivePorts() int {
-	banks := r.MemBanks
-	if banks < 1 {
-		banks = 1
-	}
-	return r.MemPorts * banks
 }
 
 // DefaultResources matches a mid-size Virtex-II deployment.
@@ -289,7 +275,7 @@ func schedule(g *dfg, res Resources, clockNs float64) *scheduleResult {
 	resource := func(n *node) (k, budget int) {
 		switch n.class {
 		case fpga.ClassMemPort:
-			return int(n.mem), res.effectivePorts()
+			return int(n.mem), res.MemPorts
 		case fpga.ClassMult:
 			return nobj, res.Multipliers
 		case fpga.ClassDiv:

@@ -224,28 +224,38 @@ func TestDesignScheduleAccessor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	states, stepOf, ok := d.Schedule(0)
-	if !ok || states < 1 || len(stepOf) != 2 {
-		t.Errorf("Schedule(0) = %d,%v,%v", states, stepOf, ok)
+	if len(d.Schedule) != 1 {
+		t.Fatalf("%d schedule entries, want 1", len(d.Schedule))
 	}
-	if _, _, ok := d.Schedule(99); ok {
-		t.Error("Schedule(99) reported ok")
+	s := d.Schedule[0]
+	if s.Block != f.Blocks[0] || s.States < 1 || len(s.StepOf) != 2 || s.II != 0 || s.Folded {
+		t.Errorf("Schedule[0] = %+v", s)
+	}
+	for i, step := range s.StepOf {
+		if step < 0 || step >= s.States {
+			t.Errorf("instruction %d in step %d of %d", i, step, s.States)
+		}
 	}
 }
 
 func TestDesignCyclesPipelined(t *testing.T) {
-	d := &Design{
-		BlockStates: map[int]int{1: 4, 2: 1},
-		Pipelines:   []PipeInfo{{HeaderIndex: 2, BodyIndex: 1, II: 2, Depth: 4}},
-	}
+	body, header := &ir.Block{Index: 1}, &ir.Block{Index: 2}
+	d := &Design{Schedule: []BlockSchedule{
+		{Block: body, States: 4, II: 2},
+		{Block: header, States: 1, Folded: true},
+	}}
 	execs := map[int]uint64{1: 100, 2: 101}
 	// Pipelined body: 100*2 + 4 = 204; header folded into control.
 	if got := d.Cycles(execs); got != 204 {
 		t.Errorf("Cycles = %v, want 204", got)
 	}
 	// Without pipelines: 100*4 + 101*1.
-	d2 := &Design{BlockStates: map[int]int{1: 4, 2: 1}}
+	d2 := &Design{Schedule: []BlockSchedule{{Block: body, States: 4}, {Block: header, States: 1}}}
 	if got := d2.Cycles(execs); got != 501 {
 		t.Errorf("sequential Cycles = %v, want 501", got)
+	}
+	// A pipelined body that never runs costs nothing, not its depth.
+	if got := d.Cycles(map[int]uint64{2: 1}); got != 0 {
+		t.Errorf("idle pipeline Cycles = %v, want 0", got)
 	}
 }

@@ -2,6 +2,7 @@ package synth
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"binpart/internal/alias"
@@ -20,26 +21,11 @@ type Options struct {
 	// Pipeline enables modulo-style loop pipelining of single-block
 	// inner loops (on by default through DefaultOptions).
 	Pipeline bool
-	// MoveArrays moves the region's resolved data objects into FPGA
-	// block RAM (partitioning step 2 of the paper).
-	MoveArrays bool
 }
 
 // DefaultOptions returns the configuration used by the experiments.
 func DefaultOptions() Options {
-	return Options{Resources: DefaultResources, Pipeline: true, MoveArrays: true}
-}
-
-// PipeInfo describes one pipelined loop in a design.
-type PipeInfo struct {
-	// HeaderIndex is the loop header's block index in the source Func.
-	HeaderIndex int
-	// BodyIndex is the pipelined body block's index.
-	BodyIndex int
-	// II is the initiation interval in cycles.
-	II int
-	// Depth is the pipeline depth (states of one iteration).
-	Depth int
+	return Options{Resources: DefaultResources, Pipeline: true}
 }
 
 // MemObject is a data object moved into on-chip block RAM.
@@ -50,20 +36,33 @@ type MemObject struct {
 
 // Design is the synthesized RTL-level result for one region.
 type Design struct {
-	Name    string
-	ClockNs float64
-	Area    fpga.Area
-	// BlockStates maps source block index to its control-step count.
-	BlockStates map[int]int
-	Pipelines   []PipeInfo
-	MemObjects  []MemObject
-	// steps maps source block index to the control step of each of its
-	// instructions: all VHDL emission reads of a block's schedule. The
-	// dataflow graphs and schedules themselves are dropped when
-	// Synthesize returns.
-	steps map[int][]int
-	// Blocks retains the synthesized region for VHDL emission.
-	Blocks []*ir.Block
+	Name       string
+	ClockNs    float64
+	Area       fpga.Area
+	MemObjects []MemObject
+	// Schedule is the design's one account of its timing: an entry per
+	// region block, in block-index order. Cycles and the VHDL backend
+	// both read it. The dataflow graphs the schedule came from are
+	// dropped when Synthesize returns.
+	Schedule []BlockSchedule
+}
+
+// BlockSchedule is the timing of one block of a design.
+type BlockSchedule struct {
+	Block *ir.Block
+	// States is the block's control-step count, and StepOf[i] the step
+	// its instruction i executes in. StepOf is the design's own; treat
+	// it as read-only.
+	States int
+	StepOf []int
+	// II is the initiation interval of a pipelined loop body and 0 for
+	// every other block. A pipelined body's depth (the states of one
+	// iteration) is its States.
+	II int
+	// Folded marks the header of a pipelined loop whose body is another
+	// block. Cycles charges it nothing: its states are taken to run in
+	// the pipeline's control.
+	Folded bool
 }
 
 // ClockMHz returns the design's achievable clock in MHz.
@@ -71,17 +70,6 @@ func (d *Design) ClockMHz() float64 { return fpga.MHz(d.ClockNs) }
 
 // GateEquivalent returns the conventional equivalent-gate area metric.
 func (d *Design) GateEquivalent() int { return d.Area.GateEquivalent() }
-
-// Schedule exposes a block's scheduled operations for the VHDL backend:
-// for each instruction index, the control step it executes in. stepOf is
-// the design's own table; treat it as read-only.
-func (d *Design) Schedule(blockIndex int) (states int, stepOf []int, ok bool) {
-	stepOf, ok = d.steps[blockIndex]
-	if !ok {
-		return 0, nil, false
-	}
-	return d.BlockStates[blockIndex], stepOf, true
-}
 
 // Region selects the blocks of a function to synthesize. A nil block set
 // means the whole function.
@@ -124,6 +112,19 @@ func (r Region) blocks() []*ir.Block {
 	return out
 }
 
+// Unsynthesizable returns the first instruction of b that no design can
+// implement — a call, or an indirect jump whose table was not recovered —
+// or nil when there is none.
+func Unsynthesizable(b *ir.Block) *ir.Instr {
+	for i := range b.Instrs {
+		in := &b.Instrs[i]
+		if in.Op == ir.Call || in.Op == ir.IJump && in.Table == nil {
+			return in
+		}
+	}
+	return nil
+}
+
 // Synthesize maps a region onto an FSM-with-datapath design. img provides
 // data symbols for alias-driven memory disambiguation and block-RAM
 // sizing; it may be nil (conservative aliasing, no array migration).
@@ -133,13 +134,12 @@ func Synthesize(r Region, img *binimg.Image, opts Options) (*Design, error) {
 		return nil, fmt.Errorf("synth: empty region %q", r.Name)
 	}
 	for _, b := range blocks {
-		for i := range b.Instrs {
-			if b.Instrs[i].Op == ir.Call {
-				return nil, fmt.Errorf("synth: region %q contains a call at 0x%x; inline or exclude it", r.Name, b.Instrs[i].Addr)
-			}
-			if b.Instrs[i].Op == ir.IJump && b.Instrs[i].Table == nil {
-				return nil, fmt.Errorf("synth: region %q contains an unresolved indirect jump at 0x%x", r.Name, b.Instrs[i].Addr)
-			}
+		switch in := Unsynthesizable(b); {
+		case in == nil:
+		case in.Op == ir.Call:
+			return nil, fmt.Errorf("synth: region %q contains a call at 0x%x; inline or exclude it", r.Name, in.Addr)
+		default:
+			return nil, fmt.Errorf("synth: region %q contains an unresolved indirect jump at 0x%x", r.Name, in.Addr)
 		}
 	}
 	am := r.Alias
@@ -147,74 +147,44 @@ func Synthesize(r Region, img *binimg.Image, opts Options) (*Design, error) {
 		am = alias.Analyze(r.Func, img)
 	}
 
-	d := &Design{
-		Name:        r.Name,
-		BlockStates: make(map[int]int, len(blocks)),
-		steps:       make(map[int][]int, len(blocks)),
-		Blocks:      blocks,
-	}
+	d := &Design{Name: r.Name, Schedule: make([]BlockSchedule, len(blocks))}
 	bd := newDFGBuilder(blocks)
 	defer bd.release()
 	scheds := make([]*scheduleResult, len(blocks))
 	steps := make([]int, len(bd.all))
 	var maxChain float64
+	maxStates := 0
 	for i, b := range blocks {
 		sr := schedule(bd.build(b, am), opts.Resources, opts.ClockNs)
 		scheds[i] = sr
-		d.BlockStates[b.Index] = sr.states
 		stepOf := steps[:len(sr.g.nodes):len(sr.g.nodes)]
 		steps = steps[len(sr.g.nodes):]
 		for j := range sr.g.nodes {
 			stepOf[j] = sr.g.nodes[j].state
 		}
-		d.steps[b.Index] = stepOf
-		if sr.maxChain > maxChain {
-			maxChain = sr.maxChain
-		}
+		d.Schedule[i] = BlockSchedule{Block: b, States: sr.states, StepOf: stepOf}
+		maxChain = max(maxChain, sr.maxChain)
+		maxStates = max(maxStates, sr.states)
 	}
 	d.ClockNs = fpga.ClockFromCriticalPath(maxChain)
-
-	al := bd.allocate(scheds)
-	maxStates := 0
-	for _, sr := range scheds {
-		if sr.states > maxStates {
-			maxStates = sr.states
-		}
-	}
-	d.Area = al.area(maxStates)
+	d.Area = bd.allocate(scheds).area(maxStates)
 
 	// Loop pipelining of single-block inner loops.
 	if opts.Pipeline {
-		d.Pipelines = pipelineLoops(r, scheds, bd, opts.Resources)
+		pipelineLoops(r, d.Schedule, scheds, bd, opts.Resources)
 	}
 
-	// Array migration into block RAM.
-	if opts.MoveArrays && am != nil {
+	// Array migration into block RAM, one or more BRAMs per object.
+	if am != nil {
 		blockSet := map[int]*ir.Block{}
 		for _, b := range blocks {
 			blockSet[b.Index] = b
 		}
 		syms, _ := am.Footprint(blockSet)
-		banks := opts.Resources.MemBanks
-		if banks < 1 {
-			banks = 1
-		}
 		for _, s := range syms {
 			if sym, ok := findSymbol(img, s); ok {
 				d.MemObjects = append(d.MemObjects, MemObject{Sym: s, Bytes: int(sym.Size)})
-				// Banking splits the object across at least `banks`
-				// BRAMs and adds per-bank port/decode logic.
-				brams := fpga.BRAMsFor(int(sym.Size))
-				if brams < banks {
-					brams = banks
-				}
-				d.Area = d.Area.Add(fpga.Area{BRAM: brams})
-				if banks > 1 {
-					extra := fpga.CostOf(fpga.ClassMemPort, 32).Area
-					for k := 1; k < banks; k++ {
-						d.Area = d.Area.Add(extra)
-					}
-				}
+				d.Area = d.Area.Add(fpga.Area{BRAM: max(fpga.BRAMsFor(int(sym.Size)), 1)})
 			}
 		}
 	}
@@ -228,15 +198,23 @@ func findSymbol(img *binimg.Image, name string) (binimg.Symbol, bool) {
 	return img.Lookup(name)
 }
 
-// pipelineLoops computes initiation intervals for pipelinable loops in
-// the region: single-block bodies (plus the rotated test header) whose
-// iterations can overlap. II = max(resource II, recurrence II). scheds
-// are the region's block schedules, built by bd.
-func pipelineLoops(r Region, scheds []*scheduleResult, bd *dfgBuilder, res Resources) []PipeInfo {
-	var out []PipeInfo
+// pipelineLoops sets the initiation interval of every pipelinable loop
+// in the region — a loop of at most two blocks whose larger block (the
+// first in index order on a tie) is taken as the body — and folds its
+// other block, the rotated test header, into the pipeline control.
+// Nothing checks that the header is a pure test: at -O0 it reloads the
+// counter from the stack before comparing it, and its 2–3 states are
+// folded all the same. II = max(resource II, recurrence II). sched and
+// scheds are the region's schedule table and the block schedules bd
+// built for it, in the same order.
+func pipelineLoops(r Region, sched []BlockSchedule, scheds []*scheduleResult, bd *dfgBuilder, res Resources) {
 	loops := r.Loops
 	if loops == nil {
 		loops = ir.FindLoops(r.Func)
+	}
+	// at returns the position of block index idx in the table.
+	at := func(idx int) (int, bool) {
+		return slices.BinarySearchFunc(sched, idx, func(s BlockSchedule, idx int) int { return s.Block.Index - idx })
 	}
 	for _, l := range loops {
 		if r.Blocks != nil {
@@ -253,9 +231,6 @@ func pipelineLoops(r Region, scheds []*scheduleResult, bd *dfgBuilder, res Resou
 		if len(l.Blocks) > 2 {
 			continue
 		}
-		// Identify the work block (bulk of instructions) and require the
-		// other block (if any) to be a pure test. Iterate in block-index
-		// order so ties break deterministically.
 		idxs := make([]int, 0, len(l.Blocks))
 		for idx := range l.Blocks {
 			idxs = append(idxs, idx)
@@ -267,31 +242,16 @@ func pipelineLoops(r Region, scheds []*scheduleResult, bd *dfgBuilder, res Resou
 				body = b
 			}
 		}
-		var sr *scheduleResult
-		for _, s := range scheds {
-			if s.g.block.Index == body.Index {
-				sr = s
-			}
-		}
-		if sr == nil {
+		i, ok := at(body.Index)
+		if !ok {
 			continue
 		}
-		ii := resourceII(sr, res)
-		if rec := bd.recurrenceII(sr); rec > ii {
-			ii = rec
+		sr := scheds[i]
+		sched[i].II = max(resourceII(sr, res), bd.recurrenceII(sr), 1)
+		if h, ok := at(l.Header.Index); ok && h != i {
+			sched[h].Folded = true
 		}
-		if ii < 1 {
-			ii = 1
-		}
-		out = append(out, PipeInfo{
-			HeaderIndex: l.Header.Index,
-			BodyIndex:   body.Index,
-			II:          ii,
-			Depth:       sr.states,
-		})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].BodyIndex < out[j].BodyIndex })
-	return out
 }
 
 // resourceII is the initiation interval forced by shared resources. Each
@@ -315,16 +275,16 @@ func resourceII(sr *scheduleResult, res Resources) int {
 		}
 	}
 	ii := 1
-	if ports := res.effectivePorts(); ports > 0 {
+	if res.MemPorts > 0 {
 		for _, c := range perObj {
-			ii = maxI(ii, ceilDiv(c, ports))
+			ii = max(ii, ceilDiv(c, res.MemPorts))
 		}
 	}
 	if res.Multipliers > 0 {
-		ii = maxI(ii, ceilDiv(mult, res.Multipliers))
+		ii = max(ii, ceilDiv(mult, res.Multipliers))
 	}
 	if res.Dividers > 0 && div > 0 {
-		ii = maxI(ii, ceilDiv(div, res.Dividers))
+		ii = max(ii, ceilDiv(div, res.Dividers))
 	}
 	return ii
 }
@@ -391,40 +351,24 @@ func (bd *dfgBuilder) recurrenceII(sr *scheduleResult) int {
 }
 
 // Cycles estimates the hardware cycles to execute the region once, given
-// per-block execution counts (from profiling). Pipelined loop bodies
-// contribute iterations*II + depth; other blocks contribute
-// executions*states.
+// per-block execution counts (from profiling). A pipelined loop body
+// contributes iterations*II + depth, its folded header nothing, and every
+// other block executions*states.
 func (d *Design) Cycles(blockExecs map[int]uint64) float64 {
-	pipelined := map[int]PipeInfo{}
-	for _, p := range d.Pipelines {
-		pipelined[p.BodyIndex] = p
-	}
 	var total float64
-	for idx, states := range d.BlockStates {
-		execs := blockExecs[idx]
-		if p, ok := pipelined[idx]; ok {
+	for i := range d.Schedule {
+		s := &d.Schedule[i]
+		execs := blockExecs[s.Block.Index]
+		switch {
+		case s.II > 0:
 			if execs > 0 {
-				total += float64(execs)*float64(p.II) + float64(p.Depth)
+				total += float64(execs)*float64(s.II) + float64(s.States)
 			}
-			// The rotated test header folds into the pipeline control.
-			continue
+		case !s.Folded:
+			total += float64(execs) * float64(s.States)
 		}
-		if p, isHdr := headerOf(d.Pipelines, idx); isHdr {
-			_ = p
-			continue
-		}
-		total += float64(execs) * float64(states)
 	}
 	return total
-}
-
-func headerOf(pipes []PipeInfo, idx int) (PipeInfo, bool) {
-	for _, p := range pipes {
-		if p.HeaderIndex == idx && p.BodyIndex != idx {
-			return p, true
-		}
-	}
-	return PipeInfo{}, false
 }
 
 func ceilDiv(a, b int) int {
@@ -432,11 +376,4 @@ func ceilDiv(a, b int) int {
 		return a
 	}
 	return (a + b - 1) / b
-}
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

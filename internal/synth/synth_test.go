@@ -72,20 +72,20 @@ func TestSynthesizeLoopBasics(t *testing.T) {
 	if d.GateEquivalent() <= 0 {
 		t.Error("no gate-equivalent area")
 	}
-	if len(d.BlockStates) == 0 {
+	if len(d.Schedule) == 0 {
 		t.Error("no block schedules")
 	}
-	for idx, states := range d.BlockStates {
-		if states <= 0 {
-			t.Errorf("block %d has %d states", idx, states)
+	for _, s := range d.Schedule {
+		if s.States <= 0 {
+			t.Errorf("block %d has %d states", s.Block.Index, s.States)
 		}
 	}
-	if len(d.Pipelines) == 0 {
+	if maxII(d) == 0 {
 		t.Errorf("inner loop not pipelined: %+v", d)
 	}
-	for _, p := range d.Pipelines {
-		if p.II < 1 || p.Depth < p.II {
-			t.Errorf("bad pipeline %+v", p)
+	for _, s := range d.Schedule {
+		if s.II > 0 && s.States < s.II {
+			t.Errorf("bad pipeline: block %d II %d depth %d", s.Block.Index, s.II, s.States)
 		}
 	}
 	if len(d.MemObjects) == 0 {
@@ -118,8 +118,8 @@ func TestPipeliningReducesCycles(t *testing.T) {
 
 	// Synthetic profile: body runs 1000 times.
 	execs := map[int]uint64{}
-	for idx := range dOn.BlockStates {
-		execs[idx] = 1000
+	for _, s := range dOn.Schedule {
+		execs[s.Block.Index] = 1000
 	}
 	cOn, cOff := dOn.Cycles(execs), dOff.Cycles(execs)
 	if cOn >= cOff {
@@ -179,8 +179,8 @@ func TestSynthesizeWholeFunction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d.BlockStates) != len(f.Blocks) {
-		t.Errorf("scheduled %d blocks, function has %d", len(d.BlockStates), len(f.Blocks))
+	if len(d.Schedule) != len(f.Blocks) {
+		t.Errorf("scheduled %d blocks, function has %d", len(d.Schedule), len(f.Blocks))
 	}
 }
 
@@ -236,10 +236,8 @@ func TestMemoryPortConstraintLengthensSchedule(t *testing.T) {
 
 func maxII(d *Design) int {
 	m := 0
-	for _, p := range d.Pipelines {
-		if p.II > m {
-			m = p.II
-		}
+	for _, s := range d.Schedule {
+		m = max(m, s.II)
 	}
 	return m
 }
@@ -296,47 +294,5 @@ func TestDesignCostMonotonicInWidth(t *testing.T) {
 		if c32.DelayNs < c8.DelayNs {
 			t.Errorf("%v: 32-bit faster than 8-bit", cls)
 		}
-	}
-}
-
-func TestMemoryBankingRaisesThroughput(t *testing.T) {
-	// Four accesses per iteration to one array saturate its dual-ported
-	// BRAM (II = 2); banking across 4 BRAMs must cut the initiation
-	// interval and cost extra BRAM blocks.
-	f, img := kernelFunc(t, `
-		int a[64];
-		int d2[16];
-		int kernel(int n) {
-			int i;
-			for (i = 0; i < 16; i++) {
-				d2[i] = a[i] + a[i + 16] + a[i + 32] + a[i + 48];
-			}
-			return d2[0];
-		}
-		int main() { return kernel(0); }
-	`, 2)
-	loops := ir.FindLoops(f)
-	inner := loops[0]
-	for _, l := range loops {
-		if l.Depth > inner.Depth {
-			inner = l
-		}
-	}
-	plain := DefaultOptions()
-	banked := DefaultOptions()
-	banked.Resources.MemBanks = 4
-	dPlain, err := Synthesize(LoopRegion(f, inner), img, plain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dBanked, err := Synthesize(LoopRegion(f, inner), img, banked)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if maxII(dBanked) >= maxII(dPlain) {
-		t.Errorf("banking did not reduce II: %d -> %d", maxII(dPlain), maxII(dBanked))
-	}
-	if dBanked.Area.BRAM <= dPlain.Area.BRAM {
-		t.Errorf("banking did not cost BRAMs: %d -> %d", dPlain.Area.BRAM, dBanked.Area.BRAM)
 	}
 }

@@ -102,16 +102,9 @@ func Emit(d *synth.Design) (string, error) {
 
 	// State enumeration: idle plus (block, step) states.
 	states := []string{"st_idle", "st_done"}
-	for _, blk := range d.Blocks {
-		n, _, ok := d.Schedule(blk.Index)
-		if !ok {
-			return "", fmt.Errorf("vhdl: no schedule for block %d", blk.Index)
-		}
-		if n == 0 {
-			n = 1
-		}
-		for s := 0; s < n; s++ {
-			states = append(states, stateName(blk.Index, s))
+	for _, bs := range d.Schedule {
+		for s := 0; s < max(bs.States, 1); s++ {
+			states = append(states, stateName(bs.Block.Index, s))
 		}
 	}
 	fmt.Fprintf(&b, "  type state_t is (%s);\n", strings.Join(states, ", "))
@@ -122,17 +115,17 @@ func Emit(d *synth.Design) (string, error) {
 	for _, l := range locs {
 		fmt.Fprintf(&b, "  signal %s : signed(31 downto 0);\n", locName(l))
 	}
-	names := map[int]*blockNames{}
-	for _, blk := range d.Blocks {
-		names[blk.Index] = renameBlock(blk)
+	names := make([]*blockNames, len(d.Schedule))
+	for i, bs := range d.Schedule {
+		names[i] = renameBlock(bs.Block)
 	}
 	b.WriteString("begin\n")
 	b.WriteString("  fsmd : process (clk)\n")
 	for _, l := range locs {
 		fmt.Fprintf(&b, "    variable %s : signed(31 downto 0);\n", varName(l))
 	}
-	for _, blk := range d.Blocks {
-		for _, dn := range names[blk.Index].defName {
+	for _, bn := range names {
+		for _, dn := range bn.defName {
 			if dn != "" {
 				fmt.Fprintf(&b, "    variable %s : signed(31 downto 0);\n", dn)
 			}
@@ -155,30 +148,25 @@ func Emit(d *synth.Design) (string, error) {
 	if len(locs) > 0 {
 		fmt.Fprintf(&b, "              %s := signed(arg0);\n", varName(ir.RegA0))
 	}
-	firstBlk := d.Blocks[0]
-	fmt.Fprintf(&b, "              state <= %s;\n", stateName(firstBlk.Index, 0))
+	fmt.Fprintf(&b, "              state <= %s;\n", stateName(d.Schedule[0].Block.Index, 0))
 	b.WriteString("            end if;\n")
 	b.WriteString("          when st_done =>\n")
 	b.WriteString("            done <= '1';\n")
 	fmt.Fprintf(&b, "            result <= std_logic_vector(%s);\n", varName(ir.RegV0))
 
 	inRegion := map[int]bool{}
-	for _, blk := range d.Blocks {
-		inRegion[blk.Index] = true
+	for _, bs := range d.Schedule {
+		inRegion[bs.Block.Index] = true
 	}
-	for _, blk := range d.Blocks {
-		n, stepOf, _ := d.Schedule(blk.Index)
-		if n == 0 {
-			n = 1
-		}
-		bn := names[blk.Index]
+	for k, bs := range d.Schedule {
+		blk, n, bn := bs.Block, max(bs.States, 1), names[k]
 		for s := 0; s < n; s++ {
 			fmt.Fprintf(&b, "          when %s =>\n", stateName(blk.Index, s))
 			transferred := false
 			// Data operations of this step.
 			termIdx := -1
 			for i := range blk.Instrs {
-				if stepOf != nil && i < len(stepOf) && stepOf[i] != s {
+				if bs.StepOf[i] != s {
 					continue
 				}
 				if isTransfer(&blk.Instrs[i]) {
@@ -207,7 +195,7 @@ func Emit(d *synth.Design) (string, error) {
 					fmt.Fprintf(&b, "            state <= %s;\n", stateName(blk.Index, s+1))
 				} else {
 					// Fall through to the next region block or finish.
-					next := fallthroughTarget(d, blk, inRegion)
+					next := fallthroughTarget(blk, inRegion)
 					fmt.Fprintf(&b, "            state <= %s;\n", next)
 				}
 			}
@@ -430,7 +418,7 @@ func branchTargets(blk *ir.Block, in *ir.Instr, inRegion map[int]bool) (taken, f
 }
 
 // fallthroughTarget finds the state after a block without a terminator.
-func fallthroughTarget(d *synth.Design, blk *ir.Block, inRegion map[int]bool) string {
+func fallthroughTarget(blk *ir.Block, inRegion map[int]bool) string {
 	for _, s := range blk.Succs {
 		if inRegion[s.Index] {
 			return stateName(s.Index, 0)
@@ -473,9 +461,9 @@ func locSuffix(l ir.Loc) string {
 // argument and result registers.
 func usedLocs(d *synth.Design) []ir.Loc {
 	set := map[ir.Loc]bool{ir.RegA0: true, ir.RegV0: true}
-	for _, blk := range d.Blocks {
-		for i := range blk.Instrs {
-			in := &blk.Instrs[i]
+	for _, bs := range d.Schedule {
+		for i := range bs.Block.Instrs {
+			in := &bs.Block.Instrs[i]
 			if in.HasDst() {
 				set[in.Dst] = true
 			}
