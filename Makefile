@@ -72,8 +72,9 @@ check: vet build test race stress examples obs-smoke corpus-smoke bpartd-smoke
 # output still streams to the terminal. The committed BENCH.json is
 # snapshotted first and used as the regression baseline: a >10% Stage*
 # regression fails the target (allocs/op and B/op always; ns/op only on the
-# same CPU). -count=3 with benchjson keeping the per-benchmark minimum damps
-# shared-host timing noise; allocs/op and B/op are steady regardless.
+# same CPU). -count=3 with benchjson keeping the per-benchmark minimum
+# (ns/op, B/op and allocs/op each) damps shared-host timing noise and a
+# stray allocation in one run.
 bench:
 	@if [ -f BENCH.json ]; then cp BENCH.json .bench-baseline.json; fi
 	$(GO) test -run NONE -bench . -benchmem -count 3 . ./cmd/bpartd | $(GO) run ./cmd/benchjson -o BENCH.json -baseline .bench-baseline.json

@@ -8,7 +8,11 @@
 // Usage:
 //
 //	go test -run NONE -bench . -benchmem . | benchjson -o BENCH.json
-//	go test -run NONE -bench . -benchmem . | benchjson -o BENCH.json -baseline old.json
+//	go test -run NONE -bench . -benchmem . | benchjson -baseline BENCH.json
+//
+// -o names the JSON file to write; without it no file is written, so
+// gating a run against the committed BENCH.json leaves that file as it
+// was.
 //
 // With -baseline, the new results are diffed against a previous
 // BENCH.json and the run fails (exit 1) if any Stage* benchmark
@@ -21,7 +25,9 @@
 // Repeated result lines for one benchmark (from `go test -count=N`) are
 // merged by keeping the sample with the lowest ns/op — the standard
 // low-noise estimator, since timing noise on a shared host is strictly
-// additive. `make bench` runs -count=3 for exactly this reason.
+// additive — and the lowest B/op and allocs/op of any sample, which a
+// stray allocation in one iteration can likewise only raise. `make bench`
+// and the CI gate run -count=3 for exactly this reason.
 package main
 
 import (
@@ -57,16 +63,31 @@ type Report struct {
 }
 
 func main() {
-	out := flag.String("o", "BENCH.json", "output path for the JSON report")
-	baseline := flag.String("baseline", "", "previous BENCH.json to diff against; >10% Stage* regressions fail the run")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
+
+// run is the whole command over explicit arguments and streams,
+// returning the process exit code: 2 for a usage error, 1 for a failure
+// or a gated regression, 0 otherwise.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchjson", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	out := fs.String("o", "", "output path for the JSON report (empty: write no file)")
+	baseline := fs.String("baseline", "", "previous BENCH.json to diff against; >10% Stage* regressions fail the run")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "benchjson: unexpected arguments %q\n", fs.Args())
+		return 2
+	}
 
 	rep := Report{Go: runtime.Version(), GOOS: runtime.GOOS, GOARCH: runtime.GOARCH}
-	sc := bufio.NewScanner(os.Stdin)
+	sc := bufio.NewScanner(stdin)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
 		line := sc.Text()
-		fmt.Println(line)
+		fmt.Fprintln(stdout, line)
 		if cpu, ok := strings.CutPrefix(line, "cpu:"); ok {
 			rep.CPU = strings.TrimSpace(cpu)
 			continue
@@ -76,44 +97,49 @@ func main() {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: read: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "benchjson: read: %v\n", err)
+		return 1
 	}
 
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-		os.Exit(1)
+	if *out != "" {
+		data, err := json.MarshalIndent(rep, "", "  ")
+		if err != nil {
+			fmt.Fprintf(stderr, "benchjson: %v\n", err)
+			return 1
+		}
+		if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
+			fmt.Fprintf(stderr, "benchjson: %v\n", err)
+			return 1
+		}
+		fmt.Fprintf(stderr, "benchjson: wrote %d benchmarks to %s\n", len(rep.Benchmarks), *out)
 	}
-	if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "benchjson: wrote %d benchmarks to %s\n", len(rep.Benchmarks), *out)
 
 	if *baseline != "" {
 		old, err := readReport(*baseline)
 		if err != nil {
 			// A first run has no baseline; report and carry on so `make
 			// bench` works on a fresh checkout.
-			fmt.Fprintf(os.Stderr, "benchjson: no usable baseline: %v\n", err)
-			return
+			fmt.Fprintf(stderr, "benchjson: no usable baseline: %v\n", err)
+			return 0
 		}
-		regressions := diffReports(os.Stderr, old, rep)
+		regressions := diffReports(stderr, old, rep)
 		if len(regressions) > 0 {
 			for _, r := range regressions {
-				fmt.Fprintf(os.Stderr, "benchjson: REGRESSION: %s\n", r)
+				fmt.Fprintf(stderr, "benchjson: REGRESSION: %s\n", r)
 			}
-			os.Exit(1)
+			return 1
 		}
 	}
+	return 0
 }
 
 // merge folds one parsed result line into the report. A benchmark seen
-// for the first time is appended; a repeat (go test -count=N emits one
-// line per run) keeps whichever sample has the lower ns/op, so the
-// recorded numbers are the run's least-disturbed measurement. Samples
-// without ns/op never replace one that has it.
+// for the first time is appended. A repeat (go test -count=N emits one
+// line per run) keeps, per unit, the run's least-disturbed measurement:
+// the sample with the lower ns/op supplies ns/op and every custom
+// metric (a sample without ns/op never replaces one that has it), while
+// B/op and allocs/op keep their own minimum across the repeats, since a
+// stray allocation can land in any one iteration whatever its timing.
 func (r *Report) merge(b Benchmark) {
 	for i, have := range r.Benchmarks {
 		if have.Name != b.Name {
@@ -121,9 +147,18 @@ func (r *Report) merge(b Benchmark) {
 		}
 		oldNs, haveOld := have.Metrics["ns/op"]
 		newNs, haveNew := b.Metrics["ns/op"]
+		kept, other := have, b
 		if haveNew && (!haveOld || newNs < oldNs) {
-			r.Benchmarks[i] = b
+			kept, other = b, have
 		}
+		for _, unit := range []string{"B/op", "allocs/op"} {
+			if v, ok := other.Metrics[unit]; ok {
+				if k, ok := kept.Metrics[unit]; !ok || v < k {
+					kept.Metrics[unit] = v
+				}
+			}
+		}
+		r.Benchmarks[i] = kept
 		return
 	}
 	r.Benchmarks = append(r.Benchmarks, b)

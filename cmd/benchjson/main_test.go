@@ -1,7 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"io"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -135,17 +139,18 @@ func TestDiffReportsZeroBaselineClean(t *testing.T) {
 	}
 }
 
-// TestMergeKeepsFastestSample pins the -count=N behavior: repeated
-// lines for one benchmark collapse to the lowest-ns/op sample (timing
-// noise is additive, so the minimum is the least-disturbed run), order
-// of first appearance is preserved, and a sample without ns/op never
-// displaces one that has it.
+// TestMergeKeepsFastestSample pins the -count=N behavior for timing:
+// repeated lines for one benchmark collapse to the lowest-ns/op sample
+// (timing noise is additive, so the minimum is the least-disturbed run),
+// order of first appearance is preserved, and a sample without ns/op
+// never displaces one that has it. allocs/op is the minimum over all
+// repeats (TestMergeKeepsLeastAllocatingSample).
 func TestMergeKeepsFastestSample(t *testing.T) {
 	var rep Report
 	rep.merge(bench("StageCompile", 1200, 100))
 	rep.merge(bench("StageDopt", 500, 50))
-	rep.merge(bench("StageCompile", 900, 101)) // faster repeat wins wholesale
-	rep.merge(bench("StageCompile", 1500, 99)) // slower repeat is dropped
+	rep.merge(bench("StageCompile", 900, 101)) // faster repeat wins ns/op
+	rep.merge(bench("StageCompile", 1500, 99)) // slower repeat keeps only its lower allocs
 	rep.merge(Benchmark{Name: "StageDopt", N: 1, Metrics: map[string]float64{"allocs/op": 1}})
 	if len(rep.Benchmarks) != 2 {
 		t.Fatalf("want 2 benchmarks, got %+v", rep.Benchmarks)
@@ -153,11 +158,30 @@ func TestMergeKeepsFastestSample(t *testing.T) {
 	if rep.Benchmarks[0].Name != "StageCompile" || rep.Benchmarks[1].Name != "StageDopt" {
 		t.Fatalf("order not preserved: %+v", rep.Benchmarks)
 	}
-	if got := rep.Benchmarks[0].Metrics; got["ns/op"] != 900 || got["allocs/op"] != 101 {
-		t.Fatalf("fastest sample not kept whole: %v", got)
+	if got := rep.Benchmarks[0].Metrics; got["ns/op"] != 900 || got["allocs/op"] != 99 {
+		t.Fatalf("want the fastest ns/op and the lowest allocs/op: %v", got)
 	}
 	if got := rep.Benchmarks[1].Metrics; got["ns/op"] != 500 {
 		t.Fatalf("ns/op-less repeat displaced a timed sample: %v", got)
+	}
+}
+
+// TestMergeKeepsLeastAllocatingSample pins the B/op and allocs/op rule
+// the CI gate's -count 3 relies on: one disturbed repeat, whatever its
+// timing, cannot raise the recorded bytes or allocations, and the
+// custom metrics travel with the fastest sample.
+func TestMergeKeepsLeastAllocatingSample(t *testing.T) {
+	line := func(ns, bytes, allocs, speedup float64) Benchmark {
+		return Benchmark{Name: "StageRegenerate", N: 1, Metrics: map[string]float64{
+			"ns/op": ns, "B/op": bytes, "allocs/op": allocs, "speedup": speedup}}
+	}
+	var rep Report
+	rep.merge(line(1000, 8456, 170, 6.1))
+	rep.merge(line(900, 13960, 176, 6.2)) // fastest, but a stray allocation
+	rep.merge(line(1100, 8460, 169, 6.3))
+	want := map[string]float64{"ns/op": 900, "B/op": 8456, "allocs/op": 169, "speedup": 6.2}
+	if got := rep.Benchmarks[0].Metrics; !reflect.DeepEqual(got, want) {
+		t.Fatalf("merged %v, want %v", got, want)
 	}
 }
 
@@ -165,5 +189,53 @@ func TestParseBenchLineRoundTrip(t *testing.T) {
 	b, ok := parseBenchLine("BenchmarkStageCompile-8   1406   807229 ns/op   1779 allocs/op")
 	if !ok || b.Name != "StageCompile" || b.Metrics["allocs/op"] != 1779 {
 		t.Fatalf("parse failed: %+v ok=%v", b, ok)
+	}
+}
+
+// TestRunWritesNothingWithoutO pins that a run writes a file only where
+// -o names one: gating against the committed BENCH.json must leave that
+// file, and the working directory, as they were.
+func TestRunWritesNothingWithoutO(t *testing.T) {
+	dir := t.TempDir()
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd)
+	baseline := `{"go":"go1.24","goos":"linux","goarch":"amd64","cpu":"cpuA","benchmarks":[` +
+		`{"name":"StageCompile","n":1,"metrics":{"ns/op":1000,"B/op":8456,"allocs/op":170}}]}` + "\n"
+	if err := os.WriteFile("BENCH.json", []byte(baseline), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	input := "cpu: cpuB\nBenchmarkStageCompile-2   1   900 ns/op   8456 B/op   170 allocs/op\nok  binpart 0.1s\n"
+
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-baseline", "BENCH.json"}, strings.NewReader(input), &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
+	}
+	if stdout.String() != input {
+		t.Errorf("stdout %q, want the input teed unchanged", stdout.String())
+	}
+	entries, err := os.ReadDir(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Errorf("run without -o left %d files, want only the baseline", len(entries))
+	}
+	if data, err := os.ReadFile("BENCH.json"); err != nil || string(data) != baseline {
+		t.Errorf("run without -o changed the baseline (err %v):\n%s", err, data)
+	}
+
+	out := filepath.Join(dir, "out.json")
+	if code := run([]string{"-o", out}, strings.NewReader(input), io.Discard, io.Discard); code != 0 {
+		t.Fatalf("-o run exit %d", code)
+	}
+	rep, err := readReport(out)
+	if err != nil || len(rep.Benchmarks) != 1 || rep.CPU != "cpuB" {
+		t.Fatalf("-o wrote %+v (err %v)", rep, err)
 	}
 }

@@ -75,8 +75,8 @@ func Analyze(img *binimg.Image, opts Options) (*Analysis, error) {
 	return AnalyzeWith(img, opts, nil)
 }
 
-// AnalyzeWith is Analyze through a cache set: the simulation, lift, and
-// synthesis stages are memoized individually, and the assembled Analysis
+// AnalyzeWith is Analyze through a cache set: the simulation and lift
+// stages are memoized individually, and the assembled Analysis
 // itself is memoized under a key covering the image and every option
 // that can influence it (the platform, area budget, and algorithm are
 // excluded — they are evaluate-time inputs).
@@ -86,9 +86,9 @@ func AnalyzeWith(img *binimg.Image, opts Options, caches *Caches) (*Analysis, er
 
 // AnalyzeScoped is AnalyzeWith under an observability scope: the analyze
 // stage and its sub-stages (sim, lift, per-region synth) each record a
-// span with their cache outcome. A nil scope records nothing and adds no
-// allocations — the disabled fast path the Stage* benchmark gates hold to
-// zero overhead.
+// span, with a cache outcome for all but synth, which has no cache. A nil
+// scope records nothing and adds no allocations — the disabled fast path
+// the Stage* benchmark gates hold to zero overhead.
 func AnalyzeScoped(img *binimg.Image, opts Options, caches *Caches, sc *obs.Scope) (*Analysis, error) {
 	opts.Sim.Profile = true
 	caches = caches.orNone()
@@ -160,13 +160,9 @@ func computeAnalysis(img *binimg.Image, opts Options, caches *Caches, sc *obs.Sc
 	// functions when running at function granularity. Each function's
 	// facts are gathered once and shared by all of its candidates.
 	pf := &profileFacts{prof: res.Profile, cycAt: cycAt, takenFrom: ws.takenEdges(res.Profile)}
-	sctx := &synthCtx{cache: caches.Synth, obs: sc}
 	for _, f := range lr.Dec.Funcs {
 		if f.Name == "_start" {
 			continue
-		}
-		if sctx.cache != nil {
-			sctx.sig = funcSignature(f)
 		}
 		fx := &funcFacts{
 			f:       f,
@@ -176,7 +172,7 @@ func computeAnalysis(img *binimg.Image, opts Options, caches *Caches, sc *obs.Sc
 			loops:   lr.Loops[f.Name],
 		}
 		if opts.Granularity == GranFunctions {
-			rc, err := buildCandidate(fx, synth.FuncRegion(f), pf.funcInvocations(f), pf, opts, sctx)
+			rc, err := buildCandidate(fx, synth.FuncRegion(f), pf.funcInvocations(f), pf, opts, sc)
 			if err == nil && rc != nil {
 				a.Candidates = append(a.Candidates, rc)
 			}
@@ -186,7 +182,7 @@ func computeAnalysis(img *binimg.Image, opts Options, caches *Caches, sc *obs.Sc
 			if l.Depth != 1 {
 				continue
 			}
-			rc, err := buildCandidate(fx, synth.LoopRegion(f, l), pf.loopInvocations(l), pf, opts, sctx)
+			rc, err := buildCandidate(fx, synth.LoopRegion(f, l), pf.loopInvocations(l), pf, opts, sc)
 			if err == nil && rc != nil {
 				a.Candidates = append(a.Candidates, rc)
 			}

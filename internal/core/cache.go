@@ -1,16 +1,13 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
-	"sort"
 	"strings"
 
 	"binpart/internal/binimg"
 	"binpart/internal/cache"
 	"binpart/internal/decompile"
 	"binpart/internal/dopt"
-	"binpart/internal/freelist"
 	"binpart/internal/ir"
 	"binpart/internal/obs"
 	"binpart/internal/obs/hist"
@@ -35,9 +32,6 @@ type Caches struct {
 	// Lift memoizes decompilation plus the decompiler-optimization
 	// pipeline: image bytes + decompile options + dopt config.
 	Lift *cache.Cache[*LiftResult]
-	// Synth memoizes behavioral synthesis: the region's CDFG signature
-	// plus the synthesis configuration.
-	Synth *cache.Cache[*synth.Design]
 	// Analysis memoizes the assembled platform-independent Analysis:
 	// image bytes + every option the analysis stages read (the platform,
 	// area budget, and algorithm are evaluate-time inputs and excluded).
@@ -72,12 +66,11 @@ func cached[V any](c *cache.Cache[V], sp *obs.Span, key func() cache.Key, comput
 }
 
 // Default per-stage capacities. The suite has 20 benchmarks x 4 opt
-// levels; synthesis sees a few candidate regions per binary.
+// levels.
 const (
 	defaultCompileEntries  = 256
 	defaultSimEntries      = 256
 	defaultLiftEntries     = 256
-	defaultSynthEntries    = 2048
 	defaultAnalysisEntries = 256
 )
 
@@ -87,7 +80,6 @@ func NewCaches() *Caches {
 		Compile:  cache.New[*binimg.Image](defaultCompileEntries),
 		Sim:      cache.New[sim.Result](defaultSimEntries),
 		Lift:     cache.New[*LiftResult](defaultLiftEntries),
-		Synth:    cache.New[*synth.Design](defaultSynthEntries),
 		Analysis: cache.New[*Analysis](defaultAnalysisEntries),
 	}
 }
@@ -119,7 +111,7 @@ func (c *Caches) WithDiskMax(dir string, maxBytes int64) error {
 
 // cacheNames is the rendering order of the stage caches; StatsMap carries
 // the same names as keys, so manifests and the stats table agree.
-var cacheNames = []string{"compile", "sim", "lift", "synth", "analysis"}
+var cacheNames = []string{"compile", "sim", "lift", "analysis"}
 
 // StatsMap snapshots every stage cache's counters, keyed by stage name.
 // This is the accounting surface shared by the -stats table and the run
@@ -132,29 +124,24 @@ func (c *Caches) StatsMap() map[string]cache.Stats {
 		"compile":  c.Compile.Stats(),
 		"sim":      c.Sim.Stats(),
 		"lift":     c.Lift.Stats(),
-		"synth":    c.Synth.Stats(),
 		"analysis": c.Analysis.Stats(),
 	}
 }
 
-// DiskLatencyMap snapshots every stage cache's disk read-latency
-// histogram, keyed by stage name. Stages with no disk tier are omitted,
-// so a memory-only run contributes nothing.
+// DiskLatencyMap snapshots the disk read-latency histogram of each stage
+// cache that WithDiskMax can give a disk tier (compile and sim), keyed by
+// stage name. Stages with no disk tier are omitted, so a memory-only run
+// contributes nothing.
 func (c *Caches) DiskLatencyMap() map[string]hist.Snapshot {
 	if c == nil {
 		return nil
 	}
 	out := map[string]hist.Snapshot{}
-	for _, st := range []struct {
-		name string
-		c    interface{ DiskLatency() (hist.Snapshot, bool) }
-	}{
-		{"compile", c.Compile}, {"sim", c.Sim}, {"lift", c.Lift},
-		{"synth", c.Synth}, {"analysis", c.Analysis},
-	} {
-		if snap, ok := st.c.DiskLatency(); ok {
-			out[st.name] = snap
-		}
+	if snap, ok := c.Compile.DiskLatency(); ok {
+		out["compile"] = snap
+	}
+	if snap, ok := c.Sim.DiskLatency(); ok {
+		out["sim"] = snap
 	}
 	return out
 }
@@ -206,118 +193,6 @@ func liftKey(imgKey cache.Key, dec decompile.Options, cfg dopt.Config) cache.Key
 	h := cache.NewHasher("lift")
 	h.Bytes(imgKey[:]).Bool(dec.RecoverJumpTables)
 	hashDoptConfig(h, cfg)
-	return h.Sum()
-}
-
-// funcSignature content-addresses a lifted function's CDFG: every block's
-// instructions (all operand, width, and control fields) plus the CFG edge
-// structure. Two functions with equal signatures schedule, allocate, and
-// cost identically. The fields are encoded at fixed widths, with a length
-// before each variable-length part, into one pooled buffer that is hashed
-// in a single write.
-func funcSignature(f *ir.Func) cache.Key {
-	bp := sigBufs.Get()
-	le := binary.LittleEndian
-	arg := func(b []byte, a ir.Arg) []byte {
-		b = append(b, boolByte(a.IsConst))
-		b = le.AppendUint32(b, uint32(a.Loc))
-		return le.AppendUint32(b, uint32(a.Val))
-	}
-	b := le.AppendUint64((*bp)[:0], uint64(len(f.Name)))
-	b = append(b, f.Name...)
-	b = le.AppendUint32(b, f.Entry)
-	b = le.AppendUint64(b, uint64(len(f.Blocks)))
-	for _, blk := range f.Blocks {
-		b = le.AppendUint64(b, uint64(blk.Index))
-		b = le.AppendUint32(b, blk.Start)
-		b = le.AppendUint64(b, uint64(len(blk.Instrs)))
-		for i := range blk.Instrs {
-			in := &blk.Instrs[i]
-			b = le.AppendUint64(b, uint64(in.Op))
-			b = le.AppendUint32(b, uint32(in.Dst))
-			b = arg(b, in.A)
-			b = arg(b, in.B)
-			b = le.AppendUint32(b, uint32(in.Off))
-			b = le.AppendUint64(b, uint64(in.Width))
-			b = append(b, boolByte(in.Signed))
-			b = le.AppendUint64(b, uint64(in.Cond))
-			b = le.AppendUint32(b, in.Target)
-			b = le.AppendUint32(b, in.Addr)
-			b = le.AppendUint64(b, uint64(in.WidthBits))
-			var table []uint32
-			if in.Table != nil {
-				table = in.Table.Targets
-			}
-			b = le.AppendUint64(b, uint64(len(table)))
-			for _, t := range table {
-				b = le.AppendUint32(b, t)
-			}
-		}
-		b = le.AppendUint64(b, uint64(len(blk.Succs)))
-		for _, s := range blk.Succs {
-			b = le.AppendUint64(b, uint64(s.Index))
-		}
-	}
-	k := cache.NewHasher("cdfg").Bytes(b).Sum()
-	*bp = b
-	sigBufs.Put(bp)
-	return k
-}
-
-// sigBufs keeps funcSignature's encoding buffers between calls.
-var sigBufs freelist.List[[]byte]
-
-func boolByte(v bool) byte {
-	if v {
-		return 1
-	}
-	return 0
-}
-
-// synthCtx threads the synthesis cache and the observability scope
-// through candidate construction. The zero context synthesizes directly
-// and records nothing.
-type synthCtx struct {
-	cache *cache.Cache[*synth.Design]
-	// sig is the enclosing function's CDFG signature, computed once per
-	// function while building its candidates (only when cache is set).
-	sig cache.Key
-	// obs attributes per-region synth spans to the current sweep point.
-	obs *obs.Scope
-}
-
-// synthesize is synth.Synthesize behind the content-addressed cache. The
-// key covers the function CDFG, the region's block subset, the image key
-// (alias analysis and block-RAM sizing read the symbol table), and the
-// synthesis options; the platform's CPU clock and FPGA device are
-// deliberately excluded — synthesis is platform-independent, which is
-// what makes the clock and area sweeps nearly free on a warm cache.
-func (sc *synthCtx) synthesize(r synth.Region, img *binimg.Image, opts synth.Options) (*synth.Design, error) {
-	sp := sc.obs.Start(obs.StageSynth)
-	d, err := cached(sc.cache, &sp,
-		func() cache.Key { return synthKey(img.Key(), sc.sig, r, opts) },
-		func() (*synth.Design, error) { return synth.Synthesize(r, img, opts) })
-	sp.End()
-	return d, err
-}
-
-func synthKey(imgKey, sig cache.Key, r synth.Region, opts synth.Options) cache.Key {
-	h := cache.NewHasher("synth")
-	h.Bytes(imgKey[:]).Bytes(sig[:]).String(r.Name)
-	if r.Blocks == nil {
-		h.Int(-1)
-	} else {
-		idx := make([]int, 0, len(r.Blocks))
-		for i := range r.Blocks {
-			idx = append(idx, i)
-		}
-		sort.Ints(idx)
-		h.Int(int64(len(idx)))
-		for _, i := range idx {
-			h.Int(int64(i))
-		}
-	}
-	hashSynthOptions(h, opts)
 	return h.Sum()
 }
 

@@ -336,8 +336,9 @@ func (ws *analysisScratch) blockExtents(f *ir.Func, img *binimg.Image) [][2]uint
 // buildCandidate synthesizes region r of fx's function — one of its
 // loops or all of it — and gathers its profile numbers; control enters
 // the region invocations times. A region that is never executed, or that
-// holds an operation no design can implement, is not a candidate.
-func buildCandidate(fx *funcFacts, r synth.Region, invocations uint64, pf *profileFacts, opts Options, sctx *synthCtx) (*RegionCandidate, error) {
+// holds an operation no design can implement, is not a candidate. The
+// synthesis is recorded as a synth span on sc (nil records nothing).
+func buildCandidate(fx *funcFacts, r synth.Region, invocations uint64, pf *profileFacts, opts Options, sc *obs.Scope) (*RegionCandidate, error) {
 	// Software cycles, size and block execution counts from the profile.
 	var swCycles uint64
 	size := 0
@@ -364,7 +365,9 @@ func buildCandidate(fx *funcFacts, r synth.Region, invocations uint64, pf *profi
 		return nil, nil
 	}
 
-	d, err := sctx.synthesize(fx.region(r), fx.img, opts.Synth)
+	sp := sc.Start(obs.StageSynth)
+	d, err := synth.Synthesize(fx.region(r), fx.img, opts.Synth)
+	sp.End()
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"testing"
@@ -29,7 +30,7 @@ var doptAblations = []dopt.Config{
 // and checks that:
 //
 //   - RemoveStackOps, Reroll, PromoteStrength and StrengthReduce each
-//     report a change exactly when the function's CDFG signature changed;
+//     report a change exactly when the function's IR changed;
 //   - every Cleanup reaches its fixpoint within its round cap;
 //   - a second Cleanup on a Cleanup's output changes nothing;
 //   - OptimizeWith, which skips Cleanups, ends at the same IR and report.
@@ -57,15 +58,15 @@ func TestDoptChangeReports(t *testing.T) {
 						if !dopt.Cleanup(f) {
 							t.Fatalf("%s %+v: Cleanup hit its round cap", where(), cfg)
 						}
-						sig := funcSignature(f)
-						if !dopt.Cleanup(f) || funcSignature(f) != sig {
+						sig := irFingerprint(f)
+						if !dopt.Cleanup(f) || irFingerprint(f) != sig {
 							t.Fatalf("%s %+v: Cleanup changed its own output", where(), cfg)
 						}
 					}
 					pass := func(name string, run func() bool) bool {
-						before := funcSignature(f)
+						before := irFingerprint(f)
 						changed := run()
-						if moved := funcSignature(f) != before; moved != changed {
+						if moved := irFingerprint(f) != before; moved != changed {
 							t.Fatalf("%s %+v: %s reports change=%v, IR changed=%v", where(), cfg, name, changed, moved)
 						}
 						return changed
@@ -107,7 +108,7 @@ func TestDoptChangeReports(t *testing.T) {
 					if got := dopt.OptimizeWith(g, cfg); !reflect.DeepEqual(got, rep) {
 						t.Fatalf("%s %+v: OptimizeWith report %+v, replay %+v", where(), cfg, got, rep)
 					}
-					if funcSignature(g) != funcSignature(f) || g.NextLoc != f.NextLoc {
+					if irFingerprint(g) != irFingerprint(f) || g.NextLoc != f.NextLoc {
 						t.Fatalf("%s %+v: OptimizeWith IR differs from the replay with every Cleanup", where(), cfg)
 					}
 				}
@@ -115,4 +116,59 @@ func TestDoptChangeReports(t *testing.T) {
 		}
 	}
 	t.Logf("%d Cleanup calls, %d after a pass that reported no change", calls, skippable)
+}
+
+// irFingerprint encodes a function's IR — its name and entry, and per
+// block the index, start, every field of every instruction (jump-table
+// targets included) and the successor edges — at fixed widths, with a
+// length before each variable-length part, so two fingerprints are equal
+// exactly when the IR is.
+func irFingerprint(f *ir.Func) string {
+	le := binary.LittleEndian
+	flag := func(b []byte, v bool) []byte {
+		if v {
+			return append(b, 1)
+		}
+		return append(b, 0)
+	}
+	arg := func(b []byte, a ir.Arg) []byte {
+		b = flag(b, a.IsConst)
+		b = le.AppendUint32(b, uint32(a.Loc))
+		return le.AppendUint32(b, uint32(a.Val))
+	}
+	b := le.AppendUint64(nil, uint64(len(f.Name)))
+	b = append(b, f.Name...)
+	b = le.AppendUint32(b, f.Entry)
+	b = le.AppendUint64(b, uint64(len(f.Blocks)))
+	for _, blk := range f.Blocks {
+		b = le.AppendUint64(b, uint64(blk.Index))
+		b = le.AppendUint32(b, blk.Start)
+		b = le.AppendUint64(b, uint64(len(blk.Instrs)))
+		for i := range blk.Instrs {
+			in := &blk.Instrs[i]
+			b = le.AppendUint64(b, uint64(in.Op))
+			b = le.AppendUint32(b, uint32(in.Dst))
+			b = arg(b, in.A)
+			b = arg(b, in.B)
+			b = le.AppendUint32(b, uint32(in.Off))
+			b = append(b, in.Width, in.WidthBits)
+			b = flag(b, in.Signed)
+			b = le.AppendUint64(b, uint64(in.Cond))
+			b = le.AppendUint32(b, in.Target)
+			b = le.AppendUint32(b, in.Addr)
+			var table []uint32
+			if in.Table != nil {
+				table = in.Table.Targets
+			}
+			b = le.AppendUint64(b, uint64(len(table)))
+			for _, t := range table {
+				b = le.AppendUint32(b, t)
+			}
+		}
+		b = le.AppendUint64(b, uint64(len(blk.Succs)))
+		for _, s := range blk.Succs {
+			b = le.AppendUint64(b, uint64(s.Index))
+		}
+	}
+	return string(b)
 }

@@ -59,8 +59,6 @@ func runMonolithic(img *binimg.Image, opts Options) (*Report, error) {
 	rep.DoptReports = copyStringMap(lr.Reports)
 	rep.Outlines = copyStringMap(lr.Outlines)
 
-	sctx := &synthCtx{}
-
 	// 4. Build candidates, priced immediately for the platform.
 	var cands []*partition.Candidate
 	addCand := func(rc *RegionCandidate) {
@@ -103,7 +101,7 @@ func runMonolithic(img *binimg.Image, opts Options) (*Report, error) {
 		}
 		if opts.Granularity == GranFunctions {
 			fx, pf := facts(f)
-			rc, err := buildCandidate(fx, synth.FuncRegion(f), pf.funcInvocations(f), pf, opts, sctx)
+			rc, err := buildCandidate(fx, synth.FuncRegion(f), pf.funcInvocations(f), pf, opts, nil)
 			if err == nil && rc != nil {
 				addCand(rc)
 			}
@@ -114,7 +112,7 @@ func runMonolithic(img *binimg.Image, opts Options) (*Report, error) {
 				continue
 			}
 			fx, pf := facts(f)
-			rc, err := buildCandidate(fx, synth.LoopRegion(f, l), pf.loopInvocations(l), pf, opts, sctx)
+			rc, err := buildCandidate(fx, synth.LoopRegion(f, l), pf.loopInvocations(l), pf, opts, nil)
 			if err != nil || rc == nil {
 				continue
 			}
@@ -348,10 +346,10 @@ func TestConcurrentEvaluateSharesMaps(t *testing.T) {
 }
 
 // TestConcurrentAnalyzeSharesLift runs concurrent analyses of one image
-// through one cache set whose Synth and Analysis stages are off, so every
-// call builds and synthesizes its candidates again from the one cached
+// through one cache set whose Analysis stage is off, so every call
+// builds and synthesizes its candidates again from the one cached
 // LiftResult: its functions and the loops structure recovery found, which
-// candidate construction, alias analysis and synthesis share. (A synth or
+// candidate construction, alias analysis and synthesis share. (An
 // analysis cache would serialize that work behind its lock and hide a
 // write from the race detector.) The analyses mix loop and function
 // granularity and two synthesis option sets (both pipelining, so
@@ -386,7 +384,7 @@ func TestConcurrentAnalyzeSharesLift(t *testing.T) {
 	}
 
 	caches := NewCaches()
-	caches.Synth, caches.Analysis = nil, nil
+	caches.Analysis = nil
 	var wg sync.WaitGroup
 	errs := make(chan string, 8)
 	for g := 0; g < 8; g++ {
