@@ -3,7 +3,17 @@
 
 GO ?= go
 
-.PHONY: build test race stress vet check bench experiments examples obs-smoke corpus-smoke bpartd-smoke
+.PHONY: fmt build test race stress vet check bench experiments examples obs-smoke corpus-smoke bpartd-smoke
+
+# The gofmt gate, with the same command CI's Format step runs: it lists
+# every file gofmt would change and fails if there is any.
+fmt:
+	@fmt=$$(gofmt -l .); \
+	if [ -n "$$fmt" ]; then \
+		echo "gofmt needed on:" >&2; \
+		echo "$$fmt" >&2; \
+		exit 1; \
+	fi
 
 build:
 	$(GO) build ./...
@@ -18,10 +28,9 @@ race:
 	$(GO) test -race ./...
 
 # Twenty race-detector repetitions of the packages whose tests lean on
-# timing and goroutines (the daemon's admission/metrics/shutdown paths,
-# the cache's inflight coalescing over a shared disk tier and its
-# background disk sweep), so a flaky test fails here rather than in a
-# later change's test run.
+# timing and goroutines (the daemon's admission/metrics/shutdown paths
+# and the cache's in-flight coalescing), so a flaky test fails here
+# rather than in a later change's test run.
 stress:
 	$(GO) test -race -count=20 ./cmd/bpartd ./internal/cache
 
@@ -64,7 +73,7 @@ bpartd-smoke:
 examples:
 	for e in examples/*/; do $(GO) run ./$$e >/dev/null || exit 1; done
 
-check: vet build test race stress examples obs-smoke corpus-smoke bpartd-smoke
+check: fmt vet build test race stress examples obs-smoke corpus-smoke bpartd-smoke
 
 # Runs every benchmark (the root package's and bpartd's warm-request
 # benchmark) and distills the results (per-stage ns/op plus the

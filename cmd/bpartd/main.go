@@ -30,7 +30,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -61,10 +60,11 @@ func main() {
 
 	fatal := func(err error) {
 		fmt.Fprintln(os.Stderr, "bpartd:", err)
-		if errors.Is(err, session.ErrUsage) {
-			os.Exit(2)
-		}
 		os.Exit(1)
+	}
+	if err := platform.CheckMHz(*mhz); err != nil {
+		fmt.Fprintln(os.Stderr, "bpartd: -mhz:", err)
+		os.Exit(2)
 	}
 
 	dev, err := fpga.ByName(*device)

@@ -329,6 +329,9 @@ func (d *daemon) decode(w http.ResponseWriter, r *http.Request, buf *bytes.Buffe
 	if req.MHz != 0 || req.Device != "" {
 		mhz := opts.Platform.CPUMHz
 		if req.MHz != 0 {
+			if err := platform.CheckMHz(req.MHz); err != nil {
+				return nil, core.Options{}, err
+			}
 			mhz = req.MHz
 		}
 		dev := opts.Platform.Device
@@ -343,6 +346,9 @@ func (d *daemon) decode(w http.ResponseWriter, r *http.Request, buf *bytes.Buffe
 		if opts.Algorithm, err = core.ParseAlgorithm(req.Alg); err != nil {
 			return nil, core.Options{}, err
 		}
+	}
+	if req.AreaBudgetGates < 0 {
+		return nil, core.Options{}, fmt.Errorf("area_budget_gates %d is negative", req.AreaBudgetGates)
 	}
 	if req.AreaBudgetGates > 0 {
 		opts.AreaBudgetGates = req.AreaBudgetGates
@@ -466,6 +472,12 @@ func (d *daemon) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Sweep == "clocks" && len(req.Clocks) == 0 {
 		req.Clocks = []float64{40, 100, 200, 400}
+	}
+	for _, mhz := range req.Clocks {
+		if err := platform.CheckMHz(mhz); err != nil {
+			d.fail(w, routeSweep, fmt.Errorf("clocks: %w", err))
+			return
+		}
 	}
 
 	sc := d.rec.Scope(req.jobName(), req.Opt, worker)

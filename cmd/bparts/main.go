@@ -6,7 +6,7 @@
 // Usage:
 //
 //	bparts [-mhz 200] [-device XC2V2000] [-alg 90-10|greedy|gclp]
-//	       [-j N] [-cachedir dir] [-vhdl dir] program.sbf...
+//	       [-j N] [-vhdl dir] program.sbf...
 //	bparts -sweep devices program.sbf...   # area sweep over the Virtex-II catalog
 //	bparts -sweep clocks  program.sbf...   # CPU clock sweep (see -clocks)
 //
@@ -31,7 +31,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -89,6 +88,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
+	if err := platform.CheckMHz(*mhz); err != nil {
+		fmt.Fprintln(stderr, "bparts: -mhz:", err)
+		return 2
+	}
 
 	dev, err := fpga.ByName(*device)
 	if err != nil {
@@ -110,8 +113,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "clocks":
 		for _, s := range strings.Split(*clockList, ",") {
 			v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-			if err != nil || v <= 0 {
-				return fail(fmt.Errorf("bad -clocks entry %q", s))
+			if err == nil {
+				err = platform.CheckMHz(v)
+			}
+			if err != nil {
+				fmt.Fprintf(stderr, "bparts: bad -clocks entry %q: %v\n", s, err)
+				return 2
 			}
 			clocks = append(clocks, v)
 		}
@@ -123,10 +130,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	pool := min(max(*workers, 1), len(paths))
 	sess, err := sf.Open(session.Config{Tool: "bparts", Args: args, Workers: pool, Stderr: stderr})
 	if err != nil {
-		if errors.Is(err, session.ErrUsage) {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
 		return fail(err)
 	}
 

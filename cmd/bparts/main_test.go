@@ -89,3 +89,30 @@ func TestFailedInputStillFlushes(t *testing.T) {
 		t.Errorf("manifest tool %q spans %d", m.Tool, m.Spans)
 	}
 }
+
+// TestClockOutOfRangeIsUsageError checks that -mhz and every -clocks
+// entry go through platform.CheckMHz: a clock that is not finite or
+// lies outside its range is a usage error (exit 2) before any input is
+// read, instead of pricing on the default platform or with negative
+// times.
+func TestClockOutOfRangeIsUsageError(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing.sbf")
+	for _, args := range [][]string{
+		{"-mhz", "0", "-device", "XC2V40"},
+		{"-mhz", "-200"},
+		{"-mhz", "1e-300"},
+		{"-mhz", "NaN"},
+		{"-mhz", "Inf"},
+		{"-mhz", "20000"},
+		{"-sweep", "clocks", "-clocks", "0,200"},
+		{"-sweep", "clocks", "-clocks", "200,-Inf"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(append(args, missing), &stdout, &stderr); code != 2 || stdout.Len() != 0 {
+			t.Errorf("bparts %v: exit %d, stdout %q, want a usage error (exit 2); stderr: %s",
+				args, code, stdout.String(), stderr.String())
+		} else if !strings.Contains(stderr.String(), "out of range") {
+			t.Errorf("bparts %v: stderr %q does not name the range", args, stderr.String())
+		}
+	}
+}

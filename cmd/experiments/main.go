@@ -10,8 +10,6 @@
 //	experiments -corpus 1000 # differential fuzz corpus of generated programs
 //	experiments -corpus 1000 -corpus-seed 7 -corpus-out sum.json
 //	experiments -j 8         # fan sweep points over 8 workers
-//	experiments -cachedir d  # persist the stage cache under d
-//	experiments -cachedir d -cachedir-max 256M  # bound it (oldest-mtime eviction)
 //	experiments -trace t.jsonl     # stream per-stage spans as JSONL (.gz gzips)
 //	experiments -stats             # per-stage span + cache tables (p50/p90/p99) to stderr
 //	experiments -manifest m.json   # write the run manifest (config, git, totals)
@@ -80,9 +78,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	s, err := sf.Open(session.Config{Tool: "experiments", Args: args, Workers: *workers, NoCache: *noCache, Stderr: stderr})
 	if err != nil {
 		fmt.Fprintln(stderr, err)
-		if errors.Is(err, session.ErrUsage) {
-			return 2
-		}
 		return 1
 	}
 

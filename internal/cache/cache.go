@@ -9,9 +9,7 @@
 //
 // A Cache is a bounded in-memory LRU with per-key in-flight coalescing
 // (concurrent GetOrCompute calls for the same key compute once), hit /
-// miss / eviction counters, and an optional write-through DiskStore for
-// values that have a byte codec (serialized blobs carry a checksum
-// header, see blob.go). Invalidation is purely structural: a key
+// miss / eviction counters. Invalidation is purely structural: a key
 // covers every byte of stage input, so changing any input byte produces a
 // different key and the stale entry simply ages out of the LRU.
 package cache
@@ -25,16 +23,14 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"binpart/internal/freelist"
-	"binpart/internal/obs/hist"
 )
 
 // Key is a 256-bit content address of one stage's inputs.
 type Key [sha256.Size]byte
 
-// String renders the key as lowercase hex (also the on-disk file name).
+// String renders the key as lowercase hex.
 func (k Key) String() string { return hex.EncodeToString(k[:]) }
 
 // Hasher accumulates stage inputs into a Key. Every write is tagged with
@@ -141,25 +137,21 @@ func (h *Hasher) Sum() Key {
 }
 
 // Stats is a point-in-time counter snapshot. The aggregate Hits counter
-// includes every served lookup, memory or disk, so the accounting
-// reconciles exactly: Hits = memory hits + Waits + DiskHits, and
-// Hits + Misses = total lookups (Misses already includes Corrupt
-// recomputes).
+// includes coalesced waits, so the accounting reconciles exactly:
+// Hits = memory hits + Waits, and Hits + Misses = total lookups.
 type Stats struct {
-	Hits      uint64 `json:"hits"`    // served lookups from memory or disk, including waits
-	Misses    uint64 `json:"misses"`  // full computes, including recomputes after a corrupt blob
+	Hits      uint64 `json:"hits"`    // lookups served without computing, including waits
+	Misses    uint64 `json:"misses"`  // full computes
 	Evictions uint64 `json:"evict"`   // LRU entries dropped at capacity
-	DiskHits  uint64 `json:"disk"`    // misses served from the disk tier
 	Waits     uint64 `json:"waits"`   // GetOrCompute calls that blocked on another caller's in-flight compute
-	Corrupt   uint64 `json:"corrupt"` // disk blobs that failed checksum or decode (deleted, treated as misses)
 	Entries   int    `json:"entries"` // current in-memory entry count
 }
 
 // Outcome classifies how one cache lookup was served. It is the per-call
 // counterpart of the aggregate Stats counters: observability spans record
 // an Outcome per stage execution, and summing span outcomes per stage
-// reconciles with the stage cache's Stats (hits = hit + wait + disk,
-// misses = miss + corrupt).
+// reconciles with the stage cache's Stats (hits = hit + wait,
+// misses = miss).
 type Outcome uint8
 
 const (
@@ -173,12 +165,6 @@ const (
 	// OutcomeWait is a coalesced wait on another caller's in-flight
 	// compute (counted as a hit in Stats, plus the Waits counter).
 	OutcomeWait
-	// OutcomeDisk is a memory miss served from the disk layer.
-	OutcomeDisk
-	// OutcomeCorrupt is a disk blob that failed checksum or decode: the
-	// blob was deleted and the value recomputed (a miss in Stats, plus
-	// Corrupt).
-	OutcomeCorrupt
 )
 
 func (o Outcome) String() string {
@@ -189,10 +175,6 @@ func (o Outcome) String() string {
 		return "miss"
 	case OutcomeWait:
 		return "wait"
-	case OutcomeDisk:
-		return "disk"
-	case OutcomeCorrupt:
-		return "corrupt"
 	}
 	return ""
 }
@@ -223,18 +205,7 @@ type Cache[V any] struct {
 	hits      atomic.Uint64
 	misses    atomic.Uint64
 	evictions atomic.Uint64
-	diskHits  atomic.Uint64
 	waits     atomic.Uint64
-	corrupt   atomic.Uint64
-
-	// disk is the optional write-through store below the typed memory
-	// LRU, and codec serializes values for it. Both are set once during
-	// wiring, before concurrent use. diskLat records the read latency of
-	// every disk probe (alloc-free, so it sits on the miss path
-	// unconditionally).
-	disk    *DiskStore
-	codec   Codec[V]
-	diskLat hist.Histogram
 }
 
 // New creates a cache bounded to capacity entries (minimum 1).
@@ -250,86 +221,18 @@ func New[V any](capacity int) *Cache[V] {
 	}
 }
 
-// WithDisk attaches a write-through disk tier: computed values are
-// persisted via the codec, and a memory miss consults the store before
-// recomputing. Call during wiring, before the cache sees concurrent use.
-func (c *Cache[V]) WithDisk(d *DiskStore, codec Codec[V]) *Cache[V] {
-	if c == nil || d == nil {
-		return c
-	}
-	c.mu.Lock()
-	c.disk, c.codec = d, codec
-	c.mu.Unlock()
-	return c
-}
-
-// DiskLatency snapshots the disk tier's read-latency histogram. Nil-safe;
-// ok is false when no disk tier is attached.
-func (c *Cache[V]) DiskLatency() (snap hist.Snapshot, ok bool) {
-	if c == nil || c.disk == nil {
-		return snap, false
-	}
-	return c.diskLat.Snapshot(), true
-}
-
-// loadDisk probes the disk tier, timing the read into diskLat. A blob
-// that verifies and decodes is counted as a disk hit (OutcomeDisk). One
-// that fails either check would, were it returned, fail the caller (or
-// poison the memory layer) on a value the store itself cannot vouch for:
-// it is counted, deleted so no later run trips over it, and reported as
-// OutcomeCorrupt — the caller's recompute rewrites a good blob. Anything
-// else is OutcomeMiss. The caller counts misses.
-func (c *Cache[V]) loadDisk(k Key) (V, Outcome) {
-	var zero V
-	if c.disk == nil {
-		return zero, OutcomeMiss
-	}
-	start := time.Now()
-	blob, ok := c.disk.Get(k)
-	c.diskLat.Record(time.Since(start))
-	if !ok {
-		return zero, OutcomeMiss
-	}
-	if payload, err := Open(blob); err == nil {
-		if v, err := c.codec.Unmarshal(payload); err == nil {
-			c.hits.Add(1)
-			c.diskHits.Add(1)
-			return v, OutcomeDisk
-		}
-	}
-	c.corrupt.Add(1)
-	c.disk.Delete(k) //nolint:errcheck // best effort; the recompute rewrites it
-	return zero, OutcomeCorrupt
-}
-
-// storeDisk seals v and writes it to the disk tier. Best effort, and
-// outside any lock: blobs are content addressed, so a racing double
-// write is benign, and a failed write loses persistence, not
-// correctness.
-func (c *Cache[V]) storeDisk(k Key, v V) {
-	if c.disk == nil {
-		return
-	}
-	payload, err := c.codec.Marshal(v)
-	if err != nil {
-		return
-	}
-	c.disk.Put(k, Seal(payload)) //nolint:errcheck // best effort; memory stays primary
-}
-
 // GetOrCompute returns the value for k, computing it with fn on a miss,
 // and reports how the call was served so observability spans can
 // attribute cache behavior per stage execution. It is the cache's only
 // lookup. Concurrent calls for the same key coalesce: one caller
 // computes, the rest wait and share the result (a waiter counts as a
 // hit, and also as a wait — the contention-visible counter). Errors are
-// not cached.
+// not cached: the waiters of a failed compute share its error, and the
+// next call for the key computes again.
 //
-// Disk I/O happens outside the cache lock: the caller first registers
-// itself in the inflight map, which gives it per-key exclusion, then
-// probes the disk. Later same-key callers coalesce on the inflight entry
-// as waits — including callers that would have hit the disk — so a slow
-// disk never blocks unrelated keys.
+// The compute runs outside the cache lock: the caller first registers
+// itself in the inflight map, which gives it per-key exclusion, so a
+// slow compute never blocks unrelated keys.
 func (c *Cache[V]) GetOrCompute(k Key, fn func() (V, error)) (V, Outcome, error) {
 	if c == nil {
 		v, err := fn()
@@ -358,7 +261,7 @@ func (c *Cache[V]) GetOrCompute(k Key, fn func() (V, error)) (V, Outcome, error)
 	c.inflight[k] = fl
 	c.mu.Unlock()
 
-	out := c.fill(k, fl, fn)
+	c.fill(fl, fn)
 
 	c.mu.Lock()
 	delete(c.inflight, k)
@@ -374,30 +277,15 @@ func (c *Cache[V]) GetOrCompute(k Key, fn func() (V, error)) (V, Outcome, error)
 		}
 	}
 	c.mu.Unlock()
-	return fl.val, out, fl.err
+	return fl.val, OutcomeMiss, fl.err
 }
 
-// fill resolves a registered inflight call: probe the disk tier and
-// compute on a miss, then write the computed value back to disk. Runs
-// outside the cache lock; the inflight entry is this key's exclusion.
-// fl.done is closed as soon as the value is known, before the disk
-// write, so waiters resume immediately.
-func (c *Cache[V]) fill(k Key, fl *inflightCall[V], fn func() (V, error)) Outcome {
-	v, out := c.loadDisk(k)
-	if out == OutcomeDisk {
-		fl.val = v
-		close(fl.done)
-		return out
-	}
-	// out is OutcomeMiss or OutcomeCorrupt, which distinguishes a clean
-	// miss from a corrupt-blob recompute.
+// fill computes a registered inflight call outside the cache lock, counts
+// the miss and wakes the waiters.
+func (c *Cache[V]) fill(fl *inflightCall[V], fn func() (V, error)) {
 	fl.val, fl.err = fn()
 	c.misses.Add(1)
 	close(fl.done)
-	if fl.err == nil {
-		c.storeDisk(k, fl.val)
-	}
-	return out
 }
 
 // Stats returns a snapshot of the counters.
@@ -409,9 +297,7 @@ func (c *Cache[V]) Stats() Stats {
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),
 		Evictions: c.evictions.Load(),
-		DiskHits:  c.diskHits.Load(),
 		Waits:     c.waits.Load(),
-		Corrupt:   c.corrupt.Load(),
 	}
 	c.mu.Lock()
 	s.Entries = c.ll.Len()

@@ -1,21 +1,18 @@
 package cache
 
 import (
-	"encoding/binary"
 	"errors"
-	"fmt"
-	"os"
-	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestKeyStability pins the key derivation: the same inputs must hash to
 // the same key within a process, across processes, and across releases.
-// The literal below is part of the cache's on-disk compatibility surface;
-// if the encoding changes intentionally, update it (old disk entries are
-// then unreachable, which is the designed invalidation path).
+// The literal below pins the encoding; if it changes intentionally,
+// update it.
 func TestKeyStability(t *testing.T) {
 	mk := func() Key {
 		return NewHasher("stage").
@@ -205,6 +202,86 @@ func TestInflightCoalescing(t *testing.T) {
 	}
 }
 
+// TestCoalescedWaits pins the wait path deterministically: the computing
+// caller is held inside its compute until the other n-1 callers for the
+// key are counted as waits, so exactly one lookup misses and the rest
+// wait, whether the compute succeeds or fails. A failed compute hands
+// its error to every waiter and is not cached.
+func TestCoalescedWaits(t *testing.T) {
+	const n = 5
+	c := New[int](4)
+	k := NewHasher("t").String("coalesce").Sum()
+	boom := errors.New("boom")
+
+	type result struct {
+		v   int
+		out Outcome
+		err error
+	}
+	// round runs n lookups of k that all arrive while the first one's
+	// compute, which returns (v, err), is in flight.
+	round := func(v int, err error) []result {
+		entered, release := make(chan struct{}), make(chan struct{})
+		results := make([]result, n)
+		waits0 := c.Stats().Waits
+		var wg sync.WaitGroup
+		lookup := func(i int) {
+			defer wg.Done()
+			r := &results[i]
+			r.v, r.out, r.err = c.GetOrCompute(k, func() (int, error) {
+				close(entered)
+				<-release
+				return v, err
+			})
+		}
+		wg.Add(n)
+		go lookup(0)
+		<-entered
+		for i := 1; i < n; i++ {
+			go lookup(i)
+		}
+		for deadline := time.Now().Add(10 * time.Second); c.Stats().Waits < waits0+n-1; runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Fatalf("waits = %d after 10 s, want %d", c.Stats().Waits-waits0, n-1)
+			}
+		}
+		close(release)
+		wg.Wait()
+		return results
+	}
+
+	for i, r := range round(42, nil) {
+		want := OutcomeWait
+		if i == 0 {
+			want = OutcomeMiss
+		}
+		if r.v != 42 || r.out != want || r.err != nil {
+			t.Errorf("lookup %d = %d, %v, %v; want 42, %v, nil", i, r.v, r.out, r.err, want)
+		}
+	}
+	if s := c.Stats(); s.Hits != n-1 || s.Waits != n-1 || s.Misses != 1 {
+		t.Errorf("stats = %+v, want hits = waits = %d, misses = 1", s, n-1)
+	}
+
+	k = NewHasher("t").String("coalesce-fail").Sum()
+	for i, r := range round(0, boom) {
+		want := OutcomeWait
+		if i == 0 {
+			want = OutcomeMiss
+		}
+		if r.err != boom || r.out != want {
+			t.Errorf("failing lookup %d = %v, %v; want boom, %v", i, r.out, r.err, want)
+		}
+	}
+	if s := c.Stats(); s.Hits != 2*(n-1) || s.Waits != 2*(n-1) || s.Misses != 2 {
+		t.Errorf("stats = %+v, want hits = waits = %d, misses = 2", s, 2*(n-1))
+	}
+	v, out, err := c.GetOrCompute(k, func() (int, error) { return 7, nil })
+	if v != 7 || out != OutcomeMiss || err != nil {
+		t.Errorf("after a failed compute: %d, %v, %v; want 7, miss, nil", v, out, err)
+	}
+}
+
 // TestNilCacheSafe checks the nil-cache contract used by optional wiring.
 func TestNilCacheSafe(t *testing.T) {
 	var c *Cache[int]
@@ -217,175 +294,6 @@ func TestNilCacheSafe(t *testing.T) {
 	}
 	if s := c.Stats(); s != (Stats{}) {
 		t.Errorf("nil stats = %+v", s)
-	}
-	if _, ok := c.DiskLatency(); ok {
-		t.Error("nil cache reports a disk latency")
-	}
-	if c.WithDisk(nil, Codec[int]{}) != nil {
-		t.Error("nil WithDisk returned a cache")
-	}
-}
-
-// TestDiskStoreRoundTrip checks the write-through layer: a second cache
-// sharing the directory serves a cold lookup from disk.
-func TestDiskStoreRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	store, err := OpenDiskMax(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	codec := Codec[string]{
-		Marshal:   func(s string) ([]byte, error) { return []byte(s), nil },
-		Unmarshal: func(b []byte) (string, error) { return string(b), nil },
-	}
-	k := NewHasher("t").String("persist").Sum()
-
-	warm := New[string](4).WithDisk(store, codec)
-	if _, _, err := warm.GetOrCompute(k, func() (string, error) { return "hello", nil }); err != nil {
-		t.Fatal(err)
-	}
-
-	cold := New[string](4).WithDisk(store, codec)
-	v, out, err := cold.GetOrCompute(k, func() (string, error) {
-		t.Error("cold lookup recomputed; value was not persisted")
-		return "", nil
-	})
-	if err != nil || v != "hello" || out != OutcomeDisk {
-		t.Fatalf("disk miss: %q, %v, %v", v, out, err)
-	}
-	s := cold.Stats()
-	if s.DiskHits != 1 {
-		t.Errorf("disk hits = %d, want 1", s.DiskHits)
-	}
-	// A corrupt blob must fall through to a recompute, not an error.
-	k2 := NewHasher("t").String("corrupt").Sum()
-	bad := Codec[string]{
-		Marshal:   codec.Marshal,
-		Unmarshal: func([]byte) (string, error) { return "", fmt.Errorf("corrupt") },
-	}
-	if err := store.Put(k2, []byte("junk")); err != nil {
-		t.Fatal(err)
-	}
-	c3 := New[string](4).WithDisk(store, bad)
-	v, out, err = c3.GetOrCompute(k2, func() (string, error) { return "fresh", nil })
-	if err != nil || v != "fresh" || out != OutcomeCorrupt {
-		t.Errorf("corrupt blob: %q, %v, %v; want the recompute", v, out, err)
-	}
-}
-
-// lengthCodec is a codec whose unmarshal actually validates the blob: a
-// 4-byte length prefix followed by the payload. Truncating the file makes
-// decode fail, the way a torn write corrupts a real .sbc entry.
-var lengthCodec = Codec[string]{
-	Marshal: func(s string) ([]byte, error) {
-		b := make([]byte, 4+len(s))
-		binary.LittleEndian.PutUint32(b, uint32(len(s)))
-		copy(b[4:], s)
-		return b, nil
-	},
-	Unmarshal: func(b []byte) (string, error) {
-		if len(b) < 4 {
-			return "", fmt.Errorf("short blob: %d bytes", len(b))
-		}
-		n := binary.LittleEndian.Uint32(b)
-		if uint32(len(b)-4) != n {
-			return "", fmt.Errorf("truncated blob: have %d want %d", len(b)-4, n)
-		}
-		return string(b[4:]), nil
-	},
-}
-
-// TestCorruptBlobRecovery is the regression test for the silent-corruption
-// bug: a truncated .sbc blob must be treated as a miss (never served), be
-// counted in the Corrupt stat, be deleted from disk, and be rewritten by
-// the recompute — so a warm rerun over a damaged cache directory produces
-// exactly the cold run's results.
-func TestCorruptBlobRecovery(t *testing.T) {
-	dir := t.TempDir()
-	store, err := OpenDiskMax(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := NewHasher("sim").String("fir").Int(2).Sum()
-	compute := func() (string, error) { return "profile-data", nil }
-
-	// Cold run: compute and persist.
-	cold := New[string](4).WithDisk(store, lengthCodec)
-	coldVal, _, err := cold.GetOrCompute(k, compute)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Truncate the blob on disk, as a torn write or partial copy would.
-	blobPath := filepath.Join(dir, k.String()+".sbc")
-	data, err := os.ReadFile(blobPath)
-	if err != nil {
-		t.Fatalf("blob not persisted: %v", err)
-	}
-	if err := os.WriteFile(blobPath, data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// Warm rerun in a fresh process (new cache, same directory): the
-	// corrupt blob must not be served; the recompute must match cold.
-	warm := New[string](4).WithDisk(store, lengthCodec)
-	warmVal, out, err := warm.GetOrCompute(k, compute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warmVal != coldVal {
-		t.Errorf("warm value %q != cold value %q", warmVal, coldVal)
-	}
-	if out != OutcomeCorrupt {
-		t.Errorf("outcome = %v, want corrupt", out)
-	}
-	s := warm.Stats()
-	if s.Corrupt != 1 {
-		t.Errorf("corrupt stat = %d, want 1", s.Corrupt)
-	}
-	if s.Misses != 1 || s.Hits != 0 || s.DiskHits != 0 {
-		t.Errorf("stats = %+v, want exactly one miss", s)
-	}
-
-	// The recompute must have replaced the damaged blob with a good one:
-	// a third cold cache now serves it from disk.
-	third := New[string](4).WithDisk(store, lengthCodec)
-	v, out, err := third.GetOrCompute(k, func() (string, error) {
-		t.Error("recompute ran; corrupt blob was not rewritten")
-		return "", nil
-	})
-	if err != nil || v != coldVal {
-		t.Fatalf("disk reread = %q, %v", v, err)
-	}
-	if out != OutcomeDisk {
-		t.Errorf("outcome = %v, want disk", out)
-	}
-}
-
-// TestCorruptBlobDeleted checks the delete half in isolation: after the
-// corrupt lookup the damaged file is gone even if nothing rewrites it (the
-// recompute fails), so later runs do not trip over it again.
-func TestCorruptBlobDeleted(t *testing.T) {
-	dir := t.TempDir()
-	store, err := OpenDiskMax(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := NewHasher("t").String("victim").Sum()
-	if err := store.Put(k, []byte{1, 2}); err != nil { // too short for lengthCodec
-		t.Fatal(err)
-	}
-	c := New[string](4).WithDisk(store, lengthCodec)
-	boom := errors.New("boom")
-	_, out, err := c.GetOrCompute(k, func() (string, error) { return "", boom })
-	if err != boom || out != OutcomeCorrupt {
-		t.Fatalf("corrupt lookup = %v, %v; want the failed recompute", out, err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, k.String()+".sbc")); !os.IsNotExist(err) {
-		t.Errorf("corrupt blob still on disk (err=%v)", err)
-	}
-	if got := c.Stats().Corrupt; got != 1 {
-		t.Errorf("corrupt stat = %d, want 1", got)
 	}
 }
 

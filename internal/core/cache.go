@@ -10,7 +10,6 @@ import (
 	"binpart/internal/dopt"
 	"binpart/internal/ir"
 	"binpart/internal/obs"
-	"binpart/internal/obs/hist"
 	"binpart/internal/sim"
 	"binpart/internal/synth"
 )
@@ -84,31 +83,6 @@ func NewCaches() *Caches {
 	}
 }
 
-// compileCodec round-trips compiled images through the SBF byte format.
-func compileCodec() cache.Codec[*binimg.Image] {
-	return cache.Codec[*binimg.Image]{
-		Marshal:   func(im *binimg.Image) ([]byte, error) { return im.Marshal() },
-		Unmarshal: binimg.Unmarshal,
-	}
-}
-
-// WithDiskMax attaches an on-disk tier under dir to the stages whose
-// values have a byte format: compilation (SBF images) and simulation (gob
-// results). The Analysis stage stays off disk so a warm single-process
-// run keeps candidate Designs (VHDL emission) intact. When the
-// directory's blobs exceed maxBytes, the store evicts oldest-mtime-first
-// in a background sweep (0 means unbounded). This is the -cachedir and
-// -cachedir-max flags.
-func (c *Caches) WithDiskMax(dir string, maxBytes int64) error {
-	store, err := cache.OpenDiskMax(dir, maxBytes)
-	if err != nil {
-		return err
-	}
-	c.Compile.WithDisk(store, compileCodec())
-	c.Sim.WithDisk(store, SimCodec())
-	return nil
-}
-
 // cacheNames is the rendering order of the stage caches; StatsMap carries
 // the same names as keys, so manifests and the stats table agree.
 var cacheNames = []string{"compile", "sim", "lift", "analysis"}
@@ -128,24 +102,6 @@ func (c *Caches) StatsMap() map[string]cache.Stats {
 	}
 }
 
-// DiskLatencyMap snapshots the disk read-latency histogram of each stage
-// cache that WithDiskMax can give a disk tier (compile and sim), keyed by
-// stage name. Stages with no disk tier are omitted, so a memory-only run
-// contributes nothing.
-func (c *Caches) DiskLatencyMap() map[string]hist.Snapshot {
-	if c == nil {
-		return nil
-	}
-	out := map[string]hist.Snapshot{}
-	if snap, ok := c.Compile.DiskLatency(); ok {
-		out["compile"] = snap
-	}
-	if snap, ok := c.Sim.DiskLatency(); ok {
-		out["sim"] = snap
-	}
-	return out
-}
-
 // StatsString formats per-stage hit/miss/eviction counters.
 func (c *Caches) StatsString() string {
 	if c == nil {
@@ -153,11 +109,11 @@ func (c *Caches) StatsString() string {
 	}
 	stats := c.StatsMap()
 	var b strings.Builder
-	b.WriteString("cache  stage      hits   miss  disk  wait  corrupt  evict  entries\n")
+	b.WriteString("cache  stage      hits   miss  wait  evict  entries\n")
 	for _, name := range cacheNames {
 		s := stats[name]
-		fmt.Fprintf(&b, "cache  %-8s %6d %6d %5d %5d %7d %6d %8d\n",
-			name, s.Hits, s.Misses, s.DiskHits, s.Waits, s.Corrupt, s.Evictions, s.Entries)
+		fmt.Fprintf(&b, "cache  %-8s %6d %6d %5d %6d %8d\n",
+			name, s.Hits, s.Misses, s.Waits, s.Evictions, s.Entries)
 	}
 	return b.String()
 }

@@ -127,8 +127,7 @@ func TestParallelSpanCountsMatchSerial(t *testing.T) {
 // a shared-recorder 8-worker sweep, the manifest's cache section must be
 // exactly the -stats snapshot, its span total must equal the recorder's,
 // and per stage the span outcomes must sum to the corresponding cache's
-// counters (hits = hit + wait + disk spans, misses = miss + corrupt
-// spans). Its collector section must count the sweep's allocations and
+// counters (hits = hit + wait spans, misses = miss spans). Its collector section must count the sweep's allocations and
 // a forced cycle. Run under -race this doubles as the recorder's
 // concurrency test.
 func TestManifestReconciliation(t *testing.T) {
@@ -165,13 +164,13 @@ func TestManifestReconciliation(t *testing.T) {
 			continue // job/evaluate stages have no cache
 		}
 		s := statsMap[cacheName]
-		if got, want := st.Hit+st.Wait+st.Disk, s.Hits; got != want {
-			t.Errorf("%s: span hits %d (hit %d + wait %d + disk %d) != cache %q hits %d",
-				st.Stage, got, st.Hit, st.Wait, st.Disk, cacheName, want)
+		if got, want := st.Hit+st.Wait, s.Hits; got != want {
+			t.Errorf("%s: span hits %d (hit %d + wait %d) != cache %q hits %d",
+				st.Stage, got, st.Hit, st.Wait, cacheName, want)
 		}
-		if got, want := st.Miss+st.Corrupt, s.Misses; got != want {
-			t.Errorf("%s: span misses %d (miss %d + corrupt %d) != cache %q misses %d",
-				st.Stage, got, st.Miss, st.Corrupt, cacheName, want)
+		if got, want := st.Miss, s.Misses; got != want {
+			t.Errorf("%s: span misses %d != cache %q misses %d",
+				st.Stage, got, cacheName, want)
 		}
 	}
 }
@@ -197,7 +196,7 @@ func TestCorpusReconciles(t *testing.T) {
 // TestMetricsScrapeDuringSweep hammers the /metrics endpoint from four
 // scraper goroutines while an 8-worker sweep runs underneath it. Every
 // scrape must return 200 with well-formed exposition text (scrapes see a
-// live Recorder and live cache histograms mid-mutation), and the final
+// live Recorder and live cache counters mid-mutation), and the final
 // scrape must report the finished sweep's stage spans. Run under -race
 // this is the lock-discipline test for the whole DebugSources surface.
 func TestMetricsScrapeDuringSweep(t *testing.T) {
@@ -206,9 +205,8 @@ func TestMetricsScrapeDuringSweep(t *testing.T) {
 	r.Obs = obs.NewRecorder()
 
 	dbg, err := obs.ServeDebug("127.0.0.1:0", obs.DebugSources{
-		Rec:           r.Obs,
-		Caches:        caches.StatsMap,
-		DiskLatencies: caches.DiskLatencyMap,
+		Rec:    r.Obs,
+		Caches: caches.StatsMap,
 	})
 	if err != nil {
 		t.Fatal(err)

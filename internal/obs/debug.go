@@ -12,14 +12,12 @@ import (
 	"binpart/internal/obs/hist"
 )
 
-// DebugSources is what the debug listener reads: the live recorder, the
-// per-stage cache counters, and the per-stage disk read-latency
-// histograms. Every field may be nil — the corresponding metrics are
-// simply absent.
+// DebugSources is what the debug listener reads: the live recorder and
+// the per-stage cache counters. Every field may be nil — the
+// corresponding metrics are simply absent.
 type DebugSources struct {
-	Rec           *Recorder
-	Caches        func() map[string]cache.Stats
-	DiskLatencies func() map[string]hist.Snapshot
+	Rec    *Recorder
+	Caches func() map[string]cache.Stats
 	// Extra, when set, is appended to the /metrics exposition after the
 	// standard families — how a front-end (the bpartd daemon) publishes
 	// its own counters through the shared ops surface.
@@ -39,7 +37,7 @@ type DebugServer struct {
 // ServeDebug starts an HTTP listener for long sweeps and daemons:
 // /debug/pprof/* serves net/pprof, and /metrics serves the Prometheus
 // text exposition of src — stage counters and latency summaries, cache
-// counters, disk-tier cache latencies, and whatever src.Extra appends.
+// counters, and whatever src.Extra appends.
 // Each listener reads only its own src. The listener runs on an
 // http.Server with read-header and idle timeouts so a slow or stalled
 // client cannot wedge it; stop it with Close on the returned handle.
@@ -94,8 +92,8 @@ func (d *DebugServer) Close() error {
 }
 
 // WriteMetrics renders the sweep-side metrics in the Prometheus text
-// exposition format: per-stage span counters, cache-outcome counters,
-// and latency summaries; and per-stage disk-tier read latencies.
+// exposition format: per-stage span counters, cache-outcome counters
+// and latency summaries, and the per-cache counters.
 func WriteMetrics(w io.Writer, src DebugSources) {
 	p := hist.NewProm(w)
 	totals := src.Rec.StageTotals()
@@ -112,7 +110,6 @@ func WriteMetrics(w io.Writer, src DebugSources) {
 			n    uint64
 		}{
 			{"hit", st.Hit}, {"miss", st.Miss}, {"wait", st.Wait},
-			{"disk", st.Disk}, {"corrupt", st.Corrupt},
 		} {
 			if oc.n > 0 {
 				p.Counter("binpart_stage_cache_outcomes_total",
@@ -139,13 +136,6 @@ func WriteMetrics(w io.Writer, src DebugSources) {
 		}
 		for _, name := range names {
 			p.Gauge("binpart_cache_entries", hist.Label("cache", name), float64(stats[name].Entries))
-		}
-	}
-	if src.DiskLatencies != nil {
-		lats := src.DiskLatencies()
-		for _, name := range sortedKeys(lats) {
-			p.Summary("binpart_cache_tier_latency_seconds",
-				hist.Labels(hist.Label("cache", name), hist.Label("tier", "disk")), lats[name])
 		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package hist provides the fixed log-bucketed latency histograms
 // behind the observability layer's p50/p90/p99 surfaces. It is a leaf
-// package — no binpart imports — so both internal/obs (stage spans) and
-// internal/cache (disk-tier probes) can record into the same bucket
+// package — no binpart imports — so internal/obs (stage spans) and the
+// front ends' own metrics (bpartd's request latencies) share one bucket
 // layout and their snapshots merge bucket-exactly.
 //
 // The layout is one bucket per power of two of nanoseconds: a recorded

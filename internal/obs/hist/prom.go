@@ -30,7 +30,7 @@ func (p *Prom) header(name, typ string) {
 }
 
 // sample writes one metric line. labels is the pre-rendered inner label
-// list (`stage="sim",tier="disk"`) or "".
+// list (`stage="sim",outcome="hit"`) or "".
 func (p *Prom) sample(name, labels string, v float64) {
 	if labels == "" {
 		fmt.Fprintf(p.w, "%s %g\n", name, v)

@@ -340,8 +340,6 @@ type StageTotal struct {
 	Hit      uint64        `json:"hit"`
 	Miss     uint64        `json:"miss"`
 	Wait     uint64        `json:"wait"`
-	Disk     uint64        `json:"disk"`
-	Corrupt  uint64        `json:"corrupt"`
 	Instrs   uint64        `json:"instrs,omitempty"`
 	Regions  uint64        `json:"regions,omitempty"`
 	Selected uint64        `json:"selected,omitempty"`
@@ -361,10 +359,6 @@ func (st *StageTotal) add(sp *Span) {
 		st.Miss++
 	case cache.OutcomeWait:
 		st.Wait++
-	case cache.OutcomeDisk:
-		st.Disk++
-	case cache.OutcomeCorrupt:
-		st.Corrupt++
 	}
 	st.Instrs += sp.Instrs
 	st.Regions += sp.Regions
@@ -417,13 +411,13 @@ func (r *Recorder) Table() string {
 // FormatStageTable renders stage totals as the -stats text table.
 func FormatStageTable(totals []StageTotal) string {
 	var b strings.Builder
-	b.WriteString("obs    stage     spans   wall(ms)  p50(us)  p90(us)  p99(us)    hit   miss   wait   disk corrupt\n")
+	b.WriteString("obs    stage     spans   wall(ms)  p50(us)  p90(us)  p99(us)    hit   miss   wait\n")
 	var instrs, regions, selected uint64
 	for _, st := range totals {
-		fmt.Fprintf(&b, "obs    %-8s %6d %10.1f %8d %8d %8d %6d %6d %6d %6d %7d\n",
+		fmt.Fprintf(&b, "obs    %-8s %6d %10.1f %8d %8d %8d %6d %6d %6d\n",
 			st.Stage, st.Spans, float64(st.WallUS)/1e3,
 			st.P50US, st.P90US, st.P99US,
-			st.Hit, st.Miss, st.Wait, st.Disk, st.Corrupt)
+			st.Hit, st.Miss, st.Wait)
 		instrs += st.Instrs
 		regions += st.Regions
 		selected += st.Selected

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"binpart/internal/cache"
-	"binpart/internal/obs/hist"
 )
 
 // TestNilDisabledPath checks the whole disabled surface: a nil recorder
@@ -80,7 +79,7 @@ func TestSpanRecordingAndAggregation(t *testing.T) {
 	sp.End()
 
 	sp = a.Start(StageLift)
-	sp.SetOutcome(cache.OutcomeDisk)
+	sp.SetOutcome(cache.OutcomeWait)
 	sp.SetRegions(3)
 	sp.End()
 
@@ -108,7 +107,7 @@ func TestSpanRecordingAndAggregation(t *testing.T) {
 	if sim.Spans != 2 || sim.Hit != 1 || sim.Miss != 1 || sim.Instrs != 1500 {
 		t.Errorf("sim totals = %+v", sim)
 	}
-	if lift := byStage[StageLift]; lift.Disk != 1 || lift.Regions != 3 {
+	if lift := byStage[StageLift]; lift.Wait != 1 || lift.Regions != 3 {
 		t.Errorf("lift totals = %+v", lift)
 	}
 	if ev := byStage[StageEvaluate]; ev.Selected != 2 {
@@ -349,8 +348,7 @@ func TestBuildManifestNil(t *testing.T) {
 }
 
 // TestServeDebug smoke-tests the -debug-addr listener: /metrics must
-// serve the Prometheus exposition with stage, cache, and disk-tier
-// series.
+// serve the Prometheus exposition with stage and cache series.
 func TestServeDebug(t *testing.T) {
 	rec := NewRecorder()
 	sp := rec.Scope("fir", 0, 0).Start(StageSim)
@@ -360,11 +358,6 @@ func TestServeDebug(t *testing.T) {
 		Rec: rec,
 		Caches: func() map[string]cache.Stats {
 			return map[string]cache.Stats{"sim": {Hits: 7}}
-		},
-		DiskLatencies: func() map[string]hist.Snapshot {
-			var s hist.Snapshot
-			s.Observe(3 * time.Millisecond)
-			return map[string]hist.Snapshot{"sim": s}
 		},
 	})
 	if err != nil {
@@ -378,7 +371,6 @@ func TestServeDebug(t *testing.T) {
 		`binpart_stage_latency_seconds{stage="sim",quantile="0.5"}`,
 		`binpart_stage_latency_seconds{stage="sim",quantile="0.95"}`,
 		`binpart_stage_latency_seconds{stage="sim",quantile="0.99"}`,
-		`binpart_cache_tier_latency_seconds{cache="sim",tier="disk",quantile="0.99"}`,
 	} {
 		if !bytes.Contains(body, []byte(want)) {
 			t.Errorf("/metrics missing %q:\n%s", want, body)
@@ -453,11 +445,10 @@ func TestSpanOutcomeReconciliation(t *testing.T) {
 
 	st := rec.StageTotals()[0]
 	s := c.Stats()
-	if st.Hit+st.Wait+st.Disk != s.Hits {
-		t.Errorf("span hits %d+%d+%d != cache hits %d",
-			st.Hit, st.Wait, st.Disk, s.Hits)
+	if st.Hit+st.Wait != s.Hits {
+		t.Errorf("span hits %d+%d != cache hits %d", st.Hit, st.Wait, s.Hits)
 	}
-	if st.Miss+st.Corrupt != s.Misses {
-		t.Errorf("span misses %d+%d != cache misses %d", st.Miss, st.Corrupt, s.Misses)
+	if st.Miss != s.Misses {
+		t.Errorf("span misses %d != cache misses %d", st.Miss, s.Misses)
 	}
 }

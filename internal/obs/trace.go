@@ -66,8 +66,8 @@ var CacheForStage = map[string]string{
 }
 
 // Reconcile checks the recorder's span outcomes against the cache
-// accounting: for every stage with a cache, spans tagged hit+wait+disk
-// must equal the cache's Hits, and miss+corrupt its Misses. A mismatch
+// accounting: for every stage with a cache, spans tagged hit+wait must
+// equal the cache's Hits, and miss its Misses. A mismatch
 // means spans or stats were dropped in flight.
 func (r *Recorder) Reconcile(caches map[string]cache.Stats) error {
 	if caches == nil {
@@ -83,10 +83,10 @@ func (r *Recorder) Reconcile(caches map[string]cache.Stats) error {
 		if !ok {
 			continue
 		}
-		if got, want := st.Hit+st.Wait+st.Disk, cs.Hits; got != want {
+		if got, want := st.Hit+st.Wait, cs.Hits; got != want {
 			problems = append(problems, fmt.Sprintf("%s: span hits %d != cache hits %d", st.Stage, got, want))
 		}
-		if got, want := st.Miss+st.Corrupt, cs.Misses; got != want {
+		if got, want := st.Miss, cs.Misses; got != want {
 			problems = append(problems, fmt.Sprintf("%s: span misses %d != cache misses %d", st.Stage, got, want))
 		}
 	}

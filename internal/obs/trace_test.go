@@ -124,7 +124,7 @@ func TestReconcileDetectsDrift(t *testing.T) {
 	}
 	// The analyze stage reports under the "analysis" cache key.
 	sp := sc.Start(StageAnalyze)
-	sp.SetOutcome(cache.OutcomeDisk)
+	sp.SetOutcome(cache.OutcomeHit)
 	sp.End()
 	caches["analysis"] = cache.Stats{Hits: 1}
 	if err := rec.Reconcile(caches); err != nil {

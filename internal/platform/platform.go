@@ -37,6 +37,24 @@ type Platform struct {
 // cpuWattsPerMHz is the dynamic power density of the modeled MIPS core.
 const cpuWattsPerMHz = 2.5e-3
 
+// minMHz and maxMHz bound the CPU clocks the model prices. Outside them
+// its times and energies stop meaning anything (a negative clock gives
+// negative times), so every clock a user supplies is checked with
+// CheckMHz before it reaches MIPS.
+const (
+	minMHz = 1
+	maxMHz = 10_000
+)
+
+// CheckMHz rejects a CPU clock that is not a finite number of MHz in
+// [minMHz, maxMHz].
+func CheckMHz(mhz float64) error {
+	if !(mhz >= minMHz && mhz <= maxMHz) { // false for NaN too
+		return fmt.Errorf("CPU clock %g MHz out of range [%d, %d]", mhz, minMHz, maxMHz)
+	}
+	return nil
+}
+
 // MIPS returns a platform with the given CPU clock and device, using the
 // power constants shared by all experiments.
 func MIPS(mhz float64, dev fpga.Device) Platform {

@@ -1,5 +1,5 @@
 // Package session is the run lifecycle shared by experiments, bparts and
-// bpartd: the stage caches and their disk tier, the recorder, the -trace
+// bpartd: the stage caches, the recorder, the -trace
 // stream, the ops listener and the SIGINT/SIGTERM watch open in one
 // place, and the -stats tables, trace trailer, reconciliation check and
 // -manifest are written in one fixed order when the run closes.
@@ -15,28 +15,20 @@ import (
 	"sync"
 	"syscall"
 
-	"binpart/internal/cache"
 	"binpart/internal/core"
 	"binpart/internal/obs"
 )
 
-// ErrUsage marks an Open error caused by contradictory flags; commands
-// report it as a usage error (exit 2).
-var ErrUsage = errors.New("usage")
-
 // Flags holds the session flags a command registered with Register.
 type Flags struct {
-	cacheDir, cacheDirMax, trace, manifest, listen string
-	stats                                          bool
+	trace, manifest, listen string
+	stats                   bool
 }
 
-// Register adds -cachedir, -cachedir-max, -trace, -manifest, -stats and
-// the ops listener flag (-debug-addr for the batch commands, -ops-addr
+// Register adds -trace, -manifest, -stats and the ops listener flag (-debug-addr for the batch commands, -ops-addr
 // for bpartd) to fs.
 func Register(fs *flag.FlagSet, listenFlag, listenHelp string) *Flags {
 	f := &Flags{}
-	fs.StringVar(&f.cacheDir, "cachedir", "", "directory for the on-disk stage cache (empty: memory only)")
-	fs.StringVar(&f.cacheDirMax, "cachedir-max", "", "byte budget for -cachedir (e.g. 256M); oldest-mtime blobs are evicted past it (empty: unbounded)")
 	fs.StringVar(&f.trace, "trace", "", "stream per-stage spans to this file as JSONL (gzip when the path ends in .gz)")
 	fs.StringVar(&f.manifest, "manifest", "", "write a run manifest (config, git, per-stage totals, cache accounting) to this JSON file")
 	fs.BoolVar(&f.stats, "stats", false, "print per-stage span and cache counters to stderr at exit")
@@ -76,35 +68,17 @@ type Session struct {
 	interrupted chan struct{} // closed by the first signal
 }
 
-// Open validates the flags and starts the run: the caches, the recorder,
-// the trace stream and the ops listener. SIGINT and SIGTERM are watched
+// Open starts the run: the caches, the recorder, the trace stream and
+// the ops listener. A failed step closes the trace it opened. SIGINT and SIGTERM are watched
 // from here until Close: the first closes Interrupted, a second exits the
 // process at once with status 2.
 func (f *Flags) Open(cfg Config) (*Session, error) {
 	if cfg.Stderr == nil {
 		cfg.Stderr = os.Stderr
 	}
-	if f.cacheDirMax != "" && f.cacheDir == "" {
-		return nil, fmt.Errorf("%w: -cachedir-max needs -cachedir", ErrUsage)
-	}
-	if cfg.NoCache && f.cacheDir != "" {
-		return nil, fmt.Errorf("%w: -nocache and -cachedir are mutually exclusive", ErrUsage)
-	}
 	s := &Session{f: f, cfg: cfg, interrupted: make(chan struct{}), gc0: obs.ReadGC()}
 	if !cfg.NoCache {
 		s.Caches = core.NewCaches()
-	}
-	if f.cacheDir != "" {
-		var maxBytes int64
-		var err error
-		if f.cacheDirMax != "" {
-			if maxBytes, err = cache.ParseByteSize(f.cacheDirMax); err != nil {
-				return nil, err
-			}
-		}
-		if err := s.Caches.WithDiskMax(f.cacheDir, maxBytes); err != nil {
-			return nil, err
-		}
 	}
 	if cfg.Record || f.trace != "" || f.stats || f.manifest != "" || f.listen != "" {
 		s.Rec = obs.NewRecorder()
@@ -119,12 +93,14 @@ func (f *Flags) Open(cfg Config) (*Session, error) {
 	}
 	if f.listen != "" {
 		dbg, err := obs.ServeDebug(f.listen, obs.DebugSources{
-			Rec:           s.Rec,
-			Caches:        s.Caches.StatsMap,
-			DiskLatencies: s.Caches.DiskLatencyMap,
-			Extra:         cfg.Extra,
+			Rec:    s.Rec,
+			Caches: s.Caches.StatsMap,
+			Extra:  cfg.Extra,
 		})
 		if err != nil {
+			if s.trace != nil {
+				s.trace.Close() //nolint:errcheck // the listen error is the one reported
+			}
 			return nil, err
 		}
 		s.Debug = dbg

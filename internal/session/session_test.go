@@ -5,8 +5,8 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/json"
-	"errors"
 	"flag"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -87,15 +87,23 @@ func readTrace(t *testing.T, path string) []obs.TraceMeta {
 
 // TestSessionLifecycle drives Open, the interrupt hook the signal watch
 // calls, and Close through an interrupted run, a run whose spans do not
-// reconcile, and the flag conflicts Open rejects.
+// reconcile, and an Open that fails after creating the trace.
 func TestSessionLifecycle(t *testing.T) {
+	// busy is a listening address, so an ops listener asked for it fails.
+	busy, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer busy.Close()
+
 	cases := []struct {
-		name    string
-		args    []string // {dir} is replaced by a fresh directory
-		noCache bool
-		openErr []string // substrings of the usage error, when Open must fail
-		run     func(t *testing.T, s *Session)
-		check   func(t *testing.T, dir string, s *Session, closeErr error, stderr string)
+		name string
+		args []string // {dir} is replaced by a fresh directory
+		// openFails is set when Open must fail: check then gets a nil
+		// session and Open's error.
+		openFails bool
+		run       func(t *testing.T, s *Session)
+		check     func(t *testing.T, dir string, s *Session, err error, stderr string)
 	}{
 		{
 			name: "interrupted",
@@ -149,15 +157,18 @@ func TestSessionLifecycle(t *testing.T) {
 			},
 		},
 		{
-			name:    "cachedir-max without cachedir",
-			args:    []string{"-cachedir-max", "1M"},
-			openErr: []string{"-cachedir-max", "-cachedir "},
-		},
-		{
-			name:    "nocache with cachedir",
-			args:    []string{"-cachedir", "{dir}/c"},
-			noCache: true,
-			openErr: []string{"-nocache", "-cachedir"},
+			name:      "listen failure closes trace",
+			args:      []string{"-trace", "{dir}/t.jsonl.gz", "-debug-addr", busy.Addr().String()},
+			openFails: true,
+			check: func(t *testing.T, dir string, _ *Session, openErr error, _ string) {
+				if openErr == nil {
+					t.Fatal("Open on a busy ops address succeeded")
+				}
+				// A trace left open would have no gzip stream yet.
+				if lines := readTrace(t, filepath.Join(dir, "t.jsonl.gz")); len(lines) != 0 {
+					t.Errorf("trace of a failed Open has %d lines, want none", len(lines))
+				}
+			},
 		},
 	}
 	for _, tc := range cases {
@@ -173,19 +184,9 @@ func TestSessionLifecycle(t *testing.T) {
 				t.Fatal(err)
 			}
 			var stderr bytes.Buffer
-			s, err := sf.Open(Config{Tool: "test", Args: args, Workers: 1, NoCache: tc.noCache, Stderr: &stderr})
-			if tc.openErr != nil {
-				if !errors.Is(err, ErrUsage) {
-					t.Fatalf("Open = %v, want a usage error", err)
-				}
-				// "-cachedir " (trailing space) distinguishes the flag
-				// from -cachedir-max.
-				msg := err.Error() + " "
-				for _, want := range tc.openErr {
-					if !strings.Contains(msg, want) {
-						t.Errorf("usage error %q does not name %s", err, want)
-					}
-				}
+			s, err := sf.Open(Config{Tool: "test", Args: args, Workers: 1, Stderr: &stderr})
+			if tc.openFails {
+				tc.check(t, dir, nil, err, stderr.String())
 				return
 			}
 			if err != nil {
