@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: fmt build test race stress vet check bench experiments examples obs-smoke corpus-smoke bpartd-smoke
+.PHONY: fmt build test race stress vet check bench bench-gate experiments examples obs-smoke corpus-smoke bpartd-smoke
 
 # The gofmt gate, with the same command CI's Format step runs: it lists
 # every file gofmt would change and fails if there is any.
@@ -73,7 +73,7 @@ bpartd-smoke:
 examples:
 	for e in examples/*/; do $(GO) run ./$$e >/dev/null || exit 1; done
 
-check: fmt vet build test race stress examples obs-smoke corpus-smoke bpartd-smoke
+check: fmt vet build test race stress bench-gate examples obs-smoke corpus-smoke bpartd-smoke
 
 # Runs every benchmark (the root package's and bpartd's warm-request
 # benchmark) and distills the results (per-stage ns/op plus the
@@ -88,6 +88,14 @@ bench:
 	@if [ -f BENCH.json ]; then cp BENCH.json .bench-baseline.json; fi
 	$(GO) test -run NONE -bench . -benchmem -count 3 . ./cmd/bpartd | $(GO) run ./cmd/benchjson -o BENCH.json -baseline .bench-baseline.json
 	@rm -f .bench-baseline.json
+
+# The bench regression gate, with the same command CI's gate step runs:
+# every benchmark once per run, three runs, checked against the
+# committed BENCH.json (Stage* allocs/op and B/op always; ns/op only on
+# the CPU recorded there). Without -o benchjson writes no file, so the
+# baseline stays as it was.
+bench-gate:
+	$(GO) test -run NONE -bench . -benchmem -benchtime 1x -count 3 . ./cmd/bpartd | $(GO) run ./cmd/benchjson -baseline BENCH.json
 
 experiments:
 	$(GO) run ./cmd/experiments -j 8 -stats

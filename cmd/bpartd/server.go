@@ -33,13 +33,13 @@ type apiRequest struct {
 	Opt   int    `json:"opt,omitempty"`
 	SBF   []byte `json:"sbf,omitempty"`
 
-	MHz             float64 `json:"mhz,omitempty"`
-	Device          string  `json:"device,omitempty"`
-	Alg             string  `json:"alg,omitempty"`
-	AreaBudgetGates int     `json:"area_budget_gates,omitempty"`
-	Whole           bool    `json:"whole,omitempty"`
-	JumpTables      *bool   `json:"jumptables,omitempty"`
-	Structure       bool    `json:"structure,omitempty"`
+	MHz             *float64 `json:"mhz,omitempty"`
+	Device          string   `json:"device,omitempty"`
+	Alg             string   `json:"alg,omitempty"`
+	AreaBudgetGates int      `json:"area_budget_gates,omitempty"`
+	Whole           bool     `json:"whole,omitempty"`
+	JumpTables      *bool    `json:"jumptables,omitempty"`
+	Structure       bool     `json:"structure,omitempty"`
 
 	// Sweep selects /v1/sweep's mode: "devices" or "clocks".
 	Sweep  string    `json:"sweep,omitempty"`
@@ -326,13 +326,13 @@ func (d *daemon) decode(w http.ResponseWriter, r *http.Request, buf *bytes.Buffe
 
 	var err error
 	opts := d.opts
-	if req.MHz != 0 || req.Device != "" {
+	if req.MHz != nil || req.Device != "" {
 		mhz := opts.Platform.CPUMHz
-		if req.MHz != 0 {
-			if err := platform.CheckMHz(req.MHz); err != nil {
+		if req.MHz != nil {
+			if err := platform.CheckMHz(*req.MHz); err != nil {
 				return nil, core.Options{}, err
 			}
-			mhz = req.MHz
+			mhz = *req.MHz
 		}
 		dev := opts.Platform.Device
 		if req.Device != "" {

@@ -148,9 +148,10 @@ func TestPartitionBodyIsMarshaledResponse(t *testing.T) {
 	ts := httptest.NewServer(d.Mux())
 	defer ts.Close()
 
+	mhz := 400.0
 	for i, req := range []apiRequest{
 		{Bench: "matmul", Opt: 2, Structure: true},
-		{Bench: "crc", Opt: 1, MHz: 400, Device: "XC2V1000", Alg: "greedy"},
+		{Bench: "crc", Opt: 1, MHz: &mhz, Device: "XC2V1000", Alg: "greedy"},
 		{Bench: "matmul", Opt: 2, Structure: true},
 		{Bench: "brev"},
 	} {
@@ -509,6 +510,7 @@ func TestBadRequests(t *testing.T) {
 		{"/v1/partition", `{"bench":"crc","opt":-1}`, http.StatusBadRequest},
 		{"/v1/sweep", `{"bench":"crc","opt":9,"sweep":"devices"}`, http.StatusBadRequest},
 		{"/v1/partition", `{"bench":"crc","mhz":-200}`, http.StatusBadRequest},
+		{"/v1/partition", `{"bench":"crc","mhz":0}`, http.StatusBadRequest},
 		{"/v1/partition", `{"bench":"crc","mhz":1e-300}`, http.StatusBadRequest},
 		{"/v1/partition", `{"bench":"crc","mhz":20000}`, http.StatusBadRequest},
 		{"/v1/sweep", `{"bench":"crc","sweep":"clocks","device":"XC2V40","clocks":[0,200]}`, http.StatusBadRequest},

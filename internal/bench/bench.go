@@ -14,7 +14,6 @@ package bench
 
 import (
 	"fmt"
-	"sync"
 
 	"binpart/internal/binimg"
 	"binpart/internal/cache"
@@ -47,56 +46,24 @@ func (b Benchmark) Compile(optLevel int) (*binimg.Image, error) {
 	return img, nil
 }
 
-// CompileCached is Compile behind a content-addressed cache keyed by the
-// source text and the compiler options. The returned image is shared with
-// other cache users and must be treated as read-only (every consumer in
-// the pipeline is: the simulator copies data into its own pages, the
-// decompiler and synthesizer only read words and symbols). A nil cache
-// compiles directly.
-func (b Benchmark) CompileCached(optLevel int, c *cache.Cache[*binimg.Image]) (*binimg.Image, error) {
-	if c == nil {
-		return b.Compile(optLevel)
-	}
-	img, _, err := c.GetOrCompute(CompileKey(b.Source, optLevel), func() (*binimg.Image, error) {
+// CompileKey keys the compile cache: every compiler input that can
+// change the produced image (mcc's load addresses are always the
+// defaults here).
+type CompileKey struct {
+	Source string
+	Level  int
+}
+
+// CompileCached is Compile behind a cache keyed by CompileKey. The
+// returned image is shared with other cache users and must be treated as
+// read-only (every consumer in the pipeline is: the simulator copies data
+// into its own pages, the decompiler and synthesizer only read words and
+// symbols). A nil cache compiles directly.
+func (b Benchmark) CompileCached(optLevel int, c *cache.Cache[CompileKey, *binimg.Image]) (*binimg.Image, error) {
+	img, _, err := c.GetOrCompute(CompileKey{b.Source, optLevel}, func() (*binimg.Image, error) {
 		return b.Compile(optLevel)
 	})
 	return img, err
-}
-
-// CompileKey is the compile-stage cache key recipe: every compiler input
-// that can change the produced image. The keys of the suite's own
-// sources at the levels mcc accepts are memoized, one slot per suite
-// benchmark and level, because hashing a source costs microseconds and a
-// warm request would otherwise pay it every time; the memo never holds
-// more than 20 × (mcc.MaxOptLevel+1) keys, and anything else is hashed
-// afresh.
-func CompileKey(source string, optLevel int) cache.Key {
-	if optLevel >= 0 && optLevel <= mcc.MaxOptLevel {
-		for i := range suite {
-			if suite[i].Source == source {
-				slot := &suiteKeys[i][optLevel]
-				slot.once.Do(func() { slot.key = compileKey(source, optLevel) })
-				return slot.key
-			}
-		}
-	}
-	return compileKey(source, optLevel)
-}
-
-// suiteKeys is CompileKey's memo, indexed like suite and then by level.
-var suiteKeys = make([][mcc.MaxOptLevel + 1]struct {
-	once sync.Once
-	key  cache.Key
-}, len(suite))
-
-func compileKey(source string, optLevel int) cache.Key {
-	opts := mcc.Options{OptLevel: optLevel}
-	return cache.NewHasher("mcc-compile").
-		String(source).
-		Int(int64(opts.OptLevel)).
-		Uint32(opts.TextBase).
-		Uint32(opts.DataBase).
-		Sum()
 }
 
 // All returns the full 20-benchmark suite in a stable order.

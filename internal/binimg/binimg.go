@@ -11,13 +11,13 @@
 package binimg
 
 import (
+	"bufio"
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
-
-	"binpart/internal/cache"
 )
 
 // Default load addresses. Text is placed low, data above it, and the stack
@@ -45,24 +45,45 @@ type Image struct {
 	Symbols  []Symbol // sorted by Addr
 
 	keyOnce sync.Once
-	key     cache.Key
+	key     Digest
 }
 
-// Key content-addresses the image: every field the simulator, decompiler,
-// and synthesizer can observe. The hash is memoized — stage-cache lookups
-// key on it several times per run, and the text section dominates the
-// hashing cost — so Key must only be called once the image is fully
-// built; later mutations are not reflected.
-func (im *Image) Key() cache.Key {
+// Digest is a SHA-256 content address of an image.
+type Digest [sha256.Size]byte
+
+// Key content-addresses the image: a SHA-256 over every field the
+// simulator, decompiler, and synthesizer can observe, so two images with
+// equal contents (say, one binary uploaded twice) share stage-cache
+// entries. Variable-length fields are length-prefixed, so distinct
+// images cannot collide by concatenation. The digest is memoized —
+// stage-cache lookups key on it several times per run, and the text
+// section dominates the hashing cost — so Key must only be called once
+// the image is fully built; later mutations are not reflected.
+func (im *Image) Key() Digest {
 	im.keyOnce.Do(func() {
-		h := cache.NewHasher("binimg")
-		h.Uint32(im.Entry).Uint32(im.TextBase).Words(im.Text)
-		h.Uint32(im.DataBase).Bytes(im.Data)
-		h.Int(int64(len(im.Symbols)))
-		for _, s := range im.Symbols {
-			h.String(s.Name).Uint32(s.Addr).Uint32(s.Size)
+		// Writes to a hash never fail, so the write errors are dropped.
+		h := sha256.New()
+		w := bufio.NewWriterSize(h, 512)
+		var n [4]byte
+		u32 := func(v uint32) { w.Write(binary.LittleEndian.AppendUint32(n[:0], v)) }
+		u32(im.Entry)
+		u32(im.TextBase)
+		u32(uint32(len(im.Text)))
+		for _, t := range im.Text {
+			u32(t)
 		}
-		im.key = h.Sum()
+		u32(im.DataBase)
+		u32(uint32(len(im.Data)))
+		w.Write(im.Data)
+		u32(uint32(len(im.Symbols)))
+		for _, s := range im.Symbols {
+			u32(uint32(len(s.Name)))
+			w.WriteString(s.Name)
+			u32(s.Addr)
+			u32(s.Size)
+		}
+		w.Flush()
+		h.Sum(im.key[:0])
 	})
 	return im.key
 }

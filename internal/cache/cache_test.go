@@ -9,66 +9,12 @@ import (
 	"time"
 )
 
-// TestKeyStability pins the key derivation: the same inputs must hash to
-// the same key within a process, across processes, and across releases.
-// The literal below pins the encoding; if it changes intentionally,
-// update it.
-func TestKeyStability(t *testing.T) {
-	mk := func() Key {
-		return NewHasher("stage").
-			String("source text").
-			Int(-3).
-			Uint64(7).
-			Uint32(0x0040_0000).
-			Float64(0.9).
-			Bool(true).
-			Bytes([]byte{1, 2, 3}).
-			Words([]uint32{0xdeadbeef, 0}).
-			Sum()
-	}
-	a, b := mk(), mk()
-	if a != b {
-		t.Fatalf("same inputs, different keys: %s vs %s", a, b)
-	}
-	const pinned = "40e846754eb13ba607856324ca9bbf65dcdbac5e7642c0c7b854d728bffd578c"
-	if a.String() != pinned {
-		t.Errorf("key derivation changed: got %s, pinned %s", a, pinned)
-	}
-}
-
-// TestKeyInvalidation is table-driven over single-component perturbations:
-// changing any one input byte (or the stage name, or the write order) must
-// change the key.
-func TestKeyInvalidation(t *testing.T) {
-	base := func() *Hasher { return NewHasher("compile") }
-	baseKey := base().String("int main(){}").Int(2).Bool(false).Sum()
-
-	cases := []struct {
-		name string
-		key  Key
-	}{
-		{"stage differs", NewHasher("lift").String("int main(){}").Int(2).Bool(false).Sum()},
-		{"one source byte differs", base().String("int main(){ }").Int(2).Bool(false).Sum()},
-		{"option int differs", base().String("int main(){}").Int(3).Bool(false).Sum()},
-		{"option flag differs", base().String("int main(){}").Int(2).Bool(true).Sum()},
-		{"field order differs", base().Int(2).String("int main(){}").Bool(false).Sum()},
-		{"concatenation shifted", base().String("int main(){}2").Int(0).Bool(false).Sum()},
-		{"missing trailing field", base().String("int main(){}").Int(2).Sum()},
-	}
-	for _, tc := range cases {
-		if tc.key == baseKey {
-			t.Errorf("%s: key did not change", tc.name)
-		}
-	}
-}
-
 // TestLRUEvictionOrder checks both eviction order and that a hit
 // refreshes recency, by which keys recompute.
 func TestLRUEvictionOrder(t *testing.T) {
-	key := func(i int) Key { return NewHasher("t").Int(int64(i)).Sum() }
-	c := New[int](2)
+	c := New[int, int](2)
 	get := func(i int) Outcome {
-		v, out, err := c.GetOrCompute(key(i), func() (int, error) { return i, nil })
+		v, out, err := c.GetOrCompute(i, func() (int, error) { return i, nil })
 		if err != nil || v != i {
 			t.Fatalf("entry %d: %d, %v", i, v, err)
 		}
@@ -99,8 +45,8 @@ func TestLRUEvictionOrder(t *testing.T) {
 
 // TestGetOrCompute covers the miss-compute-hit cycle and error paths.
 func TestGetOrCompute(t *testing.T) {
-	c := New[string](8)
-	k := NewHasher("t").String("k").Sum()
+	c := New[int, string](8)
+	const k, ke = 1, 2
 	calls := 0
 	get := func() (string, error) { calls++; return "v", nil }
 	for i := 0; i < 3; i++ {
@@ -120,7 +66,6 @@ func TestGetOrCompute(t *testing.T) {
 		t.Errorf("compute ran %d times, want 1", calls)
 	}
 	// Errors are not cached: the next call recomputes.
-	ke := NewHasher("t").String("err").Sum()
 	boom := errors.New("boom")
 	if _, _, err := c.GetOrCompute(ke, func() (string, error) { return "", boom }); err != boom {
 		t.Fatalf("error not propagated: %v", err)
@@ -138,15 +83,14 @@ func TestGetOrCompute(t *testing.T) {
 // hits, misses, evictions and coalesced waits; run under -race this is
 // the data-race check for the LRU internals.
 func TestConcurrentGetPut(t *testing.T) {
-	c := New[int](16)
+	c := New[int, int](16)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				k := NewHasher("t").Int(int64(i % 32)).Sum()
-				v, _, err := c.GetOrCompute(k, func() (int, error) { return i % 32, nil })
+				v, _, err := c.GetOrCompute(i%32, func() (int, error) { return i % 32, nil })
 				if err != nil || v != i%32 {
 					t.Errorf("goroutine %d: key %d = %d, %v", g, i%32, v, err)
 					return
@@ -167,8 +111,8 @@ func TestConcurrentGetPut(t *testing.T) {
 // TestInflightCoalescing checks that concurrent GetOrCompute calls for
 // one key run the compute function exactly once and all share the result.
 func TestInflightCoalescing(t *testing.T) {
-	c := New[int](4)
-	k := NewHasher("t").String("slow").Sum()
+	c := New[int, int](4)
+	const k = 1
 	var computes atomic.Int32
 	gate := make(chan struct{})
 	const waiters = 6
@@ -209,8 +153,8 @@ func TestInflightCoalescing(t *testing.T) {
 // its error to every waiter and is not cached.
 func TestCoalescedWaits(t *testing.T) {
 	const n = 5
-	c := New[int](4)
-	k := NewHasher("t").String("coalesce").Sum()
+	c := New[int, int](4)
+	k := 1
 	boom := errors.New("boom")
 
 	type result struct {
@@ -263,7 +207,7 @@ func TestCoalescedWaits(t *testing.T) {
 		t.Errorf("stats = %+v, want hits = waits = %d, misses = 1", s, n-1)
 	}
 
-	k = NewHasher("t").String("coalesce-fail").Sum()
+	k = 2
 	for i, r := range round(0, boom) {
 		want := OutcomeWait
 		if i == 0 {
@@ -284,10 +228,9 @@ func TestCoalescedWaits(t *testing.T) {
 
 // TestNilCacheSafe checks the nil-cache contract used by optional wiring.
 func TestNilCacheSafe(t *testing.T) {
-	var c *Cache[int]
-	k := NewHasher("t").Sum()
+	var c *Cache[int, int]
 	for i := 0; i < 2; i++ {
-		v, out, err := c.GetOrCompute(k, func() (int, error) { return 9, nil })
+		v, out, err := c.GetOrCompute(0, func() (int, error) { return 9, nil })
 		if err != nil || v != 9 || out != OutcomeNone {
 			t.Errorf("nil GetOrCompute = %d, %v, %v", v, out, err)
 		}
@@ -303,11 +246,9 @@ func TestNilCacheSafe(t *testing.T) {
 // the uncontended and contended cost.
 func BenchmarkCacheHitParallel(b *testing.B) {
 	const nkeys = 64
-	c := New[int](nkeys)
-	keys := make([]Key, nkeys)
-	for i := range keys {
-		keys[i] = NewHasher("t").Int(int64(i)).Sum()
-		if _, _, err := c.GetOrCompute(keys[i], func() (int, error) { return i, nil }); err != nil {
+	c := New[int, int](nkeys)
+	for i := 0; i < nkeys; i++ {
+		if _, _, err := c.GetOrCompute(i, func() (int, error) { return i, nil }); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -316,7 +257,7 @@ func BenchmarkCacheHitParallel(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
-			if _, out, _ := c.GetOrCompute(keys[i%nkeys], compute); out != OutcomeHit {
+			if _, out, _ := c.GetOrCompute(i%nkeys, compute); out != OutcomeHit {
 				b.Errorf("outcome %v, want hit", out)
 				return
 			}

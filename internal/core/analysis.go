@@ -8,7 +8,6 @@ import (
 
 	"binpart/internal/bench"
 	"binpart/internal/binimg"
-	"binpart/internal/cache"
 	"binpart/internal/decompile"
 	"binpart/internal/dopt"
 	"binpart/internal/fpga"
@@ -94,31 +93,13 @@ func AnalyzeScoped(img *binimg.Image, opts Options, caches *Caches, sc *obs.Scop
 	caches = caches.orNone()
 	sp := sc.Start(obs.StageAnalyze)
 	a, err := cached(caches.Analysis, &sp,
-		func() cache.Key { return analysisKey(img.Key(), opts) },
+		func() analysisKey { return analysisKeyFor(img.Key(), opts) },
 		func() (*Analysis, error) { return computeAnalysis(img, opts, caches, sc) })
 	if a != nil {
 		sp.SetRegions(uint64(len(a.Candidates)))
 	}
 	sp.End()
 	return a, err
-}
-
-// analysisKey covers the image plus every Options field the analysis
-// stages read. Partition options are evaluate-time inputs, but they are
-// recorded in the artifact's options (Evaluate reads them), so they
-// separate cache entries too.
-func analysisKey(imgKey cache.Key, opts Options) cache.Key {
-	h := cache.NewHasher("analysis")
-	h.Bytes(imgKey[:])
-	hashSimConfig(h, opts.Sim)
-	h.Bool(opts.RecoverJumpTables)
-	hashDoptConfig(h, opts.Dopt)
-	hashSynthOptions(h, opts.Synth)
-	h.Int(int64(opts.Granularity))
-	po := opts.Partition
-	h.Float64(po.CoverageTarget).Int(int64(po.MaxLoopInstrs))
-	h.Bool(po.SkipAliasStep).Bool(po.SkipFillStep)
-	return h.Sum()
 }
 
 // computeAnalysis is stages 1-4 of the flow (see RunWith's doc): profile,
@@ -143,7 +124,7 @@ func computeAnalysis(img *binimg.Image, opts Options, caches *Caches, sc *obs.Sc
 	decOpts := decompile.Options{RecoverJumpTables: opts.RecoverJumpTables}
 	liftSp := sc.Start(obs.StageLift)
 	lr, err := cached(caches.Lift, &liftSp,
-		func() cache.Key { return liftKey(img.Key(), decOpts, opts.Dopt) },
+		func() liftKey { return liftKeyFor(img.Key(), opts) },
 		func() (*LiftResult, error) { return computeLift(img, decOpts, opts.Dopt) })
 	if lr != nil {
 		liftSp.SetRegions(uint64(lr.Recovery.FuncsRecovered))
@@ -323,7 +304,7 @@ func Compile(b bench.Benchmark, optLevel int, caches *Caches, sc *obs.Scope) (*b
 	sp := sc.Start(obs.StageCompile)
 	defer sp.End()
 	return cached(caches.orNone().Compile, &sp,
-		func() cache.Key { return bench.CompileKey(b.Source, optLevel) },
+		func() bench.CompileKey { return bench.CompileKey{Source: b.Source, Level: optLevel} },
 		func() (*binimg.Image, error) { return b.Compile(optLevel) })
 }
 
@@ -335,7 +316,7 @@ func Compile(b bench.Benchmark, optLevel int, caches *Caches, sc *obs.Scope) (*b
 func Simulate(img *binimg.Image, cfg sim.Config, caches *Caches, sc *obs.Scope) (sim.Result, error) {
 	sp := sc.Start(obs.StageSim)
 	res, err := cached(caches.orNone().Sim, &sp,
-		func() cache.Key { return simKey(img.Key(), cfg) },
+		func() simKey { return simKey{img.Key(), cfg} },
 		func() (sim.Result, error) { return sim.Execute(img, cfg) })
 	sp.SetInstrs(res.Steps)
 	sp.End()

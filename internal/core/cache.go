@@ -4,37 +4,81 @@ import (
 	"fmt"
 	"strings"
 
+	"binpart/internal/bench"
 	"binpart/internal/binimg"
 	"binpart/internal/cache"
 	"binpart/internal/decompile"
 	"binpart/internal/dopt"
 	"binpart/internal/ir"
 	"binpart/internal/obs"
+	"binpart/internal/platform"
 	"binpart/internal/sim"
-	"binpart/internal/synth"
 )
 
-// Caches bundles the content-addressed stage caches of the flow. All
-// fields are optional (nil disables that stage's cache) and a nil *Caches
-// disables caching entirely, so RunWith(img, opts, nil) ≡ Run(img, opts).
+// Caches bundles the stage caches of the flow. All fields are optional
+// (nil disables that stage's cache) and a nil *Caches disables caching
+// entirely, so RunWith(img, opts, nil) ≡ Run(img, opts).
 //
 // Cached values are shared: a hit returns the same pointers a previous
 // run produced. Every consumer in this package treats them as immutable —
 // profiles are only read, lifted functions are only traversed, designs
 // are only costed and emitted — which is what makes sharing across a
 // concurrent experiment sweep safe (and what `go test -race` checks).
+//
+// Every cache keys on a plain comparable value holding its stage's
+// inputs, with an image standing for its content digest (binimg's Key),
+// so Go's == compares every field: a field added to sim.Config,
+// dopt.Config or Options joins the keys that hold that struct without
+// anyone listing it (TestCacheKeysCoverOptions checks which field moves
+// which key).
 type Caches struct {
-	// Compile memoizes MicroC compilation: source text + mcc options.
-	Compile *cache.Cache[*binimg.Image]
-	// Sim memoizes profiling simulation: image bytes + sim config.
-	Sim *cache.Cache[sim.Result]
+	// Compile memoizes MicroC compilation: source text + opt level.
+	Compile *cache.Cache[bench.CompileKey, *binimg.Image]
+	// Sim memoizes profiling simulation: image + sim config.
+	Sim *cache.Cache[simKey, sim.Result]
 	// Lift memoizes decompilation plus the decompiler-optimization
-	// pipeline: image bytes + decompile options + dopt config.
-	Lift *cache.Cache[*LiftResult]
+	// pipeline: image + decompile options + dopt config.
+	Lift *cache.Cache[liftKey, *LiftResult]
 	// Analysis memoizes the assembled platform-independent Analysis:
-	// image bytes + every option the analysis stages read (the platform,
-	// area budget, and algorithm are evaluate-time inputs and excluded).
-	Analysis *cache.Cache[*Analysis]
+	// image + Options, less the evaluate-time fields (see analysisKeyFor).
+	Analysis *cache.Cache[analysisKey, *Analysis]
+}
+
+// simKey keys the sim cache: an image and the whole simulator config,
+// engine included.
+type simKey struct {
+	img binimg.Digest
+	cfg sim.Config
+}
+
+// liftKey keys the lift cache: an image and computeLift's options.
+type liftKey struct {
+	img  binimg.Digest
+	dec  decompile.Options
+	dopt dopt.Config
+}
+
+// liftKeyFor is the lift key of the image with digest d under opts.
+func liftKeyFor(d binimg.Digest, opts Options) liftKey {
+	return liftKey{d, decompile.Options{RecoverJumpTables: opts.RecoverJumpTables}, opts.Dopt}
+}
+
+// analysisKey keys the analysis cache: an image and its analysis options.
+type analysisKey struct {
+	img  binimg.Digest
+	opts Options
+}
+
+// analysisKeyFor is the analysis key of the image with digest d under
+// opts. The platform, area budget and algorithm are evaluate-time inputs
+// and are zeroed, so one Analysis serves every sweep point over them.
+// The partition options are evaluate-time inputs too, but the Analysis
+// records them (Evaluate reads them), so they separate entries.
+func analysisKeyFor(d binimg.Digest, opts Options) analysisKey {
+	opts.Platform = platform.Platform{}
+	opts.AreaBudgetGates = 0
+	opts.Algorithm = 0
+	return analysisKey{d, opts}
 }
 
 // noCaches is what a nil *Caches means: every stage cache is nil, so
@@ -51,11 +95,12 @@ func (c *Caches) orNone() *Caches {
 }
 
 // cached is the one way into a stage cache. With no cache attached it
-// calls compute directly and never hashes; otherwise it looks up key()
-// in c (computing on a miss) and records on sp how the lookup was
-// served. Routing every cached stage call through here is what keeps the
-// trace's per-stage span outcomes reconciling with the caches' Stats.
-func cached[V any](c *cache.Cache[V], sp *obs.Span, key func() cache.Key, compute func() (V, error)) (V, error) {
+// calls compute directly and never builds a key (so never hashes an
+// image); otherwise it looks up key() in c (computing on a miss) and
+// records on sp how the lookup was served. Routing every cached stage
+// call through here is what keeps the trace's per-stage span outcomes
+// reconciling with the caches' Stats.
+func cached[K comparable, V any](c *cache.Cache[K, V], sp *obs.Span, key func() K, compute func() (V, error)) (V, error) {
 	if c == nil {
 		return compute()
 	}
@@ -76,10 +121,10 @@ const (
 // NewCaches builds an in-memory cache set with default capacities.
 func NewCaches() *Caches {
 	return &Caches{
-		Compile:  cache.New[*binimg.Image](defaultCompileEntries),
-		Sim:      cache.New[sim.Result](defaultSimEntries),
-		Lift:     cache.New[*LiftResult](defaultLiftEntries),
-		Analysis: cache.New[*Analysis](defaultAnalysisEntries),
+		Compile:  cache.New[bench.CompileKey, *binimg.Image](defaultCompileEntries),
+		Sim:      cache.New[simKey, sim.Result](defaultSimEntries),
+		Lift:     cache.New[liftKey, *LiftResult](defaultLiftEntries),
+		Analysis: cache.New[analysisKey, *Analysis](defaultAnalysisEntries),
 	}
 }
 
@@ -116,40 +161,6 @@ func (c *Caches) StatsString() string {
 			name, s.Hits, s.Misses, s.Waits, s.Evictions, s.Entries)
 	}
 	return b.String()
-}
-
-func hashSimConfig(h *cache.Hasher, cfg sim.Config) {
-	h.Uint32(cfg.StackTop).Uint64(cfg.MaxSteps).Bool(cfg.Profile)
-	h.Int(int64(cfg.Engine))
-	cm := cfg.Cycles
-	h.Uint64(cm.ALU).Uint64(cm.Load).Uint64(cm.Store)
-	h.Uint64(cm.BranchTaken).Uint64(cm.BranchNot).Uint64(cm.Jump)
-	h.Uint64(cm.Mult).Uint64(cm.Div)
-}
-
-func hashDoptConfig(h *cache.Hasher, c dopt.Config) {
-	h.Bool(c.NoStackRemoval).Bool(c.NoReroll).Bool(c.NoPromote)
-	h.Bool(c.NoStrengthRed).Bool(c.NoWidthReduce)
-}
-
-func hashSynthOptions(h *cache.Hasher, o synth.Options) {
-	h.Int(int64(o.Resources.MemPorts)).Int(int64(o.Resources.Multipliers))
-	h.Int(int64(o.Resources.Dividers))
-	h.Float64(o.ClockNs).Bool(o.Pipeline)
-}
-
-func simKey(imgKey cache.Key, cfg sim.Config) cache.Key {
-	h := cache.NewHasher("sim")
-	h.Bytes(imgKey[:])
-	hashSimConfig(h, cfg)
-	return h.Sum()
-}
-
-func liftKey(imgKey cache.Key, dec decompile.Options, cfg dopt.Config) cache.Key {
-	h := cache.NewHasher("lift")
-	h.Bytes(imgKey[:]).Bool(dec.RecoverJumpTables)
-	hashDoptConfig(h, cfg)
-	return h.Sum()
 }
 
 // LiftResult is the cached product of decompilation plus the decompiler

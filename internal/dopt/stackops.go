@@ -156,7 +156,7 @@ func RemoveStackOps(f *ir.Func) StackReport {
 	// 3. Promote every clean slot to a fresh virtual location, in slot
 	// order so the assigned location numbers don't depend on map
 	// iteration (lifted IR must be bit-identical run to run — it is
-	// content-addressed by the stage caches).
+	// memoized by the stage caches).
 	keys := make([]int64, 0, len(slots))
 	for key := range slots {
 		keys = append(keys, key)

@@ -13,7 +13,7 @@ import (
 )
 
 // Runner executes experiment sweeps over a bounded worker pool with an
-// optional content-addressed stage-cache set. Every table and figure
+// optional stage-cache set. Every table and figure
 // fans its (benchmark, opt level, options) points out across Workers
 // goroutines and reassembles the rows in submission order, so the
 // rendered tables are byte-identical to a serial run at any worker

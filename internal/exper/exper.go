@@ -11,7 +11,7 @@
 // core.Evaluate call. Sweeps that vary analysis inputs (opt level, dopt
 // config, synthesis options) fan full-flow points over the pool instead.
 // Either way a Runner bounds the worker pool and reuses stage results
-// through a content-addressed cache (see internal/cache). Row order — and
+// through the stage caches (see internal/cache). Row order — and
 // therefore every formatted table — is identical at any worker count.
 package exper
 

@@ -1,7 +1,7 @@
 // Package freelist keeps per-call working memory between calls: the
 // cold stages' workspaces (compile, decompile, dopt, loop finding,
-// synthesis, simulation, analysis and evaluation), cache-key hashers and
-// the daemon's request buffers. A regeneration then allocates little
+// synthesis, simulation, analysis and evaluation) and the daemon's
+// request buffers. A regeneration then allocates little
 // beyond what it returns or caches.
 //
 // A List is the one reuse mechanism those stages share. Unlike a

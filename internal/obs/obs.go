@@ -4,7 +4,7 @@
 // A Recorder collects Spans — one per pipeline stage execution, tagged
 // with the benchmark, optimization level, worker id, wall time, cache
 // outcome, and the stage's key counters — from the flow (core.Analyze /
-// core.Evaluate), the content-addressed stage caches, and the experiment
+// core.Evaluate), the stage caches, and the experiment
 // executor. A nil *Recorder (and the nil *Scope it hands out) is the
 // disabled fast path: every method returns immediately and allocates
 // nothing, so threading observability through the hot pipeline costs a
@@ -218,7 +218,7 @@ func (r *Recorder) StreamTo(w io.Writer) {
 	r.encodeLocked(TraceMeta{
 		Meta:        MetaTrace,
 		Trace:       r.traceID,
-		EpochUnixUS: r.epoch.UnixMicro(),
+		EpochUnixNS: r.epoch.UnixNano(),
 	})
 	r.mu.Unlock()
 }
@@ -276,19 +276,20 @@ const (
 type TraceMeta struct {
 	Meta        string                 `json:"meta"`
 	Trace       string                 `json:"trace,omitempty"`
-	EpochUnixUS int64                  `json:"epoch_unix_us,omitempty"`
+	EpochUnixNS int64                  `json:"epoch_unix_ns,omitempty"`
 	Caches      map[string]cache.Stats `json:"caches,omitempty"`
 }
 
-// SpanRecord is the trace line schema. Durations are integer
-// microseconds: stable to diff, trivial to load into anything.
+// SpanRecord is the trace line schema. Times are integer nanoseconds,
+// so a sub-microsecond span (a warm cache hit) keeps a nonzero
+// duration, and integers stay trivial to load into anything.
 type SpanRecord struct {
 	Stage    string `json:"stage"`
 	Bench    string `json:"bench,omitempty"`
 	Level    int    `json:"opt"`
 	Worker   int    `json:"worker"`
-	StartUS  int64  `json:"start_us"`
-	DurUS    int64  `json:"dur_us"`
+	StartNS  int64  `json:"start_ns"`
+	DurNS    int64  `json:"dur_ns"`
 	Cache    string `json:"cache,omitempty"`
 	Instrs   uint64 `json:"instrs,omitempty"`
 	Regions  uint64 `json:"regions,omitempty"`
@@ -302,8 +303,8 @@ func (r *Recorder) toRecord(s *Span) SpanRecord {
 		Bench:    s.Bench,
 		Level:    s.Level,
 		Worker:   s.Worker,
-		StartUS:  s.Start.Microseconds(),
-		DurUS:    s.Dur.Microseconds(),
+		StartNS:  s.Start.Nanoseconds(),
+		DurNS:    s.Dur.Nanoseconds(),
 		Cache:    s.Outcome.String(),
 		Instrs:   s.Instrs,
 		Regions:  s.Regions,

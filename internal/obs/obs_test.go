@@ -230,7 +230,7 @@ func TestRecorderConcurrentScrape(t *testing.T) {
 
 // TestStreamJSONL checks the -trace surface: a meta header line carrying
 // the trace context, then one JSON object per span, in emission order,
-// with the documented field names.
+// with the documented field names and nanosecond durations.
 func TestStreamJSONL(t *testing.T) {
 	rec := NewRecorder()
 	var buf bytes.Buffer
@@ -248,6 +248,7 @@ func TestStreamJSONL(t *testing.T) {
 
 	scanner := bufio.NewScanner(&buf)
 	n, metas := 0, 0
+	var sumNs uint64
 	for scanner.Scan() {
 		var line struct {
 			Meta   string `json:"meta"`
@@ -256,9 +257,9 @@ func TestStreamJSONL(t *testing.T) {
 			Level  int    `json:"opt"`
 			Worker int    `json:"worker"`
 			Trace  string `json:"trace"`
-			Epoch  int64  `json:"epoch_unix_us"`
+			Epoch  int64  `json:"epoch_unix_ns"`
 			Cache  string `json:"cache"`
-			DurUS  *int64 `json:"dur_us"`
+			DurNS  *int64 `json:"dur_ns"`
 		}
 		if err := json.Unmarshal(scanner.Bytes(), &line); err != nil {
 			t.Fatalf("line %d: %v", n, err)
@@ -279,13 +280,20 @@ func TestStreamJSONL(t *testing.T) {
 		if line.Cache != "miss" {
 			t.Errorf("line %d cache = %q, want miss", n, line.Cache)
 		}
-		if line.DurUS == nil {
-			t.Errorf("line %d missing dur_us", n)
+		if line.DurNS == nil {
+			t.Errorf("line %d missing dur_ns", n)
+		} else {
+			sumNs += uint64(*line.DurNS)
 		}
 		n++
 	}
 	if metas != 1 || n != 5 {
 		t.Errorf("streamed %d meta + %d span lines, want 1 + 5", metas, n)
+	}
+	// The stream carries each span's exact duration: the lines add up to
+	// the stage's live total, which no per-span truncation could keep.
+	if st := rec.StageTotals()[0]; st.Latency.SumNs != sumNs {
+		t.Errorf("streamed durations sum to %d ns, the synth total is %d ns", sumNs, st.Latency.SumNs)
 	}
 }
 
@@ -426,15 +434,14 @@ func scrapeMetrics(t *testing.T, addr string) []byte {
 // manifest property test in exper relies on: per cache, summing span
 // outcomes must reproduce the aggregate Stats exactly.
 func TestSpanOutcomeReconciliation(t *testing.T) {
-	c := cache.New[int](8)
+	c := cache.New[int, int](8)
 	rec := NewRecorder()
 	sc := rec.Scope("x", 0, 0)
-	key := func(i int) cache.Key { return cache.NewHasher("t").Int(int64(i)).Sum() }
 
 	for round := 0; round < 3; round++ {
 		for i := 0; i < 4; i++ {
 			sp := sc.Start(StageSim)
-			_, out, err := c.GetOrCompute(key(i), func() (int, error) { return i, nil })
+			_, out, err := c.GetOrCompute(i, func() (int, error) { return i, nil })
 			if err != nil {
 				t.Fatal(err)
 			}

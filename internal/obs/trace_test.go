@@ -86,7 +86,7 @@ func TestTraceGzipRoundTrip(t *testing.T) {
 			if err := lines.Err(); err != nil {
 				t.Fatal(err)
 			}
-			if header.Trace != rec.TraceID() || header.EpochUnixUS == 0 {
+			if header.Trace != rec.TraceID() || header.EpochUnixNS == 0 {
 				t.Errorf("header lost: %+v", header)
 			}
 			if len(spans) != 1 {
