@@ -489,7 +489,6 @@ func BenchmarkPartitionerSelection(b *testing.B) {
 			HWTimeNs:   float64(500 + r.Intn(100_000)),
 			AreaGates:  1000 + r.Intn(30_000),
 			SizeInstrs: 10 + r.Intn(100),
-			IsLoop:     true,
 		})
 	}
 	b.Run("90-10", func(b *testing.B) {

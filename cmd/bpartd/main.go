@@ -62,19 +62,22 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bpartd:", err)
 		os.Exit(1)
 	}
-	if err := platform.CheckMHz(*mhz); err != nil {
-		fmt.Fprintln(os.Stderr, "bpartd: -mhz:", err)
+	usage := func(name string, err error) {
+		fmt.Fprintf(os.Stderr, "bpartd: -%s: %v\n", name, err)
 		os.Exit(2)
+	}
+	if err := platform.CheckMHz(*mhz); err != nil {
+		usage("mhz", err)
 	}
 
 	dev, err := fpga.ByName(*device)
 	if err != nil {
-		fatal(err)
+		usage("device", err)
 	}
 	opts := core.DefaultOptions()
 	opts.Platform = platform.MIPS(*mhz, dev)
 	if opts.Algorithm, err = core.ParseAlgorithm(*alg); err != nil {
-		fatal(err)
+		usage("alg", err)
 	}
 
 	// The session watches signals from before the listeners open: a

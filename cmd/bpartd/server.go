@@ -36,7 +36,7 @@ type apiRequest struct {
 	MHz             *float64 `json:"mhz,omitempty"`
 	Device          string   `json:"device,omitempty"`
 	Alg             string   `json:"alg,omitempty"`
-	AreaBudgetGates int      `json:"area_budget_gates,omitempty"`
+	AreaBudgetGates *int     `json:"area_budget_gates,omitempty"`
 	Whole           bool     `json:"whole,omitempty"`
 	JumpTables      *bool    `json:"jumptables,omitempty"`
 	Structure       bool     `json:"structure,omitempty"`
@@ -347,11 +347,10 @@ func (d *daemon) decode(w http.ResponseWriter, r *http.Request, buf *bytes.Buffe
 			return nil, core.Options{}, err
 		}
 	}
-	if req.AreaBudgetGates < 0 {
-		return nil, core.Options{}, fmt.Errorf("area_budget_gates %d is negative", req.AreaBudgetGates)
-	}
-	if req.AreaBudgetGates > 0 {
-		opts.AreaBudgetGates = req.AreaBudgetGates
+	if b := req.AreaBudgetGates; b != nil && *b < 0 {
+		return nil, core.Options{}, fmt.Errorf("area_budget_gates %d is negative", *b)
+	} else if b != nil && *b > 0 {
+		opts.AreaBudgetGates = *b
 	}
 	if req.Whole {
 		opts.Granularity = core.GranFunctions
@@ -468,6 +467,10 @@ func (d *daemon) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Sweep != "devices" && req.Sweep != "clocks" {
 		d.fail(w, routeSweep, fmt.Errorf("unknown sweep mode %q (want devices or clocks)", req.Sweep))
+		return
+	}
+	if req.AreaBudgetGates != nil {
+		d.fail(w, routeSweep, errors.New("area_budget_gates does not apply to a sweep: every point is priced at its device's full capacity"))
 		return
 	}
 	if req.Sweep == "clocks" && len(req.Clocks) == 0 {

@@ -487,8 +487,8 @@ func TestMetricsSeriesAtZero(t *testing.T) {
 // TestBadRequests covers the refusal paths: no binary named, unknown
 // bench, unknown sweep mode, malformed JSON, an opt level outside 0-3,
 // a CPU clock or sweep clock outside platform.CheckMHz's range, a
-// negative area budget (400), and a body over the size limit (413 naming
-// the limit, not a truncated-JSON 400).
+// negative area budget, an area budget on a sweep (400), and a body over
+// the size limit (413 naming the limit, not a truncated-JSON 400).
 func TestBadRequests(t *testing.T) {
 	d := testDaemon(t, daemonConfig{})
 	ts := httptest.NewServer(d.Mux())
@@ -516,6 +516,7 @@ func TestBadRequests(t *testing.T) {
 		{"/v1/sweep", `{"bench":"crc","sweep":"clocks","device":"XC2V40","clocks":[0,200]}`, http.StatusBadRequest},
 		{"/v1/sweep", `{"bench":"crc","sweep":"clocks","clocks":[200,-40]}`, http.StatusBadRequest},
 		{"/v1/partition", `{"bench":"crc","area_budget_gates":-1}`, http.StatusBadRequest},
+		{"/v1/sweep", `{"bench":"crc","sweep":"clocks","area_budget_gates":20000}`, http.StatusBadRequest},
 	} {
 		resp, err := ts.Client().Post(ts.URL+tc.route, "application/json", strings.NewReader(tc.body))
 		if err != nil {

@@ -88,19 +88,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
-	if err := platform.CheckMHz(*mhz); err != nil {
-		fmt.Fprintln(stderr, "bparts: -mhz:", err)
+	usage := func(name string, err error) int {
+		fmt.Fprintf(stderr, "bparts: -%s: %v\n", name, err)
 		return 2
+	}
+	if err := platform.CheckMHz(*mhz); err != nil {
+		return usage("mhz", err)
 	}
 
 	dev, err := fpga.ByName(*device)
 	if err != nil {
-		return fail(err)
+		return usage("device", err)
 	}
 	opts := core.DefaultOptions()
 	opts.Platform = platform.MIPS(*mhz, dev)
 	if opts.Algorithm, err = core.ParseAlgorithm(*alg); err != nil {
-		return fail(err)
+		return usage("alg", err)
 	}
 	if *whole {
 		opts.Granularity = core.GranFunctions
@@ -117,13 +120,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 				err = platform.CheckMHz(v)
 			}
 			if err != nil {
-				fmt.Fprintf(stderr, "bparts: bad -clocks entry %q: %v\n", s, err)
-				return 2
+				return usage("clocks", fmt.Errorf("bad entry %q: %w", s, err))
 			}
 			clocks = append(clocks, v)
 		}
 	default:
-		return fail(fmt.Errorf("unknown sweep mode %q (want devices or clocks)", *sweep))
+		return usage("sweep", fmt.Errorf("unknown mode %q (want devices or clocks)", *sweep))
 	}
 
 	paths := fs.Args()

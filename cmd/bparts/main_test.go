@@ -90,6 +90,26 @@ func TestFailedInputStillFlushes(t *testing.T) {
 	}
 }
 
+// TestBadFlagValueIsUsageError checks that an unknown -device, -alg or
+// -sweep value is a usage error (exit 2) that names the flag and prints
+// nothing on stdout, like an out-of-range clock.
+func TestBadFlagValueIsUsageError(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing.sbf")
+	for _, args := range [][]string{
+		{"-device", "nope"},
+		{"-alg", "nope"},
+		{"-sweep", "nope"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(append(args, missing), &stdout, &stderr); code != 2 || stdout.Len() != 0 {
+			t.Errorf("bparts %v: exit %d, stdout %q, want a usage error (exit 2); stderr: %s",
+				args, code, stdout.String(), stderr.String())
+		} else if want := "bparts: " + args[0] + ": "; !strings.HasPrefix(stderr.String(), want) || !strings.Contains(stderr.String(), `"nope"`) {
+			t.Errorf("bparts %v: stderr %q does not name the flag and its value", args, stderr.String())
+		}
+	}
+}
+
 // TestClockOutOfRangeIsUsageError checks that -mhz and every -clocks
 // entry go through platform.CheckMHz: a clock that is not finite or
 // lies outside its range is a usage error (exit 2) before any input is

@@ -20,23 +20,17 @@ import (
 )
 
 // RegionCandidate is one hardware candidate as the analysis stages see
-// it: profile cycles, synthesized design cost, and memory footprint.
-// Every field is platform-independent — the simulator's cycle model, the
-// decompiler, and the behavioral synthesizer never observe the CPU clock
-// or the FPGA device — which is what lets one Analysis serve every sweep
-// point. The platform-dependent times (partition.Candidate.SWTimeNs /
-// HWTimeNs) are derived from these fields at evaluate time.
+// it: the region's cost record, function, memory footprint, static size
+// and design. Every field is platform-independent — the simulator's
+// cycle model, the decompiler, and the behavioral synthesizer never
+// observe the CPU clock or the FPGA device — which is what lets one
+// Analysis serve every sweep point; Platform.Times prices the record.
 type RegionCandidate struct {
-	Name        string
-	Func        string
-	SWCycles    uint64
-	HWCycles    float64
-	HWClockNs   float64
-	Invocations uint64
-	AreaGates   int
-	Footprint   []string
-	SizeInstrs  int
-	Design      *synth.Design
+	platform.Region
+	Func       string
+	Footprint  []string
+	SizeInstrs int
+	Design     *synth.Design
 }
 
 // Analysis is the immutable product of the flow's heavy stages —
@@ -194,10 +188,9 @@ func EvaluateScoped(a *Analysis, p platform.Platform, areaBudgetGates int, alg A
 // evaluateOpts is the platform-dependent tail of the flow: candidate
 // pricing, partitioning, and platform evaluation. The Report's regions
 // are built per call, so concurrent evaluations of one Analysis are safe
-// and a Report's Selected/Step marks are its own. Its maps
-// (Recovery.FailReasons, DoptReports, Outlines), like the footprints and
-// designs, are the Analysis' own, shared read-only with every other
-// Report evaluated from it.
+// and a Report's Selected/Step marks are its own. Each region points at
+// the Analysis' candidate record, and the Report at the Analysis itself:
+// both are shared read-only with every other Report evaluated from it.
 func evaluateOpts(a *Analysis, opts Options, sc *obs.Scope) *Report {
 	sp := sc.Start(obs.StageEvaluate)
 	if opts.Platform.CPUMHz == 0 {
@@ -210,19 +203,10 @@ func evaluateOpts(a *Analysis, opts Options, sc *obs.Scope) *Report {
 		}.GateEquivalent()
 	}
 	opts.Sim.Profile = true
-	rep := &Report{
-		Options:     opts,
-		ExitCode:    a.ExitCode,
-		SWCycles:    a.SWCycles,
-		Recovery:    a.Recovery,
-		DoptReports: a.DoptReports,
-		Outlines:    a.Outlines,
-	}
+	rep := &Report{Analysis: a, Options: opts}
 
-	// Price the candidates: software time from the CPU clock, hardware
-	// time from the synthesized clock plus the per-invocation
-	// communication overhead on the CPU side. Regions and candidates
-	// each live in one backing array.
+	// Price the candidates on the platform (Platform.Times, stored in
+	// ns). Regions and candidates each live in one backing array.
 	n := len(a.Candidates)
 	ws := evalScratches.Get()
 	defer ws.release()
@@ -233,26 +217,16 @@ func evaluateOpts(a *Analysis, opts Options, sc *obs.Scope) *Report {
 	rep.Regions = make([]*RegionReport, n)
 	for i, rc := range a.Candidates {
 		rr := &regions[i]
-		*rr = RegionReport{
-			Name:        rc.Name,
-			Func:        rc.Func,
-			SWCycles:    rc.SWCycles,
-			HWCycles:    rc.HWCycles,
-			HWClockNs:   rc.HWClockNs,
-			Invocations: rc.Invocations,
-			AreaGates:   rc.AreaGates,
-			Footprint:   rc.Footprint,
-			Design:      rc.Design,
-		}
+		rr.RegionCandidate = rc
 		rep.Regions[i] = rr
+		sw, hw := opts.Platform.Times(rc.Region)
 		priced[i] = partition.Candidate{
 			Name:       rc.Name,
-			SWTimeNs:   float64(rc.SWCycles) / opts.Platform.CPUMHz * 1000,
-			HWTimeNs:   rc.HWCycles*rc.HWClockNs + float64(rc.Invocations*opts.Platform.CommCPUCycles)/opts.Platform.CPUMHz*1000,
+			SWTimeNs:   sw * 1e9,
+			HWTimeNs:   hw * 1e9,
 			AreaGates:  rc.AreaGates,
 			Footprint:  rc.Footprint,
 			SizeInstrs: rc.SizeInstrs,
-			IsLoop:     true,
 			Payload:    rr,
 		}
 		cands[i] = &priced[i]
@@ -278,15 +252,7 @@ func evaluateOpts(a *Analysis, opts Options, sc *obs.Scope) *Report {
 		rr := c.Payload.(*RegionReport)
 		rr.Selected = true
 		rr.Step = pres.Step[c.Name]
-		selected = append(selected, platform.Region{
-			Name:        rr.Name,
-			SWCycles:    rr.SWCycles,
-			HWCycles:    rr.HWCycles,
-			HWClockNs:   rr.HWClockNs,
-			Invocations: rr.Invocations,
-			AreaGates:   rr.AreaGates,
-			ActiveGates: rr.AreaGates,
-		})
+		selected = append(selected, rr.Region)
 	}
 	rep.Metrics = opts.Platform.Evaluate(a.SWCycles, selected)
 	ws.selected = selected

@@ -112,19 +112,13 @@ func DefaultOptions() Options {
 	}
 }
 
-// RegionReport describes one hardware candidate after synthesis.
+// RegionReport is one candidate as a Report shows it: the Analysis'
+// record of the region, shared with every Report evaluated from it, and
+// this Report's own partitioning marks.
 type RegionReport struct {
-	Name        string
-	Func        string
-	SWCycles    uint64
-	HWCycles    float64
-	HWClockNs   float64
-	Invocations uint64
-	AreaGates   int
-	Footprint   []string
-	Selected    bool
-	Step        int // partitioning step that chose it (0 if unselected)
-	Design      *synth.Design
+	*RegionCandidate
+	Selected bool
+	Step     int // partitioning step that chose it (0 if unselected)
 }
 
 // RecoveryStats aggregates control-structure recovery over the binary.
@@ -144,26 +138,19 @@ type RecoveryStats struct {
 	OpsNarrowed        int
 }
 
-// Report is the full outcome of a partitioning run. Regions and their
-// Selected/Step marks belong to the report; the maps, footprints and
-// designs are shared with the Analysis it was evaluated from (and so
-// with every other Report of that Analysis) and must not be modified.
+// Report is the full outcome of a partitioning run: the Analysis it was
+// evaluated from (exit code, cycles, recovery, dopt logs, outlines) and
+// what evaluating added. Regions and their Selected/Step marks belong to
+// the report; the Analysis is shared with every Report of it and must
+// not be modified.
 type Report struct {
-	Options  Options
-	ExitCode int32
-	// SWCycles is the all-software cycle count from simulation.
-	SWCycles uint64
-	Regions  []*RegionReport
-	Metrics  platform.Metrics
-	Recovery RecoveryStats
+	*Analysis
+	Options Options
+	Regions []*RegionReport
+	Metrics platform.Metrics
 	// PartitionTime is how long candidate selection took (the paper
 	// stresses fast partitioning for dynamic-synthesis integration).
 	PartitionTime time.Duration
-	// DoptReports holds the per-function decompiler-optimization logs.
-	DoptReports map[string]dopt.Report
-	// Outlines renders each recovered function's control structure
-	// (loops, induction variables, conditionals) as text.
-	Outlines map[string]string
 }
 
 // SelectedRegions returns the regions chosen for hardware.
@@ -378,16 +365,18 @@ func buildCandidate(fx *funcFacts, r synth.Region, invocations uint64, pf *profi
 		fp, _ = fx.alias().Footprint(r.Blocks)
 	}
 	return &RegionCandidate{
-		Name:        d.Name,
-		Func:        fx.f.Name,
-		SWCycles:    swCycles,
-		HWCycles:    d.Cycles(blockExecs),
-		HWClockNs:   d.ClockNs,
-		Invocations: invocations,
-		AreaGates:   d.GateEquivalent(),
-		Footprint:   fp,
-		SizeInstrs:  size,
-		Design:      d,
+		Region: platform.Region{
+			Name:        d.Name,
+			SWCycles:    swCycles,
+			HWCycles:    d.Cycles(blockExecs),
+			HWClockNs:   d.ClockNs,
+			Invocations: invocations,
+			AreaGates:   d.GateEquivalent(),
+		},
+		Func:       fx.f.Name,
+		Footprint:  fp,
+		SizeInstrs: size,
+		Design:     d,
 	}, nil
 }
 

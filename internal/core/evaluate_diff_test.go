@@ -38,7 +38,7 @@ func runMonolithic(img *binimg.Image, opts Options) (*Report, error) {
 		}.GateEquivalent()
 	}
 	opts.Sim.Profile = true
-	rep := &Report{Options: opts}
+	rep := &Report{Analysis: &Analysis{}, Options: opts}
 
 	// 1. Profile the all-software execution.
 	res, err := sim.Execute(img, opts.Sim)
@@ -62,17 +62,7 @@ func runMonolithic(img *binimg.Image, opts Options) (*Report, error) {
 	// 4. Build candidates, priced immediately for the platform.
 	var cands []*partition.Candidate
 	addCand := func(rc *RegionCandidate) {
-		rr := &RegionReport{
-			Name:        rc.Name,
-			Func:        rc.Func,
-			SWCycles:    rc.SWCycles,
-			HWCycles:    rc.HWCycles,
-			HWClockNs:   rc.HWClockNs,
-			Invocations: rc.Invocations,
-			AreaGates:   rc.AreaGates,
-			Footprint:   rc.Footprint,
-			Design:      rc.Design,
-		}
+		rr := &RegionReport{RegionCandidate: rc}
 		rep.Regions = append(rep.Regions, rr)
 		cands = append(cands, &partition.Candidate{
 			Name:       rr.Name,
@@ -81,7 +71,6 @@ func runMonolithic(img *binimg.Image, opts Options) (*Report, error) {
 			AreaGates:  rr.AreaGates,
 			Footprint:  rr.Footprint,
 			SizeInstrs: rc.SizeInstrs,
-			IsLoop:     true,
 			Payload:    rr,
 		})
 	}
@@ -147,7 +136,6 @@ func runMonolithic(img *binimg.Image, opts Options) (*Report, error) {
 			HWClockNs:   rr.HWClockNs,
 			Invocations: rr.Invocations,
 			AreaGates:   rr.AreaGates,
-			ActiveGates: rr.AreaGates,
 		})
 	}
 	rep.Metrics = opts.Platform.Evaluate(res.Cycles, regions)
@@ -178,11 +166,14 @@ func fullFingerprint(rep *Report) string {
 
 // TestEvaluateMatchesMonolithic is the differential guarantee behind the
 // analyze-once/evaluate-many split: across every benchmark, every
-// optimization level, and a sweep of area budgets, clock rates, and all
-// three partitioners, Analyze+Evaluate must produce Reports identical to
-// the pre-split single-pass flow on every field except the wall-clock
-// PartitionTime. One Analysis per (benchmark, level) serves all sweep
-// points, exactly as the rewritten experiment sweeps use it.
+// optimization level, loop candidates and (at -O1) whole-function ones,
+// and a sweep of area budgets, clock rates, and all three partitioners,
+// Analyze+Evaluate must produce Reports identical to the pre-split
+// single-pass flow on every field except the wall-clock PartitionTime.
+// One Analysis per (benchmark, level, granularity) serves all sweep
+// points, exactly as the rewritten experiment sweeps use it. The
+// smallest device's point must leave some profitable region out for
+// lack of area, so the shared pricing is checked where the budget binds.
 func TestEvaluateMatchesMonolithic(t *testing.T) {
 	type point struct {
 		name   string
@@ -192,11 +183,14 @@ func TestEvaluateMatchesMonolithic(t *testing.T) {
 		alg    Algorithm
 	}
 	dev := platform.MIPS200.Device
+	small := fpga.Catalog[0]
 	points := []point{
-		// Area sweep: full device, a mid budget, a tight budget.
+		// Area sweep: full device, a mid budget, a tight budget, and the
+		// smallest device's full capacity.
 		{name: "area-full", mhz: 200, device: dev, budget: 0, alg: AlgNinetyTen},
 		{name: "area-mid", mhz: 200, device: dev, budget: 20000, alg: AlgNinetyTen},
 		{name: "area-tight", mhz: 200, device: dev, budget: 6000, alg: AlgNinetyTen},
+		{name: "area-" + small.Name, mhz: 200, device: small, budget: 0, alg: AlgNinetyTen},
 		// Clock sweep.
 		{name: "clock-40", mhz: 40, device: dev, budget: 0, alg: AlgNinetyTen},
 		{name: "clock-400", mhz: 400, device: dev, budget: 0, alg: AlgNinetyTen},
@@ -205,33 +199,57 @@ func TestEvaluateMatchesMonolithic(t *testing.T) {
 		{name: "alg-greedy", mhz: 200, device: dev, budget: 0, alg: AlgGreedy},
 		{name: "alg-gclp", mhz: 200, device: dev, budget: 0, alg: AlgGCLP},
 	}
+	smallGates := fpga.Area{Slices: small.Slices, Mult18: small.Mult18}.GateEquivalent()
 
-	for _, b := range bench.All() {
-		for lvl := 0; lvl <= 3; lvl++ {
-			img, err := b.Compile(lvl)
-			if err != nil {
-				t.Fatalf("%s -O%d: compile: %v", b.Name, lvl, err)
-			}
-			a, err := Analyze(img, DefaultOptions())
-			if err != nil {
-				t.Fatalf("%s -O%d: analyze: %v", b.Name, lvl, err)
-			}
-			for _, pt := range points {
-				opts := DefaultOptions()
-				opts.Platform = platform.MIPS(pt.mhz, pt.device)
-				opts.AreaBudgetGates = pt.budget
-				opts.Algorithm = pt.alg
-
-				want, err := runMonolithic(img, opts)
+	bound := map[Granularity]int{}
+	for _, gran := range []Granularity{GranLoops, GranFunctions} {
+		for _, b := range bench.All() {
+			for lvl := 0; lvl <= 3; lvl++ {
+				if gran == GranFunctions && lvl != 1 {
+					continue // whole functions at -O1 only: they double the test's time
+				}
+				img, err := b.Compile(lvl)
 				if err != nil {
-					t.Fatalf("%s -O%d %s: monolithic: %v", b.Name, lvl, pt.name, err)
+					t.Fatalf("%s -O%d: compile: %v", b.Name, lvl, err)
 				}
-				got := Evaluate(a, opts.Platform, opts.AreaBudgetGates, opts.Algorithm)
-				if gf, wf := fullFingerprint(got), fullFingerprint(want); gf != wf {
-					t.Fatalf("%s -O%d %s: split flow differs from monolithic:\n--- monolithic ---\n%s--- split ---\n%s",
-						b.Name, lvl, pt.name, wf, gf)
+				aopts := DefaultOptions()
+				aopts.Granularity = gran
+				a, err := Analyze(img, aopts)
+				if err != nil {
+					t.Fatalf("%s -O%d gran %d: analyze: %v", b.Name, lvl, gran, err)
+				}
+				for _, pt := range points {
+					opts := aopts
+					opts.Platform = platform.MIPS(pt.mhz, pt.device)
+					opts.AreaBudgetGates = pt.budget
+					opts.Algorithm = pt.alg
+
+					want, err := runMonolithic(img, opts)
+					if err != nil {
+						t.Fatalf("%s -O%d gran %d %s: monolithic: %v", b.Name, lvl, gran, pt.name, err)
+					}
+					got := Evaluate(a, opts.Platform, opts.AreaBudgetGates, opts.Algorithm)
+					if gf, wf := fullFingerprint(got), fullFingerprint(want); gf != wf {
+						t.Fatalf("%s -O%d gran %d %s: split flow differs from monolithic:\n--- monolithic ---\n%s--- split ---\n%s",
+							b.Name, lvl, gran, pt.name, wf, gf)
+					}
+					if pt.device != small {
+						continue
+					}
+					for _, r := range got.Regions {
+						sw, hw := opts.Platform.Times(r.Region)
+						if !r.Selected && sw > hw && r.AreaGates > smallGates-got.Metrics.AreaGates {
+							bound[gran]++
+							break
+						}
+					}
 				}
 			}
+		}
+	}
+	for _, gran := range []Granularity{GranLoops, GranFunctions} {
+		if bound[gran] == 0 {
+			t.Errorf("granularity %d: no %s evaluation left a profitable region out for area", gran, small.Name)
 		}
 	}
 }

@@ -119,21 +119,26 @@ func TestAppendReportMatchesFmt(t *testing.T) {
 // counts runes, as fmt does), several fail reasons and outlines,
 // non-finite and negative floats, and multi-digit step marks.
 func TestAppendReportEdgeCases(t *testing.T) {
+	region := func(r platform.Region, fp []string) *RegionCandidate {
+		return &RegionCandidate{Region: r, Footprint: fp}
+	}
 	rep := &Report{
-		Options:  Options{Platform: platform.MIPS(200, fpga.Catalog[0]), Algorithm: AlgGCLP},
-		ExitCode: -3,
-		SWCycles: math.MaxUint64,
-		Recovery: RecoveryStats{
-			FuncsRecovered: 7, FuncsFailed: 2,
-			FailReasons: map[string]string{"zeta": "indirect jump", "alpha": "décompilé: ☃"},
+		Analysis: &Analysis{
+			ExitCode: -3,
+			SWCycles: math.MaxUint64,
+			Recovery: RecoveryStats{
+				FuncsRecovered: 7, FuncsFailed: 2,
+				FailReasons: map[string]string{"zeta": "indirect jump", "alpha": "décompilé: ☃"},
+			},
+			Outlines: map[string]string{"b": "loop b\n", "a": "loop a"},
 		},
-		Outlines: map[string]string{"b": "loop b\n", "a": "loop a"},
+		Options: Options{Platform: platform.MIPS(200, fpga.Catalog[0]), Algorithm: AlgGCLP},
 		Regions: []*RegionReport{
-			{Name: "ünïcödé_loop_ßßßßßßßßßßßßßßßßßßßß", SWCycles: 5, HWCycles: 2.5, HWClockNs: 9.95, AreaGates: 12345678,
-				Footprint: []string{"a", "β"}, Selected: true, Step: 12},
-			{Name: strings.Repeat("名", 31), HWCycles: math.Inf(1), HWClockNs: math.NaN(), AreaGates: -1},
-			{Name: strings.Repeat("é", 40), HWCycles: -0.4, HWClockNs: math.Inf(-1), Footprint: []string{}},
-			{Name: "", SWCycles: 123456789012, HWCycles: 1e21, Selected: true, Step: 3},
+			{region(platform.Region{Name: "ünïcödé_loop_ßßßßßßßßßßßßßßßßßßßß", SWCycles: 5, HWCycles: 2.5, HWClockNs: 9.95, AreaGates: 12345678},
+				[]string{"a", "β"}), true, 12},
+			{region(platform.Region{Name: strings.Repeat("名", 31), HWCycles: math.Inf(1), HWClockNs: math.NaN(), AreaGates: -1}, nil), false, 0},
+			{region(platform.Region{Name: strings.Repeat("é", 40), HWCycles: -0.4, HWClockNs: math.Inf(-1)}, []string{}), false, 0},
+			{region(platform.Region{Name: "", SWCycles: 123456789012, HWCycles: 1e21}, nil), true, 3},
 		},
 		Metrics:       platform.Metrics{SWTimeS: 1.23456e-4, AppSpeedup: math.NaN(), KernelSpeedup: math.Inf(1), EnergySavings: -0.0005, AreaGates: 0},
 		PartitionTime: 1234567 * time.Nanosecond,

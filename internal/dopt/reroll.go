@@ -62,7 +62,7 @@ func (ws *workspace) reroll(f *ir.Func) RerollReport {
 		done := true
 		live := false
 		for _, l := range loops {
-			if k, removed, body := ws.tryReroll(f, l, &live); k > 1 {
+			if k, removed := ws.tryReroll(f, l, &live); k > 1 {
 				rep.Rerolled = append(rep.Rerolled, k)
 				rep.InstrsRemoved += removed
 				for idx := range l.Blocks {
@@ -71,7 +71,6 @@ func (ws *workspace) reroll(f *ir.Func) RerollReport {
 						rep.Factors[idx] = k
 					}
 				}
-				_ = body
 				done = false
 				break
 			}
@@ -85,9 +84,9 @@ func (ws *workspace) reroll(f *ir.Func) RerollReport {
 // tryReroll rerolls l if its body is k copies of one group. live reports
 // whether ws holds the round's liveness, and is set when tryReroll
 // computes it.
-func (ws *workspace) tryReroll(f *ir.Func, l *ir.Loop, live *bool) (factor, removed, bodyIdx int) {
+func (ws *workspace) tryReroll(f *ir.Func, l *ir.Loop, live *bool) (factor, removed int) {
 	if len(l.IndVars) == 0 || len(l.Blocks) > 2 {
-		return 0, 0, 0
+		return 0, 0
 	}
 	if ws.ivStep == nil {
 		ws.ivStep, ws.defsInLoop = map[ir.Loc]int32{}, map[ir.Loc]bool{}
@@ -114,7 +113,7 @@ func (ws *workspace) tryReroll(f *ir.Func, l *ir.Loop, live *bool) (factor, remo
 		}
 	}
 	if body == nil {
-		return 0, 0, 0
+		return 0, 0
 	}
 	// Locations defined anywhere in the loop (for invariance checks) and
 	// whether any loop block writes memory.
@@ -137,7 +136,7 @@ func (ws *workspace) tryReroll(f *ir.Func, l *ir.Loop, live *bool) (factor, remo
 	}
 	m := &ws.matcher
 	if !m.reset(body, ivStep, ws.liveOut.at(body.Index), &ws.chains, defsInLoop, loopStores) {
-		return 0, 0, 0
+		return 0, 0
 	}
 	for _, k := range []int{8, 4, 2} {
 		if !stepsDivisible(l.IndVars, int32(k)) {
@@ -146,10 +145,10 @@ func (ws *workspace) tryReroll(f *ir.Func, l *ir.Loop, live *bool) (factor, remo
 		if m.match(k) {
 			before := len(body.Instrs)
 			m.apply(k)
-			return k, before - len(body.Instrs), body.Index
+			return k, before - len(body.Instrs)
 		}
 	}
-	return 0, 0, 0
+	return 0, 0
 }
 
 func countIVUpdates(b *ir.Block, ivStep map[ir.Loc]int32) int {

@@ -37,8 +37,6 @@ type Candidate struct {
 	Footprint []string
 	// SizeInstrs is the region's static size ("a few dozen lines").
 	SizeInstrs int
-	// IsLoop marks loop regions (step 1 considers only loops).
-	IsLoop bool
 	// Payload carries caller context (e.g. the synthesized design).
 	Payload any
 }
@@ -109,19 +107,16 @@ func Partition(cands []*Candidate, budgetGates int, opts Options) *Result {
 		return true
 	}
 
-	// Step 1: most frequent loops up to the coverage target.
-	loops := make([]*Candidate, 0, len(cands))
-	var loopTotal float64
+	// Step 1: the most frequent regions up to the coverage target.
+	hot := slices.Clone(cands)
+	var total float64
 	for _, c := range cands {
-		if c.IsLoop {
-			loops = append(loops, c)
-			loopTotal += c.SWTimeNs
-		}
+		total += c.SWTimeNs
 	}
-	slices.SortStableFunc(loops, func(a, b *Candidate) int { return descending(a.SWTimeNs, b.SWTimeNs) })
+	slices.SortStableFunc(hot, func(a, b *Candidate) int { return descending(a.SWTimeNs, b.SWTimeNs) })
 	var covered float64
-	for _, c := range loops {
-		if loopTotal > 0 && covered/loopTotal >= opts.CoverageTarget {
+	for _, c := range hot {
+		if total > 0 && covered/total >= opts.CoverageTarget {
 			break
 		}
 		if c.SizeInstrs > opts.MaxLoopInstrs || c.Gain() <= 0 {

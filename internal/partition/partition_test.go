@@ -9,7 +9,7 @@ import (
 func cand(name string, sw, hw float64, area int, fp ...string) *Candidate {
 	return &Candidate{
 		Name: name, SWTimeNs: sw, HWTimeNs: hw, AreaGates: area,
-		Footprint: fp, SizeInstrs: 30, IsLoop: true,
+		Footprint: fp, SizeInstrs: 30,
 	}
 }
 

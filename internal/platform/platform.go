@@ -83,7 +83,8 @@ var (
 	MIPS400 = MIPS(400, defaultDevice())
 )
 
-// Region is one hardware-mapped region's contribution.
+// Region is one candidate region's platform-independent cost record;
+// Times prices it for a platform.
 type Region struct {
 	Name string
 	// SWCycles is the CPU cycles the region consumed in the all-software
@@ -95,14 +96,21 @@ type Region struct {
 	HWClockNs float64
 	// Invocations is how many times the CPU starts the accelerator.
 	Invocations uint64
-	// AreaGates is the design's equivalent-gate area.
+	// AreaGates is the design's equivalent-gate area, all of it active.
 	AreaGates int
-	// ActiveGates participates in dynamic power (== AreaGates here).
-	ActiveGates int
 }
 
 // HWSeconds is the region's total hardware execution time.
 func (r Region) HWSeconds() float64 { return r.HWCycles * r.HWClockNs * 1e-9 }
+
+// Times prices region r on this platform: sw is the seconds the CPU
+// spends in it, hw the accelerator's seconds plus the CPU's cost of
+// starting it on every invocation. It is the one pricing formula; the
+// partitioner and Evaluate both read it.
+func (p Platform) Times(r Region) (sw, hw float64) {
+	cpuHz := p.CPUMHz * 1e6
+	return float64(r.SWCycles) / cpuHz, r.HWSeconds() + float64(r.Invocations*p.CommCPUCycles)/cpuHz
+}
 
 // Metrics aggregates a partitioned application's evaluation.
 type Metrics struct {
@@ -121,19 +129,18 @@ type Metrics struct {
 // took totalSWCycles on this platform's CPU, with the given regions moved
 // to hardware.
 func (p Platform) Evaluate(totalSWCycles uint64, regions []Region) Metrics {
-	cpuHz := p.CPUMHz * 1e6
-	swTime := float64(totalSWCycles) / cpuHz
+	swTime := float64(totalSWCycles) / (p.CPUMHz * 1e6)
 
 	var kernelSW, kernelHW float64
 	var area int
 	var fpgaDynE float64
 	for _, r := range regions {
-		kernelSW += float64(r.SWCycles) / cpuHz
-		t := r.HWSeconds() + float64(r.Invocations*p.CommCPUCycles)/cpuHz
-		kernelHW += t
+		sw, hw := p.Times(r)
+		kernelSW += sw
+		kernelHW += hw
 		area += r.AreaGates
 		mhz := fpga.MHz(r.HWClockNs)
-		fpgaDynE += p.FPGADynWPerGateMHz * float64(r.ActiveGates) * mhz * r.HWSeconds()
+		fpgaDynE += p.FPGADynWPerGateMHz * float64(r.AreaGates) * mhz * r.HWSeconds()
 	}
 	hwswTime := swTime - kernelSW + kernelHW
 

@@ -14,7 +14,6 @@ func sampleRegion() Region {
 		HWClockNs:   8,
 		Invocations: 1,
 		AreaGates:   20000,
-		ActiveGates: 20000,
 	}
 }
 
@@ -106,5 +105,21 @@ func TestHWSeconds(t *testing.T) {
 	r := Region{HWCycles: 1000, HWClockNs: 10}
 	if got := r.HWSeconds(); got != 1e-5 {
 		t.Errorf("HWSeconds = %v, want 1e-5", got)
+	}
+}
+
+// TestEvaluateSumsTimes pins Evaluate to Times: one region's
+// kernel speedup and partitioned time are exactly its priced software
+// and hardware seconds, communication included.
+func TestEvaluateSumsTimes(t *testing.T) {
+	r := sampleRegion()
+	r.Invocations = 1000
+	sw, hw := MIPS200.Times(r)
+	if wantSW, wantHW := 9e6/200e6, 150_000*8e-9+1000*60/200e6; sw != wantSW || hw != wantHW {
+		t.Errorf("Times = %v, %v; want %v, %v", sw, hw, wantSW, wantHW)
+	}
+	m := MIPS200.Evaluate(10_000_000, []Region{r})
+	if m.KernelSpeedup != sw/hw || m.HWSWTimeS != m.SWTimeS-sw+hw {
+		t.Errorf("Evaluate kernel speedup %v, time %v; Times gives %v, %v", m.KernelSpeedup, m.HWSWTimeS, sw/hw, m.SWTimeS-sw+hw)
 	}
 }
