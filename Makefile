@@ -42,12 +42,13 @@ vet:
 	cd perfbench && $(GO) vet ./... && $(GO) build .
 
 # One traced golden run: exercises -trace/-stats/-manifest end to end on
-# the T1 sweep (the golden test separately pins that tracing never moves
-# a byte of the table). Artifacts land in /tmp for inspection.
+# the full default regeneration, the one-pool plan every experiment runs
+# in (the golden tests separately pin that tracing never moves a byte of
+# a table). Artifacts land in /tmp for inspection.
 obs-smoke:
-	$(GO) run ./cmd/experiments -table 1 -j 8 \
-		-trace /tmp/binpart-t1-trace.jsonl \
-		-manifest /tmp/binpart-t1-manifest.json \
+	$(GO) run ./cmd/experiments -j 8 \
+		-trace /tmp/binpart-trace.jsonl \
+		-manifest /tmp/binpart-manifest.json \
 		-stats >/dev/null
 
 # A slice of the generated-program differential corpus under the race

@@ -415,11 +415,11 @@ func BenchmarkStageAnalyzeUploads(b *testing.B) {
 
 // BenchmarkStageRegenerate measures one cold regeneration of every
 // default table, figure, ablation and extension on fresh stage caches
-// with 2 workers: exactly what `experiments -j 2` runs (both walk
-// exper.Experiments), which compiles the suite at O0–O3 and analyzes
-// every binary once. Its B/op gates the bytes a table regeneration
-// allocates, which set how often the garbage collector runs on the cold
-// path. Untimed warm-up runs leave the stages' free lists holding their
+// with 2 workers: exactly what `experiments -j 2` runs (both pass
+// exper.Experiments to Runner.Regenerate), which compiles the suite at
+// O0–O3 and analyzes each distinct sweep point once. Its B/op gates the
+// bytes a table regeneration allocates, which set how often the garbage
+// collector runs on the cold path. Untimed warm-up runs leave the stages' free lists holding their
 // working memory, as later regenerations in one process find them, so
 // B/op counts what a regeneration keeps or returns plus what the free
 // lists do not cover. Which of the two workers' workspaces serves which
@@ -430,10 +430,8 @@ func BenchmarkStageAnalyzeUploads(b *testing.B) {
 func BenchmarkStageRegenerate(b *testing.B) {
 	regenerate := func() {
 		r := exper.NewRunner(2, core.NewCaches())
-		for _, e := range exper.Experiments {
-			if _, err := e.Run(r); err != nil {
-				b.Fatal(err)
-			}
+		if _, err := r.Regenerate(exper.Experiments); err != nil {
+			b.Fatal(err)
 		}
 	}
 	for range 3 {

@@ -9,18 +9,22 @@
 //	experiments -ablation    # partitioner + pass ablations
 //	experiments -corpus 1000 # differential fuzz corpus of generated programs
 //	experiments -corpus 1000 -corpus-seed 7 -corpus-out sum.json
-//	experiments -j 8         # fan sweep points over 8 workers
+//	experiments -j 8         # analyze the distinct sweep points on 8 workers
 //	experiments -trace t.jsonl     # stream per-stage spans as JSONL (.gz gzips)
 //	experiments -stats             # per-stage span + cache tables (p50/p90/p99) to stderr
 //	experiments -manifest m.json   # write the run manifest (config, git, totals)
 //	experiments -debug-addr :6060  # net/pprof + /metrics for long sweeps
 //
-// Tables are byte-identical at any -j and with tracing on or off: the
-// executor reassembles rows in submission order and the recorder only
-// observes. The stage cache is shared by every experiment in one
-// invocation, so the full run lifts each distinct binary once. The first
-// SIGINT/SIGTERM cancels the queued sweep points; the trace and manifest
-// still flush and the exit status is 128+signum.
+// The selected experiments run as one plan (exper.Runner.Regenerate):
+// their sweep points are pooled, each distinct analysis is computed once
+// in a single fan-out over -j workers, and each experiment's table is
+// folded from its points' analyses as soon as they land. Tables are
+// byte-identical at any -j and with tracing on or off: folds read their
+// points in declaration order and the recorder only observes. They print
+// in list order once the run ends. A negative -corpus, or -corpus-out
+// without -corpus, is a usage error (exit 2). The first SIGINT/SIGTERM
+// cancels the queued sweep points; the trace and manifest still flush and
+// the exit status is 128+signum.
 package main
 
 import (
@@ -71,6 +75,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
+	if *corpusN < 0 {
+		fmt.Fprintf(stderr, "experiments: -corpus %d: want a positive count of programs (0: off)\n", *corpusN)
+		return 2
+	}
+	if *corpusOut != "" && *corpusN == 0 {
+		fmt.Fprintf(stderr, "experiments: -corpus-out %s: needs -corpus N\n", *corpusOut)
+		return 2
+	}
 	if *workers <= 0 {
 		*workers = runtime.GOMAXPROCS(0)
 	}
@@ -93,25 +105,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}()
 
 	all := *table == 0 && *figure == 0 && !*ablation && !*extension && *corpusN == 0
-	// A failure skips the remaining experiments and falls through to
-	// Close, so the trace and manifest always flush.
-	failed := false
+	var selected []exper.Experiment
 	for _, e := range exper.Experiments {
-		on := all ||
+		if all ||
 			e.Kind == "table" && e.Num == *table ||
 			e.Kind == "figure" && e.Num == *figure ||
 			e.Kind == "ablation" && *ablation ||
-			e.Kind == "extension" && *extension
-		if !on || failed {
-			continue
+			e.Kind == "extension" && *extension {
+			selected = append(selected, e)
 		}
-		out, err := e.Run(runner)
-		if err != nil {
-			fmt.Fprintf(stderr, "%s: %v\n", e.Name(), err)
-			failed = true
-			continue
-		}
-		fmt.Fprintln(stdout, out)
+	}
+	// One plan over every selected experiment. A failure still prints the
+	// experiments before the one it names, skips the rest, and falls
+	// through to Close, so the trace and manifest always flush.
+	texts, err := runner.Regenerate(selected)
+	for _, text := range texts {
+		fmt.Fprintln(stdout, text)
+	}
+	failed := err != nil
+	if failed {
+		fmt.Fprintln(stderr, err)
 	}
 	if *corpusN > 0 && !failed {
 		switch corpus, err := runner.Corpus(*corpusN, *corpusSeed); {

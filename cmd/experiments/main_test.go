@@ -13,8 +13,10 @@ import (
 )
 
 // TestSelectionOutOfRange: a -table or -figure the evaluation does not
-// have is a usage error that names the valid values, and nothing runs.
+// have is a usage error that names the valid values, and nothing runs;
+// so are a negative -corpus and a -corpus-out with no corpus to write.
 func TestSelectionOutOfRange(t *testing.T) {
+	outPath := filepath.Join(t.TempDir(), "s.json")
 	for _, tc := range []struct {
 		args []string
 		want string
@@ -22,6 +24,8 @@ func TestSelectionOutOfRange(t *testing.T) {
 		{[]string{"-table", "99"}, "-table 99: valid values are 1, 2, 3, 4"},
 		{[]string{"-table", "-1"}, "-table -1: valid values are 1, 2, 3, 4"},
 		{[]string{"-figure", "2"}, "-figure 2: valid values are 1"},
+		{[]string{"-corpus", "-5"}, "-corpus -5: "},
+		{[]string{"-corpus-out", outPath}, "-corpus-out " + outPath + ": needs -corpus"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(tc.args, &stdout, &stderr); code != 2 {
@@ -33,6 +37,9 @@ func TestSelectionOutOfRange(t *testing.T) {
 		if !strings.Contains(stderr.String(), tc.want) {
 			t.Errorf("%v: stderr %q, want it to contain %q", tc.args, stderr.String(), tc.want)
 		}
+	}
+	if _, err := os.Stat(outPath); !os.IsNotExist(err) {
+		t.Errorf("-corpus-out without -corpus wrote %s (stat: %v)", outPath, err)
 	}
 }
 
@@ -72,12 +79,21 @@ var partitionTime = regexp.MustCompile(`partition time \S+`)
 
 // TestDefaultOutputGolden pins everything a bare `experiments` prints —
 // T1–T4, F1, A1, A2 and E1 — byte for byte, with A1's partition times
-// masked. Regenerate with -update only for a change meant to move a
-// figure.
+// masked, at GOMAXPROCS workers, serially and on 8 workers. Regenerate
+// with -update only for a change meant to move a figure.
 func TestDefaultOutputGolden(t *testing.T) {
+	for _, args := range [][]string{nil, {"-j", "1"}, {"-j", "8"}} {
+		checkGolden(t, args)
+	}
+}
+
+// checkGolden runs experiments with args and compares its masked output
+// with the golden file (or, under -update, rewrites the file).
+func checkGolden(t *testing.T, args []string) {
+	t.Helper()
 	var stdout, stderr bytes.Buffer
-	if code := run(nil, &stdout, &stderr); code != 0 {
-		t.Fatalf("exit %d, stderr %s", code, stderr.String())
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("%v: exit %d, stderr %s", args, code, stderr.String())
 	}
 	got := partitionTime.ReplaceAllString(stdout.String(), "partition time <masked>")
 	if *updateGolden {
@@ -94,6 +110,6 @@ func TestDefaultOutputGolden(t *testing.T) {
 		t.Fatalf("%v (run `go test ./cmd/experiments -run TestDefaultOutputGolden -update` to create it)", err)
 	}
 	if got != string(want) {
-		t.Errorf("default output drifted from %s (re-run with -update if intended):\n--- golden ---\n%s--- got ---\n%s", goldenPath, want, got)
+		t.Errorf("%v: default output drifted from %s (re-run with -update if intended):\n--- golden ---\n%s--- got ---\n%s", args, goldenPath, want, got)
 	}
 }

@@ -70,15 +70,21 @@ type analysisKey struct {
 }
 
 // analysisKeyFor is the analysis key of the image with digest d under
-// opts. The platform, area budget and algorithm are evaluate-time inputs
-// and are zeroed, so one Analysis serves every sweep point over them.
-// The partition options are evaluate-time inputs too, but the Analysis
-// records them (Evaluate reads them), so they separate entries.
+// opts (see AnalysisOptions).
 func analysisKeyFor(d binimg.Digest, opts Options) analysisKey {
+	return analysisKey{d, AnalysisOptions(opts)}
+}
+
+// AnalysisOptions is opts less its evaluate-time inputs: the platform,
+// area budget and algorithm are zeroed, so one Analysis of an image
+// serves every option set with equal AnalysisOptions. The partition
+// options are evaluate-time inputs too, but the Analysis records them
+// (Evaluate reads them), so they stay.
+func AnalysisOptions(opts Options) Options {
 	opts.Platform = platform.Platform{}
 	opts.AreaBudgetGates = 0
 	opts.Algorithm = 0
-	return analysisKey{d, opts}
+	return opts
 }
 
 // noCaches is what a nil *Caches means: every stage cache is nil, so

@@ -4,20 +4,26 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"binpart/internal/bench"
 	"binpart/internal/core"
 	"binpart/internal/obs"
+	"binpart/internal/platform"
 )
 
-// Runner executes experiment sweeps over a bounded worker pool with an
-// optional stage-cache set. Every table and figure
-// fans its (benchmark, opt level, options) points out across Workers
-// goroutines and reassembles the rows in submission order, so the
-// rendered tables are byte-identical to a serial run at any worker
-// count. The zero value runs serially without caching.
+// Runner executes experiments over a bounded worker pool with an
+// optional stage-cache set. A run is plan → execute → fold: each
+// experiment declares the (benchmark, opt level, options) points it
+// needs and a fold that builds its result from their analyses; the
+// Runner analyzes every distinct point of every experiment in one
+// fan-out over Workers goroutines and folds each experiment on the
+// worker that lands its last point. Folds index their points in the
+// order they declared them, so the rendered tables are byte-identical
+// to a serial run at any worker count. The zero value runs serially
+// without caching.
 type Runner struct {
 	// Workers is the pool size; <= 0 selects runtime.GOMAXPROCS(0).
 	Workers int
@@ -52,12 +58,45 @@ func NewRunner(workers int, caches *core.Caches) *Runner {
 	return &Runner{Workers: workers, Caches: caches}
 }
 
-// rowJob is one sweep point: a benchmark compiled at one optimization
+// point is one sweep point: a benchmark compiled at one optimization
 // level and partitioned under one configuration.
-type rowJob struct {
+type point struct {
 	bench bench.Benchmark
 	level int
 	opts  core.Options
+}
+
+// A plan is one experiment's share of a run: the points whose analyses
+// it reads and the fold that builds its result from them.
+type plan[T any] struct {
+	points []point
+	fold   func(s sweep) T
+}
+
+// sweep is what a fold reads: its plan's points and their analyses,
+// index for index, evaluated under the scope of the worker running the
+// fold.
+type sweep struct {
+	r      *Runner
+	worker int
+	points []point
+	as     []*core.Analysis
+}
+
+// eval prices point i's analysis on platform p under an area budget (0:
+// the device's capacity) with algorithm alg.
+func (s sweep) eval(i int, p platform.Platform, budget int, alg core.Algorithm) *core.Report {
+	pt := s.points[i]
+	return core.EvaluateScoped(s.as[i], p, budget, alg, s.r.Obs.Scope(pt.bench.Name, pt.level, s.worker))
+}
+
+// rows evaluates every point on its own options, one Row per point.
+func (s sweep) rows() []Row {
+	rows := make([]Row, len(s.points))
+	for i, pt := range s.points {
+		rows[i] = rowFrom(pt, s.eval(i, pt.opts.Platform, pt.opts.AreaBudgetGates, pt.opts.Algorithm))
+	}
+	return rows
 }
 
 func (r *Runner) workers() int {
@@ -67,13 +106,138 @@ func (r *Runner) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
+// distinct collects the points of every plan, in plan order, and keeps
+// the first of each set that needs the same analysis: the same benchmark
+// and level under equal core.AnalysisOptions. refs[k][i] is the index
+// in pts of plan k's point i. A default regeneration has 148 points,
+// so a linear search is cheaper than hashing 400-byte keys.
+func distinct[T any](plans []plan[T]) (pts []*point, refs [][]int) {
+	refs = make([][]int, len(plans))
+	for k, p := range plans {
+		refs[k] = make([]int, len(p.points))
+		for i := range p.points {
+			pt := &p.points[i]
+			d := slices.IndexFunc(pts, func(q *point) bool {
+				return q.bench.Name == pt.bench.Name && q.level == pt.level &&
+					core.AnalysisOptions(q.opts) == core.AnalysisOptions(pt.opts)
+			})
+			if d < 0 {
+				d = len(pts)
+				pts = append(pts, pt)
+			}
+			refs[k][i] = d
+		}
+	}
+	return pts, refs
+}
+
+// execute runs plans as one fan-out: it analyzes each distinct point
+// once, in plan order, and folds each plan on the worker that lands the
+// plan's last analysis, so no plan waits for another's points. It
+// returns the folds' results in plan order. On failure it returns the
+// results of the plans before the first plan that failed, and that
+// plan's error: its failed points' errors, joined in its point order.
+// Every point of an earlier plan precedes the failed one in the fan-out
+// (distinct keeps first occurrences), so those plans always fold.
+func execute[T any](r *Runner, plans []plan[T]) ([]T, error) {
+	pts, refs := distinct(plans)
+	pending := make([]atomic.Int32, len(plans)) // points each plan still waits for
+	for k, ref := range refs {
+		pending[k].Store(int32(len(ref)))
+	}
+	as := make([]*core.Analysis, len(pts))
+	errs := make([]error, len(pts))
+	out := make([]T, len(plans))
+	_, err := fanOut(r.workers(), len(pts), func(w, d int) (struct{}, error) {
+		a, err := r.analyze(pts[d], w)
+		if err != nil {
+			errs[d] = err
+			return struct{}{}, err
+		}
+		as[d] = a
+		for k, ref := range refs {
+			for _, e := range ref {
+				if e != d || pending[k].Add(-1) != 0 {
+					continue
+				}
+				s := sweep{r: r, worker: w, points: plans[k].points, as: make([]*core.Analysis, len(ref))}
+				for i, e := range ref {
+					s.as[i] = as[e]
+				}
+				out[k] = plans[k].fold(s)
+			}
+		}
+		return struct{}{}, nil
+	})
+	if err == nil {
+		return out, nil
+	}
+	k := 0
+	for k < len(plans)-1 && pending[k].Load() == 0 {
+		k++
+	}
+	failed := make([]error, len(refs[k]))
+	for i, d := range refs[k] {
+		failed[i] = errs[d]
+	}
+	if joined := errors.Join(failed...); joined != nil {
+		err = joined
+	}
+	return out[:k], err
+}
+
+// analyze compiles and analyzes one point on worker w under a "job" span.
+func (r *Runner) analyze(pt *point, w int) (*core.Analysis, error) {
+	if r.interrupted.Load() {
+		return nil, ErrInterrupted
+	}
+	sc := r.Obs.Scope(pt.bench.Name, pt.level, w)
+	sp := sc.Start(obs.StageJob)
+	defer sp.End()
+	img, err := core.Compile(pt.bench, pt.level, r.Caches, sc)
+	if err != nil {
+		return nil, err
+	}
+	a, err := core.AnalyzeScoped(img, pt.opts, r.Caches, sc)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", pt.bench.Name, err)
+	}
+	return a, nil
+}
+
+// runPlan runs one experiment's plan on its own.
+func runPlan[T any](r *Runner, p plan[T]) (T, error) {
+	out, err := execute(r, []plan[T]{p})
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return out[0], nil
+}
+
+// Regenerate runs the experiments es as one plan over one worker pool
+// and returns their texts in es order. If a point fails, it returns the
+// texts of the experiments before the first experiment that reads a
+// failed point, and an error that names that experiment.
+func (r *Runner) Regenerate(es []Experiment) ([]string, error) {
+	plans := make([]plan[string], len(es))
+	for i, e := range es {
+		plans[i] = e.plan()
+	}
+	out, err := execute(r, plans)
+	if err != nil {
+		return out, fmt.Errorf("%s: %w", es[len(out)].Name(), err)
+	}
+	return out, nil
+}
+
 // fanOut runs n indexed jobs over a bounded worker pool and returns the
 // results in index order regardless of completion order: workers pull
 // indexes from a channel and send indexed results back, and the collector
 // writes each into its slot. run receives the worker id (0 in the serial
-// path) so per-job observability spans can attribute contention. The
-// first error aborts the sweep (remaining jobs are skipped, in-flight
-// ones drain), but every job that failed before the abort propagated is
+// path) so per-job observability spans can attribute contention. A failure aborts the jobs after it
+// (those not yet started are skipped, in-flight ones drain); every job
+// before the first failure still runs. Every job that failed is
 // reported: the errors are joined in job-index order, so a sweep broken
 // on three benchmarks names all three, not just the first across the
 // finish line.
@@ -100,20 +264,23 @@ func fanOut[T any](workers, n int, run func(worker, i int) (T, error)) ([]T, err
 	}
 	jobCh := make(chan int)
 	resCh := make(chan result, n)
-	var failed atomic.Bool
+	var firstFailed atomic.Int64 // lowest failed index so far; n when none
+	firstFailed.Store(int64(n))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
 			for i := range jobCh {
-				if failed.Load() {
+				if int64(i) > firstFailed.Load() {
 					resCh <- result{index: i, err: errSkipped}
 					continue
 				}
 				v, err := run(worker, i)
-				if err != nil {
-					failed.Store(true)
+				for f := firstFailed.Load(); err != nil && int64(i) < f; f = firstFailed.Load() {
+					if firstFailed.CompareAndSwap(f, int64(i)) {
+						break
+					}
 				}
 				resCh <- result{index: i, val: v, err: err}
 			}
@@ -146,74 +313,16 @@ func fanOut[T any](workers, n int, run func(worker, i int) (T, error)) ([]T, err
 	return out, nil
 }
 
-// scope attributes spans for one sweep point; nil when recording is off.
-func (r *Runner) scope(j rowJob, worker int) *obs.Scope {
-	return r.Obs.Scope(j.bench.Name, j.level, worker)
-}
-
-// rows executes every job through the full flow, one Row per job, in job
-// order. Each job records a "job" span covering the whole sweep point.
-func (r *Runner) rows(jobs []rowJob) ([]Row, error) {
-	return fanOut(r.workers(), len(jobs), func(w, i int) (Row, error) {
-		if r.interrupted.Load() {
-			return Row{}, ErrInterrupted
-		}
-		sc := r.scope(jobs[i], w)
-		sp := sc.Start(obs.StageJob)
-		row, err := r.runOne(jobs[i], sc)
-		sp.End()
-		return row, err
-	})
-}
-
-// analyses builds each job's platform-independent core.Analysis through
-// the worker pool, in job order. Sweeps whose points differ only in
-// platform, area budget, or algorithm analyze once per benchmark here and
-// fan the points over core.Evaluate, which costs microseconds per call.
-func (r *Runner) analyses(jobs []rowJob) ([]*core.Analysis, error) {
-	return fanOut(r.workers(), len(jobs), func(w, i int) (*core.Analysis, error) {
-		if r.interrupted.Load() {
-			return nil, ErrInterrupted
-		}
-		j := jobs[i]
-		sc := r.scope(j, w)
-		sp := sc.Start(obs.StageJob)
-		defer sp.End()
-		img, err := core.Compile(j.bench, j.level, r.Caches, sc)
-		if err != nil {
-			return nil, err
-		}
-		a, err := core.AnalyzeScoped(img, j.opts, r.Caches, sc)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", j.bench.Name, err)
-		}
-		return a, nil
-	})
-}
-
 // errSkipped marks jobs abandoned after another job already failed.
 var errSkipped = fmt.Errorf("exper: skipped after earlier failure")
 
-// runOne executes the full flow for one sweep point.
-func (r *Runner) runOne(j rowJob, sc *obs.Scope) (Row, error) {
-	img, err := core.Compile(j.bench, j.level, r.Caches, sc)
-	if err != nil {
-		return Row{}, err
-	}
-	rep, err := core.RunScoped(img, j.opts, r.Caches, sc)
-	if err != nil {
-		return Row{}, fmt.Errorf("%s: %w", j.bench.Name, err)
-	}
-	return rowFrom(j, rep), nil
-}
-
 // rowFrom flattens one sweep point's Report into a Row.
-func rowFrom(j rowJob, rep *core.Report) Row {
-	_, failed := rep.Recovery.FailReasons[j.bench.KernelFunc]
+func rowFrom(pt point, rep *core.Report) Row {
+	_, failed := rep.Recovery.FailReasons[pt.bench.KernelFunc]
 	return Row{
-		Name:          j.bench.Name,
-		Suite:         j.bench.Suite,
-		OptLevel:      j.level,
+		Name:          pt.bench.Name,
+		Suite:         pt.bench.Suite,
+		OptLevel:      pt.level,
 		SWTimeMs:      rep.Metrics.SWTimeS * 1e3,
 		HWSWTimeMs:    rep.Metrics.HWSWTimeS * 1e3,
 		AppSpeedup:    rep.Metrics.AppSpeedup,

@@ -3,16 +3,18 @@
 // shared by the experiments CLI (cmd/experiments) and the benchmark
 // harness (bench_test.go at the repository root).
 //
-// Each experiment is a sweep over (benchmark, optimization level,
-// configuration) points. Sweeps whose points differ only in the platform,
-// area budget, or partitioning algorithm run analyze-once / evaluate-many:
-// each benchmark's platform-independent core.Analysis is built once (in
-// parallel across benchmarks) and every sweep point is a microsecond-scale
-// core.Evaluate call. Sweeps that vary analysis inputs (opt level, dopt
-// config, synthesis options) fan full-flow points over the pool instead.
-// Either way a Runner bounds the worker pool and reuses stage results
-// through the stage caches (see internal/cache). Row order — and
-// therefore every formatted table — is identical at any worker count.
+// Each experiment is a plan: the (benchmark, optimization level,
+// configuration) points it reads and a fold that builds its table from
+// their platform-independent core.Analysis values, with one
+// microsecond-scale core.Evaluate call per point and platform, area
+// budget or partitioning algorithm. Runner.Regenerate pools the points of
+// every experiment it is given, analyzes each distinct one once in a
+// single fan-out over a bounded worker pool, and folds each experiment
+// on the worker that lands its last analysis; the typed entries
+// (Runner.Table1 and the rest) run one experiment's plan the same way.
+// Stage results are reused through the stage caches (see
+// internal/cache). Row order — and therefore every formatted table — is
+// identical at any worker count.
 package exper
 
 import (
@@ -78,15 +80,13 @@ func summarize(rows []Row) Summary {
 	return s
 }
 
-// suiteJobs builds one job per benchmark at -O1 on the given platform.
-func suiteJobs(p platform.Platform) []rowJob {
-	jobs := make([]rowJob, 0, len(bench.All()))
+// suitePoints is one point per benchmark at -O1 on the default options.
+func suitePoints() []point {
+	pts := make([]point, 0, len(bench.All()))
 	for _, b := range bench.All() {
-		opts := core.DefaultOptions()
-		opts.Platform = p
-		jobs = append(jobs, rowJob{bench: b, level: 1, opts: opts})
+		pts = append(pts, point{bench: b, level: 1, opts: core.DefaultOptions()})
 	}
-	return jobs
+	return pts
 }
 
 // Table1 is the main-results experiment: all 20 benchmarks, -O1
@@ -99,16 +99,13 @@ type Table1 struct {
 }
 
 // Table1 executes the main-results experiment.
-func (r *Runner) Table1() (*Table1, error) {
-	return r.tableOn(platform.MIPS200)
-}
+func (r *Runner) Table1() (*Table1, error) { return runPlan(r, table1()) }
 
-func (r *Runner) tableOn(p platform.Platform) (*Table1, error) {
-	rows, err := r.rows(suiteJobs(p))
-	if err != nil {
-		return nil, err
-	}
-	return &Table1{Rows: rows, Summary: summarize(rows)}, nil
+func table1() plan[*Table1] {
+	return plan[*Table1]{suitePoints(), func(s sweep) *Table1 {
+		rows := s.rows()
+		return &Table1{Rows: rows, Summary: summarize(rows)}
+	}}
 }
 
 // Format renders the table.
@@ -141,26 +138,24 @@ type Table2 struct {
 }
 
 // Table2 executes the platform sweep analyze-once: the analysis stages
-// never observe the CPU clock, so each benchmark is analyzed once (the
-// fan-out) and every clock point is a microsecond core.Evaluate call.
-func (r *Runner) Table2() (*Table2, error) {
-	mhzs := []float64{40, 200, 400}
-	jobs := suiteJobs(platform.MIPS200)
-	as, err := r.analyses(jobs)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table2{}
-	for _, mhz := range mhzs {
-		p := platform.MIPS(mhz, platform.MIPS200.Device)
-		rows := make([]Row, len(jobs))
-		for i, a := range as {
-			rows[i] = rowFrom(jobs[i], core.EvaluateScoped(a, p, 0, jobs[i].opts.Algorithm, r.scope(jobs[i], 0)))
+// never observe the CPU clock, so it reads T1's analyses and every clock
+// point is a microsecond core.Evaluate call.
+func (r *Runner) Table2() (*Table2, error) { return runPlan(r, table2()) }
+
+func table2() plan[*Table2] {
+	return plan[*Table2]{suitePoints(), func(s sweep) *Table2 {
+		t := &Table2{}
+		for _, mhz := range []float64{40, 200, 400} {
+			p := platform.MIPS(mhz, platform.MIPS200.Device)
+			rows := make([]Row, len(s.points))
+			for i, pt := range s.points {
+				rows[i] = rowFrom(pt, s.eval(i, p, 0, pt.opts.Algorithm))
+			}
+			t.MHz = append(t.MHz, mhz)
+			t.Summaries = append(t.Summaries, summarize(rows))
 		}
-		t.MHz = append(t.MHz, mhz)
-		t.Summaries = append(t.Summaries, summarize(rows))
-	}
-	return t, nil
+		return t
+	}}
 }
 
 // Format renders the table.
@@ -185,18 +180,16 @@ type Table3 struct {
 }
 
 // Table3 executes the optimization-level experiment.
-func (r *Runner) Table3() (*Table3, error) {
-	var jobs []rowJob
+func (r *Runner) Table3() (*Table3, error) { return runPlan(r, table3()) }
+
+func table3() plan[*Table3] {
+	var pts []point
 	for _, b := range bench.OptSweepSet() {
 		for lvl := 0; lvl <= 3; lvl++ {
-			jobs = append(jobs, rowJob{bench: b, level: lvl, opts: core.DefaultOptions()})
+			pts = append(pts, point{bench: b, level: lvl, opts: core.DefaultOptions()})
 		}
 	}
-	rows, err := r.rows(jobs)
-	if err != nil {
-		return nil, err
-	}
-	return &Table3{Rows: rows}, nil
+	return plan[*Table3]{pts, func(s sweep) *Table3 { return &Table3{Rows: s.rows()} }}
 }
 
 // Format renders the table.
@@ -223,25 +216,21 @@ type Table4 struct {
 }
 
 // Table4 executes the recovery audit.
-func (r *Runner) Table4() (*Table4, error) {
-	var jobs []rowJob
-	for _, b := range bench.All() {
-		jobs = append(jobs, rowJob{bench: b, level: 1, opts: core.DefaultOptions()})
-	}
-	rows, err := r.rows(jobs)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table4{Rows: rows}
-	for _, row := range rows {
-		if row.KernelFailed {
-			t.Failed++
-			t.FailedList = append(t.FailedList, row.Name)
-		} else {
-			t.Recovered++
+func (r *Runner) Table4() (*Table4, error) { return runPlan(r, table4()) }
+
+func table4() plan[*Table4] {
+	return plan[*Table4]{suitePoints(), func(s sweep) *Table4 {
+		t := &Table4{Rows: s.rows()}
+		for _, row := range t.Rows {
+			if row.KernelFailed {
+				t.Failed++
+				t.FailedList = append(t.FailedList, row.Name)
+			} else {
+				t.Recovered++
+			}
 		}
-	}
-	return t, nil
+		return t
+	}}
 }
 
 // Format renders the table.
@@ -278,27 +267,26 @@ type Figure1 struct {
 
 // Figure1 executes the area sweep over the Virtex-II catalog analyze-
 // once: compilation, simulation, lift, and synthesis are all device-
-// independent, so each of the 20 benchmarks is analyzed once (the
-// fan-out) and each of the 11 devices costs one core.Evaluate call per
-// benchmark — partitioning plus platform evaluation, microseconds each.
-func (r *Runner) Figure1() (*Figure1, error) {
-	jobs := suiteJobs(platform.MIPS200)
-	as, err := r.analyses(jobs)
-	if err != nil {
-		return nil, err
-	}
-	f := &Figure1{}
-	for _, dev := range fpga.Catalog {
-		p := platform.MIPS(200, dev)
-		var sum float64
-		for i, a := range as {
-			sum += core.EvaluateScoped(a, p, 0, jobs[i].opts.Algorithm, r.scope(jobs[i], 0)).Metrics.AppSpeedup
+// independent, so it reads T1's analyses and each of the 11 devices
+// costs one core.Evaluate call per benchmark — partitioning plus
+// platform evaluation, microseconds each.
+func (r *Runner) Figure1() (*Figure1, error) { return runPlan(r, figure1()) }
+
+func figure1() plan[*Figure1] {
+	return plan[*Figure1]{suitePoints(), func(s sweep) *Figure1 {
+		f := &Figure1{}
+		for _, dev := range fpga.Catalog {
+			p := platform.MIPS(200, dev)
+			var sum float64
+			for i, pt := range s.points {
+				sum += s.eval(i, p, 0, pt.opts.Algorithm).Metrics.AppSpeedup
+			}
+			f.Devices = append(f.Devices, dev.Name)
+			f.Speedups = append(f.Speedups, sum/float64(len(s.points)))
+			f.Areas = append(f.Areas, fpga.Area{Slices: dev.Slices, Mult18: dev.Mult18}.GateEquivalent())
 		}
-		f.Devices = append(f.Devices, dev.Name)
-		f.Speedups = append(f.Speedups, sum/float64(len(as)))
-		f.Areas = append(f.Areas, fpga.Area{Slices: dev.Slices, Mult18: dev.Mult18}.GateEquivalent())
-	}
-	return f, nil
+		return f
+	}}
 }
 
 // Format renders the figure as an ASCII series.
@@ -328,31 +316,31 @@ type Ablation struct {
 }
 
 // PartitionerComparison compares partitioning algorithms over the suite
-// analyze-once: the candidate set is algorithm-independent, so each
-// benchmark is analyzed once and every algorithm is a core.Evaluate call
-// — which is also the honest way to time the partitioners themselves,
-// isolated from the heavy stages.
+// analyze-once: the candidate set is algorithm-independent, so it reads
+// T1's analyses and every algorithm is a core.Evaluate call — which is
+// also the honest way to time the partitioners themselves, isolated from
+// the heavy stages.
 func (r *Runner) PartitionerComparison() (*Ablation, error) {
-	algs := []core.Algorithm{core.AlgNinetyTen, core.AlgGreedy, core.AlgGCLP}
-	jobs := suiteJobs(platform.MIPS200)
-	as, err := r.analyses(jobs)
-	if err != nil {
-		return nil, err
-	}
-	a := &Ablation{}
-	for _, alg := range algs {
-		var sum float64
-		var ptime time.Duration
-		for i, an := range as {
-			rep := core.EvaluateScoped(an, jobs[i].opts.Platform, jobs[i].opts.AreaBudgetGates, alg, r.scope(jobs[i], 0))
-			sum += rep.Metrics.AppSpeedup
-			ptime += rep.PartitionTime
+	return runPlan(r, partitionerComparison())
+}
+
+func partitionerComparison() plan[*Ablation] {
+	return plan[*Ablation]{suitePoints(), func(s sweep) *Ablation {
+		a := &Ablation{}
+		for _, alg := range []core.Algorithm{core.AlgNinetyTen, core.AlgGreedy, core.AlgGCLP} {
+			var sum float64
+			var ptime time.Duration
+			for i, pt := range s.points {
+				rep := s.eval(i, pt.opts.Platform, pt.opts.AreaBudgetGates, alg)
+				sum += rep.Metrics.AppSpeedup
+				ptime += rep.PartitionTime
+			}
+			a.Names = append(a.Names, alg.String())
+			a.Speedups = append(a.Speedups, sum/float64(len(s.points)))
+			a.PartTimes = append(a.PartTimes, ptime/time.Duration(len(s.points)))
 		}
-		a.Names = append(a.Names, alg.String())
-		a.Speedups = append(a.Speedups, sum/float64(len(as)))
-		a.PartTimes = append(a.PartTimes, ptime/time.Duration(len(as)))
-	}
-	return a, nil
+		return a
+	}}
 }
 
 // Format renders the comparison.
@@ -375,7 +363,9 @@ type PassAblation struct {
 }
 
 // PassAblation toggles decompiler passes off one at a time.
-func (r *Runner) PassAblation() (*PassAblation, error) {
+func (r *Runner) PassAblation() (*PassAblation, error) { return runPlan(r, passAblation()) }
+
+func passAblation() plan[*PassAblation] {
 	cfgs := []struct {
 		name string
 		cfg  dopt.Config
@@ -389,7 +379,7 @@ func (r *Runner) PassAblation() (*PassAblation, error) {
 		{name: "no-pipeline", cfg: dopt.Config{}, syn: func(o *core.Options) { o.Synth.Pipeline = false }},
 		{name: "no-alias", cfg: dopt.Config{}, syn: func(o *core.Options) { o.Partition.SkipAliasStep = true }},
 	}
-	var jobs []rowJob
+	var pts []point
 	for _, c := range cfgs {
 		for _, b := range bench.OptSweepSet() {
 			opts := core.DefaultOptions()
@@ -397,27 +387,26 @@ func (r *Runner) PassAblation() (*PassAblation, error) {
 			if c.syn != nil {
 				c.syn(&opts)
 			}
-			jobs = append(jobs, rowJob{bench: b, level: 3, opts: opts})
+			pts = append(pts, point{bench: b, level: 3, opts: opts})
 		}
 	}
-	rows, err := r.rows(jobs)
-	if err != nil {
-		return nil, err
-	}
-	a := &PassAblation{}
-	per := len(bench.OptSweepSet())
-	for i, c := range cfgs {
-		var sum float64
-		var area int
-		for _, row := range rows[i*per : (i+1)*per] {
-			sum += row.AppSpeedup
-			area += row.AreaGates
+	return plan[*PassAblation]{pts, func(s sweep) *PassAblation {
+		rows := s.rows()
+		a := &PassAblation{}
+		per := len(bench.OptSweepSet())
+		for i, c := range cfgs {
+			var sum float64
+			var area int
+			for _, row := range rows[i*per : (i+1)*per] {
+				sum += row.AppSpeedup
+				area += row.AreaGates
+			}
+			a.Names = append(a.Names, c.name)
+			a.Speedups = append(a.Speedups, sum/float64(per))
+			a.Areas = append(a.Areas, area/per)
 		}
-		a.Names = append(a.Names, c.name)
-		a.Speedups = append(a.Speedups, sum/float64(per))
-		a.Areas = append(a.Areas, area/per)
-	}
-	return a, nil
+		return a
+	}}
 }
 
 // Format renders the ablation.
@@ -431,7 +420,8 @@ func (a *PassAblation) Format() string {
 }
 
 // Extension measures the indirect-jump (jump table) recovery extension:
-// the paper's two failing benchmarks, with and without recovery.
+// the paper's two failing benchmarks (bench.Benchmark.FailsRecovery),
+// with and without recovery.
 type Extension struct {
 	Names         []string
 	BaseSpeedups  []float64
@@ -441,13 +431,13 @@ type Extension struct {
 }
 
 // JumpTableExtension executes the extension experiment.
-func (r *Runner) JumpTableExtension() (*Extension, error) {
-	names := []string{"routelookup", "ttsprk"}
-	var jobs []rowJob
-	for _, name := range names {
-		b, ok := bench.ByName(name)
-		if !ok {
-			return nil, fmt.Errorf("missing benchmark %s", name)
+func (r *Runner) JumpTableExtension() (*Extension, error) { return runPlan(r, jumpTableExtension()) }
+
+func jumpTableExtension() plan[*Extension] {
+	var pts []point
+	for _, b := range bench.All() {
+		if !b.FailsRecovery {
+			continue
 		}
 		// The baseline reproduces the paper's flow, where indirect
 		// jumps defeat CDFG recovery; the default options have the
@@ -456,22 +446,21 @@ func (r *Runner) JumpTableExtension() (*Extension, error) {
 		base.RecoverJumpTables = false
 		ext := core.DefaultOptions()
 		ext.RecoverJumpTables = true
-		jobs = append(jobs, rowJob{bench: b, level: 1, opts: base}, rowJob{bench: b, level: 1, opts: ext})
+		pts = append(pts, point{bench: b, level: 1, opts: base}, point{bench: b, level: 1, opts: ext})
 	}
-	rows, err := r.rows(jobs)
-	if err != nil {
-		return nil, err
-	}
-	e := &Extension{}
-	for i, name := range names {
-		base, ext := rows[2*i], rows[2*i+1]
-		e.Names = append(e.Names, name)
-		e.BaseSpeedups = append(e.BaseSpeedups, base.AppSpeedup)
-		e.ExtSpeedups = append(e.ExtSpeedups, ext.AppSpeedup)
-		e.BaseRecovered = append(e.BaseRecovered, !base.KernelFailed)
-		e.ExtRecovered = append(e.ExtRecovered, !ext.KernelFailed)
-	}
-	return e, nil
+	return plan[*Extension]{pts, func(s sweep) *Extension {
+		rows := s.rows()
+		e := &Extension{}
+		for i := 0; i < len(rows); i += 2 {
+			base, ext := rows[i], rows[i+1]
+			e.Names = append(e.Names, base.Name)
+			e.BaseSpeedups = append(e.BaseSpeedups, base.AppSpeedup)
+			e.ExtSpeedups = append(e.ExtSpeedups, ext.AppSpeedup)
+			e.BaseRecovered = append(e.BaseRecovered, !base.KernelFailed)
+			e.ExtRecovered = append(e.ExtRecovered, !ext.KernelFailed)
+		}
+		return e
+	}}
 }
 
 // Format renders the extension experiment.

@@ -2,11 +2,14 @@ package exper
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
+	"binpart/internal/bench"
 	"binpart/internal/core"
 )
 
@@ -153,14 +156,31 @@ func TestAnalyzeOnceSweepsMatchSerial(t *testing.T) {
 }
 
 // TestRunnerErrorPropagation checks that a failing sweep point aborts the
-// fan-out and surfaces its error.
+// run and surfaces its error named after the first experiment that reads
+// it, while every experiment listed before that one still renders, at
+// any worker count.
 func TestRunnerErrorPropagation(t *testing.T) {
-	r := NewRunner(4, nil)
-	jobs := make([]rowJob, 6)
-	for i := range jobs {
-		jobs[i] = rowJob{level: 99} // invalid opt level: compile must fail
+	crc, _ := bench.ByName("crc")
+	good := func(level int) point { return point{bench: crc, level: level, opts: core.DefaultOptions()} }
+	bad := point{bench: crc, level: 99, opts: core.DefaultOptions()} // invalid opt level: compile must fail
+	count := func(pts ...point) func() plan[string] {
+		return func() plan[string] {
+			return plan[string]{pts, func(s sweep) string { return fmt.Sprint(len(s.rows()), " rows") }}
+		}
 	}
-	if _, err := r.rows(jobs); err == nil {
-		t.Fatal("invalid jobs produced no error")
+	es := []Experiment{
+		{"table", 1, count(good(1), good(2))},
+		{"table", 2, count(good(1), bad)},
+		{"table", 3, count(good(3))},
+		{"figure", 1, count(bad)},
+	}
+	for _, workers := range []int{1, 4} {
+		texts, err := NewRunner(workers, core.NewCaches()).Regenerate(es)
+		if err == nil || !strings.HasPrefix(err.Error(), "table 2: ") || !strings.Contains(err.Error(), "99") {
+			t.Errorf("-j %d: error %v, want it to name table 2 and the bad level", workers, err)
+		}
+		if fmt.Sprint(texts) != "[2 rows]" {
+			t.Errorf("-j %d: texts %q, want only table 1's", workers, texts)
+		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"binpart/internal/binimg"
 	"binpart/internal/core"
 	"binpart/internal/obs"
 )
@@ -99,27 +100,65 @@ func stageCounts(rec *obs.Recorder) map[string]int {
 }
 
 // TestParallelSpanCountsMatchSerial checks that fan-out width never
-// changes what the trace claims happened: a stage executes once per
-// distinct cache key no matter how many workers race (coalesced waiters
-// record wait spans, not duplicate computes), so the per-stage span
-// counts of an 8-worker sweep equal a serial run's.
+// changes what the trace claims happened in a full default regeneration:
+// every experiment's distinct points run as one job each, a stage
+// executes once per distinct cache key no matter how many workers race
+// (coalesced waiters record wait spans, not duplicate computes), so the
+// per-stage span counts at -j 8 equal a serial run's, and the spans
+// reconcile with the cache counters at both widths. The analysis cache
+// misses once per distinct (image, analysis options) pair; a hit means
+// two distinct points compiled to one image (fir's -O1 and -O2 binaries
+// are byte-identical), never that two experiments analyzed one point.
 func TestParallelSpanCountsMatchSerial(t *testing.T) {
-	serial := NewRunner(1, core.NewCaches())
-	serial.Obs = obs.NewRecorder()
-	if _, err := serial.Table3(); err != nil {
-		t.Fatal(err)
+	plans := make([]plan[string], len(Experiments))
+	for i, e := range Experiments {
+		plans[i] = e.plan()
+	}
+	pts, _ := distinct(plans)
+	// T1's 20 -O1 points (which T2, T4, F1 and A1 read too), T3's 12 at
+	// the other levels, A2's 24 off its "full" row, E1's 2 paper-flow ones.
+	if len(pts) != 58 {
+		t.Errorf("%d distinct points, want 58", len(pts))
+	}
+	type analysisKey struct {
+		img  binimg.Digest
+		opts core.Options
+	}
+	keys := map[analysisKey]bool{}
+	for _, pt := range pts {
+		img, err := pt.bench.Compile(pt.level)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys[analysisKey{img.Key(), core.AnalysisOptions(pt.opts)}] = true
 	}
 
-	parallel := NewRunner(8, core.NewCaches())
-	parallel.Obs = obs.NewRecorder()
-	if _, err := parallel.Table3(); err != nil {
-		t.Fatal(err)
-	}
-
-	want := stageCounts(serial.Obs)
-	got := stageCounts(parallel.Obs)
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Errorf("per-stage span counts differ: serial %v, parallel %v", want, got)
+	var want map[string]int
+	for _, workers := range []int{1, 8} {
+		caches := core.NewCaches()
+		r := NewRunner(workers, caches)
+		r.Obs = obs.NewRecorder()
+		if _, err := r.Regenerate(Experiments); err != nil {
+			t.Fatal(err)
+		}
+		stats := caches.StatsMap()
+		if err := r.Obs.Reconcile(stats); err != nil {
+			t.Errorf("-j %d: %v", workers, err)
+		}
+		got := stageCounts(r.Obs)
+		if got[obs.StageJob] != len(pts) {
+			t.Errorf("-j %d: %d job spans, want one per distinct point (%d)", workers, got[obs.StageJob], len(pts))
+		}
+		a := stats["analysis"]
+		if a.Misses != uint64(len(keys)) || a.Hits != uint64(len(pts)-len(keys)) {
+			t.Errorf("-j %d: analysis cache %d misses + %d hits, want %d + %d (distinct analyses + points sharing an image)",
+				workers, a.Misses, a.Hits, len(keys), len(pts)-len(keys))
+		}
+		if want == nil {
+			want = got
+		} else if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("per-stage span counts differ: serial %v, -j %d %v", want, workers, got)
+		}
 	}
 }
 
