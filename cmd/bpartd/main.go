@@ -6,9 +6,12 @@
 //	POST /v1/sweep      {"bench":"crc","sweep":"devices",...} -> per-point results as
 //	                    chunked ndjson (header line, one line per point, done line)
 //
-// The report text inside the responses is byte-identical to what the
-// bparts CLI prints for the same inputs — both render through
-// core.RenderReport and friends.
+// The body's platform, algorithm, budget, granularity, jump-table and
+// sweep fields are a core.Request, the model bparts fills from its flags;
+// bpartd's own -mhz, -device and -alg fill one too, for the defaults a
+// request overrides. The report text inside the responses is
+// byte-identical to what the bparts CLI prints for the same inputs — both
+// render through core.RenderReport and core.Sweep.
 //
 // Serving backbone: a bounded admission queue (-queue; full returns 429
 // with Retry-After), a bounded execution pool (-inflight), and a
@@ -39,8 +42,6 @@ import (
 	"time"
 
 	"binpart/internal/core"
-	"binpart/internal/fpga"
-	"binpart/internal/platform"
 	"binpart/internal/session"
 )
 
@@ -52,9 +53,11 @@ func main() {
 	inflight := flag.Int("inflight", runtime.GOMAXPROCS(0), "execution bound: max requests partitioning concurrently")
 	deadline := flag.Duration("deadline", 30*time.Second, "per-request deadline (admission wait + compute)")
 	drain := flag.Duration("drain", 10*time.Second, "shutdown budget for draining in-flight requests")
-	mhz := flag.Float64("mhz", 200, "default CPU clock in MHz (request \"mhz\" overrides)")
-	device := flag.String("device", "XC2V2000", "default Virtex-II device (request \"device\" overrides)")
-	alg := flag.String("alg", "90-10", "default partitioning algorithm (request \"alg\" overrides)")
+	def := core.DefaultOptions()
+	req := core.Request{MHz: new(float64)}
+	flag.Float64Var(req.MHz, "mhz", def.Platform.CPUMHz, "default CPU clock in MHz (request \"mhz\" overrides)")
+	flag.StringVar(&req.Device, "device", def.Platform.Device.Name, "default Virtex-II device (request \"device\" overrides)")
+	flag.StringVar(&req.Alg, "alg", def.Algorithm.String(), "default partitioning algorithm (request \"alg\" overrides)")
 	sf := session.Register(flag.CommandLine, "ops-addr", "serve /healthz, /readyz, /metrics, pprof on this address")
 	flag.Parse()
 
@@ -62,22 +65,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bpartd:", err)
 		os.Exit(1)
 	}
-	usage := func(name string, err error) {
-		fmt.Fprintf(os.Stderr, "bpartd: -%s: %v\n", name, err)
-		os.Exit(2)
-	}
-	if err := platform.CheckMHz(*mhz); err != nil {
-		usage("mhz", err)
-	}
-
-	dev, err := fpga.ByName(*device)
+	opts, err := req.Options(def)
 	if err != nil {
-		usage("device", err)
-	}
-	opts := core.DefaultOptions()
-	opts.Platform = platform.MIPS(*mhz, dev)
-	if opts.Algorithm, err = core.ParseAlgorithm(*alg); err != nil {
-		usage("alg", err)
+		fmt.Fprintf(os.Stderr, "bpartd: -%v\n", err)
+		os.Exit(2)
 	}
 
 	// The session watches signals from before the listeners open: a

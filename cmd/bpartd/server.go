@@ -7,16 +7,14 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"binpart/internal/bench"
 	"binpart/internal/binimg"
 	"binpart/internal/core"
-	"binpart/internal/fpga"
 	"binpart/internal/freelist"
 	"binpart/internal/mcc"
 	"binpart/internal/obs"
@@ -26,24 +24,15 @@ import (
 
 // apiRequest is the body of both /v1/partition and /v1/sweep. Either a
 // benchmark name (compiled through the compile cache) or a raw SBF
-// image (base64 in JSON) names the binary; the platform/budget fields
-// override the daemon's defaults when present.
+// image (base64 in JSON) names the binary; the embedded core.Request's
+// fields override the daemon's defaults when present, and its sweep mode
+// picks the route.
 type apiRequest struct {
-	Bench string `json:"bench,omitempty"`
-	Opt   int    `json:"opt,omitempty"`
-	SBF   []byte `json:"sbf,omitempty"`
-
-	MHz             *float64 `json:"mhz,omitempty"`
-	Device          string   `json:"device,omitempty"`
-	Alg             string   `json:"alg,omitempty"`
-	AreaBudgetGates *int     `json:"area_budget_gates,omitempty"`
-	Whole           bool     `json:"whole,omitempty"`
-	JumpTables      *bool    `json:"jumptables,omitempty"`
-	Structure       bool     `json:"structure,omitempty"`
-
-	// Sweep selects /v1/sweep's mode: "devices" or "clocks".
-	Sweep  string    `json:"sweep,omitempty"`
-	Clocks []float64 `json:"clocks,omitempty"`
+	Bench     string `json:"bench,omitempty"`
+	Opt       int    `json:"opt,omitempty"`
+	SBF       []byte `json:"sbf,omitempty"`
+	Structure bool   `json:"structure,omitempty"`
+	core.Request
 }
 
 // metricsJSON is the priced summary embedded in responses.
@@ -112,7 +101,7 @@ type daemon struct {
 	draining atomic.Bool
 
 	served                                   atomic.Uint64
-	codes                                    [2]syncCounters // indexed by route
+	codes                                    [2][len(routeCodes)]atomic.Uint64 // per route, per routeCodes entry
 	rejectQueue, rejectDrain, rejectDeadline atomic.Uint64
 	lat                                      [2]hist.Histogram
 
@@ -129,32 +118,15 @@ const (
 var routeNames = [2]string{"partition", "sweep"}
 
 // routeCodes are the response codes the API routes answer with (fail and
-// admit produce every one but 200). Every {route, code} series is
-// registered at zero by newDaemon, so each bpartd family is present from
-// the first /metrics scrape, before any request has completed.
-var routeCodes = []int{http.StatusOK, http.StatusBadRequest, http.StatusRequestEntityTooLarge,
+// admit produce every one but 200). Each route counts every one of them
+// from zero, so each bpartd family is present from the first /metrics
+// scrape, before any request has completed.
+var routeCodes = [...]int{http.StatusOK, http.StatusBadRequest, http.StatusRequestEntityTooLarge,
 	http.StatusTooManyRequests, http.StatusServiceUnavailable}
 
-// syncCounters tallies response codes for one route.
-type syncCounters struct {
-	mu sync.Mutex
-	m  map[int]uint64
-}
-
-func (c *syncCounters) add(code int) {
-	c.mu.Lock()
-	c.m[code]++
-	c.mu.Unlock()
-}
-
-func (c *syncCounters) snapshot() map[int]uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[int]uint64, len(c.m))
-	for k, v := range c.m {
-		out[k] = v
-	}
-	return out
+// count tallies an answer on route with code, one of routeCodes.
+func (d *daemon) count(route, code int) {
+	d.codes[route][slices.Index(routeCodes[:], code)].Add(1)
 }
 
 func newDaemon(cfg daemonConfig) *daemon {
@@ -181,12 +153,6 @@ func newDaemon(cfg daemonConfig) *daemon {
 	for i := 0; i < cfg.Inflight; i++ {
 		d.slots <- i
 	}
-	for r := range d.codes {
-		d.codes[r].m = make(map[int]uint64, len(routeCodes))
-		for _, code := range routeCodes {
-			d.codes[r].m[code] = 0
-		}
-	}
 	return d
 }
 
@@ -194,8 +160,8 @@ func newDaemon(cfg daemonConfig) *daemon {
 // (also mounted on the ops listener, so probes work against either).
 func (d *daemon) Mux() *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/partition", d.handlePartition)
-	mux.HandleFunc("/v1/sweep", d.handleSweep)
+	mux.HandleFunc("/v1/partition", func(w http.ResponseWriter, r *http.Request) { d.serve(w, r, routePartition) })
+	mux.HandleFunc("/v1/sweep", func(w http.ResponseWriter, r *http.Request) { d.serve(w, r, routeSweep) })
 	mux.HandleFunc("/healthz", d.handleHealthz)
 	mux.HandleFunc("/readyz", d.handleReadyz)
 	return mux
@@ -224,33 +190,39 @@ func (d *daemon) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 // (429 + Retry-After when full), then an execution slot. The wait for a
 // slot is bounded by what is left of the request deadline, counted from
 // start, and by the client's context; the timer for it is created only
-// when no slot is free. On success the caller owns a slot and must call
-// the returned release.
-func (d *daemon) admit(w http.ResponseWriter, r *http.Request, route int, start time.Time) (release func(), worker int, ok bool) {
+// when no slot is free. On success the caller owns slot worker and must
+// hand it back with release.
+func (d *daemon) admit(w http.ResponseWriter, r *http.Request, route int, start time.Time) (worker int, ok bool) {
 	if d.draining.Load() {
 		d.rejectDrain.Add(1)
-		d.codes[route].add(http.StatusServiceUnavailable)
+		d.count(route, http.StatusServiceUnavailable)
 		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return nil, 0, false
+		return 0, false
 	}
 	select {
 	case d.queue <- struct{}{}:
 	default:
 		d.rejectQueue.Add(1)
-		d.codes[route].add(http.StatusTooManyRequests)
+		d.count(route, http.StatusTooManyRequests)
 		w.Header().Set("Retry-After", "1")
 		http.Error(w, "queue full", http.StatusTooManyRequests)
-		return nil, 0, false
+		return 0, false
 	}
 	wkr, ok := d.slot(r, start)
 	if !ok {
 		<-d.queue
 		d.rejectDeadline.Add(1)
-		d.codes[route].add(http.StatusServiceUnavailable)
+		d.count(route, http.StatusServiceUnavailable)
 		http.Error(w, "deadline waiting for a slot", http.StatusServiceUnavailable)
-		return nil, 0, false
+		return 0, false
 	}
-	return func() { d.slots <- wkr; <-d.queue }, wkr, true
+	return wkr, true
+}
+
+// release hands back an admitted request's slot and queue place.
+func (d *daemon) release(worker int) {
+	d.slots <- worker
+	<-d.queue
 }
 
 // slot takes a free execution slot, waiting at most until the request
@@ -302,13 +274,14 @@ func (d *daemon) fail(w http.ResponseWriter, route int, err error) {
 	if errors.As(err, new(*http.MaxBytesError)) {
 		code, msg = http.StatusRequestEntityTooLarge, fmt.Sprintf("request body over the %d MiB limit", maxBodyBytes>>20)
 	}
-	d.codes[route].add(code)
+	d.count(route, code)
 	http.Error(w, msg, code)
 }
 
 // decode parses and validates the request body against the daemon's
 // default options. The body is read into buf, which the caller owns and
-// may reuse once decode returns: nothing decoded aliases it.
+// may reuse once decode returns: nothing decoded aliases it. The request
+// is usable only when the error is nil.
 func (d *daemon) decode(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer) (*apiRequest, core.Options, error) {
 	var req apiRequest
 	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
@@ -324,41 +297,8 @@ func (d *daemon) decode(w http.ResponseWriter, r *http.Request, buf *bytes.Buffe
 		return nil, core.Options{}, fmt.Errorf("opt %d out of range 0-%d", req.Opt, mcc.MaxOptLevel)
 	}
 
-	var err error
-	opts := d.opts
-	if req.MHz != nil || req.Device != "" {
-		mhz := opts.Platform.CPUMHz
-		if req.MHz != nil {
-			if err := platform.CheckMHz(*req.MHz); err != nil {
-				return nil, core.Options{}, err
-			}
-			mhz = *req.MHz
-		}
-		dev := opts.Platform.Device
-		if req.Device != "" {
-			if dev, err = fpga.ByName(req.Device); err != nil {
-				return nil, core.Options{}, err
-			}
-		}
-		opts.Platform = platform.MIPS(mhz, dev)
-	}
-	if req.Alg != "" {
-		if opts.Algorithm, err = core.ParseAlgorithm(req.Alg); err != nil {
-			return nil, core.Options{}, err
-		}
-	}
-	if b := req.AreaBudgetGates; b != nil && *b < 0 {
-		return nil, core.Options{}, fmt.Errorf("area_budget_gates %d is negative", *b)
-	} else if b != nil && *b > 0 {
-		opts.AreaBudgetGates = *b
-	}
-	if req.Whole {
-		opts.Granularity = core.GranFunctions
-	}
-	if req.JumpTables != nil {
-		opts.RecoverJumpTables = *req.JumpTables
-	}
-	return &req, opts, nil
+	opts, err := req.Options(d.opts)
+	return &req, opts, err
 }
 
 // image resolves the request's binary: a raw SBF image, or a benchmark
@@ -376,21 +316,28 @@ func (d *daemon) image(req *apiRequest, sc *obs.Scope) (*binimg.Image, error) {
 	return core.Compile(b, req.Opt, d.caches, sc)
 }
 
-// jobName labels the request's spans.
-func (req *apiRequest) jobName() string {
-	if req.Bench != "" {
-		return req.Bench
-	}
-	return "sbf"
+// call is an admitted, decoded request whose binary is resolved, as both
+// routes price it. Its scope and job span travel beside it, not in it,
+// so that they stay off the heap.
+type call struct {
+	req   *apiRequest
+	opts  core.Options
+	img   *binimg.Image
+	buf   *bytes.Buffer // held the body; free for the response
+	start time.Time
 }
 
-func (d *daemon) handlePartition(w http.ResponseWriter, r *http.Request) {
+// serve is both routes' prologue and epilogue: admit, decode, and resolve
+// the binary under the request's job span, then have the route's own
+// function price it, end the span and answer. serve answers every request
+// it refuses on the way and counts each one served.
+func (d *daemon) serve(w http.ResponseWriter, r *http.Request, route int) {
 	start := time.Now()
-	release, worker, ok := d.admit(w, r, routePartition, start)
+	worker, ok := d.admit(w, r, route, start)
 	if !ok {
 		return
 	}
-	defer release()
+	defer d.release(worker)
 	if d.gate != nil {
 		d.gate()
 	}
@@ -398,28 +345,51 @@ func (d *daemon) handlePartition(w http.ResponseWriter, r *http.Request) {
 	buf := bufs.Get()
 	defer putBuf(buf)
 	req, opts, err := d.decode(w, r, buf)
+	if err == nil && (req.Sweep != "") != (route == routeSweep) {
+		err = errors.New(`/v1/sweep takes a "sweep" of devices or clocks; /v1/partition takes none`)
+	}
 	if err != nil {
-		d.fail(w, routePartition, err)
+		d.fail(w, route, err)
 		return
 	}
 	if d.overDeadline(start) {
-		d.codes[routePartition].add(http.StatusServiceUnavailable)
+		d.count(route, http.StatusServiceUnavailable)
 		http.Error(w, "deadline", http.StatusServiceUnavailable)
 		return
 	}
-	sc := d.rec.Scope(req.jobName(), req.Opt, worker)
+	name := req.Bench // labels the request's spans
+	if name == "" {
+		name = "sbf"
+	}
+	sc := d.rec.Scope(name, req.Opt, worker)
 	sp := sc.Start(obs.StageJob)
-	rep, err := func() (*core.Report, error) {
-		img, err := d.image(req, sc)
-		if err != nil {
-			return nil, err
-		}
-		return core.RunScoped(img, opts, d.caches, sc)
-	}()
+	c := call{req: req, opts: opts, buf: buf, start: start}
+	if c.img, err = d.image(req, sc); err != nil {
+		sp.End()
+		d.fail(w, route, err)
+		return
+	}
+	served := false
+	switch route {
+	case routePartition:
+		served = d.partition(w, c, sc, &sp)
+	case routeSweep:
+		served = d.sweep(w, r, c, sc, &sp)
+	}
+	if served {
+		d.count(route, http.StatusOK)
+		d.served.Add(1)
+		d.lat[route].Record(time.Since(start))
+	}
+}
+
+// partition answers /v1/partition with the priced report.
+func (d *daemon) partition(w http.ResponseWriter, c call, sc *obs.Scope, sp *obs.Span) bool {
+	rep, err := core.RunScoped(c.img, c.opts, d.caches, sc)
 	sp.End()
 	if err != nil {
 		d.fail(w, routePartition, err)
-		return
+		return false
 	}
 
 	selected := 0
@@ -428,112 +398,56 @@ func (d *daemon) handlePartition(w http.ResponseWriter, r *http.Request) {
 			selected++
 		}
 	}
+	buf := c.buf
 	buf.Reset()
 	resp := partitionResponse{
-		Report:    string(core.AppendReport(buf.AvailableBuffer(), rep, req.Structure)),
+		Report:    string(core.AppendReport(buf.AvailableBuffer(), rep, c.req.Structure)),
 		Metrics:   metricsFrom(rep.Metrics),
 		Selected:  selected,
 		SWCycles:  rep.SWCycles,
 		ExitCode:  rep.ExitCode,
-		ElapsedUS: time.Since(start).Microseconds(),
+		ElapsedUS: time.Since(c.start).Microseconds(),
 	}
 	json.NewEncoder(buf).Encode(resp) //nolint:errcheck // fails only on a non-finite metric, leaving buf empty
 	h := w.Header()
 	h.Set("Content-Type", "application/json")
 	h.Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.Write(buf.Bytes()) //nolint:errcheck // client went away
-	d.codes[routePartition].add(http.StatusOK)
-	d.served.Add(1)
-	d.lat[routePartition].Record(time.Since(start))
+	return true
 }
 
-func (d *daemon) handleSweep(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	release, worker, ok := d.admit(w, r, routeSweep, start)
-	if !ok {
-		return
-	}
-	defer release()
-	if d.gate != nil {
-		d.gate()
-	}
-
-	buf := bufs.Get()
-	req, opts, err := d.decode(w, r, buf)
-	putBuf(buf)
-	if err != nil {
-		d.fail(w, routeSweep, err)
-		return
-	}
-	if req.Sweep != "devices" && req.Sweep != "clocks" {
-		d.fail(w, routeSweep, fmt.Errorf("unknown sweep mode %q (want devices or clocks)", req.Sweep))
-		return
-	}
-	if req.AreaBudgetGates != nil {
-		d.fail(w, routeSweep, errors.New("area_budget_gates does not apply to a sweep: every point is priced at its device's full capacity"))
-		return
-	}
-	if req.Sweep == "clocks" && len(req.Clocks) == 0 {
-		req.Clocks = []float64{40, 100, 200, 400}
-	}
-	for _, mhz := range req.Clocks {
-		if err := platform.CheckMHz(mhz); err != nil {
-			d.fail(w, routeSweep, fmt.Errorf("clocks: %w", err))
-			return
-		}
-	}
-
-	sc := d.rec.Scope(req.jobName(), req.Opt, worker)
-	sp := sc.Start(obs.StageJob)
-	a, err := func() (*core.Analysis, error) {
-		img, err := d.image(req, sc)
-		if err != nil {
-			return nil, err
-		}
-		return core.AnalyzeScoped(img, opts, d.caches, sc)
-	}()
+// sweep answers /v1/sweep with an ndjson stream: header chunk, one chunk
+// per priced point, done trailer. Each chunk is flushed so clients see
+// points as they arrive.
+func (d *daemon) sweep(w http.ResponseWriter, r *http.Request, c call, sc *obs.Scope, sp *obs.Span) bool {
+	a, err := core.AnalyzeScoped(c.img, c.opts, d.caches, sc)
 	if err != nil {
 		sp.End()
 		d.fail(w, routeSweep, err)
-		return
+		return false
 	}
+	header, pts := core.Sweep(a, c.opts, c.req.Sweep, c.req.Clocks, sc)
+	sp.End()
 
-	// Stream: header chunk, one chunk per priced point, done trailer.
-	// Each chunk is flushed so clients see points as they are priced.
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)
-	fl, _ := w.(http.Flusher)
-	flush := func() {
-		if fl != nil {
-			fl.Flush()
-		}
-	}
-	enc.Encode(sweepChunk{Header: core.RenderSweepHeader(req.Sweep, opts)}) //nolint:errcheck // stream errors surface on later writes
+	// A writer that cannot flush sends the stream when the handler returns.
+	flush := http.NewResponseController(w).Flush
+	enc.Encode(sweepChunk{Header: header}) //nolint:errcheck // stream errors surface on later writes
 	flush()
-	var pts []core.SweepPoint
-	if req.Sweep == "devices" {
-		pts = core.DeviceSweepPoints(a, opts, sc)
-	} else {
-		pts = core.ClockSweepPoints(a, opts, req.Clocks, sc)
-	}
-	sp.End()
-	n := 0
 	for _, pt := range pts {
-		if r.Context().Err() != nil || d.overDeadline(start) {
-			return // client gone or out of time: stop streaming
+		if r.Context().Err() != nil || d.overDeadline(c.start) {
+			return false // client gone or out of time: stop streaming
 		}
 		m := metricsFrom(pt.Rep.Metrics)
 		if err := enc.Encode(sweepChunk{Label: pt.Label, Text: pt.Text, Metrics: &m}); err != nil {
-			return
+			return false
 		}
 		flush()
-		n++
 	}
-	enc.Encode(sweepChunk{Done: true, Points: n}) //nolint:errcheck // trailer is best-effort
+	enc.Encode(sweepChunk{Done: true, Points: len(pts)}) //nolint:errcheck // trailer is best-effort
 	flush()
-	d.codes[routeSweep].add(http.StatusOK)
-	d.served.Add(1)
-	d.lat[routeSweep].Record(time.Since(start))
+	return true
 }
 
 // WriteMetrics appends the daemon's serving families to the shared
@@ -541,15 +455,9 @@ func (d *daemon) handleSweep(w http.ResponseWriter, r *http.Request) {
 func (d *daemon) WriteMetrics(w io.Writer) {
 	p := hist.NewProm(w)
 	for route, name := range routeNames {
-		counts := d.codes[route].snapshot()
-		codes := make([]int, 0, len(counts))
-		for code := range counts {
-			codes = append(codes, code)
-		}
-		sort.Ints(codes)
-		for _, code := range codes {
+		for i, code := range routeCodes {
 			p.Counter("bpartd_requests_total",
-				hist.Labels(hist.Label("route", name), hist.Label("code", fmt.Sprint(code))), float64(counts[code]))
+				hist.Labels(hist.Label("route", name), hist.Label("code", fmt.Sprint(code))), float64(d.codes[route][i].Load()))
 		}
 	}
 	p.Counter("bpartd_rejected_total", hist.Label("reason", "queue"), float64(d.rejectQueue.Load()))

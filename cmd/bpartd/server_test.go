@@ -151,7 +151,7 @@ func TestPartitionBodyIsMarshaledResponse(t *testing.T) {
 	mhz := 400.0
 	for i, req := range []apiRequest{
 		{Bench: "matmul", Opt: 2, Structure: true},
-		{Bench: "crc", Opt: 1, MHz: &mhz, Device: "XC2V1000", Alg: "greedy"},
+		{Bench: "crc", Opt: 1, Request: core.Request{MHz: &mhz, Device: "XC2V1000", Alg: "greedy"}},
 		{Bench: "matmul", Opt: 2, Structure: true},
 		{Bench: "brev"},
 	} {
@@ -227,14 +227,15 @@ func TestSweepStreamMatchesCLI(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want strings.Builder
-	want.WriteString(core.RenderSweepHeader("devices", opts))
+	header, pts := core.Sweep(a, opts, "devices", nil, nil)
+	want.WriteString(header)
 	wantPoints := 0
-	for _, pt := range core.DeviceSweepPoints(a, opts, nil) {
+	for _, pt := range pts {
 		want.WriteString(pt.Text)
 		wantPoints++
 	}
 
-	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/sweep", apiRequest{Bench: "crc", Opt: 1, Sweep: "devices"})
+	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/sweep", apiRequest{Bench: "crc", Opt: 1, Request: core.Request{Sweep: "devices"}})
 	if resp == nil {
 		return
 	}

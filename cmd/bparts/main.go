@@ -14,9 +14,12 @@
 // one stage cache (identical binaries lift once); reports print in
 // argument order regardless of completion order.
 //
-// The sweep modes analyze each binary once (profile, decompile,
-// synthesize) and price every sweep point with core.Evaluate, so a
-// full-catalog sweep costs barely more than a single run.
+// The platform, algorithm, granularity, jump-table and sweep flags fill a
+// core.Request, the model bpartd decodes its JSON body into, so both
+// front ends check and apply the same choices the same way. The sweep
+// modes analyze each binary once (profile, decompile, synthesize) and
+// price every sweep point with core.Sweep, so a full-catalog sweep costs
+// barely more than a single run.
 //
 // Observability: -trace streams per-stage spans as JSONL (a .gz path
 // gzip-compresses), -stats prints the per-stage and cache tables with
@@ -43,9 +46,7 @@ import (
 
 	"binpart/internal/binimg"
 	"binpart/internal/core"
-	"binpart/internal/fpga"
 	"binpart/internal/obs"
-	"binpart/internal/platform"
 	"binpart/internal/session"
 	"binpart/internal/vhdl"
 )
@@ -63,17 +64,11 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("bparts", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	mhz := fs.Float64("mhz", 200, "CPU clock in MHz")
-	device := fs.String("device", "XC2V2000", "Virtex-II device")
-	alg := fs.String("alg", "90-10", "partitioning algorithm: 90-10, greedy, gclp")
-	whole := fs.Bool("whole", false, "partition whole call-free functions instead of loops")
+	req := requestFlags(fs)
 	structure := fs.Bool("structure", false, "print recovered control structure per function")
-	jumpTables := fs.Bool("jumptables", true, "recover switch jump tables at indirect jumps (=false reproduces the paper's failures)")
 	vhdlDir := fs.String("vhdl", "", "directory to write VHDL for selected regions")
 	workers := fs.Int("j", runtime.GOMAXPROCS(0), "worker pool size when partitioning several binaries")
 	sf := session.Register(fs, "debug-addr", "serve net/pprof + Prometheus /metrics on this address (e.g. :6060)")
-	sweep := fs.String("sweep", "", "sweep mode: devices (Virtex-II catalog) or clocks (see -clocks)")
-	clockList := fs.String("clocks", "40,100,200,400", "CPU clocks in MHz for -sweep clocks")
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
 			return 0
@@ -88,44 +83,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
-	usage := func(name string, err error) int {
-		fmt.Fprintf(stderr, "bparts: -%s: %v\n", name, err)
-		return 2
-	}
-	if err := platform.CheckMHz(*mhz); err != nil {
-		return usage("mhz", err)
-	}
-
-	dev, err := fpga.ByName(*device)
+	opts, err := req.Options(core.DefaultOptions())
 	if err != nil {
-		return usage("device", err)
-	}
-	opts := core.DefaultOptions()
-	opts.Platform = platform.MIPS(*mhz, dev)
-	if opts.Algorithm, err = core.ParseAlgorithm(*alg); err != nil {
-		return usage("alg", err)
-	}
-	if *whole {
-		opts.Granularity = core.GranFunctions
-	}
-	opts.RecoverJumpTables = *jumpTables
-
-	var clocks []float64
-	switch *sweep {
-	case "", "devices":
-	case "clocks":
-		for _, s := range strings.Split(*clockList, ",") {
-			v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-			if err == nil {
-				err = platform.CheckMHz(v)
-			}
-			if err != nil {
-				return usage("clocks", fmt.Errorf("bad entry %q: %w", s, err))
-			}
-			clocks = append(clocks, v)
-		}
-	default:
-		return usage("sweep", fmt.Errorf("unknown mode %q (want devices or clocks)", *sweep))
+		fmt.Fprintf(stderr, "bparts: -%v\n", err)
+		return 2
 	}
 
 	paths := fs.Args()
@@ -135,7 +96,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 
-	out := output{sweep: *sweep, clocks: clocks, structure: *structure, vhdlDir: *vhdlDir, multi: len(paths) > 1}
+	out := output{req: req, structure: *structure, vhdlDir: *vhdlDir, multi: len(paths) > 1}
 	outputs := make([]string, len(paths))
 	errs := make([]error, len(paths))
 	jobCh := make(chan int)
@@ -188,12 +149,36 @@ feed:
 	return sess.ExitCode(code != 0)
 }
 
-// output is what a report shows: a sweep mode ("" for one priced
-// partition) and its clocks, the recovered structure, the VHDL directory,
-// and whether several inputs need "==> path" headers.
+// requestFlags registers the flags that fill the run's core.Request,
+// defaulting to core.DefaultOptions.
+func requestFlags(fs *flag.FlagSet) *core.Request {
+	def := core.DefaultOptions()
+	req := &core.Request{MHz: new(float64), JumpTables: new(bool)}
+	fs.Float64Var(req.MHz, "mhz", def.Platform.CPUMHz, "CPU clock in MHz")
+	fs.StringVar(&req.Device, "device", def.Platform.Device.Name, "Virtex-II device")
+	fs.StringVar(&req.Alg, "alg", def.Algorithm.String(), "partitioning algorithm: 90-10, greedy, gclp")
+	fs.BoolVar(&req.Whole, "whole", false, "partition whole call-free functions instead of loops")
+	fs.BoolVar(req.JumpTables, "jumptables", def.RecoverJumpTables, "recover switch jump tables at indirect jumps (=false reproduces the paper's failures)")
+	fs.StringVar(&req.Sweep, "sweep", "", "sweep mode: devices (Virtex-II catalog) or clocks (see -clocks)")
+	fs.Func("clocks", fmt.Sprintf("comma-separated CPU clocks in MHz for -sweep clocks (default %v)", core.DefaultClocks), func(s string) error {
+		req.Clocks = nil
+		for _, f := range strings.Split(s, ",") {
+			mhz, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
+			if err != nil {
+				return fmt.Errorf("bad entry %q", f)
+			}
+			req.Clocks = append(req.Clocks, mhz)
+		}
+		return nil
+	})
+	return req
+}
+
+// output is what a report shows: the request's sweep, if any, the
+// recovered structure, the VHDL directory, and whether several inputs
+// need "==> path" headers.
 type output struct {
-	sweep     string
-	clocks    []float64
+	req       *core.Request
 	structure bool
 	vhdlDir   string
 	multi     bool
@@ -215,18 +200,13 @@ func partitionOne(path string, opts core.Options, caches *core.Caches, out outpu
 	if out.multi {
 		fmt.Fprintf(&b, "==> %s\n", path)
 	}
-	if out.sweep != "" {
+	if out.req.Sweep != "" {
 		a, err := core.AnalyzeScoped(img, opts, caches, sc)
 		if err != nil {
 			return "", err
 		}
-		b.WriteString(core.RenderSweepHeader(out.sweep, opts))
-		var pts []core.SweepPoint
-		if out.sweep == "clocks" {
-			pts = core.ClockSweepPoints(a, opts, out.clocks, sc)
-		} else {
-			pts = core.DeviceSweepPoints(a, opts, sc)
-		}
+		header, pts := core.Sweep(a, opts, out.req.Sweep, out.req.Clocks, sc)
+		b.WriteString(header)
 		for _, pt := range pts {
 			b.WriteString(pt.Text)
 		}

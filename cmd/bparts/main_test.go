@@ -4,12 +4,15 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"binpart/internal/bench"
+	"binpart/internal/core"
 	"binpart/internal/obs"
 )
 
@@ -133,6 +136,48 @@ func TestClockOutOfRangeIsUsageError(t *testing.T) {
 				args, code, stdout.String(), stderr.String())
 		} else if !strings.Contains(stderr.String(), "out of range") {
 			t.Errorf("bparts %v: stderr %q does not name the range", args, stderr.String())
+		}
+	}
+}
+
+// TestFlagsMatchJSON checks that bparts' flags and a bpartd JSON body
+// naming the same choices produce equal options and the same sweep.
+// bpartd's default flags select core.DefaultOptions' platform and
+// algorithm, so that is the base on both sides.
+func TestFlagsMatchJSON(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		body string
+	}{
+		{nil, `{}`},
+		{[]string{"-mhz", "400", "-device", "XC2V1000", "-alg", "greedy"}, `{"mhz":400,"device":"XC2V1000","alg":"greedy"}`},
+		{[]string{"-device", "XC2V40"}, `{"device":"XC2V40"}`},
+		{[]string{"-whole", "-jumptables=false"}, `{"whole":true,"jumptables":false}`},
+		{[]string{"-sweep", "devices", "-alg", "gclp"}, `{"sweep":"devices","alg":"gclp"}`},
+		{[]string{"-sweep", "clocks", "-clocks", "40,300"}, `{"sweep":"clocks","clocks":[40,300]}`},
+	} {
+		fs := flag.NewFlagSet("bparts", flag.ContinueOnError)
+		flags := requestFlags(fs)
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatalf("%v: %v", tc.args, err)
+		}
+		var wire core.Request
+		if err := json.Unmarshal([]byte(tc.body), &wire); err != nil {
+			t.Fatalf("%s: %v", tc.body, err)
+		}
+		fromFlags, err := flags.Options(core.DefaultOptions())
+		if err != nil {
+			t.Fatalf("%v: %v", tc.args, err)
+		}
+		fromJSON, err := wire.Options(core.DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", tc.body, err)
+		}
+		if !reflect.DeepEqual(fromFlags, fromJSON) {
+			t.Errorf("%v and %s give different options:\n%+v\n%+v", tc.args, tc.body, fromFlags, fromJSON)
+		}
+		if flags.Sweep != wire.Sweep || !reflect.DeepEqual(flags.Clocks, wire.Clocks) {
+			t.Errorf("%v and %s give different sweeps: %q %v, %q %v", tc.args, tc.body, flags.Sweep, flags.Clocks, wire.Sweep, wire.Clocks)
 		}
 	}
 }

@@ -179,16 +179,18 @@ func resolve(b *ir.Block, a ir.Arg, addend int32, lastDef map[ir.Loc]int, syms [
 		return resolveBefore(b, in.A, addend, di, syms, stepOf, depth-1)
 	case ir.Add:
 		switch {
-		case in.A.IsConst && !in.B.IsConst:
-			r := resolveBefore(b, in.B, addend+in.A.Val, di, syms, stepOf, depth-1)
-			if !r.Known {
-				// Classic pattern: constant base + variable offset.
-				r = lookup(uint32(in.A.Val), syms)
-				r.Stride = strideOf(b, in.B, di, stepOf, depth-1)
+		case in.A.IsConst != in.B.IsConst:
+			// One constant operand, on either side: an addend to the
+			// other, or else the classic constant base + variable offset.
+			c, v := in.A, in.B
+			if v.IsConst {
+				c, v = v, c
 			}
-			return r
-		case !in.A.IsConst && in.B.IsConst:
-			r := resolveBefore(b, in.A, addend+in.B.Val, di, syms, stepOf, depth-1)
+			r := resolveBefore(b, v, addend+c.Val, di, syms, stepOf, depth-1)
+			if !r.Known {
+				r = lookup(uint32(c.Val), syms)
+				r.Stride = strideOf(b, v, di, stepOf, depth-1)
+			}
 			return r
 		case !in.A.IsConst && !in.B.IsConst:
 			// base + offset where either side may be the constant-rooted

@@ -242,7 +242,7 @@ func evaluateOpts(a *Analysis, opts Options, sc *obs.Scope) *Report {
 	case AlgGCLP:
 		pres = partition.GCLP(cands, opts.AreaBudgetGates)
 	default:
-		pres = partition.Partition(cands, opts.AreaBudgetGates, opts.Partition)
+		pres = partition.Partition(cands, opts.AreaBudgetGates, opts.partitionOptions())
 	}
 	rep.PartitionTime = time.Since(start)
 

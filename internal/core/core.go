@@ -21,6 +21,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"binpart/internal/alias"
@@ -97,6 +98,16 @@ type Options struct {
 	// set it false to reproduce the paper's two indirect-jump failures.
 	RecoverJumpTables bool
 	Sim               sim.Config
+}
+
+// partitionOptions is o.Partition as the 90-10 heuristic applies it: its
+// step-1 size cap is for loops, so whole functions go uncapped.
+func (o Options) partitionOptions() partition.Options {
+	p := o.Partition
+	if o.Granularity == GranFunctions {
+		p.MaxLoopInstrs = math.MaxInt
+	}
+	return p
 }
 
 // DefaultOptions targets the paper's 200 MHz MIPS + XC2V2000 platform.

@@ -191,6 +191,31 @@ func TestOptLevelsAllPartitionable(t *testing.T) {
 	}
 }
 
+// TestFunctionKernelsAreStepOnePicks checks that step 1 of the 90-10
+// heuristic picks the hottest kernel function at function granularity.
+// Its size cap is meant for loops ("a few dozen lines"), and these
+// kernels are larger than it.
+func TestFunctionKernelsAreStepOnePicks(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Granularity = GranFunctions
+	for _, tc := range []struct {
+		name string
+		lvl  int
+	}{{"adpcm", 0}, {"g721", 0}, {"g721", 3}, {"jpeg", 0}, {"jpeg", 1}, {"sobel", 0}} {
+		b, _ := bench.ByName(tc.name)
+		rep := runBench(t, tc.name, tc.lvl, opts)
+		step := 0
+		for _, r := range rep.SelectedRegions() {
+			if r.Name == b.KernelFunc {
+				step = r.Step
+			}
+		}
+		if step != 1 {
+			t.Errorf("%s -O%d: kernel %s picked in step %d (0: not picked), want 1", tc.name, tc.lvl, b.KernelFunc, step)
+		}
+	}
+}
+
 func TestFunctionGranularity(t *testing.T) {
 	// The paper's "synthesizing an entire software application" use:
 	// whole call-free functions become the hardware regions.

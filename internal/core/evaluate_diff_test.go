@@ -119,7 +119,7 @@ func runMonolithic(img *binimg.Image, opts Options) (*Report, error) {
 	case AlgGCLP:
 		pres = partition.GCLP(cands, opts.AreaBudgetGates)
 	default:
-		pres = partition.Partition(cands, opts.AreaBudgetGates, opts.Partition)
+		pres = partition.Partition(cands, opts.AreaBudgetGates, opts.partitionOptions())
 	}
 	rep.PartitionTime = time.Since(start)
 

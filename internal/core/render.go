@@ -130,25 +130,6 @@ func padTo(dst []byte, col, width int) []byte {
 	return dst
 }
 
-// RenderSweepHeader renders the one-line sweep banner for mode
-// ("devices" or "clocks") under opts.
-func RenderSweepHeader(mode string, opts Options) string {
-	switch mode {
-	case "devices":
-		return fmt.Sprintf("area sweep (%s @ %.0f MHz, %s):\n", opts.Algorithm, opts.Platform.CPUMHz, "Virtex-II catalog")
-	case "clocks":
-		return fmt.Sprintf("clock sweep (%s, %s):\n", opts.Algorithm, opts.Platform.Device.Name)
-	}
-	return ""
-}
-
-// RenderSweepLine renders one priced sweep point.
-func RenderSweepLine(label string, rep *Report) string {
-	m := rep.Metrics
-	return fmt.Sprintf("  %-10s speedup %6.2fx  kernel %6.2fx  energy %5.1f%%  area %7d gates  selected %d\n",
-		label, m.AppSpeedup, m.KernelSpeedup, 100*m.EnergySavings, m.AreaGates, len(rep.SelectedRegions()))
-}
-
 // SweepPoint is one priced point of a sweep: its row label, the rendered
 // row, and the report it came from.
 type SweepPoint struct {
@@ -157,27 +138,31 @@ type SweepPoint struct {
 	Rep   *Report
 }
 
-// DeviceSweepPoints prices the analysis across the Virtex-II catalog at
-// the analysis clock, one point per device.
-func DeviceSweepPoints(a *Analysis, opts Options, sc *obs.Scope) []SweepPoint {
-	pts := make([]SweepPoint, 0, len(fpga.Catalog))
+// Sweep prices the analysis at every point of a sweep and renders the
+// sweep's header line and one row per point. Mode "clocks" prices each of
+// clocks (DefaultClocks when empty) on opts' device; any other mode
+// prices each Virtex-II device at opts' clock.
+func Sweep(a *Analysis, opts Options, mode string, clocks []float64, sc *obs.Scope) (header string, pts []SweepPoint) {
+	price := func(label string, p platform.Platform) {
+		rep := EvaluateScoped(a, p, 0, opts.Algorithm, sc)
+		m := rep.Metrics
+		text := fmt.Sprintf("  %-10s speedup %6.2fx  kernel %6.2fx  energy %5.1f%%  area %7d gates  selected %d\n",
+			label, m.AppSpeedup, m.KernelSpeedup, 100*m.EnergySavings, m.AreaGates, len(rep.SelectedRegions()))
+		pts = append(pts, SweepPoint{Label: label, Text: text, Rep: rep})
+	}
+	if mode == "clocks" {
+		if len(clocks) == 0 {
+			clocks = DefaultClocks
+		}
+		for _, mhz := range clocks {
+			price(fmt.Sprintf("%.0fMHz", mhz), platform.MIPS(mhz, opts.Platform.Device))
+		}
+		return fmt.Sprintf("clock sweep (%s, %s):\n", opts.Algorithm, opts.Platform.Device.Name), pts
+	}
 	for _, dev := range fpga.Catalog {
-		rep := EvaluateScoped(a, platform.MIPS(opts.Platform.CPUMHz, dev), 0, opts.Algorithm, sc)
-		pts = append(pts, SweepPoint{Label: dev.Name, Text: RenderSweepLine(dev.Name, rep), Rep: rep})
+		price(dev.Name, platform.MIPS(opts.Platform.CPUMHz, dev))
 	}
-	return pts
-}
-
-// ClockSweepPoints prices the analysis at each CPU clock on the
-// analysis device, one point per clock.
-func ClockSweepPoints(a *Analysis, opts Options, clocks []float64, sc *obs.Scope) []SweepPoint {
-	pts := make([]SweepPoint, 0, len(clocks))
-	for _, mhz := range clocks {
-		label := fmt.Sprintf("%.0fMHz", mhz)
-		rep := EvaluateScoped(a, platform.MIPS(mhz, opts.Platform.Device), 0, opts.Algorithm, sc)
-		pts = append(pts, SweepPoint{Label: label, Text: RenderSweepLine(label, rep), Rep: rep})
-	}
-	return pts
+	return fmt.Sprintf("area sweep (%s @ %.0f MHz, Virtex-II catalog):\n", opts.Algorithm, opts.Platform.CPUMHz), pts
 }
 
 // sortedKeys appends m's keys to keys in sorted order, for deterministic

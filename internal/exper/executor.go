@@ -234,28 +234,16 @@ func (r *Runner) Regenerate(es []Experiment) ([]string, error) {
 // fanOut runs n indexed jobs over a bounded worker pool and returns the
 // results in index order regardless of completion order: workers pull
 // indexes from a channel and send indexed results back, and the collector
-// writes each into its slot. run receives the worker id (0 in the serial
-// path) so per-job observability spans can attribute contention. A failure aborts the jobs after it
-// (those not yet started are skipped, in-flight ones drain); every job
-// before the first failure still runs. Every job that failed is
-// reported: the errors are joined in job-index order, so a sweep broken
-// on three benchmarks names all three, not just the first across the
-// finish line.
+// writes each into its slot. run receives the worker id so per-job
+// observability spans can attribute contention. A failure aborts the jobs
+// after it (those not yet started are skipped, in-flight ones drain);
+// every job before the first failure still runs, and with one worker no
+// job runs after it. Every job that failed is reported: the errors are
+// joined in job-index order, so a sweep broken on three benchmarks names
+// all three, not just the first across the finish line.
 func fanOut[T any](workers, n int, run func(worker, i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			v, err := run(0, i)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		return out, nil
-	}
+	workers = min(max(workers, 1), n)
 
 	type result struct {
 		index int
