@@ -30,7 +30,7 @@ func testOptions(t testing.TB) core.Options {
 
 func testDaemon(t testing.TB, cfg daemonConfig) *daemon {
 	t.Helper()
-	if cfg.Opts.Platform.Name == "" {
+	if cfg.Opts.Platform.CPUMHz == 0 {
 		cfg.Opts = testOptions(t)
 	}
 	if cfg.Caches == nil {

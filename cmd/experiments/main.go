@@ -58,7 +58,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	corpusSeed := fs.Int64("corpus-seed", 1, "first generator seed for -corpus")
 	corpusOut := fs.String("corpus-out", "", "write the corpus summary (recovery rate, speedup distribution, mismatches) to this JSON file")
 	workers := fs.Int("j", runtime.GOMAXPROCS(0), "worker pool size for experiment sweeps (<= 0: GOMAXPROCS)")
-	noCache := fs.Bool("nocache", false, "disable the stage cache entirely")
 	sf := session.Register(fs, "debug-addr", "serve net/pprof + Prometheus /metrics on this address (e.g. :6060)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -87,7 +86,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		*workers = runtime.GOMAXPROCS(0)
 	}
 
-	s, err := sf.Open(session.Config{Tool: "experiments", Args: args, Workers: *workers, NoCache: *noCache, Stderr: stderr})
+	s, err := sf.Open(session.Config{Tool: "experiments", Args: args, Workers: *workers, Stderr: stderr})
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1

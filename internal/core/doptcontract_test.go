@@ -13,14 +13,13 @@ import (
 	"binpart/internal/mcc"
 )
 
-// doptAblations are the six dopt configurations the experiments run:
-// the full pipeline and each pass switched off on its own.
+// doptAblations are the dopt configurations: the full pipeline and each
+// pass that can be switched off, switched off on its own.
 var doptAblations = []dopt.Config{
 	{},
 	{NoStackRemoval: true},
 	{NoReroll: true},
 	{NoPromote: true},
-	{NoStrengthRed: true},
 	{NoWidthReduce: true},
 }
 
@@ -94,12 +93,10 @@ func TestDoptChangeReports(t *testing.T) {
 						skippable++
 					}
 					cleanup()
-					if !cfg.NoStrengthRed {
-						if !pass("StrengthReduce", func() bool { rep.StrengthReduced = dopt.StrengthReduce(f); return rep.StrengthReduced > 0 }) {
-							skippable++
-						}
-						cleanup()
+					if !pass("StrengthReduce", func() bool { rep.StrengthReduced = dopt.StrengthReduce(f); return rep.StrengthReduced > 0 }) {
+						skippable++
 					}
+					cleanup()
 					if !cfg.NoWidthReduce {
 						rep.Width = dopt.ReduceWidths(f)
 					}

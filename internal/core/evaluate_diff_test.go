@@ -67,7 +67,7 @@ func runMonolithic(img *binimg.Image, opts Options) (*Report, error) {
 		cands = append(cands, &partition.Candidate{
 			Name:       rr.Name,
 			SWTimeNs:   float64(rr.SWCycles) / opts.Platform.CPUMHz * 1000,
-			HWTimeNs:   rr.HWCycles*rr.HWClockNs + float64(rr.Invocations*opts.Platform.CommCPUCycles)/opts.Platform.CPUMHz*1000,
+			HWTimeNs:   rr.HWCycles*rr.HWClockNs + float64(rr.Invocations*platform.CommCPUCycles)/opts.Platform.CPUMHz*1000,
 			AreaGates:  rr.AreaGates,
 			Footprint:  rr.Footprint,
 			SizeInstrs: rc.SizeInstrs,

@@ -29,7 +29,7 @@ func AppendReport(dst []byte, rep *Report, structure bool) []byte {
 	opts := rep.Options
 	m := rep.Metrics
 	dst = append(dst, "platform: "...)
-	dst = append(dst, opts.Platform.Name...)
+	dst = opts.Platform.AppendName(dst)
 	dst = append(dst, "\nsoftware-only: "...)
 	dst = strconv.AppendUint(dst, rep.SWCycles, 10)
 	dst = append(dst, " cycles ("...)

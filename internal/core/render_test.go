@@ -18,7 +18,7 @@ import (
 func renderReportFmt(rep *Report, structure bool) string {
 	var b strings.Builder
 	opts := rep.Options
-	fmt.Fprintf(&b, "platform: %s\n", opts.Platform.Name)
+	fmt.Fprintf(&b, "platform: %s\n", opts.Platform.Name())
 	fmt.Fprintf(&b, "software-only: %d cycles (%.3f ms), exit code %d\n",
 		rep.SWCycles, rep.Metrics.SWTimeS*1e3, rep.ExitCode)
 	fmt.Fprintf(&b, "recovery: %d functions, %d failed", rep.Recovery.FuncsRecovered, rep.Recovery.FuncsFailed)

@@ -13,14 +13,13 @@ import (
 	"binpart/internal/progen"
 )
 
-// oracleConfigs are the six dopt configurations the experiments run: the
-// full pipeline and each pass switched off on its own.
+// oracleConfigs are the dopt configurations: the full pipeline and each
+// pass that can be switched off, switched off on its own.
 var oracleConfigs = []Config{
 	{},
 	{NoStackRemoval: true},
 	{NoReroll: true},
 	{NoPromote: true},
-	{NoStrengthRed: true},
 	{NoWidthReduce: true},
 }
 
@@ -78,7 +77,7 @@ func checkAgainstOracle(t *testing.T, what string, img *binimg.Image, cfg Config
 }
 
 // TestOptimizeMatchesOracleSuite runs the benchmark suite at every opt
-// level under each of the six dopt configurations through OptimizeWith
+// level under each of the oracleConfigs through OptimizeWith
 // and through the oracle pipeline.
 func TestOptimizeMatchesOracleSuite(t *testing.T) {
 	for _, b := range bench.All() {

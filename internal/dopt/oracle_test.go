@@ -442,10 +442,8 @@ func optimizeOracle(f *ir.Func, cfg Config) Report {
 		rep.Promote = PromoteStrength(f)
 	}
 	cleanupOracle(f)
-	if !cfg.NoStrengthRed {
-		rep.StrengthReduced = StrengthReduce(f)
-		cleanupOracle(f)
-	}
+	rep.StrengthReduced = StrengthReduce(f)
+	cleanupOracle(f)
 	if !cfg.NoWidthReduce {
 		rep.Width = reduceWidthsOracle(f)
 	}

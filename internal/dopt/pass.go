@@ -22,7 +22,6 @@ type Config struct {
 	NoStackRemoval bool
 	NoReroll       bool
 	NoPromote      bool
-	NoStrengthRed  bool
 	NoWidthReduce  bool
 }
 
@@ -76,11 +75,9 @@ func OptimizeWith(f *ir.Func, cfg Config) Report {
 	}
 
 	// Final synthesis-oriented rewrites and annotations.
-	if !cfg.NoStrengthRed {
-		rep.StrengthReduced = StrengthReduce(f)
-		if !fixed || rep.StrengthReduced > 0 {
-			ws.cleanup(f)
-		}
+	rep.StrengthReduced = StrengthReduce(f)
+	if !fixed || rep.StrengthReduced > 0 {
+		ws.cleanup(f)
 	}
 	if !cfg.NoWidthReduce {
 		rep.Width = ws.reduceWidths(f)

@@ -111,7 +111,7 @@ func table1() plan[*Table1] {
 // Format renders the table.
 func (t *Table1) Format() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "T1  Main results (-O1 binaries, %s)\n", platform.MIPS200.Name)
+	fmt.Fprintf(&b, "T1  Main results (-O1 binaries, %s)\n", platform.MIPS200.Name())
 	fmt.Fprintf(&b, "%-12s %-10s %9s %9s %8s %8s %7s %9s\n",
 		"benchmark", "suite", "sw(ms)", "hw/sw(ms)", "speedup", "kernel", "energy", "gates")
 	for _, r := range t.Rows {
@@ -377,7 +377,6 @@ func passAblation() plan[*PassAblation] {
 		{name: "no-stackrm", cfg: dopt.Config{NoStackRemoval: true}},
 		{name: "no-width", cfg: dopt.Config{NoWidthReduce: true}},
 		{name: "no-pipeline", cfg: dopt.Config{}, syn: func(o *core.Options) { o.Synth.Pipeline = false }},
-		{name: "no-alias", cfg: dopt.Config{}, syn: func(o *core.Options) { o.Partition.SkipAliasStep = true }},
 	}
 	var pts []point
 	for _, c := range cfgs {

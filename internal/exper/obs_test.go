@@ -116,9 +116,9 @@ func TestParallelSpanCountsMatchSerial(t *testing.T) {
 	}
 	pts, _ := distinct(plans)
 	// T1's 20 -O1 points (which T2, T4, F1 and A1 read too), T3's 12 at
-	// the other levels, A2's 24 off its "full" row, E1's 2 paper-flow ones.
-	if len(pts) != 58 {
-		t.Errorf("%d distinct points, want 58", len(pts))
+	// the other levels, A2's 20 off its "full" row, E1's 2 paper-flow ones.
+	if len(pts) != 54 {
+		t.Errorf("%d distinct points, want 54", len(pts))
 	}
 	type analysisKey struct {
 		img  binimg.Digest

@@ -15,9 +15,6 @@ const MaxOptLevel = 3
 type Options struct {
 	// OptLevel is 0..MaxOptLevel, mirroring -O0..-O3.
 	OptLevel int
-	// TextBase/DataBase override the default load addresses when nonzero.
-	TextBase uint32
-	DataBase uint32
 }
 
 // Compile translates MicroC source into an executable SBF image. The image
@@ -26,12 +23,6 @@ type Options struct {
 func Compile(src string, opts Options) (*binimg.Image, error) {
 	if opts.OptLevel < 0 || opts.OptLevel > MaxOptLevel {
 		return nil, fmt.Errorf("mcc: bad optimization level %d", opts.OptLevel)
-	}
-	if opts.TextBase == 0 {
-		opts.TextBase = binimg.DefaultTextBase
-	}
-	if opts.DataBase == 0 {
-		opts.DataBase = binimg.DefaultDataBase
 	}
 
 	sc := scratches.Get()
@@ -57,7 +48,7 @@ func Compile(src string, opts Options) (*binimg.Image, error) {
 		for len(data)%align != 0 {
 			data = append(data, 0)
 		}
-		addr := opts.DataBase + uint32(len(data))
+		addr := binimg.DefaultDataBase + uint32(len(data))
 		data = append(data, make([]byte, size)...)
 		return addr
 	}
@@ -74,7 +65,7 @@ func Compile(src string, opts Options) (*binimg.Image, error) {
 		}
 		addr := addData(g.Type.Size(), align)
 		dataAddr = append(dataAddr, addr)
-		if err := initGlobal(data, addr-opts.DataBase, g); err != nil {
+		if err := initGlobal(data, addr-binimg.DefaultDataBase, g); err != nil {
 			return nil, err
 		}
 	}
@@ -90,13 +81,13 @@ func Compile(src string, opts Options) (*binimg.Image, error) {
 	defer func() { sc.text, sc.call = text[:0], calls[:0] }()
 	funcAddr := make([]uint32, len(prog.Funcs)) // by function id: prog.Funcs order
 	im := &binimg.Image{
-		Entry:    opts.TextBase,
-		TextBase: opts.TextBase,
-		DataBase: opts.DataBase,
+		Entry:    binimg.DefaultTextBase,
+		TextBase: binimg.DefaultTextBase,
+		DataBase: binimg.DefaultDataBase,
 		Symbols:  make([]binimg.Symbol, 0, 1+len(prog.Funcs)+len(prog.Globals)),
 	}
-	im.Symbols = append(im.Symbols, binimg.Symbol{Name: "_start", Addr: opts.TextBase, Size: 8})
-	addrOf := func(idx int32) uint32 { return opts.TextBase + 8 + uint32(4*idx) }
+	im.Symbols = append(im.Symbols, binimg.Symbol{Name: "_start", Addr: binimg.DefaultTextBase, Size: 8})
+	addrOf := func(idx int32) uint32 { return binimg.DefaultTextBase + 8 + uint32(4*idx) }
 	for i, fn := range prog.Funcs {
 		tf, err := u.lowerFunc(fn, opts.OptLevel == 0, opts.OptLevel >= 1)
 		if err != nil {
@@ -118,7 +109,7 @@ func Compile(src string, opts Options) (*binimg.Image, error) {
 		}
 		// Patch the jump tables with absolute label addresses.
 		for _, t := range tf.Tables {
-			off := dataAddr[t.Sym] - opts.DataBase
+			off := dataAddr[t.Sym] - binimg.DefaultDataBase
 			for j, label := range t.Labels {
 				pos := labelPos[label]
 				if pos < 0 {

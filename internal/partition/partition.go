@@ -51,10 +51,6 @@ type Options struct {
 	CoverageTarget float64
 	// MaxLoopInstrs caps the size of step-1 loops ("a few dozen lines").
 	MaxLoopInstrs int
-	// SkipAliasStep disables step 2 (for ablation).
-	SkipAliasStep bool
-	// SkipFillStep disables step 3 (for ablation).
-	SkipFillStep bool
 }
 
 // DefaultOptions returns the paper's parameters.
@@ -129,42 +125,38 @@ func Partition(cands []*Candidate, budgetGates int, opts Options) *Result {
 
 	// Step 2: alias affinity — regions sharing arrays with the hardware
 	// partition, so the arrays can live in FPGA memory.
-	if !opts.SkipAliasStep {
-		inHW := map[string]bool{}
-		for c := range chosen {
-			for _, s := range c.Footprint {
-				inHW[s] = true
+	inHW := map[string]bool{}
+	for c := range chosen {
+		for _, s := range c.Footprint {
+			inHW[s] = true
+		}
+	}
+	for _, c := range cands {
+		if chosen[c] || c.Gain() <= 0 {
+			continue
+		}
+		affine := false
+		for _, s := range c.Footprint {
+			if inHW[s] {
+				affine = true
 			}
 		}
-		for _, c := range cands {
-			if chosen[c] || c.Gain() <= 0 {
-				continue
-			}
-			affine := false
-			for _, s := range c.Footprint {
-				if inHW[s] {
-					affine = true
-				}
-			}
-			if affine {
-				add(c, 2)
-			}
+		if affine {
+			add(c, 2)
 		}
 	}
 
 	// Step 3: fill by profit density until the constraint is violated;
 	// an entire application can be synthesized if space allows.
-	if !opts.SkipFillStep {
-		rest := make([]*Candidate, 0, len(cands))
-		for _, c := range cands {
-			if !chosen[c] && c.Gain() > 0 && c.AreaGates > 0 {
-				rest = append(rest, c)
-			}
+	rest := make([]*Candidate, 0, len(cands))
+	for _, c := range cands {
+		if !chosen[c] && c.Gain() > 0 && c.AreaGates > 0 {
+			rest = append(rest, c)
 		}
-		slices.SortStableFunc(rest, byDensity)
-		for _, c := range rest {
-			add(c, 3)
-		}
+	}
+	slices.SortStableFunc(rest, byDensity)
+	for _, c := range rest {
+		add(c, 3)
 	}
 
 	res.TotalGates = area

@@ -35,14 +35,12 @@ func TestStep2PullsAliasAffineRegions(t *testing.T) {
 		cand("sharer", 300, 200, 10000, "buf"),
 		cand("stranger", 300, 200, 10000, "other"),
 	}
-	opts := DefaultOptions()
-	opts.SkipFillStep = true
-	res := Partition(cands, 100000, opts)
+	res := Partition(cands, 100000, DefaultOptions())
 	if res.Step["sharer"] != 2 {
 		t.Errorf("sharer selected in step %d, want 2 (alias affinity)", res.Step["sharer"])
 	}
-	if _, ok := res.Step["stranger"]; ok {
-		t.Error("stranger selected despite no shared memory and fill disabled")
+	if s := res.Step["stranger"]; s != 3 {
+		t.Errorf("stranger selected in step %d, want 3: it shares no memory, so only the fill step takes it", s)
 	}
 }
 
@@ -110,11 +108,8 @@ func TestSizeCapInStep1(t *testing.T) {
 	big := cand("big", 9000, 100, 1000)
 	big.SizeInstrs = 10000
 	small := cand("small", 1000, 100, 1000)
-	opts := DefaultOptions()
-	opts.SkipAliasStep = true
-	opts.SkipFillStep = true
-	res := Partition([]*Candidate{big, small}, 100000, opts)
-	if _, ok := res.Step["big"]; ok {
+	res := Partition([]*Candidate{big, small}, 100000, DefaultOptions())
+	if res.Step["big"] == 1 {
 		t.Error("oversized loop selected in step 1")
 	}
 	if res.Step["small"] != 1 {
@@ -209,16 +204,20 @@ func TestCoverageTargetVariants(t *testing.T) {
 		cand("c", 1500, 100, 1000),
 		cand("d", 500, 100, 1000),
 	}
-	lo := DefaultOptions()
-	lo.CoverageTarget = 0.5
-	lo.SkipAliasStep, lo.SkipFillStep = true, true
-	hi := DefaultOptions()
-	hi.CoverageTarget = 0.99
-	hi.SkipAliasStep, hi.SkipFillStep = true, true
-	nLo := len(Partition(cands, 1<<30, lo).Selected)
-	nHi := len(Partition(cands, 1<<30, hi).Selected)
+	stepOne := func(target float64) int {
+		opts := DefaultOptions()
+		opts.CoverageTarget = target
+		n := 0
+		for _, step := range Partition(cands, 1<<30, opts).Step {
+			if step == 1 {
+				n++
+			}
+		}
+		return n
+	}
+	nLo, nHi := stepOne(0.5), stepOne(0.99)
 	if nHi <= nLo {
-		t.Errorf("coverage 0.99 selected %d, coverage 0.5 selected %d", nHi, nLo)
+		t.Errorf("coverage 0.99 selected %d in step 1, coverage 0.5 selected %d", nHi, nLo)
 	}
 }
 

@@ -8,34 +8,38 @@ package platform
 
 import (
 	"fmt"
+	"strconv"
 
 	"binpart/internal/fpga"
 )
 
-// Platform describes one microprocessor/FPGA configuration.
+// Platform describes one microprocessor/FPGA configuration: the two
+// things the paper varies. Its power and bus model is fixed (the
+// constants below).
 type Platform struct {
-	Name   string
 	CPUMHz float64
 	Device fpga.Device
-
-	// CPUActiveW is the core's power while executing.
-	CPUActiveW float64
-	// CPUIdleFrac is the fraction of active power the core burns while
-	// stalled waiting for the FPGA.
-	CPUIdleFrac float64
-	// FPGAStaticW is the fabric's static power (drawn whenever the
-	// design is configured).
-	FPGAStaticW float64
-	// FPGADynWPerGateMHz scales dynamic fabric power with active logic
-	// and clock.
-	FPGADynWPerGateMHz float64
-	// CommCPUCycles is the per-invocation cost of starting the
-	// accelerator and exchanging arguments/results over the on-chip bus.
-	CommCPUCycles uint64
 }
 
-// cpuWattsPerMHz is the dynamic power density of the modeled MIPS core.
-const cpuWattsPerMHz = 2.5e-3
+// The platform's fixed power and bus model.
+const (
+	// cpuWattsPerMHz is the dynamic power density of the modeled MIPS
+	// core: its power while executing is cpuWattsPerMHz × CPUMHz.
+	cpuWattsPerMHz = 2.5e-3
+	// cpuIdleFrac is the fraction of active power the core burns while
+	// stalled waiting for the FPGA.
+	cpuIdleFrac = 0.35
+	// fpgaStaticW is the fabric's static power (drawn whenever the
+	// design is configured).
+	fpgaStaticW = 0.08
+	// fpgaDynWPerGateMHz scales dynamic fabric power with active logic
+	// and clock.
+	fpgaDynWPerGateMHz = 9.0e-8
+)
+
+// CommCPUCycles is the per-invocation cost of starting the accelerator
+// and exchanging arguments/results over the on-chip bus.
+const CommCPUCycles = 60
 
 // minMHz and maxMHz bound the CPU clocks the model prices. Outside them
 // its times and energies stop meaning anything (a negative clock gives
@@ -55,20 +59,24 @@ func CheckMHz(mhz float64) error {
 	return nil
 }
 
-// MIPS returns a platform with the given CPU clock and device, using the
-// power constants shared by all experiments.
+// MIPS returns a platform with the given CPU clock and device.
 func MIPS(mhz float64, dev fpga.Device) Platform {
-	return Platform{
-		Name:               fmt.Sprintf("MIPS-%.0f/%s", mhz, dev.Name),
-		CPUMHz:             mhz,
-		Device:             dev,
-		CPUActiveW:         cpuWattsPerMHz * mhz,
-		CPUIdleFrac:        0.35,
-		FPGAStaticW:        0.08,
-		FPGADynWPerGateMHz: 9.0e-8,
-		CommCPUCycles:      60,
-	}
+	return Platform{CPUMHz: mhz, Device: dev}
 }
+
+// Name is the platform's name, "MIPS-<clock, %.0f MHz>/<device>".
+func (p Platform) Name() string { return string(p.AppendName(nil)) }
+
+// AppendName appends p's Name to dst and returns the extended slice.
+func (p Platform) AppendName(dst []byte) []byte {
+	dst = append(dst, "MIPS-"...)
+	dst = strconv.AppendFloat(dst, p.CPUMHz, 'f', 0, 64)
+	dst = append(dst, '/')
+	return append(dst, p.Device.Name...)
+}
+
+// cpuActiveW is the core's power while executing.
+func (p Platform) cpuActiveW() float64 { return cpuWattsPerMHz * p.CPUMHz }
 
 // The paper's three evaluation platforms (Virtex-II XC2V2000 fabric).
 func defaultDevice() fpga.Device {
@@ -109,7 +117,7 @@ func (r Region) HWSeconds() float64 { return r.HWCycles * r.HWClockNs * 1e-9 }
 // partitioner and Evaluate both read it.
 func (p Platform) Times(r Region) (sw, hw float64) {
 	cpuHz := p.CPUMHz * 1e6
-	return float64(r.SWCycles) / cpuHz, r.HWSeconds() + float64(r.Invocations*p.CommCPUCycles)/cpuHz
+	return float64(r.SWCycles) / cpuHz, r.HWSeconds() + float64(r.Invocations*CommCPUCycles)/cpuHz
 }
 
 // Metrics aggregates a partitioned application's evaluation.
@@ -140,7 +148,7 @@ func (p Platform) Evaluate(totalSWCycles uint64, regions []Region) Metrics {
 		kernelHW += hw
 		area += r.AreaGates
 		mhz := fpga.MHz(r.HWClockNs)
-		fpgaDynE += p.FPGADynWPerGateMHz * float64(r.AreaGates) * mhz * r.HWSeconds()
+		fpgaDynE += fpgaDynWPerGateMHz * float64(r.AreaGates) * mhz * r.HWSeconds()
 	}
 	hwswTime := swTime - kernelSW + kernelHW
 
@@ -161,9 +169,10 @@ func (p Platform) Evaluate(totalSWCycles uint64, regions []Region) Metrics {
 	// fabric is power-gated when inactive (the standard assumption for
 	// this platform class), so both its static and dynamic power apply
 	// only during hardware execution.
-	m.EnergySWJ = p.CPUActiveW * swTime
-	cpuE := p.CPUActiveW*(swTime-kernelSW) + p.CPUActiveW*p.CPUIdleFrac*kernelHW
-	fpgaE := p.FPGAStaticW*kernelHW + fpgaDynE
+	activeW := p.cpuActiveW()
+	m.EnergySWJ = activeW * swTime
+	cpuE := activeW*(swTime-kernelSW) + activeW*cpuIdleFrac*kernelHW
+	fpgaE := fpgaStaticW*kernelHW + fpgaDynE
 	m.EnergyHWSWJ = cpuE + fpgaE
 	if m.EnergySWJ > 0 {
 		m.EnergySavings = 1 - m.EnergyHWSWJ/m.EnergySWJ

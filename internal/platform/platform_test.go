@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"fmt"
 	"testing"
 
 	"binpart/internal/fpga"
@@ -82,7 +83,7 @@ func TestCommunicationOverheadHurts(t *testing.T) {
 }
 
 func TestCPUPowerScalesWithClock(t *testing.T) {
-	if MIPS400.CPUActiveW <= MIPS200.CPUActiveW || MIPS200.CPUActiveW <= MIPS40.CPUActiveW {
+	if MIPS400.cpuActiveW() <= MIPS200.cpuActiveW() || MIPS200.cpuActiveW() <= MIPS40.cpuActiveW() {
 		t.Error("CPU power not increasing with clock")
 	}
 }
@@ -96,8 +97,22 @@ func TestMIPSConstructor(t *testing.T) {
 	if p.CPUMHz != 100 || p.Device.Name != "XC2V500" {
 		t.Errorf("MIPS() = %+v", p)
 	}
-	if p.Name == "" {
-		t.Error("empty platform name")
+}
+
+// TestNameMatchesFmt pins the appended platform name to the format it
+// replaces, over every catalog device and clocks that round both ways.
+func TestNameMatchesFmt(t *testing.T) {
+	for _, dev := range fpga.Catalog {
+		for _, mhz := range []float64{1, 40, 99.5, 100.5, 200, 400, 10_000} {
+			p := MIPS(mhz, dev)
+			want := fmt.Sprintf("MIPS-%.0f/%s", mhz, dev.Name)
+			if got := p.Name(); got != want {
+				t.Errorf("Name() = %q, want %q", got, want)
+			}
+			if got := string(p.AppendName([]byte("x"))); got != "x"+want {
+				t.Errorf("AppendName = %q, want %q", got, "x"+want)
+			}
+		}
 	}
 }
 

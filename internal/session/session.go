@@ -41,7 +41,6 @@ type Config struct {
 	Tool    string   // manifest tool name and stderr prefix
 	Args    []string // manifest arguments
 	Workers int      // manifest worker count
-	NoCache bool     // run without stage caches
 	// Record creates the recorder even when no flag reads it. Otherwise a
 	// nil recorder keeps the pipeline on its alloc-free fast path.
 	Record bool
@@ -49,8 +48,8 @@ type Config struct {
 	Stderr io.Writer       // -stats tables and notes (default os.Stderr)
 }
 
-// Session is one open run. Caches is nil under Config.NoCache, Rec is nil
-// when nothing reads it, and Debug is nil without the listener flag.
+// Session is one open run. Rec is nil when nothing reads it, and Debug is
+// nil without the listener flag.
 type Session struct {
 	Caches *core.Caches
 	Rec    *obs.Recorder
@@ -76,10 +75,7 @@ func (f *Flags) Open(cfg Config) (*Session, error) {
 	if cfg.Stderr == nil {
 		cfg.Stderr = os.Stderr
 	}
-	s := &Session{f: f, cfg: cfg, interrupted: make(chan struct{}), gc0: obs.ReadGC()}
-	if !cfg.NoCache {
-		s.Caches = core.NewCaches()
-	}
+	s := &Session{Caches: core.NewCaches(), f: f, cfg: cfg, interrupted: make(chan struct{}), gc0: obs.ReadGC()}
 	if cfg.Record || f.trace != "" || f.stats || f.manifest != "" || f.listen != "" {
 		s.Rec = obs.NewRecorder()
 	}

@@ -47,7 +47,7 @@ func ExecuteReference(img *binimg.Image, cfg Config) (Result, error) {
 		m.storeByte(img.DataBase+uint32(i), b)
 	}
 	m.pc = img.Entry
-	m.regs[mips.SP] = cfg.StackTop
+	m.regs[mips.SP] = binimg.DefaultStackTop
 	if cfg.Profile {
 		m.prof = &Profile{
 			InstCount: make(map[uint32]uint64),

@@ -62,7 +62,6 @@ var DefaultCycleModel = CycleModel{
 
 // Config controls a simulation run.
 type Config struct {
-	StackTop uint32
 	MaxSteps uint64
 	Cycles   CycleModel
 	Profile  bool
@@ -75,7 +74,6 @@ type Config struct {
 // DefaultConfig returns a Config suitable for the benchmark suite.
 func DefaultConfig() Config {
 	return Config{
-		StackTop: binimg.DefaultStackTop,
 		MaxSteps: 500_000_000,
 		Cycles:   DefaultCycleModel,
 		Profile:  false,
@@ -283,7 +281,7 @@ func (m *Machine) init(img *binimg.Image, cfg Config) error {
 	}
 	m.mem.WriteBytes(img.DataBase, img.Data)
 	m.PC = img.Entry
-	m.Regs[mips.SP] = cfg.StackTop
+	m.Regs[mips.SP] = binimg.DefaultStackTop
 	return nil
 }
 

@@ -68,10 +68,10 @@ func checkDFGsAgainstOracle(t *testing.T, what string, img *binimg.Image, cfg do
 }
 
 // TestDFGMatchesOracleSuite covers the benchmark suite at every opt level
-// under each of the six dopt configurations the experiments run.
+// under the full dopt pipeline and each pass switched off on its own.
 func TestDFGMatchesOracleSuite(t *testing.T) {
 	cfgs := []dopt.Config{
-		{}, {NoStackRemoval: true}, {NoReroll: true}, {NoPromote: true}, {NoStrengthRed: true}, {NoWidthReduce: true},
+		{}, {NoStackRemoval: true}, {NoReroll: true}, {NoPromote: true}, {NoWidthReduce: true},
 	}
 	for _, b := range bench.All() {
 		for level := 0; level <= mcc.MaxOptLevel; level++ {
