@@ -34,24 +34,13 @@ func commuted(t *testing.T, img *binimg.Image) *binimg.Image {
 		DataBase: img.DataBase, Data: img.Data, Symbols: img.Symbols}
 }
 
-// commuteGaps are the benchmarks whose commuted binary still synthesizes
-// to a different area, with the cause. The table may only shrink: a gap
-// that closes fails the test until its entry is deleted.
-var commuteGaps = map[string]string{
-	// Instruction 9 of dct_kernel's loop body, an add of two loaded
-	// values, lands in state 2 at the original operand order and in
-	// state 1 commuted: schedule keeps the chain delay of a predecessor
-	// it has already moved past. Same cycles, 16 slices more.
-	"jpeg": "scheduler operand-order chaining",
-}
-
 // TestCommutedOperandsAreInvisible checks the paper's claim that
 // binary-level partitioning does not depend on the compiler's idioms: for
 // every suite −O1 binary, swapping the operands of the commutative ALU
 // instructions must leave the simulation and the analysis as they were —
 // the same exit code and software cycles, and the same candidates with
 // the same footprints, hardware cycles and gates, priced to the same
-// metrics. A benchmark in commuteGaps is held to all of that but gates.
+// metrics.
 func TestCommutedOperandsAreInvisible(t *testing.T) {
 	type region struct {
 		Name      string
@@ -60,12 +49,9 @@ func TestCommutedOperandsAreInvisible(t *testing.T) {
 		AreaGates int
 		Selected  bool
 	}
-	summary := func(rep *Report, gates bool) (out []region) {
+	summary := func(rep *Report) (out []region) {
 		for _, r := range rep.Regions {
 			out = append(out, region{r.Name, r.Footprint, r.HWCycles, r.AreaGates, r.Selected})
-			if !gates {
-				out[len(out)-1].AreaGates = 0
-			}
 		}
 		return out
 	}
@@ -86,19 +72,9 @@ func TestCommutedOperandsAreInvisible(t *testing.T) {
 			t.Errorf("%s: commuted binary exits %d after %d cycles, the original %d after %d",
 				bm.Name, got.ExitCode, got.SWCycles, want.ExitCode, want.SWCycles)
 		}
-		same := reflect.DeepEqual(summary(got, true), summary(want, true)) && got.Metrics == want.Metrics
-		if _, gap := commuteGaps[bm.Name]; gap {
-			if same {
-				t.Errorf("%s: the commuted binary now prices the same; delete its commuteGaps entry", bm.Name)
-			}
-			if g, w := summary(got, false), summary(want, false); !reflect.DeepEqual(g, w) {
-				t.Errorf("%s: commuted candidates differ beyond gates:\n got %+v\nwant %+v", bm.Name, g, w)
-			}
-			continue
-		}
-		if !same {
+		if !reflect.DeepEqual(summary(got), summary(want)) || got.Metrics != want.Metrics {
 			t.Errorf("%s: commuted binary prices differently:\n got %+v %+v\nwant %+v %+v",
-				bm.Name, summary(got, true), got.Metrics, summary(want, true), want.Metrics)
+				bm.Name, summary(got), got.Metrics, summary(want), want.Metrics)
 		}
 	}
 }

@@ -320,44 +320,34 @@ func schedule(g *dfg, res Resources, clockNs float64) *scheduleResult {
 			delay = clockNs // occupies whole states; nothing chains after
 		}
 
+		// The op starts no earlier than all of its operands allow: in a
+		// chained operand's state, after any other operand's.
 		earliest := 0
+		for _, d := range n.preds {
+			min := g.nodes[d.from].state
+			if !d.chainable {
+				min++
+			}
+			earliest = max(earliest, min)
+		}
+		// Then it moves later while the delay chained into its state
+		// overruns the clock, or the state has no free shared unit. The
+		// chain delay is read at the state it would start in, never kept
+		// from one it has left.
 		var chainIn float64
 		for {
-			moved := false
 			chainIn = 0
 			for _, d := range n.preds {
-				p := &g.nodes[d.from]
-				min := p.state
-				if !d.chainable {
-					min = p.state + 1
-				}
-				if min > earliest {
-					earliest = min
-					moved = true
-				}
-				if d.chainable && p.state == earliest && p.finish > chainIn {
+				if p := &g.nodes[d.from]; d.chainable && p.state == earliest && p.finish > chainIn {
 					chainIn = p.finish
 				}
 			}
-			if span > 1 && chainIn > 0 {
-				// Multicycle units start on a register boundary.
+			// Multicycle units start on a register boundary.
+			if span > 1 && chainIn > 0 || span == 1 && chainIn+delay > clockNs || !hasRoom(earliest, n) {
 				earliest++
-				moved = true
 				continue
 			}
-			if span == 1 && chainIn+delay > clockNs {
-				earliest++
-				moved = true
-				continue
-			}
-			if !hasRoom(earliest, n) {
-				earliest++
-				moved = true
-				continue
-			}
-			if !moved {
-				break
-			}
+			break
 		}
 		take(earliest, n)
 		// n.state records the completion state so successors wait for
