@@ -129,6 +129,10 @@ func Unsynthesizable(b *ir.Block) *ir.Instr {
 // data symbols for alias-driven memory disambiguation and block-RAM
 // sizing; it may be nil (conservative aliasing, no array migration).
 func Synthesize(r Region, img *binimg.Image, opts Options) (*Design, error) {
+	if res := opts.Resources; res.MemPorts <= 0 || res.Multipliers <= 0 || res.Dividers <= 0 {
+		// The scheduler would look for a free unit in ever later states.
+		return nil, fmt.Errorf("synth: resource budget %+v: every unit count must be positive", res)
+	}
 	blocks := r.blocks()
 	if len(blocks) == 0 {
 		return nil, fmt.Errorf("synth: empty region %q", r.Name)

@@ -2,7 +2,9 @@ package synth
 
 import (
 	"testing"
+	"time"
 
+	"binpart/internal/bench"
 	"binpart/internal/binimg"
 	"binpart/internal/decompile"
 	"binpart/internal/dopt"
@@ -293,6 +295,51 @@ func TestDesignCostMonotonicInWidth(t *testing.T) {
 		}
 		if c32.DelayNs < c8.DelayNs {
 			t.Errorf("%v: 32-bit faster than 8-bit", cls)
+		}
+	}
+}
+
+// TestNonPositiveResourcesRejected checks that a resource budget without
+// a memory port, multiplier or divider is an error. Scheduled, the crc
+// kernel's loads would look for a free port in ever later states.
+func TestNonPositiveResourcesRejected(t *testing.T) {
+	b, _ := bench.ByName("crc")
+	img, err := b.Compile(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := decompile.Decompile(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := dec.Func(b.KernelFunc)
+	dopt.Optimize(f)
+	region := LoopRegion(f, ir.FindLoops(f)[0])
+	budgets := map[string]Options{"zero options": {}}
+	for name, zero := range map[string]func(*Resources){
+		"no memory ports":   func(r *Resources) { r.MemPorts = 0 },
+		"no multipliers":    func(r *Resources) { r.Multipliers = 0 },
+		"negative dividers": func(r *Resources) { r.Dividers = -1 },
+	} {
+		opts := DefaultOptions()
+		zero(&opts.Resources)
+		budgets[name] = opts
+	}
+	for name, opts := range budgets {
+		done := make(chan error, 1)
+		go func() {
+			_, err := Synthesize(region, img, opts)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("%s: Synthesize accepted resources %+v", name, opts.Resources)
+			}
+		case <-time.After(2 * time.Second):
+			// The call cannot be stopped and its usage table grows
+			// without bound, so end the process instead of leaking it.
+			panic(name + ": Synthesize did not return within 2 s")
 		}
 	}
 }
