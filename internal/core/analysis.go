@@ -9,7 +9,6 @@ import (
 	"binpart/internal/bench"
 	"binpart/internal/binimg"
 	"binpart/internal/decompile"
-	"binpart/internal/dopt"
 	"binpart/internal/fpga"
 	"binpart/internal/freelist"
 	"binpart/internal/obs"
@@ -54,8 +53,6 @@ type Analysis struct {
 	// SWCycles is the all-software cycle count from simulation.
 	SWCycles uint64
 	Recovery RecoveryStats
-	// DoptReports holds the per-function decompiler-optimization logs.
-	DoptReports map[string]dopt.Report
 	// Outlines renders each recovered function's control structure.
 	Outlines map[string]string
 	// Candidates holds every synthesizable region in discovery order.
@@ -128,7 +125,6 @@ func computeAnalysis(img *binimg.Image, opts Options, caches *Caches, sc *obs.Sc
 		return nil, err
 	}
 	a.Recovery = lr.Recovery
-	a.DoptReports = lr.Reports
 	a.Outlines = lr.Outlines
 
 	// 4. Build candidates: outermost loops (default), or whole call-free

@@ -174,8 +174,6 @@ func (c *Caches) StatsString() string {
 // hit and must be treated as read-only.
 type LiftResult struct {
 	Dec *decompile.Result
-	// Reports holds the per-function decompiler-optimization logs.
-	Reports map[string]dopt.Report
 	// Factors holds per-function reroll factors (block index -> factor).
 	Factors map[string]map[int]int
 	// Outlines renders each function's recovered control structure.
@@ -197,7 +195,6 @@ func computeLift(img *binimg.Image, decOpts decompile.Options, cfg dopt.Config) 
 	}
 	lr := &LiftResult{
 		Dec:      dec,
-		Reports:  map[string]dopt.Report{},
 		Factors:  map[string]map[int]int{},
 		Outlines: map[string]string{},
 		Loops:    map[string][]*ir.Loop{},
@@ -210,7 +207,6 @@ func computeLift(img *binimg.Image, decOpts decompile.Options, cfg dopt.Config) 
 	for _, f := range dec.Funcs {
 		lr.Recovery.FuncsRecovered++
 		dr := dopt.OptimizeWith(f, cfg)
-		lr.Reports[f.Name] = dr
 		lr.Factors[f.Name] = dr.Reroll.Factors
 		lr.Recovery.RerolledLoops += len(dr.Reroll.Rerolled)
 		lr.Recovery.PromotedMultiplies += dr.Promote.Multiplies

@@ -150,7 +150,7 @@ type RecoveryStats struct {
 }
 
 // Report is the full outcome of a partitioning run: the Analysis it was
-// evaluated from (exit code, cycles, recovery, dopt logs, outlines) and
+// evaluated from (exit code, cycles, recovery, outlines) and
 // what evaluating added. Regions and their Selected/Step marks belong to
 // the report; the Analysis is shared with every Report of it and must
 // not be modified.
@@ -197,7 +197,7 @@ func Run(img *binimg.Image, opts Options) (*Report, error) {
 // simulation, lift (decompile + dopt), synthesis, and assembled-analysis
 // stages through the given cache set. A nil cache set computes everything
 // directly. The returned Report's regions are built per call; its maps
-// (Recovery.FailReasons, DoptReports, Outlines), footprints and designs
+// (Recovery.FailReasons, Outlines), footprints and designs
 // are the cached analysis' own, shared with every other run of the same
 // binary and options, and read-only like every stage product.
 //

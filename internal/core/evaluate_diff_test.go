@@ -56,7 +56,6 @@ func runMonolithic(img *binimg.Image, opts Options) (*Report, error) {
 	}
 	rep.Recovery = lr.Recovery
 	rep.Recovery.FailReasons = copyStringMap(lr.Recovery.FailReasons)
-	rep.DoptReports = copyStringMap(lr.Reports)
 	rep.Outlines = copyStringMap(lr.Outlines)
 
 	// 4. Build candidates, priced immediately for the platform.
@@ -159,7 +158,6 @@ func fullFingerprint(rep *Report) string {
 	sort.Strings(names)
 	for _, name := range names {
 		s += fmt.Sprintf("outline %s:\n%s", name, rep.Outlines[name])
-		s += fmt.Sprintf("dopt %s: %+v\n", name, rep.DoptReports[name])
 	}
 	return s
 }
@@ -305,9 +303,9 @@ func TestConcurrentEvaluateSharesMaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Recovery.FailReasons) == 0 || len(a.Outlines) == 0 || len(a.DoptReports) == 0 {
-		t.Fatalf("analysis maps not all populated: %d fail reasons, %d outlines, %d dopt reports",
-			len(a.Recovery.FailReasons), len(a.Outlines), len(a.DoptReports))
+	if len(a.Recovery.FailReasons) == 0 || len(a.Outlines) == 0 {
+		t.Fatalf("analysis maps not all populated: %d fail reasons, %d outlines",
+			len(a.Recovery.FailReasons), len(a.Outlines))
 	}
 	same := func(x, y any) bool { return reflect.ValueOf(x).UnsafePointer() == reflect.ValueOf(y).UnsafePointer() }
 	type point struct {
@@ -333,8 +331,7 @@ func TestConcurrentEvaluateSharesMaps(t *testing.T) {
 			for i := 0; i < 4*len(points); i++ {
 				pt := points[(g+i)%len(points)]
 				rep := Evaluate(a, platform.MIPS(200, pt.dev), 0, pt.alg)
-				if !same(rep.Recovery.FailReasons, a.Recovery.FailReasons) || !same(rep.Outlines, a.Outlines) ||
-					!same(rep.DoptReports, a.DoptReports) {
+				if !same(rep.Recovery.FailReasons, a.Recovery.FailReasons) || !same(rep.Outlines, a.Outlines) {
 					errs <- "report maps are copies, not the Analysis' shared maps"
 					return
 				}
@@ -342,8 +339,8 @@ func TestConcurrentEvaluateSharesMaps(t *testing.T) {
 				for name, reason := range rep.Recovery.FailReasons {
 					n += len(name) + len(reason) + len(rep.Outlines[name])
 				}
-				for name := range rep.DoptReports {
-					n += len(rep.Outlines[name])
+				for _, outline := range rep.Outlines {
+					n += len(outline)
 				}
 				if n == 0 {
 					errs <- "shared maps read empty"
