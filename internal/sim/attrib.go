@@ -59,25 +59,12 @@ func AttributeCycles(img *binimg.Image, prof *Profile, cm CycleModel, buf []uint
 			*c = 0
 			continue
 		}
-		// The class comes from the same decode metadata the interpreter
-		// predecodes from, so attribution and execution always agree.
-		var cycles uint64
-		switch in.Op.Cost() {
-		case mips.CostBranch:
+		// The interpreter predecodes with the same cost, so attribution
+		// and execution always agree.
+		cycles := count * cm.cost(in.Op)
+		if in.Op.Cost() == mips.CostBranch {
 			taken := min(*c, count)
 			cycles = taken*cm.BranchTaken + (count-taken)*cm.BranchNot
-		case mips.CostJump:
-			cycles = count * cm.Jump
-		case mips.CostLoad:
-			cycles = count * cm.Load
-		case mips.CostStore:
-			cycles = count * cm.Store
-		case mips.CostMult:
-			cycles = count * cm.Mult
-		case mips.CostDiv:
-			cycles = count * cm.Div
-		default:
-			cycles = count * cm.ALU
 		}
 		*c = cycles
 	}

@@ -48,6 +48,27 @@ type CycleModel struct {
 	Div         uint64
 }
 
+// cost is the cycles one execution of op takes. A branch's cost depends
+// on whether it is taken, so cost returns 0 for it and the caller adds
+// BranchTaken or BranchNot.
+func (cm CycleModel) cost(op mips.Op) uint64 {
+	switch op.Cost() {
+	case mips.CostBranch:
+		return 0
+	case mips.CostLoad:
+		return cm.Load
+	case mips.CostStore:
+		return cm.Store
+	case mips.CostJump:
+		return cm.Jump
+	case mips.CostMult:
+		return cm.Mult
+	case mips.CostDiv:
+		return cm.Div
+	}
+	return cm.ALU
+}
+
 // DefaultCycleModel is the model used throughout the experiments.
 var DefaultCycleModel = CycleModel{
 	ALU:         1,
@@ -301,22 +322,7 @@ func predecode(in mips.Inst, pc uint32, cm CycleModel) pinst {
 	case mips.LUI:
 		p.immU = uint32(in.Imm) << 16
 	}
-	switch in.Op.Cost() {
-	case mips.CostLoad:
-		p.cost = cm.Load
-	case mips.CostStore:
-		p.cost = cm.Store
-	case mips.CostJump:
-		p.cost = cm.Jump
-	case mips.CostMult:
-		p.cost = cm.Mult
-	case mips.CostDiv:
-		p.cost = cm.Div
-	case mips.CostBranch:
-		// taken/not-taken resolved in the hot loop
-	default:
-		p.cost = cm.ALU
-	}
+	p.cost = cm.cost(in.Op) // a branch's is added in the hot loop
 	switch {
 	case in.IsBranch():
 		p.target = pc + 4 + uint32(in.Imm)*4
