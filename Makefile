@@ -44,12 +44,16 @@ vet:
 # One traced golden run: exercises -trace/-stats/-manifest end to end on
 # the full default regeneration, the one-pool plan every experiment runs
 # in (the golden tests separately pin that tracing never moves a byte of
-# a table). Artifacts land in /tmp for inspection.
+# a table), and the traced tables must equal the committed golden with
+# A1's measured partition times masked. Artifacts land in /tmp for
+# inspection.
 obs-smoke:
 	$(GO) run ./cmd/experiments -j 8 \
 		-trace /tmp/binpart-trace.jsonl \
 		-manifest /tmp/binpart-manifest.json \
-		-stats >/dev/null
+		-stats >/tmp/binpart-tables.txt
+	sed -E 's/partition time [^ ]+/partition time <masked>/' /tmp/binpart-tables.txt | \
+		diff cmd/experiments/testdata/experiments_golden.txt -
 
 # A slice of the generated-program differential corpus under the race
 # detector: 120 switch-shaped programs through the full flow at -j 8,
