@@ -144,7 +144,10 @@ func computeAnalysis(img *binimg.Image, opts Options, caches *Caches, sc *obs.Sc
 		}
 		if opts.Granularity == GranFunctions {
 			rc, err := buildCandidate(fx, synth.FuncRegion(f), pf.funcInvocations(f), pf, opts, sc)
-			if err == nil && rc != nil {
+			if err != nil {
+				return nil, err
+			}
+			if rc != nil {
 				a.Candidates = append(a.Candidates, rc)
 			}
 			continue
@@ -154,7 +157,10 @@ func computeAnalysis(img *binimg.Image, opts Options, caches *Caches, sc *obs.Sc
 				continue
 			}
 			rc, err := buildCandidate(fx, synth.LoopRegion(f, l), pf.loopInvocations(l), pf, opts, sc)
-			if err == nil && rc != nil {
+			if err != nil {
+				return nil, err
+			}
+			if rc != nil {
 				a.Candidates = append(a.Candidates, rc)
 			}
 		}
