@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -315,17 +316,14 @@ func TestNonPositiveResourcesRejected(t *testing.T) {
 	f := dec.Func(b.KernelFunc)
 	dopt.Optimize(f)
 	region := LoopRegion(f, ir.FindLoops(f)[0])
-	budgets := map[string]Options{"zero options": {}}
-	for name, zero := range map[string]func(*Resources){
-		"no memory ports":   func(r *Resources) { r.MemPorts = 0 },
-		"no multipliers":    func(r *Resources) { r.Multipliers = 0 },
-		"negative dividers": func(r *Resources) { r.Dividers = -1 },
+	for _, res := range []Resources{
+		{},
+		{MemPorts: 0, Multipliers: 8, Dividers: 1},
+		{MemPorts: 2, Multipliers: 0, Dividers: 1},
+		{MemPorts: 2, Multipliers: 8, Dividers: -1},
 	} {
 		opts := DefaultOptions()
-		zero(&opts.Resources)
-		budgets[name] = opts
-	}
-	for name, opts := range budgets {
+		opts.Resources = res
 		done := make(chan error, 1)
 		go func() {
 			_, err := Synthesize(region, img, opts)
@@ -334,12 +332,12 @@ func TestNonPositiveResourcesRejected(t *testing.T) {
 		select {
 		case err := <-done:
 			if err == nil {
-				t.Errorf("%s: Synthesize accepted resources %+v", name, opts.Resources)
+				t.Errorf("Synthesize accepted resources %+v", res)
 			}
 		case <-time.After(2 * time.Second):
 			// The call cannot be stopped and its usage table grows
 			// without bound, so end the process instead of leaking it.
-			panic(name + ": Synthesize did not return within 2 s")
+			panic(fmt.Sprintf("Synthesize with resources %+v did not return within 2 s", res))
 		}
 	}
 }
