@@ -491,7 +491,7 @@ func BenchmarkPartitionerSelection(b *testing.B) {
 	}
 	b.Run("90-10", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			partition.Partition(cands, 200_000, partition.DefaultOptions())
+			partition.Partition(cands, 200_000, true)
 		}
 	})
 	b.Run("greedy", func(b *testing.B) {

@@ -11,7 +11,7 @@
 //	bparts -sweep clocks  program.sbf...   # CPU clock sweep (see -clocks)
 //
 // With several inputs the flows run concurrently over -j workers sharing
-// one stage cache (identical binaries lift once); reports print in
+// one stage cache (identical binaries are analyzed once); reports print in
 // argument order regardless of completion order.
 //
 // The platform, algorithm, granularity, jump-table and sweep flags fill a

@@ -9,8 +9,10 @@ import (
 	"binpart/internal/bench"
 	"binpart/internal/binimg"
 	"binpart/internal/decompile"
+	"binpart/internal/dopt"
 	"binpart/internal/fpga"
 	"binpart/internal/freelist"
+	"binpart/internal/ir"
 	"binpart/internal/obs"
 	"binpart/internal/partition"
 	"binpart/internal/platform"
@@ -42,8 +44,8 @@ type RegionCandidate struct {
 // points over Evaluate.
 //
 // All reference-typed fields (maps, designs, footprints) are shared with
-// the stage caches and with every Report derived from this Analysis, and
-// must be treated as read-only.
+// the analysis cache and with every Report derived from this Analysis,
+// and must be treated as read-only.
 type Analysis struct {
 	// opts records the options the analysis ran under (with Sim.Profile
 	// forced on). Evaluate substitutes the platform-dependent fields —
@@ -65,20 +67,21 @@ func Analyze(img *binimg.Image, opts Options) (*Analysis, error) {
 	return AnalyzeWith(img, opts, nil)
 }
 
-// AnalyzeWith is Analyze through a cache set: the simulation and lift
-// stages are memoized individually, and the assembled Analysis
-// itself is memoized under a key covering the image and every option
-// that can influence it (the platform, area budget, and algorithm are
-// excluded — they are evaluate-time inputs).
+// AnalyzeWith is Analyze through a cache set: the simulation is
+// memoized on its own, and the assembled Analysis under a key covering
+// the image and every option that can influence it (the platform, area
+// budget, and algorithm are excluded — they are evaluate-time inputs).
+// Each analysis computed lifts the image itself, and only its own
+// candidates share that lifted IR.
 func AnalyzeWith(img *binimg.Image, opts Options, caches *Caches) (*Analysis, error) {
 	return AnalyzeScoped(img, opts, caches, nil)
 }
 
 // AnalyzeScoped is AnalyzeWith under an observability scope: the analyze
 // stage and its sub-stages (sim, lift, per-region synth) each record a
-// span, with a cache outcome for all but synth, which has no cache. A nil
-// scope records nothing and adds no allocations — the disabled fast path
-// the Stage* benchmark gates hold to zero overhead.
+// span, with a cache outcome for analyze and sim; lift and synth have no
+// cache. A nil scope records nothing and adds no allocations — the
+// disabled fast path the Stage* benchmark gates hold to zero overhead.
 func AnalyzeScoped(img *binimg.Image, opts Options, caches *Caches, sc *obs.Scope) (*Analysis, error) {
 	opts.Sim.Profile = true
 	caches = caches.orNone()
@@ -112,11 +115,8 @@ func computeAnalysis(img *binimg.Image, opts Options, caches *Caches, sc *obs.Sc
 	ws.cycles = cycAt.Cycles
 
 	// 2+3. Decompile and run the decompiler optimization pipeline.
-	decOpts := decompile.Options{RecoverJumpTables: opts.RecoverJumpTables}
 	liftSp := sc.Start(obs.StageLift)
-	lr, err := cached(caches.Lift, &liftSp,
-		func() liftKey { return liftKeyFor(img.Key(), opts) },
-		func() (*LiftResult, error) { return computeLift(img, decOpts, opts.Dopt) })
+	lr, err := computeLift(img, decompile.Options{RecoverJumpTables: opts.RecoverJumpTables}, opts.Dopt)
 	if lr != nil {
 		liftSp.SetRegions(uint64(lr.Recovery.FuncsRecovered))
 	}
@@ -168,10 +168,79 @@ func computeAnalysis(img *binimg.Image, opts Options, caches *Caches, sc *obs.Sc
 	return a, nil
 }
 
+// LiftResult is the product of decompilation plus the decompiler
+// optimization pipeline. It belongs to the one Analysis lifted from it:
+// that analysis' candidates share it, and must treat it as read-only.
+type LiftResult struct {
+	Dec *decompile.Result
+	// Factors holds per-function reroll factors (block index -> factor).
+	Factors map[string]map[int]int
+	// Outlines renders each function's recovered control structure.
+	Outlines map[string]string
+	// Loops holds each function's natural loops on its final IR, as
+	// structure recovery found them (ir.FindLoops order; never nil).
+	// Candidate construction and synthesis share them read-only.
+	Loops map[string][]*ir.Loop
+	// Recovery aggregates recovery statistics; FailReasons is shared.
+	Recovery RecoveryStats
+}
+
+// computeLift runs decompilation, the dopt pipeline, and structure
+// recovery — steps 2 and 3 of the flow.
+func computeLift(img *binimg.Image, decOpts decompile.Options, cfg dopt.Config) (*LiftResult, error) {
+	dec, err := decompile.DecompileWith(img, decOpts)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	lr := &LiftResult{
+		Dec:      dec,
+		Factors:  map[string]map[int]int{},
+		Outlines: map[string]string{},
+		Loops:    map[string][]*ir.Loop{},
+	}
+	lr.Recovery.FailReasons = map[string]string{}
+	for name, ferr := range dec.Failed {
+		lr.Recovery.FuncsFailed++
+		lr.Recovery.FailReasons[name] = ferr.Error()
+	}
+	for _, f := range dec.Funcs {
+		lr.Recovery.FuncsRecovered++
+		dr := dopt.OptimizeWith(f, cfg)
+		lr.Factors[f.Name] = dr.Reroll.Factors
+		lr.Recovery.RerolledLoops += len(dr.Reroll.Rerolled)
+		lr.Recovery.PromotedMultiplies += dr.Promote.Multiplies
+		lr.Recovery.StackSlotsPromoted += dr.Stack.SlotsPromoted
+		lr.Recovery.OpsNarrowed += dr.Width.OpsNarrowed
+
+		st := ir.Recover(f)
+		sig := fmt.Sprintf("  signature: %s(%d args)", f.Name, dopt.InferParams(f))
+		if dopt.InferReturns(f) {
+			sig += " -> value"
+		}
+		lr.Outlines[f.Name] = st.Outline(f) + sig + "\n"
+		loops := make([]*ir.Loop, len(st.Loops))
+		for i, l := range st.Loops {
+			loops[i] = l.Loop
+			lr.Recovery.LoopsFound++
+			if l.Shape != ir.LoopOther {
+				lr.Recovery.LoopsShaped++
+			}
+		}
+		lr.Loops[f.Name] = loops
+		for _, i := range st.Ifs {
+			lr.Recovery.IfsFound++
+			if i.Shape != ir.IfUnstructured {
+				lr.Recovery.IfsShaped++
+			}
+		}
+	}
+	return lr, nil
+}
+
 // Evaluate prices the analysis' candidates for one platform, partitions
 // under the area budget (0 selects the platform device's full capacity),
-// and evaluates the chosen partition — microseconds per call. Partition
-// options come from the analysis' recorded options.
+// and evaluates the chosen partition — microseconds per call. The 90-10
+// heuristic caps step 1's size only for the analysis' loop candidates.
 func Evaluate(a *Analysis, p platform.Platform, areaBudgetGates int, alg Algorithm) *Report {
 	return EvaluateScoped(a, p, areaBudgetGates, alg, nil)
 }
@@ -244,7 +313,7 @@ func evaluateOpts(a *Analysis, opts Options, sc *obs.Scope) *Report {
 	case AlgGCLP:
 		pres = partition.GCLP(cands, opts.AreaBudgetGates)
 	default:
-		pres = partition.Partition(cands, opts.AreaBudgetGates, opts.partitionOptions())
+		pres = partition.Partition(cands, opts.AreaBudgetGates, opts.Granularity == GranLoops)
 	}
 	rep.PartitionTime = time.Since(start)
 

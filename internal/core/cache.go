@@ -7,9 +7,6 @@ import (
 	"binpart/internal/bench"
 	"binpart/internal/binimg"
 	"binpart/internal/cache"
-	"binpart/internal/decompile"
-	"binpart/internal/dopt"
-	"binpart/internal/ir"
 	"binpart/internal/obs"
 	"binpart/internal/platform"
 	"binpart/internal/sim"
@@ -21,24 +18,21 @@ import (
 //
 // Cached values are shared: a hit returns the same pointers a previous
 // run produced. Every consumer in this package treats them as immutable —
-// profiles are only read, lifted functions are only traversed, designs
-// are only costed and emitted — which is what makes sharing across a
-// concurrent experiment sweep safe (and what `go test -race` checks).
+// images and profiles are only read, designs are only costed and
+// emitted — which is what makes sharing across a concurrent experiment
+// sweep safe (and what `go test -race` checks).
 //
 // Every cache keys on a plain comparable value holding its stage's
 // inputs, with an image standing for its content digest (binimg's Key),
-// so Go's == compares every field: a field added to sim.Config,
-// dopt.Config or Options joins the keys that hold that struct without
-// anyone listing it (TestCacheKeysCoverOptions checks which field moves
+// so Go's == compares every field: a field added to sim.Config or
+// Options joins the keys that hold that struct without anyone listing
+// it (TestCacheKeysCoverOptions checks which field moves
 // which key).
 type Caches struct {
 	// Compile memoizes MicroC compilation: source text + opt level.
 	Compile *cache.Cache[bench.CompileKey, *binimg.Image]
 	// Sim memoizes profiling simulation: image + sim config.
 	Sim *cache.Cache[simKey, sim.Result]
-	// Lift memoizes decompilation plus the decompiler-optimization
-	// pipeline: image + decompile options + dopt config.
-	Lift *cache.Cache[liftKey, *LiftResult]
 	// Analysis memoizes the assembled platform-independent Analysis:
 	// image + Options, less the evaluate-time fields (see analysisKeyFor).
 	Analysis *cache.Cache[analysisKey, *Analysis]
@@ -49,18 +43,6 @@ type Caches struct {
 type simKey struct {
 	img binimg.Digest
 	cfg sim.Config
-}
-
-// liftKey keys the lift cache: an image and computeLift's options.
-type liftKey struct {
-	img  binimg.Digest
-	dec  decompile.Options
-	dopt dopt.Config
-}
-
-// liftKeyFor is the lift key of the image with digest d under opts.
-func liftKeyFor(d binimg.Digest, opts Options) liftKey {
-	return liftKey{d, decompile.Options{RecoverJumpTables: opts.RecoverJumpTables}, opts.Dopt}
 }
 
 // analysisKey keys the analysis cache: an image and its analysis options.
@@ -77,9 +59,7 @@ func analysisKeyFor(d binimg.Digest, opts Options) analysisKey {
 
 // AnalysisOptions is opts less its evaluate-time inputs: the platform,
 // area budget and algorithm are zeroed, so one Analysis of an image
-// serves every option set with equal AnalysisOptions. The partition
-// options are evaluate-time inputs too, but the Analysis records them
-// (Evaluate reads them), so they stay.
+// serves every option set with equal AnalysisOptions.
 func AnalysisOptions(opts Options) Options {
 	opts.Platform = platform.Platform{}
 	opts.AreaBudgetGates = 0
@@ -120,7 +100,6 @@ func cached[K comparable, V any](c *cache.Cache[K, V], sp *obs.Span, key func() 
 const (
 	defaultCompileEntries  = 256
 	defaultSimEntries      = 256
-	defaultLiftEntries     = 256
 	defaultAnalysisEntries = 256
 )
 
@@ -129,14 +108,13 @@ func NewCaches() *Caches {
 	return &Caches{
 		Compile:  cache.New[bench.CompileKey, *binimg.Image](defaultCompileEntries),
 		Sim:      cache.New[simKey, sim.Result](defaultSimEntries),
-		Lift:     cache.New[liftKey, *LiftResult](defaultLiftEntries),
 		Analysis: cache.New[analysisKey, *Analysis](defaultAnalysisEntries),
 	}
 }
 
 // cacheNames is the rendering order of the stage caches; StatsMap carries
 // the same names as keys, so manifests and the stats table agree.
-var cacheNames = []string{"compile", "sim", "lift", "analysis"}
+var cacheNames = []string{"compile", "sim", "analysis"}
 
 // StatsMap snapshots every stage cache's counters, keyed by stage name.
 // This is the accounting surface shared by the -stats table and the run
@@ -148,7 +126,6 @@ func (c *Caches) StatsMap() map[string]cache.Stats {
 	return map[string]cache.Stats{
 		"compile":  c.Compile.Stats(),
 		"sim":      c.Sim.Stats(),
-		"lift":     c.Lift.Stats(),
 		"analysis": c.Analysis.Stats(),
 	}
 }
@@ -167,73 +144,4 @@ func (c *Caches) StatsString() string {
 			name, s.Hits, s.Misses, s.Waits, s.Evictions, s.Entries)
 	}
 	return b.String()
-}
-
-// LiftResult is the cached product of decompilation plus the decompiler
-// optimization pipeline. Everything here is shared across runs on a cache
-// hit and must be treated as read-only.
-type LiftResult struct {
-	Dec *decompile.Result
-	// Factors holds per-function reroll factors (block index -> factor).
-	Factors map[string]map[int]int
-	// Outlines renders each function's recovered control structure.
-	Outlines map[string]string
-	// Loops holds each function's natural loops on its final IR, as
-	// structure recovery found them (ir.FindLoops order; never nil).
-	// Candidate construction and synthesis share them read-only.
-	Loops map[string][]*ir.Loop
-	// Recovery aggregates recovery statistics; FailReasons is shared.
-	Recovery RecoveryStats
-}
-
-// computeLift runs decompilation, the dopt pipeline, and structure
-// recovery — steps 2 and 3 of the flow — producing the cacheable product.
-func computeLift(img *binimg.Image, decOpts decompile.Options, cfg dopt.Config) (*LiftResult, error) {
-	dec, err := decompile.DecompileWith(img, decOpts)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	lr := &LiftResult{
-		Dec:      dec,
-		Factors:  map[string]map[int]int{},
-		Outlines: map[string]string{},
-		Loops:    map[string][]*ir.Loop{},
-	}
-	lr.Recovery.FailReasons = map[string]string{}
-	for name, ferr := range dec.Failed {
-		lr.Recovery.FuncsFailed++
-		lr.Recovery.FailReasons[name] = ferr.Error()
-	}
-	for _, f := range dec.Funcs {
-		lr.Recovery.FuncsRecovered++
-		dr := dopt.OptimizeWith(f, cfg)
-		lr.Factors[f.Name] = dr.Reroll.Factors
-		lr.Recovery.RerolledLoops += len(dr.Reroll.Rerolled)
-		lr.Recovery.PromotedMultiplies += dr.Promote.Multiplies
-		lr.Recovery.StackSlotsPromoted += dr.Stack.SlotsPromoted
-		lr.Recovery.OpsNarrowed += dr.Width.OpsNarrowed
-
-		st := ir.Recover(f)
-		sig := fmt.Sprintf("  signature: %s(%d args)", f.Name, dopt.InferParams(f))
-		if dopt.InferReturns(f) {
-			sig += " -> value"
-		}
-		lr.Outlines[f.Name] = st.Outline(f) + sig + "\n"
-		loops := make([]*ir.Loop, len(st.Loops))
-		for i, l := range st.Loops {
-			loops[i] = l.Loop
-			lr.Recovery.LoopsFound++
-			if l.Shape != ir.LoopOther {
-				lr.Recovery.LoopsShaped++
-			}
-		}
-		lr.Loops[f.Name] = loops
-		for _, i := range st.Ifs {
-			lr.Recovery.IfsFound++
-			if i.Shape != ir.IfUnstructured {
-				lr.Recovery.IfsShaped++
-			}
-		}
-	}
-	return lr, nil
 }

@@ -39,9 +39,9 @@ func TestStageCacheNamesAgree(t *testing.T) {
 // TestCacheKeysCoverOptions perturbs every leaf field of Options, one at
 // a time, and checks which stage keys move: the analysis key with every
 // field but the evaluate-time Platform, AreaBudgetGates and Algorithm;
-// the lift key with RecoverJumpTables and Dopt alone; the sim key (an
-// analysis simulates under opts.Sim) with Sim alone. A field the keys
-// cannot compare by value — a pointer, slice, map or func — fails here.
+// the sim key (an analysis simulates under opts.Sim) with Sim alone. A
+// field the keys cannot compare by value — a pointer, slice, map or
+// func — fails here.
 func TestCacheKeysCoverOptions(t *testing.T) {
 	var d binimg.Digest
 	base := DefaultOptions()
@@ -78,23 +78,35 @@ func TestCacheKeysCoverOptions(t *testing.T) {
 		if moved := analysisKeyFor(d, opts) != analysisKeyFor(d, base); moved == evalTime {
 			t.Errorf("%s: analysis key moved = %v, want %v", name, moved, !evalTime)
 		}
-		wantLift := top == "RecoverJumpTables" || top == "Dopt"
-		if moved := liftKeyFor(d, opts) != liftKeyFor(d, base); moved != wantLift {
-			t.Errorf("%s: lift key moved = %v, want %v", name, moved, wantLift)
-		}
 		if moved := (simKey{d, opts.Sim} != simKey{d, base.Sim}); moved != (top == "Sim") {
 			t.Errorf("%s: sim key moved = %v, want %v", name, moved, top == "Sim")
 		}
 	}
 	walk(nil, nil, reflect.TypeOf(base))
-	if leaves < 30 {
-		t.Fatalf("walked %d leaf fields of Options; the walk lost some", leaves)
+	if want := leafFields(reflect.TypeOf(base)); leaves != want {
+		t.Fatalf("walked %d leaf fields of Options, but it has %d", leaves, want)
 	}
 
 	other := d
 	other[0] ^= 1
-	if analysisKeyFor(d, base) == analysisKeyFor(other, base) || liftKeyFor(d, base) == liftKeyFor(other, base) ||
-		(simKey{d, base.Sim} == simKey{other, base.Sim}) {
+	if analysisKeyFor(d, base) == analysisKeyFor(other, base) || (simKey{d, base.Sim} == simKey{other, base.Sim}) {
 		t.Error("a different image digest left a stage key unchanged")
 	}
+}
+
+// leafFields counts typ's non-struct fields at any depth, by
+// reflect.VisibleFields rather than by field index as the walk above
+// does; a promoted field is counted under the struct it is embedded in.
+func leafFields(typ reflect.Type) int {
+	n := 0
+	for _, f := range reflect.VisibleFields(typ) {
+		switch {
+		case len(f.Index) > 1:
+		case f.Type.Kind() == reflect.Struct:
+			n += leafFields(f.Type)
+		default:
+			n++
+		}
+	}
+	return n
 }

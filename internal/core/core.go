@@ -21,7 +21,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"binpart/internal/alias"
@@ -86,7 +85,6 @@ type Options struct {
 	// AreaBudgetGates caps the hardware partition; 0 means the
 	// platform device's full logic capacity.
 	AreaBudgetGates int
-	Partition       partition.Options
 	Synth           synth.Options
 	Dopt            dopt.Config
 	Algorithm       Algorithm
@@ -100,23 +98,12 @@ type Options struct {
 	Sim               sim.Config
 }
 
-// partitionOptions is o.Partition as the 90-10 heuristic applies it: its
-// step-1 size cap is for loops, so whole functions go uncapped.
-func (o Options) partitionOptions() partition.Options {
-	p := o.Partition
-	if o.Granularity == GranFunctions {
-		p.MaxLoopInstrs = math.MaxInt
-	}
-	return p
-}
-
 // DefaultOptions targets the paper's 200 MHz MIPS + XC2V2000 platform.
 func DefaultOptions() Options {
 	cfg := sim.DefaultConfig()
 	cfg.Profile = true
 	return Options{
 		Platform:          platform.MIPS200,
-		Partition:         partition.DefaultOptions(),
 		Synth:             synth.DefaultOptions(),
 		RecoverJumpTables: true,
 		Sim:               cfg,
@@ -194,8 +181,8 @@ func Run(img *binimg.Image, opts Options) (*Report, error) {
 }
 
 // RunWith executes the full flow on a binary image, memoizing the
-// simulation, lift (decompile + dopt), synthesis, and assembled-analysis
-// stages through the given cache set. A nil cache set computes everything
+// simulation and the assembled analysis through the given cache set
+// (compilation is Compile's). A nil cache set computes everything
 // directly. The returned Report's regions are built per call; its maps
 // (Recovery.FailReasons, Outlines), footprints and designs
 // are the cached analysis' own, shared with every other run of the same

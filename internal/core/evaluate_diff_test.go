@@ -118,7 +118,7 @@ func runMonolithic(img *binimg.Image, opts Options) (*Report, error) {
 	case AlgGCLP:
 		pres = partition.GCLP(cands, opts.AreaBudgetGates)
 	default:
-		pres = partition.Partition(cands, opts.AreaBudgetGates, opts.partitionOptions())
+		pres = partition.Partition(cands, opts.AreaBudgetGates, opts.Granularity == GranLoops)
 	}
 	rep.PartitionTime = time.Since(start)
 
@@ -360,18 +360,18 @@ func TestConcurrentEvaluateSharesMaps(t *testing.T) {
 	}
 }
 
-// TestConcurrentAnalyzeSharesLift runs concurrent analyses of one image
-// through one cache set whose Analysis stage is off, so every call
-// builds and synthesizes its candidates again from the one cached
-// LiftResult: its functions and the loops structure recovery found, which
-// candidate construction, alias analysis and synthesis share. (An
+// TestConcurrentAnalyzeSharesProfile runs concurrent analyses of one
+// image through one cache set whose Analysis stage is off, so every call
+// lifts the image and builds and synthesizes its candidates again. What
+// the calls share is the image and the one cached simulation Result,
+// whose profile cycle attribution and invocation counting read. (An
 // analysis cache would serialize that work behind its lock and hide a
 // write from the race detector.) The analyses mix loop and function
-// granularity and two synthesis option sets (both pipelining, so
-// synthesis reads the shared loops). Under -race this is the proof that
-// the shared lift facts are only read; every report must also match an
-// uncached serial analysis of the same options.
-func TestConcurrentAnalyzeSharesLift(t *testing.T) {
+// granularity and two synthesis option sets under one sim config. Under
+// -race this is the proof that the shared image and profile are only
+// read; every report must also match an uncached serial analysis of the
+// same options.
+func TestConcurrentAnalyzeSharesProfile(t *testing.T) {
 	b, _ := bench.ByName("engine")
 	img, err := b.Compile(2)
 	if err != nil {
@@ -426,8 +426,8 @@ func TestConcurrentAnalyzeSharesLift(t *testing.T) {
 	for e := range errs {
 		t.Error(e)
 	}
-	if st := caches.Lift.Stats(); st.Misses != 1 {
-		t.Errorf("lift cache: %d misses, want 1 shared LiftResult", st.Misses)
+	if st := caches.Sim.Stats(); st.Misses != 1 {
+		t.Errorf("sim cache: %d misses, want 1 shared Result", st.Misses)
 	}
 }
 

@@ -27,7 +27,7 @@ import (
 type Runner struct {
 	// Workers is the pool size; <= 0 selects runtime.GOMAXPROCS(0).
 	Workers int
-	// Caches memoizes the compile, simulate, lift, and analysis stages
+	// Caches memoizes the compile, simulate and analysis stages
 	// across sweep points; nil disables caching.
 	Caches *core.Caches
 	// Obs records per-stage spans for every sweep point, attributed with

@@ -55,14 +55,13 @@ func (t *TraceWriter) Close() error {
 }
 
 // CacheForStage maps a span stage to the key its stage cache reports
-// under in Stats maps; stages with no cache (job, synth, evaluate) are
-// absent. The analysis cache predates the span layer and kept its longer
-// name.
+// under in Stats maps; stages with no cache (job, lift, synth, evaluate)
+// are absent. The analysis cache predates the span layer and kept its
+// longer name.
 var CacheForStage = map[string]string{
 	StageAnalyze: "analysis",
 	StageCompile: "compile",
 	StageSim:     "sim",
-	StageLift:    "lift",
 }
 
 // Reconcile checks the recorder's span outcomes against the cache

@@ -44,19 +44,14 @@ type Candidate struct {
 // Gain is the time saved by moving the candidate to hardware.
 func (c *Candidate) Gain() float64 { return c.SWTimeNs - c.HWTimeNs }
 
-// Options tunes the 90-10 heuristic.
-type Options struct {
+// The paper's parameters for step 1 of the 90-10 heuristic.
+const (
 	// CoverageTarget is the fraction of loop execution time step 1
 	// covers; the paper's rule of thumb is 0.9.
-	CoverageTarget float64
+	CoverageTarget = 0.9
 	// MaxLoopInstrs caps the size of step-1 loops ("a few dozen lines").
-	MaxLoopInstrs int
-}
-
-// DefaultOptions returns the paper's parameters.
-func DefaultOptions() Options {
-	return Options{CoverageTarget: 0.9, MaxLoopInstrs: 150}
-}
+	MaxLoopInstrs = 150
+)
 
 // Result is a chosen partition.
 type Result struct {
@@ -81,14 +76,9 @@ func totalTime(cands []*Candidate, chosen map[*Candidate]bool) float64 {
 }
 
 // Partition runs the three-step 90-10 heuristic under an equivalent-gate
-// budget.
-func Partition(cands []*Candidate, budgetGates int, opts Options) *Result {
-	if opts.CoverageTarget <= 0 {
-		opts.CoverageTarget = 0.9
-	}
-	if opts.MaxLoopInstrs <= 0 {
-		opts.MaxLoopInstrs = 150
-	}
+// budget. loops says the candidates are loops, whose step-1 picks are
+// capped at MaxLoopInstrs; whole functions go uncapped.
+func Partition(cands []*Candidate, budgetGates int, loops bool) *Result {
 	res := &Result{Step: map[string]int{}}
 	chosen := map[*Candidate]bool{}
 	area := 0
@@ -112,10 +102,10 @@ func Partition(cands []*Candidate, budgetGates int, opts Options) *Result {
 	slices.SortStableFunc(hot, func(a, b *Candidate) int { return descending(a.SWTimeNs, b.SWTimeNs) })
 	var covered float64
 	for _, c := range hot {
-		if total > 0 && covered/total >= opts.CoverageTarget {
+		if total > 0 && covered/total >= CoverageTarget {
 			break
 		}
-		if c.SizeInstrs > opts.MaxLoopInstrs || c.Gain() <= 0 {
+		if (loops && c.SizeInstrs > MaxLoopInstrs) || c.Gain() <= 0 {
 			continue
 		}
 		if add(c, 1) {

@@ -19,7 +19,7 @@ func TestStep1PicksHotLoops(t *testing.T) {
 		cand("warm", 900, 100, 10000),
 		cand("cold", 100, 50, 10000),
 	}
-	res := Partition(cands, 100000, DefaultOptions())
+	res := Partition(cands, 100000, true)
 	if res.Step["hot"] != 1 {
 		t.Errorf("hot loop selected in step %d, want 1", res.Step["hot"])
 	}
@@ -35,7 +35,7 @@ func TestStep2PullsAliasAffineRegions(t *testing.T) {
 		cand("sharer", 300, 200, 10000, "buf"),
 		cand("stranger", 300, 200, 10000, "other"),
 	}
-	res := Partition(cands, 100000, DefaultOptions())
+	res := Partition(cands, 100000, true)
 	if res.Step["sharer"] != 2 {
 		t.Errorf("sharer selected in step %d, want 2 (alias affinity)", res.Step["sharer"])
 	}
@@ -50,7 +50,7 @@ func TestStep3FillsUntilBudget(t *testing.T) {
 		cand("dense", 400, 100, 1000, "b"),
 		cand("sparse", 400, 100, 40000, "c"),
 	}
-	res := Partition(cands, 12000, DefaultOptions())
+	res := Partition(cands, 12000, true)
 	if res.Step["dense"] != 3 {
 		t.Errorf("dense selected in step %d, want 3", res.Step["dense"])
 	}
@@ -68,7 +68,7 @@ func TestAreaConstraintRespected(t *testing.T) {
 		cand("b", 4000, 100, 9000),
 		cand("c", 3000, 100, 9000),
 	}
-	res := Partition(cands, 10000, DefaultOptions())
+	res := Partition(cands, 10000, true)
 	if res.TotalGates > 10000 {
 		t.Errorf("area %d exceeds budget", res.TotalGates)
 	}
@@ -82,7 +82,7 @@ func TestNegativeGainExcluded(t *testing.T) {
 		cand("loser", 100, 5000, 1000), // hardware slower than software
 		cand("winner", 5000, 100, 1000),
 	}
-	res := Partition(cands, 100000, DefaultOptions())
+	res := Partition(cands, 100000, true)
 	if _, ok := res.Step["loser"]; ok {
 		t.Error("region with negative gain was selected")
 	}
@@ -98,7 +98,7 @@ func TestWholeApplicationWhenSpaceAllows(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		cands = append(cands, cand(string(rune('a'+i)), 1000, 100, 1000))
 	}
-	res := Partition(cands, 1<<30, DefaultOptions())
+	res := Partition(cands, 1<<30, true)
 	if len(res.Selected) != len(cands) {
 		t.Errorf("selected %d of %d regions with unlimited area", len(res.Selected), len(cands))
 	}
@@ -108,12 +108,16 @@ func TestSizeCapInStep1(t *testing.T) {
 	big := cand("big", 9000, 100, 1000)
 	big.SizeInstrs = 10000
 	small := cand("small", 1000, 100, 1000)
-	res := Partition([]*Candidate{big, small}, 100000, DefaultOptions())
+	res := Partition([]*Candidate{big, small}, 100000, true)
 	if res.Step["big"] == 1 {
 		t.Error("oversized loop selected in step 1")
 	}
 	if res.Step["small"] != 1 {
 		t.Error("small hot loop not selected")
+	}
+	// Whole functions are not capped.
+	if res := Partition([]*Candidate{big, small}, 100000, false); res.Step["big"] != 1 {
+		t.Errorf("oversized function not selected in step 1: %v", res.Step)
 	}
 }
 
@@ -127,7 +131,7 @@ func TestBaselinesRespectBudget(t *testing.T) {
 	for name, run := range map[string]func() *Result{
 		"greedy": func() *Result { return GreedyKnapsack(cands, 10000) },
 		"gclp":   func() *Result { return GCLP(cands, 10000) },
-		"90-10":  func() *Result { return Partition(cands, 10000, DefaultOptions()) },
+		"90-10":  func() *Result { return Partition(cands, 10000, true) },
 	} {
 		res := run()
 		if res.TotalGates > 10000 {
@@ -156,7 +160,7 @@ func TestExhaustiveIsOptimal(t *testing.T) {
 		}
 		// No heuristic may beat the exhaustive optimum.
 		for _, res := range []*Result{
-			Partition(cands, budget, DefaultOptions()),
+			Partition(cands, budget, true),
 			GreedyKnapsack(cands, budget),
 			GCLP(cands, budget),
 		} {
@@ -196,31 +200,6 @@ func TestResultTime(t *testing.T) {
 	}
 }
 
-func TestCoverageTargetVariants(t *testing.T) {
-	// Raising the coverage target pulls more loops into step 1.
-	cands := []*Candidate{
-		cand("a", 5000, 100, 1000),
-		cand("b", 3000, 100, 1000),
-		cand("c", 1500, 100, 1000),
-		cand("d", 500, 100, 1000),
-	}
-	stepOne := func(target float64) int {
-		opts := DefaultOptions()
-		opts.CoverageTarget = target
-		n := 0
-		for _, step := range Partition(cands, 1<<30, opts).Step {
-			if step == 1 {
-				n++
-			}
-		}
-		return n
-	}
-	nLo, nHi := stepOne(0.5), stepOne(0.99)
-	if nHi <= nLo {
-		t.Errorf("coverage 0.99 selected %d in step 1, coverage 0.5 selected %d", nHi, nLo)
-	}
-}
-
 func TestGCLPPhaseSwitch(t *testing.T) {
 	// With most time already moved to hardware, GCLP switches to
 	// area-driven selection: between two equal-gain candidates it must
@@ -237,12 +216,12 @@ func TestGCLPPhaseSwitch(t *testing.T) {
 }
 
 func TestPartitionEmptyAndDegenerate(t *testing.T) {
-	if res := Partition(nil, 1000, DefaultOptions()); len(res.Selected) != 0 || res.TotalGates != 0 {
+	if res := Partition(nil, 1000, true); len(res.Selected) != 0 || res.TotalGates != 0 {
 		t.Errorf("empty input produced %+v", res)
 	}
 	// Zero-area candidates must not divide by zero in step 3.
 	z := cand("z", 100, 10, 0)
-	if res := Partition([]*Candidate{z}, 1000, DefaultOptions()); res.TotalGates != 0 {
+	if res := Partition([]*Candidate{z}, 1000, true); res.TotalGates != 0 {
 		// Step 1 may admit it (area 0 always fits); either way no panic
 		// and no budget damage.
 		_ = res
@@ -258,7 +237,7 @@ func TestStepAttribution(t *testing.T) {
 		cand("affine", 200, 100, 1000, "m"),
 		cand("fill", 200, 100, 1000, "x"),
 	}
-	res := Partition(cands, 1<<30, DefaultOptions())
+	res := Partition(cands, 1<<30, true)
 	if res.Step["hot"] != 1 || res.Step["affine"] != 2 || res.Step["fill"] != 3 {
 		t.Errorf("step attribution = %v", res.Step)
 	}

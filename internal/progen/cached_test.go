@@ -29,7 +29,7 @@ func reportFingerprint(rep *core.Report) string {
 // cached core.RunWith, and a fully warm core.RunWith (same cache, second
 // call) must agree on every observable output — exit code, cycle counts,
 // metrics, recovery statistics, and every candidate region. This is the
-// guarantee that content-addressed memoization of the compile/sim/lift/
+// guarantee that content-addressed memoization of the compile/sim/
 // analysis stages is invisible to results.
 func TestCachedRunDifferential(t *testing.T) {
 	cfg := Config{MaxStmts: 6, MaxDepth: 3, MaxLoops: 3, Arrays: true, UnrollFriendly: true}
@@ -65,12 +65,12 @@ func TestCachedRunDifferential(t *testing.T) {
 					p.Seed, lvl, want, got, p.Source)
 			}
 
-			// Vary an evaluate-stage option: the assembled-analysis cache
-			// misses (its key covers partition options) but every inner
-			// stage cache hits, and the result must still match an
-			// uncached run under the same options.
+			// Vary an analysis-only option: the assembled-analysis cache
+			// misses (its key covers the synthesis options) but the sim
+			// cache hits, and the result must still match an uncached
+			// run under the same options.
 			opts2 := opts
-			opts2.Partition.CoverageTarget = 0.85
+			opts2.Synth.Pipeline = false
 			cold2, err := core.Run(img, opts2)
 			if err != nil {
 				t.Fatalf("seed %d O%d: uncached varied run: %v", p.Seed, lvl, err)
@@ -88,18 +88,13 @@ func TestCachedRunDifferential(t *testing.T) {
 
 	// The warm runs must actually have been served from the cache: the
 	// second RunWith of every (program, level) pair hits the assembled
-	// Analysis cache, and the varied-options runs hit the inner stage
-	// caches underneath a fresh analysis.
+	// Analysis cache, and the varied-options runs hit the sim cache
+	// underneath a fresh analysis.
 	if st := caches.Analysis.Stats(); st.Hits == 0 || st.Misses == 0 {
 		t.Errorf("analysis cache saw no reuse: %+v", st)
 	}
-	st := caches.Sim.Stats()
-	if st.Hits == 0 {
+	if st := caches.Sim.Stats(); st.Hits == 0 {
 		t.Errorf("sim cache recorded no hits: %+v", st)
-	}
-	st = caches.Lift.Stats()
-	if st.Hits == 0 {
-		t.Errorf("lift cache recorded no hits: %+v", st)
 	}
 }
 
