@@ -19,7 +19,7 @@ build:
 	$(GO) build ./...
 
 test:
-	$(GO) test ./...
+	$(GO) test -shuffle=on ./...
 
 # The full suite under the race detector. The exper golden tests run
 # 8-worker sweeps over shared caches, so this is the executor's

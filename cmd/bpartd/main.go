@@ -7,9 +7,8 @@
 //	                    chunked ndjson (header line, one line per point, done line)
 //
 // The body's platform, algorithm, budget, granularity, jump-table and
-// sweep fields are a core.Request, the model bparts fills from its flags;
-// bpartd's own -mhz, -device and -alg fill one too, for the defaults a
-// request overrides. The report text inside the responses is
+// sweep fields are a core.Request, the model bparts fills from its flags,
+// applied over core.DefaultOptions. The report text inside the responses is
 // byte-identical to what the bparts CLI prints for the same inputs — both
 // render through core.RenderReport and core.Sweep.
 //
@@ -41,7 +40,6 @@ import (
 	"runtime"
 	"time"
 
-	"binpart/internal/core"
 	"binpart/internal/session"
 )
 
@@ -53,11 +51,6 @@ func main() {
 	inflight := flag.Int("inflight", runtime.GOMAXPROCS(0), "execution bound: max requests partitioning concurrently")
 	deadline := flag.Duration("deadline", 30*time.Second, "per-request deadline (admission wait + compute)")
 	drain := flag.Duration("drain", 10*time.Second, "shutdown budget for draining in-flight requests")
-	def := core.DefaultOptions()
-	req := core.Request{MHz: new(float64)}
-	flag.Float64Var(req.MHz, "mhz", def.Platform.CPUMHz, "default CPU clock in MHz (request \"mhz\" overrides)")
-	flag.StringVar(&req.Device, "device", def.Platform.Device.Name, "default Virtex-II device (request \"device\" overrides)")
-	flag.StringVar(&req.Alg, "alg", def.Algorithm.String(), "default partitioning algorithm (request \"alg\" overrides)")
 	sf := session.Register(flag.CommandLine, "ops-addr", "serve /healthz, /readyz, /metrics, pprof on this address")
 	flag.Parse()
 
@@ -65,18 +58,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bpartd:", err)
 		os.Exit(1)
 	}
-	opts, err := req.Options(def)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bpartd: -%v\n", err)
-		os.Exit(2)
-	}
 
 	// The session watches signals from before the listeners open: a
 	// SIGTERM at any point of the daemon's life runs the drain path. The
 	// daemon exists first so its serving families join /metrics; it gets
 	// the session's caches and recorder before any request can arrive.
 	d := newDaemon(daemonConfig{
-		Opts:     opts,
 		Queue:    *queue,
 		Inflight: *inflight,
 		Deadline: *deadline,

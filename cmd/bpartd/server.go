@@ -77,7 +77,6 @@ type sweepChunk struct {
 }
 
 type daemonConfig struct {
-	Opts     core.Options
 	Caches   *core.Caches
 	Rec      *obs.Recorder
 	Queue    int
@@ -88,7 +87,6 @@ type daemonConfig struct {
 // daemon is the serving core: admission, the two API handlers, and the
 // counters /metrics exposes.
 type daemon struct {
-	opts     core.Options
 	caches   *core.Caches
 	rec      *obs.Recorder
 	deadline time.Duration
@@ -143,7 +141,6 @@ func newDaemon(cfg daemonConfig) *daemon {
 		cfg.Deadline = 30 * time.Second
 	}
 	d := &daemon{
-		opts:     cfg.Opts,
 		caches:   cfg.Caches,
 		rec:      cfg.Rec,
 		deadline: cfg.Deadline,
@@ -297,7 +294,7 @@ func (d *daemon) decode(w http.ResponseWriter, r *http.Request, buf *bytes.Buffe
 		return nil, core.Options{}, fmt.Errorf("opt %d out of range 0-%d", req.Opt, mcc.MaxOptLevel)
 	}
 
-	opts, err := req.Options(d.opts)
+	opts, err := req.Options(core.DefaultOptions())
 	return &req, opts, err
 }
 

@@ -21,18 +21,8 @@ import (
 	"binpart/internal/obs"
 )
 
-// testOptions mirrors the daemon's default option construction.
-func testOptions(t testing.TB) core.Options {
-	t.Helper()
-	opts := core.DefaultOptions()
-	return opts
-}
-
 func testDaemon(t testing.TB, cfg daemonConfig) *daemon {
 	t.Helper()
-	if cfg.Opts.Platform.CPUMHz == 0 {
-		cfg.Opts = testOptions(t)
-	}
 	if cfg.Caches == nil {
 		cfg.Caches = core.NewCaches()
 	}
@@ -89,7 +79,7 @@ func TestPartitionMatchesCLI(t *testing.T) {
 
 	benches := []string{"crc", "fir", "brev", "bcnt"}
 	want := make(map[string]string)
-	opts := testOptions(t)
+	opts := core.DefaultOptions()
 	for _, name := range benches {
 		b, ok := bench.ByName(name)
 		if !ok {
@@ -216,7 +206,7 @@ func TestSweepStreamMatchesCLI(t *testing.T) {
 	ts := httptest.NewServer(d.Mux())
 	defer ts.Close()
 
-	opts := testOptions(t)
+	opts := core.DefaultOptions()
 	b, _ := bench.ByName("crc")
 	img, err := b.Compile(1)
 	if err != nil {

@@ -42,7 +42,7 @@ func main() {
 	fmt.Printf("instructions: %d\n", res.Steps)
 	fmt.Printf("cycles: %d\n", res.Cycles)
 	if res.Profile != nil {
-		cycles := sim.AttributeCycles(img, res.Profile, cfg.Cycles, nil)
+		cycles := sim.AttributeCycles(img, res.Profile, nil)
 		type hot struct {
 			pc  uint32
 			cyc uint64

@@ -111,7 +111,7 @@ func computeAnalysis(img *binimg.Image, opts Options, caches *Caches, sc *obs.Sc
 	a.SWCycles = res.Cycles
 	ws := analysisScratches.Get()
 	defer ws.release()
-	cycAt := sim.AttributeCycles(img, res.Profile, opts.Sim.Cycles, ws.cycles)
+	cycAt := sim.AttributeCycles(img, res.Profile, ws.cycles)
 	ws.cycles = cycAt.Cycles
 
 	// 2+3. Decompile and run the decompiler optimization pipeline.

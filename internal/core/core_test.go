@@ -292,23 +292,6 @@ func TestRunRejectsBadImages(t *testing.T) {
 	}
 }
 
-// TestRunReportsSynthesisErrors checks that a synthesis budget the
-// synthesizer rejects fails the run rather than leaving it without
-// candidates. crc has no multiply, so without the check its designs
-// would synthesize.
-func TestRunReportsSynthesisErrors(t *testing.T) {
-	b, _ := bench.ByName("crc")
-	img, err := b.Compile(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := DefaultOptions()
-	opts.Synth.Resources.Multipliers = 0
-	if rep, err := Run(img, opts); err == nil {
-		t.Errorf("Run with no multipliers succeeded with %d regions", len(rep.Regions))
-	}
-}
-
 func TestJumpTableExtensionAcceleratesFailedBenchmarks(t *testing.T) {
 	// With the indirect-jump extension, the paper's two failing EEMBC
 	// benchmarks become partitionable and accelerate.

@@ -47,7 +47,7 @@ func runMonolithic(img *binimg.Image, opts Options) (*Report, error) {
 	}
 	rep.ExitCode = res.ExitCode
 	rep.SWCycles = res.Cycles
-	cycAt := sim.AttributeCycles(img, res.Profile, opts.Sim.Cycles, nil)
+	cycAt := sim.AttributeCycles(img, res.Profile, nil)
 
 	// 2+3. Decompile and run the decompiler optimization pipeline.
 	lr, err := computeLift(img, decompile.Options{RecoverJumpTables: opts.RecoverJumpTables}, opts.Dopt)
@@ -379,10 +379,10 @@ func TestConcurrentAnalyzeSharesProfile(t *testing.T) {
 	}
 	var variants []Options
 	for _, gran := range []Granularity{GranLoops, GranFunctions} {
-		for _, ports := range []int{2, 1} {
+		for _, pipeline := range []bool{true, false} {
 			opts := DefaultOptions()
 			opts.Granularity = gran
-			opts.Synth.Resources.MemPorts = ports
+			opts.Synth.Pipeline = pipeline
 			variants = append(variants, opts)
 		}
 	}

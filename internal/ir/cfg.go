@@ -14,9 +14,9 @@ import (
 type loopScratch struct {
 	seen       []bool
 	postIdx    []int
-	post, rpo  []*Block
+	order      []int
 	frames     []dfsFrame
-	idom, pd   []int
+	idom       []int
 	headedLoop []int32 // by block index: index of the loop it heads, or -1
 	stack      []*Block
 	branch     []bool // by block index: its terminator tests a loop
@@ -45,8 +45,6 @@ func (sc *loopScratch) release() {
 
 // clearRefs drops sc's pointers into the IR.
 func (sc *loopScratch) clearRefs() {
-	clear(sc.post[:cap(sc.post)])
-	clear(sc.rpo[:cap(sc.rpo)])
 	clear(sc.frames[:cap(sc.frames)])
 	clear(sc.stack[:cap(sc.stack)])
 	clear(sc.iv)
@@ -62,19 +60,44 @@ func Dominators(f *Func) []int {
 }
 
 // dominators is Dominators into sc.idom.
-func (sc *loopScratch) dominators(f *Func) []int {
+func (sc *loopScratch) dominators(f *Func) []int { return sc.dominatorTree(f, false) }
+
+// postDominators computes immediate postdominators into sc.idom: -1
+// where the nearest postdominator is the exit itself, and for blocks
+// that reach no exit.
+func (sc *loopScratch) postDominators(f *Func) []int {
+	ipdom := sc.dominatorTree(f, true)
+	for i, p := range ipdom {
+		if p == len(ipdom) {
+			ipdom[i] = -1
+		}
+	}
+	return ipdom
+}
+
+// isExit reports whether b leaves the function.
+func isExit(b *Block) bool {
+	t := b.Terminator()
+	return len(b.Succs) == 0 || (t != nil && (t.Op == Ret || t.Op == Halt))
+}
+
+// dominatorTree runs the Cooper/Harvey/Kennedy iteration over f's CFG
+// from its entry (post false), or over the reversed CFG from a virtual
+// exit, node len(f.Blocks), that every exit block leads to (post true).
+// It returns each block's immediate (post)dominator by index, -1 for
+// blocks the root does not reach; the entry is its own.
+func (sc *loopScratch) dominatorTree(f *Func, post bool) []int {
 	n := len(f.Blocks)
-	order, postIdx := sc.reversePostorder(f)
-	idom := freelist.Resize(sc.idom, n)
+	order, postIdx := sc.reversePostorder(f, post)
+	idom := freelist.Resize(sc.idom, n+1)
 	sc.idom = idom
 	for i := range idom {
 		idom[i] = -1
 	}
-	if n == 0 {
-		return idom
+	if len(order) == 0 {
+		return idom[:n]
 	}
-	entry := f.Blocks[0].Index
-	idom[entry] = entry
+	idom[order[0]] = order[0]
 
 	intersect := func(a, b int) int {
 		for a != b {
@@ -90,47 +113,60 @@ func (sc *loopScratch) dominators(f *Func) []int {
 
 	for changed := true; changed; {
 		changed = false
-		for _, b := range order {
-			if b.Index == entry {
-				continue
-			}
-			newIdom := -1
-			for _, p := range b.Preds {
-				if idom[p.Index] == -1 {
-					continue
+		for _, i := range order[1:] {
+			b, newIdom := f.Blocks[i], -1
+			preds := b.Preds
+			if post {
+				preds = b.Succs
+				if isExit(b) {
+					newIdom = n
 				}
-				if newIdom == -1 {
+			}
+			for _, p := range preds {
+				switch {
+				case idom[p.Index] == -1:
+				case newIdom == -1:
 					newIdom = p.Index
-				} else {
+				default:
 					newIdom = intersect(newIdom, p.Index)
 				}
 			}
-			if newIdom != -1 && idom[b.Index] != newIdom {
-				idom[b.Index] = newIdom
+			if newIdom != -1 && idom[i] != newIdom {
+				idom[i] = newIdom
 				changed = true
 			}
 		}
 	}
-	return idom
+	return idom[:n]
 }
 
-// reversePostorder returns blocks in reverse postorder from the entry and
-// each block's postorder index (0 for unreachable blocks), in sc's
-// tables. The walk is a depth-first search visiting successors in order.
-func (sc *loopScratch) reversePostorder(f *Func) ([]*Block, []int) {
+// reversePostorder returns the nodes a depth-first search reaches in
+// reverse postorder, root first, and each node's postorder index (0 for
+// those not reached), in sc's tables. The search starts at the entry and
+// follows successors in order (post false), or starts at a virtual exit,
+// node len(f.Blocks), whose successors are the exit blocks in order, and
+// follows predecessors (post true).
+func (sc *loopScratch) reversePostorder(f *Func, post bool) ([]int, []int) {
 	n := len(f.Blocks)
 	seen := freelist.Resize(sc.seen, n)
 	clear(seen)
-	postIdx := freelist.Resize(sc.postIdx, n)
+	postIdx := freelist.Resize(sc.postIdx, n+1)
 	clear(postIdx)
-	post, frames := sc.post[:0], sc.frames[:0]
-	if n > 0 {
-		seen[f.Blocks[0].Index] = true
-		frames = append(frames, dfsFrame{b: f.Blocks[0]})
+	order, frames := sc.order[:0], sc.frames[:0]
+	for _, root := range f.Blocks {
+		if post && !isExit(root) || seen[root.Index] {
+			continue
+		}
+		seen[root.Index] = true
+		frames = append(frames, dfsFrame{b: root})
 		for len(frames) > 0 {
 			top := &frames[len(frames)-1]
-			if top.next < len(top.b.Succs) {
-				s := top.b.Succs[top.next]
+			next := top.b.Succs
+			if post {
+				next = top.b.Preds
+			}
+			if top.next < len(next) {
+				s := next[top.next]
 				top.next++
 				if !seen[s.Index] {
 					seen[s.Index] = true
@@ -138,17 +174,21 @@ func (sc *loopScratch) reversePostorder(f *Func) ([]*Block, []int) {
 				}
 				continue
 			}
-			postIdx[top.b.Index] = len(post)
-			post = append(post, top.b)
+			postIdx[top.b.Index] = len(order)
+			order = append(order, top.b.Index)
 			frames = frames[:len(frames)-1]
 		}
+		if !post {
+			break
+		}
 	}
-	rpo := freelist.Resize(sc.rpo, len(post))
-	for i, b := range post {
-		rpo[len(post)-1-i] = b
+	if post && len(order) > 0 {
+		postIdx[n] = len(order)
+		order = append(order, n)
 	}
-	sc.seen, sc.postIdx, sc.post, sc.frames, sc.rpo = seen, postIdx, post, frames, rpo
-	return rpo, postIdx
+	slices.Reverse(order)
+	sc.seen, sc.postIdx, sc.order, sc.frames = seen, postIdx, order, frames
+	return order, postIdx
 }
 
 // Dominates reports whether a dominates b under the idom tree.

@@ -2,6 +2,7 @@ package ir
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -106,6 +107,74 @@ func TestDominatorsAgainstBruteForce(t *testing.T) {
 							trial, a, b, got, dom[a][b])
 					}
 				}
+			}
+		}
+	}
+}
+
+// reachesExitWithout computes which blocks reach an exit (a block
+// without successors) when block cut is removed (-1 = no cut).
+func reachesExitWithout(f *Func, cut int) []bool {
+	seen := make([]bool, len(f.Blocks))
+	var dfs func(b *Block)
+	dfs = func(b *Block) {
+		if seen[b.Index] || b.Index == cut {
+			return
+		}
+		seen[b.Index] = true
+		for _, p := range b.Preds {
+			dfs(p)
+		}
+	}
+	for _, b := range f.Blocks {
+		if len(b.Succs) == 0 {
+			dfs(b)
+		}
+	}
+	return seen
+}
+
+// TestPostDominatorsAgainstBruteForce checks the immediate
+// postdominators against the definition: ipdom[x] is the nearest block
+// that every path from x to an exit passes through, or -1 when there is
+// none or x reaches no exit. m lies on every such path iff x reaches an
+// exit but no longer does once m is removed.
+func TestPostDominatorsAgainstBruteForce(t *testing.T) {
+	r := rand.New(rand.NewSource(22))
+	for trial := 0; trial < 3000; trial++ {
+		n := 2 + r.Intn(10)
+		f := randomCFG(r, n)
+		sc := loopScratches.Get()
+		ipdom := slices.Clone(sc.postDominators(f))
+		sc.release()
+
+		// pdom[m][x]: m strictly postdominates x.
+		base := reachesExitWithout(f, -1)
+		pdom := make([][]bool, n)
+		for m := range n {
+			without := reachesExitWithout(f, m)
+			pdom[m] = make([]bool, n)
+			for x := range n {
+				pdom[m][x] = m != x && base[x] && !without[x]
+			}
+		}
+		for x := range n {
+			// The strict postdominators of x form a chain; the nearest
+			// is the one every other postdominates.
+			want := -1
+			for m := range n {
+				nearest := pdom[m][x]
+				for a := range n {
+					if a != m && pdom[a][x] && !pdom[a][m] {
+						nearest = false
+					}
+				}
+				if nearest {
+					want = m
+				}
+			}
+			if ipdom[x] != want {
+				t.Fatalf("trial %d: ipdom[%d] = %d, brute force %d", trial, x, ipdom[x], want)
 			}
 		}
 	}

@@ -240,110 +240,3 @@ func postDominated(ipdom []int, x, m int) bool {
 	}
 	return false
 }
-
-// postDominators computes immediate postdominators via the iterative
-// algorithm on the reversed CFG with a virtual exit. Returns -1 where
-// undefined. The virtual exit is not represented; blocks whose only
-// postdominator is the exit get -1.
-func (sc *loopScratch) postDominators(f *Func) []int {
-	n := len(f.Blocks)
-	ipdom := freelist.Resize(sc.idom, n)
-	sc.idom = ipdom
-	for i := range ipdom {
-		ipdom[i] = -1
-	}
-	if n == 0 {
-		return ipdom
-	}
-	const exit = -2 // virtual exit marker inside the lattice
-
-	// Postorder over the reversed graph starting from all exit blocks.
-	// Simpler formulation: iterate to fixpoint over "pdom sets" encoded
-	// as idom-style trees rooted at the virtual exit.
-	// Order blocks by reverse of a forward RPO for fast convergence.
-	rpo, _ := sc.reversePostorder(f)
-
-	// pd[i] is either exit, -1 (unknown), or a block index.
-	pd := freelist.Resize(sc.pd, n)
-	sc.pd = pd
-	for i := range pd {
-		pd[i] = -1
-	}
-	isExit := func(b *Block) bool {
-		t := b.Terminator()
-		return len(b.Succs) == 0 || (t != nil && (t.Op == Ret || t.Op == Halt))
-	}
-	for _, b := range f.Blocks {
-		if isExit(b) {
-			pd[b.Index] = exit
-		}
-	}
-
-	// depth of node in current pdom tree, exit at depth 0.
-	depth := func(x int) int {
-		d := 0
-		for x != exit {
-			if x < 0 {
-				return 1 << 30
-			}
-			x = pd[x]
-			d++
-			if d > n+1 {
-				return 1 << 30
-			}
-		}
-		return d
-	}
-	intersect := func(a, b int) int {
-		da, db := depth(a), depth(b)
-		for a != b {
-			for da > db {
-				a = pd[a]
-				da--
-			}
-			for db > da {
-				b = pd[b]
-				db--
-			}
-			if a == b {
-				break
-			}
-			a, b = pd[a], pd[b]
-			da, db = depth(a), depth(b)
-		}
-		return a
-	}
-
-	for changed := true; changed; {
-		changed = false
-		// Process in postorder of the forward graph (≈ RPO of reverse).
-		for i := len(rpo) - 1; i >= 0; i-- {
-			b := rpo[i]
-			if isExit(b) {
-				continue
-			}
-			newPd := -1
-			for _, s := range b.Succs {
-				if pd[s.Index] == -1 && !isExit(s) {
-					continue
-				}
-				cand := s.Index
-				if newPd == -1 {
-					newPd = cand
-				} else {
-					newPd = intersect(newPd, cand)
-				}
-			}
-			if newPd != -1 && pd[b.Index] != newPd {
-				pd[b.Index] = newPd
-				changed = true
-			}
-		}
-	}
-	for i := range ipdom {
-		if pd[i] >= 0 {
-			ipdom[i] = pd[i]
-		}
-	}
-	return ipdom
-}

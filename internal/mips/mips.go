@@ -193,13 +193,14 @@ type Inst struct {
 }
 
 // CostClass buckets opcodes by their cycle-model class. The simulator's
-// CycleModel assigns one cost per class; the fast interpreter predecodes
+// cycle model fixes one cost per class; the fast interpreter predecodes
 // the class into a per-instruction cost, and cycle attribution uses the
 // same classification so both agree by construction.
 type CostClass uint8
 
-// Cost classes, mirroring sim.CycleModel's fields. Branches carry two
-// costs (taken/not-taken) and are resolved at execution time.
+// Cost classes, one per cost constant of the simulator's cycle model.
+// Branches carry two costs (taken/not-taken) and are resolved at
+// execution time.
 const (
 	CostALU CostClass = iota
 	CostLoad

@@ -27,10 +27,7 @@ func (a Attribution) At(pc uint32) uint64 {
 // using the recorded edge counts. The partitioner uses this to know how
 // many CPU cycles each loop consumed. The counts are written into buf's
 // array when it is large enough; pass nil for a fresh one.
-func AttributeCycles(img *binimg.Image, prof *Profile, cm CycleModel, buf []uint64) Attribution {
-	if cm == (CycleModel{}) {
-		cm = DefaultCycleModel
-	}
+func AttributeCycles(img *binimg.Image, prof *Profile, buf []uint64) Attribution {
 	if cap(buf) < len(img.Text) {
 		buf = make([]uint64, len(img.Text))
 	}
@@ -61,10 +58,10 @@ func AttributeCycles(img *binimg.Image, prof *Profile, cm CycleModel, buf []uint
 		}
 		// The interpreter predecodes with the same cost, so attribution
 		// and execution always agree.
-		cycles := count * cm.cost(in.Op)
+		cycles := count * cost(in.Op)
 		if in.Op.Cost() == mips.CostBranch {
 			taken := min(*c, count)
-			cycles = taken*cm.BranchTaken + (count-taken)*cm.BranchNot
+			cycles = taken*cyclesBranchTaken + (count-taken)*cyclesBranchNot
 		}
 		*c = cycles
 	}

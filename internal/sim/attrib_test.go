@@ -32,20 +32,20 @@ func TestAttributeCycles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cyc := AttributeCycles(img, res.Profile, cfg.Cycles, nil)
+	cyc := AttributeCycles(img, res.Profile, nil)
 
 	base := img.TextBase
 	// The loop body runs 4 times; the load at +12 costs Load cycles each.
-	if got, want := cyc.At(base+12), 4*cfg.Cycles.Load; got != want {
+	if got, want := cyc.At(base+12), uint64(4*cyclesLoad); got != want {
 		t.Errorf("load cycles = %d, want %d", got, want)
 	}
 	// The branch at +20: taken 3 times, not taken once.
-	wantBr := 3*cfg.Cycles.BranchTaken + 1*cfg.Cycles.BranchNot
+	wantBr := uint64(3*cyclesBranchTaken + 1*cyclesBranchNot)
 	if got := cyc.At(base + 20); got != wantBr {
 		t.Errorf("branch cycles = %d, want %d", got, wantBr)
 	}
 	// Plain ALU op at +8 costs ALU each of its 4 executions.
-	if got, want := cyc.At(base+8), 4*cfg.Cycles.ALU; got != want {
+	if got, want := cyc.At(base+8), uint64(4*cyclesALU); got != want {
 		t.Errorf("alu cycles = %d, want %d", got, want)
 	}
 	// Total attribution equals the run's cycle count.
@@ -78,11 +78,11 @@ func TestAttributeCyclesMultDiv(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cyc := AttributeCycles(img, res.Profile, cfg.Cycles, nil)
-	if got := cyc.At(img.TextBase + 8); got != cfg.Cycles.Mult {
-		t.Errorf("mult cycles = %d, want %d", got, cfg.Cycles.Mult)
+	cyc := AttributeCycles(img, res.Profile, nil)
+	if got := cyc.At(img.TextBase + 8); got != cyclesMult {
+		t.Errorf("mult cycles = %d, want %d", got, cyclesMult)
 	}
-	if got := cyc.At(img.TextBase + 16); got != cfg.Cycles.Div {
-		t.Errorf("div cycles = %d, want %d", got, cfg.Cycles.Div)
+	if got := cyc.At(img.TextBase + 16); got != cyclesDiv {
+		t.Errorf("div cycles = %d, want %d", got, cyclesDiv)
 	}
 }

@@ -28,7 +28,6 @@ func (m *Machine) Run() (Result, error) {
 	if maxSteps == 0 {
 		maxSteps = DefaultConfig().MaxSteps
 	}
-	cm := m.cm
 	code := m.code
 	regs := &m.Regs
 	textBase := m.img.TextBase
@@ -224,58 +223,58 @@ outer:
 				binary.LittleEndian.PutUint32(m.mem.Page(addr)[addr&binimg.PageMask:], regs[f.rt&31])
 			case mips.BEQ:
 				if regs[f.rs&31] == regs[f.rt&31] {
-					cycles += cm.BranchTaken
+					cycles += cyclesBranchTaken
 					if f.edge >= 0 {
 						m.edges[f.edge].n++
 					}
 					goto taken
 				}
-				cycles += cm.BranchNot
+				cycles += cyclesBranchNot
 			case mips.BNE:
 				if regs[f.rs&31] != regs[f.rt&31] {
-					cycles += cm.BranchTaken
+					cycles += cyclesBranchTaken
 					if f.edge >= 0 {
 						m.edges[f.edge].n++
 					}
 					goto taken
 				}
-				cycles += cm.BranchNot
+				cycles += cyclesBranchNot
 			case mips.BLEZ:
 				if int32(regs[f.rs&31]) <= 0 {
-					cycles += cm.BranchTaken
+					cycles += cyclesBranchTaken
 					if f.edge >= 0 {
 						m.edges[f.edge].n++
 					}
 					goto taken
 				}
-				cycles += cm.BranchNot
+				cycles += cyclesBranchNot
 			case mips.BGTZ:
 				if int32(regs[f.rs&31]) > 0 {
-					cycles += cm.BranchTaken
+					cycles += cyclesBranchTaken
 					if f.edge >= 0 {
 						m.edges[f.edge].n++
 					}
 					goto taken
 				}
-				cycles += cm.BranchNot
+				cycles += cyclesBranchNot
 			case mips.BLTZ:
 				if int32(regs[f.rs&31]) < 0 {
-					cycles += cm.BranchTaken
+					cycles += cyclesBranchTaken
 					if f.edge >= 0 {
 						m.edges[f.edge].n++
 					}
 					goto taken
 				}
-				cycles += cm.BranchNot
+				cycles += cyclesBranchNot
 			case mips.BGEZ:
 				if int32(regs[f.rs&31]) >= 0 {
-					cycles += cm.BranchTaken
+					cycles += cyclesBranchTaken
 					if f.edge >= 0 {
 						m.edges[f.edge].n++
 					}
 					goto taken
 				}
-				cycles += cm.BranchNot
+				cycles += cyclesBranchNot
 			case mips.J:
 				if f.edge >= 0 {
 					m.edges[f.edge].n++

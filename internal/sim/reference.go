@@ -111,10 +111,6 @@ func (m *refMachine) run() (Result, error) {
 	if maxSteps == 0 {
 		maxSteps = DefaultConfig().MaxSteps
 	}
-	cm := m.cfg.Cycles
-	if cm == (CycleModel{}) {
-		cm = DefaultCycleModel
-	}
 	for res.Steps < maxSteps {
 		if !m.img.InText(m.pc) || m.pc%4 != 0 {
 			return res, fmt.Errorf("sim: PC 0x%x outside text", m.pc)
@@ -145,62 +141,62 @@ func (m *refMachine) run() (Result, error) {
 
 		switch in.Op {
 		case mips.NOP:
-			res.Cycles += cm.ALU
+			res.Cycles += cyclesALU
 		case mips.BREAK:
-			res.Cycles += cm.ALU
+			res.Cycles += cyclesALU
 			res.ExitCode = int32(m.regs[mips.V0])
 			res.Profile = m.prof
 			return res, nil
 		case mips.ADD, mips.ADDU:
 			setRd(rs + rt)
-			res.Cycles += cm.ALU
+			res.Cycles += cyclesALU
 		case mips.SUB, mips.SUBU:
 			setRd(rs - rt)
-			res.Cycles += cm.ALU
+			res.Cycles += cyclesALU
 		case mips.AND:
 			setRd(rs & rt)
-			res.Cycles += cm.ALU
+			res.Cycles += cyclesALU
 		case mips.OR:
 			setRd(rs | rt)
-			res.Cycles += cm.ALU
+			res.Cycles += cyclesALU
 		case mips.XOR:
 			setRd(rs ^ rt)
-			res.Cycles += cm.ALU
+			res.Cycles += cyclesALU
 		case mips.NOR:
 			setRd(^(rs | rt))
-			res.Cycles += cm.ALU
+			res.Cycles += cyclesALU
 		case mips.SLT:
 			setRd(b2u(int32(rs) < int32(rt)))
-			res.Cycles += cm.ALU
+			res.Cycles += cyclesALU
 		case mips.SLTU:
 			setRd(b2u(rs < rt))
-			res.Cycles += cm.ALU
+			res.Cycles += cyclesALU
 		case mips.SLL:
 			setRd(rt << uint32(in.Imm))
-			res.Cycles += cm.ALU
+			res.Cycles += cyclesALU
 		case mips.SRL:
 			setRd(rt >> uint32(in.Imm))
-			res.Cycles += cm.ALU
+			res.Cycles += cyclesALU
 		case mips.SRA:
 			setRd(uint32(int32(rt) >> uint32(in.Imm)))
-			res.Cycles += cm.ALU
+			res.Cycles += cyclesALU
 		case mips.SLLV:
 			setRd(rt << (rs & 31))
-			res.Cycles += cm.ALU
+			res.Cycles += cyclesALU
 		case mips.SRLV:
 			setRd(rt >> (rs & 31))
-			res.Cycles += cm.ALU
+			res.Cycles += cyclesALU
 		case mips.SRAV:
 			setRd(uint32(int32(rt) >> (rs & 31)))
-			res.Cycles += cm.ALU
+			res.Cycles += cyclesALU
 		case mips.MULT:
 			p := int64(int32(rs)) * int64(int32(rt))
 			m.lo, m.hi = uint32(p), uint32(uint64(p)>>32)
-			res.Cycles += cm.Mult
+			res.Cycles += cyclesMult
 		case mips.MULTU:
 			p := uint64(rs) * uint64(rt)
 			m.lo, m.hi = uint32(p), uint32(p>>32)
-			res.Cycles += cm.Mult
+			res.Cycles += cyclesMult
 		case mips.DIV:
 			if rt == 0 {
 				m.lo, m.hi = 0, rs // architecturally undefined; pick stable values
@@ -210,97 +206,97 @@ func (m *refMachine) run() (Result, error) {
 				m.lo = uint32(int32(rs) / int32(rt))
 				m.hi = uint32(int32(rs) % int32(rt))
 			}
-			res.Cycles += cm.Div
+			res.Cycles += cyclesDiv
 		case mips.DIVU:
 			if rt == 0 {
 				m.lo, m.hi = 0, rs
 			} else {
 				m.lo, m.hi = rs/rt, rs%rt
 			}
-			res.Cycles += cm.Div
+			res.Cycles += cyclesDiv
 		case mips.MFHI:
 			setRd(m.hi)
-			res.Cycles += cm.ALU
+			res.Cycles += cyclesALU
 		case mips.MFLO:
 			setRd(m.lo)
-			res.Cycles += cm.ALU
+			res.Cycles += cyclesALU
 		case mips.MTHI:
 			m.hi = rs
-			res.Cycles += cm.ALU
+			res.Cycles += cyclesALU
 		case mips.MTLO:
 			m.lo = rs
-			res.Cycles += cm.ALU
+			res.Cycles += cyclesALU
 		case mips.ADDI, mips.ADDIU:
 			setRt(rs + uint32(in.Imm))
-			res.Cycles += cm.ALU
+			res.Cycles += cyclesALU
 		case mips.SLTI:
 			setRt(b2u(int32(rs) < in.Imm))
-			res.Cycles += cm.ALU
+			res.Cycles += cyclesALU
 		case mips.SLTIU:
 			setRt(b2u(rs < uint32(in.Imm)))
-			res.Cycles += cm.ALU
+			res.Cycles += cyclesALU
 		case mips.ANDI:
 			setRt(rs & uint32(uint16(in.Imm)))
-			res.Cycles += cm.ALU
+			res.Cycles += cyclesALU
 		case mips.ORI:
 			setRt(rs | uint32(uint16(in.Imm)))
-			res.Cycles += cm.ALU
+			res.Cycles += cyclesALU
 		case mips.XORI:
 			setRt(rs ^ uint32(uint16(in.Imm)))
-			res.Cycles += cm.ALU
+			res.Cycles += cyclesALU
 		case mips.LUI:
 			setRt(uint32(in.Imm) << 16)
-			res.Cycles += cm.ALU
+			res.Cycles += cyclesALU
 		case mips.LB:
 			v, err := m.load(rs+uint32(in.Imm), 1)
 			if err != nil {
 				return res, err
 			}
 			setRt(uint32(int32(int8(v))))
-			res.Cycles += cm.Load
+			res.Cycles += cyclesLoad
 		case mips.LBU:
 			v, err := m.load(rs+uint32(in.Imm), 1)
 			if err != nil {
 				return res, err
 			}
 			setRt(v)
-			res.Cycles += cm.Load
+			res.Cycles += cyclesLoad
 		case mips.LH:
 			v, err := m.load(rs+uint32(in.Imm), 2)
 			if err != nil {
 				return res, err
 			}
 			setRt(uint32(int32(int16(v))))
-			res.Cycles += cm.Load
+			res.Cycles += cyclesLoad
 		case mips.LHU:
 			v, err := m.load(rs+uint32(in.Imm), 2)
 			if err != nil {
 				return res, err
 			}
 			setRt(v)
-			res.Cycles += cm.Load
+			res.Cycles += cyclesLoad
 		case mips.LW:
 			v, err := m.load(rs+uint32(in.Imm), 4)
 			if err != nil {
 				return res, err
 			}
 			setRt(v)
-			res.Cycles += cm.Load
+			res.Cycles += cyclesLoad
 		case mips.SB:
 			if err := m.store(rs+uint32(in.Imm), rt, 1); err != nil {
 				return res, err
 			}
-			res.Cycles += cm.Store
+			res.Cycles += cyclesStore
 		case mips.SH:
 			if err := m.store(rs+uint32(in.Imm), rt, 2); err != nil {
 				return res, err
 			}
-			res.Cycles += cm.Store
+			res.Cycles += cyclesStore
 		case mips.SW:
 			if err := m.store(rs+uint32(in.Imm), rt, 4); err != nil {
 				return res, err
 			}
-			res.Cycles += cm.Store
+			res.Cycles += cyclesStore
 		case mips.BEQ:
 			if rs == rt {
 				taken, hasTarget = m.pc+4+uint32(in.Imm)*4, true
@@ -327,27 +323,27 @@ func (m *refMachine) run() (Result, error) {
 			}
 		case mips.J:
 			taken, hasTarget = in.Target, true
-			res.Cycles += cm.Jump
+			res.Cycles += cyclesJump
 		case mips.JAL:
 			m.regs[mips.RA] = m.pc + 4
 			taken, hasTarget = in.Target, true
-			res.Cycles += cm.Jump
+			res.Cycles += cyclesJump
 		case mips.JR:
 			taken, hasTarget = rs, true
-			res.Cycles += cm.Jump
+			res.Cycles += cyclesJump
 		case mips.JALR:
 			setRd(m.pc + 4)
 			taken, hasTarget = rs, true
-			res.Cycles += cm.Jump
+			res.Cycles += cyclesJump
 		default:
 			return res, fmt.Errorf("sim: unimplemented op %v at 0x%x", in.Op, m.pc)
 		}
 
 		if in.IsBranch() {
 			if hasTarget {
-				res.Cycles += cm.BranchTaken
+				res.Cycles += cyclesBranchTaken
 			} else {
-				res.Cycles += cm.BranchNot
+				res.Cycles += cyclesBranchNot
 			}
 		}
 		if hasTarget {

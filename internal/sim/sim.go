@@ -35,56 +35,45 @@ import (
 	"binpart/internal/mips"
 )
 
-// CycleModel gives the cost in CPU cycles of each instruction class,
-// loosely following an R3000-class integer pipeline.
-type CycleModel struct {
-	ALU         uint64
-	Load        uint64
-	Store       uint64
-	BranchTaken uint64
-	BranchNot   uint64
-	Jump        uint64
-	Mult        uint64
-	Div         uint64
-}
+// The CPU cycle model: the cost in cycles of one execution of each
+// instruction class, loosely following an R3000-class integer pipeline.
+// A conditional branch costs cyclesBranchTaken or cyclesBranchNot by its
+// outcome.
+const (
+	cyclesALU         = 1
+	cyclesLoad        = 2
+	cyclesStore       = 1
+	cyclesBranchTaken = 2
+	cyclesBranchNot   = 1
+	cyclesJump        = 2
+	cyclesMult        = 10
+	cyclesDiv         = 35
+)
 
 // cost is the cycles one execution of op takes. A branch's cost depends
 // on whether it is taken, so cost returns 0 for it and the caller adds
-// BranchTaken or BranchNot.
-func (cm CycleModel) cost(op mips.Op) uint64 {
+// cyclesBranchTaken or cyclesBranchNot.
+func cost(op mips.Op) uint64 {
 	switch op.Cost() {
 	case mips.CostBranch:
 		return 0
 	case mips.CostLoad:
-		return cm.Load
+		return cyclesLoad
 	case mips.CostStore:
-		return cm.Store
+		return cyclesStore
 	case mips.CostJump:
-		return cm.Jump
+		return cyclesJump
 	case mips.CostMult:
-		return cm.Mult
+		return cyclesMult
 	case mips.CostDiv:
-		return cm.Div
+		return cyclesDiv
 	}
-	return cm.ALU
-}
-
-// DefaultCycleModel is the model used throughout the experiments.
-var DefaultCycleModel = CycleModel{
-	ALU:         1,
-	Load:        2,
-	Store:       1,
-	BranchTaken: 2,
-	BranchNot:   1,
-	Jump:        2,
-	Mult:        10,
-	Div:         35,
+	return cyclesALU
 }
 
 // Config controls a simulation run.
 type Config struct {
 	MaxSteps uint64
-	Cycles   CycleModel
 	Profile  bool
 	// Engine selects the execution engine (default EngineThreaded). Both
 	// engines are bit-identical; Execute dispatches EngineReference to
@@ -96,7 +85,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		MaxSteps: 500_000_000,
-		Cycles:   DefaultCycleModel,
 		Profile:  false,
 	}
 }
@@ -166,7 +154,6 @@ type jrSite struct {
 // Machine is a MIPS machine instance. Create with New, execute with Run.
 type Machine struct {
 	cfg  Config
-	cm   CycleModel // cfg.Cycles with the default applied
 	img  *binimg.Image
 	code []pinst
 	Regs [32]uint32
@@ -207,10 +194,6 @@ func New(img *binimg.Image, cfg Config) (*Machine, error) {
 // rewritten (code, appended slices) or explicitly cleared (instCount).
 func (m *Machine) init(img *binimg.Image, cfg Config) error {
 	m.cfg, m.img = cfg, img
-	m.cm = cfg.Cycles
-	if m.cm == (CycleModel{}) {
-		m.cm = DefaultCycleModel
-	}
 	m.Regs = [32]uint32{}
 	m.HI, m.LO, m.PC = 0, 0, 0
 	m.mem.Reset() // keeps allocated pages for pooled reuse
@@ -231,7 +214,7 @@ func (m *Machine) init(img *binimg.Image, cfg Config) error {
 		if err != nil {
 			return fmt.Errorf("sim: text word %d: %w", i, err)
 		}
-		m.code[i] = predecode(in, img.TextBase+uint32(4*i), m.cm)
+		m.code[i] = predecode(in, img.TextBase+uint32(4*i))
 	}
 	// Count control-transfer sites: block terminators bound the
 	// translation cache (plus static targets, which may enter runs
@@ -309,7 +292,7 @@ func (m *Machine) init(img *binimg.Image, cfg Config) error {
 // predecode resolves one instruction at address pc into its hot-loop
 // record. Edge-counter slots are assigned in a separate pass by New so
 // their slices can be allocated at exact size.
-func predecode(in mips.Inst, pc uint32, cm CycleModel) pinst {
+func predecode(in mips.Inst, pc uint32) pinst {
 	p := pinst{
 		op: in.Op,
 		rd: uint8(in.Rd), rs: uint8(in.Rs), rt: uint8(in.Rt),
@@ -322,7 +305,7 @@ func predecode(in mips.Inst, pc uint32, cm CycleModel) pinst {
 	case mips.LUI:
 		p.immU = uint32(in.Imm) << 16
 	}
-	p.cost = cm.cost(in.Op) // a branch's is added in the hot loop
+	p.cost = cost(in.Op) // a branch's is added in the hot loop
 	switch {
 	case in.IsBranch():
 		p.target = pc + 4 + uint32(in.Imm)*4

@@ -31,8 +31,9 @@ type Resources struct {
 	Dividers    int
 }
 
-// DefaultResources matches a mid-size Virtex-II deployment.
-var DefaultResources = Resources{MemPorts: 2, Multipliers: 8, Dividers: 1}
+// resourceBudget is the platform's fixed unit budget, a mid-size
+// Virtex-II deployment: Synthesize schedules every design under it.
+var resourceBudget = Resources{MemPorts: 2, Multipliers: 8, Dividers: 1}
 
 // node is one operation in a block's dataflow graph. A node's index in
 // dfg.nodes is its instruction's index in the block.
@@ -253,17 +254,15 @@ type scheduleResult struct {
 	maxChain float64
 }
 
-// DefaultTargetClockNs is the default chaining budget: operations chain
+// targetClockNs is the platform's chaining budget: operations chain
 // combinationally within a state while the accumulated delay stays under
-// this period.
-const DefaultTargetClockNs = 8.0
+// this period. Synthesize schedules every design against it.
+const targetClockNs = 8.0
 
 // schedule performs resource-constrained list scheduling with chaining
-// under the given clock budget (ns).
+// under the given clock budget (ns). Every unit count of res must be
+// positive.
 func schedule(g *dfg, res Resources, clockNs float64) *scheduleResult {
-	if clockNs <= 0 {
-		clockNs = DefaultTargetClockNs
-	}
 	// usage[s*stride+k] counts state s's uses of shared resource k: the
 	// port pair of each data object in g.objs, then the multipliers, then
 	// the dividers.

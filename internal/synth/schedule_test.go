@@ -72,7 +72,7 @@ func TestScheduleRespectsConstraints(t *testing.T) {
 		b := randomBlock(r, 3+r.Intn(25))
 		b.Index = 0
 		g := buildDFG(b, nil)
-		sr := schedule(g, res, 0)
+		sr := schedule(g, res, targetClockNs)
 
 		// Dependence order.
 		for _, n := range sr.g.nodes {
@@ -116,7 +116,7 @@ func TestScheduleRespectsConstraints(t *testing.T) {
 		}
 
 		// Chain delays never exceed the budget.
-		if sr.maxChain > DefaultTargetClockNs+1e-9 {
+		if sr.maxChain > targetClockNs+1e-9 {
 			t.Fatalf("trial %d: chain %.2f ns over budget", trial, sr.maxChain)
 		}
 		if sr.states < 1 {
@@ -134,7 +134,7 @@ func TestChainingPacksIndependentOps(t *testing.T) {
 		{Op: ir.Ret},
 	}}
 	b.Index = 0
-	sr := schedule(buildDFG(b, nil), DefaultResources, 0)
+	sr := schedule(buildDFG(b, nil), resourceBudget, targetClockNs)
 	if sr.states != 1 {
 		t.Errorf("3 chained logic ops took %d states, want 1\n%s", sr.states, sr.debugString())
 	}
@@ -149,7 +149,7 @@ func TestMulticycleDivider(t *testing.T) {
 		{Op: ir.Ret},
 	}}
 	b.Index = 0
-	sr := schedule(buildDFG(b, nil), DefaultResources, 0)
+	sr := schedule(buildDFG(b, nil), resourceBudget, targetClockNs)
 	if sr.states < 3 {
 		t.Errorf("divider + consumer in %d states; expected multicycle span\n%s",
 			sr.states, sr.debugString())
@@ -169,7 +169,7 @@ func TestMemoryDependenceOrdering(t *testing.T) {
 		{Op: ir.Ret},
 	}}
 	b.Index = 0
-	sr := schedule(buildDFG(b, nil), DefaultResources, 0)
+	sr := schedule(buildDFG(b, nil), resourceBudget, targetClockNs)
 	st, ld := sr.g.nodes[1], sr.g.nodes[2]
 	if ld.state <= st.state {
 		t.Errorf("load at state %d not after conflicting store at %d", ld.state, st.state)
@@ -196,7 +196,7 @@ func TestAllocationCountsPeakConcurrency(t *testing.T) {
 		{Op: ir.Ret},
 	}}
 	b.Index = 0
-	sr := schedule(buildDFG(b, nil), DefaultResources, 0)
+	sr := schedule(buildDFG(b, nil), resourceBudget, targetClockNs)
 	al := new(dfgBuilder).allocate([]*scheduleResult{sr})
 	addUnits := 0
 	for _, c := range al.units[fpga.ClassAdd] {

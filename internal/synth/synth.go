@@ -12,12 +12,10 @@ import (
 	"binpart/internal/ir"
 )
 
-// Options configures synthesis of one region.
+// Options configures synthesis of one region. The unit budget and the
+// target clock are the platform's and fixed (resourceBudget,
+// targetClockNs).
 type Options struct {
-	Resources Resources
-	// ClockNs is the target clock period (chaining budget); zero selects
-	// DefaultTargetClockNs.
-	ClockNs float64
 	// Pipeline enables modulo-style loop pipelining of single-block
 	// inner loops (on by default through DefaultOptions).
 	Pipeline bool
@@ -25,7 +23,7 @@ type Options struct {
 
 // DefaultOptions returns the configuration used by the experiments.
 func DefaultOptions() Options {
-	return Options{Resources: DefaultResources, Pipeline: true}
+	return Options{Pipeline: true}
 }
 
 // MemObject is a data object moved into on-chip block RAM.
@@ -129,10 +127,6 @@ func Unsynthesizable(b *ir.Block) *ir.Instr {
 // data symbols for alias-driven memory disambiguation and block-RAM
 // sizing; it may be nil (conservative aliasing, no array migration).
 func Synthesize(r Region, img *binimg.Image, opts Options) (*Design, error) {
-	if res := opts.Resources; res.MemPorts <= 0 || res.Multipliers <= 0 || res.Dividers <= 0 {
-		// The scheduler would look for a free unit in ever later states.
-		return nil, fmt.Errorf("synth: resource budget %+v: every unit count must be positive", res)
-	}
 	blocks := r.blocks()
 	if len(blocks) == 0 {
 		return nil, fmt.Errorf("synth: empty region %q", r.Name)
@@ -159,7 +153,7 @@ func Synthesize(r Region, img *binimg.Image, opts Options) (*Design, error) {
 	var maxChain float64
 	maxStates := 0
 	for i, b := range blocks {
-		sr := schedule(bd.build(b, am), opts.Resources, opts.ClockNs)
+		sr := schedule(bd.build(b, am), resourceBudget, targetClockNs)
 		scheds[i] = sr
 		stepOf := steps[:len(sr.g.nodes):len(sr.g.nodes)]
 		steps = steps[len(sr.g.nodes):]
@@ -175,7 +169,7 @@ func Synthesize(r Region, img *binimg.Image, opts Options) (*Design, error) {
 
 	// Loop pipelining of single-block inner loops.
 	if opts.Pipeline {
-		pipelineLoops(r, d.Schedule, scheds, bd, opts.Resources)
+		pipelineLoops(r, d.Schedule, scheds, bd, resourceBudget)
 	}
 
 	// Array migration into block RAM, one or more BRAMs per object.
@@ -260,7 +254,8 @@ func pipelineLoops(r Region, sched []BlockSchedule, scheds []*scheduleResult, bd
 
 // resourceII is the initiation interval forced by shared resources. Each
 // known data object owns a dual-ported block RAM (partitioning step 2
-// moved it on chip), so memory pressure is per object.
+// moved it on chip), so memory pressure is per object. Every unit count
+// of res must be positive.
 func resourceII(sr *scheduleResult, res Resources) int {
 	perObj := make([]int, len(sr.g.objs))
 	mult, div := 0, 0
@@ -278,17 +273,9 @@ func resourceII(sr *scheduleResult, res Resources) int {
 			div++
 		}
 	}
-	ii := 1
-	if res.MemPorts > 0 {
-		for _, c := range perObj {
-			ii = max(ii, ceilDiv(c, res.MemPorts))
-		}
-	}
-	if res.Multipliers > 0 {
-		ii = max(ii, ceilDiv(mult, res.Multipliers))
-	}
-	if res.Dividers > 0 && div > 0 {
-		ii = max(ii, ceilDiv(div, res.Dividers))
+	ii := max(1, ceilDiv(mult, res.Multipliers), ceilDiv(div, res.Dividers))
+	for _, c := range perObj {
+		ii = max(ii, ceilDiv(c, res.MemPorts))
 	}
 	return ii
 }
@@ -375,9 +362,4 @@ func (d *Design) Cycles(blockExecs map[int]uint64) float64 {
 	return total
 }
 
-func ceilDiv(a, b int) int {
-	if b <= 0 {
-		return a
-	}
-	return (a + b - 1) / b
-}
+func ceilDiv(a, b int) int { return (a + b - 1) / b }

@@ -1,11 +1,9 @@
 package synth
 
 import (
-	"fmt"
 	"testing"
-	"time"
 
-	"binpart/internal/bench"
+	"binpart/internal/alias"
 	"binpart/internal/binimg"
 	"binpart/internal/decompile"
 	"binpart/internal/dopt"
@@ -218,23 +216,40 @@ func TestMemoryPortConstraintLengthensSchedule(t *testing.T) {
 		}
 		int main() { return kernel(0); }
 	`, 2)
-	loops := ir.FindLoops(f)
-	one := DefaultOptions()
-	one.Resources.MemPorts = 1
-	four := DefaultOptions()
-	four.Resources.MemPorts = 4
-	dOne, err := Synthesize(LoopRegion(f, loops[0]), img, one)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dFour, err := Synthesize(LoopRegion(f, loops[0]), img, four)
-	if err != nil {
-		t.Fatal(err)
-	}
-	iiOne, iiFour := maxII(dOne), maxII(dFour)
+	region := LoopRegion(f, ir.FindLoops(f)[0])
+	one, four := resourceBudget, resourceBudget
+	one.MemPorts, four.MemPorts = 1, 4
+	iiOne := pipelinedII(region, img, one, targetClockNs)
+	iiFour := pipelinedII(region, img, four, targetClockNs)
 	if iiOne <= iiFour {
 		t.Errorf("II with 1 port (%d) not above II with 4 ports (%d)", iiOne, iiFour)
 	}
+	// The helper schedules as Synthesize does under the fixed budget.
+	d, err := Synthesize(region, img, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := pipelinedII(region, img, resourceBudget, targetClockNs), maxII(d); got != want {
+		t.Errorf("II under the fixed budget %d, Synthesize's %d", got, want)
+	}
+}
+
+// pipelinedII schedules every block of r under res and clockNs as
+// Synthesize does under the fixed budget, pipelines its loops, and
+// returns the largest initiation interval.
+func pipelinedII(r Region, img *binimg.Image, res Resources, clockNs float64) int {
+	blocks := r.blocks()
+	am := alias.Analyze(r.Func, img)
+	bd := newDFGBuilder(blocks)
+	defer bd.release()
+	sched := make([]BlockSchedule, len(blocks))
+	scheds := make([]*scheduleResult, len(blocks))
+	for i, b := range blocks {
+		scheds[i] = schedule(bd.build(b, am), res, clockNs)
+		sched[i] = BlockSchedule{Block: b, States: scheds[i].states}
+	}
+	pipelineLoops(r, sched, scheds, bd, res)
+	return maxII(&Design{Schedule: sched})
 }
 
 func maxII(d *Design) int {
@@ -260,29 +275,22 @@ func TestRecurrenceLimitsII(t *testing.T) {
 		}
 		int main() { return (int)kernel(7); }
 	`, 2)
-	loops := ir.FindLoops(f)
-	// At the default 8 ns budget the whole feedback chains into a single
+	region := LoopRegion(f, ir.FindLoops(f)[0])
+	// At the fixed 8 ns budget the whole feedback chains into a single
 	// state and II = 1 is legal. A tight 3 ns clock splits the chain
 	// (shift -> table load -> xor) over several states, and the
 	// loop-carried recurrence must then hold II above 1 even with
 	// abundant resources.
-	opts := DefaultOptions()
-	opts.Resources = Resources{MemPorts: 16, Multipliers: 16, Dividers: 4}
-	opts.ClockNs = 3.0
-	d, err := Synthesize(LoopRegion(f, loops[0]), img, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ii := maxII(d); ii < 2 {
+	abundant := Resources{MemPorts: 16, Multipliers: 16, Dividers: 4}
+	if ii := pipelinedII(region, img, abundant, 3.0); ii < 2 {
 		t.Errorf("recurrence-bound II = %d, want >= 2", ii)
 	}
-	// And the relaxed default clock still yields a valid design.
-	relaxed := DefaultOptions()
-	d2, err := Synthesize(LoopRegion(f, loops[0]), img, relaxed)
+	// And the fixed clock still yields a valid design.
+	d, err := Synthesize(region, img, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ii := maxII(d2); ii < 1 {
+	if ii := maxII(d); ii < 1 {
 		t.Errorf("II = %d", ii)
 	}
 }
@@ -296,48 +304,6 @@ func TestDesignCostMonotonicInWidth(t *testing.T) {
 		}
 		if c32.DelayNs < c8.DelayNs {
 			t.Errorf("%v: 32-bit faster than 8-bit", cls)
-		}
-	}
-}
-
-// TestNonPositiveResourcesRejected checks that a resource budget without
-// a memory port, multiplier or divider is an error. Scheduled, the crc
-// kernel's loads would look for a free port in ever later states.
-func TestNonPositiveResourcesRejected(t *testing.T) {
-	b, _ := bench.ByName("crc")
-	img, err := b.Compile(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := decompile.Decompile(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := dec.Func(b.KernelFunc)
-	dopt.Optimize(f)
-	region := LoopRegion(f, ir.FindLoops(f)[0])
-	for _, res := range []Resources{
-		{},
-		{MemPorts: 0, Multipliers: 8, Dividers: 1},
-		{MemPorts: 2, Multipliers: 0, Dividers: 1},
-		{MemPorts: 2, Multipliers: 8, Dividers: -1},
-	} {
-		opts := DefaultOptions()
-		opts.Resources = res
-		done := make(chan error, 1)
-		go func() {
-			_, err := Synthesize(region, img, opts)
-			done <- err
-		}()
-		select {
-		case err := <-done:
-			if err == nil {
-				t.Errorf("Synthesize accepted resources %+v", res)
-			}
-		case <-time.After(2 * time.Second):
-			// The call cannot be stopped and its usage table grows
-			// without bound, so end the process instead of leaking it.
-			panic(fmt.Sprintf("Synthesize with resources %+v did not return within 2 s", res))
 		}
 	}
 }
