@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: fmt build test race stress vet check bench bench-gate experiments examples obs-smoke corpus-smoke bpartd-smoke
+.PHONY: fmt build test race stress vet check bench bench-gate experiments examples obs-smoke corpus-smoke bpartd-smoke cover-product
 
 # The gofmt gate, with the same command CI's Format step runs: it lists
 # every file gofmt would change and fails if there is any.
@@ -77,6 +77,13 @@ bpartd-smoke:
 # the one non-test caller of vhdl.Check.
 examples:
 	for e in examples/*/; do $(GO) run ./$$e >/dev/null || exit 1; done
+
+# Product coverage, a report and not a gate: one row per package with
+# the statements a product run reaches, those only tests reach, and
+# those nothing reaches (scripts/cover-product.sh says which runs).
+# Needs curl and jq for the daemon smoke. Artifacts land in .cover_build/.
+cover-product:
+	bash scripts/cover-product.sh
 
 check: fmt vet build test race stress bench-gate examples obs-smoke corpus-smoke bpartd-smoke
 

@@ -1,6 +1,7 @@
 package binimg
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -216,5 +217,33 @@ func TestMemLastPageCacheAliasesDirectory(t *testing.T) {
 	m.Page(0x9000) // evict the last-page cache
 	if got := m.Page(0x5000)[0]; got != 42 {
 		t.Errorf("page content lost across cache eviction: %d", got)
+	}
+}
+
+// ReadWord returns the 32-bit little-endian word at addr; the tests read
+// memory through it. The address need not be aligned; an access spanning
+// a page boundary is assembled byte-wise.
+func (m *Mem) ReadWord(addr uint32) uint32 {
+	off := addr & PageMask
+	if off <= PageSize-4 {
+		return binary.LittleEndian.Uint32(m.Page(addr)[off:])
+	}
+	var v uint32
+	for i := uint32(0); i < 4; i++ {
+		v |= uint32(m.Page(addr + i)[(addr+i)&PageMask]) << (8 * i)
+	}
+	return v
+}
+
+// WriteWord stores a 32-bit little-endian word at addr, byte-wise when
+// the access spans a page boundary.
+func (m *Mem) WriteWord(addr uint32, v uint32) {
+	off := addr & PageMask
+	if off <= PageSize-4 {
+		binary.LittleEndian.PutUint32(m.Page(addr)[off:], v)
+		return
+	}
+	for i := uint32(0); i < 4; i++ {
+		m.Page(addr + i)[(addr+i)&PageMask] = byte(v >> (8 * i))
 	}
 }

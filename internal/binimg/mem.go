@@ -1,7 +1,5 @@
 package binimg
 
-import "encoding/binary"
-
 // Memory page geometry shared by the simulator's flat memory. 4 KiB pages
 // keep any naturally aligned 1/2/4-byte access inside one page, so a
 // resolved page supports direct little-endian slice accesses.
@@ -89,33 +87,5 @@ func (m *Mem) WriteBytes(addr uint32, b []byte) {
 		n := copy(p[off:], b)
 		b = b[n:]
 		addr += uint32(n)
-	}
-}
-
-// ReadWord returns the 32-bit little-endian word at addr. The address
-// need not be aligned; an access spanning a page boundary is assembled
-// byte-wise.
-func (m *Mem) ReadWord(addr uint32) uint32 {
-	off := addr & PageMask
-	if off <= PageSize-4 {
-		return binary.LittleEndian.Uint32(m.Page(addr)[off:])
-	}
-	var v uint32
-	for i := uint32(0); i < 4; i++ {
-		v |= uint32(m.Page(addr + i)[(addr+i)&PageMask]) << (8 * i)
-	}
-	return v
-}
-
-// WriteWord stores a 32-bit little-endian word at addr, byte-wise when
-// the access spans a page boundary.
-func (m *Mem) WriteWord(addr uint32, v uint32) {
-	off := addr & PageMask
-	if off <= PageSize-4 {
-		binary.LittleEndian.PutUint32(m.Page(addr)[off:], v)
-		return
-	}
-	for i := uint32(0); i < 4; i++ {
-		m.Page(addr + i)[(addr+i)&PageMask] = byte(v >> (8 * i))
 	}
 }

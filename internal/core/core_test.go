@@ -108,7 +108,8 @@ func TestPlatformSweepShape(t *testing.T) {
 	}
 	speeds := map[string]float64{}
 	for name, p := range map[string]platform.Platform{
-		"40": platform.MIPS40, "200": platform.MIPS200, "400": platform.MIPS400,
+		"40": platform.MIPS(40, platform.MIPS200.Device), "200": platform.MIPS200,
+		"400": platform.MIPS(400, platform.MIPS200.Device),
 	} {
 		opts := DefaultOptions()
 		opts.Platform = p

@@ -15,6 +15,10 @@ import (
 // pointer-walking instead of index arithmetic, software pipelined
 // prologues, and frame pointer usage.
 
+// overheadOnly is dopt's instruction-set overhead removal alone: the
+// passes that undo compiler optimizations are off.
+var overheadOnly = dopt.Config{NoStackRemoval: true, NoReroll: true, NoPromote: true, NoWidthReduce: true}
+
 func asmFunc(t *testing.T, src string, data []byte) *binimg.Image {
 	t.Helper()
 	words, err := mips.AssembleWords(src, binimg.DefaultTextBase)
@@ -54,7 +58,7 @@ func TestPointerWalkingLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := res.Func("f")
-	dopt.Cleanup(f)
+	dopt.OptimizeWith(f, overheadOnly)
 	loops := ir.FindLoops(f)
 	if len(loops) != 1 {
 		t.Fatalf("loops = %d, want 1\n%s", len(loops), f)
@@ -131,7 +135,7 @@ func TestCountdownLoopIdiom(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := res.Func("f")
-	dopt.Cleanup(f)
+	dopt.OptimizeWith(f, overheadOnly)
 	loops := ir.FindLoops(f)
 	if len(loops) != 1 {
 		t.Fatalf("loops = %d\n%s", len(loops), f)
@@ -190,9 +194,8 @@ func TestHandUnrolledAsmRerolls(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := res.Func("f")
-	dopt.Cleanup(f)
 
-	// Reference result before rerolling.
+	// Reference result before optimizing.
 	run := func() int32 {
 		st := ir.NewEvalState()
 		st.Regs[ir.RegSP] = 0x7fff0000
@@ -205,7 +208,7 @@ func TestHandUnrolledAsmRerolls(t *testing.T) {
 		return st.Regs[ir.RegV0]
 	}
 	want := run()
-	rep := dopt.Reroll(f)
+	rep := dopt.OptimizeWith(f, dopt.Config{NoStackRemoval: true, NoPromote: true, NoWidthReduce: true}).Reroll
 	if len(rep.Rerolled) != 1 || rep.Rerolled[0] != 2 {
 		t.Fatalf("reroll report %+v, want one factor-2 reroll\n%s", rep, f)
 	}

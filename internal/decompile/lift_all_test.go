@@ -85,19 +85,16 @@ func TestLiftEveryInstruction(t *testing.T) {
 				Symbols: []binimg.Symbol{{Name: "f", Addr: binimg.DefaultTextBase, Size: uint32(4 * len(words))}},
 			}
 
-			// Oracle: run to the jr $ra in the simulator. The simulator
-			// halts on BREAK, so append one and jump there via $ra.
+			// Oracle: run f in the simulator from an appended stub,
+			// "jal f; break", so f's jr $ra lands on the break.
 			simImg := &binimg.Image{
-				Entry: img.TextBase, TextBase: img.TextBase,
-				Text:     append(append([]uint32{}, img.Text...), mustEncode(t, mips.Inst{Op: mips.BREAK})),
+				TextBase: img.TextBase, Entry: img.TextBase + uint32(4*len(img.Text)),
+				Text: append(append([]uint32{}, img.Text...),
+					mustEncode(t, mips.Inst{Op: mips.JAL, Target: img.TextBase}),
+					mustEncode(t, mips.Inst{Op: mips.BREAK})),
 				DataBase: img.DataBase,
 			}
-			m, err := sim.New(simImg, sim.DefaultConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			m.Regs[mips.RA] = img.TextBase + uint32(4*len(img.Text)) // the BREAK
-			res, err := m.Run()
+			res, err := sim.Execute(simImg, sim.DefaultConfig())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -22,16 +22,10 @@ package dopt
 
 import "binpart/internal/ir"
 
-// ConstProp performs per-block constant and copy propagation. The zero
+// constProp performs per-block constant and copy propagation. The zero
 // register is treated as the constant 0, which is what collapses the
 // MIPS idioms "addu rd, rs, $zero" (move) and "addiu rt, $zero, imm"
 // (constant load). Returns the number of instructions simplified.
-func ConstProp(f *ir.Func) int {
-	ws := newWorkspace(f)
-	defer ws.release()
-	return ws.constProp(f)
-}
-
 func (ws *workspace) constProp(f *ir.Func) int {
 	env := &ws.env
 	env.size(ws.spaceOf(f))
@@ -72,7 +66,7 @@ func (ws *workspace) constProp(f *ir.Func) int {
 	return changed
 }
 
-// constEnv is ConstProp's per-block binding environment: location ->
+// constEnv is constProp's per-block binding environment: location ->
 // known Arg, over dense arrays indexed by location.
 //
 // Entering a block bumps the epoch instead of clearing the bindings: a
@@ -287,22 +281,16 @@ func evalBinary(op ir.Op, a, b int32) (int32, bool) {
 	return 0, false
 }
 
-// FoldMoves collapses adjacent "x = op ...; y = x" pairs into
+// foldMoves collapses adjacent "x = op ...; y = x" pairs into
 // "y = op ..." when the intermediate x is dead afterwards (not read again
 // in the block and not live out of it). This removes the temp-and-move
 // shape register allocation leaves behind and is what re-exposes
 // induction variables ("r14 = add r25, 1; r25 = r14" becomes
 // "r25 = add r25, 1"). Registers are freely reused by compilers, so the
 // deadness check must be liveness-based rather than use-count-based.
-func FoldMoves(f *ir.Func) int {
-	ws := newWorkspace(f)
-	defer ws.release()
-	ws.liveness(f)
-	return ws.foldMoves(f)
-}
-
-// foldMoves is FoldMoves over the block liveness in ws. A fold changes
-// no block's live-in set, so that liveness stays valid for DeadCode.
+//
+// It reads the block liveness in ws. A fold changes no block's live-in
+// set, so that liveness stays valid for deadCode.
 //
 // Each block is walked backwards, carrying the set of locations read
 // later in the block before being redefined. The set starts empty rather
@@ -355,18 +343,10 @@ func effUses(in *ir.Instr, buf []ir.Loc) []ir.Loc {
 
 var haltUses = []ir.Loc{ir.RegV0}
 
-// DeadCode removes pure instructions whose destinations are never live,
+// deadCode removes pure instructions whose destinations are never live,
 // using backwards per-instruction liveness with ABI-aware uses. Returns
 // the number of instructions removed.
-func DeadCode(f *ir.Func) int {
-	ws := newWorkspace(f)
-	defer ws.release()
-	ws.liveness(f)
-	return ws.deadCode(f)
-}
-
-// deadCode is DeadCode over the block liveness in ws, which must be
-// current for f.
+// It reads the block liveness in ws, which must be current for f.
 func (ws *workspace) deadCode(f *ir.Func) int {
 	removed := 0
 	live := ws.live
@@ -405,18 +385,7 @@ func pure(in *ir.Instr) bool {
 	return in.Op == ir.Move || in.Op == ir.Load
 }
 
-// GlobalConstProp propagates constants across blocks in the simple
-// single-definition case: a location whose only definition in the whole
-// function is a constant move *in the entry block* holds that constant at
-// every later program point (the entry block dominates everything, and a
-// single def cannot be shadowed). Returns substitutions made.
-func GlobalConstProp(f *ir.Func) int {
-	ws := newWorkspace(f)
-	defer ws.release()
-	return ws.globalConstProp(f)
-}
-
-// gcpEntry is GlobalConstProp's per-location record.
+// gcpEntry is globalConstProp's per-location record.
 type gcpEntry struct {
 	defs int32 // definitions in the function
 	val  int32 // the constant, when entryConst
@@ -428,6 +397,11 @@ type gcpEntry struct {
 	seen bool
 }
 
+// globalConstProp propagates constants across blocks in the simple
+// single-definition case: a location whose only definition in the whole
+// function is a constant move *in the entry block* holds that constant at
+// every later program point (the entry block dominates everything, and a
+// single def cannot be shadowed). Returns substitutions made.
 func (ws *workspace) globalConstProp(f *ir.Func) int {
 	if len(f.Blocks) == 0 {
 		return 0
@@ -490,21 +464,15 @@ func (ws *workspace) globalConstProp(f *ir.Func) int {
 	return n
 }
 
-// cleanupRounds caps Cleanup's iterations.
+// cleanupRounds caps cleanup's iterations.
 const cleanupRounds = 8
 
-// Cleanup iterates ConstProp, FoldMoves and DeadCode to a fixpoint; this
+// cleanup iterates constProp, foldMoves and deadCode to a fixpoint; this
 // is the paper's "constant propagation" overhead-removal stage. It
 // reports whether it reached the fixpoint (a round that changed nothing)
 // within cleanupRounds rounds; at a fixpoint, running it again is a no-op.
-func Cleanup(f *ir.Func) bool {
-	ws := newWorkspace(f)
-	defer ws.release()
-	return ws.cleanup(f)
-}
-
-// cleanup is Cleanup in ws. Each round computes block liveness once,
-// after the constant passes, and FoldMoves and DeadCode share it.
+// Each round computes block liveness once, after the constant passes,
+// and foldMoves and deadCode share it.
 func (ws *workspace) cleanup(f *ir.Func) bool {
 	for i := 0; i < cleanupRounds; i++ {
 		c := ws.constProp(f)

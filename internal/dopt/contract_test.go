@@ -1,4 +1,4 @@
-package core
+package dopt
 
 import (
 	"encoding/binary"
@@ -8,14 +8,13 @@ import (
 
 	"binpart/internal/bench"
 	"binpart/internal/decompile"
-	"binpart/internal/dopt"
 	"binpart/internal/ir"
 	"binpart/internal/mcc"
 )
 
 // doptAblations are the dopt configurations: the full pipeline and each
 // pass that can be switched off, switched off on its own.
-var doptAblations = []dopt.Config{
+var doptAblations = []Config{
 	{},
 	{NoStackRemoval: true},
 	{NoReroll: true},
@@ -23,16 +22,16 @@ var doptAblations = []dopt.Config{
 	{NoWidthReduce: true},
 }
 
-// TestDoptChangeReports pins the contract dopt.OptimizeWith's Cleanup
+// TestDoptChangeReports pins the contract OptimizeWith's cleanup
 // skipping rests on, over the suite at every opt level and dopt
-// ablation. It replays the pipeline pass by pass, running every Cleanup,
-// and checks that:
+// ablation. It replays the pipeline pass by pass on one workspace, as
+// OptimizeWith drives it, running every cleanup, and checks that:
 //
-//   - RemoveStackOps, Reroll, PromoteStrength and StrengthReduce each
+//   - RemoveStackOps, reroll, promoteStrength and StrengthReduce each
 //     report a change exactly when the function's IR changed;
-//   - every Cleanup reaches its fixpoint within its round cap;
-//   - a second Cleanup on a Cleanup's output changes nothing;
-//   - OptimizeWith, which skips Cleanups, ends at the same IR and report.
+//   - every cleanup reaches its fixpoint within its round cap;
+//   - a second cleanup on a cleanup's output changes nothing;
+//   - OptimizeWith, which skips cleanups, ends at the same IR and report.
 func TestDoptChangeReports(t *testing.T) {
 	calls, skippable := 0, 0
 	for _, b := range bench.All() {
@@ -52,14 +51,15 @@ func TestDoptChangeReports(t *testing.T) {
 				replayed, optimized := lift(), lift()
 				for i, f := range replayed {
 					where := func() string { return fmt.Sprintf("%s -O%d %s", b.Name, level, f.Name) }
+					ws := newWorkspace(f)
 					cleanup := func() {
 						calls++
-						if !dopt.Cleanup(f) {
-							t.Fatalf("%s %+v: Cleanup hit its round cap", where(), cfg)
+						if !ws.cleanup(f) {
+							t.Fatalf("%s %+v: cleanup hit its round cap", where(), cfg)
 						}
 						sig := irFingerprint(f)
-						if !dopt.Cleanup(f) || irFingerprint(f) != sig {
-							t.Fatalf("%s %+v: Cleanup changed its own output", where(), cfg)
+						if !ws.cleanup(f) || irFingerprint(f) != sig {
+							t.Fatalf("%s %+v: cleanup changed its own output", where(), cfg)
 						}
 					}
 					pass := func(name string, run func() bool) bool {
@@ -71,48 +71,50 @@ func TestDoptChangeReports(t *testing.T) {
 						return changed
 					}
 
-					var rep dopt.Report
-					dopt.ConstProp(f)
-					rep.MovesFolded += dopt.FoldMoves(f)
-					rep.DeadRemoved += dopt.DeadCode(f)
+					var rep Report
+					ws.constProp(f)
+					ws.liveness(f)
+					rep.MovesFolded += ws.foldMoves(f)
+					rep.DeadRemoved += ws.deadCode(f)
 					cleanup()
 					if !cfg.NoStackRemoval {
-						if !pass("RemoveStackOps", func() bool { rep.Stack = dopt.RemoveStackOps(f); return rep.Stack.Changed() }) {
+						if !pass("RemoveStackOps", func() bool { rep.Stack = RemoveStackOps(f); return rep.Stack.Changed() }) {
 							skippable++
 						}
 						cleanup()
 					}
 					changed := false
 					if !cfg.NoReroll {
-						changed = pass("Reroll", func() bool { rep.Reroll = dopt.Reroll(f); return rep.Reroll.Changed() })
+						changed = pass("reroll", func() bool { rep.Reroll = ws.reroll(f); return rep.Reroll.Changed() })
 					}
 					if !cfg.NoPromote {
-						changed = pass("PromoteStrength", func() bool { rep.Promote = dopt.PromoteStrength(f); return rep.Promote.Changed() }) || changed
+						changed = pass("promoteStrength", func() bool { rep.Promote = ws.promoteStrength(f); return rep.Promote.Changed() }) || changed
 					}
 					if !changed {
 						skippable++
 					}
 					cleanup()
-					if !pass("StrengthReduce", func() bool { rep.StrengthReduced = dopt.StrengthReduce(f); return rep.StrengthReduced > 0 }) {
+					if !pass("StrengthReduce", func() bool { rep.StrengthReduced = StrengthReduce(f); return rep.StrengthReduced > 0 }) {
 						skippable++
 					}
 					cleanup()
 					if !cfg.NoWidthReduce {
-						rep.Width = dopt.ReduceWidths(f)
+						rep.Width = ws.reduceWidths(f)
 					}
+					ws.release()
 
 					g := optimized[i]
-					if got := dopt.OptimizeWith(g, cfg); !reflect.DeepEqual(got, rep) {
+					if got := OptimizeWith(g, cfg); !reflect.DeepEqual(got, rep) {
 						t.Fatalf("%s %+v: OptimizeWith report %+v, replay %+v", where(), cfg, got, rep)
 					}
 					if irFingerprint(g) != irFingerprint(f) || g.NextLoc != f.NextLoc {
-						t.Fatalf("%s %+v: OptimizeWith IR differs from the replay with every Cleanup", where(), cfg)
+						t.Fatalf("%s %+v: OptimizeWith IR differs from the replay with every cleanup", where(), cfg)
 					}
 				}
 			}
 		}
 	}
-	t.Logf("%d Cleanup calls, %d after a pass that reported no change", calls, skippable)
+	t.Logf("%d cleanup calls, %d after a pass that reported no change", calls, skippable)
 }
 
 // irFingerprint encodes a function's IR — its name and entry, and per

@@ -116,14 +116,15 @@ func TestOptimizeMatchesOracleUploads(t *testing.T) {
 // the pass.
 func TestPassesMatchOracles(t *testing.T) {
 	passes := []struct {
-		name        string
-		run, oracle func(*ir.Func) int
+		name   string
+		run    func(*workspace, *ir.Func) int
+		oracle func(*ir.Func) int
 	}{
-		{"ConstProp", ConstProp, constPropOracle},
-		{"GlobalConstProp", GlobalConstProp, globalConstPropOracle},
-		{"FoldMoves", FoldMoves, foldMovesOracle},
-		{"DeadCode", DeadCode, deadCodeOracle},
-		{"ReduceWidths", func(f *ir.Func) int { return ReduceWidths(f).BitsSaved },
+		{"constProp", (*workspace).constProp, constPropOracle},
+		{"globalConstProp", (*workspace).globalConstProp, globalConstPropOracle},
+		{"foldMoves", afterLiveness((*workspace).foldMoves), foldMovesOracle},
+		{"deadCode", afterLiveness((*workspace).deadCode), deadCodeOracle},
+		{"reduceWidths", func(ws *workspace, f *ir.Func) int { return ws.reduceWidths(f).BitsSaved },
 			func(f *ir.Func) int { return reduceWidthsOracle(f).BitsSaved }},
 	}
 	for _, b := range bench.All() {
@@ -137,7 +138,7 @@ func TestPassesMatchOracles(t *testing.T) {
 				g := orc[i]
 				for round := 0; round < 3; round++ {
 					for _, p := range passes {
-						if n, m := p.run(f), p.oracle(g); n != m || !sameIR(f, g) {
+						if n, m := runPass(f, p.run), p.oracle(g); n != m || !sameIR(f, g) {
 							t.Fatalf("%s -O%d %s round %d: %s = %d, oracle %d, same IR %v",
 								b.Name, level, f.Name, round, p.name, n, m, sameIR(f, g))
 						}
@@ -150,7 +151,7 @@ func TestPassesMatchOracles(t *testing.T) {
 	}
 }
 
-// TestFoldMovesLiveOutBlocksFold pins FoldMoves' deadness rule: a
+// TestFoldMovesLiveOutBlocksFold pins foldMoves' deadness rule: a
 // location live out of the block blocks the fold even when the block
 // redefines it after the move, where true liveness would allow it.
 func TestFoldMovesLiveOutBlocksFold(t *testing.T) {
@@ -178,13 +179,14 @@ func TestFoldMovesLiveOutBlocksFold(t *testing.T) {
 		f.Reindex()
 		return f
 	}
+	foldMoves := func(f *ir.Func) int { return runPass(f, afterLiveness((*workspace).foldMoves)) }
 	// x is dead after the move and not live out: the pair folds.
-	if f := build(false); FoldMoves(f) != 1 || f.Blocks[0].Instrs[0].Dst != y {
+	if f := build(false); foldMoves(f) != 1 || f.Blocks[0].Instrs[0].Dst != y {
 		t.Errorf("dead temp: want one fold into %v, got\n%s", y, f)
 	}
 	// x is redefined later in the block but live out of it: no fold,
 	// from the new pass and from the oracle alike.
-	for name, fold := range map[string]func(*ir.Func) int{"FoldMoves": FoldMoves, "oracle": foldMovesOracle} {
+	for name, fold := range map[string]func(*ir.Func) int{"foldMoves": foldMoves, "oracle": foldMovesOracle} {
 		if f := build(true); fold(f) != 0 {
 			t.Errorf("%s folded a move whose temp is live out of the block:\n%s", name, f)
 		}

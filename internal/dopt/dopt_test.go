@@ -9,6 +9,22 @@ import (
 	"binpart/internal/mcc"
 )
 
+// runPass runs one pass on f in a workspace of its own.
+func runPass[R any](f *ir.Func, pass func(*workspace, *ir.Func) R) R {
+	ws := newWorkspace(f)
+	defer ws.release()
+	return pass(ws, f)
+}
+
+// afterLiveness is pass run on f's block liveness, which foldMoves and
+// deadCode read and OptimizeWith computes before them.
+func afterLiveness(pass func(*workspace, *ir.Func) int) func(*workspace, *ir.Func) int {
+	return func(ws *workspace, f *ir.Func) int {
+		ws.liveness(f)
+		return pass(ws, f)
+	}
+}
+
 // decompileFunc compiles src at the given level and returns the named
 // recovered function plus the image (for data initialization).
 func decompileFunc(t *testing.T, src string, lvl int, name string) (*ir.Func, *binimg.Image) {
@@ -152,7 +168,7 @@ func TestConstPropRemovesISAOverhead(t *testing.T) {
 	f, _ := decompileFunc(t, sumKernel, 1, "kernel")
 	// Raw lifted code models moves as "add rd, rs, r0".
 	rawAdds := countOp(f, ir.Add)
-	Cleanup(f)
+	runPass(f, (*workspace).cleanup)
 	if got := countOp(f, ir.Add); got >= rawAdds {
 		t.Errorf("adds before %d, after cleanup %d; expected reduction", rawAdds, got)
 	}
@@ -196,9 +212,9 @@ func TestStackOperationRemoval(t *testing.T) {
 	if before == 0 {
 		t.Fatalf("expected sp-relative traffic in kernel:\n%s", f)
 	}
-	Cleanup(f)
+	runPass(f, (*workspace).cleanup)
 	rep := RemoveStackOps(f)
-	Cleanup(f)
+	runPass(f, (*workspace).cleanup)
 	if rep.SlotsPromoted == 0 {
 		t.Errorf("no slots promoted: %+v\n%s", rep, f)
 	}
@@ -244,12 +260,12 @@ func TestStrengthPromotionRecoversMultiply(t *testing.T) {
 	want, _ := evalKernel(t, f, img)
 
 	f2, img2 := decompileFunc(t, src, 2, "kernel")
-	Cleanup(f2)
-	rep := PromoteStrength(f2)
+	runPass(f2, (*workspace).cleanup)
+	rep := runPass(f2, (*workspace).promoteStrength)
 	if rep.Multiplies == 0 {
 		t.Fatalf("no multiply promoted: %+v\n%s", rep, f2)
 	}
-	Cleanup(f2)
+	runPass(f2, (*workspace).cleanup)
 	muls := countOp(f2, ir.Mul)
 	if muls == 0 {
 		t.Errorf("promoted multiply disappeared:\n%s", f2)
@@ -319,9 +335,9 @@ func TestRerollUndoesUnrolling(t *testing.T) {
 	want, wantMem := evalKernel(t, f3, img3, 3)
 
 	f, img := decompileFunc(t, src, 3, "kernel")
-	Cleanup(f)
+	runPass(f, (*workspace).cleanup)
 	sizeBefore := f.NumInstrs()
-	rep := Reroll(f)
+	rep := runPass(f, (*workspace).reroll)
 	if len(rep.Rerolled) == 0 {
 		t.Fatalf("no loops rerolled:\n%s", f)
 	}
@@ -330,7 +346,7 @@ func TestRerollUndoesUnrolling(t *testing.T) {
 			t.Errorf("reroll factor = %d, want 4", k)
 		}
 	}
-	Cleanup(f)
+	runPass(f, (*workspace).cleanup)
 	if got := f.NumInstrs(); got >= sizeBefore {
 		t.Errorf("size before %d, after %d; rerolling should shrink the CDFG", sizeBefore, got)
 	}
@@ -377,8 +393,8 @@ func TestRerollRejectsNaturalRepetition(t *testing.T) {
 	`
 	f, img := decompileFunc(t, src, 1, "kernel")
 	want, _ := evalKernel(t, f, img, 0)
-	Cleanup(f)
-	Reroll(f)
+	runPass(f, (*workspace).cleanup)
+	runPass(f, (*workspace).reroll)
 	got, _ := evalKernel(t, f, img, 0)
 	if got != want {
 		t.Errorf("reroll broke semantics: %d -> %d\n%s", want, got, f)
@@ -397,8 +413,8 @@ func TestWidthReductionOnBytes(t *testing.T) {
 		int main() { return kernel(0); }
 	`
 	f, _ := decompileFunc(t, src, 1, "kernel")
-	Cleanup(f)
-	rep := ReduceWidths(f)
+	runPass(f, (*workspace).cleanup)
+	rep := runPass(f, (*workspace).reduceWidths)
 	if rep.TotalOps == 0 || rep.OpsNarrowed == 0 {
 		t.Errorf("no operators narrowed: %+v\n%s", rep, f)
 	}
@@ -472,7 +488,7 @@ func TestSignatureInference(t *testing.T) {
 		if f == nil {
 			t.Fatalf("%s not recovered", name)
 		}
-		Cleanup(f)
+		runPass(f, (*workspace).cleanup)
 		if got := InferParams(f); got != w.args {
 			t.Errorf("%s: inferred %d args, want %d", name, got, w.args)
 		}

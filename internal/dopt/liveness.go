@@ -7,7 +7,7 @@ import (
 
 // locSet is a dense bitset over a function's location space. The
 // liveness analyses run to a fixpoint over every block several times per
-// Cleanup, so the sets use flat words instead of maps: one backing array
+// cleanup, so the sets use flat words instead of maps: one backing array
 // per analysis call, no per-iteration allocation.
 type locSet []uint64
 
@@ -100,7 +100,7 @@ type workspace struct {
 	gcp             []gcpEntry
 	width           []uint8
 	chains          blockChains
-	// Reroll's loop search and per-loop tables.
+	// reroll's loop search and per-loop tables.
 	loops      ir.LoopFinder
 	matcher    rerollMatcher
 	ivStep     map[ir.Loc]int32

@@ -4,15 +4,15 @@ import "binpart/internal/ir"
 
 // This file keeps the straightforward implementations the dense passes
 // replaced, as test-only oracles: a scanning copy environment for
-// ConstProp, block liveness that reruns every instruction's transfer in
-// each fixpoint round, FoldMoves with a forward use scan per move,
-// DeadCode with its own liveness fixpoint, and map-keyed GlobalConstProp
-// and ReduceWidths.
+// constProp, block liveness that reruns every instruction's transfer in
+// each fixpoint round, foldMoves with a forward use scan per move,
+// deadCode with its own liveness fixpoint, and map-keyed globalConstProp
+// and reduceWidths.
 // optimizeOracle composes them in OptimizeWith's order, with every
-// Cleanup run. The differential tests require the optimized passes to
+// cleanup run. The differential tests require the optimized passes to
 // produce the same IR and reports.
 
-// constPropOracle is ConstProp over scanEnv.
+// constPropOracle is constProp over scanEnv.
 func constPropOracle(f *ir.Func) int {
 	env := scanEnv{
 		val:   make([]ir.Arg, locSpace(f)),
@@ -130,7 +130,7 @@ func abiLivenessOracle(f *ir.Func) (liveIn, liveOut locSets) {
 	return liveIn, liveOut
 }
 
-// foldMovesOracle is FoldMoves with a forward usedLater scan per move.
+// foldMovesOracle is foldMoves with a forward usedLater scan per move.
 func foldMovesOracle(f *ir.Func) int {
 	_, liveOut := abiLivenessOracle(f)
 	folded := 0
@@ -184,7 +184,7 @@ func usedLater(b *ir.Block, from int, loc ir.Loc) bool {
 	return false
 }
 
-// deadCodeOracle is DeadCode running its own block-liveness fixpoint.
+// deadCodeOracle is deadCode running its own block-liveness fixpoint.
 func deadCodeOracle(f *ir.Func) int {
 	n := len(f.Blocks)
 	sets := resetLocSets(locSets{}, n+1, locSpace(f))
@@ -257,7 +257,7 @@ func deadCodeOracle(f *ir.Func) int {
 	return removed
 }
 
-// globalConstPropOracle is GlobalConstProp over maps.
+// globalConstPropOracle is globalConstProp over maps.
 func globalConstPropOracle(f *ir.Func) int {
 	if len(f.Blocks) == 0 {
 		return 0
@@ -320,8 +320,8 @@ func globalConstPropOracle(f *ir.Func) int {
 	return n
 }
 
-// reduceWidthsOracle is ReduceWidths over a map-keyed fixpoint. It
-// iterates to the fixpoint without a round cap, as ReduceWidths does.
+// reduceWidthsOracle is reduceWidths over a map-keyed fixpoint. It
+// iterates to the fixpoint without a round cap, as reduceWidths does.
 func reduceWidthsOracle(f *ir.Func) WidthReport {
 	width := map[ir.Loc]int{}
 	get := func(a ir.Arg) int {
@@ -409,7 +409,7 @@ func reduceWidthsOracle(f *ir.Func) WidthReport {
 	return rep
 }
 
-// cleanupOracle is Cleanup over the oracle passes.
+// cleanupOracle is cleanup over the oracle passes.
 func cleanupOracle(f *ir.Func) bool {
 	for i := 0; i < cleanupRounds; i++ {
 		c := constPropOracle(f)
@@ -424,7 +424,7 @@ func cleanupOracle(f *ir.Func) bool {
 }
 
 // optimizeOracle is OptimizeWith over the oracle passes, running every
-// Cleanup.
+// cleanup.
 func optimizeOracle(f *ir.Func, cfg Config) Report {
 	var rep Report
 	constPropOracle(f)
@@ -436,10 +436,10 @@ func optimizeOracle(f *ir.Func, cfg Config) Report {
 		cleanupOracle(f)
 	}
 	if !cfg.NoReroll {
-		rep.Reroll = Reroll(f)
+		rep.Reroll = runPass(f, (*workspace).reroll)
 	}
 	if !cfg.NoPromote {
-		rep.Promote = PromoteStrength(f)
+		rep.Promote = runPass(f, (*workspace).promoteStrength)
 	}
 	cleanupOracle(f)
 	rep.StrengthReduced = StrengthReduce(f)

@@ -4,7 +4,7 @@ import "binpart/internal/ir"
 
 // Report aggregates what every decompiler optimization did to a function.
 type Report struct {
-	// MovesFolded counts temp-and-move pairs collapsed by FoldMoves.
+	// MovesFolded counts temp-and-move pairs collapsed by foldMoves.
 	MovesFolded int
 	// DeadRemoved counts instructions removed by dead code elimination.
 	DeadRemoved int
@@ -36,7 +36,7 @@ func Optimize(f *ir.Func) Report {
 // OptimizeWith runs the pipeline with selected passes disabled.
 //
 // Each pass between two Cleanups reports what it rewrote, and reports
-// nothing exactly when it left the IR unchanged. So a Cleanup is skipped
+// nothing exactly when it left the IR unchanged. So a cleanup is skipped
 // when the previous one reached its fixpoint and every pass since then
 // reports no change: it would find nothing to do.
 //

@@ -18,10 +18,10 @@ type RerollReport struct {
 	Factors map[int]int
 }
 
-// Changed reports whether Reroll rewrote the IR: it rerolled a loop.
+// Changed reports whether reroll rewrote the IR: it rerolled a loop.
 func (r RerollReport) Changed() bool { return len(r.Rerolled) > 0 }
 
-// Reroll performs the paper's "loop rerolling": it detects loop bodies
+// reroll performs the paper's "loop rerolling": it detects loop bodies
 // consisting of k copies of a statement group whose induction uses step
 // from copy to copy, keeps one copy, and divides every induction step by
 // k. This shrinks the CDFG (important for dynamic synthesis) and
@@ -46,15 +46,9 @@ func (r RerollReport) Changed() bool { return len(r.Rerolled) > 0 }
 //
 // Anything else aborts the reroll, so the rewrite is semantics-preserving
 // by construction.
-func Reroll(f *ir.Func) RerollReport {
-	ws := newWorkspace(f)
-	defer ws.release()
-	return ws.reroll(f)
-}
-
-// reroll is Reroll in ws. Each loop-search round computes block liveness
-// at most once, when its first candidate body needs it; a successful
-// reroll ends the round.
+//
+// Each loop-search round computes block liveness at most once, when its
+// first candidate body needs it; a successful reroll ends the round.
 func (ws *workspace) reroll(f *ir.Func) RerollReport {
 	rep := RerollReport{Factors: map[int]int{}}
 	for {

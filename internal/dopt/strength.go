@@ -63,11 +63,11 @@ type PromoteReport struct {
 	OpsCollapsed int
 }
 
-// Changed reports whether PromoteStrength rewrote the IR: it recovered
+// Changed reports whether promoteStrength rewrote the IR: it recovered
 // a multiplication.
 func (r PromoteReport) Changed() bool { return r.Multiplies > 0 }
 
-// PromoteStrength performs the paper's "strength promotion": shift/add/sub
+// promoteStrength performs the paper's "strength promotion": shift/add/sub
 // sequences that compute x*C (the residue of compiler strength reduction)
 // are folded back into a single multiplication, restoring the synthesis
 // tool's freedom to pick the best implementation. Only sequences of at
@@ -79,12 +79,6 @@ func (r PromoteReport) Changed() bool { return r.Multiplies > 0 }
 // resolved to the instruction that defined it, and an intermediate
 // definition may be subsumed only if that one instruction is its sole
 // consumer and its value does not escape the block.
-func PromoteStrength(f *ir.Func) PromoteReport {
-	ws := newWorkspace(f)
-	defer ws.release()
-	return ws.promoteStrength(f)
-}
-
 func (ws *workspace) promoteStrength(f *ir.Func) PromoteReport {
 	var rep PromoteReport
 	ws.liveness(f)

@@ -14,7 +14,7 @@ type WidthReport struct {
 	BitsSaved int
 }
 
-// ReduceWidths performs the paper's "operator size reduction": a
+// reduceWidths performs the paper's "operator size reduction": a
 // flow-insensitive bit-width analysis over the function that annotates
 // every binary operation with the number of low bits a synthesized
 // functional unit actually needs.
@@ -23,14 +23,9 @@ type WidthReport struct {
 // it. The first definition seen installs its width, and widths only grow
 // from there, bounded by 32 bits; the analysis iterates to that fixpoint,
 // so the result is sound for any execution.
-func ReduceWidths(f *ir.Func) WidthReport {
-	ws := newWorkspace(f)
-	defer ws.release()
-	return ws.reduceWidths(f)
-}
-
-// reduceWidths is ReduceWidths over a dense width table: 0 means no
-// definition seen yet (every width is at least 1).
+//
+// The width table is dense: 0 means no definition seen yet (every width
+// is at least 1).
 func (ws *workspace) reduceWidths(f *ir.Func) WidthReport {
 	ws.width = reuse(ws.width, ws.spaceOf(f))
 	width := ws.width

@@ -50,16 +50,9 @@ func (sc *loopScratch) clearRefs() {
 	clear(sc.iv)
 }
 
-// Dominators computes the immediate dominator of every block using the
-// Cooper/Harvey/Kennedy iterative algorithm. idom[entry] == entry.
-func Dominators(f *Func) []int {
-	sc := loopScratches.Get()
-	idom := slices.Clone(sc.dominators(f))
-	sc.release()
-	return idom
-}
-
-// dominators is Dominators into sc.idom.
+// dominators computes the immediate dominator of every block into
+// sc.idom, using the Cooper/Harvey/Kennedy iterative algorithm:
+// idom[entry] == entry.
 func (sc *loopScratch) dominators(f *Func) []int { return sc.dominatorTree(f, false) }
 
 // postDominators computes immediate postdominators into sc.idom: -1

@@ -64,7 +64,7 @@ func TestDominatorsAgainstBruteForce(t *testing.T) {
 	for trial := 0; trial < 150; trial++ {
 		n := 2 + r.Intn(10)
 		f := randomCFG(r, n)
-		idom := Dominators(f)
+		idom := idomOf(f)
 
 		// Brute-force dominator sets.
 		dom := make([][]bool, n)
@@ -187,7 +187,7 @@ func TestFindLoopsProperties(t *testing.T) {
 	r := rand.New(rand.NewSource(33))
 	for trial := 0; trial < 150; trial++ {
 		f := randomCFG(r, 2+r.Intn(10))
-		idom := Dominators(f)
+		idom := idomOf(f)
 		for _, l := range FindLoops(f) {
 			if !l.Contains(l.Header.Index) {
 				t.Fatalf("trial %d: header not in its own loop", trial)

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -30,10 +31,17 @@ func nBlocks(n int) []*Block {
 	return out
 }
 
+// idomOf is the immediate dominator of every block of f.
+func idomOf(f *Func) []int {
+	sc := loopScratches.Get()
+	defer sc.release()
+	return slices.Clone(sc.dominators(f))
+}
+
 func TestDominatorsDiamond(t *testing.T) {
 	// 0 -> 1, 2; 1 -> 3; 2 -> 3
 	f := link(nBlocks(4), map[int][]int{0: {1, 2}, 1: {3}, 2: {3}})
-	idom := Dominators(f)
+	idom := idomOf(f)
 	want := []int{0, 0, 0, 0}
 	for i, w := range want {
 		if idom[i] != w {
@@ -48,7 +56,7 @@ func TestDominatorsDiamond(t *testing.T) {
 func TestDominatorsLoop(t *testing.T) {
 	// 0 -> 1; 1 -> 2; 2 -> 1, 3
 	f := link(nBlocks(4), map[int][]int{0: {1}, 1: {2}, 2: {1, 3}})
-	idom := Dominators(f)
+	idom := idomOf(f)
 	if idom[1] != 0 || idom[2] != 1 || idom[3] != 2 {
 		t.Errorf("idom = %v", idom)
 	}

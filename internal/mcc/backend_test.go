@@ -3,6 +3,7 @@ package mcc
 import (
 	"testing"
 
+	"binpart/internal/binimg"
 	"binpart/internal/mips"
 	"binpart/internal/sim"
 )
@@ -115,11 +116,11 @@ func TestLivenessAcrossCallClassification(t *testing.T) {
 			return keep + r;
 		}
 	`
-	prog, err := Parse(src)
+	prog, err := parseSrc(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Analyze(prog); err != nil {
+	if err := analyze(prog, new(astSlabs), nil); err != nil {
 		t.Fatal(err)
 	}
 	var mainTF *tacFunc
@@ -271,15 +272,30 @@ func TestStackDiscipline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := sim.New(img, sim.DefaultConfig())
+	// Halt with $sp in $v0: the stub's break becomes a jump to an
+	// appended "addu $v0, $sp, $zero; break".
+	tail := uint32(len(img.Text))
+	for _, in := range []mips.Inst{
+		{Op: mips.ADDU, Rd: mips.V0, Rs: mips.SP, Rt: mips.Zero},
+		{Op: mips.BREAK},
+	} {
+		img.Text = append(img.Text, mustEncode(t, in))
+	}
+	img.Text[1] = mustEncode(t, mips.Inst{Op: mips.J, Target: img.TextBase + 4*tail})
+	res, err := sim.Execute(img, sim.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	spBefore := m.Regs[mips.SP]
-	if _, err := m.Run(); err != nil {
+	if sp := uint32(res.ExitCode); sp != binimg.DefaultStackTop {
+		t.Errorf("stack pointer leaked: 0x%x -> 0x%x", binimg.DefaultStackTop, sp)
+	}
+}
+
+func mustEncode(t *testing.T, in mips.Inst) uint32 {
+	t.Helper()
+	w, err := mips.Encode(in)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Regs[mips.SP] != spBefore {
-		t.Errorf("stack pointer leaked: 0x%x -> 0x%x", spBefore, m.Regs[mips.SP])
-	}
+	return w
 }

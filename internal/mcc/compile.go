@@ -31,7 +31,7 @@ func Compile(src string, opts Options) (*binimg.Image, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := analyze(prog, &sc.ast.syms, &sc.scopes); err != nil {
+	if err := analyze(prog, &sc.ast, &sc.scopes); err != nil {
 		return nil, err
 	}
 	if opts.OptLevel >= 3 {
@@ -65,9 +65,7 @@ func Compile(src string, opts Options) (*binimg.Image, error) {
 		}
 		addr := addData(g.Type.Size(), align)
 		dataAddr = append(dataAddr, addr)
-		if err := initGlobal(data, addr-binimg.DefaultDataBase, g); err != nil {
-			return nil, err
-		}
+		initGlobal(data, addr-binimg.DefaultDataBase, g)
 	}
 
 	// Lower, optimize and generate one function at a time, so every
@@ -161,9 +159,11 @@ func Compile(src string, opts Options) (*binimg.Image, error) {
 	return im, nil
 }
 
-// initGlobal writes a global's initializer into the data buffer at off.
-func initGlobal(data []byte, off uint32, g *VarDecl) error {
-	writeVal := func(at uint32, size int, v int32) {
+// initGlobal writes a global's initializer, which sema folded to
+// literals, into the data buffer at off.
+func initGlobal(data []byte, off uint32, g *VarDecl) {
+	writeVal := func(at uint32, size int, e Expr) {
+		v := e.(*NumLit).Val
 		switch size {
 		case 1:
 			data[at] = byte(v)
@@ -174,57 +174,10 @@ func initGlobal(data []byte, off uint32, g *VarDecl) error {
 		}
 	}
 	if g.Init != nil {
-		v, ok := evalConstExpr(g.Init)
-		if !ok {
-			return fmt.Errorf("mcc: global %q: non-constant initializer", g.Name)
-		}
-		writeVal(off, g.Type.Size(), v)
+		writeVal(off, g.Type.Size(), g.Init)
 	}
-	if g.Vals != nil {
+	for i, e := range g.Vals {
 		es := g.Type.Elem.Size()
-		for i, e := range g.Vals {
-			v, ok := evalConstExpr(e)
-			if !ok {
-				return fmt.Errorf("mcc: global %q[%d]: non-constant initializer", g.Name, i)
-			}
-			writeVal(off+uint32(i*es), es, v)
-		}
+		writeVal(off+uint32(i*es), es, e)
 	}
-	return nil
-}
-
-// evalConstExpr evaluates a compile-time constant expression.
-func evalConstExpr(e Expr) (int32, bool) {
-	switch e := e.(type) {
-	case *NumLit:
-		return e.Val, true
-	case *UnExpr:
-		v, ok := evalConstExpr(e.X)
-		if !ok {
-			return 0, false
-		}
-		switch e.Op {
-		case "-":
-			return -v, true
-		case "~":
-			return ^v, true
-		case "!":
-			if v == 0 {
-				return 1, true
-			}
-			return 0, true
-		}
-		return 0, false
-	case *BinExpr:
-		l, ok := evalConstExpr(e.L)
-		if !ok {
-			return 0, false
-		}
-		r, ok := evalConstExpr(e.R)
-		if !ok {
-			return 0, false
-		}
-		return foldBin(e.Op, l, r, true)
-	}
-	return 0, false
 }

@@ -9,6 +9,11 @@ import (
 // Front-end unit tests: lexer, parser, and semantic analysis in
 // isolation (compile_test.go covers the full pipeline end to end).
 
+// parseSrc parses src into slabs of its own.
+func parseSrc(src string) (*Program, error) {
+	return parse(src, new([]token), new(astSlabs))
+}
+
 func TestLexerTokens(t *testing.T) {
 	src := `int x = 0x1f + 'A' - '\n'; // comment
 		/* block */ x <<= 2;`
@@ -69,7 +74,7 @@ func TestLexerLineNumbers(t *testing.T) {
 }
 
 func TestParserPrecedence(t *testing.T) {
-	prog, err := Parse(`int main() { return 1 + 2 * 3 == 7 && 4 < 5; }`)
+	prog, err := parseSrc(`int main() { return 1 + 2 * 3 == 7 && 4 < 5; }`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +99,7 @@ func TestParserPrecedence(t *testing.T) {
 }
 
 func TestParserPointersAndArrays(t *testing.T) {
-	prog, err := Parse(`
+	prog, err := parseSrc(`
 		int buf[4];
 		int f(int *p, char c) { return p[0] + (int)c; }
 		int main() { return f(buf, 'x'); }
@@ -109,20 +114,20 @@ func TestParserPointersAndArrays(t *testing.T) {
 	if f.Params[0].Type.Kind != TypePtr || f.Params[0].Type.Elem.Kind != TypeInt {
 		t.Errorf("param type = %v", f.Params[0].Type)
 	}
-	if err := Analyze(prog); err != nil {
+	if err := analyze(prog, new(astSlabs), nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestParserArrayParamDecays(t *testing.T) {
-	prog, err := Parse(`int f(int a[], int n) { return a[n]; } int main() { int b[3]; return f(b, 0); }`)
+	prog, err := parseSrc(`int f(int a[], int n) { return a[n]; } int main() { int b[3]; return f(b, 0); }`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if prog.Funcs[0].Params[0].Type.Kind != TypePtr {
 		t.Errorf("array parameter did not decay: %v", prog.Funcs[0].Params[0].Type)
 	}
-	if err := Analyze(prog); err != nil {
+	if err := analyze(prog, new(astSlabs), nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -247,11 +252,11 @@ func TestSemaErrorsDetailed(t *testing.T) {
 		"index int":     `int main() { int x = 1; return x[2]; }`,
 	}
 	for name, src := range cases {
-		prog, err := Parse(src)
+		prog, err := parseSrc(src)
 		if err != nil {
 			continue // parse-time rejection also counts
 		}
-		if err := Analyze(prog); err == nil {
+		if err := analyze(prog, new(astSlabs), nil); err == nil {
 			t.Errorf("%s: analysis succeeded, want error", name)
 		}
 	}

@@ -10,11 +10,11 @@ import (
 
 func tacOf(t *testing.T, src string, level int, fn string) *tacFunc {
 	t.Helper()
-	prog, err := Parse(src)
+	prog, err := parseSrc(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Analyze(prog); err != nil {
+	if err := analyze(prog, new(astSlabs), nil); err != nil {
 		t.Fatal(err)
 	}
 	if level >= 3 {

@@ -55,14 +55,9 @@ func (s *slab[T]) reset() {
 	}
 }
 
-// Parse builds the AST for a MicroC translation unit.
-func Parse(src string) (*Program, error) {
-	var toks []token
-	return parse(src, &toks, new(astSlabs))
-}
-
-// parse is Parse lexing into *toks' array, which it updates, and carving
-// nodes from ast. The AST references src, never the tokens.
+// parse builds the AST for a MicroC translation unit, lexing into *toks'
+// array, which it updates, and carving nodes from ast. The AST
+// references src, never the tokens.
 func parse(src string, toks *[]token, ast *astSlabs) (*Program, error) {
 	ts, err := lex(src, *toks)
 	if err != nil {

@@ -12,20 +12,17 @@ type sema struct {
 	scopes []map[string]*symbol
 	spare  []map[string]*symbol // emptied scopes for push to reuse
 	syms   *slab[symbol]
+	lits   *slab[NumLit]
 	fn     *FuncDecl
 	loops  int // nesting depth of breakable/continuable constructs
 	sw     int // nesting depth of switches (break only)
 }
 
-// Analyze type-checks the program. It must run before lowering.
-func Analyze(prog *Program) error {
-	return analyze(prog, new(slab[symbol]), nil)
-}
-
-// analyze is Analyze carving symbols from syms and reusing the emptied
+// analyze type-checks the program; it must run before lowering. It
+// carves symbols and folded literals from ast and reuses the emptied
 // scope maps in *spare, which it updates when spare is not nil.
-func analyze(prog *Program, syms *slab[symbol], spare *[]map[string]*symbol) error {
-	s := &sema{prog: prog, funcs: make(map[string]*FuncDecl, len(prog.Funcs)), syms: syms}
+func analyze(prog *Program, ast *astSlabs, spare *[]map[string]*symbol) error {
+	s := &sema{prog: prog, funcs: make(map[string]*FuncDecl, len(prog.Funcs)), syms: &ast.syms, lits: &ast.numLits}
 	if spare != nil {
 		s.spare = *spare
 		defer func() { *spare = s.spare }()
@@ -51,15 +48,15 @@ func analyze(prog *Program, syms *slab[symbol], spare *[]map[string]*symbol) err
 		if err := s.declare(g, true); err != nil {
 			return err
 		}
+		var err error
 		if g.Init != nil {
-			if _, err := s.constEval(g.Init); err != nil {
-				return fmt.Errorf("mcc: global %q: initializer must be constant: %w", g.Name, err)
-			}
+			g.Init, err = s.fold(g.Init)
 		}
-		for _, v := range g.Vals {
-			if _, err := s.constEval(v); err != nil {
-				return fmt.Errorf("mcc: global %q: initializer must be constant: %w", g.Name, err)
-			}
+		for i := 0; i < len(g.Vals) && err == nil; i++ {
+			g.Vals[i], err = s.fold(g.Vals[i])
+		}
+		if err != nil {
+			return fmt.Errorf("mcc: global %q: initializer must be constant: %w", g.Name, err)
 		}
 	}
 	for _, fn := range prog.Funcs {
@@ -478,6 +475,21 @@ func markAddrTaken(e Expr) {
 			id.Sym.addrOf = true
 		}
 	}
+}
+
+// fold replaces a global's constant initializer by the literal of its
+// value, which is what the data section holds.
+func (s *sema) fold(e Expr) (Expr, error) {
+	v, err := s.constEval(e)
+	if err != nil {
+		return nil, err
+	}
+	if _, ok := e.(*NumLit); !ok {
+		lit := s.lits.new()
+		lit.Val, lit.T = v, tyInt
+		e = lit
+	}
+	return e, nil
 }
 
 // constEval evaluates a constant expression for use in initializers.

@@ -53,12 +53,11 @@ func unrollInStmt(st Stmt) {
 	}
 }
 
-// forShape captures an analyzable counted loop: for (i=c0; i<c1; i+=step).
+// forShape captures an analyzable counted loop: for (i=c0; i<c1; i++).
 type forShape struct {
 	iv    *symbol
 	c0    int32
 	c1    int32
-	step  int32
 	incEq bool // condition is <= rather than <
 }
 
@@ -81,14 +80,7 @@ func tryUnrollFor(st *ForStmt) {
 	if shape.incEq {
 		limit++
 	}
-	span := limit - int64(shape.c0)
-	if span <= 0 || shape.step <= 0 {
-		return
-	}
-	if span%int64(shape.step) != 0 {
-		return
-	}
-	trip := span / int64(shape.step)
+	trip := limit - int64(shape.c0)
 	factor := int64(0)
 	for f := int64(unrollFactorMax); f >= 2; f-- {
 		if trip%f == 0 && trip >= f {
@@ -102,16 +94,15 @@ func tryUnrollFor(st *ForStmt) {
 
 	var newBody []Stmt
 	for m := int64(0); m < factor; m++ {
-		off := int32(m) * shape.step
 		for _, s := range body.Stmts {
-			newBody = append(newBody, cloneStmtOffset(s, shape.iv, off))
+			newBody = append(newBody, cloneStmtOffset(s, shape.iv, int32(m)))
 		}
 	}
 	st.Body = &BlockStmt{Stmts: newBody}
-	// Single combined increment: i += factor*step.
+	// Single combined increment: i += factor.
 	ivRef := &Ident{Name: shape.iv.name, Sym: shape.iv}
 	ivRef.T = shape.iv.typ
-	inc := &AssignExpr{Op: "+=", LV: ivRef, RV: numLit(int32(factor) * shape.step)}
+	inc := &AssignExpr{Op: "+=", LV: ivRef, RV: numLit(int32(factor))}
 	inc.T = shape.iv.typ
 	st.Post = inc
 }
@@ -122,42 +113,29 @@ func numLit(v int32) *NumLit {
 	return n
 }
 
-// analyzeFor recognizes for (i = c0; i < c1; i += step) with int induction.
+// analyzeFor recognizes for (i = c0; i < c1; i++) with an int induction
+// variable whose address is not taken; the condition may also be <=.
+// Those are the only counted loops the suite and the program generator
+// write.
 func analyzeFor(st *ForStmt) (forShape, bool) {
 	var sh forShape
-
-	// Init: `int i = c0` or `i = c0`.
-	switch init := st.Init.(type) {
-	case *DeclStmt:
-		if len(init.Decls) != 1 {
-			return sh, false
-		}
-		d := init.Decls[0]
-		if d.sym == nil || d.Init == nil {
-			return sh, false
-		}
-		n, ok := d.Init.(*NumLit)
-		if !ok {
-			return sh, false
-		}
-		sh.iv, sh.c0 = d.sym, n.Val
-	case *ExprStmt:
-		as, ok := init.X.(*AssignExpr)
-		if !ok || as.Op != "=" {
-			return sh, false
-		}
-		id, ok := as.LV.(*Ident)
-		if !ok || id.Sym == nil {
-			return sh, false
-		}
-		n, ok := as.RV.(*NumLit)
-		if !ok {
-			return sh, false
-		}
-		sh.iv, sh.c0 = id.Sym, n.Val
-	default:
+	init, ok := st.Init.(*ExprStmt)
+	if !ok {
 		return sh, false
 	}
+	as, ok := init.X.(*AssignExpr)
+	if !ok || as.Op != "=" {
+		return sh, false
+	}
+	id, ok := as.LV.(*Ident)
+	if !ok || id.Sym == nil {
+		return sh, false
+	}
+	n, ok := as.RV.(*NumLit)
+	if !ok {
+		return sh, false
+	}
+	sh.iv, sh.c0 = id.Sym, n.Val
 	if sh.iv.typ.Kind != TypeInt && sh.iv.typ.Kind != TypeUInt {
 		return sh, false
 	}
@@ -170,57 +148,22 @@ func analyzeFor(st *ForStmt) (forShape, bool) {
 	if !ok || (cmp.Op != "<" && cmp.Op != "<=") {
 		return sh, false
 	}
-	id, ok := cmp.L.(*Ident)
+	id, ok = cmp.L.(*Ident)
 	if !ok || id.Sym != sh.iv {
 		return sh, false
 	}
-	n, ok := cmp.R.(*NumLit)
+	n, ok = cmp.R.(*NumLit)
 	if !ok {
 		return sh, false
 	}
 	sh.c1, sh.incEq = n.Val, cmp.Op == "<="
 
-	// Post: i++, i += step, or i = i + step.
-	switch post := st.Post.(type) {
-	case *IncDecExpr:
-		pid, ok := post.LV.(*Ident)
-		if !ok || pid.Sym != sh.iv || post.Op != "++" {
-			return sh, false
-		}
-		sh.step = 1
-	case *AssignExpr:
-		pid, ok := post.LV.(*Ident)
-		if !ok || pid.Sym != sh.iv {
-			return sh, false
-		}
-		switch post.Op {
-		case "+=":
-			n, ok := post.RV.(*NumLit)
-			if !ok || n.Val <= 0 {
-				return sh, false
-			}
-			sh.step = n.Val
-		case "=":
-			add, ok := post.RV.(*BinExpr)
-			if !ok || add.Op != "+" {
-				return sh, false
-			}
-			aid, ok := add.L.(*Ident)
-			if !ok || aid.Sym != sh.iv {
-				return sh, false
-			}
-			n, ok := add.R.(*NumLit)
-			if !ok || n.Val <= 0 {
-				return sh, false
-			}
-			sh.step = n.Val
-		default:
-			return sh, false
-		}
-	default:
+	post, ok := st.Post.(*IncDecExpr)
+	if !ok || post.Op != "++" {
 		return sh, false
 	}
-	return sh, true
+	id, ok = post.LV.(*Ident)
+	return sh, ok && id.Sym == sh.iv
 }
 
 // bodyUnrollable rejects bodies with control transfers out of the loop or

@@ -41,9 +41,9 @@ func TestSlowerCPUGainsMore(t *testing.T) {
 	// platform sweep shape).
 	r := sampleRegion()
 	// Cycle counts are CPU-frequency independent in this model.
-	m40 := MIPS40.Evaluate(10_000_000, []Region{r})
+	m40 := MIPS(40, MIPS200.Device).Evaluate(10_000_000, []Region{r})
 	m200 := MIPS200.Evaluate(10_000_000, []Region{r})
-	m400 := MIPS400.Evaluate(10_000_000, []Region{r})
+	m400 := MIPS(400, MIPS200.Device).Evaluate(10_000_000, []Region{r})
 	if !(m40.AppSpeedup > m200.AppSpeedup && m200.AppSpeedup > m400.AppSpeedup) {
 		t.Errorf("speedups not decreasing with CPU clock: %.2f, %.2f, %.2f",
 			m40.AppSpeedup, m200.AppSpeedup, m400.AppSpeedup)
@@ -83,7 +83,7 @@ func TestCommunicationOverheadHurts(t *testing.T) {
 }
 
 func TestCPUPowerScalesWithClock(t *testing.T) {
-	if MIPS400.cpuActiveW() <= MIPS200.cpuActiveW() || MIPS200.cpuActiveW() <= MIPS40.cpuActiveW() {
+	if MIPS(400, MIPS200.Device).cpuActiveW() <= MIPS200.cpuActiveW() || MIPS200.cpuActiveW() <= MIPS(40, MIPS200.Device).cpuActiveW() {
 		t.Error("CPU power not increasing with clock")
 	}
 }

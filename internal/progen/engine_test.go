@@ -3,6 +3,7 @@ package progen
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"binpart/internal/mcc"
@@ -68,10 +69,10 @@ func TestEngineDifferentialShapes(t *testing.T) {
 // TestShapeMarkers checks the generator records the shape each
 // differential program was drawn from.
 func TestShapeMarkers(t *testing.T) {
-	if p := Generate(1, StraightlineConfig()); !p.HasShape("straightline") {
+	if p := Generate(1, StraightlineConfig()); !slices.Contains(p.Shapes, "straightline") {
 		t.Error("straightline program missing its shape marker")
 	}
-	if p := Generate(1, BranchyConfig()); !p.HasShape("branch-dense") {
+	if p := Generate(1, BranchyConfig()); !slices.Contains(p.Shapes, "branch-dense") {
 		t.Error("branchy program missing its shape marker")
 	}
 }

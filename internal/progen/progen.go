@@ -30,16 +30,6 @@ type Program struct {
 	Shapes []string
 }
 
-// HasShape reports whether the program contains the named shape.
-func (p Program) HasShape(shape string) bool {
-	for _, s := range p.Shapes {
-		if s == shape {
-			return true
-		}
-	}
-	return false
-}
-
 // Config bounds the generator.
 type Config struct {
 	// MaxStmts bounds the kernel's statement count per block.

@@ -1,6 +1,7 @@
 package progen
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -78,7 +79,7 @@ func TestSwitchShapesCompileToJumpTables(t *testing.T) {
 		}
 		hit := false
 		for s := range need {
-			if p.HasShape(s) {
+			if slices.Contains(p.Shapes, s) {
 				delete(need, s)
 				hit = true
 			}

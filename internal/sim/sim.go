@@ -179,15 +179,6 @@ type Machine struct {
 	jrs       []jrSite
 }
 
-// New loads an image into a fresh machine.
-func New(img *binimg.Image, cfg Config) (*Machine, error) {
-	m := &Machine{}
-	if err := m.init(img, cfg); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
 // init (re)initializes a machine for img and cfg. On a pooled machine it
 // reuses the pinst backing, translation cache, and profile-slot buffers
 // when they are large enough; every retained buffer is either fully
@@ -379,13 +370,6 @@ func (m *Machine) buildProfile() *Profile {
 	}
 	return p
 }
-
-// ReadWord returns the 32-bit little-endian word at addr (for tests and
-// result extraction).
-func (m *Machine) ReadWord(addr uint32) uint32 { return m.mem.ReadWord(addr) }
-
-// WriteWord stores a 32-bit little-endian word at addr.
-func (m *Machine) WriteWord(addr uint32, v uint32) { m.mem.WriteWord(addr, v) }
 
 // loadFault builds the error for a rejected load, preserving the
 // reference stepper's check order: near-null before misalignment.

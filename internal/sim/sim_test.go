@@ -332,17 +332,6 @@ func TestCycleModelWeights(t *testing.T) {
 	}
 }
 
-func TestReadWriteWord(t *testing.T) {
-	m, err := New(asmImage(t, "break"), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.WriteWord(0x2000_0000, 0xdeadbeef)
-	if got := m.ReadWord(0x2000_0000); got != 0xdeadbeef {
-		t.Errorf("ReadWord = 0x%x", got)
-	}
-}
-
 // TestKeptMachineDropsLargeMemory: a run that touches more than
 // maxKeptPages pages does not leave them pinned in the free list.
 func TestKeptMachineDropsLargeMemory(t *testing.T) {
