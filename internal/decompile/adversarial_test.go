@@ -210,3 +210,54 @@ func TestAdversarialTableBeyondDataEnd(t *testing.T) {
 		t.Errorf("reason %q does not flag the table overrun", ije.Reason)
 	}
 }
+
+// TestAdversarialDeadCodeIsNotLifted pins what a fault in unreachable
+// code does: nothing. The lifter walks the control flow from the entry,
+// so an instruction after the function's return is never lifted, and a
+// bad branch, an escaping jump or an indirect jump there fails nothing.
+// The same fault on a live path still fails the function.
+func TestAdversarialDeadCodeIsNotLifted(t *testing.T) {
+	faults := map[string]mips.Inst{
+		"branch outside": {Op: mips.BEQ, Rs: mips.T0, Rt: mips.Zero, Imm: 100},
+		"jump outside":   {Op: mips.J, Target: binimg.DefaultTextBase + 0x10000},
+		"indirect jump":  {Op: mips.JR, Rs: mips.T4},
+		"jalr":           {Op: mips.JALR, Rd: mips.RA, Rs: mips.T4},
+	}
+	ret := []mips.Inst{{Op: mips.ADDIU, Rt: mips.V0, Rs: mips.Zero, Imm: 7}, {Op: mips.JR, Rs: mips.RA}}
+	build := func(insts ...mips.Inst) *binimg.Image {
+		words := make([]uint32, len(insts))
+		for i, in := range insts {
+			w, err := mips.Encode(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			words[i] = w
+		}
+		return &binimg.Image{
+			Entry: binimg.DefaultTextBase, TextBase: binimg.DefaultTextBase, Text: words,
+			Symbols: []binimg.Symbol{{Name: "f", Addr: binimg.DefaultTextBase, Size: uint32(4 * len(words))}},
+		}
+	}
+	for name, fault := range faults {
+		t.Run(name, func(t *testing.T) {
+			res, err := Decompile(build(ret[0], ret[1], fault))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ferr := res.Failed["f"]; ferr != nil {
+				t.Fatalf("a fault in dead code failed the function: %v", ferr)
+			}
+			f := res.Func("f")
+			if len(f.Blocks) != 1 || len(f.Blocks[0].Instrs) != 2 {
+				t.Errorf("want the one live block of 2 instructions, got\n%s", f)
+			}
+			res, err = Decompile(build(ret[0], fault, ret[1]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Failed["f"] == nil {
+				t.Errorf("the same fault on the live path did not fail the function")
+			}
+		})
+	}
+}

@@ -124,12 +124,14 @@ func DecompileWith(img *binimg.Image, opts Options) (*Result, error) {
 }
 
 // scratch is the per-function working memory of liftFunction: the
-// decoded instructions, the leader marks, the block index of each
+// decoded instructions, the leader and reach marks, the block index of each
 // instruction slot and the CFG edges before they are carved into the
 // blocks. The lifted IR itself is the result and is never kept here.
 type scratch struct {
 	insts   []mips.Inst
 	leader  []bool
+	reached []bool
+	work    []int32    // the control-flow walk's pending instruction slots
 	blockOf []int32    // by instruction slot: index of the block starting there, or -1
 	edges   [][2]int32 // (from, to) block indices
 	deg     []int32
@@ -202,38 +204,56 @@ func (ws *scratch) liftFunction(img *binimg.Image, fn funcSpan, opts Options) (*
 		insts[i] = in
 	}
 
-	// Leaders: function entry, branch targets, instruction after any
-	// control transfer.
+	// Walk the control flow from the entry, marking the instructions some
+	// path reaches and the leaders among them: the entry, branch, jump
+	// and jump-table targets, and the instruction after any control
+	// transfer. Only reached instructions are lifted, so a block no path
+	// enters (mcc's fall-through return after a return, at -O0) is never
+	// built, and a fault inside one fails nothing. Of the faults the walk
+	// meets, the one at the lowest address is reported.
 	leader := freelist.Resize(ws.leader, n)
 	ws.leader = leader
 	clear(leader)
-	leader[0] = true
+	reached := freelist.Resize(ws.reached, n)
+	ws.reached = reached
+	clear(reached)
+	work := ws.work[:0]
+	visit := func(i int) {
+		if !reached[i] {
+			reached[i] = true
+			work = append(work, int32(i))
+		}
+	}
 	var tables map[uint32]*ir.JumpTable // by IJump pc
-	var calls []uint32
-	for i, in := range insts {
+	errAt, ferr := n, error(nil)
+	fail := func(i int, err error) {
+		if i < errAt {
+			errAt, ferr = i, err
+		}
+	}
+	leader[0] = true
+	visit(0)
+	for len(work) > 0 {
+		i := int(work[len(work)-1])
+		work = work[:len(work)-1]
+		in := insts[i]
 		pc := fn.Start + uint32(4*i)
+		// beq x, x is the unconditional-branch idiom ("b"), lifted as a
+		// jump: like j, it does not fall through.
+		always := in.Op == mips.BEQ && in.Rs == in.Rt
+		falls := !in.EndsBlock() || in.Op == mips.JAL || in.IsBranch() && !always
 		switch {
-		case in.IsBranch():
-			t := pc + 4 + uint32(in.Imm)*4
+		case in.IsBranch(), in.Op == mips.J:
+			t, what := in.Target, "jump"
+			if in.IsBranch() {
+				t, what = pc+4+uint32(in.Imm)*4, "branch"
+			}
 			if t < fn.Start || t >= fn.End {
-				return nil, nil, fmt.Errorf("decompile: %s: branch at 0x%x targets 0x%x outside function", fn.Name, pc, t)
+				fail(i, fmt.Errorf("decompile: %s: %s at 0x%x targets 0x%x outside function", fn.Name, what, pc, t))
+				continue
 			}
 			leader[(t-fn.Start)/4] = true
-			if i+1 < n {
-				leader[i+1] = true
-			}
-		case in.Op == mips.J:
-			t := in.Target
-			if t < fn.Start || t >= fn.End {
-				return nil, nil, fmt.Errorf("decompile: %s: jump at 0x%x targets 0x%x outside function", fn.Name, pc, t)
-			}
-			leader[(t-fn.Start)/4] = true
-			if i+1 < n {
-				leader[i+1] = true
-			}
-		case in.Op == mips.JAL:
-			calls = append(calls, in.Target)
-			// A call does not end a block (control returns).
+			visit(int(t-fn.Start) / 4)
 		case in.Op == mips.JR && in.Rs != mips.RA:
 			// Indirect jump: recovery fails, as in the paper — unless the
 			// jump-table extension can resolve the target set.
@@ -247,25 +267,31 @@ func (ws *scratch) liftFunction(img *binimg.Image, fn funcSpan, opts Options) (*
 					tables[pc] = &ir.JumpTable{Targets: targets}
 					for _, tgt := range targets {
 						leader[(tgt-fn.Start)/4] = true
-					}
-					if i+1 < n {
-						leader[i+1] = true
+						visit(int(tgt-fn.Start) / 4)
 					}
 					break
 				}
 				reason = jerr.Error()
 			}
-			return nil, nil, &IndirectJumpError{
+			fail(i, &IndirectJumpError{
 				PC: pc, Func: fn.Name,
 				Inst: fmt.Sprintf("jr %s", in.Rs), Reason: reason,
-			}
+			})
 		case in.Op == mips.JALR:
-			return nil, nil, &IndirectJumpError{PC: pc, Func: fn.Name, Inst: "jalr"}
-		case in.Op == mips.JR || in.Op == mips.BREAK:
-			if i+1 < n {
+			fail(i, &IndirectJumpError{PC: pc, Func: fn.Name, Inst: "jalr"})
+		}
+		if i+1 < n {
+			if in.EndsBlock() && in.Op != mips.JAL {
 				leader[i+1] = true
 			}
+			if falls {
+				visit(i + 1)
+			}
 		}
+	}
+	ws.work = work
+	if ferr != nil {
+		return nil, nil, ferr
 	}
 
 	f := &ir.Func{Name: fn.Name, Entry: fn.Start, NextLoc: ir.FirstVirtual}
@@ -276,10 +302,10 @@ func (ws *scratch) liftFunction(img *binimg.Image, fn funcSpan, opts Options) (*
 	// before it is made.
 	nb, ended := 0, true
 	for i, in := range insts {
-		if leader[i] || ended {
+		if reached[i] && (leader[i] || ended) {
 			nb++
 		}
-		ended = in.EndsBlock() && in.Op != mips.JAL
+		ended = !reached[i] || in.EndsBlock() && in.Op != mips.JAL
 	}
 	blocks := make([]ir.Block, nb)
 	f.Blocks = make([]*ir.Block, 0, nb)
@@ -290,6 +316,7 @@ func (ws *scratch) liftFunction(img *binimg.Image, fn funcSpan, opts Options) (*
 		blockOf[i] = -1
 	}
 	var cur *ir.Block
+	var calls []uint32
 	first := 0
 	endBlock := func() {
 		if cur != nil {
@@ -298,7 +325,14 @@ func (ws *scratch) liftFunction(img *binimg.Image, fn funcSpan, opts Options) (*
 		}
 	}
 	for i, in := range insts {
+		if !reached[i] {
+			endBlock()
+			continue
+		}
 		pc := fn.Start + uint32(4*i)
+		if in.Op == mips.JAL {
+			calls = append(calls, in.Target)
+		}
 		if leader[i] || cur == nil {
 			endBlock()
 			cur = &blocks[len(f.Blocks)]

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"binpart/internal/bench"
 	"binpart/internal/binimg"
 	"binpart/internal/ir"
 	"binpart/internal/mcc"
@@ -54,6 +55,35 @@ func TestDecompileSimpleLoop(t *testing.T) {
 	l := loops[0]
 	if l.Header == nil || l.NumInstrs() == 0 {
 		t.Errorf("degenerate loop: %+v", l)
+	}
+}
+
+// TestLiftedBlocksAreReachable lifts the suite at every level, with and
+// without jump-table recovery, and requires every block but the entry to
+// have a predecessor: the lifter builds only what the entry reaches. At
+// -O0 that drops mcc's fall-through return ("add; jmp" after the return's
+// own jump) from 71 functions.
+func TestLiftedBlocksAreReachable(t *testing.T) {
+	for _, b := range bench.All() {
+		for lvl := 0; lvl <= mcc.MaxOptLevel; lvl++ {
+			img, err := b.Compile(lvl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, jt := range []bool{false, true} {
+				res, err := DecompileWith(img, Options{RecoverJumpTables: jt})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, f := range res.Funcs {
+					for _, blk := range f.Blocks[1:] {
+						if len(blk.Preds) == 0 {
+							t.Fatalf("%s -O%d %s: block at 0x%x is unreachable\n%s", b.Name, lvl, f.Name, blk.Start, f)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 
