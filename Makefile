@@ -74,9 +74,18 @@ bpartd-smoke:
 	sh scripts/bpartd-smoke.sh
 
 # Runs every program under examples/; each must exit 0. crcaccel is also
-# the one non-test caller of vhdl.Check.
+# the one non-test caller of vhdl.Check. Then README's command-line
+# quickstart on the committed examples/quickstart/prog.mc: mcc -S,
+# mipsim -profile and bparts -vhdl, each checked for its headline.
 examples:
 	for e in examples/*/; do $(GO) run ./$$e >/dev/null || exit 1; done
+	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
+	$(GO) build -o "$$d/" ./cmd/mcc ./cmd/mipsim ./cmd/bparts && \
+	"$$d/mcc" -O 2 -S -o "$$d/prog.sbf" examples/quickstart/prog.mc | grep '^smooth:' >/dev/null && \
+	"$$d/mipsim" -profile "$$d/prog.sbf" | grep 'hottest addresses' >/dev/null && \
+	"$$d/bparts" -vhdl "$$d/vhdl" "$$d/prog.sbf" | grep 'application speedup' >/dev/null && \
+	ls "$$d/vhdl" | grep '\.vhd' >/dev/null && \
+	echo "examples: mcc -S, mipsim -profile and bparts -vhdl ran on examples/quickstart/prog.mc"
 
 # Product coverage, a report and not a gate: one row per package with
 # the statements a product run reaches, those only tests reach, and

@@ -5,6 +5,7 @@
 package main
 
 import (
+	_ "embed"
 	"fmt"
 	"log"
 
@@ -14,35 +15,11 @@ import (
 
 // The input to the partitioner is a BINARY — the compiler here is just a
 // convenient way to make one. Any MIPS SBF image works, whatever produced
-// it; that independence is the point of the approach.
-const program = `
-int samples[64];
-
-int smooth(int n) {
-	int i;
-	int acc = 0;
-	for (i = 1; i < 63; i++) {
-		int v = (samples[i-1] + 2*samples[i] + samples[i+1]) >> 2;
-		acc += v;
-	}
-	return acc;
-}
-
-int main() {
-	int i;
-	int seed = 7;
-	for (i = 0; i < 64; i++) {
-		seed = seed * 1103 + 12345;
-		samples[i] = (seed >> 8) & 255;
-	}
-	int frame;
-	int total = 0;
-	for (frame = 0; frame < 50; frame++) {
-		total += smooth(64);
-	}
-	return total & 0xffff;
-}
-`
+// it; that independence is the point of the approach. `make examples`
+// also runs prog.mc through the command-line tools: mcc, mipsim, bparts.
+//
+//go:embed prog.mc
+var program string
 
 func main() {
 	img, err := mcc.Compile(program, mcc.Options{OptLevel: 2})

@@ -1,6 +1,8 @@
 package mcc
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"binpart/internal/sim"
@@ -295,6 +297,73 @@ func TestCompoundAssign(t *testing.T) {
 	`, 127)
 }
 
+// TestRelationalCodegen checks the relational operators as values and as
+// branch conditions, signed and unsigned, register against register and
+// against zero, at every level: each program's exit code must be the
+// bit set Go computes for the same comparisons.
+func TestRelationalCodegen(t *testing.T) {
+	bits := func(cs ...bool) int32 {
+		var r int32
+		for i, c := range cs {
+			if c {
+				r |= 1 << i
+			}
+		}
+		return r
+	}
+	// rel is a's relation to b as the six bits the programs set, compared
+	// signed or unsigned.
+	rel := func(a, b int32, unsigned bool) int32 {
+		if unsigned {
+			x, y := uint32(a), uint32(b)
+			return bits(x < y, x > y, x <= y, x >= y, x == y, x != y)
+		}
+		return bits(a < b, a > b, a <= b, a >= b, a == b, a != b)
+	}
+	const (
+		values = `int f(%[1]s a, %[1]s b) {
+			return (a < b) + 2*(a > b) + 4*(a <= b) + 8*(a >= b) + 16*(a == b) + 32*(a != b);
+		}`
+		branches = `int f(%[1]s a, %[1]s b) {
+			int r = 0;
+			if (a < b) { r += 1; }
+			if (a > b) { r += 2; }
+			if (a <= b) { r += 4; }
+			if (a >= b) { r += 8; }
+			if (a == b) { r += 16; }
+			if (a != b) { r += 32; }
+			return r;
+		}`
+		// zero compares against the literal 0, which has branches of
+		// its own; b is unused.
+		zero = `int f(%[1]s a, %[1]s b) {
+			int r = 0;
+			if (a < 0) { r += 1; }
+			if (a > 0) { r += 2; }
+			if (a <= 0) { r += 4; }
+			if (a >= 0) { r += 8; }
+			if (a == 0) { r += 16; }
+			if (a != 0) { r += 32; }
+			return r;
+		}`
+	)
+	for _, ty := range []string{"int", "uint"} {
+		for _, shape := range []struct{ name, src string }{{"values", values}, {"branches", branches}, {"zero", zero}} {
+			for _, p := range [][2]int32{{-3, 5}, {5, -3}, {7, 7}, {0, 9}, {-1, 0}} {
+				a, b := p[0], p[1]
+				want := rel(a, b, ty == "uint")
+				if shape.name == "zero" {
+					want = rel(a, 0, ty == "uint")
+				}
+				src := fmt.Sprintf(shape.src, ty) + fmt.Sprintf("\nint main() { return f(%d, %d); }", a, b)
+				t.Run(fmt.Sprintf("%s/%s/%d,%d", ty, shape.name, a, b), func(t *testing.T) {
+					runAll(t, src, want)
+				})
+			}
+		}
+	}
+}
+
 func TestStrengthReducedMultiply(t *testing.T) {
 	// x*10 = (x<<3)+(x<<1): O2+ strength-reduces this.
 	results := runAll(t, `
@@ -439,6 +508,65 @@ func TestCompileErrors(t *testing.T) {
 		if _, err := Compile(src, Options{OptLevel: 1}); err == nil {
 			t.Errorf("%s: compile succeeded, want error", name)
 		}
+	}
+}
+
+// TestCompileErrorMessages pins the message of every parser, sema and
+// lexer error a user of cmd/mcc can reach: each bad program must fail to
+// compile with an error containing its phrase.
+func TestCompileErrorMessages(t *testing.T) {
+	cases := []struct{ src, msg string }{
+		// Lexer.
+		{`int main() { return 99999999999; }`, `number "99999999999" out of 32-bit range`},
+		{`int main() { return 'a; }`, `unterminated character literal`},
+		// Parser.
+		{`x main() { return 0; }`, `expected type, found "x"`},
+		{`int 5;`, `expected identifier, found number 5`},
+		{`int a, ; int main() { return 0; }`, `expected identifier after ','`},
+		{`int main() { int a, ; return 0; }`, `expected identifier after ','`},
+		{`int n; int a[n]; int main() { return 0; }`, `array length must be a number literal`},
+		{`int a[0]; int main() { return 0; }`, `array length 0 out of range`},
+		{`int a = {1}; int main() { return 0; }`, `brace initializer on non-array "a"`},
+		{`int a[2] = {1, 2, 3}; int main() { return 0; }`, `too many initializers for "a" (3 > 2)`},
+		{`int f(int) { return 0; } int main() { return 0; }`, `expected parameter name`},
+		{`int main() { do { } ; return 0; }`, `expected 'while' after do body`},
+		{`int main() { int ; return 0; }`, `expected identifier in declaration`},
+		{`int main() { int x = 1; switch (x) { case x: return 1; } return 0; }`, `case label must be a literal`},
+		{`int main() { switch (1) { return 0; } return 0; }`, `expected 'case' or 'default' in switch, found "return"`},
+		// Sema.
+		{`int f() { return 1; } int f() { return 2; } int main() { return 0; }`, `function "f" redefined`},
+		{`void g; int main() { return 0; }`, `global "g" has void type`},
+		{`int g; int h = g + 1; int main() { return h; }`, `global "h": initializer must be constant: expression is not constant`},
+		{`int h = *5; int main() { return h; }`, `non-constant unary "*"`},
+		{`int h = 1 / 0; int main() { return h; }`, `non-constant or invalid operator "/"`},
+		{`int main() { int x = 1; int a[2] = {x, 2}; return a[0]; }`, `local array initializer must be constant`},
+		{`int f() { return; } int main() { return f(); }`, `"f": return without value in non-void function`},
+		{`int *p; int f() { return p; } int main() { return f(); }`, `"f": cannot return int* as int`},
+		{`int a[2]; int main() { return a * 2; }`, `invalid operands to "*": int[2] and int`},
+		{`int a[2]; int main() { return -a; }`, `invalid operand to unary "-": int[2]`},
+		{`int a[2]; int b[2]; int main() { a = b; return 0; }`, `assignment target is not an lvalue`},
+		{`int main() { 1 = 2; return 0; }`, `assignment target is not an lvalue`},
+		{`int *p; int main() { int x = 0; x = p; return x; }`, `cannot assign int* to int`},
+		{`int *p; int main() { p *= 2; return 0; }`, `invalid compound assignment on int*`},
+		{`int a[4]; int main() { int *p = a; p += 1; return *p; }`, `invalid compound assignment on int*`},
+		{`int a[2]; int b[2]; int main() { return a[b]; }`, `array index must be scalar, got int[2]`},
+		{`int f(int *p) { return *p; } int main() { return f(5); }`, `"f" argument 1: cannot pass int as int*`},
+		{`int a[2]; int b[2]; int main() { return (1 ? a : b)[0]; }`, `?: arms must be scalar`},
+		{`int main() { break; return 0; }`, `break outside loop or switch`},
+		{`int main() { continue; return 0; }`, `continue outside loop`},
+		{`int f(int a, int b) { return a; } int main() { return f(1); }`, `"f" expects 2 arguments, got 1`},
+		{`int main() { return g(); }`, `call to undefined function "g"`},
+		{`int main() { int *p = &(1+2); return *p; }`, `cannot take address of non-lvalue`},
+	}
+	for _, c := range cases {
+		_, err := Compile(c.src, Options{OptLevel: 1})
+		if err == nil || !strings.Contains(err.Error(), c.msg) {
+			t.Errorf("%s\n\terror %v, want one containing %q", c.src, err, c.msg)
+		}
+	}
+	if _, err := Compile(`int main() { return 0; }`, Options{OptLevel: MaxOptLevel + 1}); err == nil ||
+		!strings.Contains(err.Error(), "bad optimization level 4") {
+		t.Errorf("-O4: error %v, want bad optimization level", err)
 	}
 }
 

@@ -178,15 +178,9 @@ func (lo *lowerer) stmt(st Stmt) error {
 		return lo.forStmt(st)
 	case *SwitchStmt:
 		return lo.switchStmt(st)
-	case *BreakStmt:
-		if len(lo.breakLs) == 0 {
-			return lo.errf("break outside loop")
-		}
+	case *BreakStmt: // sema rejects a break outside a loop or switch
 		lo.f.emit(ins{Kind: iBr, Sym: lo.breakLs[len(lo.breakLs)-1]})
 	case *ContinueStmt:
-		if len(lo.contLs) == 0 {
-			return lo.errf("continue outside loop")
-		}
 		lo.f.emit(ins{Kind: iBr, Sym: lo.contLs[len(lo.contLs)-1]})
 	case *ReturnStmt:
 		if st.X == nil {

@@ -1,7 +1,5 @@
 package mcc
 
-import "fmt"
-
 // lval describes an assignable location: either a temp-resident scalar or a
 // memory address with width and signedness.
 type lval struct {
@@ -360,10 +358,9 @@ func (lo *lowerer) assignExpr(e *AssignExpr) (Operand, error) {
 	if e.Op != "=" {
 		srcOp := e.Op[:len(e.Op)-1] // "+=" -> "+"
 		old := lo.read(l)
+		// Both sides are scalars: sema rejects compound assignment to a
+		// pointer.
 		signed := signedOf(e.LV.ExprType(), e.RV.ExprType())
-		if pt := pointerish(e.LV.ExprType()); pt != nil && (srcOp == "+" || srcOp == "-") {
-			rv = lo.scale(rv, int32(pt.Elem.Size()))
-		}
 		rv = lo.binOp(tacBinOp(srcOp, signed), old, rv)
 	}
 	lo.write(l, rv)
@@ -405,14 +402,10 @@ func (lo *lowerer) incDecExpr(e *IncDecExpr) (Operand, error) {
 	return nw, nil
 }
 
+// callExpr lowers a call that sema checked: the callee exists and takes
+// as many arguments as it is passed, at most len(argRegs).
 func (lo *lowerer) callExpr(e *CallExpr) (Operand, error) {
-	callee, ok := lo.u.funcID[e.Name]
-	if !ok {
-		return Operand{}, fmt.Errorf("mcc: call to undefined function %q", e.Name)
-	}
-	if len(e.Args) > len(argRegs) {
-		return Operand{}, lo.errf("call to %q with %d args", e.Name, len(e.Args))
-	}
+	callee := lo.u.funcID[e.Name]
 	// Arguments are evaluated first (nested calls append their own) and
 	// then copied into the pool together.
 	var args [len(argRegs)]Operand

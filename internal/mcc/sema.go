@@ -350,10 +350,7 @@ func (s *sema) checkExpr(e Expr) error {
 		if !isLValue(e.LV) {
 			return fmt.Errorf("mcc: assignment target is not an lvalue")
 		}
-		lt := e.LV.ExprType()
-		if lt.Kind == TypeArray {
-			return fmt.Errorf("mcc: cannot assign to array")
-		}
+		lt := e.LV.ExprType() // never an array: isLValue rejects those
 		if e.Op == "=" {
 			if !assignable(lt, e.RV.ExprType()) {
 				return fmt.Errorf("mcc: cannot assign %s to %s", e.RV.ExprType(), lt)

@@ -14,6 +14,8 @@ import (
 	"testing"
 
 	"binpart/internal/bench"
+	"binpart/internal/binimg"
+	"binpart/internal/mips"
 	"binpart/internal/sim"
 )
 
@@ -59,6 +61,74 @@ func TestSimFastPathMatchesReference(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestSimOpcodesMatchReference runs one hand-assembled program per
+// opcode that no suite program or corpus run executes (the divides with
+// their divide-by-zero and INT_MIN/-1 cases, MULTU, the HI/LO moves, NOR,
+// SLTU, the narrow loads with their sign extension, SH, BLEZ, J and
+// JALR) through both engines, profiling on. The Results must be equal,
+// and the exit code must be the value computed here in Go.
+func TestSimOpcodesMatchReference(t *testing.T) {
+	// hilo leaves LO ^ HI<<16 in $v0; hl computes the same.
+	const hilo = "\n mflo $t2\n mfhi $t3\n sll $t3, $t3, 16\n xor $v0, $t2, $t3"
+	hl := func(lo, hi uint32) int32 { return int32(lo ^ hi<<16) }
+	const data = "lui $t0, 0x1000\n"
+	n7 := int32(-7)
+	m7, m3, m5 := uint32(n7), uint32(1<<32-3), uint32(1<<32-5)
+	prod := uint64(m3) * uint64(m5)
+	progs := map[string]struct {
+		src  string
+		want int32
+	}{
+		"div":            {"li $t0, -7\n li $t1, 2\n div $t0, $t1" + hilo, hl(uint32(n7/2), uint32(n7%2))},
+		"div by zero":    {"li $t0, 9\n div $t0, $zero" + hilo, hl(0, 9)},
+		"div INT_MIN/-1": {"lui $t0, 0x8000\n li $t1, -1\n div $t0, $t1" + hilo, hl(1<<31, 0)},
+		"divu":           {"li $t0, -7\n li $t1, 3\n divu $t0, $t1" + hilo, hl(m7/3, m7%3)},
+		"divu by zero":   {"li $t0, -7\n divu $t0, $zero" + hilo, hl(0, m7)},
+		"multu":          {"li $t0, -3\n li $t1, -5\n multu $t0, $t1" + hilo, hl(uint32(prod), uint32(prod>>32))},
+		"mthi mtlo":      {"li $t0, -300\n li $t1, 77\n mthi $t0\n mtlo $t1" + hilo, hl(77, 1<<32-300)},
+		"nor":            {"li $t0, 0x0f0f\n li $t1, -256\n nor $v0, $t0, $t1", ^(0x0f0f | -256)},
+		"sltu": {"li $t0, -1\n li $t1, 1\n sltu $t2, $t0, $t1\n sltu $t3, $t1, $t0\n sll $t3, $t3, 1\n or $v0, $t2, $t3",
+			2}, // 0xffffffff < 1 is false, 1 < 0xffffffff true
+		"lb":             {data + "li $t1, 0x80\n sb $t1, 1($t0)\n lb $v0, 1($t0)", -128},
+		"lh":             {data + "li $t1, -2\n sh $t1, 2($t0)\n lh $v0, 2($t0)", -2},
+		"lhu":            {data + "li $t1, -2\n sh $t1, 2($t0)\n lhu $v0, 2($t0)", 0xfffe},
+		"sh":             {data + "li $t1, -1\n sw $t1, 0($t0)\n li $t2, 0x1234\n sh $t2, 2($t0)\n lw $v0, 0($t0)", 0x1234ffff},
+		"blez taken":     {"li $t0, -3\n blez $t0, yes\n li $v0, 1\n break\n yes: li $v0, 2", 2},
+		"blez zero":      {"blez $zero, yes\n li $v0, 1\n break\n yes: li $v0, 2", 2},
+		"blez not taken": {"li $t0, 4\n blez $t0, yes\n li $v0, 1\n break\n yes: li $v0, 2", 1},
+		"j":              {"j skip\n li $v0, 1\n break\n skip: li $v0, 2", 2},
+		// jal reads the pc; jalr calls fn, linking the addu after it in
+		// $t6, and fn returns there.
+		"jalr": {"jal here\n here: addiu $t5, $ra, 16\n jalr $t6, $t5\n addu $v0, $v0, $t6\n break\n" +
+			" fn: li $v0, 5\n jr $t6", int32(5 + binimg.DefaultTextBase + 12)},
+	}
+	for name, p := range progs {
+		t.Run(name, func(t *testing.T) {
+			words, err := mips.AssembleWords(p.src+"\n break", binimg.DefaultTextBase)
+			if err != nil {
+				t.Fatal(err)
+			}
+			img := &binimg.Image{Entry: binimg.DefaultTextBase, TextBase: binimg.DefaultTextBase, Text: words}
+			cfg := sim.DefaultConfig()
+			cfg.Profile = true
+			fast, err := sim.Execute(img, cfg)
+			if err != nil {
+				t.Fatalf("threaded: %v", err)
+			}
+			ref, err := sim.ExecuteReference(img, cfg)
+			if err != nil {
+				t.Fatalf("reference: %v", err)
+			}
+			if !reflect.DeepEqual(fast, ref) {
+				t.Errorf("threaded %+v, reference %+v", fast, ref)
+			}
+			if ref.ExitCode != p.want {
+				t.Errorf("exit code %d (%#x), want %d (%#x)", ref.ExitCode, uint32(ref.ExitCode), p.want, uint32(p.want))
+			}
+		})
 	}
 }
 
