@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -292,5 +293,47 @@ func TestStructureOutline(t *testing.T) {
 func TestInstrSize(t *testing.T) {
 	if s := unsafe.Sizeof(Instr{}); s > 56 {
 		t.Errorf("Instr is %d bytes, want <= 56", s)
+	}
+}
+
+// TestFuncString pins the IR printer that test failures report with:
+// every instruction shape, locations (registers, hi/lo, virtuals),
+// constants, and the block header with its successors.
+func TestFuncString(t *testing.T) {
+	b0 := &Block{Instrs: []Instr{
+		{Op: Nop},
+		{Op: Add, Dst: 8, A: L(9), B: C(-4)},
+		{Op: Move, Dst: LocHI, A: L(LocLO)},
+		{Op: Load, Dst: FirstVirtual, A: L(RegSP), Off: 8, Width: 2, Signed: true},
+		{Op: Load, Dst: 3, A: L(4), Off: -4, Width: 1},
+		{Op: Store, A: L(3), B: L(RegSP), Off: 4, Width: 4},
+		{Op: Call, Target: 0x400},
+		{Op: Branch, Cond: CondLT, A: L(8), B: C(10), Target: 0x1020},
+	}}
+	b1 := &Block{Instrs: []Instr{{Op: IJump, A: L(8)}}}
+	b2 := &Block{Instrs: []Instr{{Op: Jump, Target: 0x1030}}}
+	b3 := &Block{Instrs: []Instr{{Op: Ret}, {Op: Halt}}}
+	f := link([]*Block{b0, b1, b2, b3}, map[int][]int{0: {2, 1}, 1: {3}, 2: {3}})
+	f.Name, f.Entry = "f", 0x1000
+	want := `func f @0x1000
+b0 (0x1000): ->b2 ->b1
+	nop
+	r8 = add r9, -4
+	hi = lo
+	v` + fmt.Sprint(int(FirstVirtual)) + ` = load2s [r29+8]
+	r3 = load1u [r4-4]
+	store4 [r29+4] = r3
+	call 0x400
+	br r8 < 10 -> 0x1020
+b1 (0x1010): ->b3
+	ijmp *r8
+b2 (0x1020): ->b3
+	jmp 0x1030
+b3 (0x1030):
+	ret
+	halt
+`
+	if got := f.String(); got != want {
+		t.Errorf("got\n%s\nwant\n%s", got, want)
 	}
 }

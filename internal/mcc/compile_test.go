@@ -346,22 +346,70 @@ func TestRelationalCodegen(t *testing.T) {
 			if (a != 0) { r += 32; }
 			return r;
 		}`
+		// consts compares literals, which the optimizer folds from -O1.
+		consts = `int f(%[1]s a, %[1]s b) {
+			%[1]s x = %[2]d;
+			%[1]s y = %[3]d;
+			int r = 0;
+			if (x < y) { r += 1; }
+			if (x > y) { r += 2; }
+			if (x <= y) { r += 4; }
+			if (x >= y) { r += 8; }
+			if (x == y) { r += 16; }
+			if (x != y) { r += 32; }
+			return r;
+		}`
 	)
 	for _, ty := range []string{"int", "uint"} {
-		for _, shape := range []struct{ name, src string }{{"values", values}, {"branches", branches}, {"zero", zero}} {
+		for _, shape := range []struct{ name, src string }{{"values", values}, {"branches", branches}, {"zero", zero}, {"consts", consts}} {
 			for _, p := range [][2]int32{{-3, 5}, {5, -3}, {7, 7}, {0, 9}, {-1, 0}} {
 				a, b := p[0], p[1]
 				want := rel(a, b, ty == "uint")
 				if shape.name == "zero" {
 					want = rel(a, 0, ty == "uint")
 				}
-				src := fmt.Sprintf(shape.src, ty) + fmt.Sprintf("\nint main() { return f(%d, %d); }", a, b)
+				src := fmt.Sprintf(shape.src, ty, a, b) + fmt.Sprintf("\nint main() { return f(%d, %d); }", a, b)
 				t.Run(fmt.Sprintf("%s/%s/%d,%d", ty, shape.name, a, b), func(t *testing.T) {
 					runAll(t, src, want)
 				})
 			}
 		}
 	}
+}
+
+// TestLanguageCorners runs one program through the constructs no suite
+// program or generator configuration writes: a multi-declarator global,
+// constant folding of !, ~, &&, || and unary minus, for with a
+// declaration and for without a condition, f(void), a sized array
+// parameter, a local array initializer, &a[i], &*p, &global, integer +
+// pointer, the empty statement, ! as a value and as a
+// condition, a ushort store, unary +, and return in a void function.
+func TestLanguageCorners(t *testing.T) {
+	runAll(t, `
+		int g1 = !0 + ~5 + (3 && 0) + (0 || 7) + -(2);
+		int ga, gb = 4;
+		int arr[4] = {1, 2, 3, 4};
+		ushort us;
+		int sum4(int a[4]) { int s = 0; for (int i = 0; i < 4; i++) { s += a[i]; } return s; }
+		int one(void) { return 1; }
+		void setg(int v) { ga = v; return; }
+		int main() {
+			int loc[3] = {5, 6, 7};
+			int *p = &arr[1];
+			int *q = 1 + p;
+			int *r = &*q;
+			int *pg = &gb;
+			;
+			int n = 0;
+			for (;;) { n++; if (n == 3) { break; } }
+			int z = 0;
+			int nz = !z;
+			if (!nz) { n += 100; }
+			us = 70000;
+			setg(+3);
+			return g1 + gb + sum4(arr) + one() + loc[0] + loc[2] + *p + *q + *r + *pg + n + nz + us + ga;
+		}
+	`, (1-6+0+1-2)+4+10+1+5+7+2+3+3+4+3+1+(70000&0xffff)+3)
 }
 
 func TestStrengthReducedMultiply(t *testing.T) {

@@ -307,6 +307,30 @@ func TestUnrollEligibility(t *testing.T) {
 	if compileSize(dynBound, 3) > compileSize(dynBound, 2)+4 {
 		t.Error("dynamic-bound loop was unrolled")
 	}
+	// Every other loop shape is left alone: the unroller takes only
+	// i = c0; i < c1 (or <=); i++ over an int or uint whose address is
+	// not taken, with a body that does not write i.
+	for name, loop := range map[string]string{
+		"no init":         "i = 0; for (; i < 16; i++) { s += a[i]; }",
+		"compound init":   "i = 0; for (i += 0; i < 16; i++) { s += a[i]; }",
+		"variable init":   "int z = 0; for (i = z; i < 16; i++) { s += a[i]; }",
+		"declared iv":     "for (int j = 0; j < 16; j++) { s += a[j]; }",
+		"char iv":         "char c; for (c = 0; c < 16; c++) { s += a[c]; }",
+		"address taken":   "int *pi = &i; for (i = 0; i < 16; i++) { s += a[i]; }",
+		"greater than":    "for (i = 16; i > 0; i--) { s += a[i - 1]; }",
+		"literal left":    "for (i = 0; 16 > i; i++) { s += a[i]; }",
+		"other cond var":  "int j = 0; for (i = 0; j < 16; i++) { s += a[i & 15]; j++; }",
+		"step two":        "for (i = 0; i < 16; i += 2) { s += a[i]; }",
+		"decrement":       "for (i = 0; i < 16; i--) { s += a[i & 15]; }",
+		"other post var":  "int j = 0; for (i = 0; i < 16; j++) { s += a[i]; i++; }",
+		"body assigns iv": "for (i = 0; i < 16; i++) { s += a[i]; i = i + 1; }",
+		"body bumps iv":   "for (i = 0; i < 16; i++) { s += a[i]; i++; }",
+	} {
+		src := "int a[16]; int main() { int i; int s = 0; " + loop + " return s; }"
+		if compileSize(src, 3) > compileSize(src, 2)+4 {
+			t.Errorf("%s: unrolled %s", name, loop)
+		}
+	}
 }
 
 func TestBlockRangesAndTACString(t *testing.T) {

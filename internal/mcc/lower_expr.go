@@ -375,11 +375,7 @@ func (lo *lowerer) incDecExpr(e *IncDecExpr) (Operand, error) {
 	if err != nil {
 		return Operand{}, err
 	}
-	step := int32(1)
-	if pt := pointerish(e.LV.ExprType()); pt != nil {
-		step = int32(pt.Elem.Size())
-	}
-	op := opAdd
+	op := opAdd // of 1: sema admits ++ and -- on scalars only
 	if e.Op == "--" {
 		op = opSub
 	}
@@ -391,7 +387,7 @@ func (lo *lowerer) incDecExpr(e *IncDecExpr) (Operand, error) {
 		lo.f.emit(ins{Kind: iMov, Dst: c, A: old})
 		old = tmp(c)
 	}
-	nw := lo.binOp(op, old, cnst(step))
+	nw := lo.binOp(op, old, cnst(1))
 	lo.write(l, nw)
 	if e.Post {
 		return old, nil

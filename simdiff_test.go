@@ -132,6 +132,48 @@ func TestSimOpcodesMatchReference(t *testing.T) {
 	}
 }
 
+// TestSimFaultsMatchReference runs programs whose memory access faults,
+// below the first page, misaligned, or a store into the text, through
+// both engines: each must fail with the same error (so at the same PC)
+// and the same partial Result.
+func TestSimFaultsMatchReference(t *testing.T) {
+	const data, text = "lui $t0, 0x1000\n", "lui $t0, 0x40\n"
+	for name, src := range map[string]string{
+		"lb low":         "li $t0, 16\n lb $v0, 0($t0)",
+		"lbu low":        "lbu $v0, 4($zero)",
+		"lh low":         "lh $v0, 4($zero)",
+		"lh misaligned":  data + "lh $v0, 1($t0)",
+		"lhu misaligned": data + "lhu $v0, 3($t0)",
+		"lw misaligned":  data + "lw $v0, 2($t0)",
+		"sb low":         "sb $t0, 8($zero)",
+		"sb into text":   text + "sb $t0, 0($t0)",
+		"sh misaligned":  data + "sh $t0, 1($t0)",
+		"sh into text":   text + "sh $t0, 2($t0)",
+		"sw into text":   text + "sw $t0, 4($t0)",
+	} {
+		t.Run(name, func(t *testing.T) {
+			words, err := mips.AssembleWords("li $v0, 1\n "+src+"\n break", binimg.DefaultTextBase)
+			if err != nil {
+				t.Fatal(err)
+			}
+			img := &binimg.Image{Entry: binimg.DefaultTextBase, TextBase: binimg.DefaultTextBase, Text: words}
+			cfg := sim.DefaultConfig()
+			cfg.Profile = true
+			fast, ferr := sim.Execute(img, cfg)
+			ref, rerr := sim.ExecuteReference(img, cfg)
+			if ferr == nil || rerr == nil {
+				t.Fatalf("want both engines to fault: threaded %v, reference %v", ferr, rerr)
+			}
+			if ferr.Error() != rerr.Error() {
+				t.Errorf("threaded %q, reference %q", ferr, rerr)
+			}
+			if !reflect.DeepEqual(fast, ref) {
+				t.Errorf("threaded %+v, reference %+v", fast, ref)
+			}
+		})
+	}
+}
+
 // TestSimFastPathMatchesReferenceUnprofiled covers the profiling-off
 // configuration, whose fast path skips counter maintenance entirely.
 func TestSimFastPathMatchesReferenceUnprofiled(t *testing.T) {
