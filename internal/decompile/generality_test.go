@@ -250,3 +250,44 @@ func TestMixedWidthAccessIdiom(t *testing.T) {
 		t.Errorf("byte sum = %d, want 136", st.Regs[ir.RegV0])
 	}
 }
+
+// TestLimitOnEitherSide: a loop test may name the limit first ("slt t,
+// limit, i") as readily as the induction variable first. Both spellings
+// of one loop must recover the same trip count.
+func TestLimitOnEitherSide(t *testing.T) {
+	trip := func(test string) int64 {
+		img := asmFunc(t, `
+	f:
+		addu  $v0, $zero, $zero
+		addu  $t0, $zero, $zero
+		addiu $t1, $zero, 16
+	loop:
+		addu  $v0, $v0, $t0
+		addiu $t0, $t0, 1
+		`+test+`
+		jr    $ra
+	`, nil)
+		res, err := Decompile(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := res.Func("f")
+		dopt.OptimizeWith(f, overheadOnly)
+		loops := ir.FindLoops(f)
+		if len(loops) != 1 {
+			t.Fatalf("loops = %d\n%s", len(loops), f)
+		}
+		for _, iv := range loops[0].IndVars {
+			if n, ok := iv.TripCount(); ok && iv.Step == 1 {
+				return n
+			}
+		}
+		t.Fatalf("%s: no trip count recovered\n%s", test, f)
+		return 0
+	}
+	ivFirst := trip("slti $t3, $t0, 17\n bne $t3, $zero, loop")    // stay while i < 17
+	limitFirst := trip("slt $t3, $t1, $t0\n beq $t3, $zero, loop") // stay while !(16 < i)
+	if ivFirst != 17 || limitFirst != 17 {
+		t.Errorf("trip counts %d (iv first) and %d (limit first), want 17", ivFirst, limitFirst)
+	}
+}

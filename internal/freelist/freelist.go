@@ -66,10 +66,3 @@ func Resize[T any](s []T, n int) []T {
 	}
 	return s[:n]
 }
-
-// Len reports how many workspaces the list holds.
-func (l *List[T]) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.free)
-}

@@ -21,8 +21,8 @@ func TestGetPutLIFO(t *testing.T) {
 	if got := l.Get(); got != a {
 		t.Error("Get did not return the earlier workspace second")
 	}
-	if l.Len() != 0 {
-		t.Errorf("Len = %d after draining, want 0", l.Len())
+	if len(l.free) != 0 {
+		t.Errorf("len = %d after draining, want 0", len(l.free))
 	}
 }
 
@@ -42,7 +42,7 @@ func TestBoundedByGOMAXPROCS(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := l.Len(); got > n {
-		t.Errorf("Len = %d, want at most GOMAXPROCS = %d", got, n)
+	if got := len(l.free); got > n {
+		t.Errorf("len = %d, want at most GOMAXPROCS = %d", got, n)
 	}
 }

@@ -10,8 +10,6 @@ type tempSet []uint64
 
 func tempWords(nTemp int) int { return (nTemp + 63) / 64 }
 
-func newTempSet(nTemp int) tempSet { return make(tempSet, tempWords(nTemp)) }
-
 func (s tempSet) has(t Temp) bool { return s[t>>6]&(1<<(uint(t)&63)) != 0 }
 func (s tempSet) set(t Temp)      { s[t>>6] |= 1 << (uint(t) & 63) }
 func (s tempSet) clear(t Temp)    { s[t>>6] &^= 1 << (uint(t) & 63) }

@@ -97,18 +97,6 @@ type Snapshot struct {
 // Empty reports whether nothing was recorded.
 func (s Snapshot) Empty() bool { return s.Count == 0 }
 
-// Merge adds other into s bucket-by-bucket. Because every histogram
-// shares the one fixed layout, merging worker snapshots is exactly the
-// histogram of the concatenated samples.
-func (s Snapshot) Merge(other Snapshot) Snapshot {
-	for i := range s.Counts {
-		s.Counts[i] += other.Counts[i]
-	}
-	s.Count += other.Count
-	s.SumNs += other.SumNs
-	return s
-}
-
 // Observe adds one duration to a snapshot held as a plain value — the
 // path for an accumulator already guarded by its owner's lock, such as
 // a stage's totals in the span recorder.

@@ -284,13 +284,3 @@ func Exhaustive(cands []*Candidate, budgetGates int) (*Result, error) {
 	}
 	return res, nil
 }
-
-// Time returns the application time of a partitioning decision over the
-// candidate set (software time for unselected, hardware for selected).
-func (r *Result) Time(cands []*Candidate) float64 {
-	chosen := map[*Candidate]bool{}
-	for _, c := range r.Selected {
-		chosen[c] = true
-	}
-	return totalTime(cands, chosen)
-}

@@ -16,8 +16,6 @@
 package synth
 
 import (
-	"fmt"
-
 	"binpart/internal/alias"
 	"binpart/internal/fpga"
 	"binpart/internal/freelist"
@@ -494,22 +492,4 @@ func (al *allocation) area(states int) fpga.Area {
 	// FSM: one-hot state register plus next-state/decode logic.
 	a = a.Add(fpga.Area{Slices: states/2 + 8})
 	return a
-}
-
-// debugString renders a schedule for tests and tooling.
-func (sr *scheduleResult) debugString() string {
-	maxS := 0
-	for i := range sr.g.nodes {
-		maxS = max(maxS, sr.g.nodes[i].state)
-	}
-	out := ""
-	for s := 0; s <= maxS; s++ {
-		out += fmt.Sprintf("state %d:\n", s)
-		for i := range sr.g.nodes {
-			if n := &sr.g.nodes[i]; n.state == s {
-				out += fmt.Sprintf("\t%s (w%d, end %.2fns)\n", n.in, n.width, n.finish)
-			}
-		}
-	}
-	return out
 }

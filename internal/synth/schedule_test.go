@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -258,4 +259,22 @@ func TestDesignCyclesPipelined(t *testing.T) {
 	if got := d.Cycles(map[int]uint64{2: 1}); got != 0 {
 		t.Errorf("idle pipeline Cycles = %v, want 0", got)
 	}
+}
+
+// debugString renders a schedule for test failures.
+func (sr *scheduleResult) debugString() string {
+	maxS := 0
+	for i := range sr.g.nodes {
+		maxS = max(maxS, sr.g.nodes[i].state)
+	}
+	out := ""
+	for s := 0; s <= maxS; s++ {
+		out += fmt.Sprintf("state %d:\n", s)
+		for i := range sr.g.nodes {
+			if n := &sr.g.nodes[i]; n.state == s {
+				out += fmt.Sprintf("\t%s (w%d, end %.2fns)\n", n.in, n.width, n.finish)
+			}
+		}
+	}
+	return out
 }
