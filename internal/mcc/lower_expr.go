@@ -370,12 +370,14 @@ func (lo *lowerer) assignExpr(e *AssignExpr) (Operand, error) {
 	return rv, nil
 }
 
+// incDecExpr steps a scalar by 1: sema admits ++ and -- on scalars only,
+// so there is no pointer to scale.
 func (lo *lowerer) incDecExpr(e *IncDecExpr) (Operand, error) {
 	l, err := lo.lvalue(e.LV)
 	if err != nil {
 		return Operand{}, err
 	}
-	op := opAdd // of 1: sema admits ++ and -- on scalars only
+	op := opAdd
 	if e.Op == "--" {
 		op = opSub
 	}
