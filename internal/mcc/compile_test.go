@@ -602,6 +602,58 @@ func TestCompileErrors(t *testing.T) {
 	}
 }
 
+// TestMutatedProgramsFailCleanly deletes each token of a program that
+// uses every statement and declaration form, one at a time, and renames
+// each identifier to an undefined one. Each mutant must either compile
+// or fail with an "mcc:" error, never panic: the parser's missing-token
+// paths and sema's error paths from every position are what a user's
+// typo reaches.
+func TestMutatedProgramsFailCleanly(t *testing.T) {
+	src := `
+		int g = 1, h[3] = {1, 2, 3};
+		uchar c;
+		int f(int a, int *p, int b[4]) {
+			int s = 0;
+			int i;
+			for (i = 0; i < 4; i++) { s += b[i]; }
+			while (a > 0) { a--; if (a == 2) { continue; } else { s++; } }
+			do { s = s - 1; } while (s > 100);
+			switch (a) { case 0: s++; break; case -1: s--; default: s = s ^ 1; }
+			*p = s ? s : 1;
+			return (s << 1) + (int)c + !a + ~a + -a + h[a & 1] + (a && s) + (a || s);
+		}
+		int main() { int x = 3; return f(x, &x, h) + g + x; }
+	`
+	if _, err := Compile(src, Options{OptLevel: 1}); err != nil {
+		t.Fatal(err)
+	}
+	toks, err := lex(src, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tk := range toks {
+		if tk.kind == tokEOF {
+			continue
+		}
+		mutants := []string{src[:tk.off] + " " + src[tk.end:]}
+		if tk.kind == tokIdent {
+			mutants = append(mutants, src[:tk.off]+"undefined_zz"+src[tk.end:])
+		}
+		for _, mutant := range mutants {
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("mutating %q at %d:%d panics: %v", tk.text(src), tk.line, tk.col, r)
+					}
+				}()
+				if _, err := Compile(mutant, Options{OptLevel: 1}); err != nil && !strings.HasPrefix(err.Error(), "mcc:") {
+					t.Errorf("mutating %q at %d:%d: error %q lacks the mcc: prefix", tk.text(src), tk.line, tk.col, err)
+				}
+			}()
+		}
+	}
+}
+
 func TestSymbolsEmitted(t *testing.T) {
 	img, err := Compile(`
 		int g = 5;
