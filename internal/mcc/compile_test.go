@@ -346,6 +346,11 @@ func TestRelationalCodegen(t *testing.T) {
 			if (a != 0) { r += 32; }
 			return r;
 		}`
+		// literal compares a against b written as a literal, which
+		// selects the immediate forms (slti, sltiu).
+		literal = `int f(%[1]s a, %[1]s b) {
+			return (a < %[3]d) + 2*(a > %[3]d) + 4*(a <= %[3]d) + 8*(a >= %[3]d) + 16*(a == %[3]d) + 32*(a != %[3]d);
+		}`
 		// consts compares literals, which the optimizer folds from -O1.
 		consts = `int f(%[1]s a, %[1]s b) {
 			%[1]s x = %[2]d;
@@ -361,7 +366,9 @@ func TestRelationalCodegen(t *testing.T) {
 		}`
 	)
 	for _, ty := range []string{"int", "uint"} {
-		for _, shape := range []struct{ name, src string }{{"values", values}, {"branches", branches}, {"zero", zero}, {"consts", consts}} {
+		for _, shape := range []struct{ name, src string }{
+			{"values", values}, {"literal", literal}, {"branches", branches}, {"zero", zero}, {"consts", consts},
+		} {
 			for _, p := range [][2]int32{{-3, 5}, {5, -3}, {7, 7}, {0, 9}, {-1, 0}} {
 				a, b := p[0], p[1]
 				want := rel(a, b, ty == "uint")
