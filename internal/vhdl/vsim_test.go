@@ -9,6 +9,7 @@ import (
 	"binpart/internal/dopt"
 	"binpart/internal/ir"
 	"binpart/internal/mcc"
+	"binpart/internal/mips"
 	"binpart/internal/synth"
 )
 
@@ -278,5 +279,72 @@ func TestSimulateDesignErrors(t *testing.T) {
 	}
 	if _, err := SimulateDesign(tb, SimConfig{}); err == nil || !strings.Contains(err.Error(), "not one FSMD process") {
 		t.Errorf("testbench simulated: %v", err)
+	}
+}
+
+// TestRTLHighAndUnsignedOps executes the emitted VHDL of a hand-assembled
+// kernel for the operations no suite design contains: the high words of
+// signed and unsigned products, an unsigned remainder, and a blez branch,
+// each taken both ways.
+func TestRTLHighAndUnsignedOps(t *testing.T) {
+	words, err := mips.AssembleWords(`
+	kernel:
+		lui   $t0, 0x1234
+		ori   $t0, $t0, 0x5678
+		mult  $t0, $a0
+		mfhi  $t1
+		multu $t0, $a0
+		mfhi  $t2
+		addiu $t3, $zero, 7
+		divu  $a0, $t3
+		mfhi  $t4
+		xor   $v0, $t1, $t2
+		addu  $v0, $v0, $t4
+		blez  $a0, done
+		addiu $v0, $v0, 1
+	done:
+		jr    $ra
+	`, binimg.DefaultTextBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := &binimg.Image{
+		Entry: binimg.DefaultTextBase, TextBase: binimg.DefaultTextBase, Text: words,
+		DataBase: binimg.DefaultDataBase,
+		Symbols:  []binimg.Symbol{{Name: "kernel", Addr: binimg.DefaultTextBase, Size: uint32(4 * len(words))}},
+	}
+	res, err := decompile.Decompile(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := res.Func("kernel")
+	dopt.Optimize(f)
+	d, err := synth.Synthesize(synth.FuncRegion(f), img, synth.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := Emit(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, arg := range []int32{-12345, 0, 98765} {
+		st := ir.NewEvalState()
+		st.Regs[ir.RegSP] = 0x7fff0000
+		st.Regs[ir.RegA0] = arg
+		if err := ir.Eval(f, st); err != nil {
+			t.Fatal(err)
+		}
+		sim, err := SimulateDesign(text, SimConfig{Arg0: arg, Mem: map[uint32]byte{}})
+		if err != nil {
+			t.Fatalf("simulate: %v\n%s", err, text)
+		}
+		c := int64(0x12345678)
+		want := int32(c*int64(arg)>>32) ^ int32(uint64(c)*uint64(uint32(arg))>>32) + int32(uint32(arg)%7)
+		if arg > 0 {
+			want++
+		}
+		if sim.Result != want || st.Regs[ir.RegV0] != want {
+			t.Errorf("arg %d: RTL result = %d, IR = %d, want %d\n%s\n%s", arg, sim.Result, st.Regs[ir.RegV0], want, f, text)
+		}
 	}
 }
