@@ -213,26 +213,27 @@ func TestAdversarialTableBeyondDataEnd(t *testing.T) {
 
 // TestAdversarialDeadCodeIsNotLifted pins what a fault in unreachable
 // code does: nothing. The lifter walks the control flow from the entry,
-// so an instruction after the function's return is never lifted, and a
-// bad branch, an escaping jump or an indirect jump there fails nothing.
-// The same fault on a live path still fails the function.
+// so a word after the function's return is never lifted, and a bad
+// branch, an escaping jump, an indirect jump or an undecodable word
+// there fails nothing. The same fault on a live path still fails the
+// function.
 func TestAdversarialDeadCodeIsNotLifted(t *testing.T) {
-	faults := map[string]mips.Inst{
-		"branch outside": {Op: mips.BEQ, Rs: mips.T0, Rt: mips.Zero, Imm: 100},
-		"jump outside":   {Op: mips.J, Target: binimg.DefaultTextBase + 0x10000},
-		"indirect jump":  {Op: mips.JR, Rs: mips.T4},
-		"jalr":           {Op: mips.JALR, Rd: mips.RA, Rs: mips.T4},
-	}
-	ret := []mips.Inst{{Op: mips.ADDIU, Rt: mips.V0, Rs: mips.Zero, Imm: 7}, {Op: mips.JR, Rs: mips.RA}}
-	build := func(insts ...mips.Inst) *binimg.Image {
-		words := make([]uint32, len(insts))
-		for i, in := range insts {
-			w, err := mips.Encode(in)
-			if err != nil {
-				t.Fatal(err)
-			}
-			words[i] = w
+	word := func(in mips.Inst) uint32 {
+		w, err := mips.Encode(in)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return w
+	}
+	faults := map[string]uint32{
+		"branch outside": word(mips.Inst{Op: mips.BEQ, Rs: mips.T0, Rt: mips.Zero, Imm: 100}),
+		"jump outside":   word(mips.Inst{Op: mips.J, Target: binimg.DefaultTextBase + 0x10000}),
+		"indirect jump":  word(mips.Inst{Op: mips.JR, Rs: mips.T4}),
+		"jalr":           word(mips.Inst{Op: mips.JALR, Rd: mips.RA, Rs: mips.T4}),
+		"undecodable":    0xffffffff,
+	}
+	ret := []uint32{word(mips.Inst{Op: mips.ADDIU, Rt: mips.V0, Rs: mips.Zero, Imm: 7}), word(mips.Inst{Op: mips.JR, Rs: mips.RA})}
+	build := func(words ...uint32) *binimg.Image {
 		return &binimg.Image{
 			Entry: binimg.DefaultTextBase, TextBase: binimg.DefaultTextBase, Text: words,
 			Symbols: []binimg.Symbol{{Name: "f", Addr: binimg.DefaultTextBase, Size: uint32(4 * len(words))}},

@@ -192,6 +192,7 @@ func (ws *scratch) liftFunction(img *binimg.Image, fn funcSpan, opts Options) (*
 	n := int(fn.End-fn.Start) / 4
 	insts := freelist.Resize(ws.insts, n)
 	ws.insts = insts
+	var undecodable map[int]error // by slot; a fault only where the walk reaches it
 	for i := 0; i < n; i++ {
 		w, err := img.WordAt(fn.Start + uint32(4*i))
 		if err != nil {
@@ -199,7 +200,10 @@ func (ws *scratch) liftFunction(img *binimg.Image, fn funcSpan, opts Options) (*
 		}
 		in, err := mips.Decode(w)
 		if err != nil {
-			return nil, nil, fmt.Errorf("decompile: %s+%#x: %w", fn.Name, 4*i, err)
+			if undecodable == nil {
+				undecodable = make(map[int]error)
+			}
+			undecodable[i] = fmt.Errorf("decompile: %s+%#x: %w", fn.Name, 4*i, err)
 		}
 		insts[i] = in
 	}
@@ -209,8 +213,9 @@ func (ws *scratch) liftFunction(img *binimg.Image, fn funcSpan, opts Options) (*
 	// and jump-table targets, and the instruction after any control
 	// transfer. Only reached instructions are lifted, so a block no path
 	// enters (mcc's fall-through return after a return, at -O0) is never
-	// built, and a fault inside one fails nothing. Of the faults the walk
-	// meets, the one at the lowest address is reported.
+	// built, and a fault inside one, an undecodable word included, fails
+	// nothing. Of the faults the walk meets, the one at the lowest address
+	// is reported.
 	leader := freelist.Resize(ws.leader, n)
 	ws.leader = leader
 	clear(leader)
@@ -236,6 +241,10 @@ func (ws *scratch) liftFunction(img *binimg.Image, fn funcSpan, opts Options) (*
 	for len(work) > 0 {
 		i := int(work[len(work)-1])
 		work = work[:len(work)-1]
+		if err := undecodable[i]; err != nil {
+			fail(i, err)
+			continue
+		}
 		in := insts[i]
 		pc := fn.Start + uint32(4*i)
 		// beq x, x is the unconditional-branch idiom ("b"), lifted as a
