@@ -45,24 +45,27 @@ vet:
 # the full default regeneration, the one-pool plan every experiment runs
 # in (the golden tests separately pin that tracing never moves a byte of
 # a table), and the traced tables must equal the committed golden with
-# A1's measured partition times masked. Artifacts land in /tmp for
-# inspection.
+# A1's measured partition times masked. The trace, manifest, tables and
+# stats land in /tmp/obs, which CI uploads.
 obs-smoke:
+	mkdir -p /tmp/obs
 	$(GO) run ./cmd/experiments -j 8 \
-		-trace /tmp/binpart-trace.jsonl \
-		-manifest /tmp/binpart-manifest.json \
-		-stats >/tmp/binpart-tables.txt
-	sed -E 's/partition time [^ ]+/partition time <masked>/' /tmp/binpart-tables.txt | \
+		-trace /tmp/obs/trace.jsonl \
+		-manifest /tmp/obs/manifest.json \
+		-stats >/tmp/obs/tables.txt 2>/tmp/obs/stats.txt
+	sed -E 's/partition time [^ ]+/partition time <masked>/' /tmp/obs/tables.txt | \
 		diff cmd/experiments/testdata/experiments_golden.txt -
 
 # A slice of the generated-program differential corpus under the race
 # detector: 120 switch-shaped programs through the full flow at -j 8,
 # every one checked against the reference simulator and cold-vs-warm
 # cache. The command exits nonzero on any mismatch or a recovery rate
-# below 99%. The summary lands in /tmp for inspection.
+# below 99%. The summary and the figure land in /tmp/corpus, which CI
+# uploads.
 corpus-smoke:
+	mkdir -p /tmp/corpus
 	$(GO) run -race ./cmd/experiments -corpus 120 -j 8 \
-		-corpus-out /tmp/binpart-corpus-summary.json >/dev/null
+		-corpus-out /tmp/corpus/corpus-summary.json >/tmp/corpus/corpus-figure.txt
 
 # The partitioning daemon end to end over a real process: priced
 # partition + streamed sweep over HTTP with curl, ops /metrics scrape, a

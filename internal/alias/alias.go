@@ -57,8 +57,9 @@ func (in *Info) RefOf(i *ir.Instr) Ref {
 }
 
 // Footprint returns the sorted set of data objects the given blocks
-// access, with unknown accesses reported via the second result.
-func (in *Info) Footprint(blocks map[int]*ir.Block) (syms []string, hasUnknown bool) {
+// access. Stack and unresolved accesses name no object.
+func (in *Info) Footprint(blocks map[int]*ir.Block) []string {
+	var syms []string
 	seen := map[string]bool{}
 	for _, b := range blocks {
 		for i := range b.Instrs {
@@ -67,27 +68,14 @@ func (in *Info) Footprint(blocks map[int]*ir.Block) (syms []string, hasUnknown b
 				continue
 			}
 			r := in.RefOf(instr)
-			if !r.Known {
-				hasUnknown = true
-				continue
-			}
-			if r.Sym != "<stack>" && !seen[r.Sym] {
+			if r.Known && r.Sym != "<stack>" && !seen[r.Sym] {
 				seen[r.Sym] = true
 				syms = append(syms, r.Sym)
 			}
 		}
 	}
 	sort.Strings(syms)
-	return syms, hasUnknown
-}
-
-// FuncFootprint returns the data objects accessed anywhere in f.
-func (in *Info) FuncFootprint(f *ir.Func) (syms []string, hasUnknown bool) {
-	m := map[int]*ir.Block{}
-	for _, b := range f.Blocks {
-		m[b.Index] = b
-	}
-	return in.Footprint(m)
+	return syms
 }
 
 // Analyze resolves every memory access in f against the image's data

@@ -76,10 +76,14 @@ func TestResolvesArrayBases(t *testing.T) {
 
 func TestFootprint(t *testing.T) {
 	info, f := analyzed(t, twoArrays, "kernel")
-	syms, unknown := info.FuncFootprint(f)
-	if unknown {
-		t.Errorf("footprint has unknown accesses")
+	if n := unresolved(info, f); n != 0 {
+		t.Errorf("%d accesses unresolved", n)
 	}
+	blocks := map[int]*ir.Block{}
+	for _, b := range f.Blocks {
+		blocks[b.Index] = b
+	}
+	syms := info.Footprint(blocks)
 	want := map[string]bool{"src": true, "dst": true}
 	for _, s := range syms {
 		if !want[s] {
@@ -121,10 +125,23 @@ func TestPointerParameterIsUnknown(t *testing.T) {
 		int main() { return kernel(buf); }
 	`
 	info, f := analyzed(t, src, "kernel")
-	_, unknown := info.FuncFootprint(f)
-	if !unknown {
+	if unresolved(info, f) == 0 {
 		t.Error("pointer-parameter accesses reported as fully known")
 	}
+}
+
+// unresolved counts f's loads and stores whose object is not Known.
+func unresolved(info *Info, f *ir.Func) int {
+	n := 0
+	for _, b := range f.Blocks {
+		for i := range b.Instrs {
+			in := &b.Instrs[i]
+			if (in.Op == ir.Load || in.Op == ir.Store) && !info.RefOf(in).Known {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 func TestStackAccessesResolveToStack(t *testing.T) {

@@ -356,11 +356,11 @@ func buildCandidate(fx *funcFacts, r synth.Region, invocations uint64, pf *profi
 	if err != nil {
 		return nil, err
 	}
+	// The region's footprint is the data objects synthesis moved into
+	// block RAM: every object its accesses resolve to.
 	var fp []string
-	if r.Blocks == nil {
-		fp, _ = fx.alias().FuncFootprint(fx.f)
-	} else {
-		fp, _ = fx.alias().Footprint(r.Blocks)
+	for _, m := range d.MemObjects {
+		fp = append(fp, m.Sym)
 	}
 	return &RegionCandidate{
 		Region: platform.Region{

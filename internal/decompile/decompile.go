@@ -79,9 +79,6 @@ type Result struct {
 	Funcs []*ir.Func
 	// Failed maps function names to the reason recovery failed.
 	Failed map[string]error
-	// Calls records the static call graph over recovered functions:
-	// caller name -> callee entry addresses.
-	Calls map[string][]uint32
 }
 
 // Func returns the recovered function with the given name.
@@ -107,16 +104,15 @@ func DecompileWith(img *binimg.Image, opts Options) (*Result, error) {
 	if len(funcs) == 0 {
 		return nil, fmt.Errorf("decompile: no functions found in image")
 	}
-	res := &Result{Failed: make(map[string]error), Calls: make(map[string][]uint32)}
+	res := &Result{Failed: make(map[string]error)}
 	ws := scratches.Get()
 	for _, fn := range funcs {
-		f, calls, err := ws.liftFunction(img, fn, opts)
+		f, err := ws.liftFunction(img, fn, opts)
 		if err != nil {
 			res.Failed[fn.Name] = err
 			continue
 		}
 		res.Funcs = append(res.Funcs, f)
-		res.Calls[fn.Name] = calls
 	}
 	scratches.Put(ws)
 	slices.SortFunc(res.Funcs, func(a, b *ir.Func) int { return cmp.Compare(a.Entry, b.Entry) })
@@ -184,10 +180,10 @@ func findFunctions(img *binimg.Image) []funcSpan {
 }
 
 // liftFunction lifts one function's text into an ir.Func with basic blocks
-// and CFG edges, returning the direct call targets it makes.
-func (ws *scratch) liftFunction(img *binimg.Image, fn funcSpan, opts Options) (*ir.Func, []uint32, error) {
+// and CFG edges.
+func (ws *scratch) liftFunction(img *binimg.Image, fn funcSpan, opts Options) (*ir.Func, error) {
 	if fn.End <= fn.Start || fn.Start%4 != 0 {
-		return nil, nil, fmt.Errorf("decompile: %s: bad extent [0x%x,0x%x)", fn.Name, fn.Start, fn.End)
+		return nil, fmt.Errorf("decompile: %s: bad extent [0x%x,0x%x)", fn.Name, fn.Start, fn.End)
 	}
 	n := int(fn.End-fn.Start) / 4
 	insts := freelist.Resize(ws.insts, n)
@@ -196,7 +192,7 @@ func (ws *scratch) liftFunction(img *binimg.Image, fn funcSpan, opts Options) (*
 	for i := 0; i < n; i++ {
 		w, err := img.WordAt(fn.Start + uint32(4*i))
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		in, err := mips.Decode(w)
 		if err != nil {
@@ -300,7 +296,7 @@ func (ws *scratch) liftFunction(img *binimg.Image, fn funcSpan, opts Options) (*
 	}
 	ws.work = work
 	if ferr != nil {
-		return nil, nil, ferr
+		return nil, ferr
 	}
 
 	f := &ir.Func{Name: fn.Name, Entry: fn.Start, NextLoc: ir.FirstVirtual}
@@ -325,7 +321,6 @@ func (ws *scratch) liftFunction(img *binimg.Image, fn funcSpan, opts Options) (*
 		blockOf[i] = -1
 	}
 	var cur *ir.Block
-	var calls []uint32
 	first := 0
 	endBlock := func() {
 		if cur != nil {
@@ -339,9 +334,6 @@ func (ws *scratch) liftFunction(img *binimg.Image, fn funcSpan, opts Options) (*
 			continue
 		}
 		pc := fn.Start + uint32(4*i)
-		if in.Op == mips.JAL {
-			calls = append(calls, in.Target)
-		}
 		if leader[i] || cur == nil {
 			endBlock()
 			cur = &blocks[len(f.Blocks)]
@@ -386,7 +378,7 @@ func (ws *scratch) liftFunction(img *binimg.Image, fn funcSpan, opts Options) (*
 		case ir.Branch:
 			target, ok := blockAt(t.Target)
 			if !ok {
-				return nil, nil, fmt.Errorf("decompile: %s: branch target 0x%x is not a block leader", fn.Name, t.Target)
+				return nil, fmt.Errorf("decompile: %s: branch target 0x%x is not a block leader", fn.Name, t.Target)
 			}
 			edges = append(edges, [2]int32{from, target})
 			if fall >= 0 {
@@ -395,7 +387,7 @@ func (ws *scratch) liftFunction(img *binimg.Image, fn funcSpan, opts Options) (*
 		case ir.Jump:
 			target, ok := blockAt(t.Target)
 			if !ok {
-				return nil, nil, fmt.Errorf("decompile: %s: jump target 0x%x is not a block leader", fn.Name, t.Target)
+				return nil, fmt.Errorf("decompile: %s: jump target 0x%x is not a block leader", fn.Name, t.Target)
 			}
 			edges = append(edges, [2]int32{from, target})
 		case ir.IJump:
@@ -404,7 +396,7 @@ func (ws *scratch) liftFunction(img *binimg.Image, fn funcSpan, opts Options) (*
 			for _, tgt := range t.Table.Targets {
 				target, ok := blockAt(tgt)
 				if !ok {
-					return nil, nil, fmt.Errorf("decompile: %s: jump-table target 0x%x is not a block leader", fn.Name, tgt)
+					return nil, fmt.Errorf("decompile: %s: jump-table target 0x%x is not a block leader", fn.Name, tgt)
 				}
 				for _, e := range edges[mine:] {
 					if e[1] == target {
@@ -443,7 +435,7 @@ func (ws *scratch) liftFunction(img *binimg.Image, fn funcSpan, opts Options) (*
 		from.Succs = append(from.Succs, to)
 		to.Preds = append(to.Preds, from)
 	}
-	return f, calls, nil
+	return f, nil
 }
 
 // liftedLen bounds the number of IR instructions lift emits for insts:

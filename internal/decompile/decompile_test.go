@@ -116,10 +116,22 @@ func TestDecompileAllOptLevels(t *testing.T) {
 				t.Errorf("O%d: %s not recovered", lvl, name)
 			}
 		}
-		if len(res.Calls["main"]) == 0 {
-			t.Errorf("O%d: call from main to sum not recorded", lvl)
+		if main, sum := res.Func("main"), res.Func("sum"); main != nil && sum != nil && !callsTo(main, sum.Entry) {
+			t.Errorf("O%d: main's lifted calls do not target sum's entry 0x%x", lvl, sum.Entry)
 		}
 	}
+}
+
+// callsTo reports whether f holds a lifted call to entry.
+func callsTo(f *ir.Func, entry uint32) bool {
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			if in.Op == ir.Call && in.Target == entry {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func TestIndirectJumpFails(t *testing.T) {

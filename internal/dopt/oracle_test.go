@@ -345,20 +345,20 @@ func reduceWidthsOracle(f *ir.Func) WidthReport {
 		case ir.SetLT, ir.SetLTU:
 			return 1
 		case ir.Add, ir.Sub:
-			return min32(maxInt(get(in.A), get(in.B)) + 1)
+			return min(max(get(in.A), get(in.B))+1, 32)
 		case ir.Mul:
-			return min32(get(in.A) + get(in.B))
+			return min(get(in.A)+get(in.B), 32)
 		case ir.MulH, ir.MulHU:
 			return 32
 		case ir.Div, ir.DivU, ir.Rem, ir.RemU:
 			return get(in.A)
 		case ir.And:
-			return minInt(get(in.A), get(in.B))
+			return min(get(in.A), get(in.B))
 		case ir.Or, ir.Xor:
-			return maxInt(get(in.A), get(in.B))
+			return max(get(in.A), get(in.B))
 		case ir.Shl:
 			if in.B.IsConst {
-				return min32(get(in.A) + int(in.B.Val&31))
+				return min(get(in.A)+int(in.B.Val&31), 32)
 			}
 			return 32
 		case ir.ShrL, ir.ShrA:

@@ -51,20 +51,20 @@ func (ws *workspace) reduceWidths(f *ir.Func) WidthReport {
 		case ir.SetLT, ir.SetLTU:
 			return 1
 		case ir.Add, ir.Sub:
-			return min32(maxInt(get(in.A), get(in.B)) + 1)
+			return min(max(get(in.A), get(in.B))+1, 32)
 		case ir.Mul:
-			return min32(get(in.A) + get(in.B))
+			return min(get(in.A)+get(in.B), 32)
 		case ir.MulH, ir.MulHU:
 			return 32
 		case ir.Div, ir.DivU, ir.Rem, ir.RemU:
 			return get(in.A)
 		case ir.And:
-			return minInt(get(in.A), get(in.B))
+			return min(get(in.A), get(in.B))
 		case ir.Or, ir.Xor:
-			return maxInt(get(in.A), get(in.B))
+			return max(get(in.A), get(in.B))
 		case ir.Shl:
 			if in.B.IsConst {
-				return min32(get(in.A) + int(in.B.Val&31))
+				return min(get(in.A)+int(in.B.Val&31), 32)
 			}
 			return 32
 		case ir.ShrL, ir.ShrA:
@@ -136,25 +136,4 @@ func constBits(v int32) int {
 		return 1
 	}
 	return n
-}
-
-func min32(v int) int {
-	if v > 32 {
-		return 32
-	}
-	return v
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

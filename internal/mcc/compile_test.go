@@ -579,6 +579,8 @@ func TestCompileErrors(t *testing.T) {
 		{`int h = *5; int main() { return h; }`, `non-constant unary "*"`},
 		{`int h = 1 / 0; int main() { return h; }`, `non-constant or invalid operator "/"`},
 		{`int main() { int x = 1; int a[2] = {x, 2}; return a[0]; }`, `local array initializer must be constant`},
+		{`int main() { int a[2] = 5; return a[0]; }`, `line 1: cannot initialize int[2] "a" from int`},
+		{`int a[2] = 5; int main() { return a[0]; }`, `line 1: cannot initialize int[2] "a" from int`},
 		{`int f() { return; } int main() { return f(); }`, `"f": return without value in non-void function`},
 		{`int *p; int f() { return p; } int main() { return f(); }`, `"f": cannot return int* as int`},
 		{`int a[2]; int main() { return a * 2; }`, `invalid operands to "*": int[2] and int`},

@@ -58,6 +58,9 @@ func analyze(prog *Program, ast *astSlabs, spare *[]map[string]*symbol) error {
 		if err != nil {
 			return fmt.Errorf("mcc: global %q: initializer must be constant: %w", g.Name, err)
 		}
+		if err := initError(g); err != nil {
+			return err
+		}
 	}
 	for _, fn := range prog.Funcs {
 		if err := s.checkFunc(fn); err != nil {
@@ -141,8 +144,8 @@ func (s *sema) checkStmt(st Stmt) error {
 				if err := s.checkExpr(d.Init); err != nil {
 					return err
 				}
-				if !assignable(d.Type, d.Init.ExprType()) {
-					return fmt.Errorf("mcc: line %d: cannot initialize %s %q from %s", d.Line, d.Type, d.Name, d.Init.ExprType())
+				if err := initError(d); err != nil {
+					return err
 				}
 			}
 			for _, v := range d.Vals {
@@ -252,6 +255,15 @@ func (s *sema) checkStmt(st Stmt) error {
 		}
 	}
 	return nil
+}
+
+// initError reports a scalar initializer of d whose type d cannot hold.
+// The initializer must have been checked.
+func initError(d *VarDecl) error {
+	if d.Init == nil || assignable(d.Type, d.Init.ExprType()) {
+		return nil
+	}
+	return fmt.Errorf("mcc: line %d: cannot initialize %s %q from %s", d.Line, d.Type, d.Name, d.Init.ExprType())
 }
 
 // assignable reports whether a value of type src may be stored into dst.

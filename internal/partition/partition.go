@@ -62,7 +62,38 @@ type Result struct {
 	TotalGates int
 }
 
-// selectedTime sums HW time over selected and SW time over the rest.
+// take is every algorithm's one selection rule: it records c as chosen
+// at step unless c is already in chosen or does not fit the budget
+// beside what is selected, and reports whether it did. chosen is the
+// caller's set of selected candidates.
+func (r *Result) take(c *Candidate, step int, chosen map[*Candidate]bool, budget int) bool {
+	if chosen[c] || r.TotalGates+c.AreaGates > budget {
+		return false
+	}
+	chosen[c] = true
+	r.TotalGates += c.AreaGates
+	r.Selected = append(r.Selected, c)
+	r.Step[c.Name] = step
+	return true
+}
+
+// fill takes, at step, every unchosen candidate with a positive gain and
+// area in order of gain per gate, highest first, while it fits. It is
+// the heuristic's step 3.
+func (r *Result) fill(cands []*Candidate, step int, chosen map[*Candidate]bool, budget int) {
+	rest := make([]*Candidate, 0, len(cands))
+	for _, c := range cands {
+		if !chosen[c] && c.Gain() > 0 && c.AreaGates > 0 {
+			rest = append(rest, c)
+		}
+	}
+	slices.SortStableFunc(rest, byDensity)
+	for _, c := range rest {
+		r.take(c, step, chosen, budget)
+	}
+}
+
+// totalTime sums HW time over selected and SW time over the rest.
 func totalTime(cands []*Candidate, chosen map[*Candidate]bool) float64 {
 	var t float64
 	for _, c := range cands {
@@ -81,17 +112,6 @@ func totalTime(cands []*Candidate, chosen map[*Candidate]bool) float64 {
 func Partition(cands []*Candidate, budgetGates int, loops bool) *Result {
 	res := &Result{Step: map[string]int{}}
 	chosen := map[*Candidate]bool{}
-	area := 0
-	add := func(c *Candidate, step int) bool {
-		if chosen[c] || area+c.AreaGates > budgetGates {
-			return false
-		}
-		chosen[c] = true
-		area += c.AreaGates
-		res.Selected = append(res.Selected, c)
-		res.Step[c.Name] = step
-		return true
-	}
 
 	// Step 1: the most frequent regions up to the coverage target.
 	hot := slices.Clone(cands)
@@ -108,7 +128,7 @@ func Partition(cands []*Candidate, budgetGates int, loops bool) *Result {
 		if (loops && c.SizeInstrs > MaxLoopInstrs) || c.Gain() <= 0 {
 			continue
 		}
-		if add(c, 1) {
+		if res.take(c, 1, chosen, budgetGates) {
 			covered += c.SWTimeNs
 		}
 	}
@@ -132,24 +152,13 @@ func Partition(cands []*Candidate, budgetGates int, loops bool) *Result {
 			}
 		}
 		if affine {
-			add(c, 2)
+			res.take(c, 2, chosen, budgetGates)
 		}
 	}
 
 	// Step 3: fill by profit density until the constraint is violated;
 	// an entire application can be synthesized if space allows.
-	rest := make([]*Candidate, 0, len(cands))
-	for _, c := range cands {
-		if !chosen[c] && c.Gain() > 0 && c.AreaGates > 0 {
-			rest = append(rest, c)
-		}
-	}
-	slices.SortStableFunc(rest, byDensity)
-	for _, c := range rest {
-		add(c, 3)
-	}
-
-	res.TotalGates = area
+	res.fill(cands, 3, chosen, budgetGates)
 	return res
 }
 
@@ -171,26 +180,11 @@ func byDensity(a, b *Candidate) int {
 	return descending(a.Gain()/float64(a.AreaGates), b.Gain()/float64(b.AreaGates))
 }
 
-// GreedyKnapsack is the Henkel-style baseline: pure gain/area ordering.
+// GreedyKnapsack is the Henkel-style baseline: pure gain/area ordering,
+// which is the heuristic's step 3 on its own.
 func GreedyKnapsack(cands []*Candidate, budgetGates int) *Result {
 	res := &Result{Step: map[string]int{}}
-	order := make([]*Candidate, 0, len(cands))
-	for _, c := range cands {
-		if c.Gain() > 0 && c.AreaGates > 0 {
-			order = append(order, c)
-		}
-	}
-	slices.SortStableFunc(order, byDensity)
-	area := 0
-	for _, c := range order {
-		if area+c.AreaGates > budgetGates {
-			continue
-		}
-		area += c.AreaGates
-		res.Selected = append(res.Selected, c)
-		res.Step[c.Name] = 1
-	}
-	res.TotalGates = area
+	res.fill(cands, 1, map[*Candidate]bool{}, budgetGates)
 	return res
 }
 
@@ -200,20 +194,18 @@ func GreedyKnapsack(cands []*Candidate, budgetGates int) *Result {
 // all-software time as the implicit deadline reference.
 func GCLP(cands []*Candidate, budgetGates int) *Result {
 	res := &Result{Step: map[string]int{}}
-	remaining := append([]*Candidate(nil), cands...)
 	chosen := map[*Candidate]bool{}
-	area := 0
 
 	var totalSW float64
 	for _, c := range cands {
 		totalSW += c.SWTimeNs
 	}
-	for len(remaining) > 0 {
+	for {
 		// Global criticality: fraction of time still spent in software
 		// regions; high GC favors the biggest time winner, low GC favors
 		// the densest.
 		var swLeft float64
-		for _, c := range remaining {
+		for _, c := range cands {
 			if !chosen[c] {
 				swLeft += c.SWTimeNs
 			}
@@ -224,8 +216,8 @@ func GCLP(cands []*Candidate, budgetGates int) *Result {
 		}
 		var best *Candidate
 		var bestKey float64
-		for _, c := range remaining {
-			if chosen[c] || c.Gain() <= 0 || area+c.AreaGates > budgetGates {
+		for _, c := range cands {
+			if chosen[c] || c.Gain() <= 0 || res.TotalGates+c.AreaGates > budgetGates {
 				continue
 			}
 			var key float64
@@ -239,15 +231,10 @@ func GCLP(cands []*Candidate, budgetGates int) *Result {
 			}
 		}
 		if best == nil {
-			break
+			return res
 		}
-		chosen[best] = true
-		area += best.AreaGates
-		res.Selected = append(res.Selected, best)
-		res.Step[best.Name] = 1
+		res.take(best, 1, chosen, budgetGates)
 	}
-	res.TotalGates = area
-	return res
 }
 
 // Exhaustive finds the optimal subset by enumeration; it refuses inputs
@@ -275,11 +262,10 @@ func Exhaustive(cands []*Candidate, budgetGates int) (*Result, error) {
 		}
 	}
 	res := &Result{Step: map[string]int{}}
+	chosen := map[*Candidate]bool{}
 	for i, c := range cands {
 		if bestMask&(1<<i) != 0 {
-			res.Selected = append(res.Selected, c)
-			res.Step[c.Name] = 1
-			res.TotalGates += c.AreaGates
+			res.take(c, 1, chosen, budgetGates)
 		}
 	}
 	return res, nil

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -174,6 +175,33 @@ func TestExhaustiveIsOptimal(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestGreedyIsStepThreeAlone(t *testing.T) {
+	// Loops too large for step 1 leave step 2 nothing to be affine to,
+	// so the heuristic selects exactly what its step 3 alone, the greedy
+	// baseline, selects.
+	r := rand.New(rand.NewSource(43))
+	f := func() bool {
+		var cands []*Candidate
+		n := 1 + r.Intn(30)
+		for i := 0; i < n; i++ {
+			c := cand(string(rune('a'+i)),
+				float64(r.Intn(5000)),
+				float64(r.Intn(5000)),
+				r.Intn(8000),
+				[]string{"x", "y", "z"}[r.Intn(3)],
+			)
+			c.SizeInstrs = MaxLoopInstrs + 1 + r.Intn(100)
+			cands = append(cands, c)
+		}
+		budget := r.Intn(40000)
+		got, want := Partition(cands, budget, true), GreedyKnapsack(cands, budget)
+		return slices.Equal(got.Selected, want.Selected) && got.TotalGates == want.TotalGates
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }

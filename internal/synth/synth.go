@@ -178,8 +178,7 @@ func Synthesize(r Region, img *binimg.Image, opts Options) (*Design, error) {
 		for _, b := range blocks {
 			blockSet[b.Index] = b
 		}
-		syms, _ := am.Footprint(blockSet)
-		for _, s := range syms {
+		for _, s := range am.Footprint(blockSet) {
 			if sym, ok := findSymbol(img, s); ok {
 				d.MemObjects = append(d.MemObjects, MemObject{Sym: s, Bytes: int(sym.Size)})
 				d.Area = d.Area.Add(fpga.Area{BRAM: max(fpga.BRAMsFor(int(sym.Size)), 1)})

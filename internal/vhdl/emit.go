@@ -17,6 +17,31 @@ import (
 	"binpart/internal/synth"
 )
 
+// port is one port of every design entity. Emit's port clause and
+// EmitTestbench's signals and port map are all rendered from ports.
+type port struct{ name, mode, typ string }
+
+const word = "std_logic_vector(31 downto 0)"
+
+var ports = []port{
+	{"clk", "in", "std_logic"},
+	{"rst", "in", "std_logic"},
+	{"start", "in", "std_logic"},
+	{"done", "out", "std_logic"},
+	{"arg0", "in", word},
+	{"arg1", "in", word},
+	{"result", "out", word},
+	{"mem0_addr", "out", word},
+	{"mem0_wdata", "out", word},
+	{"mem0_rdata", "in", word},
+	{"mem0_we", "out", "std_logic"},
+	{"mem0_size", "out", "std_logic_vector(1 downto 0)"},
+	{"mem1_addr", "out", word},
+	{"mem1_rdata", "in", word},
+	{"mem1_size", "out", "std_logic_vector(1 downto 0)"},
+	{"mem1_sx", "out", "std_logic"},
+}
+
 // blockNames assigns every in-block definition its own datapath variable
 // (per-definition renaming, as hardware binding does) and resolves each
 // operand to either the producing definition's variable or the
@@ -79,22 +104,13 @@ func Emit(d *synth.Design) (string, error) {
 
 	fmt.Fprintf(&b, "entity %s is\n", name)
 	b.WriteString("  port (\n")
-	b.WriteString("    clk        : in  std_logic;\n")
-	b.WriteString("    rst        : in  std_logic;\n")
-	b.WriteString("    start      : in  std_logic;\n")
-	b.WriteString("    done       : out std_logic;\n")
-	b.WriteString("    arg0       : in  std_logic_vector(31 downto 0);\n")
-	b.WriteString("    arg1       : in  std_logic_vector(31 downto 0);\n")
-	b.WriteString("    result     : out std_logic_vector(31 downto 0);\n")
-	b.WriteString("    mem0_addr  : out std_logic_vector(31 downto 0);\n")
-	b.WriteString("    mem0_wdata : out std_logic_vector(31 downto 0);\n")
-	b.WriteString("    mem0_rdata : in  std_logic_vector(31 downto 0);\n")
-	b.WriteString("    mem0_we    : out std_logic;\n")
-	b.WriteString("    mem0_size  : out std_logic_vector(1 downto 0);\n")
-	b.WriteString("    mem1_addr  : out std_logic_vector(31 downto 0);\n")
-	b.WriteString("    mem1_rdata : in  std_logic_vector(31 downto 0);\n")
-	b.WriteString("    mem1_size  : out std_logic_vector(1 downto 0);\n")
-	b.WriteString("    mem1_sx    : out std_logic\n")
+	for i, p := range ports {
+		sep := ";"
+		if i == len(ports)-1 {
+			sep = ""
+		}
+		fmt.Fprintf(&b, "    %-10s : %-3s %s%s\n", p.name, p.mode, p.typ, sep)
+	}
 	b.WriteString("  );\n")
 	fmt.Fprintf(&b, "end %s;\n\n", name)
 

@@ -28,32 +28,19 @@ func EmitTestbench(d *synth.Design) (string, error) {
 	fmt.Fprintf(&b, "entity %s_tb is\n", name)
 	fmt.Fprintf(&b, "end %s_tb;\n\n", name)
 	fmt.Fprintf(&b, "architecture sim of %s_tb is\n", name)
-	b.WriteString("  signal clk        : std_logic;\n")
-	b.WriteString("  signal rst        : std_logic;\n")
-	b.WriteString("  signal start      : std_logic;\n")
-	b.WriteString("  signal done       : std_logic;\n")
-	b.WriteString("  signal arg0       : std_logic_vector(31 downto 0);\n")
-	b.WriteString("  signal arg1       : std_logic_vector(31 downto 0);\n")
-	b.WriteString("  signal result     : std_logic_vector(31 downto 0);\n")
-	b.WriteString("  signal mem0_addr  : std_logic_vector(31 downto 0);\n")
-	b.WriteString("  signal mem0_wdata : std_logic_vector(31 downto 0);\n")
-	b.WriteString("  signal mem0_rdata : std_logic_vector(31 downto 0);\n")
-	b.WriteString("  signal mem0_we    : std_logic;\n")
-	b.WriteString("  signal mem0_size  : std_logic_vector(1 downto 0);\n")
-	b.WriteString("  signal mem1_addr  : std_logic_vector(31 downto 0);\n")
-	b.WriteString("  signal mem1_rdata : std_logic_vector(31 downto 0);\n")
-	b.WriteString("  signal mem1_size  : std_logic_vector(1 downto 0);\n")
-	b.WriteString("  signal mem1_sx    : std_logic;\n")
+	for _, p := range ports {
+		fmt.Fprintf(&b, "  signal %-10s : %s;\n", p.name, p.typ)
+	}
 	b.WriteString("begin\n")
 	fmt.Fprintf(&b, "  dut : entity work.%s\n", name)
 	b.WriteString("    port map (\n")
-	b.WriteString("      clk => clk, rst => rst, start => start, done => done,\n")
-	b.WriteString("      arg0 => arg0, arg1 => arg1, result => result,\n")
-	b.WriteString("      mem0_addr => mem0_addr, mem0_wdata => mem0_wdata,\n")
-	b.WriteString("      mem0_rdata => mem0_rdata, mem0_we => mem0_we,\n")
-	b.WriteString("      mem0_size => mem0_size, mem1_addr => mem1_addr,\n")
-	b.WriteString("      mem1_rdata => mem1_rdata, mem1_size => mem1_size,\n")
-	b.WriteString("      mem1_sx => mem1_sx\n")
+	for i, p := range ports {
+		sep := ","
+		if i == len(ports)-1 {
+			sep = ""
+		}
+		fmt.Fprintf(&b, "      %s => %s%s\n", p.name, p.name, sep)
+	}
 	b.WriteString("    );\n\n")
 	b.WriteString("  clocking : process\n")
 	b.WriteString("  begin\n")
