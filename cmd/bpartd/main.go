@@ -20,10 +20,10 @@
 // invariant. bpartd exits 0 only when all of that succeeded; a second
 // signal exits at once.
 //
-// Ops surface (-ops-addr): /healthz, /readyz (503 while draining),
-// /metrics (the shared binpart exposition plus bpartd_* serving
-// families), and net/pprof — obs.ServeDebug promoted to a daemon
-// lifecycle.
+// Ops surface (-ops-addr, ops.go): /healthz, /readyz (503 while
+// draining), /metrics (obs.WriteMetrics' stage and cache families plus
+// the bpartd_* serving families), and net/pprof. bpartd is the only
+// command that links an HTTP stack; the batch commands have no listener.
 //
 // bpartd is a server only; any HTTP client drives it, e.g.
 //
@@ -40,45 +40,58 @@ import (
 	"runtime"
 	"time"
 
+	"binpart/internal/obs"
 	"binpart/internal/session"
 )
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "serve the v1 API on this address (\":0\" picks a free port)")
 	addrFile := flag.String("addr-file", "", "also write the bound API address to this file (removed on clean exit)")
+	opsAddr := flag.String("ops-addr", "", "serve /healthz, /readyz, /metrics, pprof on this address")
 	opsAddrFile := flag.String("ops-addr-file", "", "with -ops-addr, also write the bound ops address to this file (removed on clean exit)")
 	queue := flag.Int("queue", 64, "admission bound: max requests admitted (waiting + executing); beyond it POSTs get 429")
 	inflight := flag.Int("inflight", runtime.GOMAXPROCS(0), "execution bound: max requests partitioning concurrently")
 	deadline := flag.Duration("deadline", 30*time.Second, "per-request deadline (admission wait + compute)")
 	drain := flag.Duration("drain", 10*time.Second, "shutdown budget for draining in-flight requests")
-	sf := session.Register(flag.CommandLine, "ops-addr", "serve /healthz, /readyz, /metrics, pprof on this address")
+	sf := session.Register(flag.CommandLine)
 	flag.Parse()
-
-	fatal := func(err error) {
-		fmt.Fprintln(os.Stderr, "bpartd:", err)
-		os.Exit(1)
-	}
 
 	// The session watches signals from before the listeners open: a
 	// SIGTERM at any point of the daemon's life runs the drain path. The
 	// daemon exists first so its serving families join /metrics; it gets
 	// the session's caches and recorder before any request can arrive.
+	// The ops listener opens after the session and closes after it, so
+	// /metrics can still be scraped during the drain.
 	d := newDaemon(daemonConfig{
 		Queue:    *queue,
 		Inflight: *inflight,
 		Deadline: *deadline,
 	})
-	s, err := sf.Open(session.Config{Tool: "bpartd", Args: os.Args[1:], Workers: *inflight, Record: true, Extra: d.WriteMetrics})
+	s, err := sf.Open(session.Config{Tool: "bpartd", Args: os.Args[1:], Workers: *inflight, Record: true})
 	if err != nil {
-		fatal(err)
+		fmt.Fprintln(os.Stderr, "bpartd:", err)
+		os.Exit(1)
 	}
 	d.caches, d.rec = s.Caches, s.Rec
+	// A failure from here closes the session first, so the trace ends
+	// complete and the manifest is written (marked interrupted).
+	fatal := func(err error) {
+		s.Close(true) //nolint:errcheck // err is the one reported
+		fmt.Fprintln(os.Stderr, "bpartd:", err)
+		os.Exit(1)
+	}
 
-	if s.Debug != nil {
-		s.Debug.Handle("/healthz", http.HandlerFunc(d.handleHealthz))
-		s.Debug.Handle("/readyz", http.HandlerFunc(d.handleReadyz))
+	var ops *opsServer
+	if *opsAddr != "" {
+		ops, err = serveOps(*opsAddr, obs.MetricsSources{Rec: s.Rec, Caches: s.Caches.StatsMap}, d.WriteMetrics)
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Fprintf(os.Stderr, "bpartd: ops on http://%s/metrics (pprof on /debug/pprof/)\n", ops.Addr())
+		ops.Handle("/healthz", http.HandlerFunc(d.handleHealthz))
+		ops.Handle("/readyz", http.HandlerFunc(d.handleReadyz))
 		if *opsAddrFile != "" {
-			if err := os.WriteFile(*opsAddrFile, []byte(s.Debug.Addr()), 0o644); err != nil {
+			if err := os.WriteFile(*opsAddrFile, []byte(ops.Addr()), 0o644); err != nil {
 				fatal(err)
 			}
 		}
@@ -127,6 +140,9 @@ func main() {
 	closeErr := s.Close(drainErr != nil)
 	if closeErr != nil {
 		fmt.Fprintln(os.Stderr, "bpartd:", closeErr)
+	}
+	if ops != nil {
+		ops.Close() //nolint:errcheck // ops scrapes are best-effort at exit
 	}
 	if *addrFile != "" {
 		os.Remove(*addrFile)

@@ -448,7 +448,7 @@ func (d *daemon) sweep(w http.ResponseWriter, r *http.Request, c call, sc *obs.S
 }
 
 // WriteMetrics appends the daemon's serving families to the shared
-// /metrics exposition (wired in as obs.DebugSources.Extra).
+// /metrics exposition (serveOps' extra).
 func (d *daemon) WriteMetrics(w io.Writer) {
 	p := hist.NewProm(w)
 	for route, name := range routeNames {

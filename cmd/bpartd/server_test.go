@@ -381,11 +381,7 @@ func TestMetricsScrapeableMidLoad(t *testing.T) {
 	ts := httptest.NewServer(d.Mux())
 	defer ts.Close()
 
-	dbg, err := obs.ServeDebug("127.0.0.1:0", obs.DebugSources{
-		Rec:    rec,
-		Caches: caches.StatsMap,
-		Extra:  d.WriteMetrics,
-	})
+	dbg, err := serveOps("127.0.0.1:0", obs.MetricsSources{Rec: rec, Caches: caches.StatsMap}, d.WriteMetrics)
 	if err != nil {
 		t.Fatal(err)
 	}

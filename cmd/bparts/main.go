@@ -23,9 +23,9 @@
 //
 // Observability: -trace streams per-stage spans as JSONL (a .gz path
 // gzip-compresses), -stats prints the per-stage and cache tables with
-// p50/p90/p99 latency columns to stderr, -manifest writes a run
-// manifest, and -debug-addr serves net/pprof + Prometheus-text
-// /metrics. All of it is off — and alloc-free — by default.
+// p50/p90/p99 latency columns to stderr, and -manifest writes a run
+// manifest. All of it is off — and alloc-free — by default; bparts has
+// no HTTP listener (bpartd's -ops-addr serves /metrics and pprof).
 //
 // SIGINT/SIGTERM skips the inputs that have not started; the running
 // ones finish, their reports print, the trace and manifest (marked
@@ -68,7 +68,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	structure := fs.Bool("structure", false, "print recovered control structure per function")
 	vhdlDir := fs.String("vhdl", "", "directory to write VHDL for selected regions")
 	workers := fs.Int("j", runtime.GOMAXPROCS(0), "worker pool size when partitioning several binaries")
-	sf := session.Register(fs, "debug-addr", "serve net/pprof + Prometheus /metrics on this address (e.g. :6060)")
+	sf := session.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
 			return 0
@@ -218,28 +218,26 @@ func partitionOne(path string, opts core.Options, caches *core.Caches, out outpu
 	}
 	b.WriteString(core.RenderReport(rep, out.structure))
 
-	if vhdlDir := out.vhdlDir; vhdlDir != "" {
-		files, err := rep.VHDL()
+	if out.vhdlDir == "" {
+		return b.String(), nil
+	}
+	if err := os.MkdirAll(out.vhdlDir, 0o755); err != nil {
+		return "", err
+	}
+	// Selection order, entity then testbench: the same inputs print the
+	// same lines every run.
+	for _, r := range rep.SelectedRegions() {
+		entity, err := vhdl.Emit(r.Design)
 		if err != nil {
 			return "", err
 		}
-		if err := os.MkdirAll(vhdlDir, 0o755); err != nil {
+		tb, err := vhdl.EmitTestbench(r.Design)
+		if err != nil {
 			return "", err
 		}
-		for name, text := range files {
-			path := filepath.Join(vhdlDir, name+".vhd")
-			if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
-				return "", err
-			}
-			fmt.Fprintf(&b, "wrote %s\n", path)
-		}
-		for _, r := range rep.SelectedRegions() {
-			tb, err := vhdl.EmitTestbench(r.Design)
-			if err != nil {
-				return "", err
-			}
-			path := filepath.Join(vhdlDir, r.Name+"_tb.vhd")
-			if err := os.WriteFile(path, []byte(tb), 0o644); err != nil {
+		for _, f := range [][2]string{{r.Name + ".vhd", entity}, {r.Name + "_tb.vhd", tb}} {
+			path := filepath.Join(out.vhdlDir, f[0])
+			if err := os.WriteFile(path, []byte(f[1]), 0o644); err != nil {
 				return "", err
 			}
 			fmt.Fprintf(&b, "wrote %s\n", path)

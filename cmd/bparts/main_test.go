@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -178,6 +179,66 @@ func TestFlagsMatchJSON(t *testing.T) {
 		}
 		if flags.Sweep != wire.Sweep || !reflect.DeepEqual(flags.Clocks, wire.Clocks) {
 			t.Errorf("%v and %s give different sweeps: %q %v, %q %v", tc.args, tc.body, flags.Sweep, flags.Clocks, wire.Sweep, wire.Clocks)
+		}
+	}
+}
+
+// TestVHDLLinesInSelectionOrder renders crc -O1, which selects several
+// regions, with -vhdl several times: every run must print the same
+// bytes, with each region's entity and testbench "wrote" lines in
+// selection order. Only the measured partition time may differ.
+func TestVHDLLinesInSelectionOrder(t *testing.T) {
+	partitionTime := regexp.MustCompile(`partition \(([^,]+), [^)]+\)`)
+	dir := t.TempDir()
+	b, ok := bench.ByName("crc")
+	if !ok {
+		t.Fatal("crc benchmark missing")
+	}
+	img, err := b.Compile(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := img.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sbf := filepath.Join(dir, "crc.sbf")
+	if err := os.WriteFile(sbf, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := core.Run(img, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	vhdlDir := filepath.Join(dir, "vhdl")
+	var want []string
+	for _, r := range rep.SelectedRegions() {
+		want = append(want, "wrote "+filepath.Join(vhdlDir, r.Name+".vhd"), "wrote "+filepath.Join(vhdlDir, r.Name+"_tb.vhd"))
+	}
+	if len(want) < 4 {
+		t.Fatalf("crc -O1 selects %d regions, want at least 2 to order", len(want)/2)
+	}
+
+	var first string
+	for i := 0; i < 8; i++ {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-j", "1", "-vhdl", vhdlDir, sbf}, &stdout, &stderr); code != 0 {
+			t.Fatalf("exit %d; stderr: %s", code, stderr.String())
+		}
+		out := partitionTime.ReplaceAllString(stdout.String(), "partition ($1)")
+		if i == 0 {
+			first = out
+			var got []string
+			for _, line := range strings.Split(first, "\n") {
+				if strings.HasPrefix(line, "wrote ") {
+					got = append(got, line)
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("wrote lines:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+			}
+		} else if out != first {
+			t.Fatalf("run %d printed differently from run 0:\n%s\nvs\n%s", i, out, first)
 		}
 	}
 }

@@ -13,7 +13,6 @@
 //	experiments -trace t.jsonl     # stream per-stage spans as JSONL (.gz gzips)
 //	experiments -stats             # per-stage span + cache tables (p50/p90/p99) to stderr
 //	experiments -manifest m.json   # write the run manifest (config, git, totals)
-//	experiments -debug-addr :6060  # net/pprof + /metrics for long sweeps
 //
 // The selected experiments run as one plan (exper.Runner.Regenerate):
 // their sweep points are pooled, each distinct analysis is computed once
@@ -24,7 +23,8 @@
 // in list order once the run ends. A negative -corpus, or -corpus-out
 // without -corpus, is a usage error (exit 2). The first SIGINT/SIGTERM
 // cancels the queued sweep points; the trace and manifest still flush and
-// the exit status is 128+signum.
+// the exit status is 128+signum. There is no HTTP listener: a long sweep
+// is watched through its live -trace stream.
 package main
 
 import (
@@ -58,7 +58,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	corpusSeed := fs.Int64("corpus-seed", 1, "first generator seed for -corpus")
 	corpusOut := fs.String("corpus-out", "", "write the corpus summary (recovery rate, speedup distribution, mismatches) to this JSON file")
 	workers := fs.Int("j", runtime.GOMAXPROCS(0), "worker pool size for experiment sweeps (<= 0: GOMAXPROCS)")
-	sf := session.Register(fs, "debug-addr", "serve net/pprof + Prometheus /metrics on this address (e.g. :6060)")
+	sf := session.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0

@@ -14,7 +14,8 @@ import (
 
 // TestSelectionOutOfRange: a -table or -figure the evaluation does not
 // have is a usage error that names the valid values, and nothing runs;
-// so are a negative -corpus and a -corpus-out with no corpus to write.
+// so are a negative -corpus, a -corpus-out with no corpus to write, and
+// -debug-addr (experiments serves no HTTP).
 func TestSelectionOutOfRange(t *testing.T) {
 	outPath := filepath.Join(t.TempDir(), "s.json")
 	for _, tc := range []struct {
@@ -26,6 +27,7 @@ func TestSelectionOutOfRange(t *testing.T) {
 		{[]string{"-figure", "2"}, "-figure 2: valid values are 1"},
 		{[]string{"-corpus", "-5"}, "-corpus -5: "},
 		{[]string{"-corpus-out", outPath}, "-corpus-out " + outPath + ": needs -corpus"},
+		{[]string{"-debug-addr", ":6060"}, "flag provided but not defined: -debug-addr"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(tc.args, &stdout, &stderr); code != 2 {

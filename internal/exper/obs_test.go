@@ -3,8 +3,6 @@ package exper
 import (
 	"errors"
 	"fmt"
-	"io"
-	"net/http"
 	"runtime"
 	"strings"
 	"sync"
@@ -232,39 +230,22 @@ func TestCorpusReconciles(t *testing.T) {
 	}
 }
 
-// TestMetricsScrapeDuringSweep hammers the /metrics endpoint from four
+// TestMetricsScrapeDuringSweep renders the /metrics exposition from four
 // scraper goroutines while an 8-worker sweep runs underneath it. Every
-// scrape must return 200 with well-formed exposition text (scrapes see a
-// live Recorder and live cache counters mid-mutation), and the final
-// scrape must report the finished sweep's stage spans. Run under -race
-// this is the lock-discipline test for the whole DebugSources surface.
+// scrape must be well-formed exposition text (scrapes see a live
+// Recorder and live cache counters mid-mutation), and the final scrape
+// must report the finished sweep's stage spans. Run under -race this is
+// the lock-discipline test for the whole MetricsSources surface.
 func TestMetricsScrapeDuringSweep(t *testing.T) {
 	caches := core.NewCaches()
 	r := NewRunner(8, caches)
 	r.Obs = obs.NewRecorder()
-
-	dbg, err := obs.ServeDebug("127.0.0.1:0", obs.DebugSources{
-		Rec:    r.Obs,
-		Caches: caches.StatsMap,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dbg.Close()
-	url := "http://" + dbg.Addr() + "/metrics"
+	src := obs.MetricsSources{Rec: r.Obs, Caches: caches.StatsMap}
 
 	scrape := func() string {
-		resp, err := http.Get(url)
-		if err != nil {
-			t.Errorf("scrape: %v", err)
-			return ""
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil || resp.StatusCode != http.StatusOK {
-			t.Errorf("scrape: status %d, err %v", resp.StatusCode, err)
-		}
-		return string(body)
+		var b strings.Builder
+		obs.WriteMetrics(&b, src)
+		return b.String()
 	}
 
 	done := make(chan struct{})

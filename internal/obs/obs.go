@@ -1,5 +1,6 @@
 // Package obs is the pipeline's observability layer: stage-scoped spans,
-// per-stage aggregation, run manifests, and a debug HTTP listener.
+// per-stage aggregation, run manifests, and a Prometheus-text metrics
+// exposition.
 //
 // A Recorder collects Spans — one per pipeline stage execution, tagged
 // with the benchmark, optimization level, worker id, wall time, cache
@@ -15,8 +16,8 @@
 // StageTotal as it ends, and optionally streamed as JSONL (-trace), which
 // is the only per-span record. The totals surface as a per-stage table at
 // exit (-stats), in a run manifest written alongside sweep output
-// (-manifest, see manifest.go), and, for long sweeps and the daemon, over
-// /metrics via ServeDebug (debug.go).
+// (-manifest, see manifest.go), and as Prometheus text via WriteMetrics
+// (metrics.go), which the bpartd daemon serves on its ops /metrics.
 package obs
 
 import (

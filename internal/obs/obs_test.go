@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -171,7 +170,7 @@ func TestRecorderMemoryBounded(t *testing.T) {
 func TestRecorderConcurrentScrape(t *testing.T) {
 	const workers, perWorker = 8, 10_000
 	rec := NewRecorder()
-	src := DebugSources{Rec: rec}
+	src := MetricsSources{Rec: rec}
 	stop := make(chan struct{})
 	scraped := make(chan int)
 	go func() {
@@ -353,81 +352,6 @@ func TestBuildManifestNil(t *testing.T) {
 	if err := m.Write(filepath.Join(t.TempDir(), "m.json")); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestServeDebug smoke-tests the -debug-addr listener: /metrics must
-// serve the Prometheus exposition with stage and cache series.
-func TestServeDebug(t *testing.T) {
-	rec := NewRecorder()
-	sp := rec.Scope("fir", 0, 0).Start(StageSim)
-	sp.End()
-
-	dbg, err := ServeDebug("127.0.0.1:0", DebugSources{
-		Rec: rec,
-		Caches: func() map[string]cache.Stats {
-			return map[string]cache.Stats{"sim": {Hits: 7}}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dbg.Close()
-	body := scrapeMetrics(t, dbg.Addr())
-	for _, want := range []string{
-		`binpart_stage_spans_total{stage="sim"} 1`,
-		`binpart_cache_hits_total{cache="sim"} 7`,
-		`binpart_stage_latency_seconds{stage="sim",quantile="0.5"}`,
-		`binpart_stage_latency_seconds{stage="sim",quantile="0.95"}`,
-		`binpart_stage_latency_seconds{stage="sim",quantile="0.99"}`,
-	} {
-		if !bytes.Contains(body, []byte(want)) {
-			t.Errorf("/metrics missing %q:\n%s", want, body)
-		}
-	}
-}
-
-// TestServeDebugListenersKeepOwnSources runs two listeners side by side,
-// as a process hosting two recorders would: each /metrics must serve
-// its own recorder's stages and never the other listener's.
-func TestServeDebugListenersKeepOwnSources(t *testing.T) {
-	stages := []string{StageSim, StageLift}
-	addrs := make([]string, len(stages))
-	for i, stage := range stages {
-		rec := NewRecorder()
-		sp := rec.Scope("fir", 0, 0).Start(stage)
-		sp.End()
-		dbg, err := ServeDebug("127.0.0.1:0", DebugSources{Rec: rec})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer dbg.Close()
-		addrs[i] = dbg.Addr()
-	}
-	for i, stage := range stages {
-		body := scrapeMetrics(t, addrs[i])
-		for j, other := range stages {
-			series := []byte(`binpart_stage_spans_total{stage="` + other + `"} 1`)
-			if got := bytes.Contains(body, series); got != (i == j) {
-				t.Errorf("listener for %s: serves %s series = %v, want %v:\n%s", stage, other, got, i == j, body)
-			}
-		}
-	}
-}
-
-// scrapeMetrics fetches a debug listener's /metrics body.
-func scrapeMetrics(t *testing.T, addr string) []byte {
-	t.Helper()
-	client := &http.Client{Timeout: 5 * time.Second}
-	resp, err := client.Get("http://" + addr + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return body
 }
 
 // TestSpanOutcomeReconciliation pins the span↔counter invariant the

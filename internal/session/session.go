@@ -1,8 +1,9 @@
 // Package session is the run lifecycle shared by experiments, bparts and
-// bpartd: the stage caches, the recorder, the -trace
-// stream, the ops listener and the SIGINT/SIGTERM watch open in one
-// place, and the -stats tables, trace trailer, reconciliation check and
-// -manifest are written in one fixed order when the run closes.
+// bpartd: the stage caches, the recorder, the -trace stream and the
+// SIGINT/SIGTERM watch open in one place, and the -stats tables, trace
+// trailer, reconciliation check and -manifest are written in one fixed
+// order when the run closes. The package serves nothing: bpartd's ops
+// listener is the daemon's own, so the batch commands link no HTTP stack.
 package session
 
 import (
@@ -21,18 +22,16 @@ import (
 
 // Flags holds the session flags a command registered with Register.
 type Flags struct {
-	trace, manifest, listen string
-	stats                   bool
+	trace, manifest string
+	stats           bool
 }
 
-// Register adds -trace, -manifest, -stats and the ops listener flag (-debug-addr for the batch commands, -ops-addr
-// for bpartd) to fs.
-func Register(fs *flag.FlagSet, listenFlag, listenHelp string) *Flags {
+// Register adds -trace, -manifest and -stats to fs.
+func Register(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
 	fs.StringVar(&f.trace, "trace", "", "stream per-stage spans to this file as JSONL (gzip when the path ends in .gz)")
 	fs.StringVar(&f.manifest, "manifest", "", "write a run manifest (config, git, per-stage totals, cache accounting) to this JSON file")
 	fs.BoolVar(&f.stats, "stats", false, "print per-stage span and cache counters to stderr at exit")
-	fs.StringVar(&f.listen, listenFlag, "", listenHelp)
 	return f
 }
 
@@ -44,16 +43,13 @@ type Config struct {
 	// Record creates the recorder even when no flag reads it. Otherwise a
 	// nil recorder keeps the pipeline on its alloc-free fast path.
 	Record bool
-	Extra  func(io.Writer) // appended to the listener's /metrics
-	Stderr io.Writer       // -stats tables and notes (default os.Stderr)
+	Stderr io.Writer // -stats tables and notes (default os.Stderr)
 }
 
-// Session is one open run. Rec is nil when nothing reads it, and Debug is
-// nil without the listener flag.
+// Session is one open run. Rec is nil when nothing reads it.
 type Session struct {
 	Caches *core.Caches
 	Rec    *obs.Recorder
-	Debug  *obs.DebugServer
 
 	f     *Flags
 	cfg   Config
@@ -67,16 +63,15 @@ type Session struct {
 	interrupted chan struct{} // closed by the first signal
 }
 
-// Open starts the run: the caches, the recorder, the trace stream and
-// the ops listener. A failed step closes the trace it opened. SIGINT and SIGTERM are watched
-// from here until Close: the first closes Interrupted, a second exits the
-// process at once with status 2.
+// Open starts the run: the caches, the recorder and the trace stream.
+// SIGINT and SIGTERM are watched from here until Close: the first closes
+// Interrupted, a second exits the process at once with status 2.
 func (f *Flags) Open(cfg Config) (*Session, error) {
 	if cfg.Stderr == nil {
 		cfg.Stderr = os.Stderr
 	}
 	s := &Session{Caches: core.NewCaches(), f: f, cfg: cfg, interrupted: make(chan struct{}), gc0: obs.ReadGC()}
-	if cfg.Record || f.trace != "" || f.stats || f.manifest != "" || f.listen != "" {
+	if cfg.Record || f.trace != "" || f.stats || f.manifest != "" {
 		s.Rec = obs.NewRecorder()
 	}
 	if f.trace != "" {
@@ -86,21 +81,6 @@ func (f *Flags) Open(cfg Config) (*Session, error) {
 		}
 		s.trace = tw
 		s.Rec.StreamTo(tw.Writer())
-	}
-	if f.listen != "" {
-		dbg, err := obs.ServeDebug(f.listen, obs.DebugSources{
-			Rec:    s.Rec,
-			Caches: s.Caches.StatsMap,
-			Extra:  cfg.Extra,
-		})
-		if err != nil {
-			if s.trace != nil {
-				s.trace.Close() //nolint:errcheck // the listen error is the one reported
-			}
-			return nil, err
-		}
-		s.Debug = dbg
-		fmt.Fprintf(cfg.Stderr, "%s: ops on http://%s/metrics (pprof on /debug/pprof/)\n", cfg.Tool, dbg.Addr())
 	}
 
 	// Two slots, so a signal delivered before the watch runs is kept.
@@ -145,11 +125,10 @@ func (s *Session) Signal() os.Signal {
 
 // Close finishes the run in one fixed order: the -stats tables with the
 // collector's work since Open, the trace's cache trailer, the stream
-// flush, the trace file close, the span/cache reconciliation, the
-// -manifest and the listener. Every step
-// runs; the error joins each one that failed. The manifest is marked
-// interrupted when cut is set or an earlier step failed. Close ends the
-// signal watch.
+// flush, the trace file close, the span/cache reconciliation and the
+// -manifest. Every step runs; the error joins each one that failed. The
+// manifest is marked interrupted when cut is set or an earlier step
+// failed. Close ends the signal watch.
 func (s *Session) Close(cut bool) error {
 	var errs []error
 	gc := obs.ReadGC().Sub(s.gc0)
@@ -180,9 +159,6 @@ func (s *Session) Close(cut bool) error {
 		if err := m.Write(s.f.manifest); err != nil {
 			errs = append(errs, fmt.Errorf("manifest: %w", err))
 		}
-	}
-	if s.Debug != nil {
-		s.Debug.Close() //nolint:errcheck // ops scrapes are best-effort at exit
 	}
 	// After Stop no signal is sent on sigCh, so closing it is safe and
 	// ends the watch.

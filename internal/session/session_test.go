@@ -6,7 +6,6 @@ import (
 	"compress/gzip"
 	"encoding/json"
 	"flag"
-	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -86,24 +85,14 @@ func readTrace(t *testing.T, path string) []obs.TraceMeta {
 }
 
 // TestSessionLifecycle drives Open, the interrupt hook the signal watch
-// calls, and Close through an interrupted run, a run whose spans do not
-// reconcile, and an Open that fails after creating the trace.
+// calls, and Close through an interrupted run and a run whose spans do
+// not reconcile.
 func TestSessionLifecycle(t *testing.T) {
-	// busy is a listening address, so an ops listener asked for it fails.
-	busy, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer busy.Close()
-
 	cases := []struct {
-		name string
-		args []string // {dir} is replaced by a fresh directory
-		// openFails is set when Open must fail: check then gets a nil
-		// session and Open's error.
-		openFails bool
-		run       func(t *testing.T, s *Session)
-		check     func(t *testing.T, dir string, s *Session, err error, stderr string)
+		name  string
+		args  []string // {dir} is replaced by a fresh directory
+		run   func(t *testing.T, s *Session)
+		check func(t *testing.T, dir string, s *Session, err error, stderr string)
 	}{
 		{
 			name: "interrupted",
@@ -156,26 +145,12 @@ func TestSessionLifecycle(t *testing.T) {
 				}
 			},
 		},
-		{
-			name:      "listen failure closes trace",
-			args:      []string{"-trace", "{dir}/t.jsonl.gz", "-debug-addr", busy.Addr().String()},
-			openFails: true,
-			check: func(t *testing.T, dir string, _ *Session, openErr error, _ string) {
-				if openErr == nil {
-					t.Fatal("Open on a busy ops address succeeded")
-				}
-				// A trace left open would have no gzip stream yet.
-				if lines := readTrace(t, filepath.Join(dir, "t.jsonl.gz")); len(lines) != 0 {
-					t.Errorf("trace of a failed Open has %d lines, want none", len(lines))
-				}
-			},
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			fs := flag.NewFlagSet("test", flag.ContinueOnError)
-			sf := Register(fs, "debug-addr", "ops listener")
+			sf := Register(fs)
 			args := make([]string, len(tc.args))
 			for i, a := range tc.args {
 				args[i] = strings.ReplaceAll(a, "{dir}", dir)
@@ -185,10 +160,6 @@ func TestSessionLifecycle(t *testing.T) {
 			}
 			var stderr bytes.Buffer
 			s, err := sf.Open(Config{Tool: "test", Args: args, Workers: 1, Stderr: &stderr})
-			if tc.openFails {
-				tc.check(t, dir, nil, err, stderr.String())
-				return
-			}
 			if err != nil {
 				t.Fatal(err)
 			}
