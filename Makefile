@@ -78,17 +78,23 @@ bpartd-smoke:
 
 # Runs every program under examples/; each must exit 0. crcaccel is also
 # the one non-test caller of vhdl.Check. Then README's command-line
-# quickstart on the committed examples/quickstart/prog.mc: mcc -S,
-# mipsim -profile and bparts -vhdl, each checked for its headline.
+# quickstart on the committed examples/quickstart/prog.mc: the whole
+# mcc -O 2 -S disassembly must equal the committed golden (it pins
+# compiler, encoder, decoder and disassembler end to end; after a change
+# meant to alter emitted code, regenerate it with
+# `go run ./cmd/mcc -O 2 -S -o /dev/null examples/quickstart/prog.mc
+# > examples/quickstart/testdata/prog_O2.s`), and mipsim -profile and
+# bparts -vhdl are each checked for their headline.
 examples:
 	for e in examples/*/; do $(GO) run ./$$e >/dev/null || exit 1; done
 	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
 	$(GO) build -o "$$d/" ./cmd/mcc ./cmd/mipsim ./cmd/bparts && \
-	"$$d/mcc" -O 2 -S -o "$$d/prog.sbf" examples/quickstart/prog.mc | grep '^smooth:' >/dev/null && \
+	"$$d/mcc" -O 2 -S -o "$$d/prog.sbf" examples/quickstart/prog.mc >"$$d/prog.s" && \
+	diff -u examples/quickstart/testdata/prog_O2.s "$$d/prog.s" && \
 	"$$d/mipsim" -profile "$$d/prog.sbf" | grep 'hottest addresses' >/dev/null && \
 	"$$d/bparts" -vhdl "$$d/vhdl" "$$d/prog.sbf" | grep 'application speedup' >/dev/null && \
 	ls "$$d/vhdl" | grep '\.vhd' >/dev/null && \
-	echo "examples: mcc -S, mipsim -profile and bparts -vhdl ran on examples/quickstart/prog.mc"
+	echo "examples: mcc -S matched its golden; mipsim -profile and bparts -vhdl ran on examples/quickstart/prog.mc"
 
 # Product coverage, a report and not a gate: one row per package with
 # the statements a product run reaches, those only tests reach, and

@@ -33,7 +33,6 @@ import (
 	"binpart/internal/platform"
 	"binpart/internal/sim"
 	"binpart/internal/synth"
-	"binpart/internal/vhdl"
 )
 
 // Algorithm selects the partitioning heuristic.
@@ -160,19 +159,6 @@ func (r *Report) SelectedRegions() []*RegionReport {
 		}
 	}
 	return out
-}
-
-// VHDL emits the RTL for every selected region, keyed by region name.
-func (r *Report) VHDL() (map[string]string, error) {
-	out := map[string]string{}
-	for _, reg := range r.SelectedRegions() {
-		text, err := vhdl.Emit(reg.Design)
-		if err != nil {
-			return nil, err
-		}
-		out[reg.Name] = text
-	}
-	return out, nil
 }
 
 // Run executes the full flow on a binary image without caching.

@@ -66,18 +66,10 @@ func TestEndToEndCRC(t *testing.T) {
 
 func TestVHDLForSelectedRegions(t *testing.T) {
 	rep := runBench(t, "fir", 1, DefaultOptions())
-	files, err := rep.VHDL()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) == 0 {
+	if len(rep.SelectedRegions()) == 0 {
 		t.Fatal("no VHDL emitted")
 	}
-	for name, text := range files {
-		if err := vhdl.Check(text); err != nil {
-			t.Errorf("%s: %v", name, err)
-		}
-	}
+	checkSelectedVHDL(t, rep)
 }
 
 func TestJumpTableBenchmarkDegradesGracefully(t *testing.T) {
@@ -259,15 +251,7 @@ func TestAllBenchmarksEmitCheckedVHDL(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			files, err := rep.VHDL()
-			if err != nil {
-				t.Fatal(err)
-			}
-			for name, text := range files {
-				if err := vhdl.Check(text); err != nil {
-					t.Errorf("%s: %v", name, err)
-				}
-			}
+			checkSelectedVHDL(t, rep)
 			for _, r := range rep.SelectedRegions() {
 				tb, err := vhdl.EmitTestbench(r.Design)
 				if err != nil {
@@ -278,6 +262,21 @@ func TestAllBenchmarksEmitCheckedVHDL(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// checkSelectedVHDL emits each selected region's entity and requires
+// vhdl.Check to accept it.
+func checkSelectedVHDL(t *testing.T, rep *Report) {
+	t.Helper()
+	for _, r := range rep.SelectedRegions() {
+		text, err := vhdl.Emit(r.Design)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := vhdl.Check(text); err != nil {
+			t.Errorf("%s: %v", r.Name, err)
+		}
 	}
 }
 
@@ -315,14 +314,6 @@ func TestJumpTableExtensionAcceleratesFailedBenchmarks(t *testing.T) {
 			t.Errorf("%s: extension speedup %.2f too small", name, ext.Metrics.AppSpeedup)
 		}
 		// The VHDL for the switch-containing kernel must still check out.
-		files, err := ext.VHDL()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for rn, text := range files {
-			if err := vhdl.Check(text); err != nil {
-				t.Errorf("%s/%s: %v", name, rn, err)
-			}
-		}
+		checkSelectedVHDL(t, ext)
 	}
 }

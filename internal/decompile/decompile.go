@@ -154,12 +154,11 @@ func findFunctions(img *binimg.Image) []funcSpan {
 	if len(starts) == 0 {
 		// Stripped binary: entry plus every JAL target starts a function.
 		targets := map[uint32]bool{img.Entry: true}
-		for i, w := range img.Text {
+		for _, w := range img.Text {
 			in, err := mips.Decode(w)
 			if err == nil && in.Op == mips.JAL && img.InText(in.Target) {
 				targets[in.Target] = true
 			}
-			_ = i
 		}
 		for addr := range targets {
 			starts = append(starts, binimg.Symbol{Name: fmt.Sprintf("fn_%x", addr), Addr: addr})

@@ -93,6 +93,16 @@ func AssembleWords(src string, base uint32) ([]uint32, error) {
 	return words, nil
 }
 
+// pseudo gives each pseudo-instruction the real instruction it stands for
+// and the operands it takes; the operand it leaves out is $zero.
+var pseudo = map[string]struct {
+	op     Op
+	layout string
+}{
+	"move": {ADDU, "ds"},
+	"li":   {ADDIU, "ti"},
+}
+
 func parseInst(s string, pc uint32, labels map[string]uint32) (Inst, error) {
 	fields := strings.Fields(s)
 	mn := strings.ToLower(fields[0])
@@ -105,186 +115,65 @@ func parseInst(s string, pc uint32, labels map[string]uint32) (Inst, error) {
 		}
 	}
 
-	var op Op = numOps
+	in := Inst{Op: numOps}
+	var layout string
 	for o := Op(0); o < numOps; o++ {
-		if opNames[o] == mn {
-			op = o
+		if ops[o].name == mn {
+			in.Op, layout = o, ops[o].layout
 			break
 		}
 	}
-	if op == numOps {
-		// Common convenience pseudo-instructions.
-		switch mn {
-		case "move":
-			if len(args) != 2 {
-				return Inst{}, fmt.Errorf("move needs 2 operands")
-			}
-			rd, err1 := parseReg(args[0])
-			rs, err2 := parseReg(args[1])
-			if err1 != nil || err2 != nil {
-				return Inst{}, fmt.Errorf("bad move operands %q", args)
-			}
-			return Inst{Op: ADDU, Rd: rd, Rs: rs, Rt: Zero}, nil
-		case "li":
-			if len(args) != 2 {
-				return Inst{}, fmt.Errorf("li needs 2 operands")
-			}
-			rt, err1 := parseReg(args[0])
-			v, err2 := parseImm(args[1])
-			if err1 != nil || err2 != nil {
-				return Inst{}, fmt.Errorf("bad li operands %q", args)
-			}
-			if v < -32768 || v > 32767 {
-				return Inst{}, fmt.Errorf("li immediate %d out of 16-bit range (use lui/ori)", v)
-			}
-			return Inst{Op: ADDIU, Rt: rt, Rs: Zero, Imm: v}, nil
-		}
+	if p, ok := pseudo[mn]; ok {
+		in.Op, layout = p.op, p.layout
+	}
+	if in.Op == numOps {
 		return Inst{}, fmt.Errorf("unknown mnemonic %q", mn)
 	}
-
-	need := func(n int) error {
-		if len(args) != n {
-			return fmt.Errorf("%s needs %d operands, got %d", mn, n, len(args))
-		}
-		return nil
+	if in.Op == JALR && len(args) == 1 {
+		args = append([]string{"$ra"}, args...) // jalr rs links through $ra
 	}
-
-	switch op {
-	case NOP, BREAK:
-		return Inst{Op: op}, need(0)
-	case ADD, ADDU, SUB, SUBU, AND, OR, XOR, NOR, SLT, SLTU:
-		if err := need(3); err != nil {
-			return Inst{}, err
-		}
-		rd, e1 := parseReg(args[0])
-		rs, e2 := parseReg(args[1])
-		rt, e3 := parseReg(args[2])
-		if e := firstErr(e1, e2, e3); e != nil {
-			return Inst{}, e
-		}
-		return Inst{Op: op, Rd: rd, Rs: rs, Rt: rt}, nil
-	case SLLV, SRLV, SRAV:
-		// Conventional syntax: op rd, rt, rs (value shifted by rs).
-		if err := need(3); err != nil {
-			return Inst{}, err
-		}
-		rd, e1 := parseReg(args[0])
-		rt, e2 := parseReg(args[1])
-		rs, e3 := parseReg(args[2])
-		if e := firstErr(e1, e2, e3); e != nil {
-			return Inst{}, e
-		}
-		return Inst{Op: op, Rd: rd, Rs: rs, Rt: rt}, nil
-	case SLL, SRL, SRA:
-		if err := need(3); err != nil {
-			return Inst{}, err
-		}
-		rd, e1 := parseReg(args[0])
-		rt, e2 := parseReg(args[1])
-		sh, e3 := parseImm(args[2])
-		if e := firstErr(e1, e2, e3); e != nil {
-			return Inst{}, e
-		}
-		return Inst{Op: op, Rd: rd, Rt: rt, Imm: sh}, nil
-	case MULT, MULTU, DIV, DIVU:
-		if err := need(2); err != nil {
-			return Inst{}, err
-		}
-		rs, e1 := parseReg(args[0])
-		rt, e2 := parseReg(args[1])
-		if e := firstErr(e1, e2); e != nil {
-			return Inst{}, e
-		}
-		return Inst{Op: op, Rs: rs, Rt: rt}, nil
-	case MFHI, MFLO:
-		if err := need(1); err != nil {
-			return Inst{}, err
-		}
-		rd, err := parseReg(args[0])
-		return Inst{Op: op, Rd: rd}, err
-	case MTHI, MTLO, JR:
-		if err := need(1); err != nil {
-			return Inst{}, err
-		}
-		rs, err := parseReg(args[0])
-		return Inst{Op: op, Rs: rs}, err
-	case JALR:
-		switch len(args) {
-		case 1:
-			rs, err := parseReg(args[0])
-			return Inst{Op: JALR, Rd: RA, Rs: rs}, err
-		case 2:
-			rd, e1 := parseReg(args[0])
-			rs, e2 := parseReg(args[1])
-			return Inst{Op: JALR, Rd: rd, Rs: rs}, firstErr(e1, e2)
-		}
-		return Inst{}, fmt.Errorf("jalr needs 1 or 2 operands")
-	case ADDI, ADDIU, SLTI, SLTIU, ANDI, ORI, XORI:
-		if err := need(3); err != nil {
-			return Inst{}, err
-		}
-		rt, e1 := parseReg(args[0])
-		rs, e2 := parseReg(args[1])
-		v, e3 := parseImm(args[2])
-		if e := firstErr(e1, e2, e3); e != nil {
-			return Inst{}, e
-		}
-		return Inst{Op: op, Rt: rt, Rs: rs, Imm: v}, nil
-	case LUI:
-		if err := need(2); err != nil {
-			return Inst{}, err
-		}
-		rt, e1 := parseReg(args[0])
-		v, e2 := parseImm(args[1])
-		if e := firstErr(e1, e2); e != nil {
-			return Inst{}, e
-		}
-		return Inst{Op: LUI, Rt: rt, Imm: v}, nil
-	case LB, LBU, LH, LHU, LW, SB, SH, SW:
-		if err := need(2); err != nil {
-			return Inst{}, err
-		}
-		rt, e1 := parseReg(args[0])
-		off, rs, e2 := parseMem(args[1])
-		if e := firstErr(e1, e2); e != nil {
-			return Inst{}, e
-		}
-		return Inst{Op: op, Rt: rt, Rs: rs, Imm: off}, nil
-	case BEQ, BNE:
-		if err := need(3); err != nil {
-			return Inst{}, err
-		}
-		rs, e1 := parseReg(args[0])
-		rt, e2 := parseReg(args[1])
-		off, e3 := branchOffset(args[2], pc, labels)
-		if e := firstErr(e1, e2, e3); e != nil {
-			return Inst{}, e
-		}
-		return Inst{Op: op, Rs: rs, Rt: rt, Imm: off}, nil
-	case BLEZ, BGTZ, BLTZ, BGEZ:
-		if err := need(2); err != nil {
-			return Inst{}, err
-		}
-		rs, e1 := parseReg(args[0])
-		off, e2 := branchOffset(args[1], pc, labels)
-		if e := firstErr(e1, e2); e != nil {
-			return Inst{}, e
-		}
-		return Inst{Op: op, Rs: rs, Imm: off}, nil
-	case J, JAL:
-		if err := need(1); err != nil {
-			return Inst{}, err
-		}
-		if addr, ok := labels[args[0]]; ok {
-			return Inst{Op: op, Target: addr}, nil
-		}
-		v, err := parseImm(args[0])
-		if err != nil {
-			return Inst{}, fmt.Errorf("unknown jump target %q", args[0])
-		}
-		return Inst{Op: op, Target: uint32(v)}, nil
+	if len(args) != len(layout) {
+		return Inst{}, fmt.Errorf("%s needs %d operands, got %d", mn, len(layout), len(args))
 	}
-	return Inst{}, fmt.Errorf("unhandled mnemonic %q", mn)
+	for k, arg := range args {
+		if err := parseOperand(&in, layout[k], arg, pc, labels); err != nil {
+			return Inst{}, err
+		}
+	}
+	if mn == "li" && (in.Imm < -32768 || in.Imm > 32767) {
+		return Inst{}, fmt.Errorf("li immediate %d out of 16-bit range (use lui/ori)", in.Imm)
+	}
+	return in, nil
+}
+
+// parseOperand parses arg as the operand the layout letter c names and
+// stores it in in.
+func parseOperand(in *Inst, c byte, arg string, pc uint32, labels map[string]uint32) (err error) {
+	switch c {
+	case 'd':
+		in.Rd, err = parseReg(arg)
+	case 's':
+		in.Rs, err = parseReg(arg)
+	case 't':
+		in.Rt, err = parseReg(arg)
+	case 'a', 'i', 'u':
+		in.Imm, err = parseImm(arg)
+	case 'm':
+		in.Imm, in.Rs, err = parseMem(arg)
+	case 'b':
+		in.Imm, err = branchOffset(arg, pc, labels)
+	case 'j':
+		addr, ok := labels[arg]
+		if !ok {
+			v, err := parseImm(arg)
+			if err != nil {
+				return fmt.Errorf("unknown jump target %q", arg)
+			}
+			addr = uint32(v)
+		}
+		in.Target = addr
+	}
+	return err
 }
 
 func branchOffset(arg string, pc uint32, labels map[string]uint32) (int32, error) {
@@ -345,13 +234,4 @@ func parseMem(s string) (int32, Reg, error) {
 	}
 	r, err := parseReg(s[open+1 : len(s)-1])
 	return off, r, err
-}
-
-func firstErr(errs ...error) error {
-	for _, e := range errs {
-		if e != nil {
-			return e
-		}
-	}
-	return nil
 }

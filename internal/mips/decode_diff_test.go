@@ -6,6 +6,85 @@ import (
 	"testing"
 )
 
+// The encoding numbers and maps decodeByScan reads, as the package
+// defined them before the opcode table replaced them, so the reference
+// stays independent of that table.
+
+// MIPS primary opcodes and R-type function codes for the supported subset.
+const (
+	opSpecial = 0x00
+	opRegimm  = 0x01
+	opJ       = 0x02
+	opJAL     = 0x03
+	opBEQ     = 0x04
+	opBNE     = 0x05
+	opBLEZ    = 0x06
+	opBGTZ    = 0x07
+	opADDI    = 0x08
+	opADDIU   = 0x09
+	opSLTI    = 0x0a
+	opSLTIU   = 0x0b
+	opANDI    = 0x0c
+	opORI     = 0x0d
+	opXORI    = 0x0e
+	opLUI     = 0x0f
+	opLB      = 0x20
+	opLH      = 0x21
+	opLW      = 0x23
+	opLBU     = 0x24
+	opLHU     = 0x25
+	opSB      = 0x28
+	opSH      = 0x29
+	opSW      = 0x2b
+
+	fnSLL   = 0x00
+	fnSRL   = 0x02
+	fnSRA   = 0x03
+	fnSLLV  = 0x04
+	fnSRLV  = 0x06
+	fnSRAV  = 0x07
+	fnJR    = 0x08
+	fnJALR  = 0x09
+	fnBREAK = 0x0d
+	fnMFHI  = 0x10
+	fnMTHI  = 0x11
+	fnMFLO  = 0x12
+	fnMTLO  = 0x13
+	fnMULT  = 0x18
+	fnMULTU = 0x19
+	fnDIV   = 0x1a
+	fnDIVU  = 0x1b
+	fnADD   = 0x20
+	fnADDU  = 0x21
+	fnSUB   = 0x22
+	fnSUBU  = 0x23
+	fnAND   = 0x24
+	fnOR    = 0x25
+	fnXOR   = 0x26
+	fnNOR   = 0x27
+	fnSLT   = 0x2a
+	fnSLTU  = 0x2b
+
+	rtBLTZ = 0x00
+	rtBGEZ = 0x01
+)
+
+var rfuncts = map[Op]uint32{
+	ADD: fnADD, ADDU: fnADDU, SUB: fnSUB, SUBU: fnSUBU,
+	AND: fnAND, OR: fnOR, XOR: fnXOR, NOR: fnNOR, SLT: fnSLT, SLTU: fnSLTU,
+	SLLV: fnSLLV, SRLV: fnSRLV, SRAV: fnSRAV,
+}
+
+var immOps = map[Op]uint32{
+	ADDI: opADDI, ADDIU: opADDIU, SLTI: opSLTI, SLTIU: opSLTIU,
+	ANDI: opANDI, ORI: opORI, XORI: opXORI,
+}
+
+var memOps = map[Op]uint32{
+	LB: opLB, LBU: opLBU, LH: opLH, LHU: opLHU, LW: opLW,
+	SB: opSB, SH: opSH, SW: opSW,
+}
+
 // decodeByScan is the map-scanning decoder Decode replaced, kept as the
 // reference it is checked against: after the explicit cases it ranges
 // over the encode maps (rfuncts, immOps, memOps) instead of indexing the

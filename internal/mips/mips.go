@@ -9,13 +9,26 @@
 // indirect jr used by switch jump tables), and BREAK, which the simulator
 // treats as program halt.
 //
+// Every fact about an opcode lives in one row of the ops table: its
+// mnemonic, cost class, encoding numbers (primary opcode, plus the SPECIAL
+// funct or REGIMM rt), the register it writes, and its operands in
+// assembly order as a short layout such as "dst" (rd, rs, rt), "dta" (rd,
+// rt, shift amount), "tsi" (rt, rs, signed immediate), "tm" (rt,
+// offset(rs)) or "stb" (rs, rt, branch offset). Encode and Decode pack and
+// unpack the fields the layout names, String prints it, the assembler
+// parses it, and Dest and the cost predicates read the row; nothing else
+// restates an opcode.
+//
 // One deliberate simplification relative to real MIPS-I: there are no branch
 // delay slots. Delay slots are an artifact of the hardware pipeline and are
 // orthogonal to every technique in the reproduced paper; omitting them keeps
 // the compiler, simulator and decompiler honest without changing any result.
 package mips
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Reg identifies one of the 32 general-purpose MIPS registers.
 type Reg uint8
@@ -151,25 +164,94 @@ const (
 	numOps
 )
 
-var opNames = [numOps]string{
-	NOP: "nop", ADD: "add", ADDU: "addu", SUB: "sub", SUBU: "subu",
-	AND: "and", OR: "or", XOR: "xor", NOR: "nor", SLT: "slt", SLTU: "sltu",
-	SLL: "sll", SRL: "srl", SRA: "sra", SLLV: "sllv", SRLV: "srlv", SRAV: "srav",
-	MULT: "mult", MULTU: "multu", DIV: "div", DIVU: "divu",
-	MFHI: "mfhi", MFLO: "mflo", MTHI: "mthi", MTLO: "mtlo",
-	JR: "jr", JALR: "jalr", BREAK: "break",
-	ADDI: "addi", ADDIU: "addiu", SLTI: "slti", SLTIU: "sltiu",
-	ANDI: "andi", ORI: "ori", XORI: "xori", LUI: "lui",
-	LB: "lb", LBU: "lbu", LH: "lh", LHU: "lhu", LW: "lw",
-	SB: "sb", SH: "sh", SW: "sw",
-	BEQ: "beq", BNE: "bne", BLEZ: "blez", BGTZ: "bgtz", BLTZ: "bltz", BGEZ: "bgez",
-	J: "j", JAL: "jal",
+// opInfo is everything the package knows about one opcode; Encode,
+// Decode, String, the assembler, Dest and the cost predicates all read
+// it from the one ops table.
+type opInfo struct {
+	name string
+	cost CostClass
+	// opcode is the primary opcode (bits 31-26). Under SPECIAL (0) sub
+	// is the funct field (bits 5-0), under REGIMM (1) the rt field
+	// (bits 20-16); other opcodes leave it 0.
+	opcode, sub uint8
+	// layout lists the operands in assembly order, one letter each:
+	//
+	//	d, s, t  the register in Rd, Rs, Rt
+	//	a        shift amount: Imm in the shamt field, 0..31
+	//	i        signed 16-bit immediate in Imm
+	//	u        unsigned 16-bit immediate in Imm
+	//	m        memory operand imm(rs): signed 16-bit Imm, base Rs
+	//	b        branch offset: signed word offset in Imm, printed +n
+	//	j        jump target: byte address in Target, 26-bit word field
+	layout string
+	// dest names the register the instruction writes: 'd' (Rd), 't'
+	// (Rt), 'r' ($ra), or 0 for none.
+	dest byte
+}
+
+// ops is the opcode table, hand-checked against the MIPS-I manual by
+// TestEncodeDecodeKnownWords. NOP is the all-zero word, which would
+// otherwise decode as sll $zero, $zero, 0.
+var ops = [numOps]opInfo{
+	//     name, cost class, opcode, funct or rt, layout, dest
+	NOP:   {"nop", CostALU, 0x00, 0x00, "", 0},
+	ADD:   {"add", CostALU, 0x00, 0x20, "dst", 'd'},
+	ADDU:  {"addu", CostALU, 0x00, 0x21, "dst", 'd'},
+	SUB:   {"sub", CostALU, 0x00, 0x22, "dst", 'd'},
+	SUBU:  {"subu", CostALU, 0x00, 0x23, "dst", 'd'},
+	AND:   {"and", CostALU, 0x00, 0x24, "dst", 'd'},
+	OR:    {"or", CostALU, 0x00, 0x25, "dst", 'd'},
+	XOR:   {"xor", CostALU, 0x00, 0x26, "dst", 'd'},
+	NOR:   {"nor", CostALU, 0x00, 0x27, "dst", 'd'},
+	SLT:   {"slt", CostALU, 0x00, 0x2a, "dst", 'd'},
+	SLTU:  {"sltu", CostALU, 0x00, 0x2b, "dst", 'd'},
+	SLL:   {"sll", CostALU, 0x00, 0x00, "dta", 'd'},
+	SRL:   {"srl", CostALU, 0x00, 0x02, "dta", 'd'},
+	SRA:   {"sra", CostALU, 0x00, 0x03, "dta", 'd'},
+	SLLV:  {"sllv", CostALU, 0x00, 0x04, "dts", 'd'},
+	SRLV:  {"srlv", CostALU, 0x00, 0x06, "dts", 'd'},
+	SRAV:  {"srav", CostALU, 0x00, 0x07, "dts", 'd'},
+	MULT:  {"mult", CostMult, 0x00, 0x18, "st", 0},
+	MULTU: {"multu", CostMult, 0x00, 0x19, "st", 0},
+	DIV:   {"div", CostDiv, 0x00, 0x1a, "st", 0},
+	DIVU:  {"divu", CostDiv, 0x00, 0x1b, "st", 0},
+	MFHI:  {"mfhi", CostALU, 0x00, 0x10, "d", 'd'},
+	MFLO:  {"mflo", CostALU, 0x00, 0x12, "d", 'd'},
+	MTHI:  {"mthi", CostALU, 0x00, 0x11, "s", 0},
+	MTLO:  {"mtlo", CostALU, 0x00, 0x13, "s", 0},
+	JR:    {"jr", CostJump, 0x00, 0x08, "s", 0},
+	JALR:  {"jalr", CostJump, 0x00, 0x09, "ds", 'd'},
+	BREAK: {"break", CostALU, 0x00, 0x0d, "", 0},
+	ADDI:  {"addi", CostALU, 0x08, 0, "tsi", 't'},
+	ADDIU: {"addiu", CostALU, 0x09, 0, "tsi", 't'},
+	SLTI:  {"slti", CostALU, 0x0a, 0, "tsi", 't'},
+	SLTIU: {"sltiu", CostALU, 0x0b, 0, "tsi", 't'},
+	ANDI:  {"andi", CostALU, 0x0c, 0, "tsu", 't'},
+	ORI:   {"ori", CostALU, 0x0d, 0, "tsu", 't'},
+	XORI:  {"xori", CostALU, 0x0e, 0, "tsu", 't'},
+	LUI:   {"lui", CostALU, 0x0f, 0, "tu", 't'},
+	LB:    {"lb", CostLoad, 0x20, 0, "tm", 't'},
+	LBU:   {"lbu", CostLoad, 0x24, 0, "tm", 't'},
+	LH:    {"lh", CostLoad, 0x21, 0, "tm", 't'},
+	LHU:   {"lhu", CostLoad, 0x25, 0, "tm", 't'},
+	LW:    {"lw", CostLoad, 0x23, 0, "tm", 't'},
+	SB:    {"sb", CostStore, 0x28, 0, "tm", 0},
+	SH:    {"sh", CostStore, 0x29, 0, "tm", 0},
+	SW:    {"sw", CostStore, 0x2b, 0, "tm", 0},
+	BEQ:   {"beq", CostBranch, 0x04, 0, "stb", 0},
+	BNE:   {"bne", CostBranch, 0x05, 0, "stb", 0},
+	BLEZ:  {"blez", CostBranch, 0x06, 0, "sb", 0},
+	BGTZ:  {"bgtz", CostBranch, 0x07, 0, "sb", 0},
+	BLTZ:  {"bltz", CostBranch, 0x01, 0x00, "sb", 0},
+	BGEZ:  {"bgez", CostBranch, 0x01, 0x01, "sb", 0},
+	J:     {"j", CostJump, 0x02, 0, "j", 0},
+	JAL:   {"jal", CostJump, 0x03, 0, "j", 'r'},
 }
 
 // String returns the lowercase mnemonic.
 func (o Op) String() string {
-	if int(o) < len(opNames) && opNames[o] != "" {
-		return opNames[o]
+	if o < numOps {
+		return ops[o].name
 	}
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
@@ -213,45 +295,20 @@ const (
 
 // Cost returns the instruction class under the cycle model.
 func (o Op) Cost() CostClass {
-	switch o {
-	case LB, LBU, LH, LHU, LW:
-		return CostLoad
-	case SB, SH, SW:
-		return CostStore
-	case BEQ, BNE, BLEZ, BGTZ, BLTZ, BGEZ:
-		return CostBranch
-	case J, JAL, JR, JALR:
-		return CostJump
-	case MULT, MULTU:
-		return CostMult
-	case DIV, DIVU:
-		return CostDiv
+	if o < numOps {
+		return ops[o].cost
 	}
 	return CostALU
 }
 
 // IsCondBranch reports whether the opcode is a conditional branch.
-func (o Op) IsCondBranch() bool {
-	switch o {
-	case BEQ, BNE, BLEZ, BGTZ, BLTZ, BGEZ:
-		return true
-	}
-	return false
-}
-
-// IsJumpOp reports whether the opcode unconditionally transfers control.
-func (o Op) IsJumpOp() bool {
-	switch o {
-	case J, JAL, JR, JALR:
-		return true
-	}
-	return false
-}
+func (o Op) IsCondBranch() bool { return o.Cost() == CostBranch }
 
 // EndsBlock reports whether the opcode terminates a basic block: any
 // control transfer, or BREAK (the simulator's halt).
 func (o Op) EndsBlock() bool {
-	return o.IsCondBranch() || o.IsJumpOp() || o == BREAK
+	c := o.Cost()
+	return c == CostBranch || c == CostJump || o == BREAK
 }
 
 // IsBranch reports whether the instruction is a conditional branch.
@@ -263,15 +320,15 @@ func (i Inst) EndsBlock() bool { return i.Op.EndsBlock() }
 // Dest returns the register written by the instruction and whether one is
 // written at all. HI/LO side effects of MULT/DIV are not reported here.
 func (i Inst) Dest() (Reg, bool) {
-	switch i.Op {
-	case ADD, ADDU, SUB, SUBU, AND, OR, XOR, NOR, SLT, SLTU,
-		SLL, SRL, SRA, SLLV, SRLV, SRAV, MFHI, MFLO, JALR:
-		return i.Rd, true
-	case ADDI, ADDIU, SLTI, SLTIU, ANDI, ORI, XORI, LUI,
-		LB, LBU, LH, LHU, LW:
-		return i.Rt, true
-	case JAL:
-		return RA, true
+	if i.Op < numOps {
+		switch ops[i.Op].dest {
+		case 'd':
+			return i.Rd, true
+		case 't':
+			return i.Rt, true
+		case 'r':
+			return RA, true
+		}
 	}
 	return 0, false
 }
@@ -280,37 +337,40 @@ func (i Inst) Dest() (Reg, bool) {
 // Branch and jump targets are shown as relative word offsets and absolute
 // addresses respectively since no symbol context is available here.
 func (i Inst) String() string {
-	switch i.Op {
-	case NOP, BREAK:
-		return i.Op.String()
-	case ADD, ADDU, SUB, SUBU, AND, OR, XOR, NOR, SLT, SLTU:
-		return fmt.Sprintf("%s %s, %s, %s", i.Op, i.Rd, i.Rs, i.Rt)
-	case SLLV, SRLV, SRAV:
-		return fmt.Sprintf("%s %s, %s, %s", i.Op, i.Rd, i.Rt, i.Rs)
-	case SLL, SRL, SRA:
-		return fmt.Sprintf("%s %s, %s, %d", i.Op, i.Rd, i.Rt, i.Imm)
-	case MULT, MULTU, DIV, DIVU:
-		return fmt.Sprintf("%s %s, %s", i.Op, i.Rs, i.Rt)
-	case MFHI, MFLO:
-		return fmt.Sprintf("%s %s", i.Op, i.Rd)
-	case MTHI, MTLO:
-		return fmt.Sprintf("%s %s", i.Op, i.Rs)
-	case JR:
-		return fmt.Sprintf("jr %s", i.Rs)
-	case JALR:
-		return fmt.Sprintf("jalr %s, %s", i.Rd, i.Rs)
-	case ADDI, ADDIU, SLTI, SLTIU, ANDI, ORI, XORI:
-		return fmt.Sprintf("%s %s, %s, %d", i.Op, i.Rt, i.Rs, i.Imm)
-	case LUI:
-		return fmt.Sprintf("lui %s, %d", i.Rt, i.Imm)
-	case LB, LBU, LH, LHU, LW, SB, SH, SW:
-		return fmt.Sprintf("%s %s, %d(%s)", i.Op, i.Rt, i.Imm, i.Rs)
-	case BEQ, BNE:
-		return fmt.Sprintf("%s %s, %s, %+d", i.Op, i.Rs, i.Rt, i.Imm)
-	case BLEZ, BGTZ, BLTZ, BGEZ:
-		return fmt.Sprintf("%s %s, %+d", i.Op, i.Rs, i.Imm)
-	case J, JAL:
-		return fmt.Sprintf("%s 0x%x", i.Op, i.Target)
+	if i.Op >= numOps {
+		return fmt.Sprintf("<bad %d>", uint8(i.Op))
 	}
-	return fmt.Sprintf("<bad %d>", uint8(i.Op))
+	info := &ops[i.Op]
+	b := []byte(info.name)
+	for k := 0; k < len(info.layout); k++ {
+		if k == 0 {
+			b = append(b, ' ')
+		} else {
+			b = append(b, ", "...)
+		}
+		switch info.layout[k] {
+		case 'd':
+			b = append(b, i.Rd.String()...)
+		case 's':
+			b = append(b, i.Rs.String()...)
+		case 't':
+			b = append(b, i.Rt.String()...)
+		case 'a', 'i', 'u':
+			b = strconv.AppendInt(b, int64(i.Imm), 10)
+		case 'm':
+			b = strconv.AppendInt(b, int64(i.Imm), 10)
+			b = append(b, '(')
+			b = append(b, i.Rs.String()...)
+			b = append(b, ')')
+		case 'b':
+			if i.Imm >= 0 {
+				b = append(b, '+')
+			}
+			b = strconv.AppendInt(b, int64(i.Imm), 10)
+		case 'j':
+			b = append(b, "0x"...)
+			b = strconv.AppendUint(b, uint64(i.Target), 16)
+		}
+	}
+	return string(b)
 }

@@ -151,7 +151,8 @@ type jrSite struct {
 	targets map[uint32]uint64
 }
 
-// Machine is a MIPS machine instance. Create with New, execute with Run.
+// Machine is a MIPS machine instance. Machines come from acquire, which
+// (re)initializes a pooled one with init; Run executes it.
 type Machine struct {
 	cfg  Config
 	img  *binimg.Image
@@ -281,7 +282,7 @@ func (m *Machine) init(img *binimg.Image, cfg Config) error {
 }
 
 // predecode resolves one instruction at address pc into its hot-loop
-// record. Edge-counter slots are assigned in a separate pass by New so
+// record. Edge-counter slots are assigned in a separate pass by init so
 // their slices can be allocated at exact size.
 func predecode(in mips.Inst, pc uint32) pinst {
 	p := pinst{
