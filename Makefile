@@ -45,8 +45,9 @@ vet:
 # the full default regeneration, the one-pool plan every experiment runs
 # in (the golden tests separately pin that tracing never moves a byte of
 # a table), and the traced tables must equal the committed golden with
-# A1's measured partition times masked. The trace, manifest, tables and
-# stats land in /tmp/obs, which CI uploads.
+# A1's measured partition times masked. The run must also finish inside
+# experiments' first heap goal: -stats has to read "gc: 0 cycles". The
+# trace, manifest, tables and stats land in /tmp/obs, which CI uploads.
 obs-smoke:
 	mkdir -p /tmp/obs
 	$(GO) run ./cmd/experiments -j 8 \
@@ -55,6 +56,11 @@ obs-smoke:
 		-stats >/tmp/obs/tables.txt 2>/tmp/obs/stats.txt
 	sed -E 's/partition time [^ ]+/partition time <masked>/' /tmp/obs/tables.txt | \
 		diff cmd/experiments/testdata/experiments_golden.txt -
+	@grep -q '^gc: 0 cycles' /tmp/obs/stats.txt || { \
+		echo "obs-smoke: the regeneration ran a GC cycle inside its first heap goal:" >&2; \
+		grep '^gc:' /tmp/obs/stats.txt >&2; \
+		exit 1; \
+	}
 
 # A slice of the generated-program differential corpus under the race
 # detector: 120 switch-shaped programs through the full flow at -j 8,

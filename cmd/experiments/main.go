@@ -34,6 +34,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"strings"
 
@@ -42,7 +43,30 @@ import (
 )
 
 func main() {
+	adjustStartingHeap()
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// startingGCPercent is the GOGC a run starts under. The runtime's first
+// heap goal is 4 MiB at GOGC 100 and scales with GOGC, so 200 makes it
+// 8 MiB: room for a full regeneration, which allocates about 3.5 MB, to
+// finish without a cycle.
+const startingGCPercent = 200
+
+// adjustStartingHeap sets startingGCPercent until the first GC cycle and
+// the runtime default (GOGC 100) after it, as cmd/compile's
+// base.AdjustStartingHeap does: a long run, such as a large -corpus,
+// keeps the default collector's peak heap. An explicit GOGC in the
+// environment wins.
+func adjustStartingHeap() {
+	if _, set := os.LookupEnv("GOGC"); set {
+		return
+	}
+	debug.SetGCPercent(startingGCPercent)
+	// The finalizer runs once the first cycle has found the sentinel
+	// unreachable. The sentinel is large enough to avoid the tiny
+	// allocator, whose blocks are shared with other objects.
+	runtime.SetFinalizer(new([32]byte), func(*[32]byte) { debug.SetGCPercent(100) })
 }
 
 // run is the command with its arguments and output streams; it returns

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"binpart/internal/bench"
@@ -55,10 +56,35 @@ type Analysis struct {
 	// SWCycles is the all-software cycle count from simulation.
 	SWCycles uint64
 	Recovery RecoveryStats
-	// Outlines renders each recovered function's control structure.
-	Outlines map[string]string
 	// Candidates holds every synthesizable region in discovery order.
 	Candidates []*RegionCandidate
+
+	// img is the analyzed image, kept until Outlines lifts it once more;
+	// outlines is what that lift rendered.
+	img         *binimg.Image
+	outlineOnce sync.Once
+	outlines    map[string]string
+}
+
+// Outlines returns each recovered function's control structure and
+// inferred signature as text, keyed by function name. No table reads
+// them, so the analysis does not render them: the first call lifts the
+// image once more under the options the analysis ran with, renders every
+// outline, and drops the image. Later calls, from any goroutine, share
+// that map read-only.
+func (a *Analysis) Outlines() map[string]string {
+	a.outlineOnce.Do(func() {
+		if a.img == nil {
+			return // built with its outlines, as tests do
+		}
+		lr, err := computeLift(a.img, decompile.Options{RecoverJumpTables: a.opts.RecoverJumpTables}, a.opts.Dopt, true)
+		if err != nil {
+			// The first lift of this image under these options succeeded.
+			panic(fmt.Sprintf("core: lifting an analyzed image again: %v", err))
+		}
+		a.outlines, a.img = lr.Outlines, nil
+	})
+	return a.outlines
 }
 
 // Analyze runs the platform-independent stages of the flow — simulate,
@@ -100,7 +126,7 @@ func AnalyzeScoped(img *binimg.Image, opts Options, caches *Caches, sc *obs.Scop
 // lift, and candidate construction, stopping short of anything that reads
 // the platform. caches is non-nil (AnalyzeScoped normalises it).
 func computeAnalysis(img *binimg.Image, opts Options, caches *Caches, sc *obs.Scope) (*Analysis, error) {
-	a := &Analysis{opts: opts}
+	a := &Analysis{opts: opts, img: img}
 
 	// 1. Profile the all-software execution.
 	res, err := Simulate(img, opts.Sim, caches, sc)
@@ -116,7 +142,7 @@ func computeAnalysis(img *binimg.Image, opts Options, caches *Caches, sc *obs.Sc
 
 	// 2+3. Decompile and run the decompiler optimization pipeline.
 	liftSp := sc.Start(obs.StageLift)
-	lr, err := computeLift(img, decompile.Options{RecoverJumpTables: opts.RecoverJumpTables}, opts.Dopt)
+	lr, err := computeLift(img, decompile.Options{RecoverJumpTables: opts.RecoverJumpTables}, opts.Dopt, false)
 	if lr != nil {
 		liftSp.SetRegions(uint64(lr.Recovery.FuncsRecovered))
 	}
@@ -125,7 +151,6 @@ func computeAnalysis(img *binimg.Image, opts Options, caches *Caches, sc *obs.Sc
 		return nil, err
 	}
 	a.Recovery = lr.Recovery
-	a.Outlines = lr.Outlines
 
 	// 4. Build candidates: outermost loops (default), or whole call-free
 	// functions when running at function granularity. Each function's
@@ -175,7 +200,8 @@ type LiftResult struct {
 	Dec *decompile.Result
 	// Factors holds per-function reroll factors (block index -> factor).
 	Factors map[string]map[int]int
-	// Outlines renders each function's recovered control structure.
+	// Outlines renders each function's recovered control structure and
+	// signature; computeLift fills it only when asked to.
 	Outlines map[string]string
 	// Loops holds each function's natural loops on its final IR, as
 	// structure recovery found them (ir.FindLoops order; never nil).
@@ -186,17 +212,20 @@ type LiftResult struct {
 }
 
 // computeLift runs decompilation, the dopt pipeline, and structure
-// recovery — steps 2 and 3 of the flow.
-func computeLift(img *binimg.Image, decOpts decompile.Options, cfg dopt.Config) (*LiftResult, error) {
+// recovery — steps 2 and 3 of the flow. With outlines set it also
+// renders each function's structure outline and signature.
+func computeLift(img *binimg.Image, decOpts decompile.Options, cfg dopt.Config, outlines bool) (*LiftResult, error) {
 	dec, err := decompile.DecompileWith(img, decOpts)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	lr := &LiftResult{
-		Dec:      dec,
-		Factors:  map[string]map[int]int{},
-		Outlines: map[string]string{},
-		Loops:    map[string][]*ir.Loop{},
+		Dec:     dec,
+		Factors: map[string]map[int]int{},
+		Loops:   map[string][]*ir.Loop{},
+	}
+	if outlines {
+		lr.Outlines = map[string]string{}
 	}
 	lr.Recovery.FailReasons = map[string]string{}
 	for name, ferr := range dec.Failed {
@@ -213,11 +242,13 @@ func computeLift(img *binimg.Image, decOpts decompile.Options, cfg dopt.Config) 
 		lr.Recovery.OpsNarrowed += dr.Width.OpsNarrowed
 
 		st := ir.Recover(f)
-		sig := fmt.Sprintf("  signature: %s(%d args)", f.Name, dopt.InferParams(f))
-		if dopt.InferReturns(f) {
-			sig += " -> value"
+		if outlines {
+			sig := fmt.Sprintf("  signature: %s(%d args)", f.Name, dopt.InferParams(f))
+			if dopt.InferReturns(f) {
+				sig += " -> value"
+			}
+			lr.Outlines[f.Name] = st.Outline(f) + sig + "\n"
 		}
-		lr.Outlines[f.Name] = st.Outline(f) + sig + "\n"
 		loops := make([]*ir.Loop, len(st.Loops))
 		for i, l := range st.Loops {
 			loops[i] = l.Loop

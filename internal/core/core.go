@@ -170,7 +170,7 @@ func Run(img *binimg.Image, opts Options) (*Report, error) {
 // simulation and the assembled analysis through the given cache set
 // (compilation is Compile's). A nil cache set computes everything
 // directly. The returned Report's regions are built per call; its maps
-// (Recovery.FailReasons, Outlines), footprints and designs
+// (Recovery.FailReasons, Outlines()), footprints and designs
 // are the cached analysis' own, shared with every other run of the same
 // binary and options, and read-only like every stage product.
 //

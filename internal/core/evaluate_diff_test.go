@@ -50,13 +50,13 @@ func runMonolithic(img *binimg.Image, opts Options) (*Report, error) {
 	cycAt := sim.AttributeCycles(img, res.Profile, nil)
 
 	// 2+3. Decompile and run the decompiler optimization pipeline.
-	lr, err := computeLift(img, decompile.Options{RecoverJumpTables: opts.RecoverJumpTables}, opts.Dopt)
+	lr, err := computeLift(img, decompile.Options{RecoverJumpTables: opts.RecoverJumpTables}, opts.Dopt, true)
 	if err != nil {
 		return nil, err
 	}
 	rep.Recovery = lr.Recovery
 	rep.Recovery.FailReasons = copyStringMap(lr.Recovery.FailReasons)
-	rep.Outlines = copyStringMap(lr.Outlines)
+	rep.outlines = copyStringMap(lr.Outlines)
 
 	// 4. Build candidates, priced immediately for the platform.
 	var cands []*partition.Candidate
@@ -151,13 +151,14 @@ func fullFingerprint(rep *Report) string {
 	for _, r := range rep.Regions {
 		s += fmt.Sprintf("footprint %s func=%s fp=%v\n", r.Name, r.Func, r.Footprint)
 	}
-	names := make([]string, 0, len(rep.Outlines))
-	for name := range rep.Outlines {
+	outlines := rep.Outlines()
+	names := make([]string, 0, len(outlines))
+	for name := range outlines {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		s += fmt.Sprintf("outline %s:\n%s", name, rep.Outlines[name])
+		s += fmt.Sprintf("outline %s:\n%s", name, outlines[name])
 	}
 	return s
 }
@@ -287,10 +288,12 @@ func TestRunWithMatchesMonolithic(t *testing.T) {
 // TestConcurrentEvaluateSharesMaps runs concurrent Evaluate calls on one
 // Analysis (a benchmark with failed functions, so every shared map is
 // populated) while each goroutine reads the maps its reports share with
-// the Analysis and renders them. Under -race this is the proof that the
-// shared maps are only read; it also checks they are the Analysis' own
-// maps, and that every report's Selected/Step marks match a serial
-// evaluation of the same point.
+// the Analysis and renders them. The goroutines start together on an
+// analysis nothing has rendered yet, so its outlines are lifted and
+// rendered under their concurrent first reads. Under -race this is the
+// proof that the shared maps are only read and rendered once; it also
+// checks they are the Analysis' own maps, and that every report matches
+// a serial evaluation of the same point on a separate analysis.
 func TestConcurrentEvaluateSharesMaps(t *testing.T) {
 	b, _ := bench.ByName("routelookup")
 	img, err := b.Compile(1)
@@ -299,13 +302,13 @@ func TestConcurrentEvaluateSharesMaps(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.RecoverJumpTables = false
-	a, err := Analyze(img, opts)
+	ref, err := Analyze(img, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Recovery.FailReasons) == 0 || len(a.Outlines) == 0 {
-		t.Fatalf("analysis maps not all populated: %d fail reasons, %d outlines",
-			len(a.Recovery.FailReasons), len(a.Outlines))
+	a, err := Analyze(img, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
 	same := func(x, y any) bool { return reflect.ValueOf(x).UnsafePointer() == reflect.ValueOf(y).UnsafePointer() }
 	type point struct {
@@ -318,45 +321,52 @@ func TestConcurrentEvaluateSharesMaps(t *testing.T) {
 		for _, alg := range []Algorithm{AlgNinetyTen, AlgGreedy, AlgGCLP} {
 			pt := point{dev, alg}
 			points = append(points, pt)
-			want[pt] = stripPartitionTime(RenderReport(Evaluate(a, platform.MIPS(200, dev), 0, alg), true))
+			want[pt] = stripPartitionTime(RenderReport(Evaluate(ref, platform.MIPS(200, dev), 0, alg), true))
 		}
 	}
 
 	var wg sync.WaitGroup
 	errs := make(chan string, 8)
+	start := make(chan struct{})
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			<-start
 			for i := 0; i < 4*len(points); i++ {
 				pt := points[(g+i)%len(points)]
 				rep := Evaluate(a, platform.MIPS(200, pt.dev), 0, pt.alg)
-				if !same(rep.Recovery.FailReasons, a.Recovery.FailReasons) || !same(rep.Outlines, a.Outlines) {
+				if got := stripPartitionTime(RenderReport(rep, true)); got != want[pt] {
+					errs <- fmt.Sprintf("%s %s: concurrent report differs from serial:\n%s\n--- serial ---\n%s", pt.dev.Name, pt.alg, got, want[pt])
+					return
+				}
+				if !same(rep.Recovery.FailReasons, a.Recovery.FailReasons) || !same(rep.Outlines(), a.Outlines()) {
 					errs <- "report maps are copies, not the Analysis' shared maps"
 					return
 				}
 				n := 0
 				for name, reason := range rep.Recovery.FailReasons {
-					n += len(name) + len(reason) + len(rep.Outlines[name])
+					n += len(name) + len(reason) + len(rep.Outlines()[name])
 				}
-				for _, outline := range rep.Outlines {
+				for _, outline := range rep.Outlines() {
 					n += len(outline)
 				}
 				if n == 0 {
 					errs <- "shared maps read empty"
 					return
 				}
-				if got := stripPartitionTime(RenderReport(rep, true)); got != want[pt] {
-					errs <- fmt.Sprintf("%s %s: concurrent report differs from serial:\n%s\n--- serial ---\n%s", pt.dev.Name, pt.alg, got, want[pt])
-					return
-				}
 			}
 		}(g)
 	}
+	close(start)
 	wg.Wait()
 	close(errs)
 	for e := range errs {
 		t.Error(e)
+	}
+	if len(a.Recovery.FailReasons) == 0 || len(a.Outlines()) == 0 {
+		t.Fatalf("analysis maps not all populated: %d fail reasons, %d outlines",
+			len(a.Recovery.FailReasons), len(a.Outlines()))
 	}
 }
 

@@ -23,7 +23,7 @@ func TestLiftOutlineDeterminism(t *testing.T) {
 	}
 	var first map[string]string
 	for i := 0; i < 30; i++ {
-		lr, err := computeLift(img, decompile.Options{}, dopt.Config{})
+		lr, err := computeLift(img, decompile.Options{}, dopt.Config{}, true)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,7 +15,8 @@ import (
 // shared by the bparts CLI and the bpartd daemon — the two surfaces must
 // stay byte-identical for the same inputs, which is why the rendering
 // lives here rather than in either command. With structure set, the
-// recovered control-structure outlines are included.
+// recovered control-structure outlines are included; the first such
+// render of an analysis lifts its image once more (Analysis.Outlines).
 func RenderReport(rep *Report, structure bool) string {
 	return string(AppendReport(nil, rep, structure))
 }
@@ -60,8 +61,9 @@ func AppendReport(dst []byte, rep *Report, structure bool) []byte {
 
 	if structure {
 		dst = append(dst, "\nrecovered structure:\n"...)
-		for _, name := range sortedKeys(keyBuf[:0], rep.Outlines) {
-			dst = append(dst, rep.Outlines[name]...)
+		outlines := rep.Outlines()
+		for _, name := range sortedKeys(keyBuf[:0], outlines) {
+			dst = append(dst, outlines[name]...)
 			dst = append(dst, '\n')
 		}
 	}

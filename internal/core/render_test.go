@@ -32,8 +32,9 @@ func renderReportFmt(rep *Report, structure bool) string {
 
 	if structure {
 		fmt.Fprintf(&b, "\nrecovered structure:\n")
-		for _, name := range fmtKeys(rep.Outlines) {
-			fmt.Fprintln(&b, rep.Outlines[name])
+		outlines := rep.Outlines()
+		for _, name := range fmtKeys(outlines) {
+			fmt.Fprintln(&b, outlines[name])
 		}
 	}
 
@@ -130,7 +131,7 @@ func TestAppendReportEdgeCases(t *testing.T) {
 				FuncsRecovered: 7, FuncsFailed: 2,
 				FailReasons: map[string]string{"zeta": "indirect jump", "alpha": "décompilé: ☃"},
 			},
-			Outlines: map[string]string{"b": "loop b\n", "a": "loop a"},
+			outlines: map[string]string{"b": "loop b\n", "a": "loop a"},
 		},
 		Options: Options{Platform: platform.MIPS(200, fpga.Catalog[0]), Algorithm: AlgGCLP},
 		Regions: []*RegionReport{
@@ -146,13 +147,13 @@ func TestAppendReportEdgeCases(t *testing.T) {
 	checkRender(t, "synthetic", rep)
 	rep.PartitionTime = 0
 	rep.Recovery.FailReasons = nil
-	rep.Outlines = nil
+	rep.outlines = nil
 	checkRender(t, "synthetic, empty maps", rep)
 
 	keys := map[string]string{}
 	for i := 0; i < 40; i++ {
 		keys[fmt.Sprintf("f%02d", 39-i)] = "reason"
 	}
-	rep.Recovery.FailReasons, rep.Outlines = keys, keys
+	rep.Recovery.FailReasons, rep.outlines = keys, keys
 	checkRender(t, "synthetic, maps past the stack key buffer", rep)
 }

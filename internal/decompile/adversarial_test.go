@@ -211,6 +211,45 @@ func TestAdversarialTableBeyondDataEnd(t *testing.T) {
 	}
 }
 
+func TestAdversarialTargetNotALoad(t *testing.T) {
+	// The jr's register is computed, not loaded: with no table load
+	// there is no table to read, so the resolver must refuse.
+	img, jrPC := jtFixture(t, func(src string) string {
+		return strings.Replace(src, "lw    $t4, 0($t3)", "addu  $t4, $t3, $zero", 1)
+	}, nil)
+	ije := expectIndirectJumpFailure(t, img, jrPC)
+	if !strings.Contains(ije.Reason, "not a table load") {
+		t.Errorf("reason %q does not flag the missing table load", ije.Reason)
+	}
+}
+
+func TestAdversarialLoadBaseUndefined(t *testing.T) {
+	// The load's base register has no definition in the scan window, so
+	// its address is neither a constant nor base+offset. This is the
+	// resolver's one path on which the address has no defining
+	// instruction at all, which it must refuse without reading one.
+	img, jrPC := jtFixture(t, func(src string) string {
+		return strings.Replace(src, "lw    $t4, 0($t3)", "lw    $t4, 0($t5)", 1)
+	}, nil)
+	ije := expectIndirectJumpFailure(t, img, jrPC)
+	if !strings.Contains(ije.Reason, "not base+offset") {
+		t.Errorf("reason %q does not flag the undefined table address", ije.Reason)
+	}
+}
+
+func TestAdversarialTableBaseNotConstant(t *testing.T) {
+	// The table base is loaded from memory rather than built by lui/ori:
+	// the sum is base+offset, but neither side is a constant table
+	// address, so there is no table the resolver may read.
+	img, jrPC := jtFixture(t, func(src string) string {
+		return strings.Replace(src, "lui   $t3, 0x1000", "lw    $t3, 0($a1)", 1)
+	}, nil)
+	ije := expectIndirectJumpFailure(t, img, jrPC)
+	if !strings.Contains(ije.Reason, "no constant table base") {
+		t.Errorf("reason %q does not flag the non-constant table base", ije.Reason)
+	}
+}
+
 // TestAdversarialDeadCodeIsNotLifted pins what a fault in unreachable
 // code does: nothing. The lifter walks the control flow from the entry,
 // so a word after the function's return is never lifted, and a bad

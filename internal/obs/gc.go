@@ -2,15 +2,19 @@ package obs
 
 import (
 	"fmt"
+	"runtime"
 	"runtime/metrics"
 )
 
 // GCStats is the garbage collector's work over a run: the change in
-// three runtime/metrics counters between two samples.
+// three runtime counters between two samples.
 type GCStats struct {
 	// Cycles counts completed GC cycles (/gc/cycles/total:gc-cycles).
 	Cycles uint64 `json:"cycles"`
-	// AllocBytes counts heap bytes allocated (/gc/heap/allocs:bytes).
+	// AllocBytes counts heap bytes allocated (runtime.MemStats'
+	// TotalAlloc). /gc/heap/allocs:bytes leaves out the objects in spans
+	// a P still caches, a large share of a run without a cycle;
+	// ReadMemStats flushes those spans before it counts.
 	AllocBytes uint64 `json:"alloc_bytes"`
 	// CPUSeconds is the runtime's estimate of CPU time spent collecting
 	// (/cpu/classes/gc/total:cpu-seconds).
@@ -19,21 +23,24 @@ type GCStats struct {
 
 var gcMetrics = [...]string{
 	"/gc/cycles/total:gc-cycles",
-	"/gc/heap/allocs:bytes",
 	"/cpu/classes/gc/total:cpu-seconds",
 }
 
-// ReadGC samples the collector's counters since the process started.
+// ReadGC samples the collector's counters since the process started. It
+// stops the world for ReadMemStats, so it is for the ends of a run, not
+// for a hot path.
 func ReadGC() GCStats {
 	var s [len(gcMetrics)]metrics.Sample
 	for i, name := range gcMetrics {
 		s[i].Name = name
 	}
 	metrics.Read(s[:])
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
 	return GCStats{
 		Cycles:     s[0].Value.Uint64(),
-		AllocBytes: s[1].Value.Uint64(),
-		CPUSeconds: s[2].Value.Float64(),
+		AllocBytes: ms.TotalAlloc,
+		CPUSeconds: s[1].Value.Float64(),
 	}
 }
 
