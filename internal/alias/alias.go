@@ -58,7 +58,7 @@ func (in *Info) RefOf(i *ir.Instr) Ref {
 
 // Footprint returns the sorted set of data objects the given blocks
 // access. Stack and unresolved accesses name no object.
-func (in *Info) Footprint(blocks map[int]*ir.Block) []string {
+func (in *Info) Footprint(blocks []*ir.Block) []string {
 	var syms []string
 	seen := map[string]bool{}
 	for _, b := range blocks {

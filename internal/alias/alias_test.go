@@ -79,11 +79,7 @@ func TestFootprint(t *testing.T) {
 	if n := unresolved(info, f); n != 0 {
 		t.Errorf("%d accesses unresolved", n)
 	}
-	blocks := map[int]*ir.Block{}
-	for _, b := range f.Blocks {
-		blocks[b.Index] = b
-	}
-	syms := info.Footprint(blocks)
+	syms := info.Footprint(f.Blocks)
 	want := map[string]bool{"src": true, "dst": true}
 	for _, s := range syms {
 		if !want[s] {

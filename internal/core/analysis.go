@@ -198,8 +198,8 @@ func computeAnalysis(img *binimg.Image, opts Options, caches *Caches, sc *obs.Sc
 // that analysis' candidates share it, and must treat it as read-only.
 type LiftResult struct {
 	Dec *decompile.Result
-	// Factors holds per-function reroll factors (block index -> factor).
-	Factors map[string]map[int]int
+	// Factors holds per-function reroll factors (dopt.RerollReport's).
+	Factors map[string][]int
 	// Outlines renders each function's recovered control structure and
 	// signature; computeLift fills it only when asked to.
 	Outlines map[string]string
@@ -221,7 +221,7 @@ func computeLift(img *binimg.Image, decOpts decompile.Options, cfg dopt.Config, 
 	}
 	lr := &LiftResult{
 		Dec:     dec,
-		Factors: map[string]map[int]int{},
+		Factors: map[string][]int{},
 		Loops:   map[string][]*ir.Loop{},
 	}
 	if outlines {

@@ -204,8 +204,8 @@ type funcFacts struct {
 	f       *ir.Func
 	img     *binimg.Image
 	extents [][2]uint32 // by block index
-	factors map[int]int
-	loops   []*ir.Loop // ir.FindLoops(f)
+	factors []int       // by block index; nil when nothing rerolled
+	loops   []*ir.Loop  // ir.FindLoops(f)
 	// am is computed by alias on first use unless set beforehand.
 	am *alias.Info
 }
@@ -313,11 +313,14 @@ func buildCandidate(fx *funcFacts, r synth.Region, invocations uint64, pf *profi
 	// Software cycles, size and block execution counts from the profile.
 	var swCycles uint64
 	size := 0
-	blockExecs := map[int]uint64{}
-	for _, b := range fx.f.Blocks {
-		if r.Blocks != nil && r.Blocks[b.Index] == nil {
-			continue
-		}
+	blocks := r.Blocks
+	if blocks == nil {
+		blocks = fx.f.Blocks
+	}
+	// blockExecs is in block-index order, the order of the design's
+	// schedule.
+	blockExecs := make([]uint64, len(blocks))
+	for i, b := range blocks {
 		if synth.Unsynthesizable(b) != nil {
 			return nil, nil
 		}
@@ -326,11 +329,10 @@ func buildCandidate(fx *funcFacts, r synth.Region, invocations uint64, pf *profi
 		for pc := ext[0]; pc < ext[1]; pc += 4 {
 			swCycles += pf.cycAt.At(pc)
 		}
-		execs := pf.prof.InstCount[ext[0]]
-		if k, ok := fx.factors[b.Index]; ok && k > 1 {
-			execs *= uint64(k)
+		blockExecs[i] = pf.prof.InstCount[ext[0]]
+		if fx.factors != nil {
+			blockExecs[i] *= uint64(fx.factors[b.Index])
 		}
-		blockExecs[b.Index] = execs
 	}
 	if swCycles == 0 {
 		return nil, nil

@@ -105,7 +105,6 @@ type workspace struct {
 	matcher    rerollMatcher
 	ivStep     map[ir.Loc]int32
 	defsInLoop map[ir.Loc]bool
-	bidx       []int
 }
 
 // workspaces keeps workspaces between calls.
@@ -124,10 +123,7 @@ func newWorkspace(f *ir.Func) *workspace {
 func (ws *workspace) release() {
 	ws.chains.b = nil
 	ws.loops.Reset()
-	ws.matcher = rerollMatcher{
-		classes: ws.matcher.classes, binding: ws.matcher.binding,
-		core: ws.matcher.core, coreIdx: ws.matcher.coreIdx,
-	}
+	ws.matcher.b = nil
 	workspaces.Put(ws)
 }
 

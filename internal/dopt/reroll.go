@@ -1,7 +1,7 @@
 package dopt
 
 import (
-	"sort"
+	"slices"
 
 	"binpart/internal/ir"
 )
@@ -12,10 +12,11 @@ type RerollReport struct {
 	Rerolled []int
 	// InstrsRemoved counts instructions eliminated by rerolling.
 	InstrsRemoved int
-	// Factors maps rewritten block indices to their reroll factor: the
-	// block now executes Factor times as many iterations as a profile of
-	// the original binary reports. Cycle estimators must scale.
-	Factors map[int]int
+	// Factors holds, by block index, how many times as many iterations
+	// each block now executes as a profile of the original binary reports:
+	// 1 where no reroll rewrote it, and nil when nothing was rerolled.
+	// Cycle estimators must scale.
+	Factors []int
 }
 
 // Changed reports whether reroll rewrote the IR: it rerolled a loop.
@@ -50,7 +51,7 @@ func (r RerollReport) Changed() bool { return len(r.Rerolled) > 0 }
 // Each loop-search round computes block liveness at most once, when its
 // first candidate body needs it; a successful reroll ends the round.
 func (ws *workspace) reroll(f *ir.Func) RerollReport {
-	rep := RerollReport{Factors: map[int]int{}}
+	var rep RerollReport
 	for {
 		loops := ws.loops.Find(f)
 		done := true
@@ -59,11 +60,14 @@ func (ws *workspace) reroll(f *ir.Func) RerollReport {
 			if k, removed := ws.tryReroll(f, l, &live); k > 1 {
 				rep.Rerolled = append(rep.Rerolled, k)
 				rep.InstrsRemoved += removed
-				for idx := range l.Blocks {
-					rep.Factors[idx] *= k
-					if rep.Factors[idx] == 0 {
-						rep.Factors[idx] = k
+				if rep.Factors == nil {
+					rep.Factors = make([]int, len(f.Blocks))
+					for i := range rep.Factors {
+						rep.Factors[i] = 1
 					}
+				}
+				for _, b := range l.Blocks {
+					rep.Factors[b.Index] *= k
 				}
 				done = false
 				break
@@ -90,18 +94,11 @@ func (ws *workspace) tryReroll(f *ir.Func, l *ir.Loop, live *bool) (factor, remo
 	for _, iv := range l.IndVars {
 		ivStep[iv.Loc] = iv.Step
 	}
-	// Scan candidates in block-index order: l.Blocks is a map, and if two
-	// blocks both update every induction variable the rewrite must not
-	// depend on iteration order.
-	bidx := ws.bidx[:0]
-	for idx := range l.Blocks {
-		bidx = append(bidx, idx)
-	}
-	sort.Ints(bidx)
-	ws.bidx = bidx
+	// The body is the first block, in index order, that updates every
+	// induction variable.
 	var body *ir.Block
-	for _, idx := range bidx {
-		if b := l.Blocks[idx]; countIVUpdates(b, ivStep) == len(l.IndVars) {
+	for _, b := range l.Blocks {
+		if countIVUpdates(b, ivStep) == len(l.IndVars) {
 			body = b
 			break
 		}
@@ -203,8 +200,8 @@ type offsetBinding struct {
 // matching: copy j reads (at read position p, operand slot) the value the
 // previous copy wrote at position q; copies may rename the accumulator
 // register, so the kept copy is rewritten to use the carried register.
+// A chain has at least one read; one with none records no reduction.
 type reduction struct {
-	q       int    // core position (within group) of the carried write
 	carried ir.Loc // register holding the loop-carried input of copy 0
 	readPos []int  // core positions (within group) reading the carried value
 	readA   []bool // true when the A operand is the carried read
@@ -215,8 +212,9 @@ type rerollMatcher struct {
 	b       *ir.Block
 	ivStep  map[ir.Loc]int32
 	classes []instrClass
-	// binding[i] is the symbolic (iv+c) computed by offset def i.
-	binding map[int]offsetBinding
+	// binding[i] is the symbolic (iv+c) computed by offset def i, read
+	// only where classes[i] is classOffset.
+	binding []offsetBinding
 	// defOf[i][0/1] is the in-block reaching def of instr i's A/B operand.
 	bc *blockChains
 	// core lists the stream indices of core instructions in order.
@@ -226,33 +224,31 @@ type rerollMatcher struct {
 	liveOut    locSet
 	defsInLoop map[ir.Loc]bool
 	loopStores bool
-	// reductions maps the carried-write position q to its chain info;
-	// populated during match, consumed by apply.
-	reductions map[int]*reduction
-	// dstMismatch records positions where copies rename the destination;
-	// each must be resolved by a reduction.
-	dstMismatch map[int]bool
+	// reductions[q] is the chain whose carried write is at core position
+	// q of the group; populated during match, consumed by apply.
+	reductions []reduction
+	// dstMismatch[p] records that copies rename the destination at core
+	// position p; each must be resolved by a reduction.
+	dstMismatch []bool
 }
 
 // reset makes m analyze body block b, building its def chains in bc and
 // reusing m's buffers. It reports false when b cannot be rerolled.
 func (m *rerollMatcher) reset(b *ir.Block, ivStep map[ir.Loc]int32, liveOut locSet, bc *blockChains, defsInLoop map[ir.Loc]bool, loopStores bool) bool {
 	bc.reset(b, liveOut)
-	if m.binding == nil {
-		m.binding = map[int]offsetBinding{}
-	}
-	clear(m.binding)
 	*m = rerollMatcher{
-		b:          b,
-		ivStep:     ivStep,
-		classes:    reuse(m.classes, len(b.Instrs)),
-		binding:    m.binding,
-		bc:         bc,
-		core:       m.core[:0],
-		coreIdx:    reuse(m.coreIdx, len(b.Instrs)),
-		liveOut:    liveOut,
-		defsInLoop: defsInLoop,
-		loopStores: loopStores,
+		b:           b,
+		ivStep:      ivStep,
+		classes:     reuse(m.classes, len(b.Instrs)),
+		binding:     reuse(m.binding, len(b.Instrs)),
+		bc:          bc,
+		core:        m.core[:0],
+		coreIdx:     reuse(m.coreIdx, len(b.Instrs)),
+		liveOut:     liveOut,
+		defsInLoop:  defsInLoop,
+		loopStores:  loopStores,
+		reductions:  m.reductions,
+		dstMismatch: m.dstMismatch,
 	}
 	for i := range b.Instrs {
 		in := &b.Instrs[i]
@@ -405,10 +401,7 @@ func (m *rerollMatcher) operandBinding(a ir.Arg, def int) (offsetBinding, bool) 
 		return offsetBinding{}, false
 	}
 	if def >= 0 {
-		if bind, ok := m.binding[def]; ok {
-			return bind, true
-		}
-		return offsetBinding{}, false
+		return m.binding[def], m.classes[def] == classOffset
 	}
 	// Defined outside the block: the induction variable itself (its
 	// in-block update is classified separately and always follows the
@@ -426,9 +419,13 @@ func (m *rerollMatcher) match(k int) bool {
 	if n < 2 || n%k != 0 {
 		return false
 	}
-	m.reductions = map[int]*reduction{}
-	m.dstMismatch = map[int]bool{}
 	g := n / k // group length
+	m.reductions = slices.Grow(m.reductions[:0], g)[:g]
+	for q := range m.reductions {
+		red := &m.reductions[q]
+		*red = reduction{readPos: red.readPos[:0], readA: red.readA[:0]}
+	}
+	m.dstMismatch = reuse(m.dstMismatch, g)
 	for j := 1; j < k; j++ {
 		for p := 0; p < g; p++ {
 			i0 := m.core[p]
@@ -444,7 +441,11 @@ func (m *rerollMatcher) match(k int) bool {
 // validateReductions checks that every reduction chain is well formed and
 // every destination rename is explained by one.
 func (m *rerollMatcher) validateReductions(k, g int) bool {
-	for q, red := range m.reductions {
+	for q := range m.reductions {
+		red := &m.reductions[q]
+		if len(red.readPos) == 0 {
+			continue
+		}
 		// The final copy's write must land in the carried register so the
 		// live-out value is where downstream code expects it.
 		last := &m.b.Instrs[m.core[(k-1)*g+q]]
@@ -467,8 +468,8 @@ func (m *rerollMatcher) validateReductions(k, g int) bool {
 			}
 		}
 	}
-	for p := range m.dstMismatch {
-		if _, ok := m.reductions[p]; !ok {
+	for p, renamed := range m.dstMismatch {
+		if renamed && len(m.reductions[p].readPos) == 0 {
 			return false
 		}
 	}
@@ -566,11 +567,9 @@ func (m *rerollMatcher) matchOperand(j, k, g, p int, slotA bool, a0, aj ir.Arg, 
 		if cj/g != j-1 {
 			return false
 		}
-		q := cj % g
-		red, ok := m.reductions[q]
-		if !ok {
-			red = &reduction{q: q, carried: a0.Loc}
-			m.reductions[q] = red
+		red := &m.reductions[cj%g]
+		if len(red.readPos) == 0 {
+			red.carried = a0.Loc
 			red.readPos = append(red.readPos, p)
 			red.readA = append(red.readA, slotA)
 		} else if red.carried != a0.Loc {
@@ -609,7 +608,11 @@ func (m *rerollMatcher) apply(k int) {
 	g := len(m.core) / k
 
 	// Reduction renames on the kept copy.
-	for q, red := range m.reductions {
+	for q := range m.reductions {
+		red := &m.reductions[q]
+		if len(red.readPos) == 0 {
+			continue
+		}
 		w := &m.b.Instrs[m.core[q]]
 		w.Dst = red.carried
 		for idx, p := range red.readPos {

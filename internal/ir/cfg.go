@@ -18,6 +18,7 @@ type loopScratch struct {
 	frames     []dfsFrame
 	idom       []int
 	headedLoop []int32 // by block index: index of the loop it heads, or -1
+	inLoop     []int32 // by block index: 1 + index of the last loop it joined
 	stack      []*Block
 	branch     []bool // by block index: its terminator tests a loop
 	iv         map[Loc]ivCount
@@ -200,8 +201,8 @@ func Dominates(idom []int, a, b int) bool {
 // Loop is one natural loop.
 type Loop struct {
 	Header *Block
-	Latch  *Block // source of the back edge (one per back edge; merged)
-	Blocks map[int]*Block
+	Latch  *Block   // source of the first back edge into Header, in block order
+	Blocks []*Block // the body of every back edge into Header, in index order
 	// Exits are edges leaving the loop: (from inside, to outside).
 	Exits []LoopEdge
 	// Depth is the nesting depth (1 = outermost).
@@ -216,7 +217,10 @@ type Loop struct {
 type LoopEdge struct{ From, To *Block }
 
 // Contains reports whether the loop body includes block index i.
-func (l *Loop) Contains(i int) bool { _, ok := l.Blocks[i]; return ok }
+func (l *Loop) Contains(i int) bool {
+	_, ok := slices.BinarySearchFunc(l.Blocks, i, func(b *Block, i int) int { return cmp.Compare(b.Index, i) })
+	return ok
+}
 
 // NumInstrs counts the instructions in the loop body.
 func (l *Loop) NumInstrs() int {
@@ -238,7 +242,7 @@ func FindLoops(f *Func) []*Loop {
 
 // LoopFinder is FindLoops for a caller that finds loops again and again
 // and reads each result only until the next search: it keeps its
-// scratch and its Loop records, block maps included, from search to
+// scratch and its Loop records, body slices included, from search to
 // search. The zero value is ready to use.
 type LoopFinder struct {
 	sc   loopScratch
@@ -271,34 +275,35 @@ type loopPool struct {
 // a new one. A nil pool makes every record new.
 func (p *loopPool) newLoop(k int) *Loop {
 	if p == nil {
-		return &Loop{Blocks: map[int]*Block{}}
+		return &Loop{}
 	}
 	if k < len(p.loops) {
 		l := p.loops[k]
 		l.reset()
 		return l
 	}
-	l := &Loop{Blocks: map[int]*Block{}}
+	l := &Loop{}
 	p.loops = append(p.loops, l)
 	return l
 }
 
-// reset empties l, keeping its block map and its edge and induction
-// variable arrays.
+// reset empties l, keeping its body, edge and induction variable arrays.
 func (l *Loop) reset() {
-	clear(l.Blocks)
+	clear(l.Blocks[:cap(l.Blocks)])
 	clear(l.Exits[:cap(l.Exits)])
-	*l = Loop{Blocks: l.Blocks, Exits: l.Exits[:0], IndVars: l.IndVars[:0]}
+	*l = Loop{Blocks: l.Blocks[:0], Exits: l.Exits[:0], IndVars: l.IndVars[:0]}
 }
 
 // findLoops is FindLoops in sc, taking its Loop records from pool.
 func (sc *loopScratch) findLoops(f *Func, pool *loopPool) []*Loop {
 	idom := sc.dominators(f)
 	headedLoop := freelist.Resize(sc.headedLoop, len(f.Blocks))
-	sc.headedLoop = headedLoop
+	inLoop := freelist.Resize(sc.inLoop, len(f.Blocks))
+	sc.headedLoop, sc.inLoop = headedLoop, inLoop
 	for i := range headedLoop {
 		headedLoop[i] = -1
 	}
+	clear(inLoop)
 	var loops []*Loop
 	if pool != nil {
 		loops = pool.out[:0]
@@ -307,30 +312,40 @@ func (sc *loopScratch) findLoops(f *Func, pool *loopPool) []*Loop {
 
 	for _, b := range f.Blocks {
 		for _, s := range b.Succs {
-			if idom[b.Index] >= 0 && Dominates(idom, s.Index, b.Index) {
-				// Back edge b -> s: natural loop with header s.
-				var l *Loop
-				if li := headedLoop[s.Index]; li >= 0 {
-					l = loops[li]
-				} else {
-					l = pool.newLoop(len(loops))
-					l.Header, l.Latch = s, b
-					l.Blocks[s.Index] = s
-					headedLoop[s.Index] = int32(len(loops))
-					loops = append(loops, l)
+			if idom[b.Index] < 0 || headedLoop[s.Index] >= 0 || !Dominates(idom, s.Index, b.Index) {
+				continue
+			}
+			// First back edge b -> s: the natural loop with header s is s
+			// plus every block that reaches a back-edge source into s
+			// without passing through s.
+			l := pool.newLoop(len(loops))
+			l.Header, l.Latch = s, b
+			headedLoop[s.Index] = int32(len(loops))
+			loops = append(loops, l)
+			stamp := int32(len(loops))
+			inLoop[s.Index] = stamp
+			size := 1
+			stack := sc.stack[:0]
+			for _, p := range s.Preds {
+				if idom[p.Index] >= 0 && Dominates(idom, s.Index, p.Index) {
+					stack = append(stack, p)
 				}
-				// Collect body: reverse reachability from latch to header.
-				stack := append(sc.stack[:0], b)
-				for len(stack) > 0 {
-					x := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					if l.Contains(x.Index) {
-						continue
-					}
-					l.Blocks[x.Index] = x
+			}
+			for len(stack) > 0 {
+				x := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				if inLoop[x.Index] != stamp {
+					inLoop[x.Index] = stamp
+					size++
 					stack = append(stack, x.Preds...)
 				}
-				sc.stack = stack
+			}
+			sc.stack = stack
+			l.Blocks = slices.Grow(l.Blocks, size)
+			for _, x := range f.Blocks {
+				if inLoop[x.Index] == stamp {
+					l.Blocks = append(l.Blocks, x)
+				}
 			}
 		}
 	}

@@ -37,11 +37,12 @@ func randomCFG(r *rand.Rand, n int) *Func {
 
 // reachableWithout computes which blocks are reachable from entry when
 // block `cut` is removed (-1 = no cut).
-func reachableWithout(f *Func, cut int) []bool {
+func reachableWithout(f *Func, cut int) []bool { return reachFrom(f, 0, cut) }
+
+// reachFrom computes which blocks are reachable from block from when
+// block cut is removed (-1 = no cut); none are when from is cut.
+func reachFrom(f *Func, from, cut int) []bool {
 	seen := make([]bool, len(f.Blocks))
-	if cut == 0 {
-		return seen
-	}
 	var dfs func(b *Block)
 	dfs = func(b *Block) {
 		if seen[b.Index] || b.Index == cut {
@@ -52,8 +53,25 @@ func reachableWithout(f *Func, cut int) []bool {
 			dfs(s)
 		}
 	}
-	dfs(f.Blocks[0])
+	dfs(f.Blocks[from])
 	return seen
+}
+
+// bruteDominators returns dom[a][b], a dominates b by the definition:
+// b is reachable from the entry, but not once a is removed (or a == b).
+// base reports which blocks the entry reaches.
+func bruteDominators(f *Func) (dom [][]bool, base []bool) {
+	n := len(f.Blocks)
+	dom = make([][]bool, n)
+	base = reachableWithout(f, -1)
+	for a := 0; a < n; a++ {
+		without := reachableWithout(f, a)
+		dom[a] = make([]bool, n)
+		for b := 0; b < n; b++ {
+			dom[a][b] = a == b || (base[b] && !without[b])
+		}
+	}
+	return dom, base
 }
 
 // TestDominatorsAgainstBruteForce checks the iterative dominator algorithm
@@ -65,19 +83,7 @@ func TestDominatorsAgainstBruteForce(t *testing.T) {
 		n := 2 + r.Intn(10)
 		f := randomCFG(r, n)
 		idom := idomOf(f)
-
-		// Brute-force dominator sets.
-		dom := make([][]bool, n)
-		base := reachableWithout(f, -1)
-		for a := 0; a < n; a++ {
-			without := reachableWithout(f, a)
-			dom[a] = make([]bool, n)
-			for b := 0; b < n; b++ {
-				// a dominates b: b reachable normally but not without a
-				// (or a == b).
-				dom[a][b] = a == b || (base[b] && !without[b])
-			}
-		}
+		dom, base := bruteDominators(f)
 
 		for b := 1; b < n; b++ {
 			if !base[b] {
@@ -180,26 +186,65 @@ func TestPostDominatorsAgainstBruteForce(t *testing.T) {
 	}
 }
 
-// TestFindLoopsProperties checks natural-loop invariants on random CFGs:
-// the header dominates every block in its loop, and the latch is in the
-// loop body.
+// TestFindLoopsProperties checks natural-loop invariants on random CFGs
+// against a brute force over the brute-force dominator sets. A back edge
+// is an edge b -> h from a reachable b that h dominates. Each header of
+// one gets exactly one loop, whose latch is the source of its first back
+// edge in block order and whose body, in strictly increasing block index,
+// is h plus every block that reaches a back-edge source into h without
+// passing through h.
 func TestFindLoopsProperties(t *testing.T) {
 	r := rand.New(rand.NewSource(33))
 	for trial := 0; trial < 150; trial++ {
 		f := randomCFG(r, 2+r.Intn(10))
-		idom := idomOf(f)
-		for _, l := range FindLoops(f) {
-			if !l.Contains(l.Header.Index) {
-				t.Fatalf("trial %d: header not in its own loop", trial)
-			}
-			if !l.Contains(l.Latch.Index) {
-				t.Fatalf("trial %d: latch not in loop", trial)
-			}
-			for idx := range l.Blocks {
-				if !Dominates(idom, l.Header.Index, idx) {
-					t.Fatalf("trial %d: header %d does not dominate member %d",
-						trial, l.Header.Index, idx)
+		n := len(f.Blocks)
+		dom, base := bruteDominators(f)
+		latch := make([]int, n) // by header: first back-edge source, or -1
+		for h := range latch {
+			latch[h] = -1
+		}
+		sources := make([][]int, n) // by header: every back-edge source
+		for _, b := range f.Blocks {
+			for _, h := range b.Succs {
+				if base[b.Index] && dom[h.Index][b.Index] {
+					if latch[h.Index] < 0 {
+						latch[h.Index] = b.Index
+					}
+					sources[h.Index] = append(sources[h.Index], b.Index)
 				}
+			}
+		}
+		found := make([]bool, n)
+		for _, l := range FindLoops(f) {
+			h := l.Header.Index
+			if found[h] || latch[h] < 0 {
+				t.Fatalf("trial %d: loop at b%d duplicated or without a back edge", trial, h)
+			}
+			found[h] = true
+			if l.Latch.Index != latch[h] {
+				t.Fatalf("trial %d: loop b%d latch b%d, want b%d", trial, h, l.Latch.Index, latch[h])
+			}
+			var want, got []int
+			for x := 0; x < n; x++ {
+				in := x == h
+				for _, b := range sources[h] {
+					in = in || reachFrom(f, x, h)[b]
+				}
+				if in {
+					want = append(want, x)
+				}
+				if l.Contains(x) != in {
+					t.Fatalf("trial %d: loop b%d Contains(%d) = %v, brute force %v", trial, h, x, !in, in)
+				}
+			}
+			for i, b := range l.Blocks {
+				if i > 0 && b.Index <= l.Blocks[i-1].Index {
+					t.Fatalf("trial %d: loop b%d body not in strictly increasing index order", trial, h)
+				}
+				got = append(got, b.Index)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("trial %d: loop b%d body %v, brute force %v", trial, h, got, want)
 			}
 			for _, e := range l.Exits {
 				if !l.Contains(e.From.Index) || l.Contains(e.To.Index) {
@@ -208,6 +253,11 @@ func TestFindLoopsProperties(t *testing.T) {
 			}
 			if l.Parent != nil && !l.Parent.Contains(l.Header.Index) {
 				t.Fatalf("trial %d: parent does not contain child header", trial)
+			}
+		}
+		for h := range found {
+			if latch[h] >= 0 && !found[h] {
+				t.Fatalf("trial %d: no loop for back edges into b%d", trial, h)
 			}
 		}
 	}

@@ -245,7 +245,7 @@ func TestDesignCyclesPipelined(t *testing.T) {
 		{Block: body, States: 4, II: 2},
 		{Block: header, States: 1, Folded: true},
 	}}
-	execs := map[int]uint64{1: 100, 2: 101}
+	execs := []uint64{100, 101} // in Schedule's order
 	// Pipelined body: 100*2 + 4 = 204; header folded into control.
 	if got := d.Cycles(execs); got != 204 {
 		t.Errorf("Cycles = %v, want 204", got)
@@ -256,7 +256,7 @@ func TestDesignCyclesPipelined(t *testing.T) {
 		t.Errorf("sequential Cycles = %v, want 501", got)
 	}
 	// A pipelined body that never runs costs nothing, not its depth.
-	if got := d.Cycles(map[int]uint64{2: 1}); got != 0 {
+	if got := d.Cycles([]uint64{0, 1}); got != 0 {
 		t.Errorf("idle pipeline Cycles = %v, want 0", got)
 	}
 }

@@ -3,7 +3,6 @@ package synth
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"binpart/internal/alias"
 	"binpart/internal/binimg"
@@ -69,11 +68,11 @@ func (d *Design) ClockMHz() float64 { return fpga.MHz(d.ClockNs) }
 // GateEquivalent returns the conventional equivalent-gate area metric.
 func (d *Design) GateEquivalent() int { return d.Area.GateEquivalent() }
 
-// Region selects the blocks of a function to synthesize. A nil block set
-// means the whole function.
+// Region selects the blocks of a function to synthesize, in block-index
+// order. Nil blocks mean the whole function.
 type Region struct {
 	Func   *ir.Func
-	Blocks map[int]*ir.Block // nil = all
+	Blocks []*ir.Block // nil = all
 	Name   string
 	// Loops and Alias are facts about Func that a caller synthesizing
 	// several regions of one function computes once and shares:
@@ -102,12 +101,7 @@ func (r Region) blocks() []*ir.Block {
 	if r.Blocks == nil {
 		return r.Func.Blocks
 	}
-	out := make([]*ir.Block, 0, len(r.Blocks))
-	for _, b := range r.Blocks {
-		out = append(out, b)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Index < out[j].Index })
-	return out
+	return r.Blocks
 }
 
 // Unsynthesizable returns the first instruction of b that no design can
@@ -174,11 +168,7 @@ func Synthesize(r Region, img *binimg.Image, opts Options) (*Design, error) {
 
 	// Array migration into block RAM, one or more BRAMs per object.
 	if am != nil {
-		blockSet := map[int]*ir.Block{}
-		for _, b := range blocks {
-			blockSet[b.Index] = b
-		}
-		for _, s := range am.Footprint(blockSet) {
+		for _, s := range am.Footprint(blocks) {
 			if sym, ok := findSymbol(img, s); ok {
 				d.MemObjects = append(d.MemObjects, MemObject{Sym: s, Bytes: int(sym.Size)})
 				d.Area = d.Area.Add(fpga.Area{BRAM: max(fpga.BRAMsFor(int(sym.Size)), 1)})
@@ -214,38 +204,25 @@ func pipelineLoops(r Region, sched []BlockSchedule, scheds []*scheduleResult, bd
 		return slices.BinarySearchFunc(sched, idx, func(s BlockSchedule, idx int) int { return s.Block.Index - idx })
 	}
 	for _, l := range loops {
-		if r.Blocks != nil {
-			inRegion := true
-			for idx := range l.Blocks {
-				if _, ok := r.Blocks[idx]; !ok {
-					inRegion = false
-				}
-			}
-			if !inRegion {
-				continue
-			}
-		}
 		if len(l.Blocks) > 2 {
 			continue
 		}
-		idxs := make([]int, 0, len(l.Blocks))
-		for idx := range l.Blocks {
-			idxs = append(idxs, idx)
-		}
-		sort.Ints(idxs)
 		var body *ir.Block
-		for _, idx := range idxs {
-			if b := l.Blocks[idx]; body == nil || len(b.Instrs) > len(body.Instrs) {
+		inRegion := true
+		for _, b := range l.Blocks {
+			_, ok := at(b.Index)
+			inRegion = inRegion && ok
+			if body == nil || len(b.Instrs) > len(body.Instrs) {
 				body = b
 			}
 		}
-		i, ok := at(body.Index)
-		if !ok {
+		if !inRegion {
 			continue
 		}
+		i, _ := at(body.Index)
 		sr := scheds[i]
 		sched[i].II = max(resourceII(sr, res), bd.recurrenceII(sr), 1)
-		if h, ok := at(l.Header.Index); ok && h != i {
+		if h, _ := at(l.Header.Index); h != i {
 			sched[h].Folded = true
 		}
 	}
@@ -341,14 +318,14 @@ func (bd *dfgBuilder) recurrenceII(sr *scheduleResult) int {
 }
 
 // Cycles estimates the hardware cycles to execute the region once, given
-// per-block execution counts (from profiling). A pipelined loop body
-// contributes iterations*II + depth, its folded header nothing, and every
-// other block executions*states.
-func (d *Design) Cycles(blockExecs map[int]uint64) float64 {
+// per-block execution counts (from profiling) in Schedule's order. A
+// pipelined loop body contributes iterations*II + depth, its folded
+// header nothing, and every other block executions*states.
+func (d *Design) Cycles(blockExecs []uint64) float64 {
 	var total float64
 	for i := range d.Schedule {
 		s := &d.Schedule[i]
-		execs := blockExecs[s.Block.Index]
+		execs := blockExecs[i]
 		switch {
 		case s.II > 0:
 			if execs > 0 {

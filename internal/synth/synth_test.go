@@ -118,9 +118,9 @@ func TestPipeliningReducesCycles(t *testing.T) {
 	}
 
 	// Synthetic profile: body runs 1000 times.
-	execs := map[int]uint64{}
-	for _, s := range dOn.Schedule {
-		execs[s.Block.Index] = 1000
+	execs := make([]uint64, len(dOn.Schedule))
+	for i := range execs {
+		execs[i] = 1000
 	}
 	cOn, cOff := dOn.Cycles(execs), dOff.Cycles(execs)
 	if cOn >= cOff {
