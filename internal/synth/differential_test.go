@@ -55,7 +55,7 @@ func checkDFGsAgainstOracle(t *testing.T, what string, img *binimg.Image, cfg do
 					t.Fatalf("%s node %d: succs %v, oracle %v", where, i, succs[i], o.succs)
 				}
 			}
-			sr := schedule(g, resourceBudget, targetClockNs)
+			sr := mustSchedule(t, g, resourceBudget, targetClockNs)
 			states := make([]int, len(g.nodes))
 			for i := range g.nodes {
 				states[i] = g.nodes[i].state

@@ -16,6 +16,8 @@
 package synth
 
 import (
+	"fmt"
+
 	"binpart/internal/alias"
 	"binpart/internal/fpga"
 	"binpart/internal/freelist"
@@ -258,9 +260,10 @@ type scheduleResult struct {
 const targetClockNs = 8.0
 
 // schedule performs resource-constrained list scheduling with chaining
-// under the given clock budget (ns). Every unit count of res must be
-// positive.
-func schedule(g *dfg, res Resources, clockNs float64) *scheduleResult {
+// under the given clock budget (ns). An op that no state can take — one
+// needing a unit res has none of — is an error naming the block and the
+// op.
+func schedule(g *dfg, res Resources, clockNs float64) (*scheduleResult, error) {
 	// usage[s*stride+k] counts state s's uses of shared resource k: the
 	// port pair of each data object in g.objs, then the multipliers, then
 	// the dividers.
@@ -330,9 +333,14 @@ func schedule(g *dfg, res Resources, clockNs float64) *scheduleResult {
 		// Then it moves later while the delay chained into its state
 		// overruns the clock, or the state has no free shared unit. The
 		// chain delay is read at the state it would start in, never kept
-		// from one it has left.
+		// from one it has left. A state past every scheduled op has no
+		// chained inputs and idle units, so an op that does not fit there
+		// fits nowhere.
 		var chainIn float64
-		for {
+		for ; ; earliest++ {
+			if earliest > maxState+1 {
+				return nil, fmt.Errorf("synth: block 0x%x: no state can take %v at 0x%x", g.block.Start, n.in, n.in.Addr)
+			}
 			chainIn = 0
 			for _, d := range n.preds {
 				if p := &g.nodes[d.from]; d.chainable && p.state == earliest && p.finish > chainIn {
@@ -341,7 +349,6 @@ func schedule(g *dfg, res Resources, clockNs float64) *scheduleResult {
 			}
 			// Multicycle units start on a register boundary.
 			if span > 1 && chainIn > 0 || span == 1 && chainIn+delay > clockNs || !hasRoom(earliest, n) {
-				earliest++
 				continue
 			}
 			break
@@ -373,7 +380,7 @@ func schedule(g *dfg, res Resources, clockNs float64) *scheduleResult {
 			last.state = maxState
 		}
 	}
-	return &scheduleResult{g: g, states: maxState + 1, maxChain: maxChain}
+	return &scheduleResult{g: g, states: maxState + 1, maxChain: maxChain}, nil
 }
 
 // allocation summarizes functional-unit binding for area estimation.

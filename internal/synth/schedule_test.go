@@ -3,7 +3,9 @@ package synth
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
+	"time"
 
 	"binpart/internal/alias"
 	"binpart/internal/fpga"
@@ -13,6 +15,16 @@ import (
 // buildDFG builds one block's dataflow graph in a builder of its own.
 func buildDFG(b *ir.Block, am *alias.Info) *dfg {
 	return newDFGBuilder([]*ir.Block{b}).build(b, am)
+}
+
+// mustSchedule is schedule for a graph every state budget can take.
+func mustSchedule(t *testing.T, g *dfg, res Resources, clockNs float64) *scheduleResult {
+	t.Helper()
+	sr, err := schedule(g, res, clockNs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sr
 }
 
 // randomBlock builds a random but well-formed straight-line block over
@@ -73,7 +85,7 @@ func TestScheduleRespectsConstraints(t *testing.T) {
 		b := randomBlock(r, 3+r.Intn(25))
 		b.Index = 0
 		g := buildDFG(b, nil)
-		sr := schedule(g, res, targetClockNs)
+		sr := mustSchedule(t, g, res, targetClockNs)
 
 		// Dependence order.
 		for _, n := range sr.g.nodes {
@@ -135,7 +147,7 @@ func TestChainingPacksIndependentOps(t *testing.T) {
 		{Op: ir.Ret},
 	}}
 	b.Index = 0
-	sr := schedule(buildDFG(b, nil), resourceBudget, targetClockNs)
+	sr := mustSchedule(t, buildDFG(b, nil), resourceBudget, targetClockNs)
 	if sr.states != 1 {
 		t.Errorf("3 chained logic ops took %d states, want 1\n%s", sr.states, sr.debugString())
 	}
@@ -150,7 +162,7 @@ func TestMulticycleDivider(t *testing.T) {
 		{Op: ir.Ret},
 	}}
 	b.Index = 0
-	sr := schedule(buildDFG(b, nil), resourceBudget, targetClockNs)
+	sr := mustSchedule(t, buildDFG(b, nil), resourceBudget, targetClockNs)
 	if sr.states < 3 {
 		t.Errorf("divider + consumer in %d states; expected multicycle span\n%s",
 			sr.states, sr.debugString())
@@ -170,7 +182,7 @@ func TestMemoryDependenceOrdering(t *testing.T) {
 		{Op: ir.Ret},
 	}}
 	b.Index = 0
-	sr := schedule(buildDFG(b, nil), resourceBudget, targetClockNs)
+	sr := mustSchedule(t, buildDFG(b, nil), resourceBudget, targetClockNs)
 	st, ld := sr.g.nodes[1], sr.g.nodes[2]
 	if ld.state <= st.state {
 		t.Errorf("load at state %d not after conflicting store at %d", ld.state, st.state)
@@ -197,7 +209,7 @@ func TestAllocationCountsPeakConcurrency(t *testing.T) {
 		{Op: ir.Ret},
 	}}
 	b.Index = 0
-	sr := schedule(buildDFG(b, nil), resourceBudget, targetClockNs)
+	sr := mustSchedule(t, buildDFG(b, nil), resourceBudget, targetClockNs)
 	al := new(dfgBuilder).allocate([]*scheduleResult{sr})
 	addUnits := 0
 	for _, c := range al.units[fpga.ClassAdd] {
@@ -236,6 +248,32 @@ func TestDesignScheduleAccessor(t *testing.T) {
 		if step < 0 || step >= s.States {
 			t.Errorf("instruction %d in step %d of %d", i, step, s.States)
 		}
+	}
+}
+
+// TestScheduleFailsWhenNoStateFits schedules a load with no memory port
+// at all: no state can take it, so schedule must return an error naming
+// the block and the load instead of moving it later forever. It runs in
+// a goroutine so that a scheduler that spins fails the test rather than
+// hanging it.
+func TestScheduleFailsWhenNoStateFits(t *testing.T) {
+	b := &ir.Block{Start: 0x400, Instrs: []ir.Instr{
+		{Op: ir.Load, Dst: ir.FirstVirtual, A: ir.C(0x1000_0000), Width: 4, Addr: 0x400},
+		{Op: ir.Ret, Addr: 0x404},
+	}}
+	done := make(chan error, 1)
+	go func() {
+		_, err := schedule(buildDFG(b, nil), Resources{MemPorts: 0, Multipliers: 1, Dividers: 1}, targetClockNs)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "block 0x400") || !strings.Contains(err.Error(), "load4") ||
+			!strings.Contains(err.Error(), "at 0x400") {
+			t.Errorf("schedule error = %v, want one naming block 0x400 and its load at 0x400", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("schedule did not return for a load with no memory port")
 	}
 }
 

@@ -147,7 +147,10 @@ func Synthesize(r Region, img *binimg.Image, opts Options) (*Design, error) {
 	var maxChain float64
 	maxStates := 0
 	for i, b := range blocks {
-		sr := schedule(bd.build(b, am), resourceBudget, targetClockNs)
+		sr, err := schedule(bd.build(b, am), resourceBudget, targetClockNs)
+		if err != nil {
+			return nil, err
+		}
 		scheds[i] = sr
 		stepOf := steps[:len(sr.g.nodes):len(sr.g.nodes)]
 		steps = steps[len(sr.g.nodes):]

@@ -219,8 +219,8 @@ func TestMemoryPortConstraintLengthensSchedule(t *testing.T) {
 	region := LoopRegion(f, ir.FindLoops(f)[0])
 	one, four := resourceBudget, resourceBudget
 	one.MemPorts, four.MemPorts = 1, 4
-	iiOne := pipelinedII(region, img, one, targetClockNs)
-	iiFour := pipelinedII(region, img, four, targetClockNs)
+	iiOne := pipelinedII(t, region, img, one, targetClockNs)
+	iiFour := pipelinedII(t, region, img, four, targetClockNs)
 	if iiOne <= iiFour {
 		t.Errorf("II with 1 port (%d) not above II with 4 ports (%d)", iiOne, iiFour)
 	}
@@ -229,7 +229,7 @@ func TestMemoryPortConstraintLengthensSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := pipelinedII(region, img, resourceBudget, targetClockNs), maxII(d); got != want {
+	if got, want := pipelinedII(t, region, img, resourceBudget, targetClockNs), maxII(d); got != want {
 		t.Errorf("II under the fixed budget %d, Synthesize's %d", got, want)
 	}
 }
@@ -237,7 +237,7 @@ func TestMemoryPortConstraintLengthensSchedule(t *testing.T) {
 // pipelinedII schedules every block of r under res and clockNs as
 // Synthesize does under the fixed budget, pipelines its loops, and
 // returns the largest initiation interval.
-func pipelinedII(r Region, img *binimg.Image, res Resources, clockNs float64) int {
+func pipelinedII(t *testing.T, r Region, img *binimg.Image, res Resources, clockNs float64) int {
 	blocks := r.blocks()
 	am := alias.Analyze(r.Func, img)
 	bd := newDFGBuilder(blocks)
@@ -245,7 +245,7 @@ func pipelinedII(r Region, img *binimg.Image, res Resources, clockNs float64) in
 	sched := make([]BlockSchedule, len(blocks))
 	scheds := make([]*scheduleResult, len(blocks))
 	for i, b := range blocks {
-		scheds[i] = schedule(bd.build(b, am), res, clockNs)
+		scheds[i] = mustSchedule(t, bd.build(b, am), res, clockNs)
 		sched[i] = BlockSchedule{Block: b, States: scheds[i].states}
 	}
 	pipelineLoops(r, sched, scheds, bd, res)
@@ -282,7 +282,7 @@ func TestRecurrenceLimitsII(t *testing.T) {
 	// loop-carried recurrence must then hold II above 1 even with
 	// abundant resources.
 	abundant := Resources{MemPorts: 16, Multipliers: 16, Dividers: 4}
-	if ii := pipelinedII(region, img, abundant, 3.0); ii < 2 {
+	if ii := pipelinedII(t, region, img, abundant, 3.0); ii < 2 {
 		t.Errorf("recurrence-bound II = %d, want >= 2", ii)
 	}
 	// And the fixed clock still yields a valid design.
