@@ -313,14 +313,10 @@ func buildCandidate(fx *funcFacts, r synth.Region, invocations uint64, pf *profi
 	// Software cycles, size and block execution counts from the profile.
 	var swCycles uint64
 	size := 0
-	blocks := r.Blocks
-	if blocks == nil {
-		blocks = fx.f.Blocks
-	}
 	// blockExecs is in block-index order, the order of the design's
 	// schedule.
-	blockExecs := make([]uint64, len(blocks))
-	for i, b := range blocks {
+	blockExecs := make([]uint64, len(r.Blocks))
+	for i, b := range r.Blocks {
 		if synth.Unsynthesizable(b) != nil {
 			return nil, nil
 		}

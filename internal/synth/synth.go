@@ -68,11 +68,10 @@ func (d *Design) ClockMHz() float64 { return fpga.MHz(d.ClockNs) }
 // GateEquivalent returns the conventional equivalent-gate area metric.
 func (d *Design) GateEquivalent() int { return d.Area.GateEquivalent() }
 
-// Region selects the blocks of a function to synthesize, in block-index
-// order. Nil blocks mean the whole function.
+// Region selects the blocks of a function to synthesize.
 type Region struct {
 	Func   *ir.Func
-	Blocks []*ir.Block // nil = all
+	Blocks []*ir.Block // in block-index order
 	Name   string
 	// Loops and Alias are facts about Func that a caller synthesizing
 	// several regions of one function computes once and shares:
@@ -94,14 +93,7 @@ func LoopRegion(f *ir.Func, l *ir.Loop) Region {
 // FuncRegion builds a Region covering an entire function, supporting the
 // paper's "synthesizing an entire software application" use.
 func FuncRegion(f *ir.Func) Region {
-	return Region{Func: f, Name: f.Name}
-}
-
-func (r Region) blocks() []*ir.Block {
-	if r.Blocks == nil {
-		return r.Func.Blocks
-	}
-	return r.Blocks
+	return Region{Func: f, Blocks: f.Blocks, Name: f.Name}
 }
 
 // Unsynthesizable returns the first instruction of b that no design can
@@ -121,7 +113,7 @@ func Unsynthesizable(b *ir.Block) *ir.Instr {
 // data symbols for alias-driven memory disambiguation and block-RAM
 // sizing; it may be nil (conservative aliasing, no array migration).
 func Synthesize(r Region, img *binimg.Image, opts Options) (*Design, error) {
-	blocks := r.blocks()
+	blocks := r.Blocks
 	if len(blocks) == 0 {
 		return nil, fmt.Errorf("synth: empty region %q", r.Name)
 	}

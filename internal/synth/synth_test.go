@@ -238,7 +238,7 @@ func TestMemoryPortConstraintLengthensSchedule(t *testing.T) {
 // Synthesize does under the fixed budget, pipelines its loops, and
 // returns the largest initiation interval.
 func pipelinedII(t *testing.T, r Region, img *binimg.Image, res Resources, clockNs float64) int {
-	blocks := r.blocks()
+	blocks := r.Blocks
 	am := alias.Analyze(r.Func, img)
 	bd := newDFGBuilder(blocks)
 	defer bd.release()
