@@ -17,7 +17,7 @@ func buildDFG(b *ir.Block, am *alias.Info) *dfg {
 	return newDFGBuilder([]*ir.Block{b}).build(b, am)
 }
 
-// mustSchedule is schedule for a graph every state budget can take.
+// mustSchedule schedules g, failing the test if schedule returns an error.
 func mustSchedule(t *testing.T, g *dfg, res Resources, clockNs float64) *scheduleResult {
 	t.Helper()
 	sr, err := schedule(g, res, clockNs)
