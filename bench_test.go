@@ -479,10 +479,9 @@ func BenchmarkStageRenderReport(b *testing.B) {
 // dynamic partitioning.
 func BenchmarkPartitionerSelection(b *testing.B) {
 	r := rand.New(rand.NewSource(42))
-	var cands []*partition.Candidate
+	var cands []partition.Candidate
 	for i := 0; i < 64; i++ {
-		cands = append(cands, &partition.Candidate{
-			Name:       fmt.Sprintf("loop%d", i),
+		cands = append(cands, partition.Candidate{
 			SWTimeNs:   float64(1000 + r.Intn(1_000_000)),
 			HWTimeNs:   float64(500 + r.Intn(100_000)),
 			AreaGates:  1000 + r.Intn(30_000),

@@ -11,12 +11,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"binpart/internal/bench"
+	"binpart/internal/binimg"
 	"binpart/internal/core"
 	"binpart/internal/obs"
 )
@@ -568,4 +570,61 @@ func TestDeadlineBoundsAdmissionWait(t *testing.T) {
 	if want := `bpartd_rejected_total{reason="deadline"} 1` + "\n"; !strings.Contains(buf.String(), want) {
 		t.Errorf("metrics lack %q:\n%s", want, buf.String())
 	}
+}
+
+// TestDuplicateFunctionNamesUpload uploads brev −O1 with every text
+// symbol named f, three times at once, to a daemon with two execution
+// slots and a 2 s deadline. Symbol names identify nothing in the
+// analysis, so every request must get a 200 within the deadline carrying
+// the original image's metrics; none may drop its connection or hold a
+// slot on an analysis that never finishes.
+func TestDuplicateFunctionNamesUpload(t *testing.T) {
+	const deadline = 2 * time.Second
+	d := testDaemon(t, daemonConfig{Inflight: 2, Deadline: deadline})
+	ts := httptest.NewServer(d.Mux())
+	defer ts.Close()
+
+	b, _ := bench.ByName("brev")
+	img, err := b.Compile(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := core.Run(img, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := metricsFrom(rep.Metrics)
+	syms := slices.Clone(img.Symbols)
+	for i := range syms {
+		if img.InText(syms[i].Addr) {
+			syms[i].Name = "f"
+		}
+	}
+	sbf, err := (&binimg.Image{Entry: img.Entry, TextBase: img.TextBase, Text: img.Text,
+		DataBase: img.DataBase, Data: img.Data, Symbols: syms}).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	client := &http.Client{Timeout: deadline}
+	var wg sync.WaitGroup
+	for i := 0; i < 3; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, body := postJSON(t, client, ts.URL+"/v1/partition", apiRequest{SBF: sbf})
+			if resp == nil {
+				return
+			}
+			var got partitionResponse
+			if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &got) != nil {
+				t.Errorf("request %d: status %d: %s", i, resp.StatusCode, body)
+				return
+			}
+			if got.Metrics != want {
+				t.Errorf("request %d: metrics %+v, want the original image's %+v", i, got.Metrics, want)
+			}
+		}(i)
+	}
+	wg.Wait()
 }

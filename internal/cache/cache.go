@@ -18,6 +18,7 @@ package cache
 
 import (
 	"container/list"
+	"errors"
 	"sync"
 	"sync/atomic"
 )
@@ -113,7 +114,9 @@ func New[K comparable, V any](capacity int) *Cache[K, V] {
 // computes, the rest wait and share the result (a waiter counts as a
 // hit, and also as a wait — the contention-visible counter). Errors are
 // not cached: the waiters of a failed compute share its error, and the
-// next call for the key computes again.
+// next call for the key computes again. A compute that panics fails the
+// same way: its waiters get an error, and the panic goes on in the
+// caller that ran it.
 //
 // The compute runs outside the cache lock: the caller first registers
 // itself in the inflight map, which gives it per-key exclusion, so a
@@ -142,12 +145,23 @@ func (c *Cache[K, V]) GetOrCompute(k K, fn func() (V, error)) (V, Outcome, error
 		}
 		return fl.val, OutcomeWait, nil
 	}
-	fl := &inflightCall[V]{done: make(chan struct{})}
+	fl := &inflightCall[V]{done: make(chan struct{}), err: errComputePanicked}
 	c.inflight[k] = fl
 	c.mu.Unlock()
+	defer c.settle(k, fl)
+	fl.val, fl.err = fn()
+	return fl.val, OutcomeMiss, fl.err
+}
 
-	c.fill(fl, fn)
+// errComputePanicked is what the waiters of a compute that panicked get.
+var errComputePanicked = errors.New("cache: compute panicked")
 
+// settle ends k's registered inflight call fl once its compute returns or
+// panics (leaving fl.err at errComputePanicked): it counts the miss,
+// unregisters k, keeps the value unless the compute failed, and wakes
+// the waiters.
+func (c *Cache[K, V]) settle(k K, fl *inflightCall[V]) {
+	c.misses.Add(1)
 	c.mu.Lock()
 	delete(c.inflight, k)
 	if fl.err == nil {
@@ -162,14 +176,6 @@ func (c *Cache[K, V]) GetOrCompute(k K, fn func() (V, error)) (V, Outcome, error
 		}
 	}
 	c.mu.Unlock()
-	return fl.val, OutcomeMiss, fl.err
-}
-
-// fill computes a registered inflight call outside the cache lock, counts
-// the miss and wakes the waiters.
-func (c *Cache[K, V]) fill(fl *inflightCall[V], fn func() (V, error)) {
-	fl.val, fl.err = fn()
-	c.misses.Add(1)
 	close(fl.done)
 }
 

@@ -265,3 +265,78 @@ func BenchmarkCacheHitParallel(b *testing.B) {
 		}
 	})
 }
+
+// TestPanickingComputeReleasesKey panics in a compute while another
+// caller waits on it: the panic must reach the caller that ran the
+// compute, the waiter must wake with an error, and the next call for the
+// key must compute again instead of waiting forever on a dead compute.
+func TestPanickingComputeReleasesKey(t *testing.T) {
+	c := New[int, int](4)
+	const k = 1
+	release := make(chan struct{})
+	recovered := make(chan any, 1)
+	go func() {
+		defer func() { recovered <- recover() }()
+		c.GetOrCompute(k, func() (int, error) {
+			<-release
+			panic("boom")
+		})
+	}()
+	for !computing(c, k) {
+		runtime.Gosched()
+	}
+	waited := make(chan error, 1)
+	go func() {
+		_, out, err := c.GetOrCompute(k, func() (int, error) { return 0, errors.New("waiter computed") })
+		if out != OutcomeWait {
+			err = errors.New("waiter did not wait on the compute")
+		}
+		waited <- err
+	}()
+	for c.Stats().Waits == 0 {
+		runtime.Gosched()
+	}
+	close(release)
+
+	timeout := time.After(5 * time.Second)
+	select {
+	case p := <-recovered:
+		if p != "boom" {
+			t.Errorf("computing caller recovered %v, want the compute's panic", p)
+		}
+	case <-timeout:
+		t.Fatal("the panic never reached the computing caller")
+	}
+	select {
+	case err := <-waited:
+		if err != errComputePanicked {
+			t.Errorf("waiter got %v, want %v", err, errComputePanicked)
+		}
+	case <-timeout:
+		t.Fatal("waiter still blocked on the panicked compute")
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		v, out, err := c.GetOrCompute(k, func() (int, error) { return 7, nil })
+		if v != 7 || out != OutcomeMiss || err != nil {
+			t.Errorf("after the panic: %d, %v, %v; want a fresh compute of 7", v, out, err)
+		}
+	}()
+	select {
+	case <-done:
+	case <-timeout:
+		t.Fatal("the key stayed in flight after its compute panicked")
+	}
+	if s := c.Stats(); s.Misses != 2 || s.Hits != 1 || s.Entries != 1 {
+		t.Errorf("stats = %+v, want 2 misses, 1 hit (the wait), 1 entry", s)
+	}
+}
+
+// computing reports whether a compute for k is in flight.
+func computing[K comparable, V any](c *Cache[K, V], k K) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.inflight[k]
+	return ok
+}

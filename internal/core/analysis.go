@@ -156,16 +156,13 @@ func computeAnalysis(img *binimg.Image, opts Options, caches *Caches, sc *obs.Sc
 	// functions when running at function granularity. Each function's
 	// facts are gathered once and shared by all of its candidates.
 	pf := &profileFacts{prof: res.Profile, cycAt: cycAt, takenFrom: ws.takenEdges(res.Profile)}
-	for _, f := range lr.Dec.Funcs {
-		if f.Name == "_start" {
-			continue
-		}
+	for i, f := range lr.Dec.Funcs {
 		fx := &funcFacts{
 			f:       f,
 			img:     img,
 			extents: ws.blockExtents(f, img),
-			factors: lr.Factors[f.Name],
-			loops:   lr.Loops[f.Name],
+			factors: lr.Factors[i],
+			loops:   lr.Loops[i],
 		}
 		if opts.Granularity == GranFunctions {
 			rc, err := buildCandidate(fx, synth.FuncRegion(f), pf.funcInvocations(f), pf, opts, sc)
@@ -196,17 +193,19 @@ func computeAnalysis(img *binimg.Image, opts Options, caches *Caches, sc *obs.Sc
 // LiftResult is the product of decompilation plus the decompiler
 // optimization pipeline. It belongs to the one Analysis lifted from it:
 // that analysis' candidates share it, and must treat it as read-only.
+// Its per-function facts are indexed like Dec.Funcs: a symbol table may
+// give two functions one name, so names identify nothing.
 type LiftResult struct {
 	Dec *decompile.Result
-	// Factors holds per-function reroll factors (dopt.RerollReport's).
-	Factors map[string][]int
+	// Factors holds each function's reroll factors (dopt.RerollReport's).
+	Factors [][]int
 	// Outlines renders each function's recovered control structure and
 	// signature; computeLift fills it only when asked to.
 	Outlines map[string]string
 	// Loops holds each function's natural loops on its final IR, as
 	// structure recovery found them (ir.FindLoops order; never nil).
 	// Candidate construction and synthesis share them read-only.
-	Loops map[string][]*ir.Loop
+	Loops [][]*ir.Loop
 	// Recovery aggregates recovery statistics; FailReasons is shared.
 	Recovery RecoveryStats
 }
@@ -221,8 +220,8 @@ func computeLift(img *binimg.Image, decOpts decompile.Options, cfg dopt.Config, 
 	}
 	lr := &LiftResult{
 		Dec:     dec,
-		Factors: map[string][]int{},
-		Loops:   map[string][]*ir.Loop{},
+		Factors: make([][]int, len(dec.Funcs)),
+		Loops:   make([][]*ir.Loop, len(dec.Funcs)),
 	}
 	if outlines {
 		lr.Outlines = map[string]string{}
@@ -232,10 +231,10 @@ func computeLift(img *binimg.Image, decOpts decompile.Options, cfg dopt.Config, 
 		lr.Recovery.FuncsFailed++
 		lr.Recovery.FailReasons[name] = ferr.Error()
 	}
-	for _, f := range dec.Funcs {
+	for fi, f := range dec.Funcs {
 		lr.Recovery.FuncsRecovered++
 		dr := dopt.OptimizeWith(f, cfg)
-		lr.Factors[f.Name] = dr.Reroll.Factors
+		lr.Factors[fi] = dr.Reroll.Factors
 		lr.Recovery.RerolledLoops += len(dr.Reroll.Rerolled)
 		lr.Recovery.PromotedMultiplies += dr.Promote.Multiplies
 		lr.Recovery.StackSlotsPromoted += dr.Stack.SlotsPromoted
@@ -257,7 +256,7 @@ func computeLift(img *binimg.Image, decOpts decompile.Options, cfg dopt.Config, 
 				lr.Recovery.LoopsShaped++
 			}
 		}
-		lr.Loops[f.Name] = loops
+		lr.Loops[fi] = loops
 		for _, i := range st.Ifs {
 			lr.Recovery.IfsFound++
 			if i.Shape != ir.IfUnstructured {
@@ -308,30 +307,26 @@ func evaluateOpts(a *Analysis, opts Options, sc *obs.Scope) *Report {
 	rep := &Report{Analysis: a, Options: opts}
 
 	// Price the candidates on the platform (Platform.Times, stored in
-	// ns). Regions and candidates each live in one backing array.
+	// ns). regions[i] and priced[i] are a.Candidates[i]'s, each slice one
+	// backing array.
 	n := len(a.Candidates)
 	ws := evalScratches.Get()
 	defer ws.release()
 	regions := make([]RegionReport, n)
 	ws.priced = freelist.Resize(ws.priced, n)
-	ws.cands = freelist.Resize(ws.cands, n)
-	priced, cands := ws.priced, ws.cands
+	priced := ws.priced
 	rep.Regions = make([]*RegionReport, n)
 	for i, rc := range a.Candidates {
-		rr := &regions[i]
-		rr.RegionCandidate = rc
-		rep.Regions[i] = rr
+		regions[i].RegionCandidate = rc
+		rep.Regions[i] = &regions[i]
 		sw, hw := opts.Platform.Times(rc.Region)
 		priced[i] = partition.Candidate{
-			Name:       rc.Name,
 			SWTimeNs:   sw * 1e9,
 			HWTimeNs:   hw * 1e9,
 			AreaGates:  rc.AreaGates,
 			Footprint:  rc.Footprint,
 			SizeInstrs: rc.SizeInstrs,
-			Payload:    rr,
 		}
-		cands[i] = &priced[i]
 	}
 	slices.SortFunc(rep.Regions, func(a, b *RegionReport) int { return cmp.Compare(b.SWCycles, a.SWCycles) })
 
@@ -340,20 +335,21 @@ func evaluateOpts(a *Analysis, opts Options, sc *obs.Scope) *Report {
 	var pres *partition.Result
 	switch opts.Algorithm {
 	case AlgGreedy:
-		pres = partition.GreedyKnapsack(cands, opts.AreaBudgetGates)
+		pres = partition.GreedyKnapsack(priced, opts.AreaBudgetGates)
 	case AlgGCLP:
-		pres = partition.GCLP(cands, opts.AreaBudgetGates)
+		pres = partition.GCLP(priced, opts.AreaBudgetGates)
 	default:
-		pres = partition.Partition(cands, opts.AreaBudgetGates, opts.Granularity == GranLoops)
+		pres = partition.Partition(priced, opts.AreaBudgetGates, opts.Granularity == GranLoops)
 	}
 	rep.PartitionTime = time.Since(start)
 
-	// 6. Evaluate on the platform.
+	// 6. Evaluate on the platform, summing the selected regions in the
+	// order they were picked.
 	selected := ws.selected[:0]
-	for _, c := range pres.Selected {
-		rr := c.Payload.(*RegionReport)
+	for _, i := range pres.Selected {
+		rr := &regions[i]
 		rr.Selected = true
-		rr.Step = pres.Step[c.Name]
+		rr.Step = pres.Step[i]
 		selected = append(selected, rr.Region)
 	}
 	rep.Metrics = opts.Platform.Evaluate(a.SWCycles, selected)

@@ -265,7 +265,6 @@ func (ws *analysisScratch) takenEdges(prof *sim.Profile) map[uint32]uint64 {
 // the selected platform regions, which no Report keeps.
 type evalScratch struct {
 	priced   []partition.Candidate
-	cands    []*partition.Candidate
 	selected []platform.Region
 }
 
@@ -275,7 +274,6 @@ var evalScratches freelist.List[evalScratch]
 // to the free list.
 func (ws *evalScratch) release() {
 	clear(ws.priced)
-	clear(ws.cands)
 	clear(ws.selected[:cap(ws.selected)])
 	evalScratches.Put(ws)
 }

@@ -58,37 +58,34 @@ func runMonolithic(img *binimg.Image, opts Options) (*Report, error) {
 	rep.Recovery.FailReasons = copyStringMap(lr.Recovery.FailReasons)
 	rep.outlines = copyStringMap(lr.Outlines)
 
-	// 4. Build candidates, priced immediately for the platform.
-	var cands []*partition.Candidate
+	// 4. Build candidates, priced immediately for the platform; found[i]
+	// is cands[i]'s region.
+	var cands []partition.Candidate
+	var found []*RegionReport
 	addCand := func(rc *RegionCandidate) {
 		rr := &RegionReport{RegionCandidate: rc}
-		rep.Regions = append(rep.Regions, rr)
-		cands = append(cands, &partition.Candidate{
-			Name:       rr.Name,
+		found = append(found, rr)
+		cands = append(cands, partition.Candidate{
 			SWTimeNs:   float64(rr.SWCycles) / opts.Platform.CPUMHz * 1000,
 			HWTimeNs:   rr.HWCycles*rr.HWClockNs + float64(rr.Invocations*platform.CommCPUCycles)/opts.Platform.CPUMHz*1000,
 			AreaGates:  rr.AreaGates,
 			Footprint:  rr.Footprint,
 			SizeInstrs: rc.SizeInstrs,
-			Payload:    rr,
 		})
 	}
 	// Every candidate gets facts of its own, computed from scratch: the
 	// function's loops and alias information and the summed taken
 	// edges. Nothing is shared between candidates or taken from the
 	// lift result's loops.
-	facts := func(f *ir.Func) (*funcFacts, *profileFacts) {
-		ws := new(analysisScratch)
-		fx := &funcFacts{f: f, img: img, extents: ws.blockExtents(f, img), factors: lr.Factors[f.Name],
+	facts := func(fi int) (*funcFacts, *profileFacts) {
+		f, ws := lr.Dec.Funcs[fi], new(analysisScratch)
+		fx := &funcFacts{f: f, img: img, extents: ws.blockExtents(f, img), factors: lr.Factors[fi],
 			loops: ir.FindLoops(f), am: alias.Analyze(f, img)}
 		return fx, &profileFacts{prof: res.Profile, cycAt: cycAt, takenFrom: ws.takenEdges(res.Profile)}
 	}
-	for _, f := range lr.Dec.Funcs {
-		if f.Name == "_start" {
-			continue
-		}
+	for fi, f := range lr.Dec.Funcs {
 		if opts.Granularity == GranFunctions {
-			fx, pf := facts(f)
+			fx, pf := facts(fi)
 			rc, err := buildCandidate(fx, synth.FuncRegion(f), pf.funcInvocations(f), pf, opts, nil)
 			if err == nil && rc != nil {
 				addCand(rc)
@@ -99,7 +96,7 @@ func runMonolithic(img *binimg.Image, opts Options) (*Report, error) {
 			if l.Depth != 1 {
 				continue
 			}
-			fx, pf := facts(f)
+			fx, pf := facts(fi)
 			rc, err := buildCandidate(fx, synth.LoopRegion(f, l), pf.loopInvocations(l), pf, opts, nil)
 			if err != nil || rc == nil {
 				continue
@@ -107,6 +104,7 @@ func runMonolithic(img *binimg.Image, opts Options) (*Report, error) {
 			addCand(rc)
 		}
 	}
+	rep.Regions = append(rep.Regions, found...)
 	sort.Slice(rep.Regions, func(i, j int) bool { return rep.Regions[i].SWCycles > rep.Regions[j].SWCycles })
 
 	// 5. Partition.
@@ -124,10 +122,10 @@ func runMonolithic(img *binimg.Image, opts Options) (*Report, error) {
 
 	// 6. Evaluate on the platform.
 	var regions []platform.Region
-	for _, c := range pres.Selected {
-		rr := c.Payload.(*RegionReport)
+	for _, i := range pres.Selected {
+		rr := found[i]
 		rr.Selected = true
-		rr.Step = pres.Step[c.Name]
+		rr.Step = pres.Step[i]
 		regions = append(regions, platform.Region{
 			Name:        rr.Name,
 			SWCycles:    rr.SWCycles,

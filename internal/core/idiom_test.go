@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"binpart/internal/bench"
@@ -75,6 +77,80 @@ func TestCommutedOperandsAreInvisible(t *testing.T) {
 		if !reflect.DeepEqual(summary(got), summary(want)) || got.Metrics != want.Metrics {
 			t.Errorf("%s: commuted binary prices differently:\n got %+v %+v\nwant %+v %+v",
 				bm.Name, summary(got), got.Metrics, summary(want), want.Metrics)
+		}
+	}
+}
+
+// renamed returns a copy of img whose text symbols are all named f: a
+// symbol table that names nothing apart, as an upload's may. The copy is
+// built field by field, so it gets a fresh content key.
+func renamed(img *binimg.Image) *binimg.Image {
+	syms := slices.Clone(img.Symbols)
+	for i := range syms {
+		if img.InText(syms[i].Addr) {
+			syms[i].Name = "f"
+		}
+	}
+	return &binimg.Image{Entry: img.Entry, TextBase: img.TextBase, Text: img.Text,
+		DataBase: img.DataBase, Data: img.Data, Symbols: syms}
+}
+
+// TestDuplicateFunctionNames checks that symbol names identify nothing
+// between lifting and partitioning: for every suite binary, at loop and
+// at function granularity, naming every function f must leave the run
+// as it was — no panic, the same exit code and software cycles, the same
+// candidates with the same cycles, gates, footprints and steps, and the
+// same metrics. Only the region names, which quote the symbols, differ.
+func TestDuplicateFunctionNames(t *testing.T) {
+	type region struct {
+		SWCycles    uint64
+		HWCycles    float64
+		Invocations uint64
+		AreaGates   int
+		Footprint   []string
+		Step        int
+	}
+	summary := func(rep *Report) (out []region) {
+		for _, r := range rep.Regions {
+			out = append(out, region{r.SWCycles, r.HWCycles, r.Invocations, r.AreaGates, r.Footprint, r.Step})
+		}
+		return out
+	}
+	run := func(img *binimg.Image, opts Options) (rep *Report, err error) {
+		defer func() {
+			if p := recover(); p != nil {
+				err = fmt.Errorf("panic: %v", p)
+			}
+		}()
+		return Run(img, opts)
+	}
+	for _, gran := range []Granularity{GranLoops, GranFunctions} {
+		opts := DefaultOptions()
+		opts.Granularity = gran
+		for _, bm := range bench.All() {
+			for lvl := 0; lvl <= 3; lvl++ {
+				img, err := bm.Compile(lvl)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := Run(img, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := run(renamed(img), opts)
+				if err != nil {
+					t.Errorf("%s -O%d gran %d renamed: %v", bm.Name, lvl, gran, err)
+					continue
+				}
+				if got.ExitCode != want.ExitCode || got.SWCycles != want.SWCycles {
+					t.Errorf("%s -O%d gran %d: renamed binary exits %d after %d cycles, the original %d after %d",
+						bm.Name, lvl, gran, got.ExitCode, got.SWCycles, want.ExitCode, want.SWCycles)
+				}
+				if !reflect.DeepEqual(summary(got), summary(want)) || got.Metrics != want.Metrics {
+					t.Errorf("%s -O%d gran %d: renamed binary partitions differently:\n got %+v %+v\nwant %+v %+v",
+						bm.Name, lvl, gran, summary(got), got.Metrics, summary(want), want.Metrics)
+				}
+			}
 		}
 	}
 }

@@ -14,6 +14,11 @@
 // provides the comparison baselines it cites: a Henkel-style greedy
 // gain/area knapsack, a simplified Kalavade/Lee GCLP, and exact
 // exhaustive search for small candidate sets.
+//
+// Every algorithm takes the candidates as a slice and identifies each by
+// its index in it: a partition is a step per candidate index (0 for
+// software), so names, which a binary's symbol table need not keep
+// distinct, play no part.
 package partition
 
 import (
@@ -23,8 +28,6 @@ import (
 
 // Candidate is one region eligible for hardware implementation.
 type Candidate struct {
-	// Name identifies the region for reports.
-	Name string
 	// SWTimeNs is the profiled time the region spends on the CPU per
 	// application run.
 	SWTimeNs float64
@@ -37,8 +40,6 @@ type Candidate struct {
 	Footprint []string
 	// SizeInstrs is the region's static size ("a few dozen lines").
 	SizeInstrs int
-	// Payload carries caller context (e.g. the synthesized design).
-	Payload any
 }
 
 // Gain is the time saved by moving the candidate to hardware.
@@ -53,113 +54,108 @@ const (
 	MaxLoopInstrs = 150
 )
 
-// Result is a chosen partition.
+// Result is a chosen partition of a candidate slice.
 type Result struct {
-	Selected []*Candidate
-	// Step maps candidate name to the step (1..3) that selected it.
-	Step map[string]int
+	// Selected lists the indexes of the candidates chosen for hardware,
+	// in the order they were taken.
+	Selected []int
+	// Step is indexed like the candidates: the step (1..3) that selected
+	// each one, 0 for one left in software.
+	Step []int
 	// TotalGates is the area consumed.
 	TotalGates int
 }
 
-// take is every algorithm's one selection rule: it records c as chosen
-// at step unless c is already in chosen or does not fit the budget
-// beside what is selected, and reports whether it did. chosen is the
-// caller's set of selected candidates.
-func (r *Result) take(c *Candidate, step int, chosen map[*Candidate]bool, budget int) bool {
-	if chosen[c] || r.TotalGates+c.AreaGates > budget {
+// newResult is an empty partition of n candidates. Step and Selected
+// share one backing array: at most n candidates are ever selected.
+func newResult(n int) *Result {
+	buf := make([]int, 2*n)
+	return &Result{Step: buf[:n:n], Selected: buf[n:n]}
+}
+
+// take is every algorithm's one selection rule: it records cands[i] as
+// chosen at step unless it is already chosen or does not fit the budget
+// beside what is selected, and reports whether it did.
+func (r *Result) take(cands []Candidate, i, step, budget int) bool {
+	if r.Step[i] != 0 || r.TotalGates+cands[i].AreaGates > budget {
 		return false
 	}
-	chosen[c] = true
-	r.TotalGates += c.AreaGates
-	r.Selected = append(r.Selected, c)
-	r.Step[c.Name] = step
+	r.TotalGates += cands[i].AreaGates
+	r.Selected = append(r.Selected, i)
+	r.Step[i] = step
 	return true
 }
 
 // fill takes, at step, every unchosen candidate with a positive gain and
 // area in order of gain per gate, highest first, while it fits. It is
 // the heuristic's step 3.
-func (r *Result) fill(cands []*Candidate, step int, chosen map[*Candidate]bool, budget int) {
-	rest := make([]*Candidate, 0, len(cands))
-	for _, c := range cands {
-		if !chosen[c] && c.Gain() > 0 && c.AreaGates > 0 {
-			rest = append(rest, c)
+func (r *Result) fill(cands []Candidate, step, budget int) {
+	rest := make([]int, 0, len(cands))
+	for i := range cands {
+		if c := &cands[i]; r.Step[i] == 0 && c.Gain() > 0 && c.AreaGates > 0 {
+			rest = append(rest, i)
 		}
 	}
-	slices.SortStableFunc(rest, byDensity)
-	for _, c := range rest {
-		r.take(c, step, chosen, budget)
+	slices.SortStableFunc(rest, func(a, b int) int { return byDensity(&cands[a], &cands[b]) })
+	for _, i := range rest {
+		r.take(cands, i, step, budget)
 	}
-}
-
-// totalTime sums HW time over selected and SW time over the rest.
-func totalTime(cands []*Candidate, chosen map[*Candidate]bool) float64 {
-	var t float64
-	for _, c := range cands {
-		if chosen[c] {
-			t += c.HWTimeNs
-		} else {
-			t += c.SWTimeNs
-		}
-	}
-	return t
 }
 
 // Partition runs the three-step 90-10 heuristic under an equivalent-gate
 // budget. loops says the candidates are loops, whose step-1 picks are
 // capped at MaxLoopInstrs; whole functions go uncapped.
-func Partition(cands []*Candidate, budgetGates int, loops bool) *Result {
-	res := &Result{Step: map[string]int{}}
-	chosen := map[*Candidate]bool{}
+func Partition(cands []Candidate, budgetGates int, loops bool) *Result {
+	res := newResult(len(cands))
 
 	// Step 1: the most frequent regions up to the coverage target.
-	hot := slices.Clone(cands)
+	hot := make([]int, len(cands))
 	var total float64
-	for _, c := range cands {
+	for i, c := range cands {
+		hot[i] = i
 		total += c.SWTimeNs
 	}
-	slices.SortStableFunc(hot, func(a, b *Candidate) int { return descending(a.SWTimeNs, b.SWTimeNs) })
+	slices.SortStableFunc(hot, func(a, b int) int { return descending(cands[a].SWTimeNs, cands[b].SWTimeNs) })
 	var covered float64
-	for _, c := range hot {
+	for _, i := range hot {
+		c := &cands[i]
 		if total > 0 && covered/total >= CoverageTarget {
 			break
 		}
 		if (loops && c.SizeInstrs > MaxLoopInstrs) || c.Gain() <= 0 {
 			continue
 		}
-		if res.take(c, 1, chosen, budgetGates) {
+		if res.take(cands, i, 1, budgetGates) {
 			covered += c.SWTimeNs
 		}
 	}
 
-	// Step 2: alias affinity — regions sharing arrays with the hardware
-	// partition, so the arrays can live in FPGA memory.
-	inHW := map[string]bool{}
-	for c := range chosen {
-		for _, s := range c.Footprint {
-			inHW[s] = true
-		}
-	}
-	for _, c := range cands {
-		if chosen[c] || c.Gain() <= 0 {
+	// Step 2: alias affinity — regions sharing arrays with step 1's
+	// hardware partition, so the arrays can live in FPGA memory.
+	hw := res.Selected
+	for i := range cands {
+		if res.Step[i] != 0 || cands[i].Gain() <= 0 {
 			continue
 		}
-		affine := false
-		for _, s := range c.Footprint {
-			if inHW[s] {
-				affine = true
-			}
-		}
-		if affine {
-			res.take(c, 2, chosen, budgetGates)
+		if slices.ContainsFunc(hw, func(j int) bool { return shares(&cands[i], &cands[j]) }) {
+			res.take(cands, i, 2, budgetGates)
 		}
 	}
 
 	// Step 3: fill by profit density until the constraint is violated;
 	// an entire application can be synthesized if space allows.
-	res.fill(cands, 3, chosen, budgetGates)
+	res.fill(cands, 3, budgetGates)
 	return res
+}
+
+// shares reports whether a and b access a common data object.
+func shares(a, b *Candidate) bool {
+	for _, s := range a.Footprint {
+		if slices.Contains(b.Footprint, s) {
+			return true
+		}
+	}
+	return false
 }
 
 // descending orders x before y when x > y. It is negative exactly where
@@ -182,9 +178,9 @@ func byDensity(a, b *Candidate) int {
 
 // GreedyKnapsack is the Henkel-style baseline: pure gain/area ordering,
 // which is the heuristic's step 3 on its own.
-func GreedyKnapsack(cands []*Candidate, budgetGates int) *Result {
-	res := &Result{Step: map[string]int{}}
-	res.fill(cands, 1, map[*Candidate]bool{}, budgetGates)
+func GreedyKnapsack(cands []Candidate, budgetGates int) *Result {
+	res := newResult(len(cands))
+	res.fill(cands, 1, budgetGates)
 	return res
 }
 
@@ -192,9 +188,8 @@ func GreedyKnapsack(cands []*Candidate, budgetGates int) *Result {
 // baseline: it alternates between time-driven and area-driven selection
 // depending on how critical the remaining deadline is, using the
 // all-software time as the implicit deadline reference.
-func GCLP(cands []*Candidate, budgetGates int) *Result {
-	res := &Result{Step: map[string]int{}}
-	chosen := map[*Candidate]bool{}
+func GCLP(cands []Candidate, budgetGates int) *Result {
+	res := newResult(len(cands))
 
 	var totalSW float64
 	for _, c := range cands {
@@ -205,8 +200,8 @@ func GCLP(cands []*Candidate, budgetGates int) *Result {
 		// regions; high GC favors the biggest time winner, low GC favors
 		// the densest.
 		var swLeft float64
-		for _, c := range cands {
-			if !chosen[c] {
+		for i, c := range cands {
+			if res.Step[i] == 0 {
 				swLeft += c.SWTimeNs
 			}
 		}
@@ -214,10 +209,11 @@ func GCLP(cands []*Candidate, budgetGates int) *Result {
 		if totalSW > 0 {
 			gc = swLeft / totalSW
 		}
-		var best *Candidate
+		best := -1
 		var bestKey float64
-		for _, c := range cands {
-			if chosen[c] || c.Gain() <= 0 || res.TotalGates+c.AreaGates > budgetGates {
+		for i := range cands {
+			c := &cands[i]
+			if res.Step[i] != 0 || c.Gain() <= 0 || res.TotalGates+c.AreaGates > budgetGates {
 				continue
 			}
 			var key float64
@@ -226,46 +222,46 @@ func GCLP(cands []*Candidate, budgetGates int) *Result {
 			} else {
 				key = c.Gain() / float64(c.AreaGates+1)
 			}
-			if best == nil || key > bestKey {
-				best, bestKey = c, key
+			if best < 0 || key > bestKey {
+				best, bestKey = i, key
 			}
 		}
-		if best == nil {
+		if best < 0 {
 			return res
 		}
-		res.take(best, 1, chosen, budgetGates)
+		res.take(cands, best, 1, budgetGates)
 	}
 }
 
-// Exhaustive finds the optimal subset by enumeration; it refuses inputs
-// beyond 20 candidates.
-func Exhaustive(cands []*Candidate, budgetGates int) (*Result, error) {
+// Exhaustive finds the subset of least application time — hardware time
+// over the selected candidates, software time over the rest — by
+// enumeration; it refuses inputs beyond 20 candidates.
+func Exhaustive(cands []Candidate, budgetGates int) (*Result, error) {
 	if len(cands) > 20 {
 		return nil, fmt.Errorf("partition: exhaustive search limited to 20 candidates, got %d", len(cands))
 	}
-	bestMask := 0
-	bestTime := totalTime(cands, nil)
+	bestMask, bestTime := 0, 0.0
+	for _, c := range cands {
+		bestTime += c.SWTimeNs
+	}
 	for mask := 0; mask < 1<<len(cands); mask++ {
-		area := 0
-		chosen := map[*Candidate]bool{}
+		area, t := 0, 0.0
 		for i, c := range cands {
 			if mask&(1<<i) != 0 {
 				area += c.AreaGates
-				chosen[c] = true
+				t += c.HWTimeNs
+			} else {
+				t += c.SWTimeNs
 			}
 		}
-		if area > budgetGates {
-			continue
-		}
-		if t := totalTime(cands, chosen); t < bestTime {
+		if area <= budgetGates && t < bestTime {
 			bestTime, bestMask = t, mask
 		}
 	}
-	res := &Result{Step: map[string]int{}}
-	chosen := map[*Candidate]bool{}
-	for i, c := range cands {
+	res := newResult(len(cands))
+	for i := range cands {
 		if bestMask&(1<<i) != 0 {
-			res.take(c, 1, chosen, budgetGates)
+			res.take(cands, i, 1, budgetGates)
 		}
 	}
 	return res, nil

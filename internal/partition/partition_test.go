@@ -7,55 +7,55 @@ import (
 	"testing/quick"
 )
 
-func cand(name string, sw, hw float64, area int, fp ...string) *Candidate {
-	return &Candidate{
-		Name: name, SWTimeNs: sw, HWTimeNs: hw, AreaGates: area,
-		Footprint: fp, SizeInstrs: 30,
-	}
+func cand(sw, hw float64, area int, fp ...string) Candidate {
+	return Candidate{SWTimeNs: sw, HWTimeNs: hw, AreaGates: area, Footprint: fp, SizeInstrs: 30}
 }
 
 func TestStep1PicksHotLoops(t *testing.T) {
-	cands := []*Candidate{
-		cand("hot", 9000, 500, 10000),
-		cand("warm", 900, 100, 10000),
-		cand("cold", 100, 50, 10000),
+	const hot, warm, cold = 0, 1, 2
+	cands := []Candidate{
+		hot:  cand(9000, 500, 10000),
+		warm: cand(900, 100, 10000),
+		cold: cand(100, 50, 10000),
 	}
 	res := Partition(cands, 100000, true)
-	if res.Step["hot"] != 1 {
-		t.Errorf("hot loop selected in step %d, want 1", res.Step["hot"])
+	if res.Step[hot] != 1 {
+		t.Errorf("hot loop selected in step %d, want 1", res.Step[hot])
 	}
 	// hot covers 90% of loop time, so warm/cold are not step-1 picks.
-	if res.Step["warm"] == 1 {
+	if res.Step[warm] == 1 {
 		t.Error("warm loop selected in step 1 despite coverage target met")
 	}
 }
 
 func TestStep2PullsAliasAffineRegions(t *testing.T) {
-	cands := []*Candidate{
-		cand("hot", 9500, 500, 10000, "buf"),
-		cand("sharer", 300, 200, 10000, "buf"),
-		cand("stranger", 300, 200, 10000, "other"),
+	const hot, sharer, stranger = 0, 1, 2
+	cands := []Candidate{
+		hot:      cand(9500, 500, 10000, "buf"),
+		sharer:   cand(300, 200, 10000, "buf"),
+		stranger: cand(300, 200, 10000, "other"),
 	}
 	res := Partition(cands, 100000, true)
-	if res.Step["sharer"] != 2 {
-		t.Errorf("sharer selected in step %d, want 2 (alias affinity)", res.Step["sharer"])
+	if res.Step[sharer] != 2 {
+		t.Errorf("sharer selected in step %d, want 2 (alias affinity)", res.Step[sharer])
 	}
-	if s := res.Step["stranger"]; s != 3 {
+	if s := res.Step[stranger]; s != 3 {
 		t.Errorf("stranger selected in step %d, want 3: it shares no memory, so only the fill step takes it", s)
 	}
 }
 
 func TestStep3FillsUntilBudget(t *testing.T) {
-	cands := []*Candidate{
-		cand("hot", 9500, 500, 10000, "a"),
-		cand("dense", 400, 100, 1000, "b"),
-		cand("sparse", 400, 100, 40000, "c"),
+	const hot, dense, sparse = 0, 1, 2
+	cands := []Candidate{
+		hot:    cand(9500, 500, 10000, "a"),
+		dense:  cand(400, 100, 1000, "b"),
+		sparse: cand(400, 100, 40000, "c"),
 	}
 	res := Partition(cands, 12000, true)
-	if res.Step["dense"] != 3 {
-		t.Errorf("dense selected in step %d, want 3", res.Step["dense"])
+	if res.Step[dense] != 3 {
+		t.Errorf("dense selected in step %d, want 3", res.Step[dense])
 	}
-	if _, ok := res.Step["sparse"]; ok {
+	if res.Step[sparse] != 0 {
 		t.Error("sparse selected despite exceeding budget")
 	}
 	if res.TotalGates > 12000 {
@@ -64,10 +64,10 @@ func TestStep3FillsUntilBudget(t *testing.T) {
 }
 
 func TestAreaConstraintRespected(t *testing.T) {
-	cands := []*Candidate{
-		cand("a", 5000, 100, 9000),
-		cand("b", 4000, 100, 9000),
-		cand("c", 3000, 100, 9000),
+	cands := []Candidate{
+		cand(5000, 100, 9000),
+		cand(4000, 100, 9000),
+		cand(3000, 100, 9000),
 	}
 	res := Partition(cands, 10000, true)
 	if res.TotalGates > 10000 {
@@ -79,15 +79,16 @@ func TestAreaConstraintRespected(t *testing.T) {
 }
 
 func TestNegativeGainExcluded(t *testing.T) {
-	cands := []*Candidate{
-		cand("loser", 100, 5000, 1000), // hardware slower than software
-		cand("winner", 5000, 100, 1000),
+	const loser, winner = 0, 1
+	cands := []Candidate{
+		loser:  cand(100, 5000, 1000), // hardware slower than software
+		winner: cand(5000, 100, 1000),
 	}
 	res := Partition(cands, 100000, true)
-	if _, ok := res.Step["loser"]; ok {
+	if res.Step[loser] != 0 {
 		t.Error("region with negative gain was selected")
 	}
-	if _, ok := res.Step["winner"]; !ok {
+	if res.Step[winner] == 0 {
 		t.Error("winner not selected")
 	}
 }
@@ -95,9 +96,9 @@ func TestNegativeGainExcluded(t *testing.T) {
 func TestWholeApplicationWhenSpaceAllows(t *testing.T) {
 	// Paper: "This final step allows an entire application to be
 	// synthesized if space allows."
-	var cands []*Candidate
+	var cands []Candidate
 	for i := 0; i < 10; i++ {
-		cands = append(cands, cand(string(rune('a'+i)), 1000, 100, 1000))
+		cands = append(cands, cand(1000, 100, 1000))
 	}
 	res := Partition(cands, 1<<30, true)
 	if len(res.Selected) != len(cands) {
@@ -106,28 +107,31 @@ func TestWholeApplicationWhenSpaceAllows(t *testing.T) {
 }
 
 func TestSizeCapInStep1(t *testing.T) {
-	big := cand("big", 9000, 100, 1000)
-	big.SizeInstrs = 10000
-	small := cand("small", 1000, 100, 1000)
-	res := Partition([]*Candidate{big, small}, 100000, true)
-	if res.Step["big"] == 1 {
+	const big, small = 0, 1
+	cands := []Candidate{
+		big:   cand(9000, 100, 1000),
+		small: cand(1000, 100, 1000),
+	}
+	cands[big].SizeInstrs = 10000
+	res := Partition(cands, 100000, true)
+	if res.Step[big] == 1 {
 		t.Error("oversized loop selected in step 1")
 	}
-	if res.Step["small"] != 1 {
+	if res.Step[small] != 1 {
 		t.Error("small hot loop not selected")
 	}
 	// Whole functions are not capped.
-	if res := Partition([]*Candidate{big, small}, 100000, false); res.Step["big"] != 1 {
+	if res := Partition(cands, 100000, false); res.Step[big] != 1 {
 		t.Errorf("oversized function not selected in step 1: %v", res.Step)
 	}
 }
 
 func TestBaselinesRespectBudget(t *testing.T) {
-	cands := []*Candidate{
-		cand("a", 9000, 500, 15000),
-		cand("b", 4000, 400, 8000),
-		cand("c", 2000, 300, 4000),
-		cand("d", 1000, 200, 2000),
+	cands := []Candidate{
+		cand(9000, 500, 15000),
+		cand(4000, 400, 8000),
+		cand(2000, 300, 4000),
+		cand(1000, 200, 2000),
 	}
 	for name, run := range map[string]func() *Result{
 		"greedy": func() *Result { return GreedyKnapsack(cands, 10000) },
@@ -145,10 +149,9 @@ func TestExhaustiveIsOptimal(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	f := func() bool {
 		n := 2 + r.Intn(8)
-		var cands []*Candidate
+		var cands []Candidate
 		for i := 0; i < n; i++ {
 			cands = append(cands, cand(
-				string(rune('a'+i)),
 				float64(100+r.Intn(5000)),
 				float64(50+r.Intn(2000)),
 				500+r.Intn(8000),
@@ -185,10 +188,10 @@ func TestGreedyIsStepThreeAlone(t *testing.T) {
 	// baseline, selects.
 	r := rand.New(rand.NewSource(43))
 	f := func() bool {
-		var cands []*Candidate
+		var cands []Candidate
 		n := 1 + r.Intn(30)
 		for i := 0; i < n; i++ {
-			c := cand(string(rune('a'+i)),
+			c := cand(
 				float64(r.Intn(5000)),
 				float64(r.Intn(5000)),
 				r.Intn(8000),
@@ -207,9 +210,9 @@ func TestGreedyIsStepThreeAlone(t *testing.T) {
 }
 
 func TestExhaustiveRejectsLargeInputs(t *testing.T) {
-	var cands []*Candidate
+	var cands []Candidate
 	for i := 0; i < 21; i++ {
-		cands = append(cands, cand(string(rune('a'+i)), 100, 50, 100))
+		cands = append(cands, cand(100, 50, 100))
 	}
 	if _, err := Exhaustive(cands, 1000); err == nil {
 		t.Error("Exhaustive accepted 21 candidates")
@@ -217,11 +220,11 @@ func TestExhaustiveRejectsLargeInputs(t *testing.T) {
 }
 
 func TestResultTime(t *testing.T) {
-	cands := []*Candidate{
-		cand("a", 1000, 100, 100),
-		cand("b", 2000, 300, 100),
+	cands := []Candidate{
+		cand(1000, 100, 100),
+		cand(2000, 300, 100),
 	}
-	res := &Result{Selected: []*Candidate{cands[0]}, Step: map[string]int{"a": 1}}
+	res := &Result{Selected: []int{0}, Step: []int{1, 0}}
 	// a in hardware (100), b in software (2000).
 	if got := timeOf(res, cands); got != 2100 {
 		t.Errorf("Time = %v, want 2100", got)
@@ -232,13 +235,14 @@ func TestGCLPPhaseSwitch(t *testing.T) {
 	// With most time already moved to hardware, GCLP switches to
 	// area-driven selection: between two equal-gain candidates it must
 	// prefer the denser one once criticality is low.
-	cands := []*Candidate{
-		cand("huge", 100000, 100, 100), // selected first, drops GC below 0.5
-		cand("dense", 1000, 100, 500),
-		cand("sparse", 1100, 100, 20000),
+	const huge, dense, sparse = 0, 1, 2
+	cands := []Candidate{
+		huge:   cand(100000, 100, 100), // selected first, drops GC below 0.5
+		dense:  cand(1000, 100, 500),
+		sparse: cand(1100, 100, 20000),
 	}
 	res := GCLP(cands, 100+500) // room for huge + dense only
-	if _, ok := res.Step["dense"]; !ok {
+	if res.Step[dense] == 0 {
 		t.Errorf("GCLP did not pick the dense candidate: %+v", res.Step)
 	}
 }
@@ -248,8 +252,8 @@ func TestPartitionEmptyAndDegenerate(t *testing.T) {
 		t.Errorf("empty input produced %+v", res)
 	}
 	// Zero-area candidates must not divide by zero in step 3.
-	z := cand("z", 100, 10, 0)
-	if res := Partition([]*Candidate{z}, 1000, true); res.TotalGates != 0 {
+	z := cand(100, 10, 0)
+	if res := Partition([]Candidate{z}, 1000, true); res.TotalGates != 0 {
 		// Step 1 may admit it (area 0 always fits); either way no panic
 		// and no budget damage.
 		_ = res
@@ -260,23 +264,29 @@ func TestPartitionEmptyAndDegenerate(t *testing.T) {
 }
 
 func TestStepAttribution(t *testing.T) {
-	cands := []*Candidate{
-		cand("hot", 9500, 500, 1000, "m"),
-		cand("affine", 200, 100, 1000, "m"),
-		cand("fill", 200, 100, 1000, "x"),
+	const hot, affine, fill = 0, 1, 2
+	cands := []Candidate{
+		hot:    cand(9500, 500, 1000, "m"),
+		affine: cand(200, 100, 1000, "m"),
+		fill:   cand(200, 100, 1000, "x"),
 	}
 	res := Partition(cands, 1<<30, true)
-	if res.Step["hot"] != 1 || res.Step["affine"] != 2 || res.Step["fill"] != 3 {
+	if res.Step[hot] != 1 || res.Step[affine] != 2 || res.Step[fill] != 3 {
 		t.Errorf("step attribution = %v", res.Step)
 	}
 }
 
 // timeOf returns the application time of a partitioning decision over the
-// candidate set (software time for unselected, hardware for selected).
-func timeOf(r *Result, cands []*Candidate) float64 {
-	chosen := map[*Candidate]bool{}
-	for _, c := range r.Selected {
-		chosen[c] = true
+// candidate set: hardware time over the selected candidates, software
+// time over the rest.
+func timeOf(r *Result, cands []Candidate) float64 {
+	var t float64
+	for i, c := range cands {
+		if r.Step[i] != 0 {
+			t += c.HWTimeNs
+		} else {
+			t += c.SWTimeNs
+		}
 	}
-	return totalTime(cands, chosen)
+	return t
 }
